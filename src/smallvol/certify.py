@@ -7,19 +7,22 @@ A system consists of equations
 with integer coefficients and principal logarithms, together with an
 approximate solution.  ``krawczyk_certify`` refines the approximation
 with a few plain Newton steps, then runs the Krawczyk interval-Newton
-test in jet arithmetic over a small per-coordinate box X around the
-refined point x^:
+test over a small per-coordinate box X around the refined point x^:
 
     K(X) = x^ - Y F(x^) + (I - Y F'(X)) (X - x^),
 
 with Y an approximate inverse Jacobian.  If K(X) lands strictly inside
 X (checked per real coordinate on outward bounds), a true solution of
-the selected square subsystem exists in X, and the certificate's delta
-bounds its C^n distance from the *input* shapes.
+the selected square subsystem exists in X.  Every other equation is
+then shown, by exact integer elimination, to be a rational combination
+of the selected ones, so the solution satisfies the whole system, and
+the certificate's delta bounds its C^n distance from the *input* shapes.
 
-Everything on the certified path runs in jet arithmetic; numpy is used
-only for the approximate quantities (Newton steps, pivoting, Y), whose
-values need not be accurate for soundness.
+The certified path runs on dimension-0 jets, which are midpoint-radius
+intervals with outward rounding; only the bounds of K(X) matter, so no
+jet variables are needed.  The approximate quantities (Newton steps,
+pivoting, Y) come from a short Gaussian elimination in plain complex
+floats; their values need not be accurate for soundness.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from .geometry import ShapeAssignment
 from .jets import (
     ComplexJet,
     Jet,
@@ -54,6 +56,11 @@ class BranchConsistencyError(CertifyError):
 
 class RankDeficientError(CertifyError):
     """No nonsingular square subsystem could be selected."""
+
+
+class UncoveredEquationError(CertifyError):
+    """An equation outside the certified square subsystem does not follow
+    from it, so the certified solution need not satisfy the system."""
 
 
 class InconclusiveError(RuntimeError):
@@ -119,9 +126,11 @@ class GluingSystem:
 class Certificate:
     """Verified existence record for a gluing-equation solution.
 
-    A true solution of the selected square subsystem lies within
-    ``box_radius`` of ``refined_center`` in each complex coordinate, and
-    within ``delta`` of the system's input shapes in the C^n 2-norm.
+    A true solution of the whole system lies within ``radius`` of
+    ``refined_center`` in each real coordinate, hence within
+    ``box_radius`` in each complex coordinate, and within ``delta`` of
+    the system's input shapes in the C^n 2-norm.  ``radius`` defaults
+    to ``box_radius``, which bounds each real coordinate as well.
     """
 
     delta: float
@@ -129,12 +138,21 @@ class Certificate:
     selected: tuple
     refined_center: tuple
     residual_norms: tuple  # per-equation |residual| at the refined center
+    radius: float = None
 
     def __post_init__(self):
+        if self.radius is None:
+            object.__setattr__(self, "radius", self.box_radius)
         if self.delta < self.box_radius:
             raise CertifyError("delta must dominate the box radius")
+        if not 0.0 <= self.radius <= self.box_radius:
+            raise CertifyError("the per-coordinate radius must lie in [0, box_radius]")
         if len(set(self.selected)) != len(self.selected):
             raise CertifyError("selected equation indices must be distinct")
+
+    def shape_assignment(self) -> ShapeAssignment:
+        """The certified box as input to the volume stage."""
+        return ShapeAssignment(self.refined_center, self.radius)
 
 
 def residual(sys: GluingSystem, shapes=None) -> list:
@@ -157,33 +175,92 @@ def residual(sys: GluingSystem, shapes=None) -> list:
     return out
 
 
-def jacobian(sys: GluingSystem, shapes=None) -> np.ndarray:
-    """m x n matrix of partials: d/dz_j = a_j / z_j - b_j / (1 - z_j)."""
+def jacobian(sys: GluingSystem, shapes=None) -> list:
+    """m x n partials as a list of rows: d/dz_j = a_j / z_j - b_j / (1 - z_j)."""
     zs = sys.shapes if shapes is None else [complex(z) for z in shapes]
     for z in zs:
         if z == 0 or z == 1:
             raise CertifyError("jacobian evaluated at a singular shape")
-    m = len(sys.equations)
-    out = np.zeros((m, sys.n), dtype=complex)
-    for i, eq in enumerate(sys.equations):
-        for j, z in enumerate(zs):
-            out[i, j] = eq.a[j] / z - eq.b[j] / (1 - z)
-    return out
+    return [[eq.a[j] / z - eq.b[j] / (1 - z) for j, z in enumerate(zs)]
+            for eq in sys.equations]
+
+
+def _solve(a, rhs) -> list:
+    """Approximate solution of a x = rhs (one right-hand side per column of
+    the row list ``rhs``) by Gaussian elimination with partial pivoting.
+    Raises ZeroDivisionError when a pivot is exactly zero."""
+    n = len(a)
+    rows = [list(ar) + list(br) for ar, br in zip(a, rhs)]
+    for col in range(n):
+        p = max(range(col, n), key=lambda i: abs(rows[i][col]))
+        rows[col], rows[p] = rows[p], rows[col]
+        prow = rows[col]
+        pivot = prow[col]
+        if pivot == 0:
+            raise ZeroDivisionError("singular matrix")
+        for row in rows[col + 1:]:
+            f = row[col] / pivot
+            if f:
+                for c in range(col + 1, len(row)):
+                    row[c] -= f * prow[c]
+    x = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        out = []
+        for c in range(n, len(row)):
+            s = row[c]
+            for j in range(i + 1, n):
+                s -= row[j] * x[j][c - n]
+            out.append(s / row[i])
+        x[i] = out
+    return x
+
+
+def _div(a: complex, b: complex) -> complex:
+    """a / b by Smith's method, scaled by the reciprocal of the denominator."""
+    if abs(b.real) >= abs(b.imag):
+        rat = b.imag / b.real
+        scl = 1.0 / (b.real + b.imag * rat)
+        return complex((a.real + a.imag * rat) * scl, (a.imag - a.real * rat) * scl)
+    rat = b.real / b.imag
+    scl = 1.0 / (b.imag + b.real * rat)
+    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
+
+
+def _fma(x: float, y: float, z: float) -> float:
+    """x * y + z rounded once, by exact integer arithmetic."""
+    try:
+        (nx, dx), (ny, dy), (nz, dz) = (
+            x.as_integer_ratio(), y.as_integer_ratio(), z.as_integer_ratio())
+        d = dx * dy
+        if d < dz:
+            return (nx * ny * (dz // d) + nz) / dz
+        return (nx * ny + nz * (d // dz)) / d
+    except (OverflowError, ValueError):  # non-finite operand or result
+        return x * y + z
 
 
 def select_square_subsystem(sys: GluingSystem, shapes=None) -> tuple:
     """n equation indices found by greedy column-by-column pivoting on the
     Jacobian at the (refined or stored) shapes; raises when the system is
-    numerically rank deficient."""
-    jac = jacobian(sys, shapes)
-    m, n = jac.shape
-    work = jac.astype(complex).copy()
-    scale = max(1.0, float(np.max(np.abs(work))))
-    available = list(range(m))
+    numerically rank deficient.
+
+    Gluing Jacobians are full of entries of equal modulus, so exact ties
+    for the pivot are common and rounding breaks them.  The elimination
+    rounds as numpy's complex kernels do on FMA hardware (Smith division
+    with a reciprocal scale, one rounding per multiply-add), so systems
+    keep the selection, and the `selected:` report line, that numpy-based
+    elimination gives them.
+    """
+    work = jacobian(sys, shapes)
+    n = sys.n
+    scale = max(1.0, max(abs(x) for row in work for x in row))
+    available = list(range(len(work)))
     chosen = []
     for col in range(n):
-        best = max(available, key=lambda r: abs(work[r, col]))
-        pivot = work[best, col]
+        best = max(available, key=lambda r: abs(work[r][col]))
+        prow = work[best]
+        pivot = prow[col]
         if abs(pivot) <= _SINGULAR_TOL * scale:
             raise RankDeficientError(
                 f"no usable pivot in column {col}: system is rank deficient"
@@ -191,8 +268,13 @@ def select_square_subsystem(sys: GluingSystem, shapes=None) -> tuple:
         chosen.append(best)
         available.remove(best)
         for r in available:
-            factor = work[r, col] / pivot
-            work[r, col:] -= factor * work[best, col:]
+            row = work[r]
+            f = _div(row[col], pivot)
+            if f:
+                for c in range(col + 1, n):
+                    p = prow[c]
+                    row[c] -= complex(_fma(f.real, p.real, -(f.imag * p.imag)),
+                                      _fma(f.real, p.imag, f.imag * p.real))
     return tuple(sorted(chosen))
 
 
@@ -203,43 +285,39 @@ def _newton_refine(sys: GluingSystem, selected, max_steps: int = 5):
     whose residual is worse than the input's (preserving the system's
     branch-consistency invariant).
     """
-    idx = list(selected)
-    z = np.array(sys.shapes, dtype=complex)
-    best = z.copy()
+    z = best = list(sys.shapes)
     best_norm = _res_norm(sys, z)
     for _ in range(max_steps):
         res = residual(sys, z)
-        f = np.array([res[i] for i in idx], dtype=complex)
-        jac = jacobian(sys, z)[idx, :]
+        jac = jacobian(sys, z)
         try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
+            step = _solve([jac[i] for i in selected], [[-res[i]] for i in selected])
+        except ZeroDivisionError:
             break
-        z_new = z + step
+        z_new = [w + s for w, (s,) in zip(z, step)]
         if any(w == 0 or w == 1 for w in z_new):
             break
         norm = _res_norm(sys, z_new)
         if not norm < best_norm:
             break
-        z = z_new
-        best = z.copy()
+        z = best = z_new
         best_norm = norm
-    return tuple(complex(w) for w in best)
+    return tuple(best)
 
 
 def _res_norm(sys: GluingSystem, shapes) -> float:
     return max(abs(r) for r in residual(sys, shapes))
 
 
-def _residual_jets(sys: GluingSystem, zjets) -> list:
-    """Residual of every equation with the shapes given as complex jets."""
-    dim = zjets[0].dim
-    ipi = ComplexJet(Jet.constant(0.0, dim), pi_jet(dim))
-    logs = [complex_log_jet(z) for z in zjets]
-    logs1 = [complex_log_jet(1.0 - z) for z in zjets]
+def _residual_jets(equations, center) -> list:
+    """Enclosure of each equation's residual at the point ``center``."""
+    ipi = ComplexJet(Jet.constant(0.0), pi_jet())
+    zs = [ComplexJet.constant(z) for z in center]
+    logs = [complex_log_jet(z) for z in zs]
+    logs1 = [complex_log_jet(1.0 - z) for z in zs]
     out = []
-    for eq in sys.equations:
-        acc = ComplexJet.constant(0.0, dim)
+    for eq in equations:
+        acc = ComplexJet.constant(0.0)
         for aj, bj, lz, l1 in zip(eq.a, eq.b, logs, logs1):
             if aj:
                 acc = acc + lz * float(aj)
@@ -251,81 +329,117 @@ def _residual_jets(sys: GluingSystem, zjets) -> list:
     return out
 
 
-def _jacobian_jets(sys: GluingSystem, zjets, rows) -> list:
-    """Selected Jacobian rows with the shapes given as complex jets."""
-    entries = []
-    for i in rows:
-        eq = sys.equations[i]
+def _jacobian_box(equations, center, r: float) -> list:
+    """Interval Jacobian of ``equations`` over the box of per-real-coordinate
+    radius r around ``center``; exactly zero entries are None."""
+    box = [ComplexJet(Jet(z.real, (), r), Jet(z.imag, (), r)) for z in center]
+    inv_z = [None] * len(box)
+    inv_1mz = [None] * len(box)
+    rows = []
+    for eq in equations:
         row = []
-        for j, z in enumerate(zjets):
-            dim = z.dim
-            term = ComplexJet.constant(0.0, dim)
-            if eq.a[j]:
-                term = term + z.reciprocal() * float(eq.a[j])
-            if eq.b[j]:
-                term = term - (1.0 - z).reciprocal() * float(eq.b[j])
+        for j, (aj, bj) in enumerate(zip(eq.a, eq.b)):
+            term = None
+            if aj:
+                if inv_z[j] is None:
+                    inv_z[j] = box[j].reciprocal()
+                term = inv_z[j] * float(aj)
+            if bj:
+                if inv_1mz[j] is None:
+                    inv_1mz[j] = (1.0 - box[j]).reciprocal()
+                t = inv_1mz[j] * float(bj)
+                term = -t if term is None else term - t
             row.append(term)
-        entries.append(row)
-    return entries
+        rows.append(row)
+    return rows
 
 
-def _krawczyk_once(sys: GluingSystem, center, selected, r: float) -> bool:
+def _krawczyk_once(sys: GluingSystem, center, selected, y, yf, r: float):
     """One Krawczyk contraction test on the per-real-coordinate box of
-    radius r around ``center``; True when K(X) is provably interior."""
-    n = sys.n
-    dim = 4 * n  # first 2n: box point variables, last 2n: Jacobian point
-    idx = list(selected)
+    radius r around ``center``, given Y as constant jets and Y F(x^).
 
-    jac_center = jacobian(sys, center)[idx, :]
+    Returns None when K(X) is provably interior, else why not: the first
+    equation whose row of K(X) is not, with its margin max|K - x^| / r.
+    """
+    n = len(center)
     try:
-        y = np.linalg.inv(jac_center)
-    except np.linalg.LinAlgError:
-        return False
-
-    center_jets = [ComplexJet.constant(z, dim) for z in center]
-    try:
-        residual_jets = _residual_jets(sys, center_jets)
-    except JetDomainError:
-        return False
-    f_center = [residual_jets[i] for i in idx]
-
-    # Jacobian over the box, parametrized by the second variable block.
-    box_jets = [
-        ComplexJet.variable(center[j], 2 * n + 2 * j, 2 * n + 2 * j + 1, r, dim)
-        for j in range(n)
-    ]
-    try:
-        jac_box = _jacobian_jets(sys, box_jets, idx)
-    except JetDomainError:
-        return False
-
-    # w = X - x^, parametrized by the first variable block.
-    w = [ComplexJet.variable(0.0, 2 * j, 2 * j + 1, r, dim) for j in range(n)]
-
+        jac_box = _jacobian_box([sys.equations[i] for i in selected], center, r)
+    except JetDomainError as exc:
+        return f"the Jacobian over the box cannot be enclosed ({exc})"
+    w = ComplexJet(Jet(0.0, (), r), Jet(0.0, (), r))  # X - x^
     for row in range(n):
-        # K_row - x^_row = -(Y F(x^))_row + sum_k (I - Y J)_row,k * w_k
-        acc = ComplexJet.constant(0.0, dim)
+        # K_row - x^_row = -(Y F(x^))_row + sum_k (I - Y F'(X))_row,k * w
+        acc = -yf[row]
+        y_row = y[row]
         for k in range(n):
-            acc = acc - ComplexJet.constant(complex(y[row, k]), dim) * f_center[k]
-        for k in range(n):
-            m_rk = ComplexJet.constant(1.0 if row == k else 0.0, dim)
+            s = None
             for l in range(n):
-                m_rk = m_rk - (
-                    ComplexJet.constant(complex(y[row, l]), dim) * jac_box[l][k]
-                )
-            acc = acc + m_rk * w[k]
+                entry = jac_box[l][k]
+                if entry is not None:
+                    t = y_row[l] * entry
+                    s = t if s is None else s + t
+            if s is not None:
+                acc = acc + ((1.0 if row == k else 0.0) - s) * w
+            elif row == k:
+                acc = acc + w
         re_lo, re_hi = acc.re.bounds()
         im_lo, im_hi = acc.im.bounds()
         if not (-r < re_lo and re_hi < r and -r < im_lo and im_hi < r):
-            return False
-    return True
+            margin = max(-re_lo, re_hi, -im_lo, im_hi) / r
+            return f"equation {selected[row] + 1} has max|K-x^|/r = {margin:.6g}"
+    return None
+
+
+def _reduce(row, basis) -> list:
+    """``row`` reduced against echelon ``basis`` entries (pivot, row) by
+    fraction-free integer elimination; zero exactly when ``row`` is a
+    rational combination of the basis rows."""
+    for col, b in basis:
+        f = row[col]
+        if f:
+            p = b[col]
+            row = [x * p - y * f for x, y in zip(row, b)]
+            g = math.gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+    return row
+
+
+def _check_unselected(sys: GluingSystem, selected) -> None:
+    """Prove that every equation outside ``selected`` holds wherever the
+    selected ones do: its (a|b) row must be a rational combination of the
+    selected rows, and its c the same combination of their c's.  Raises
+    UncoveredEquationError otherwise."""
+    n = sys.n
+    basis = []
+    for i in selected:
+        eq = sys.equations[i]
+        row = _reduce([*eq.a, *eq.b, eq.c], basis)
+        pivot = next((j for j in range(2 * n) if row[j]), None)
+        if pivot is not None:
+            basis.append((pivot, row))
+    for i, eq in enumerate(sys.equations):
+        if i in selected:
+            continue
+        row = _reduce([*eq.a, *eq.b, eq.c], basis)
+        if any(row[:-1]):
+            raise UncoveredEquationError(
+                f"equation {i + 1} is independent of the certified equations"
+            )
+        if row[-1]:
+            raise UncoveredEquationError(
+                f"equation {i + 1} contradicts the certified equations: its c "
+                "is not their combination's"
+            )
 
 
 def krawczyk_certify(sys: GluingSystem, r0: float = None) -> Certificate:
     """Certify that a true solution exists near the stored shapes.
 
     Radius schedule: r0, 10*r0, 100*r0 (default r0 scales with the shape
-    magnitudes).  Raises InconclusiveError when every radius fails.
+    magnitudes).  Raises InconclusiveError when every radius fails, and
+    UncoveredEquationError when an equation outside the certified square
+    subsystem does not follow from it.
     """
     selected = select_square_subsystem(sys)
     center = _newton_refine(sys, selected)
@@ -336,26 +450,51 @@ def krawczyk_certify(sys: GluingSystem, r0: float = None) -> Certificate:
         raise CertifyError("r0 must be positive")
 
     n = sys.n
+    jac = jacobian(sys, center)
+    identity = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    try:
+        y = _solve([jac[i] for i in selected], identity)
+    except ZeroDivisionError:
+        raise InconclusiveError(
+            "Jacobian at the refined center is singular"
+        ) from None
+    y = [[ComplexJet.constant(v) for v in row] for row in y]
+    try:
+        f_center = _residual_jets([sys.equations[i] for i in selected], center)
+    except JetDomainError as exc:
+        raise InconclusiveError(
+            f"residual at the refined center cannot be enclosed: {exc}"
+        ) from None
+    zero = ComplexJet.constant(0.0)
+    yf = [sum((y_rk * f_k for y_rk, f_k in zip(y_row, f_center)), zero) for y_row in y]
+
     for radius in (r0, r0 * 10.0, r0 * 100.0):
-        if _krawczyk_once(sys, center, selected, radius):
-            box_radius = _up(radius * SQRT2_HI)
-            dist = 0.0
-            for z_in, z_ref in zip(sys.shapes, center):
-                d = z_in - z_ref
-                dist = _up(dist + _up(d.real * d.real) + _up(d.imag * d.imag))
-            dist = _up(math.sqrt(dist))
-            sqrt_n = _up(math.sqrt(n))
-            delta = _up(dist + _up(box_radius * sqrt_n))
-            norms = tuple(abs(r) for r in residual(sys, center))
-            return Certificate(
-                delta=delta,
-                box_radius=box_radius,
-                selected=selected,
-                refined_center=center,
-                residual_norms=norms,
-            )
-    raise InconclusiveError(
-        "Krawczyk test failed at every radius in the schedule"
+        failure = _krawczyk_once(sys, center, selected, y, yf, radius)
+        if failure is None:
+            break
+    else:
+        raise InconclusiveError(
+            "Krawczyk test failed at every radius in the schedule; at radius "
+            f"{radius!r}, {failure}"
+        )
+    _check_unselected(sys, selected)
+
+    box_radius = _up(radius * SQRT2_HI)
+    dist = 0.0
+    for z_in, z_ref in zip(sys.shapes, center):
+        d = z_in - z_ref
+        dist = _up(dist + _up(d.real * d.real) + _up(d.imag * d.imag))
+    dist = _up(math.sqrt(dist))
+    sqrt_n = _up(math.sqrt(n))
+    delta = _up(dist + _up(box_radius * sqrt_n))
+    norms = tuple(abs(r) for r in residual(sys, center))
+    return Certificate(
+        delta=delta,
+        box_radius=box_radius,
+        selected=selected,
+        refined_center=center,
+        residual_norms=norms,
+        radius=radius,
     )
 
 

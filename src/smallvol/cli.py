@@ -163,19 +163,18 @@ def cmd_volume(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
 
-    if args.delta is not None:
-        shapes, delta = sys_.shapes, args.delta
-    else:
+    if args.delta is None:
         cert = _certify_into(rep, sys_)
         if cert is None:
             rep.add("verdict", "inconclusive")
             rep.emit()
             return UNDECIDED
-        shapes = cert.refined_center
-        delta = cert.box_radius * math.sqrt(sys_.n)
 
     try:
-        assignment = ShapeAssignment(shapes, delta)
+        if args.delta is None:
+            assignment = cert.shape_assignment()
+        else:
+            assignment = ShapeAssignment(sys_.shapes, args.delta)
         iv = certified_volume(assignment, tol=args.tol)
     except (OrientationError, ValueError, JetDomainError) as exc:
         rep.add("volume", "inconclusive")
@@ -262,9 +261,7 @@ def cmd_selftest(args) -> int:
     try:
         cert = krawczyk_certify(sys_)
         check("figure-eight-certified", cert.delta < 1e-8)
-        assignment = ShapeAssignment(cert.refined_center,
-                                     cert.box_radius * math.sqrt(sys_.n))
-        iv = certified_volume(assignment)
+        iv = certified_volume(cert.shape_assignment())
         check("figure-eight-volume",
               iv.lo <= 2.0298832128193072 <= iv.hi and iv.width() < 1e-5)
         check("figure-eight-gt-0.943", iv.lo > 0.943)

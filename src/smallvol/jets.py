@@ -326,7 +326,8 @@ def pi_jet(dim: int = 0) -> Jet:
 
 
 def half_pi_jet(dim: int = 0) -> Jet:
-    return pi_jet(dim) * 0.5
+    """Certified enclosure of pi/2; halving the pi enclosure is exact."""
+    return Jet(PI_LO * 0.5, (0.0,) * dim, (PI_HI - PI_LO) * 0.5)
 
 
 def _libm_point(value: float, dim: int) -> Jet:
@@ -506,19 +507,45 @@ class ComplexJet:
 def arg_complex(z: ComplexJet) -> Jet:
     """Principal argument of every complex point represented by ``z``.
 
-    The quadrant is fixed through a provable half-plane: the right
-    half-plane uses atan(im/re) directly, the upper and lower half-planes
-    pivot around +-pi/2.  Jets whose range may cross the negative real
-    axis are rejected, since no single branch of the argument covers them.
+    The branch follows whichever of |Re| and |Im| dominates at the
+    centre, so the atan argument stays of magnitude about 1 or less:
+    atan(im/re) in the right half-plane, +-pi + atan(im/re) in the left
+    half-plane once the sign of Im is proved, and +-pi/2 - atan(re/im) in
+    the upper and lower half-planes.  When the dominant part's branch is
+    not provable the other one is tried.  Jets whose range may cross the
+    negative real axis are rejected, since no single branch of the
+    argument covers them.
     """
-    dim = z.dim
+    if abs(z.re.center) >= abs(z.im.center):
+        arg = _arg_by_real(z) or _arg_by_imag(z)
+    else:
+        arg = _arg_by_imag(z) or _arg_by_real(z)
+    if arg is None:
+        raise JetDomainError("argument: quadrant not provable (origin or branch cut)")
+    return arg
+
+
+def _arg_by_real(z: ComplexJet):
+    """Argument through atan(im/re), or None when Re (and, left of the
+    imaginary axis, Im) has no provable sign."""
     if z.re.prove_positive():
         return atan_jet(z.im / z.re)
+    if z.re.prove_negative():
+        if z.im.prove_positive():
+            return pi_jet(z.dim) + atan_jet(z.im / z.re)
+        if z.im.prove_negative():
+            return atan_jet(z.im / z.re) - pi_jet(z.dim)
+    return None
+
+
+def _arg_by_imag(z: ComplexJet):
+    """Argument through +-pi/2 - atan(re/im), or None when Im has no
+    provable sign."""
     if z.im.prove_positive():
-        return half_pi_jet(dim) - atan_jet(z.re / z.im)
+        return half_pi_jet(z.dim) - atan_jet(z.re / z.im)
     if z.im.prove_negative():
-        return -half_pi_jet(dim) - atan_jet(z.re / z.im)
-    raise JetDomainError("argument: quadrant not provable (origin or branch cut)")
+        return -(half_pi_jet(z.dim) + atan_jet(z.re / z.im))
+    return None
 
 
 def complex_log_jet(z: ComplexJet) -> ComplexJet:

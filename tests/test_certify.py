@@ -1,9 +1,9 @@
 import cmath
 import math
 import random
+import re
 
 import mpmath
-import numpy as np
 import pytest
 
 from smallvol.certify import (
@@ -14,12 +14,14 @@ from smallvol.certify import (
     GluingSystem,
     InconclusiveError,
     RankDeficientError,
+    UncoveredEquationError,
     figure_eight_system,
     jacobian,
     krawczyk_certify,
     residual,
     select_square_subsystem,
 )
+from smallvol.geometry import ShapeAssignment, certified_volume
 
 OMEGA = complex(0.5, math.sqrt(3) / 2)
 
@@ -69,7 +71,7 @@ class TestJacobian:
             (GluingEquation((1,), (0,), 0),), (cmath.exp(0.1j),)
         )
         jac = jacobian(sys, [OMEGA])
-        assert abs(jac[0, 0] - cmath.exp(-1j * math.pi / 3)) < 1e-14
+        assert abs(jac[0][0] - cmath.exp(-1j * math.pi / 3)) < 1e-14
 
     def test_one_minus_z_derivative_sign(self):
         # equation log(1-z): derivative -1/(1-z) = -2 at z = 0.5 + tiny imag
@@ -77,7 +79,7 @@ class TestJacobian:
             (GluingEquation((0,), (1,), 0),), (0.1 + 0.1j,)
         )
         jac = jacobian(sys, [0.5 + 0j])
-        assert abs(jac[0, 0] - (-2.0)) < 1e-14
+        assert abs(jac[0][0] - (-2.0)) < 1e-14
 
     def test_figure_eight_matches_finite_differences(self):
         sys = figure_eight_system()
@@ -105,7 +107,7 @@ class TestJacobian:
 def _check_fd(sys, shapes, rtol):
     h = 1e-6
     jac = jacobian(sys, shapes)
-    scale = max(1.0, float(np.max(np.abs(jac))))
+    scale = max(1.0, max(abs(x) for row in jac for x in row))
     for j in range(len(shapes)):
         zp = list(shapes)
         zm = list(shapes)
@@ -113,7 +115,7 @@ def _check_fd(sys, shapes, rtol):
         zm[j] = zm[j] - h
         fd = [(rp - rm) / (2 * h) for rp, rm in zip(residual(sys, zp), residual(sys, zm))]
         for i in range(len(sys.equations)):
-            assert abs(jac[i, j] - fd[i]) <= rtol * scale
+            assert abs(jac[i][j] - fd[i]) <= rtol * scale
 
 
 class TestSelection:
@@ -217,6 +219,75 @@ class TestKrawczyk:
             Certificate(1e-10, 1e-8, (0, 1), (OMEGA, OMEGA), (0.0,))
         with pytest.raises(CertifyError):
             Certificate(1e-6, 1e-8, (0, 0), (OMEGA, OMEGA), (0.0,))
+        with pytest.raises(CertifyError):
+            Certificate(1e-6, 1e-8, (0, 1), (OMEGA, OMEGA), (0.0,), 2e-8)
+        assert Certificate(1e-6, 1e-8, (0, 1), (OMEGA, OMEGA), (0.0,)).radius == 1e-8
+
+    def test_shape_assignment_is_the_krawczyk_box(self):
+        sys = figure_eight_system(round_digits=9)
+        cert = krawczyk_certify(sys)
+        shapes = cert.shape_assignment()
+        assert shapes.shapes == cert.refined_center
+        assert shapes.delta == cert.radius
+        assert cert.radius * math.sqrt(2) <= cert.box_radius
+        # The box is sqrt(2n) tighter than the per-coordinate radius that
+        # box_radius * sqrt(n) used to give; the enclosure stays sound (the
+        # volume is stationary here, so rounding dominates both widths).
+        wide = certified_volume(ShapeAssignment(cert.refined_center,
+                                                cert.box_radius * math.sqrt(sys.n)))
+        iv = certified_volume(shapes)
+        assert iv.lo <= 2.0298832128193072 <= iv.hi
+        assert iv.width() <= wide.width()
+
+    def test_inconclusive_names_row_and_margin(self):
+        # Radii far below the residual's rounding error cannot contract.
+        sys = figure_eight_system(round_digits=9)
+        with pytest.raises(InconclusiveError) as info:
+            krawczyk_certify(sys, r0=1e-20)
+        msg = str(info.value)
+        m = re.search(r"at radius (\S+), equation (\d+) has max\|K-x\^\|/r = (\S+)", msg)
+        assert m, msg
+        assert float(m.group(1)) == 1e-20 * 100.0
+        assert int(m.group(2)) in (i + 1 for i in select_square_subsystem(sys))
+        assert float(m.group(3)) >= 1.0
+
+
+class TestCoverage:
+    """Rows outside the certified square subsystem must follow from it."""
+
+    def test_independent_row_rejected(self):
+        # Two tetrahedra, three independent rows: the third row is 0.069
+        # away from zero at the root of the first two.
+        sys = GluingSystem(
+            (GluingEquation((4, 0), (1, 0), 0),
+             GluingEquation((0, 5), (0, 1), 0),
+             GluingEquation((1, -1), (0, 0), 0)),
+            (complex(1.0783889326367355, 0.49693966514745314),
+             complex(1.1051187767098094, 0.42001975655938323)),
+        )
+        with pytest.raises(UncoveredEquationError, match="equation 3 is independent"):
+            krawczyk_certify(sys)
+
+    def test_inconsistent_constant_rejected(self):
+        # log z = (1/7)(7 log z - i pi) + i pi/7: the (a|b) rows agree up
+        # to the factor 1/7 but the constants do not, and the residual
+        # pi/7 still passes the branch-consistency screen.
+        z = cmath.exp(1j * math.pi / 7)
+        sys = GluingSystem((GluingEquation((7,), (0,), 1),
+                            GluingEquation((1,), (0,), 0)), (z,))
+        with pytest.raises(UncoveredEquationError, match="equation 2 contradicts"):
+            krawczyk_certify(sys)
+
+    def test_rational_combinations_accepted(self):
+        fig8 = figure_eight_system(round_digits=9)
+        e0, _, e2 = fig8.equations
+        extra = (GluingEquation([x + 2 * y for x, y in zip(e0.a, e2.a)],
+                                [x + 2 * y for x, y in zip(e0.b, e2.b)], 0),
+                 GluingEquation([-3 * y for y in e2.a], [-3 * y for y in e2.b], 0))
+        sys = GluingSystem(fig8.equations + extra, fig8.shapes)
+        # The larger extra rows are selected, so the original three follow
+        # from them only with fractional coefficients (row 3 = -row 5 / 3).
+        assert krawczyk_certify(sys).selected == (3, 4)
 
 
 def _mp_residual(eq, z, _ipi=None):

@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import smallvol
 from smallvol import cli
 from smallvol.data import CORPUS, figure_eight_text, presentation_text, script_text
 from smallvol.formats import (
@@ -122,6 +126,20 @@ class TestCertifyVolume:
                         if l.startswith("volume_hi:")).split()[1])
         assert lo <= 2.0298832128193072 <= hi
 
+    def test_uncovered_equation_is_inconclusive(self, capsys, tmp_path):
+        # The third row is independent of the two that are certified.
+        bad = tmp_path / "uncovered.gluing"
+        bad.write_text(
+            "tets 2\n"
+            "shape 0 1.0783889326367355 0.49693966514745314\n"
+            "shape 1 1.1051187767098094 0.42001975655938323\n"
+            "eq 4 0 ; 1 0 ; 0\neq 0 5 ; 0 1 ; 0\neq 1 -1 ; 0 0 ; 0\n"
+        )
+        rc, out, _ = run_cli(capsys, "volume", str(bad), "--gt", "0.7307675376513101")
+        assert rc == 1
+        assert "certified: no" in out and "verdict: inconclusive" in out
+        assert "reason: equation 3 is independent" in out
+
     def test_negative_imaginary_orientation(self, capsys, tmp_path):
         bad = tmp_path / "bad.gluing"
         bad.write_text(
@@ -140,6 +158,13 @@ class TestCertifyVolume:
         p.write_text("tets 1\nshape 0 zero one\n")
         rc, _, err = run_cli(capsys, "certify", str(p))
         assert rc == 2
+
+
+def test_cli_import_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smallvol.__file__)))
+    code = "import sys, smallvol.cli; sys.exit(int('numpy' in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestNonhyp:

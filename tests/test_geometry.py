@@ -148,6 +148,20 @@ class TestCertifiedVolume:
                 )
             assert iv.lo <= float(vol) <= iv.hi
 
+    @pytest.mark.parametrize("z, delta", ((cmath.rect(0.8675, 0.52079), 1e-8),
+                                          (complex(-1.65657, 0.010337), 1e-4)))
+    def test_near_axis_dihedral_parameters(self, z, delta):
+        # One dihedral parameter lies close to an axis relative to the box.
+        iv = certified_volume(ShapeAssignment((z,), delta))
+        with mpmath.workdps(30):
+            w = mpmath.mpc(z)
+            vol = (
+                lobachevsky_quad(mpmath.arg(w))
+                + lobachevsky_quad(mpmath.arg(1 / (1 - w)))
+                + lobachevsky_quad(mpmath.arg((w - 1) / w))
+            )
+            assert mpmath.mpf(iv.lo) <= vol <= mpmath.mpf(iv.hi)
+
     def test_orientation_failure_raises(self):
         with pytest.raises(OrientationError):
             certified_volume(ShapeAssignment((0.5 - 0.9j,), 0.0))
