@@ -20,9 +20,10 @@ the certificate's delta bounds its C^n distance from the *input* shapes.
 
 The certified path runs on dimension-0 jets, which are midpoint-radius
 intervals with outward rounding; only the bounds of K(X) matter, so no
-jet variables are needed.  The approximate quantities (Newton steps,
-pivoting, Y) come from a short Gaussian elimination in plain complex
-floats; their values need not be accurate for soundness.
+jet variables are needed.  The approximate quantities (the selected
+rows, the Newton steps and Y) all come from one Gaussian elimination
+with partial pivoting in plain complex floats, ``_eliminate``; their
+values need not be accurate for soundness.
 """
 
 from __future__ import annotations
@@ -185,27 +186,42 @@ def jacobian(sys: GluingSystem, shapes=None) -> list:
             for eq in sys.equations]
 
 
-def _solve(a, rhs) -> list:
-    """Approximate solution of a x = rhs (one right-hand side per column of
-    the row list ``rhs``) by Gaussian elimination with partial pivoting.
-    Raises ZeroDivisionError when a pivot is exactly zero."""
-    n = len(a)
-    rows = [list(ar) + list(br) for ar, br in zip(a, rhs)]
+def _eliminate(rows, n: int, tol: float) -> list:
+    """Forward Gaussian elimination with partial pivoting on the first n
+    columns of ``rows``, in place; returns the pivot row of each column.
+    Raises RankDeficientError when the best remaining pivot has modulus
+    at most ``tol``."""
+    available = list(range(len(rows)))
+    pivots = []
     for col in range(n):
-        p = max(range(col, n), key=lambda i: abs(rows[i][col]))
-        rows[col], rows[p] = rows[p], rows[col]
-        prow = rows[col]
+        best = max(available, key=lambda r: abs(rows[r][col]))
+        prow = rows[best]
         pivot = prow[col]
-        if pivot == 0:
-            raise ZeroDivisionError("singular matrix")
-        for row in rows[col + 1:]:
+        if abs(pivot) <= tol:
+            raise RankDeficientError(
+                f"no usable pivot in column {col}: system is rank deficient"
+            )
+        pivots.append(best)
+        available.remove(best)
+        for r in available:
+            row = rows[r]
             f = row[col] / pivot
             if f:
                 for c in range(col + 1, len(row)):
                     row[c] -= f * prow[c]
+    return pivots
+
+
+def _solve(a, rhs) -> list:
+    """Approximate solution of a x = rhs (one right-hand side per column of
+    the row list ``rhs``).  Raises RankDeficientError when a pivot is
+    exactly zero."""
+    n = len(a)
+    rows = [list(ar) + list(br) for ar, br in zip(a, rhs)]
+    pivots = _eliminate(rows, n, 0.0)
     x = [None] * n
     for i in range(n - 1, -1, -1):
-        row = rows[i]
+        row = rows[pivots[i]]
         out = []
         for c in range(n, len(row)):
             s = row[c]
@@ -216,66 +232,18 @@ def _solve(a, rhs) -> list:
     return x
 
 
-def _div(a: complex, b: complex) -> complex:
-    """a / b by Smith's method, scaled by the reciprocal of the denominator."""
-    if abs(b.real) >= abs(b.imag):
-        rat = b.imag / b.real
-        scl = 1.0 / (b.real + b.imag * rat)
-        return complex((a.real + a.imag * rat) * scl, (a.imag - a.real * rat) * scl)
-    rat = b.real / b.imag
-    scl = 1.0 / (b.imag + b.real * rat)
-    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
-
-
-def _fma(x: float, y: float, z: float) -> float:
-    """x * y + z rounded once, by exact integer arithmetic."""
-    try:
-        (nx, dx), (ny, dy), (nz, dz) = (
-            x.as_integer_ratio(), y.as_integer_ratio(), z.as_integer_ratio())
-        d = dx * dy
-        if d < dz:
-            return (nx * ny * (dz // d) + nz) / dz
-        return (nx * ny + nz * (d // dz)) / d
-    except (OverflowError, ValueError):  # non-finite operand or result
-        return x * y + z
-
-
 def select_square_subsystem(sys: GluingSystem, shapes=None) -> tuple:
     """n equation indices found by greedy column-by-column pivoting on the
-    Jacobian at the (refined or stored) shapes; raises when the system is
-    numerically rank deficient.
+    Jacobian at the (refined or stored) shapes; raises RankDeficientError
+    when the system is numerically rank deficient.
 
-    Gluing Jacobians are full of entries of equal modulus, so exact ties
-    for the pivot are common and rounding breaks them.  The elimination
-    rounds as numpy's complex kernels do on FMA hardware (Smith division
-    with a reciprocal scale, one rounding per multiply-add), so systems
-    keep the selection, and the `selected:` report line, that numpy-based
-    elimination gives them.
+    Which rows win pivot ties is a matter of rounding; soundness does not
+    depend on it, since the Krawczyk test proves the selected rows and
+    ``_check_unselected`` proves every other row exactly.
     """
     work = jacobian(sys, shapes)
-    n = sys.n
     scale = max(1.0, max(abs(x) for row in work for x in row))
-    available = list(range(len(work)))
-    chosen = []
-    for col in range(n):
-        best = max(available, key=lambda r: abs(work[r][col]))
-        prow = work[best]
-        pivot = prow[col]
-        if abs(pivot) <= _SINGULAR_TOL * scale:
-            raise RankDeficientError(
-                f"no usable pivot in column {col}: system is rank deficient"
-            )
-        chosen.append(best)
-        available.remove(best)
-        for r in available:
-            row = work[r]
-            f = _div(row[col], pivot)
-            if f:
-                for c in range(col + 1, n):
-                    p = prow[c]
-                    row[c] -= complex(_fma(f.real, p.real, -(f.imag * p.imag)),
-                                      _fma(f.real, p.imag, f.imag * p.real))
-    return tuple(sorted(chosen))
+    return tuple(sorted(_eliminate(work, sys.n, _SINGULAR_TOL * scale)))
 
 
 def _newton_refine(sys: GluingSystem, selected, max_steps: int = 5):
@@ -292,7 +260,7 @@ def _newton_refine(sys: GluingSystem, selected, max_steps: int = 5):
         jac = jacobian(sys, z)
         try:
             step = _solve([jac[i] for i in selected], [[-res[i]] for i in selected])
-        except ZeroDivisionError:
+        except RankDeficientError:
             break
         z_new = [w + s for w, (s,) in zip(z, step)]
         if any(w == 0 or w == 1 for w in z_new):
@@ -454,7 +422,7 @@ def krawczyk_certify(sys: GluingSystem, r0: float = None) -> Certificate:
     identity = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     try:
         y = _solve([jac[i] for i in selected], identity)
-    except ZeroDivisionError:
+    except RankDeficientError:
         raise InconclusiveError(
             "Jacobian at the refined center is singular"
         ) from None

@@ -197,7 +197,8 @@ def cmd_volume(args) -> int:
         rep.add("verdict", "proven" if ok else "inconclusive")
         rep.emit()
         return OK if ok else UNDECIDED
-    rep.add("verdict", "certified")
+    # With --delta nothing certified that a solution exists within delta.
+    rep.add("verdict", "certified" if args.delta is None else "assumed-delta")
     rep.emit()
     return OK
 
@@ -315,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("volume", help="certified volume interval")
     p.add_argument("file")
     p.add_argument("--delta", type=float, default=None,
-                   help="use this solution-distance bound instead of "
-                        "running certification")
+                   help="assume this solution-distance bound instead of "
+                        "running certification (verdict: assumed-delta)")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--gt", type=float, default=None,
                    help="prove volume strictly greater than this")

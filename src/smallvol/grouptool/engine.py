@@ -9,7 +9,7 @@ inconclusive.  The rule base:
 * presentation rewriting (rotate / subst / introduce / eliminate /
   change) performs only sound Tietze moves, checked at the word level;
 * ``trivial`` and ``commutes`` run the bounded insertion search and
-  store replayable derivations;
+  replay the derivation each search finds;
 * ``power`` uses: x^n and y^m commute with n, m nonzero only when x
   and y commute;
 * ``conj`` uses: if x commutes with y x^e y^-1 then x commutes with y;
@@ -55,9 +55,6 @@ from .search import DEFAULT_DEPTH, DEFAULT_NODE_BUDGET, search_trivial
 
 NONHYPERBOLIC = "nonhyperbolic"
 INCONCLUSIVE = "inconclusive"
-
-# step kinds that rewrite the presentation by Tietze moves
-TIETZE_KINDS = ("rotate", "subst", "introduce", "eliminate", "change")
 
 
 class StepError(Exception):
@@ -108,8 +105,6 @@ class _State:
     relators: list
     facts: set = field(default_factory=set)
     trivial: set = field(default_factory=set)
-    derivations: list = field(default_factory=list)
-    trace: list = field(default_factory=list)  # (step#, kind, Presentation)
     log: list = field(default_factory=list)
 
     def parse(self, text):
@@ -185,7 +180,6 @@ def verify_script(pres: Presentation, script: ProofScript,
         active=list(range(1, len(pres.generators) + 1)),
         relators=list(pres.relators),
     )
-    st.trace.append((-1, "init", st.snapshot()))
     for i, step in enumerate(script.steps):
         try:
             verdict = _run_step(st, i, step, depth, node_budget)
@@ -288,7 +282,6 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
         if deriv is None or not deriv.replay():
             raise StepError(f"could not derive {text} = 1 within depth {d}")
         st.trivial.add(words.normal_form(w))
-        st.derivations.append((i, deriv))
         st.log.append(f"verified {text} = 1 ({len(deriv.steps)} insertions)")
     elif kind == "commutes":
         x_text, y_text = step[1], step[2]
@@ -303,7 +296,6 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
             )
         st.facts.add(_pair(x, y))
         st.trivial.add(words.normal_form(c))
-        st.derivations.append((i, deriv))
         st.log.append(f"verified [{x_text},{y_text}] = 1")
     elif kind == "power":
         x = st.parse(step[1])
@@ -389,8 +381,6 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
         return _conclude(st, i, step)
     else:
         raise StepError(f"unknown step kind {kind!r}")
-    if kind in TIETZE_KINDS:
-        st.trace.append((i, kind, st.snapshot()))
     return None
 
 

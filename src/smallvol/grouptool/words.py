@@ -7,6 +7,13 @@ negation works).  All public helpers return freely reduced tuples.
 
 from __future__ import annotations
 
+# Longest word that ``power`` or ``parse_word`` will expand, in letters.
+# Exponents come from untrusted scripts and presentations; the cap keeps
+# one line of input from demanding unbounded time or memory.  ``power``
+# is quadratic in its exponent, so the cap also bounds one call to a few
+# seconds.
+MAX_WORD_LENGTH = 10**4
+
 
 def free_reduce(letters) -> tuple:
     out = []
@@ -36,6 +43,12 @@ def invert(word) -> tuple:
 
 
 def power(word, n: int) -> tuple:
+    """word^n; raises ValueError when the expansion could exceed
+    MAX_WORD_LENGTH letters (an empty word counts as one letter)."""
+    if abs(n) * max(1, len(word)) > MAX_WORD_LENGTH:
+        raise ValueError(
+            f"power of exponent {n} exceeds the {MAX_WORD_LENGTH}-letter word cap"
+        )
     if n == 0:
         return ()
     base = word if n > 0 else invert(word)
@@ -92,10 +105,6 @@ def syllables(word):
     return [(g, e) for g, e in out if e != 0]
 
 
-def generators_used(word) -> set:
-    return {abs(x) for x in word}
-
-
 def substitute(word, gen: int, replacement) -> tuple:
     """Replace every occurrence of generator ``gen`` (1-indexed letter) by
     ``replacement`` (and inverses by the inverse), then reduce."""
@@ -144,6 +153,10 @@ def parse_word(text: str, gen_names) -> tuple:
         i = j
         if exp == 0:
             continue
+        if len(out) + abs(exp) > MAX_WORD_LENGTH:
+            raise ValueError(
+                f"word {text!r} exceeds the {MAX_WORD_LENGTH}-letter word cap"
+            )
         letter = index[ch] if exp > 0 else -index[ch]
         out.extend([letter] * abs(exp))
     return free_reduce(out)

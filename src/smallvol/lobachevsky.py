@@ -118,15 +118,12 @@ def default_coeffs() -> SeriesCoeffs:
 _REDUCE_LIMIT = _down(PI_LO / SQRT2_HI)
 
 
-def range_reduce(theta: Jet) -> tuple:
+def range_reduce(theta: Jet) -> Jet:
     """Shift theta by a multiple of pi into (-pi/2, pi/2].
 
-    L is pi-periodic, so L(theta0) = L(theta) pointwise.  The returned
-    flag records whether the representative came out negative (callers
-    evaluating L reflect through oddness); it carries no information the
-    jet itself does not.  Raises ReductionError when |theta0| < pi/sqrt(2)
-    cannot be certified, which happens only for jets wide enough to
-    straddle more than a half period.
+    L is pi-periodic, so L(theta0) = L(theta) pointwise.  Raises
+    ReductionError when |theta0| < pi/sqrt(2) cannot be certified, which
+    happens only for jets wide enough to straddle more than a half period.
     """
     k = round(theta.center / math.pi)
     if k == 0:
@@ -137,7 +134,7 @@ def range_reduce(theta: Jet) -> tuple:
         raise ReductionError(
             "cannot certify |theta0| < pi/sqrt(2) after range reduction"
         )
-    return theta0, theta0.center < 0.0
+    return theta0
 
 
 def lobachevsky(theta: Jet, tol: float = 1e-12, coeffs: SeriesCoeffs = None) -> Jet:
@@ -151,7 +148,7 @@ def lobachevsky(theta: Jet, tol: float = 1e-12, coeffs: SeriesCoeffs = None) -> 
     """
     if coeffs is None:
         coeffs = default_coeffs()
-    theta0, _ = range_reduce(theta)
+    theta0 = range_reduce(theta)
     if theta0.is_exact_zero():
         return Jet.constant(0.0, theta.dim)
     if theta0.prove_positive():

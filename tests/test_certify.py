@@ -15,6 +15,7 @@ from smallvol.certify import (
     InconclusiveError,
     RankDeficientError,
     UncoveredEquationError,
+    _eliminate,
     figure_eight_system,
     jacobian,
     krawczyk_certify,
@@ -150,6 +151,37 @@ class TestSelection:
         object.__setattr__(sys, "shapes", (OMEGA, OMEGA))
         with pytest.raises(RankDeficientError):
             select_square_subsystem(sys)
+
+    def test_exactly_zero_pivot(self):
+        # Rows 0 and 1 are proportional, so column 1 is left with only zeros.
+        rows = [[1j, 2.0], [2j, 4.0], [0j, 0j]]
+        with pytest.raises(RankDeficientError):
+            _eliminate(rows, 2, 0.0)
+
+    def test_row_mixed_figure_eight_copies(self):
+        # k = 4 disjoint figure-eight copies, mixed by unimodular row
+        # operations row_i += +-row_j, so every Jacobian column is dense.
+        rng = random.Random(20261018)
+        k = 4
+        n = 2 * k
+        rows = []
+        for c in range(k):
+            for eq in figure_eight_system().equations:
+                a, b = [0] * n, [0] * n
+                a[2 * c:2 * c + 2], b[2 * c:2 * c + 2] = eq.a, eq.b
+                rows.append((a, b))
+        for _ in range(2 * len(rows)):
+            i, j = rng.sample(range(len(rows)), 2)
+            t = rng.choice((-1, 1))
+            rows[i] = ([x + t * y for x, y in zip(rows[i][0], rows[j][0])],
+                       [x + t * y for x, y in zip(rows[i][1], rows[j][1])])
+        shapes = [OMEGA + 1e-10 * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+                  for _ in range(n)]
+        sys = GluingSystem(tuple(GluingEquation(a, b, 0) for a, b in rows), shapes)
+        cert = krawczyk_certify(sys)
+        assert len(cert.selected) == n
+        iv = certified_volume(cert.shape_assignment())
+        assert iv.lo <= k * 2.0298832128193072 <= iv.hi
 
 
 class TestKrawczyk:

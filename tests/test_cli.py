@@ -17,6 +17,7 @@ from smallvol.formats import (
     serialize_presentation,
     serialize_script,
 )
+from smallvol.grouptool import words
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +121,8 @@ class TestCertifyVolume:
         rc, out, _ = run_cli(capsys, "volume", fig8_file, "--delta", "1e-8")
         assert rc == 0
         assert "certified:" not in out  # certification skipped
+        assert "verdict: assumed-delta\n" in out
+        assert "verdict: certified" not in out
         lo = float(next(l for l in out.splitlines()
                         if l.startswith("volume_lo:")).split()[1])
         hi = float(next(l for l in out.splitlines()
@@ -188,6 +191,12 @@ class TestNonhyp:
         pres.write_text("gens a b\nrel abab-1a-1ba-1b-1\n")
         rc, out, _ = run_cli(capsys, "nonhyp", str(pres))
         assert rc == 1 and "verdict: inconclusive" in out
+
+    def test_presentation_over_the_word_cap_is_malformed(self, capsys, tmp_path):
+        pres = tmp_path / "g.pres"
+        pres.write_text(f"gens a b\nrel a{words.MAX_WORD_LENGTH + 1}b\n")
+        rc, _, err = run_cli(capsys, "nonhyp", str(pres))
+        assert rc == 2 and "cap" in err
 
     def test_missing_args(self, capsys):
         rc, _, err = run_cli(capsys, "nonhyp")

@@ -44,6 +44,24 @@ class TestWords:
             w = words.parse_word(text, gens)
             assert words.parse_word(words.format_word(w, gens), gens) == w
 
+    def test_exponent_over_the_cap_rejected(self):
+        cap = words.MAX_WORD_LENGTH
+        with pytest.raises(ValueError):
+            words.power((1,), cap + 1)
+        with pytest.raises(ValueError):
+            words.power((), -(cap + 1))
+        with pytest.raises(ValueError):
+            words.parse_word(f"a{cap + 1}", ("a",))
+        with pytest.raises(ValueError):
+            words.parse_word(f"a{cap // 2}b{cap // 2 + 1}", ("a", "b"))
+
+    def test_script_exponent_over_the_cap_is_malformed(self):
+        pres = Presentation.from_strings(("a", "b"), ["aba-1b-1"])
+        big = words.MAX_WORD_LENGTH + 1
+        script = ProofScript.parse(f"power a {big} b 1\nconclude abelian\n")
+        v = verify_script(pres, script)
+        assert v.status == INCONCLUSIVE and "step 1 malformed" in v.reason
+
     @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=30))
     @settings(max_examples=200, deadline=None)
     def test_reduce_involution_properties(self, letters):
