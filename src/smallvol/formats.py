@@ -12,8 +12,8 @@ Presentation files:
     rel <word>                     (word syntax: ab-1a-2b-1ab2)
 
 Script files hold one proof step per line; see the grouptool engine for
-the step grammar.  Serializers emit a canonical form whose reparse is
-identical to the original parse.
+the step grammar.  Serializers (``ProofScript.serialize`` for scripts)
+emit a canonical form whose reparse is identical to the original parse.
 """
 
 from __future__ import annotations
@@ -113,7 +113,3 @@ def serialize_presentation(p: Presentation) -> str:
 
 def parse_script(text: str) -> ProofScript:
     return ProofScript.parse(text)
-
-
-def serialize_script(s: ProofScript) -> str:
-    return s.serialize()

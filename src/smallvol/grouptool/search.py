@@ -31,9 +31,6 @@ DEFAULT_NODE_BUDGET = 3000
 class Insertion:
     position: int
     inserted: tuple  # the relator-conjugate word, spelled out
-    source: int      # index into the relator list handed to the search
-    rotation: int
-    inverted: bool
 
 
 @dataclass(frozen=True)
@@ -56,17 +53,16 @@ def _variants(relators):
     """All distinct rotations of every relator and its inverse."""
     out = []
     seen = set()
-    for src, rel in enumerate(relators):
+    for rel in relators:
         r = words.cyclic_reduce(rel)
         if not r:
             continue
-        for inverted in (False, True):
-            base = words.invert(r) if inverted else r
+        for base in (r, words.invert(r)):
             for k in range(len(base)):
                 v = words.rotate(base, k)
                 if v not in seen:
                     seen.add(v)
-                    out.append((v, src, k, inverted))
+                    out.append(v)
     return out
 
 
@@ -86,11 +82,10 @@ def search_trivial(word, relators, depth: int = DEFAULT_DEPTH,
         return None
     by_first = {}
     by_last = {}
-    for item in variants:
-        v = item[0]
-        by_first.setdefault(v[0], []).append(item)
-        by_last.setdefault(v[-1], []).append(item)
-    max_rel = max(len(v[0]) for v in variants)
+    for v in variants:
+        by_first.setdefault(v[0], []).append(v)
+        by_last.setdefault(v[-1], []).append(v)
+    max_rel = max(len(v) for v in variants)
     max_len = len(start) + max_rel + 4
 
     limit = 1
@@ -103,19 +98,18 @@ def search_trivial(word, relators, depth: int = DEFAULT_DEPTH,
 
 
 def _successors(w, by_first, by_last):
-    """(position, variant-item) pairs whose insertion cancels at a junction."""
+    """(position, variant) pairs whose insertion cancels at a junction."""
     out = []
     n = len(w)
     for pos in range(n + 1):
         if pos > 0:
-            for item in by_first.get(-w[pos - 1], ()):
-                out.append((pos, item))
+            for v in by_first.get(-w[pos - 1], ()):
+                out.append((pos, v))
         if pos < n:
-            for item in by_last.get(-w[pos], ()):
-                v = item[0]
+            for v in by_last.get(-w[pos], ()):
                 # avoid double-listing insertions that cancel on both sides
                 if not (pos > 0 and v[0] == -w[pos - 1]):
-                    out.append((pos, item))
+                    out.append((pos, v))
     return out
 
 
@@ -132,7 +126,7 @@ def _best_first(start, by_first, by_last, limit, max_len, node_budget):
             continue  # stale queue entry
         if d >= limit:
             continue
-        for pos, (variant, src, rot, inv) in _successors(w, by_first, by_last):
+        for pos, variant in _successors(w, by_first, by_last):
             new = words.concat(w[:pos], variant, w[pos:])
             if len(new) > max_len:
                 continue
@@ -140,7 +134,7 @@ def _best_first(start, by_first, by_last, limit, max_len, node_budget):
             if new in depth_of and depth_of[new] <= nd:
                 continue
             depth_of[new] = nd
-            parents[new] = (w, Insertion(pos, variant, src, rot, inv))
+            parents[new] = (w, pos, variant)
             if new == ():
                 return _unwind(parents, start)
             if nd < limit:
@@ -153,8 +147,8 @@ def _unwind(parents, start):
     steps = []
     w = ()
     while parents[w] is not None:
-        prev, ins = parents[w]
-        steps.append(ins)
+        prev, pos, variant = parents[w]
+        steps.append(Insertion(pos, variant))
         w = prev
     steps.reverse()
     deriv = Derivation(start, tuple(steps))

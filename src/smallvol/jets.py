@@ -19,12 +19,22 @@ down.
 Nonlinear behaviour (products of linear parts, Taylor remainders of
 ``log_jet``/``atan_jet``) is folded entirely into ``err``; tightness is
 best effort, containment is the contract.
+
+Jets are built two ways.  The public constructor ``Jet(center, coeffs,
+err)`` coerces every field to float and rejects a non-finite field or a
+negative ``err``.  Operation results go through the trusted ``_jet``,
+which checks only that ``center`` and ``err`` are finite and ``err >= 0``
+(``Jet.__post_init__``, run by both).  That O(1) check is enough: the
+operands are finite, so the first non-finite value an operation can
+produce is an overflow, and every overflowing product or sum has nonzero
+operands and is therefore charged ``EPS_PRIM * inf`` into ``err``.  A
+coefficient can thus only become non-finite in a result whose ``err`` is
+non-finite too, and that result is rejected.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # Relative error committed by one round-to-nearest double operation is at
 # most 2^-53; the budget itself is then rounded outward.
@@ -42,6 +52,9 @@ PI_HI = math.nextafter(math.pi, _INF)
 SQRT2_LO = math.nextafter(math.sqrt(2.0), -_INF)
 SQRT2_HI = math.nextafter(math.sqrt(2.0), _INF)
 
+_nextafter = math.nextafter
+_new = object.__new__
+
 
 class JetError(ValueError):
     """Invalid jet construction (non-finite field, bad index, ...)."""
@@ -52,11 +65,11 @@ class JetDomainError(JetError):
 
 
 def _up(x: float) -> float:
-    return math.nextafter(x, _INF)
+    return _nextafter(x, _INF)
 
 
 def _down(x: float) -> float:
-    return math.nextafter(x, -_INF)
+    return _nextafter(x, -_INF)
 
 
 def _add_up(x: float, y: float) -> float:
@@ -71,68 +84,39 @@ def _div_up(x: float, y: float) -> float:
     return _up(x / y)
 
 
-def _sum_abs_up(values) -> float:
-    total = 0.0
-    for v in values:
-        if v != 0.0:
-            total = _up(total + abs(v))
-    return total
-
-
-class _ErrAcc:
-    """Upward-rounded accumulator for error-term bookkeeping."""
-
-    __slots__ = ("total",)
-
-    def __init__(self, start: float = 0.0):
-        self.total = start
-
-    def add(self, x: float) -> None:
-        if x != 0.0:
-            self.total = _up(self.total + x)
-
-    def add_round(self, value: float, x: float, y: float) -> None:
-        """Charge for value = fl(x + y)."""
-        if value == 0.0 or x == 0.0 or y == 0.0:
-            return  # exact: cancellation to zero and adding zero do not round
-        self.add(_up(EPS_PRIM * abs(value)))
-
-    def mul_round(self, value: float, x: float, y: float) -> None:
-        """Charge for value = fl(x * y) (or x / y with y the divisor)."""
-        if x == 0.0 or y == 0.0:
-            return  # exact zero product
-        self.add(_up(_up(EPS_PRIM * abs(value)) + TINY))
-
-
 def _require_finite(x: float, what: str) -> None:
     if not math.isfinite(x):
         raise JetError(f"{what} is not finite: {x!r}")
 
 
-@dataclass(frozen=True)
 class Jet:
-    """Affine 1-jet: linear function on [-1,1]^dim plus an error radius."""
+    """Affine 1-jet: linear function on [-1,1]^dim plus an error radius.
 
-    center: float
-    coeffs: tuple
-    err: float
+    Jets are values: no code assigns to a field after construction.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        object.__setattr__(self, "center", float(self.center))
-        object.__setattr__(self, "err", float(self.err))
-        _require_finite(self.center, "jet center")
+    __slots__ = ("center", "coeffs", "err")
+
+    def __init__(self, center: float, coeffs, err: float):
+        self.center = float(center)
+        self.coeffs = tuple(float(c) for c in coeffs)
+        self.err = float(err)
         for c in self.coeffs:
             _require_finite(c, "jet coefficient")
-        _require_finite(self.err, "jet error term")
-        if self.err < 0.0:
+        self.__post_init__()
+
+    def __post_init__(self):
+        """The O(1) check every jet passes (see the module docstring)."""
+        if not (-_INF < self.center < _INF and 0.0 <= self.err < _INF):
+            _require_finite(self.center, "jet center")
+            _require_finite(self.err, "jet error term")
             raise JetError(f"jet error term is negative: {self.err!r}")
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def constant(cls, c: float, dim: int = 0) -> "Jet":
-        return cls(c, (0.0,) * dim, 0.0)
+        return _jet(float(c), (0.0,) * dim, 0.0)
 
     @classmethod
     def variable(cls, c: float, index: int, radius: float, dim: int) -> "Jet":
@@ -153,7 +137,10 @@ class Jet:
 
     def spread(self) -> float:
         """Upper bound for sup |f(x) - center| over the represented set."""
-        s = _sum_abs_up(self.coeffs)
+        s = 0.0
+        for c in self.coeffs:
+            if c:
+                s = _nextafter(s + abs(c), _INF)
         if self.err == 0.0:
             return s
         return _up(s + self.err)
@@ -196,42 +183,64 @@ class Jet:
             raise JetError("widening amount must be >= 0")
         if extra == 0.0:
             return self
-        return Jet(self.center, self.coeffs, _add_up(self.err, extra))
+        return _jet(self.center, self.coeffs, _add_up(self.err, extra))
 
     def __repr__(self):
         return f"Jet({self.center!r}; {list(self.coeffs)!r}; {self.err!r})"
 
+    def __eq__(self, other):
+        if other.__class__ is not Jet:
+            return NotImplemented
+        return (self.center, self.coeffs, self.err) == (other.center, other.coeffs, other.err)
+
+    def __hash__(self):
+        return hash((self.center, self.coeffs, self.err))
+
     # -- arithmetic ---------------------------------------------------
+    #
+    # Rounding charges are accumulated in a local float, each one as
+    # err = up(err + charge), in a fixed order.  A sum v = fl(x + y) is
+    # charged up(EPS_PRIM |v|) unless x, y or v is zero (adding zero and
+    # cancelling to zero are exact); a product v = fl(x * y) (or a quotient
+    # with divisor y) is charged up(up(EPS_PRIM |v|) + TINY) unless x or y
+    # is zero.
 
     def _lift(self, other):
         if isinstance(other, Jet):
-            if other.dim != self.dim:
+            if len(other.coeffs) != len(self.coeffs):
                 raise JetError(f"dimension mismatch: {self.dim} vs {other.dim}")
             return other
         if isinstance(other, (int, float)):
-            _require_finite(float(other), "scalar operand")
-            return Jet.constant(float(other), self.dim)
+            c = float(other)
+            _require_finite(c, "scalar operand")
+            return _jet(c, (0.0,) * len(self.coeffs), 0.0)
         return NotImplemented
 
     def __neg__(self) -> "Jet":
         # Negation of doubles is exact.
-        return Jet(-self.center, tuple(-c for c in self.coeffs), self.err)
+        return _jet(-self.center, tuple([-c for c in self.coeffs]), self.err)
 
     def __add__(self, other):
         b = self._lift(other)
         if b is NotImplemented:
             return NotImplemented
-        acc = _ErrAcc()
-        c0 = self.center + b.center
-        acc.add_round(c0, self.center, b.center)
+        up, inf, eps = _nextafter, _INF, EPS_PRIM
+        x0, y0 = self.center, b.center
+        c0 = x0 + y0
+        err = 0.0
+        if x0 and y0 and c0:
+            err = up(err + up(eps * abs(c0), inf), inf)
         coeffs = []
         for x, y in zip(self.coeffs, b.coeffs):
             ci = x + y
-            acc.add_round(ci, x, y)
+            if x and y and ci:
+                err = up(err + up(eps * abs(ci), inf), inf)
             coeffs.append(ci)
-        acc.add(self.err)
-        acc.add(b.err)
-        return Jet(c0, tuple(coeffs), acc.total)
+        if self.err:
+            err = up(err + self.err, inf)
+        if b.err:
+            err = up(err + b.err, inf)
+        return _jet(c0, tuple(coeffs), err)
 
     __radd__ = __add__
 
@@ -248,30 +257,38 @@ class Jet:
         b = self._lift(other)
         if b is NotImplemented:
             return NotImplemented
-        a = self
-        acc = _ErrAcc()
-        c0 = a.center * b.center
-        acc.mul_round(c0, a.center, b.center)
+        up, inf, eps = _nextafter, _INF, EPS_PRIM
+        a0, b0 = self.center, b.center
+        c0 = a0 * b0
+        err = 0.0
+        if a0 and b0:
+            err = up(err + up(up(eps * abs(c0), inf) + TINY, inf), inf)
         coeffs = []
-        for x, y in zip(a.coeffs, b.coeffs):
-            t1 = a.center * y
-            t2 = b.center * x
+        sa = sb = 0.0  # upward sums of |coeffs| of self and of b
+        for x, y in zip(self.coeffs, b.coeffs):
+            t1 = a0 * y
+            t2 = b0 * x
             ci = t1 + t2
-            acc.mul_round(t1, a.center, y)
-            acc.mul_round(t2, b.center, x)
-            acc.add_round(ci, t1, t2)
+            if a0 and y:
+                err = up(err + up(up(eps * abs(t1), inf) + TINY, inf), inf)
+            if b0 and x:
+                err = up(err + up(up(eps * abs(t2), inf) + TINY, inf), inf)
+            if t1 and t2 and ci:
+                err = up(err + up(eps * abs(ci), inf), inf)
             coeffs.append(ci)
-        sa = _sum_abs_up(a.coeffs)
-        sb = _sum_abs_up(b.coeffs)
+            if x:
+                sa = up(sa + abs(x), inf)
+            if y:
+                sb = up(sb + abs(y), inf)
         # Quadratic cross terms are folded entirely into err.
-        acc.add(_mul_up(sa, sb))
-        if b.err != 0.0:
-            ma = _up(_up(abs(a.center) + sa) + a.err)
-            acc.add(_mul_up(ma, b.err))
-        if a.err != 0.0:
-            mb = _up(_up(abs(b.center) + sb) + b.err)
-            acc.add(_mul_up(mb, a.err))
-        return Jet(c0, tuple(coeffs), acc.total)
+        err = up(err + up(sa * sb, inf), inf)
+        if b.err:
+            ma = up(up(abs(a0) + sa, inf) + self.err, inf)
+            err = up(err + up(ma * b.err, inf), inf)
+        if self.err:
+            mb = up(up(abs(b0) + sb, inf) + b.err, inf)
+            err = up(err + up(mb * self.err, inf), inf)
+        return _jet(c0, tuple(coeffs), err)
 
     __rmul__ = __mul__
 
@@ -281,10 +298,11 @@ class Jet:
         if not (lo > 0.0 or hi < 0.0):
             raise JetDomainError("reciprocal of a jet not provably nonzero")
         m = min(abs(lo), abs(hi))
+        up, inf, eps = _nextafter, _INF, EPS_PRIM
         b0 = self.center
-        acc = _ErrAcc()
         c = 1.0 / b0
-        acc.mul_round(c, 1.0, b0)
+        err = 0.0
+        err = up(err + up(up(eps * abs(c), inf) + TINY, inf), inf)
         q = b0 * b0
         q_lo = _down(q)  # certified lower bound for b0^2
         if q_lo <= 0.0:
@@ -292,20 +310,22 @@ class Jet:
         coeffs = []
         for bi in self.coeffs:
             di = -(bi / q)
-            # two roundings: q itself and the division
-            acc.mul_round(di, bi, q)
-            acc.mul_round(di, bi, q)
+            if bi:
+                # two roundings: q itself and the division
+                charge = up(up(eps * abs(di), inf) + TINY, inf)
+                err = up(err + charge, inf)
+                err = up(err + charge, inf)
             coeffs.append(di)
-        if self.err != 0.0:
-            acc.add(_mul_up(self.err, _div_up(1.0, q_lo)))
+        if self.err:
+            err = up(err + up(self.err * up(1.0 / q_lo, inf), inf), inf)
         # Remainder of the linearization: (f-b0)^2 / (b0^2 f).
         spread = self.spread()
         if spread != 0.0:
             den = _down(q_lo * m)
             if den <= 0.0:
                 raise JetDomainError("reciprocal: range too close to zero")
-            acc.add(_div_up(_mul_up(spread, spread), den))
-        return Jet(c, tuple(coeffs), acc.total)
+            err = up(err + up(up(spread * spread, inf) / den, inf), inf)
+        return _jet(c, tuple(coeffs), err)
 
     def __truediv__(self, other):
         b = self._lift(other)
@@ -320,14 +340,26 @@ class Jet:
         return b.__mul__(self.reciprocal())
 
 
+def _jet(center: float, coeffs: tuple, err: float) -> Jet:
+    """Trusted constructor for operation results: ``center`` and ``err``
+    are floats, ``coeffs`` a tuple of finite floats unless ``err`` is
+    non-finite, and only the O(1) check of ``Jet.__post_init__`` runs."""
+    j = _new(Jet)
+    j.center = center
+    j.coeffs = coeffs
+    j.err = err
+    j.__post_init__()
+    return j
+
+
 def pi_jet(dim: int = 0) -> Jet:
     """Certified enclosure of pi as a jet."""
-    return Jet(PI_LO, (0.0,) * dim, PI_HI - PI_LO)
+    return _jet(PI_LO, (0.0,) * dim, PI_HI - PI_LO)
 
 
 def half_pi_jet(dim: int = 0) -> Jet:
     """Certified enclosure of pi/2; halving the pi enclosure is exact."""
-    return Jet(PI_LO * 0.5, (0.0,) * dim, (PI_HI - PI_LO) * 0.5)
+    return _jet(PI_LO * 0.5, (0.0,) * dim, (PI_HI - PI_LO) * 0.5)
 
 
 def _libm_point(value: float, dim: int) -> Jet:
@@ -335,10 +367,56 @@ def _libm_point(value: float, dim: int) -> Jet:
 
     glibc's log/atan are documented below 2 ulp everywhere; we charge a
     4-ulp-wide enclosure (relative 4*EPS_PRIM) plus a subnormal quantum.
-    The oracle suites exercise this margin at zero tolerance.
+    The oracle suites exercise this margin at zero tolerance, and
+    ``smallvol selftest`` checks it against the running libm.
     """
-    half = _up(_up(4.0 * EPS_PRIM * abs(value)) + TINY)
-    return Jet(value, (0.0,) * dim, half)
+    return _jet(value, (0.0,) * dim, _up(_up(4.0 * EPS_PRIM * abs(value)) + TINY))
+
+
+# Points at which ``libm_covered`` checks math.log and math.atan: both
+# sides of 1 and of the atan knee, and magnitudes from 1e-300 to 1e300.
+LIBM_SAMPLES = {
+    "log": (1e-300, 1e-10, 0.1, 0.5, 0.75, 0.9, 0.999, 1.001,
+            1.1, 1.5, 2.0, math.e, 10.0, 1e5, 1e100, 1e300),
+    "atan": (1e-300, 1e-8, 0.01, 0.1, 0.25, 0.5, 0.75, 1.0,
+             1.5, 2.0, 3.0, 10.0, 100.0, 1e8, 1e300, -0.7),
+}
+
+
+def libm_covered(name: str) -> bool:
+    """True when the charge of ``_libm_point`` covers the error of
+    ``math.<name>`` (``log`` or ``atan``) at every point of
+    ``LIBM_SAMPLES``, measured against a 50-digit ``decimal`` reference."""
+    from decimal import Context, Decimal  # only selftest needs it
+
+    ctx = Context(prec=50)
+    for x in LIBM_SAMPLES[name]:
+        if name == "log":
+            value, exact = math.log(x), Decimal(x).ln(ctx)
+        else:
+            value, exact = math.atan(x), _decimal_atan(Decimal(x), ctx)
+        charge = _libm_point(value, 0).err
+        if not ctx.abs(ctx.subtract(Decimal(value), exact)) <= Decimal(charge):
+            return False
+    return True
+
+
+def _decimal_atan(x, ctx):
+    """atan(x) to about ``ctx.prec`` digits: halve the argument with
+    atan(x) = 2 atan(x / (1 + sqrt(1 + x^2))) until |x| < 1/64, then sum
+    the alternating Taylor series."""
+    doublings = 0
+    while abs(x) >= ctx.create_decimal("0.015625"):
+        x = ctx.divide(x, ctx.add(1, ctx.sqrt(ctx.add(1, ctx.multiply(x, x)))))
+        doublings += 1
+    x2 = ctx.multiply(x, x)
+    total, power, k = x, x, 1
+    eps = ctx.multiply(abs(x), ctx.create_decimal(f"1e-{ctx.prec + 5}"))
+    while abs(power) > eps:
+        power = ctx.minus(ctx.multiply(power, x2))
+        k += 2
+        total = ctx.add(total, ctx.divide(power, k))
+    return ctx.multiply(total, 2 ** doublings)
 
 
 def log_jet(a: Jet) -> Jet:
@@ -408,21 +486,21 @@ def atan_jet(a: Jet) -> Jet:
     return (base + poly).widened(rem)
 
 
-@dataclass(frozen=True)
 class ComplexJet:
     """Complex value with jet real and imaginary parts over one variable space."""
 
-    re: Jet
-    im: Jet
+    __slots__ = ("re", "im")
 
-    def __post_init__(self):
-        if self.re.dim != self.im.dim:
+    def __init__(self, re: Jet, im: Jet):
+        if re.dim != im.dim:
             raise JetError("real and imaginary parts must share the variable space")
+        self.re = re
+        self.im = im
 
     @classmethod
     def constant(cls, z: complex, dim: int = 0) -> "ComplexJet":
         z = complex(z)
-        return cls(Jet.constant(z.real, dim), Jet.constant(z.imag, dim))
+        return _cjet(Jet.constant(z.real, dim), Jet.constant(z.imag, dim))
 
     @classmethod
     def variable(cls, z: complex, re_index: int, im_index: int,
@@ -436,6 +514,17 @@ class ComplexJet:
     def dim(self) -> int:
         return self.re.dim
 
+    def __repr__(self):
+        return f"ComplexJet(re={self.re!r}, im={self.im!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not ComplexJet:
+            return NotImplemented
+        return (self.re, self.im) == (other.re, other.im)
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
     def _lift(self, other):
         if isinstance(other, ComplexJet):
             return other
@@ -444,13 +533,13 @@ class ComplexJet:
         return NotImplemented
 
     def __neg__(self):
-        return ComplexJet(-self.re, -self.im)
+        return _cjet(-self.re, -self.im)
 
     def __add__(self, other):
         b = self._lift(other)
         if b is NotImplemented:
             return NotImplemented
-        return ComplexJet(self.re + b.re, self.im + b.im)
+        return _cjet(self.re + b.re, self.im + b.im)
 
     __radd__ = __add__
 
@@ -458,7 +547,7 @@ class ComplexJet:
         b = self._lift(other)
         if b is NotImplemented:
             return NotImplemented
-        return ComplexJet(self.re - b.re, self.im - b.im)
+        return _cjet(self.re - b.re, self.im - b.im)
 
     def __rsub__(self, other):
         b = self._lift(other)
@@ -470,13 +559,13 @@ class ComplexJet:
         b = self._lift(other)
         if b is NotImplemented:
             return NotImplemented
-        return ComplexJet(self.re * b.re - self.im * b.im,
-                          self.re * b.im + self.im * b.re)
+        return _cjet(self.re * b.re - self.im * b.im,
+                     self.re * b.im + self.im * b.re)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "ComplexJet":
-        return ComplexJet(self.re, -self.im)
+        return _cjet(self.re, -self.im)
 
     def abs_squared(self) -> Jet:
         return self.re * self.re + self.im * self.im
@@ -489,7 +578,7 @@ class ComplexJet:
         if not d.prove_positive():
             raise JetDomainError("complex reciprocal: jet not provably nonzero")
         inv = d.reciprocal()
-        return ComplexJet(self.re * inv, -(self.im * inv))
+        return _cjet(self.re * inv, -(self.im * inv))
 
     def __truediv__(self, other):
         b = self._lift(other)
@@ -502,6 +591,14 @@ class ComplexJet:
         if b is NotImplemented:
             return NotImplemented
         return b.__mul__(self.reciprocal())
+
+
+def _cjet(re: Jet, im: Jet) -> ComplexJet:
+    """Trusted constructor for results whose parts share one dimension."""
+    z = _new(ComplexJet)
+    z.re = re
+    z.im = im
+    return z
 
 
 def arg_complex(z: ComplexJet) -> Jet:
@@ -550,4 +647,4 @@ def _arg_by_imag(z: ComplexJet):
 
 def complex_log_jet(z: ComplexJet) -> ComplexJet:
     """Principal complex logarithm: log|z| + i arg z."""
-    return ComplexJet(log_jet(z.abs_squared()) * 0.5, arg_complex(z))
+    return _cjet(log_jet(z.abs_squared()) * 0.5, arg_complex(z))

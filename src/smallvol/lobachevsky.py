@@ -27,6 +27,7 @@ from .jets import (
     PI_LO,
     SQRT2_HI,
     _down,
+    _jet,
     _mul_up,
     _up,
     log_jet,
@@ -80,7 +81,7 @@ class SeriesCoeffs:
         """Constant jet containing l_n (1-based index)."""
         lo = self.lower[n - 1]
         hi = self.upper[n - 1]
-        return Jet(lo, (0.0,) * dim, _up(hi - lo))
+        return _jet(lo, (0.0,) * dim, _up(hi - lo))
 
 
 def series_coeffs(count: int = DEFAULT_TERMS) -> SeriesCoeffs:
@@ -172,7 +173,7 @@ def _eval_positive(t: Jet, tol: float, coeffs: SeriesCoeffs) -> Jet:
         bound = term.sup_abs()
         if bound <= tol:
             # Remaining terms from n on sum to less than 2 * bound.
-            tail = Jet(bound, (0.0,) * dim, bound)
+            tail = _jet(bound, (0.0,) * dim, bound)
             break
         s = s + term
         if n < coeffs.count:
@@ -183,5 +184,5 @@ def _eval_positive(t: Jet, tol: float, coeffs: SeriesCoeffs) -> Jet:
         pi_sq_lo = _down(PI_LO * PI_LO)
         next_bound = _up(_mul_up(bound, t_sq.sup_abs()) / pi_sq_lo)
         h = _mul_up(2.0, next_bound) * 0.5
-        tail = Jet(h, (0.0,) * dim, h)
+        tail = _jet(h, (0.0,) * dim, h)
     return t * (s + tail)

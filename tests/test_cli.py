@@ -15,7 +15,6 @@ from smallvol.formats import (
     parse_script,
     serialize_gluing,
     serialize_presentation,
-    serialize_script,
 )
 from smallvol.grouptool import words
 
@@ -117,6 +116,19 @@ class TestCertifyVolume:
         rc, out, _ = run_cli(capsys, "volume", fig8_file, "--gt", "2.848")
         assert rc == 1 and "verdict: inconclusive" in out
 
+    @pytest.mark.parametrize("claim, verdict", ((("--gt", "1"), "assumed-delta"),
+                                                (("--gt", "1", "--le", "3"), "assumed-delta"),
+                                                (("--gt", "2.848"), "inconclusive")))
+    def test_volume_claim_with_explicit_delta_is_not_proven(self, capsys, fig8_file,
+                                                            claim, verdict):
+        # Nothing certified a solution within delta, so no claim is proven.
+        rc, out, _ = run_cli(capsys, "volume", fig8_file, "--delta", "1e-8", *claim)
+        assert rc == 1
+        assert f"verdict: {verdict}\n" in out
+        assert "verdict: proven" not in out
+        if verdict == "assumed-delta":
+            assert "gt_claim: 1 proven\n" in out
+
     def test_volume_with_explicit_delta(self, capsys, fig8_file):
         rc, out, _ = run_cli(capsys, "volume", fig8_file, "--delta", "1e-8")
         assert rc == 0
@@ -210,6 +222,11 @@ class TestSelftest:
         assert "failures: 0" in out
         assert "FAIL" not in out
 
+    def test_selftest_checks_libm(self, capsys):
+        rc, out, _ = run_cli(capsys, "selftest")
+        assert "check: libm-log pass\n" in out
+        assert "check: libm-atan pass\n" in out
+
 
 class TestRoundTrips:
     def test_gluing_round_trip(self):
@@ -225,7 +242,7 @@ class TestRoundTrips:
     @pytest.mark.parametrize("name", CORPUS)
     def test_script_round_trip(self, name):
         s = parse_script(script_text(name))
-        assert parse_script(serialize_script(s)).steps == s.steps
+        assert parse_script(s.serialize()).steps == s.steps
 
     def test_report_determinism(self, capsys, fig8_file):
         _, out1, _ = run_cli(capsys, "volume", fig8_file, "--gt", "0.943")

@@ -15,6 +15,7 @@ from smallvol.geometry import (
     prove_volume_gt,
     prove_volume_le,
 )
+from smallvol.certify import figure_eight_system, krawczyk_certify
 from smallvol.jets import ComplexJet, JetDomainError, pi_jet
 
 from oracles import jet_contains_value, lobachevsky_quad, mp_arg
@@ -190,3 +191,63 @@ class TestProveVolume:
         s = ShapeAssignment((0.5 - 0.9j,), 0.0)
         assert not prove_volume_gt(s, 0.1)
         assert not prove_volume_le(s, 10.0)
+
+
+def _golden_shapes(n):
+    rng = random.Random(f"golden/{n}")
+    out = []
+    while len(out) < n:
+        z = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0.3, math.pi - 0.3))
+        if abs(z - 1.0) > 0.2:
+            out.append(z)
+    return tuple(out)
+
+
+GOLDEN_SHAPES = {"tet": (OMEGA,), "fig8": (OMEGA, OMEGA),
+                 **{f"n{n}": _golden_shapes(n) for n in range(1, 5)}}
+
+# Volume bounds as float.hex, captured from the jet core that built every
+# jet through the validating dataclass constructor and charged rounding
+# through a separate accumulator object (x86-64, glibc libm).  The jet
+# arithmetic must reproduce them bit for bit.
+GOLDEN_VOLUMES = (
+    ("tet", 0.0, 1e-12, "0x1.03d3368ee093dp+0", "0x1.03d3368ee1773p+0"),
+    ("fig8", 0.0, 1e-12, "0x1.03d3368ee093cp+1", "0x1.03d3368ee1774p+1"),
+    ("fig8", 1e-08, 1e-12, "0x1.03d3368ee091dp+1", "0x1.03d3368ee1793p+1"),
+    ("n1", 0.0, 1e-12, "0x1.b9b5f280350abp-1", "0x1.b9b5f2803c05dp-1"),
+    ("n1", 0.0, 1e-08, "0x1.b9b5f238d2a6cp-1", "0x1.b9b5f2b2753b8p-1"),
+    ("n1", 1e-08, 1e-12, "0x1.b9b5f230773f2p-1", "0x1.b9b5f2cff9d16p-1"),
+    ("n1", 1e-08, 1e-08, "0x1.b9b5f1e914da9p-1", "0x1.b9b5f302330a7p-1"),
+    ("n1", 0.0001, 1e-12, "0x1.b9a99184b05ffp-1", "0x1.b9c2537bc0badp-1"),
+    ("n1", 0.0001, 1e-08, "0x1.b9a9913d39a62p-1", "0x1.b9c253ae8123ap-1"),
+    ("n2", 0.0, 1e-12, "0x1.b10ab216aae1ep+0", "0x1.b10ab216af178p+0"),
+    ("n2", 0.0, 1e-08, "0x1.b10ab1e0eec4dp+0", "0x1.b10ab249640cbp+0"),
+    ("n2", 1e-08, 1e-12, "0x1.b10ab1e418d4ap+0", "0x1.b10ab2494124cp+0"),
+    ("n2", 1e-08, 1e-08, "0x1.b10ab1ae5cb6cp+0", "0x1.b10ab27bf61b4p+0"),
+    ("n2", 0.0001, 1e-12, "0x1.b102dea7a5e56p+0", "0x1.b1128585b415ap+0"),
+    ("n2", 0.0001, 1e-08, "0x1.b102de71c9808p+0", "0x1.b11285b89c4bcp+0"),
+    ("n3", 0.0, 1e-12, "0x1.4c91ce8c54aacp+1", "0x1.4c91ce8c58c82p+1"),
+    ("n3", 0.0, 1e-08, "0x1.4c91ce3b7fdb4p+1", "0x1.4c91cecfb38dcp+1"),
+    ("n3", 1e-08, 1e-12, "0x1.4c91ce719f245p+1", "0x1.4c91cea70e4e9p+1"),
+    ("n3", 1e-08, 1e-08, "0x1.4c91ce20ca54cp+1", "0x1.4c91ceea6915cp+1"),
+    ("n3", 0.0001, 1e-12, "0x1.4c8dac6ab7bacp+1", "0x1.4c95f0adf5ba4p+1"),
+    ("n3", 0.0001, 1e-08, "0x1.4c8dac19dfb5ep+1", "0x1.4c95f0f18985ep+1"),
+    ("n4", 0.0, 1e-12, "0x1.330819d9f0990p+1", "0x1.330819d9f3516p+1"),
+    ("n4", 0.0, 1e-08, "0x1.330819a48045bp+1", "0x1.33081a15727dfp+1"),
+    ("n4", 1e-08, 1e-12, "0x1.330819a3a5054p+1", "0x1.33081a103ee52p+1"),
+    ("n4", 1e-08, 1e-08, "0x1.3308196e34b09p+1", "0x1.33081a4bbe12fp+1"),
+    ("n4", 0.0001, 1e-12, "0x1.32ffb81dffa64p+1", "0x1.33107b95e4428p+1"),
+    ("n4", 0.0001, 1e-08, "0x1.32ffb7e857f49p+1", "0x1.33107bd191443p+1"),
+)
+
+
+class TestGoldenBounds:
+    @pytest.mark.parametrize("name, delta, tol, lo, hi", GOLDEN_VOLUMES)
+    def test_certified_volume_bits(self, name, delta, tol, lo, hi):
+        iv = certified_volume(ShapeAssignment(GOLDEN_SHAPES[name], delta), tol=tol)
+        assert (iv.lo.hex(), iv.hi.hex()) == (lo, hi)
+
+    def test_figure_eight_certificate_bits(self):
+        cert = krawczyk_certify(figure_eight_system())
+        assert cert.delta.hex() == "0x1.b7ce143e1a429p-33"
+        assert cert.box_radius.hex() == "0x1.36fd255a2213dp-33"

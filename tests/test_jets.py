@@ -1,4 +1,5 @@
 import cmath
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -14,10 +15,12 @@ from smallvol.jets import (
     JetError,
     PI_HI,
     PI_LO,
+    _decimal_atan,
     arg_complex,
     atan_jet,
     complex_log_jet,
     half_pi_jet,
+    libm_covered,
     log_jet,
     pi_jet,
 )
@@ -56,12 +59,12 @@ class TestConstruction:
             Jet.variable(0.0, 2, 0.1, 2)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(JetError):
-            Jet(math.nan, (), 0.0)
-        with pytest.raises(JetError):
-            Jet(0.0, (math.inf,), 0.0)
-        with pytest.raises(JetError):
-            Jet(0.0, (), -1e-30)
+        for center, coeffs, err in ((math.nan, (), 0.0), (-math.inf, (1.0,), 0.0),
+                                    (0.0, (math.inf,), 0.0), (0.0, (1.0, math.nan), 0.0),
+                                    (0.0, (), math.inf), (0.0, (1.0,), math.nan),
+                                    (0.0, (), -1e-30), (0.0, (1.0,), -math.inf)):
+            with pytest.raises(JetError):
+                Jet(center, coeffs, err)
 
 
 class TestArithmetic:
@@ -107,6 +110,118 @@ class TestArithmetic:
     def test_neg_exact(self):
         a = Jet(2.0, (0.5,), 1e-10)
         assert (-a).err == a.err and (-a).center == -2.0
+
+
+class TestGoldenBits:
+    """Every field of a few results, as float.hex, captured from the jet
+    core that charged rounding through a separate accumulator object.
+    The operands are narrow, so the rounding charges dominate err and a
+    change in their order or count shows in the last bits."""
+
+    A = Jet(0.3, (1e-13, -3e-14, 0.0), 0.0)
+    B = Jet(-1.7, (0.0, 2.5e-13, 7e-14), 1e-30)
+    EXPRS = {
+        "a + b": lambda a, b: a + b,
+        "a * b": lambda a, b: a * b,
+        "b.reciprocal()": lambda a, b: b.reciprocal(),
+        "a / b": lambda a, b: a / b,
+        "log_jet(a)": lambda a, b: log_jet(a),
+        "atan_jet(b)": lambda a, b: atan_jet(b),
+        "arg_complex(ComplexJet(a, b))": lambda a, b: arg_complex(ComplexJet(a, b)),
+    }
+    GOLDEN = (
+        ("a + b", "-0x1.6666666666666p+0",
+         ("0x1.c25c268497682p-44", "0x1.ef655d91d9bf5p-43", "0x1.3b40815cd0628p-44"),
+         "0x1.6666666666a72p-53"),
+        ("a * b", "-0x1.051eb851eb852p-1",
+         ("-0x1.7ece53f0b3e55p-43", "0x1.1bba0e06bb8bdp-43", "0x1.7a4d6808fa0fdp-46"),
+         "0x1.051eb8552479bp-54"),
+        ("b.reciprocal()", "-0x1.2d2d2d2d2d2d3p-1",
+         ("-0x0.0p+0", "-0x1.8595b1b5226bdp-44", "-0x1.b455bccadedf3p-46"),
+         "0x1.2d2d2d2eca810p-54"),
+        ("a / b", "-0x1.6969696969697p-3",
+         ("-0x1.08eae97b2be2fp-44", "-0x1.2b337a24b6156p-47", "-0x1.05cd0ae01f52bp-47"),
+         "0x1.6969696c9c7d2p-55"),
+        ("log_jet(a)", "-0x1.34378fcbda721p+0",
+         ("0x1.774ccac3d3817p-42", "-0x1.c25c268497682p-44", "0x0.0p+0"),
+         "0x1.34378fccc3248p-51"),
+        ("atan_jet(b)", "-0x1.0a00a3bce369fp+0",
+         ("0x0.0p+0", "0x1.216f365e6d26ap-44", "0x1.442aa34b099bfp-46"),
+         "0x1.0a00a3bcfffbap-51"),
+        ("arg_complex(ComplexJet(a, b))", "-0x1.6568640e000e2p+0",
+         ("0x1.00eab09aac477p-44", "0x1.222a30dee0b11p-47", "0x1.fbc9d5860935ep-48"),
+         "0x1.1bf95c7b40a3dp-51"),
+    )
+
+    @pytest.mark.parametrize("expr, center, coeffs, err", GOLDEN)
+    def test_fields_bitwise(self, expr, center, coeffs, err):
+        j = self.EXPRS[expr](self.A, self.B)
+        assert (j.center.hex(), tuple(c.hex() for c in j.coeffs), j.err.hex()) == (
+            center, coeffs, err)
+
+
+class TestOverflow:
+    """Results out of double range raise JetError: an overflowing sum or
+    product is charged EPS_PRIM * inf into err, which the O(1) check on
+    every result rejects."""
+
+    BIG = 1.5e308
+
+    def test_coefficient_overflow_in_add(self):
+        a = Jet(1.0, (self.BIG, 0.0), 0.0)
+        with pytest.raises(JetError):
+            a + a
+        with pytest.raises(JetError):
+            a - (-a)
+
+    def test_coefficient_overflow_in_mul(self):
+        with pytest.raises(JetError):
+            Jet(4.0, (self.BIG,), 0.0) * Jet(4.0, (0.0,), 0.0)
+        with pytest.raises(JetError):
+            Jet(1.0, (1.0,), 0.0) * 1e308 * 10.0
+
+    def test_overflow_in_reciprocal(self):
+        inv = Jet(1e-100, (1e-101,), 0.0).reciprocal()  # 1e100 - 1e99 x
+        with pytest.raises(JetError):
+            inv * Jet(1.0, (1e300,), 0.0)
+        with pytest.raises(JetError):
+            Jet.constant(1e-310).reciprocal()
+        with pytest.raises(JetError):
+            Jet(1e-160, (1e-161,), 1e-161).reciprocal()
+
+    def test_results_are_finite_or_rejected(self):
+        mags = (0.0, 5e-324, 1e-310, 1e-160, 0.7, 3.0, 1e160, 1e300, 1.7e308)
+        jets = [Jet(c, (r, -r), e) for c in mags for r in mags[:6] for e in (0.0, 1e-300, 1e-3)]
+        ops = (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: a / b, lambda a, b: a.widened(b.center))
+        for a in jets[::3]:
+            for b in jets[::5]:
+                for op in ops:
+                    try:
+                        r = op(a, b)
+                    except JetError:
+                        continue
+                    assert all(math.isfinite(x) for x in (r.center, r.err, *r.coeffs))
+                    assert r.err >= 0.0
+
+
+class TestPostInitHook:
+    def test_hook_sees_operation_results(self, monkeypatch):
+        # Tracing counts jets by patching Jet.__post_init__.
+        seen = []
+        original = Jet.__post_init__
+
+        def counting(jet):
+            original(jet)
+            seen.append(jet)
+
+        monkeypatch.setattr(Jet, "__post_init__", counting)
+        a = Jet.variable(2.0, 0, 0.5, 2)
+        results = [a + 1.0, a - a, a * a, a.reciprocal(), -a, a.widened(1e-9),
+                   a / 3.0, log_jet(a), atan_jet(a), pi_jet(2), half_pi_jet(2)]
+        assert a in seen
+        for r in results:
+            assert any(r is j for j in seen)
 
 
 class TestPredicates:
@@ -203,6 +318,24 @@ class TestElementary:
             assert mpmath.mpf(PI_LO) < mpmath.pi < mpmath.mpf(PI_HI)
         assert jet_contains_value(pi_jet(), mpmath.pi)
         assert jet_contains_value(half_pi_jet(), mpmath.pi / 2)
+
+
+class TestLibmCheck:
+    def test_running_libm_is_covered(self):
+        assert libm_covered("log") and libm_covered("atan")
+
+    @pytest.mark.parametrize("name", ("log", "atan"))
+    def test_libm_off_by_ulps_is_caught(self, monkeypatch, name):
+        fn = getattr(math, name)
+        monkeypatch.setattr(math, name, lambda x: fn(x) * (1 + 16 * EPS_PRIM))
+        assert not libm_covered(name)
+
+    def test_decimal_atan_reference(self):
+        ctx = decimal.Context(prec=50)
+        with mpmath.workdps(60):
+            for x in (1e-300, 0.3, -0.7, 1.0, 7.5, 1e300):
+                ref = _decimal_atan(decimal.Decimal(x), ctx)
+                assert abs(mpmath.mpf(str(ref)) - mpmath.atan(x)) <= 1e-45 * abs(mpmath.atan(x))
 
 
 class TestArgument:
