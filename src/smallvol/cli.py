@@ -13,6 +13,7 @@ inconclusive (never an assertion of the negative), 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -37,6 +38,7 @@ from .geometry import (
     certified_volume,
 )
 from .grouptool import detect_power_relator, verify_script
+from .grouptool.search import DEFAULT_DEPTH
 from .jets import JetDomainError, libm_covered
 
 OK, UNDECIDED, BAD_INPUT = 0, 1, 2
@@ -81,6 +83,39 @@ def _complex_flag(text: str) -> complex:
         ) from exc
 
 
+def _finite_flag(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
+def _delta_flag(text: str) -> float:
+    x = _finite_flag(text)
+    if x < 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return x
+
+
+def _tol_flag(text: str) -> float:
+    x = _finite_flag(text)
+    if x <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return x
+
+
+def _read_text(path: str) -> str:
+    """The file's text; a file that is not UTF-8 is malformed input."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def cmd_bound(args) -> int:
     rep = Report(f"bound --parent {_fmt(args.parent)} --target {_fmt(args.target)}")
     try:
@@ -117,8 +152,7 @@ def cmd_enumerate(args) -> int:
 
 
 def _load_system(path: str):
-    with open(path, encoding="utf-8") as f:
-        return parse_gluing(f.read())
+    return parse_gluing(_read_text(path))
 
 
 def _certify_into(rep: Report, sys_):
@@ -219,17 +253,15 @@ def cmd_nonhyp(args) -> int:
                 "gens " + " ".join(gens) + "\nrel " + args.rel + "\n"
             )
         else:
-            with open(args.file, encoding="utf-8") as f:
-                pres = parse_presentation(f.read())
+            pres = parse_presentation(_read_text(args.file))
     except (OSError, FormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
 
     if args.script:
         try:
-            with open(args.script, encoding="utf-8") as f:
-                script = parse_script(f.read())
-        except OSError as exc:
+            script = parse_script(_read_text(args.script))
+        except (OSError, FormatError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return BAD_INPUT
         verdict = verify_script(pres, script, depth=args.depth)
@@ -297,7 +329,11 @@ def cmd_selftest(args) -> int:
     return OK if failures == 0 else UNDECIDED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every
+    ``main`` call in the process; each call parses into a fresh
+    Namespace, so nothing carries over between calls."""
     ap = argparse.ArgumentParser(
         prog="smallvol",
         description="verified computation for small-volume hyperbolic "
@@ -324,14 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volume", help="certified volume interval")
     p.add_argument("file")
-    p.add_argument("--delta", type=float, default=None,
+    p.add_argument("--delta", type=_delta_flag, default=None,
                    help="assume this solution-distance bound instead of "
                         "running certification (verdict: assumed-delta; "
                         "a claim is then never proven and exits 1)")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--gt", type=float, default=None,
+    p.add_argument("--tol", type=_tol_flag, default=1e-12,
+                   help="Lobachevsky series truncation tolerance (> 0)")
+    p.add_argument("--gt", type=_finite_flag, default=None,
                    help="prove volume strictly greater than this")
-    p.add_argument("--le", type=float, default=None,
+    p.add_argument("--le", type=_finite_flag, default=None,
                    help="prove volume at most this")
     p.set_defaults(fn=cmd_volume)
 
@@ -341,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rel", default=None,
                    help="inline single relator, e.g. a3b2")
     p.add_argument("--script", default=None, help="proof script file")
-    p.add_argument("--depth", type=int, default=8,
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
                    help="search depth for direct-calculation steps")
     p.set_defaults(fn=cmd_nonhyp)
 

@@ -174,6 +174,83 @@ class TestCertifyVolume:
         rc, _, err = run_cli(capsys, "certify", str(p))
         assert rc == 2
 
+    @pytest.mark.parametrize("flag, value", (("--delta", "-1"), ("--delta", "nan"),
+                                             ("--delta", "inf"), ("--delta", "x"),
+                                             ("--tol", "-1"), ("--tol", "0"),
+                                             ("--tol", "nan"), ("--tol", "inf"),
+                                             ("--gt", "nan"), ("--le", "inf")))
+    def test_invalid_volume_flag_is_malformed(self, capsys, fig8_file, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["volume", fig8_file, f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_zero_delta_and_small_tol_accepted(self, capsys, fig8_file):
+        rc, out, _ = run_cli(capsys, "volume", fig8_file, "--delta", "0",
+                             "--tol", "1e-300")
+        assert rc == 0 and "verdict: assumed-delta\n" in out
+
+
+@pytest.fixture()
+def binary_file(tmp_path):
+    p = tmp_path / "bin.dat"
+    p.write_bytes(b"\xff\xfe")
+    return str(p)
+
+
+@pytest.mark.parametrize("command", ("volume", "certify", "nonhyp", "nonhyp-script"))
+def test_non_utf8_input_is_malformed(capsys, tmp_path, binary_file, command):
+    if command == "nonhyp-script":
+        pres = tmp_path / "g.pres"
+        pres.write_text(presentation_text("p44_01"))
+        argv = ("nonhyp", str(pres), "--script", binary_file)
+    else:
+        argv = (command, binary_file)
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "not UTF-8" in err
+
+
+class TestParserReuse:
+    @pytest.fixture()
+    def depth_files(self, tmp_path):
+        # a8 = 1 takes four insertions of a2: found at the default depth,
+        # not within depth 3, so the report shows which depth was used.
+        pres = tmp_path / "a2.pres"
+        script = tmp_path / "a8.script"
+        pres.write_text("gens a\nrel a2\n")
+        script.write_text("trivial a8\n")
+        return str(pres), str(script)
+
+    def test_flags_do_not_carry_over(self, capsys, fig8_file, depth_files):
+        pres, script = depth_files
+        runs = (("volume", fig8_file, "--gt", "2", "--le", "2.1"),
+                ("volume", fig8_file),
+                ("nonhyp", pres, "--script", script, "--depth", "3"),
+                ("nonhyp", pres, "--script", script))
+        first = {}
+        for argv in runs:
+            cli.build_parser.cache_clear()
+            rc, out, err = run_cli(capsys, *argv)
+            first[argv] = (rc, body(out), err)
+        assert "gt_claim: 2 proven" in first[runs[0]][1]
+        assert not any(l.startswith(("gt_claim", "le_claim")) for l in first[runs[1]][1])
+        assert "within depth 3" in "\n".join(first[runs[2]][1])
+        assert "note: verified a8 = 1 (4 insertions)" in first[runs[3]][1]
+
+        cli.build_parser.cache_clear()
+        for argv in runs:
+            rc, out, err = run_cli(capsys, *argv)
+            assert (rc, body(out), err) == first[argv]
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_parser_not_built_at_import(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(smallvol.__file__)))
+        code = ("import sys, smallvol.cli; "
+                "sys.exit(smallvol.cli.build_parser.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
 
 def test_cli_import_leaves_numpy_out():
     src = os.path.dirname(os.path.dirname(os.path.abspath(smallvol.__file__)))

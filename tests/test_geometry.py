@@ -204,12 +204,14 @@ def _golden_shapes(n):
 
 
 GOLDEN_SHAPES = {"tet": (OMEGA,), "fig8": (OMEGA, OMEGA),
-                 **{f"n{n}": _golden_shapes(n) for n in range(1, 5)}}
+                 **{f"n{n}": _golden_shapes(n) for n in (1, 2, 3, 4, 8, 16)}}
 
 # Volume bounds as float.hex, captured from the jet core that built every
 # jet through the validating dataclass constructor and charged rounding
 # through a separate accumulator object (x86-64, glibc libm).  The jet
-# arithmetic must reproduce them bit for bit.
+# arithmetic must reproduce them bit for bit.  The n8 and n16 rows were
+# captured from the volume path that evaluated every tetrahedron over all
+# 2n shared variables, before each tetrahedron got its own two.
 GOLDEN_VOLUMES = (
     ("tet", 0.0, 1e-12, "0x1.03d3368ee093dp+0", "0x1.03d3368ee1773p+0"),
     ("fig8", 0.0, 1e-12, "0x1.03d3368ee093cp+1", "0x1.03d3368ee1774p+1"),
@@ -238,6 +240,18 @@ GOLDEN_VOLUMES = (
     ("n4", 1e-08, 1e-08, "0x1.3308196e34b09p+1", "0x1.33081a4bbe12fp+1"),
     ("n4", 0.0001, 1e-12, "0x1.32ffb81dffa64p+1", "0x1.33107b95e4428p+1"),
     ("n4", 0.0001, 1e-08, "0x1.32ffb7e857f49p+1", "0x1.33107bd191443p+1"),
+    ("n8", 0.0, 1e-12, "0x1.796649be125dcp+2", "0x1.796649be16c7ap+2"),
+    ("n8", 0.0, 1e-08, "0x1.7966496f4430fp+2", "0x1.79664a11b813bp+2"),
+    ("n8", 1e-08, 1e-12, "0x1.796649872e619p+2", "0x1.796649f4fac3dp+2"),
+    ("n8", 1e-08, 1e-08, "0x1.7966493860338p+2", "0x1.79664a489c114p+2"),
+    ("n8", 0.0001, 1e-12, "0x1.795dca83c0118p+2", "0x1.796ec8f86914cp+2"),
+    ("n8", 0.0001, 1e-08, "0x1.795dca34bce95p+2", "0x1.796ec94c3e833p+2"),
+    ("n16", 0.0, 1e-12, "0x1.63252e1082b83p+3", "0x1.63252e1086fabp+3"),
+    ("n16", 0.0, 1e-08, "0x1.63252dcceb174p+3", "0x1.63252e550aebcp+3"),
+    ("n16", 1e-08, 1e-12, "0x1.63252dcd5b7adp+3", "0x1.63252e53ae381p+3"),
+    ("n16", 1e-08, 1e-08, "0x1.63252d89c3d90p+3", "0x1.63252e98322a4p+3"),
+    ("n16", 0.0001, 1e-12, "0x1.631ad382bdaf7p+3", "0x1.632f889e4c039p+3"),
+    ("n16", 0.0001, 1e-08, "0x1.631ad33f0033cp+3", "0x1.632f88e2fe436p+3"),
 )
 
 
