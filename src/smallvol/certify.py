@@ -18,12 +18,14 @@ then shown, by exact integer elimination, to be a rational combination
 of the selected ones, so the solution satisfies the whole system, and
 the certificate's delta bounds its C^n distance from the *input* shapes.
 
-The certified path runs on dimension-0 jets, which are midpoint-radius
-intervals with outward rounding; only the bounds of K(X) matter, so no
-jet variables are needed.  The approximate quantities (the selected
-rows, the Newton steps and Y) all come from one Gaussian elimination
-with partial pivoting in plain complex floats, ``_eliminate``; their
-values need not be accurate for soundness.
+The test's three sums, the residual F(x^), Y F(x^) and I - Y F'(X)
+over the Jacobian's nonzero entries, run on one plain-float
+midpoint-radius kernel, ``_dot``, with a priori rounding bounds; jets
+only enclose the logarithms in F(x^) and the reciprocals in F'(X).  The
+approximate quantities (the selected rows, the Newton steps and Y) all
+come from one Gaussian elimination with partial pivoting in plain
+complex floats, ``_eliminate``; their values need not be accurate for
+soundness.
 """
 
 from __future__ import annotations
@@ -33,15 +35,8 @@ import math
 from dataclasses import dataclass
 
 from .geometry import ShapeAssignment
-from .jets import (
-    ComplexJet,
-    Jet,
-    JetDomainError,
-    SQRT2_HI,
-    _up,
-    complex_log_jet,
-    pi_jet,
-)
+from .jets import (EPS_PRIM, PI_HI, PI_LO, SQRT2_HI, TINY, ComplexJet, Jet,
+                   JetDomainError, _up, complex_log_jet)
 
 _SINGULAR_TOL = 1e-13
 
@@ -81,6 +76,8 @@ class GluingEquation:
         object.__setattr__(self, "a", tuple(int(x) for x in self.a))
         object.__setattr__(self, "b", tuple(int(x) for x in self.b))
         object.__setattr__(self, "c", int(self.c))
+        if any(abs(x) > 2 ** 53 for x in (*self.a, *self.b, self.c)):
+            raise CertifyError("coefficients must not exceed 2^53 in magnitude")
         if len(self.a) != len(self.b):
             raise CertifyError("coefficient rows a and b must have equal length")
 
@@ -277,83 +274,124 @@ def _res_norm(sys: GluingSystem, shapes) -> float:
     return max(abs(r) for r in residual(sys, shapes))
 
 
-def _residual_jets(equations, center) -> list:
-    """Enclosure of each equation's residual at the point ``center``."""
-    ipi = ComplexJet(Jet.constant(0.0), pi_jet())
+def _dot(points, terms) -> tuple:
+    """Enclosure of sum_l points[l] * X_l over ``terms`` (l, m_re, m_im,
+    p_re, p_im), X_l = (m_re +- p_re) + i (m_im +- p_im), as (mid_re,
+    mid_im, rad_re, rad_im).  A point y = a + ib is a complex or an integer
+    of magnitude at most 2^53; y X_l has radii |a| p_re + |b| p_im (real)
+    and |a| p_im + |b| p_re (imaginary).
+
+    Rounding (binary64 round-to-nearest, gradual underflow, u = EPS_PRIM,
+    L terms; Higham 2002, Sec. 3.1; Rump, Acta Numerica 2010, Secs. 2-3):
+    a part's midpoint, ``math.fsum`` of its 2L rounded products p_i, is
+    off by at most u |mid| + u sum |p_i| + L TINY, a product erring by
+    u |p_i| or, underflowing, by TINY / 2.  The float sums S = sum |p_i|
+    and R of the radius products are at least (1 - gamma_2L) times the
+    exact ones minus L TINY, gamma_k = k u / (1 - k u).  So for L < 2^50
+    the radius is at most t + 8 L u t + 4 L TINY, t = R + u (S + |mid|),
+    each step rounded up.  An overflow gives a NaN midpoint or an infinite
+    radius, which no interior test accepts.
+    """
+    re, im = [], []
+    s_re = s_im = r_re = r_im = 0.0
+    for l, xr, xi, pr, pi in terms:
+        y = points[l]
+        a, b = y.real, y.imag
+        t1, t2, t3, t4 = a * xr, b * xi, a * xi, b * xr
+        re += (t1, -t2)
+        im += (t3, t4)
+        s_re += abs(t1) + abs(t2)
+        s_im += abs(t3) + abs(t4)
+        a, b = abs(a), abs(b)
+        r_re += a * pr + b * pi
+        r_im += a * pi + b * pr
+    try:
+        m_re = math.fsum(re)
+        m_im = math.fsum(im)
+    except (OverflowError, ValueError):
+        return math.nan, math.nan, math.inf, math.inf
+    gamma, tiny = 8 * len(terms) * EPS_PRIM, 4 * len(terms) * TINY
+    t_re = _up(r_re + _up(EPS_PRIM * _up(s_re + abs(m_re))))
+    t_im = _up(r_im + _up(EPS_PRIM * _up(s_im + abs(m_im))))
+    return (m_re, m_im, _up(t_re + _up(_up(gamma * t_re) + tiny)),
+            _up(t_im + _up(_up(gamma * t_im) + tiny)))
+
+
+def _box(v: ComplexJet) -> tuple:
+    """A dimension-0 complex jet as (mid_re, mid_im, rad_re, rad_im)."""
+    return v.re.center, v.im.center, v.re.err, v.im.err
+
+
+def _residual_enclosure(equations, center) -> list:
+    """Enclosure (see ``_dot``) of each equation's residual at the point
+    ``center``; the logarithms are dimension-0 jets."""
     zs = [ComplexJet.constant(z) for z in center]
-    logs = [complex_log_jet(z) for z in zs]
-    logs1 = [complex_log_jet(1.0 - z) for z in zs]
+    boxes = [_box(complex_log_jet(w)) for w in zs + [1.0 - z for z in zs]]
+    boxes.append((0.0, PI_LO, 0.0, PI_HI - PI_LO))  # i*pi
     out = []
     for eq in equations:
-        acc = ComplexJet.constant(0.0)
-        for aj, bj, lz, l1 in zip(eq.a, eq.b, logs, logs1):
-            if aj:
-                acc = acc + lz * float(aj)
-            if bj:
-                acc = acc + l1 * float(bj)
-        if eq.c:
-            acc = acc - ipi * float(eq.c)
-        out.append(acc)
+        points = (*eq.a, *eq.b, -eq.c)
+        out.append(_dot(points, [(l, *x) for l, x in enumerate(boxes) if points[l]]))
     return out
 
 
-def _jacobian_box(equations, center, r: float) -> list:
+def _jacobian_columns(equations, center, r: float) -> list:
     """Interval Jacobian of ``equations`` over the box of per-real-coordinate
-    radius r around ``center``; exactly zero entries are None."""
-    box = [ComplexJet(Jet(z.real, (), r), Jet(z.imag, (), r)) for z in center]
-    inv_z = [None] * len(box)
-    inv_1mz = [None] * len(box)
-    rows = []
-    for eq in equations:
-        row = []
-        for j, (aj, bj) in enumerate(zip(eq.a, eq.b)):
-            term = None
-            if aj:
-                if inv_z[j] is None:
-                    inv_z[j] = box[j].reciprocal()
-                term = inv_z[j] * float(aj)
-            if bj:
-                if inv_1mz[j] is None:
-                    inv_1mz[j] = (1.0 - box[j]).reciprocal()
-                t = inv_1mz[j] * float(bj)
-                term = -t if term is None else term - t
-            row.append(term)
-        rows.append(row)
-    return rows
+    radius r around ``center``, as one list per column of its nonzero
+    entries (row, mid_re, mid_im, rad_re, rad_im).  Entry (l, k) is
+    a_lk / z_k - b_lk / (1 - z_k); the reciprocals are dimension-0 jets,
+    computed once per column and only when some row needs them."""
+    cols = []
+    zero = (0.0, 0.0, 0.0, 0.0)
+    for k, z in enumerate(center):
+        box = ComplexJet(Jet(z.real, (), r), Jet(z.imag, (), r))
+        a = [eq.a[k] for eq in equations]
+        b = [-eq.b[k] for eq in equations]
+        recips = ((0, *(_box(box.reciprocal()) if any(a) else zero)),
+                  (1, *(_box((1.0 - box).reciprocal()) if any(b) else zero)))
+        cols.append([(l, *_dot((al, bl), recips))
+                     for l, (al, bl) in enumerate(zip(a, b)) if al or bl])
+    return cols
+
+
+def _k_row_bound(points, cols, row: int, yf_row, r: float) -> tuple:
+    """Upper bounds on |Re| and |Im| of (K(X) - x^)_row, given the points
+    -Y_row plus a trailing 1, the Jacobian's columns and (Y F(x^))_row.
+    (K - x^)_row = -(Y F)_row + sum_k C_k w_k with C = I - Y F'(X) and w
+    in [-r, r] + i [-r, r], so each part is at most
+    |(Y F)_row| + r sum_k (|Re C_k| + |Im C_k|)."""
+    eye = (len(cols), 1.0, 0.0, 0.0, 0.0)
+    spread = 0.0
+    for k, col in enumerate(cols):
+        if k == row:
+            col = col + [eye]
+        elif not col:
+            continue
+        c_re, c_im, p_re, p_im = _dot(points, col)
+        spread = _up(spread + _up(_up(abs(c_re) + p_re) + _up(abs(c_im) + p_im)))
+    spread = _up(spread * r)
+    f_re, f_im, q_re, q_im = yf_row
+    return (_up(_up(abs(f_re) + q_re) + spread),
+            _up(_up(abs(f_im) + q_im) + spread))
 
 
 def _krawczyk_once(sys: GluingSystem, center, selected, y, yf, r: float):
     """One Krawczyk contraction test on the per-real-coordinate box of
-    radius r around ``center``, given Y as constant jets and Y F(x^).
+    radius r around ``center``, given Y as rows of complex floats and the
+    enclosure of Y F(x^) row by row.
 
     Returns None when K(X) is provably interior, else why not: the first
     equation whose row of K(X) is not, with its margin max|K - x^| / r.
+    A NaN bound compares False and so never passes.
     """
-    n = len(center)
     try:
-        jac_box = _jacobian_box([sys.equations[i] for i in selected], center, r)
+        cols = _jacobian_columns([sys.equations[i] for i in selected], center, r)
     except JetDomainError as exc:
         return f"the Jacobian over the box cannot be enclosed ({exc})"
-    w = ComplexJet(Jet(0.0, (), r), Jet(0.0, (), r))  # X - x^
-    for row in range(n):
-        # K_row - x^_row = -(Y F(x^))_row + sum_k (I - Y F'(X))_row,k * w
-        acc = -yf[row]
-        y_row = y[row]
-        for k in range(n):
-            s = None
-            for l in range(n):
-                entry = jac_box[l][k]
-                if entry is not None:
-                    t = y_row[l] * entry
-                    s = t if s is None else s + t
-            if s is not None:
-                acc = acc + ((1.0 if row == k else 0.0) - s) * w
-            elif row == k:
-                acc = acc + w
-        re_lo, re_hi = acc.re.bounds()
-        im_lo, im_hi = acc.im.bounds()
-        if not (-r < re_lo and re_hi < r and -r < im_lo and im_hi < r):
-            margin = max(-re_lo, re_hi, -im_lo, im_hi) / r
+    for row, y_row in enumerate(y):
+        k_re, k_im = _k_row_bound([-v for v in y_row] + [1], cols, row, yf[row], r)
+        if not (k_re < r and k_im < r):
+            margin = max(k_re, k_im) / r
             return f"equation {selected[row] + 1} has max|K-x^|/r = {margin:.6g}"
     return None
 
@@ -426,15 +464,14 @@ def krawczyk_certify(sys: GluingSystem, r0: float = None) -> Certificate:
         raise InconclusiveError(
             "Jacobian at the refined center is singular"
         ) from None
-    y = [[ComplexJet.constant(v) for v in row] for row in y]
     try:
-        f_center = _residual_jets([sys.equations[i] for i in selected], center)
+        f_center = _residual_enclosure([sys.equations[i] for i in selected], center)
     except JetDomainError as exc:
         raise InconclusiveError(
             f"residual at the refined center cannot be enclosed: {exc}"
         ) from None
-    zero = ComplexJet.constant(0.0)
-    yf = [sum((y_rk * f_k for y_rk, f_k in zip(y_row, f_center)), zero) for y_row in y]
+    f_terms = [(l, *f) for l, f in enumerate(f_center)]
+    yf = [_dot(y_row, f_terms) for y_row in y]
 
     for radius in (r0, r0 * 10.0, r0 * 100.0):
         failure = _krawczyk_once(sys, center, selected, y, yf, radius)

@@ -107,6 +107,13 @@ def _tol_flag(text: str) -> float:
     return x
 
 
+def _depth_flag(text: str) -> int:
+    d = int(text)  # argparse reports a ValueError as a bad value
+    if d < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return d
+
+
 def _read_text(path: str) -> str:
     """The file's text; a file that is not UTF-8 is malformed input."""
     with open(path, encoding="utf-8") as f:
@@ -342,16 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("bound", help="slope-length bound from volumes")
-    p.add_argument("--parent", type=float, required=True)
-    p.add_argument("--target", type=float, default=2.848)
+    p.add_argument("--parent", type=_finite_flag, required=True)
+    p.add_argument("--target", type=_finite_flag, default=2.848)
     p.set_defaults(fn=cmd_bound)
 
     p = sub.add_parser("enumerate", help="enumerate candidate filling slopes")
     p.add_argument("--meridian", type=_complex_flag, required=True)
     p.add_argument("--longitude", type=_complex_flag, required=True)
-    p.add_argument("--parent", type=float, required=True)
-    p.add_argument("--target", type=float, default=2.848)
-    p.add_argument("--fudge", type=float, default=0.01)
+    p.add_argument("--parent", type=_finite_flag, required=True)
+    p.add_argument("--target", type=_finite_flag, default=2.848)
+    p.add_argument("--fudge", type=_finite_flag, default=0.01)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("certify", help="certify a gluing-equation solution")
@@ -378,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rel", default=None,
                    help="inline single relator, e.g. a3b2")
     p.add_argument("--script", default=None, help="proof script file")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
+    p.add_argument("--depth", type=_depth_flag, default=DEFAULT_DEPTH,
                    help="search depth for direct-calculation steps")
     p.set_defaults(fn=cmd_nonhyp)
 

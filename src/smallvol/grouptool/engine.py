@@ -195,6 +195,14 @@ def verify_script(pres: Presentation, script: ProofScript,
                    failed_step=None, log=tuple(st.log))
 
 
+def _step_depth(step, pos: int, default: int) -> int:
+    """The search depth given at ``pos`` of a step, else ``default``."""
+    d = int(step[pos]) if len(step) > pos else default
+    if d < 0:
+        raise ValueError(f"search depth {d} is negative")
+    return d
+
+
 def _run_step(st: _State, i: int, step, depth, node_budget):
     kind = step[0]
     if kind == "rotate":
@@ -275,7 +283,7 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
                        f"eliminating {old}"]
     elif kind == "trivial":
         text = step[1]
-        d = int(step[2]) if len(step) > 2 else depth
+        d = _step_depth(step, 2, depth)
         w = st.parse(text)
         deriv = search_trivial(w, st.searchable_relators(), depth=d,
                                node_budget=node_budget)
@@ -285,7 +293,7 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
         st.log.append(f"verified {text} = 1 ({len(deriv.steps)} insertions)")
     elif kind == "commutes":
         x_text, y_text = step[1], step[2]
-        d = int(step[3]) if len(step) > 3 else depth
+        d = _step_depth(step, 3, depth)
         x, y = st.parse(x_text), st.parse(y_text)
         c = words.commutator(x, y)
         deriv = search_trivial(c, st.searchable_relators(), depth=d,

@@ -81,10 +81,6 @@ def rotations(word):
     return [rotate(word, k) for k in range(max(1, len(word)))]
 
 
-def is_cyclic_rotation(a, b) -> bool:
-    return len(a) == len(b) and (not a or a in {rotate(b, k) for k in range(len(b))})
-
-
 def normal_form(word) -> tuple:
     """Canonical representative among a reduced word and its inverse."""
     w = free_reduce(word)

@@ -168,12 +168,6 @@ class Jet:
         lo, hi = self.bounds()
         return lo > 0.0 or hi < 0.0
 
-    def prove_lt(self, c: float) -> bool:
-        return self.bounds()[1] < c
-
-    def prove_gt(self, c: float) -> bool:
-        return self.bounds()[0] > c
-
     def is_exact_zero(self) -> bool:
         return self.center == 0.0 and self.err == 0.0 and not any(self.coeffs)
 

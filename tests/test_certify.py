@@ -2,9 +2,12 @@ import cmath
 import math
 import random
 import re
+from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath import iv
+from mpmath.libmp import to_rational
 
 from smallvol.certify import (
     BranchConsistencyError,
@@ -15,7 +18,10 @@ from smallvol.certify import (
     InconclusiveError,
     RankDeficientError,
     UncoveredEquationError,
+    _dot,
     _eliminate,
+    _k_row_bound,
+    _krawczyk_once,
     figure_eight_system,
     jacobian,
     krawczyk_certify,
@@ -31,6 +37,27 @@ def one_dim_system(offset=0.0):
     # 3 log z - i pi = 0 has the exact root exp(i pi / 3).
     z = OMEGA + offset
     return GluingSystem((GluingEquation((3,), (0,), 1),), (z,))
+
+
+def mixed_figure_eight(k, rng):
+    """k disjoint figure-eight copies, mixed by unimodular row operations
+    row_i += +-row_j so every Jacobian column is dense, with the shapes
+    1e-10 away from the exact root."""
+    n = 2 * k
+    rows = []
+    for c in range(k):
+        for eq in figure_eight_system().equations:
+            a, b = [0] * n, [0] * n
+            a[2 * c:2 * c + 2], b[2 * c:2 * c + 2] = eq.a, eq.b
+            rows.append((a, b))
+    for _ in range(2 * len(rows)):
+        i, j = rng.sample(range(len(rows)), 2)
+        t = rng.choice((-1, 1))
+        rows[i] = ([x + t * y for x, y in zip(rows[i][0], rows[j][0])],
+                   [x + t * y for x, y in zip(rows[i][1], rows[j][1])])
+    shapes = [OMEGA + 1e-10 * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+              for _ in range(n)]
+    return GluingSystem(tuple(GluingEquation(a, b, 0) for a, b in rows), shapes)
 
 
 class TestGluingSystem:
@@ -59,6 +86,12 @@ class TestGluingSystem:
         )
         with pytest.raises(BranchConsistencyError):
             GluingSystem(eqs, (OMEGA + 0.5, OMEGA + 0.5))
+
+    def test_coefficients_exact_in_binary64(self):
+        GluingEquation((2 ** 53,), (-2 ** 53,), 2 ** 53)
+        for a, c in ((2 ** 53 + 1, 0), (1, -2 ** 53 - 1), (10 ** 400, 0)):
+            with pytest.raises(CertifyError, match="2\\^53"):
+                GluingEquation((a,), (0,), c)
 
     def test_needs_enough_equations(self):
         with pytest.raises(CertifyError):
@@ -159,25 +192,9 @@ class TestSelection:
             _eliminate(rows, 2, 0.0)
 
     def test_row_mixed_figure_eight_copies(self):
-        # k = 4 disjoint figure-eight copies, mixed by unimodular row
-        # operations row_i += +-row_j, so every Jacobian column is dense.
-        rng = random.Random(20261018)
         k = 4
         n = 2 * k
-        rows = []
-        for c in range(k):
-            for eq in figure_eight_system().equations:
-                a, b = [0] * n, [0] * n
-                a[2 * c:2 * c + 2], b[2 * c:2 * c + 2] = eq.a, eq.b
-                rows.append((a, b))
-        for _ in range(2 * len(rows)):
-            i, j = rng.sample(range(len(rows)), 2)
-            t = rng.choice((-1, 1))
-            rows[i] = ([x + t * y for x, y in zip(rows[i][0], rows[j][0])],
-                       [x + t * y for x, y in zip(rows[i][1], rows[j][1])])
-        shapes = [OMEGA + 1e-10 * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
-                  for _ in range(n)]
-        sys = GluingSystem(tuple(GluingEquation(a, b, 0) for a, b in rows), shapes)
+        sys = mixed_figure_eight(k, random.Random(20261018))
         cert = krawczyk_certify(sys)
         assert len(cert.selected) == n
         iv = certified_volume(cert.shape_assignment())
@@ -320,6 +337,192 @@ class TestCoverage:
         # The larger extra rows are selected, so the original three follow
         # from them only with fractional coefficients (row 3 = -row 5 / 3).
         assert krawczyk_certify(sys).selected == (3, 4)
+
+
+def _exact(x):
+    """Exact rational bounds of an mpmath interval."""
+    return tuple(Fraction(*to_rational(e)) for e in x._mpi_)
+
+
+def _inside(mid, rad, x):
+    """[mid - rad, mid + rad] contains the interval x, compared exactly."""
+    lo, hi = _exact(x)
+    return Fraction(mid) - Fraction(rad) <= lo and hi <= Fraction(mid) + Fraction(rad)
+
+
+def _iv_box(m_re, m_im, p_re, p_im):
+    return (iv.mpf(m_re) + iv.mpf([-p_re, p_re]), iv.mpf(m_im) + iv.mpf([-p_im, p_im]))
+
+
+def _iv_dot(points, terms):
+    """sum_l points[l] * X_l in 50-digit interval arithmetic."""
+    re = im = iv.mpf(0)
+    for l, *box in terms:
+        y = complex(points[l])
+        a, b = iv.mpf(y.real), iv.mpf(y.imag)
+        x_re, x_im = _iv_box(*box)
+        re += a * x_re - b * x_im
+        im += a * x_im + b * x_re
+    return re, im
+
+
+@pytest.fixture
+def iv50():
+    prec = iv.prec
+    iv.dps = 50
+    yield
+    iv.prec = prec
+
+
+def _magnitude(rng, exponent):
+    x = rng.uniform(1.0, 10.0) * 10.0 ** exponent
+    return -x if rng.random() < 0.5 else x
+
+
+def _random_dot_case(rng):
+    """Points (complex or integer) and midpoint-radius terms with products
+    from 1e-340 (underflowing) to 1e300, subnormal entries, zero
+    midpoints, and pairs of terms that cancel to within a few ulps."""
+    n_terms = rng.randint(1, 16)
+    tiny_case = rng.random() < 0.15  # every product near or below 1e-308
+    points, terms = [], []
+    for _ in range(n_terms):
+        total = rng.uniform(-330.0, -300.0) if tiny_case else rng.uniform(-340.0, 300.0)
+        e_y = rng.uniform(max(-300.0, total - 300.0), min(300.0, total + 300.0))
+        kind = rng.random()
+        if kind < 0.25:
+            y = rng.choice((1, -1, 2, -3, 7, rng.randint(-2 ** 53, 2 ** 53) or 1))
+            e_y = math.log10(abs(y))
+        elif kind < 0.35:
+            y = complex(rng.randint(-9, 9) * 5e-324, _magnitude(rng, e_y))
+        else:
+            y = complex(_magnitude(rng, e_y), _magnitude(rng, e_y - rng.uniform(0, 20)))
+        e_x = max(-300.0, total - e_y)
+        m_re, m_im = _magnitude(rng, e_x), _magnitude(rng, e_x + rng.uniform(-20, 0))
+        if rng.random() < 0.1:
+            m_im = rng.randint(-9, 9) * 5e-324
+        if rng.random() < 0.1:  # radius only: the radius sum's rounding shows
+            m_re = m_im = 0.0
+        p_re = 0.0 if rng.random() < 0.3 else abs(_magnitude(rng, e_x - rng.uniform(0, 18)))
+        p_im = 0.0 if rng.random() < 0.3 else abs(_magnitude(rng, e_x - rng.uniform(0, 18)))
+        terms.append((len(points), m_re, m_im, p_re, p_im))
+        points.append(y)
+        if rng.random() < 0.3:  # a cancelling partner
+            shift = 1.0 + rng.randint(-4, 4) * 2.0 ** -52
+            terms.append((len(points), m_re * shift, m_im, p_re, p_im))
+            points.append(-y)
+    return points, terms
+
+
+class TestDot:
+    """The float midpoint-radius kernel of the Krawczyk test against
+    50-digit interval arithmetic, compared exactly."""
+
+    def test_contains_interval_oracle(self, iv50):
+        rng = random.Random(6061)
+        # 0.5 * 3 * 5e-324 is a tie in the subnormal range and rounds up to
+        # 2 * 5e-324, so 32 such products sum 16 quanta above the truth.
+        ties = ([0.5] * 32, [(l, 1.5e-323, 1.5e-323, 0.0, 0.0) for l in range(32)])
+        for points, terms in [ties] + [_random_dot_case(rng) for _ in range(3000)]:
+            m_re, m_im, r_re, r_im = _dot(points, terms)
+            re, im = _iv_dot(points, terms)
+            assert _inside(m_re, r_re, re), (points, terms)
+            assert _inside(m_im, r_im, im), (points, terms)
+
+    def test_k_row_contains_interval_oracle(self, iv50):
+        rng = random.Random(6062)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            r = 10.0 ** rng.uniform(-18, -1)
+            y_row = [complex(rng.gauss(0, 3), rng.gauss(0, 3)) for _ in range(n)]
+            cols = []
+            for _ in range(n):
+                col = []
+                for l in range(n):
+                    if rng.random() < 0.6:
+                        m = complex(rng.gauss(0, 2), rng.gauss(0, 2))
+                        col.append((l, m.real, m.imag, abs(rng.gauss(0, r)),
+                                    abs(rng.gauss(0, r))))
+                cols.append(col)
+            yf_row = (rng.gauss(0, 1e-15), rng.gauss(0, 1e-15),
+                      abs(rng.gauss(0, 1e-16)), abs(rng.gauss(0, 1e-16)))
+            row = rng.randrange(n)
+            points = [-v for v in y_row] + [1]
+            k_re, k_im = _k_row_bound(points, cols, row, yf_row, r)
+
+            yf_re, yf_im = _iv_box(*yf_row)
+            w = iv.mpf([-r, r])
+            re, im = -yf_re, -yf_im
+            for k, col in enumerate(cols):
+                s_re, s_im = _iv_dot(points, col)  # -(Y F'(X))_row,k
+                if k == row:
+                    s_re += 1
+                re += s_re * w - s_im * w
+                im += s_re * w + s_im * w
+            for part, bound in ((re, k_re), (im, k_im)):
+                lo, hi = _exact(part)
+                assert max(-lo, hi) <= Fraction(bound)
+
+    def test_non_finite_sum_is_never_interior(self):
+        huge = 1e300
+        for points, terms in (
+            ([huge], [(0, huge, 0.0, 0.0, 0.0)]),  # overflow: infinite radius
+            ([complex(1e308, 1e308)], [(0, 1e308, 1e308, 0.0, 0.0)]),  # inf - inf
+            ([complex(math.nan, 0.0)], [(0, 1.0, 1.0, 0.0, 0.0)]),
+        ):
+            m_re, m_im, r_re, r_im = _dot(points, terms)
+            assert not (abs(m_re) + r_re < 1.0 and abs(m_im) + r_im < 1.0)
+            k_re, k_im = _k_row_bound(points + [1], [terms], 0, (0.0, 0.0, 0.0, 0.0), 1.0)
+            assert not (k_re < 1.0 and k_im < 1.0)
+
+    def test_non_finite_inverse_fails_the_test(self):
+        sys = figure_eight_system(round_digits=9)
+        selected = select_square_subsystem(sys)
+        yf = [(0.0, 0.0, 0.0, 0.0)] * 2
+        for bad in (math.nan, math.inf, 1e308):
+            y = [[complex(bad, bad), 0j], [0j, complex(bad, bad)]]
+            failure = _krawczyk_once(sys, sys.shapes, selected, y, yf, 1e-3)
+            assert failure is not None and "max|K-x^|/r" in failure
+
+
+# Verdicts and failure margins (as printed, 6 digits) of the earlier
+# Krawczyk kernel, which accumulated on dimension-0 jets: None is a
+# proof, "jacobian" a failure to enclose F'(X).  The float kernel may
+# prove more, and its margins may only be tighter.
+JET_KERNEL_VERDICTS = (
+    ("fig8", 1e-20, 3373.34),
+    ("fig8", 1e-19, 337.334),
+    ("fig8", 1e-18, 33.7334),
+    ("mixed1", 1e-3, None),
+    ("mixed1", 2.5e-3, 2372.87),
+    ("mixed1", 1e-2, "jacobian"),
+    ("mixed2", 1e-3, None),
+    ("mixed2", 2.5e-3, 2753.62),
+    ("mixed2", 1e-2, "jacobian"),
+    ("mixed3", 1e-3, None),
+    ("mixed3", 2.5e-3, 344.896),
+    ("mixed3", 1e-2, "jacobian"),
+)
+
+
+class TestVerdictRegression:
+    @pytest.mark.parametrize("name, r0, before", JET_KERNEL_VERDICTS)
+    def test_no_lost_proof_or_wider_margin(self, name, r0, before):
+        if name == "fig8":
+            sys = figure_eight_system(round_digits=9)
+        else:
+            sys = mixed_figure_eight(2, random.Random(int(name[-1])))
+        try:
+            krawczyk_certify(sys, r0=r0)
+        except InconclusiveError as exc:
+            msg = str(exc)
+            assert before is not None, f"proven before, now: {msg}"
+            if before == "jacobian":
+                assert "the Jacobian over the box cannot be enclosed" in msg
+            else:
+                m = re.search(r"max\|K-x\^\|/r = (\S+)", msg)
+                assert m, msg
+                assert float(m.group(1)) <= before * (1 + 1e-12)
 
 
 def _mp_residual(eq, z, _ipi=None):

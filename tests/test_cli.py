@@ -57,6 +57,16 @@ class TestBound:
         line = next(l for l in out.splitlines() if l.startswith("bound:"))
         assert abs(float(line.split()[1]) - 2 * math.pi) < 1e-4
 
+    @pytest.mark.parametrize("flag, value", (("--parent", "inf"), ("--parent", "nan"),
+                                             ("--target", "inf"), ("--target", "nan")))
+    def test_non_finite_flag_is_malformed(self, capsys, flag, value):
+        argv = {"--parent": "5.33349", "--target": "2"}
+        argv[flag] = value
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bound", *(f"{k}={v}" for k, v in argv.items())])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
 
 class TestEnumerate:
     S776 = ("enumerate", "--meridian", "0.5,1.3228756555322954",
@@ -86,6 +96,16 @@ class TestEnumerate:
         _, out1, _ = run_cli(capsys, *self.S776)
         _, out2, _ = run_cli(capsys, *self.S776)
         assert body(out1) == body(out2)
+
+    @pytest.mark.parametrize("flag", ("--parent", "--target", "--fudge"))
+    @pytest.mark.parametrize("value", ("inf", "nan"))
+    def test_non_finite_flag_is_malformed(self, capsys, flag, value):
+        argv = list(self.S776)
+        argv[argv.index(flag) + 1] = value
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
 
 
 class TestCertifyVolume:
@@ -290,6 +310,17 @@ class TestNonhyp:
     def test_missing_args(self, capsys):
         rc, _, err = run_cli(capsys, "nonhyp")
         assert rc == 2
+
+    @pytest.mark.parametrize("value", ("-1", "x"))
+    def test_invalid_depth_is_malformed(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["nonhyp", "--rel", "a3", f"--depth={value}"])
+        assert exc.value.code == 2
+        assert "argument --depth" in capsys.readouterr().err
+
+    def test_zero_depth_accepted(self, capsys):
+        rc, out, _ = run_cli(capsys, "nonhyp", "--rel", "a3b2", "--depth", "0")
+        assert rc == 0 and "verdict: nonhyperbolic" in out
 
 
 class TestSelftest:

@@ -55,6 +55,13 @@ class TestWords:
         with pytest.raises(ValueError):
             words.parse_word(f"a{cap // 2}b{cap // 2 + 1}", ("a", "b"))
 
+    @pytest.mark.parametrize("step", ("trivial a2 -1", "commutes a b -1"))
+    def test_script_negative_depth_is_malformed(self, step):
+        pres = Presentation.from_strings(("a", "b"), ["a2", "aba-1b-1"])
+        v = verify_script(pres, ProofScript.parse(f"{step}\nconclude abelian\n"))
+        assert v.status == INCONCLUSIVE and v.failed_step == 0
+        assert "step 1 malformed: search depth -1 is negative" in v.reason
+
     def test_script_exponent_over_the_cap_is_malformed(self):
         pres = Presentation.from_strings(("a", "b"), ["aba-1b-1"])
         big = words.MAX_WORD_LENGTH + 1
@@ -233,10 +240,9 @@ class TestCorpus:
         swap = {1: 2, -1: -2, 2: 1, -2: -1}
         swapped = [tuple(swap[x] for x in r) for r in p1.relators]
         for w in swapped:
-            assert any(
-                words.is_cyclic_rotation(words.cyclic_reduce(w), r)
-                for r in p9.relators
-            )
+            w = words.cyclic_reduce(w)
+            assert any(len(w) == len(r) and w in words.rotations(r)
+                       for r in p9.relators)
 
     @pytest.mark.parametrize("name", CORPUS)
     def test_tietze_abelianization_invariance(self, name):

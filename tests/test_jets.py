@@ -244,8 +244,8 @@ class TestPredicates:
             assert not (j.prove_positive() and j.prove_negative())
 
     def test_prove_lt(self):
-        assert Jet(0.5, (0.1,), 0.0).prove_lt(0.7)
-        assert not Jet(0.5, (0.3,), 0.0).prove_lt(0.7)
+        assert Jet(0.5, (0.1,), 0.0).bounds()[1] < 0.7
+        assert not Jet(0.5, (0.3,), 0.0).bounds()[1] < 0.7
 
     def test_association_orders_bound_same_sup(self):
         rng = random.Random(11)
