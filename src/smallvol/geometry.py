@@ -6,7 +6,11 @@ the sum of the Lobachevsky function over all dihedral angles.  Given an
 approximate shape assignment together with a distance bound ``delta``
 on the true solution, every shape becomes a complex jet with two fresh
 perturbation variables of radius delta, and the resulting volume jet
-bounds the volume of any true solution within delta.
+bounds the volume of any true solution within delta.  Exact shapes
+(delta = 0) are dimension-0 jets, so their whole evaluation runs on the
+jet core's plain-float path; a dimension-0 operand acts as its
+zero-coefficient lift, so the bounds are those of two zero-radius
+variables, bit for bit.
 
 Each angle term depends only on its own tetrahedron's shape, so
 tetrahedron j is evaluated over its own two variables, and only the
@@ -74,8 +78,11 @@ class ShapeAssignment:
         each by at most delta: delta bounds the C^n distance to the true
         solution, so the per-coordinate box over-covers the delta-ball.
         Tetrahedron j's variables are coordinates 2j and 2j+1 of the
-        volume jet (see ``certified_volume``).
+        volume jet (see ``certified_volume``).  With delta == 0 the shapes
+        are exact and the jets have dimension 0.
         """
+        if self.delta == 0.0:
+            return [ComplexJet.constant(z) for z in self.shapes]
         return [ComplexJet.variable(z, 0, 1, self.delta, 2) for z in self.shapes]
 
 
@@ -106,18 +113,21 @@ def certified_volume(assignment: ShapeAssignment, tol: float = 1e-12) -> Interva
     Each Lobachevsky term is evaluated over its tetrahedron's two local
     variables, then summed into a jet over all 2n, tetrahedron by
     tetrahedron and angle by angle, with tetrahedron j at 2j and 2j+1.
+    A dimension-0 term (an exact shape) adds as zeros at those places.
     """
     if not check_positive_orientation(assignment):
         raise OrientationError(
             "tetrahedra not provably positively oriented within delta"
         )
     dim = 2 * assignment.count
-    total = Jet.constant(0.0, dim)
+    total = Jet.constant(0.0)
     for j, zj in enumerate(assignment.shape_jets()):
         before, after = (0.0,) * (2 * j), (0.0,) * (dim - 2 * j - 2)
         for angle in dihedral_angles(zj):
             term = lobachevsky(angle, tol)
-            total = total + _jet(term.center, before + term.coeffs + after, term.err)
+            if term.coeffs:
+                term = _jet(term.center, before + term.coeffs + after, term.err)
+            total = total + term
     lo, hi = total.bounds()
     return Interval(lo, hi)
 

@@ -98,6 +98,20 @@ def _pair(x, y):
     return (nx, ny) if nx <= ny else (ny, nx)
 
 
+def _capped(w):
+    """``w`` itself, after checking it against the word cap.  Every step
+    that can lengthen a word ``_State`` stores passes it through here or
+    through ``words.substitute``, which checks the same cap, so no chain
+    of steps grows a stored word beyond it.  An over-cap word makes the
+    step malformed."""
+    if len(w) > words.MAX_WORD_LENGTH:
+        raise ValueError(
+            f"a {len(w)}-letter word exceeds the "
+            f"{words.MAX_WORD_LENGTH}-letter word cap"
+        )
+    return w
+
+
 @dataclass
 class _State:
     names: list                 # full alphabet, including introduced gens
@@ -132,6 +146,15 @@ class _State:
         gens = tuple(self.names[g - 1] for g in self.active)
         return Presentation(gens, tuple(rels))
 
+    def add_relator(self, w):
+        self.relators.append(_capped(w))
+
+    def add_fact(self, x, y):
+        self.facts.add(_pair(_capped(x), _capped(y)))
+
+    def add_trivial(self, w):
+        self.trivial.add(words.normal_form(_capped(w)))
+
     def searchable_relators(self):
         pool = list(self.relators)
         pool.extend(self.trivial)
@@ -156,11 +179,8 @@ class _State:
         if words.normal_form(w) in self.trivial:
             return True
         cyc = words.cyclic_reduce(w)
-        for r in self.relators:
-            if len(r) == len(cyc) and (cyc in words.rotations(r)
-                                       or cyc in words.rotations(words.invert(r))):
-                return True
-        return False
+        return any(words.is_rotation(r, cyc) or words.is_rotation(words.invert(r), cyc)
+                   for r in self.relators if len(r) == len(cyc))
 
     def gen_trivial(self, g) -> bool:
         return words.normal_form((g,)) in self.trivial
@@ -224,7 +244,7 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
         )
         if not new:
             raise StepError("substitution produced a trivial relator")
-        st.relators[t - 1] = new
+        st.relators[t - 1] = _capped(new)
         st.log.append(
             f"rewrite relator {t} with a conjugate of relator {s}"
         )
@@ -238,7 +258,7 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
         st.names.append(name)
         g = len(st.names)
         st.active.append(g)
-        st.relators.append(words.cyclic_reduce(words.concat(w, (-g,))))
+        st.add_relator(words.cyclic_reduce(words.concat(w, (-g,))))
         st.log.append(f"introduce {name} = {text}")
     elif kind == "eliminate":
         g = st.letter(step[1])
@@ -289,7 +309,7 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
                                node_budget=node_budget)
         if deriv is None or not deriv.replay():
             raise StepError(f"could not derive {text} = 1 within depth {d}")
-        st.trivial.add(words.normal_form(w))
+        st.add_trivial(w)
         st.log.append(f"verified {text} = 1 ({len(deriv.steps)} insertions)")
     elif kind == "commutes":
         x_text, y_text = step[1], step[2]
@@ -302,8 +322,8 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
             raise StepError(
                 f"could not derive [{x_text},{y_text}] = 1 within depth {d}"
             )
-        st.facts.add(_pair(x, y))
-        st.trivial.add(words.normal_form(c))
+        st.add_fact(x, y)
+        st.add_trivial(c)
         st.log.append(f"verified [{x_text},{y_text}] = 1")
     elif kind == "power":
         x = st.parse(step[1])
@@ -316,7 +336,7 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
             raise StepError(
                 f"missing fact [{step[1]}^{n}, {step[3]}^{m}] = 1"
             )
-        st.facts.add(_pair(x, y))
+        st.add_fact(x, y)
         st.log.append(f"[{step[1]},{step[3]}] = 1 by the power rule")
     elif kind == "conj":
         x = st.parse(step[1])
@@ -330,7 +350,7 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
                 f"missing fact [{step[1]}, {step[2]} {step[1]}^{eps} "
                 f"{step[2]}^-1] = 1"
             )
-        st.facts.add(_pair(x, y))
+        st.add_fact(x, y)
         st.log.append(f"[{step[1]},{step[2]}] = 1 by the conjugacy rule")
     elif kind in ("peel", "wrap"):
         q = st.parse(step[1])
@@ -341,11 +361,11 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
         if kind == "peel":
             if not st.has_fact(wrapped, q):
                 raise StepError("missing fact to peel power factors from")
-            st.facts.add(_pair(z, q))
+            st.add_fact(z, q)
         else:
             if not st.has_fact(z, q):
                 raise StepError("missing fact to wrap power factors around")
-            st.facts.add(_pair(wrapped, q))
+            st.add_fact(wrapped, q)
         st.log.append(f"{kind} power factors of {step[1]}")
     elif kind == "grouplem":
         x = st.parse(step[1])
@@ -362,7 +382,7 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
                 "no relator or verified identity matches the pattern "
                 f"{step[1]}^{n} {step[2]}^{m} {step[1]}^-{k} {step[2]}^{m}"
             )
-        st.facts.add(_pair(words.power(x, n + k), words.power(y, m)))
+        st.add_fact(words.power(x, n + k), words.power(y, m))
         st.log.append(
             f"[{step[1]}^{n + k}, {step[2]}^{m}] = 1 by the relator pattern "
             f"(n={n}, m={m}, k={k})"
@@ -379,8 +399,8 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
         # Either w is nontrivial, hence a torsion element (impossible in a
         # discrete torsion-free group), or w = 1: assume the latter and
         # carry on.
-        st.relators.append(words.cyclic_reduce(w))
-        st.trivial.add(words.normal_form(w))
+        st.add_relator(words.cyclic_reduce(w))
+        st.add_trivial(w)
         st.log.append(
             f"case split on {step[1]}^{j} = 1: torsion arm is an immediate "
             f"contradiction; continuing with {step[1]} = 1"

@@ -9,6 +9,13 @@ deepened insertion-count bound.  Only insertions that cancel against a
 neighbouring letter are expanded; free-floating insertions never help
 the short direct calculations this tool is for.
 
+The insertion count and popped nodes are bounded by ``depth`` and
+``node_budget``, and the work by ``MAX_SEARCH_LETTERS``: every word the
+search builds is charged its letters before free reduction, and one
+``search_trivial`` call gives up once that budget is spent.  Each node
+can spawn many successors of its own length, so the node budget alone
+leaves the work quadratic in the word length.
+
 Success yields a ``Derivation`` that replays mechanically with no trust
 in the search: each step names the inserted variant and its position,
 and replaying the insertions through free reduction must end at the
@@ -25,6 +32,10 @@ from . import words
 
 DEFAULT_DEPTH = 8
 DEFAULT_NODE_BUDGET = 3000
+# Letters one ``search_trivial`` call may build, over all its deepening
+# rounds: about a second of work.  Searches in proof scripts build far
+# fewer (well under 10^6).
+MAX_SEARCH_LETTERS = 10**7
 
 
 @dataclass(frozen=True)
@@ -89,8 +100,10 @@ def search_trivial(word, relators, depth: int = DEFAULT_DEPTH,
     max_len = len(start) + max_rel + 4
 
     limit = 1
-    while limit <= depth:
-        found = _best_first(start, by_first, by_last, limit, max_len, node_budget)
+    letters = MAX_SEARCH_LETTERS
+    while limit <= depth and letters > 0:
+        found, letters = _best_first(start, by_first, by_last, limit, max_len,
+                                     node_budget, letters)
         if found is not None:
             return found
         limit = min(limit * 2, depth) if limit < depth else depth + 1
@@ -113,7 +126,8 @@ def _successors(w, by_first, by_last):
     return out
 
 
-def _best_first(start, by_first, by_last, limit, max_len, node_budget):
+def _best_first(start, by_first, by_last, limit, max_len, node_budget, letters):
+    """(derivation or None, letters left of the budget ``letters``)."""
     counter = 0
     heap = [(len(start), 0, counter, start)]
     parents = {start: None}
@@ -127,6 +141,9 @@ def _best_first(start, by_first, by_last, limit, max_len, node_budget):
         if d >= limit:
             continue
         for pos, variant in _successors(w, by_first, by_last):
+            letters -= len(w) + len(variant)
+            if letters < 0:
+                return None, letters
             new = words.concat(w[:pos], variant, w[pos:])
             if len(new) > max_len:
                 continue
@@ -136,11 +153,11 @@ def _best_first(start, by_first, by_last, limit, max_len, node_budget):
             depth_of[new] = nd
             parents[new] = (w, pos, variant)
             if new == ():
-                return _unwind(parents, start)
+                return _unwind(parents, start), letters
             if nd < limit:
                 counter += 1
                 heapq.heappush(heap, (len(new), nd, counter, new))
-    return None
+    return None, letters
 
 
 def _unwind(parents, start):

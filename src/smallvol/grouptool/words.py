@@ -7,11 +7,12 @@ negation works).  All public helpers return freely reduced tuples.
 
 from __future__ import annotations
 
-# Longest word that ``power`` or ``parse_word`` will expand, in letters.
-# Exponents come from untrusted scripts and presentations; the cap keeps
-# one line of input from demanding unbounded time or memory.  ``power``
-# is quadratic in its exponent, so the cap also bounds one call to a few
-# seconds.
+# Longest word that ``power``, ``parse_word`` or ``substitute`` will build,
+# and that the proof-script checker stores, in letters.  Exponents and
+# rewriting steps come from untrusted scripts and presentations; the cap
+# keeps one line of input from demanding unbounded time or memory.
+# ``power`` is quadratic in its exponent, so the cap also bounds one call
+# to a few seconds.
 MAX_WORD_LENGTH = 10**4
 
 
@@ -81,6 +82,19 @@ def rotations(word):
     return [rotate(word, k) for k in range(max(1, len(word)))]
 
 
+def _spelled(word) -> str:
+    """The letters as comma-delimited text: a substring that starts and
+    ends with a comma is a run of whole letters."""
+    return "," + ",".join(map(str, word)) + ","
+
+
+def is_rotation(word, other) -> bool:
+    """True when ``other`` is a cyclic rotation of ``word``: equal lengths,
+    and ``other`` occurs in ``word + word``.  Linear time and memory, where
+    comparing against every rotation is quadratic."""
+    return len(word) == len(other) and _spelled(other) in _spelled(word + word)
+
+
 def normal_form(word) -> tuple:
     """Canonical representative among a reduced word and its inverse."""
     w = free_reduce(word)
@@ -103,7 +117,14 @@ def syllables(word):
 
 def substitute(word, gen: int, replacement) -> tuple:
     """Replace every occurrence of generator ``gen`` (1-indexed letter) by
-    ``replacement`` (and inverses by the inverse), then reduce."""
+    ``replacement`` (and inverses by the inverse), then reduce.  Raises
+    ValueError, before building anything, when the unreduced result would
+    exceed MAX_WORD_LENGTH letters."""
+    hits = sum(1 for x in word if x == gen or x == -gen)
+    if len(word) + hits * (len(replacement) - 1) > MAX_WORD_LENGTH:
+        raise ValueError(
+            f"substitution exceeds the {MAX_WORD_LENGTH}-letter word cap"
+        )
     rep_inv = invert(replacement)
     out = []
     for x in word:

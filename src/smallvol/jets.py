@@ -30,6 +30,17 @@ produce is an overflow, and every overflowing product or sum has nonzero
 operands and is therefore charged ``EPS_PRIM * inf`` into ``err``.  A
 coefficient can thus only become non-finite in a result whose ``err`` is
 non-finite too, and that result is rejected.
+
+Constants are dimension-0 jets (no coefficients), and a scalar operand
+counts as one with ``err`` 0.  A dimension-0 operand combines with a jet
+of any dimension exactly as its zero-coefficient lift to that dimension
+would: the same center, coefficients (signed zeros included) and err,
+from the same rounding charges in the same order.  Broadcasting thus
+changes no bound; only two different nonzero dimensions are an error.
+When both operands have dimension 0 the operation runs on plain
+``(center, err)`` float pairs (``_add0``, ``_mul0``, ``_recip0``), with
+the same charges and the same check on the result; ``atan_jet`` calls
+them directly for its Taylor coefficients.
 """
 
 from __future__ import annotations
@@ -89,6 +100,89 @@ def _require_finite(x: float, what: str) -> None:
         raise JetError(f"{what} is not finite: {x!r}")
 
 
+def _reject(center: float, err: float) -> None:
+    """Raise the JetError for a result that failed the O(1) check."""
+    _require_finite(center, "jet center")
+    _require_finite(err, "jet error term")
+    raise JetError(f"jet error term is negative: {err!r}")
+
+
+def _scalar(x):
+    """A finite int/float operand as a float; None for other types."""
+    if isinstance(x, (int, float)):
+        c = float(x)
+        _require_finite(c, "scalar operand")
+        return c
+    return None
+
+
+# -- dimension-0 arithmetic ---------------------------------------------
+#
+# Jet operations on two dimension-0 operands, as (center, err) pairs in
+# and out.  Each makes the charges of the matching Jet method in the same
+# order (with no coefficients, every coefficient charge vanishes and the
+# product's cross term is up(0 * 0) = TINY) and raises as ``_jet`` would
+# on a non-finite result.
+
+def _add0(x0: float, xe: float, y0: float, ye: float) -> tuple:
+    up, inf = _nextafter, _INF
+    c0 = x0 + y0
+    err = 0.0
+    if x0 and y0 and c0:
+        err = up(up(EPS_PRIM * abs(c0), inf), inf)
+    if xe:
+        err = up(err + xe, inf)
+    if ye:
+        err = up(err + ye, inf)
+    if -inf < c0 < inf and err < inf:
+        return c0, err
+    _reject(c0, err)
+
+
+def _mul0(a0: float, ae: float, b0: float, be: float) -> tuple:
+    up, inf = _nextafter, _INF
+    c0 = a0 * b0
+    err = 0.0
+    if a0 and b0:
+        err = up(up(up(EPS_PRIM * abs(c0), inf) + TINY, inf), inf)
+    err = up(err + TINY, inf)
+    if be:
+        err = up(err + up(up(up(abs(a0), inf) + ae, inf) * be, inf), inf)
+    if ae:
+        err = up(err + up(up(up(abs(b0), inf) + be, inf) * ae, inf), inf)
+    if -inf < c0 < inf and err < inf:
+        return c0, err
+    _reject(c0, err)
+
+
+def _recip0(b0: float, be: float) -> tuple:
+    up, inf = _nextafter, _INF
+    if be:
+        s = up(be, inf)  # Jet.spread
+        lo, hi = _nextafter(b0 - s, -inf), up(b0 + s, inf)
+    else:
+        s = 0.0
+        lo = hi = b0
+    if not (lo > 0.0 or hi < 0.0):
+        raise JetDomainError("reciprocal of a jet not provably nonzero")
+    m = min(abs(lo), abs(hi))
+    c = 1.0 / b0
+    err = up(up(up(EPS_PRIM * abs(c), inf) + TINY, inf), inf)
+    q_lo = _nextafter(b0 * b0, -inf)  # certified lower bound for b0^2
+    if q_lo <= 0.0:
+        raise JetDomainError("reciprocal: center too close to zero")
+    if be:
+        err = up(err + up(be * up(1.0 / q_lo, inf), inf), inf)
+    if s != 0.0:
+        den = _nextafter(q_lo * m, -inf)
+        if den <= 0.0:
+            raise JetDomainError("reciprocal: range too close to zero")
+        err = up(err + up(up(s * s, inf) / den, inf), inf)
+    if -inf < c < inf and err < inf:
+        return c, err
+    _reject(c, err)
+
+
 class Jet:
     """Affine 1-jet: linear function on [-1,1]^dim plus an error radius.
 
@@ -108,14 +202,14 @@ class Jet:
     def __post_init__(self):
         """The O(1) check every jet passes (see the module docstring)."""
         if not (-_INF < self.center < _INF and 0.0 <= self.err < _INF):
-            _require_finite(self.center, "jet center")
-            _require_finite(self.err, "jet error term")
-            raise JetError(f"jet error term is negative: {self.err!r}")
+            _reject(self.center, self.err)
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def constant(cls, c: float, dim: int = 0) -> "Jet":
+        """The exact constant c; dimension 0 unless an explicit lift to
+        ``dim`` zero coefficients is asked for."""
         return _jet(float(c), (0.0,) * dim, 0.0)
 
     @classmethod
@@ -198,26 +292,30 @@ class Jet:
     # cancelling to zero are exact); a product v = fl(x * y) (or a quotient
     # with divisor y) is charged up(up(EPS_PRIM |v|) + TINY) unless x or y
     # is zero.
+    #
+    # A dimension-0 or scalar operand goes to ``_add_const``/``_mul_const``,
+    # which reproduce the operation on its zero-coefficient lift.
 
-    def _lift(self, other):
-        if isinstance(other, Jet):
-            if len(other.coeffs) != len(self.coeffs):
-                raise JetError(f"dimension mismatch: {self.dim} vs {other.dim}")
-            return other
-        if isinstance(other, (int, float)):
-            c = float(other)
-            _require_finite(c, "scalar operand")
-            return _jet(c, (0.0,) * len(self.coeffs), 0.0)
-        return NotImplemented
+    def _mismatch(self, other) -> JetError:
+        return JetError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def __neg__(self) -> "Jet":
         # Negation of doubles is exact.
         return _jet(-self.center, tuple([-c for c in self.coeffs]), self.err)
 
     def __add__(self, other):
-        b = self._lift(other)
-        if b is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Jet:
+            k = _scalar(other)
+            if k is None:
+                return NotImplemented
+            return _add_const(self, k, 0.0, False, 0.0)
+        b = other
+        if not b.coeffs:
+            return _add_const(self, b.center, b.err, False, 0.0)
+        if not self.coeffs:
+            return _add_const(b, self.center, self.err, True, 0.0)
+        if len(b.coeffs) != len(self.coeffs):
+            raise self._mismatch(b)
         up, inf, eps = _nextafter, _INF, EPS_PRIM
         x0, y0 = self.center, b.center
         c0 = x0 + y0
@@ -239,18 +337,33 @@ class Jet:
     __radd__ = __add__
 
     def __sub__(self, other):
-        b = self._lift(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return self.__add__(-b)
+        if other.__class__ is Jet:
+            if other.coeffs:
+                return self.__add__(-other)
+            k, ke = other.center, other.err
+        else:
+            k, ke = _scalar(other), 0.0
+            if k is None:
+                return NotImplemented
+        # The negated lift has -0.0 coefficients, and x + -0.0 == x.
+        return _add_const(self, -k, ke, False, -0.0)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        b = self._lift(other)
-        if b is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Jet:
+            k = _scalar(other)
+            if k is None:
+                return NotImplemented
+            return _mul_const(self, k, 0.0, False, 0.0)
+        b = other
+        if not b.coeffs:
+            return _mul_const(self, b.center, b.err, False, 0.0)
+        if not self.coeffs:
+            return _mul_const(b, self.center, self.err, True, 0.0)
+        if len(b.coeffs) != len(self.coeffs):
+            raise self._mismatch(b)
         up, inf, eps = _nextafter, _INF, EPS_PRIM
         a0, b0 = self.center, b.center
         c0 = a0 * b0
@@ -288,6 +401,9 @@ class Jet:
 
     def reciprocal(self) -> "Jet":
         """1/f for every represented f; requires a provably nonzero range."""
+        if not self.coeffs:
+            c, err = _recip0(self.center, self.err)
+            return _jet(c, (), err)
         lo, hi = self.bounds()
         if not (lo > 0.0 or hi < 0.0):
             raise JetDomainError("reciprocal of a jet not provably nonzero")
@@ -322,16 +438,76 @@ class Jet:
         return _jet(c, tuple(coeffs), err)
 
     def __truediv__(self, other):
-        b = self._lift(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return self.__mul__(b.reciprocal())
+        if other.__class__ is Jet:
+            if other.coeffs:
+                if self.coeffs and len(other.coeffs) != len(self.coeffs):
+                    raise self._mismatch(other)
+                return self.__mul__(other.reciprocal())
+            k, ke = _recip0(other.center, other.err)
+        else:
+            k = _scalar(other)
+            if k is None:
+                return NotImplemented
+            k, ke = _recip0(k, 0.0)
+        # The reciprocal of the lift has -0.0 coefficients.
+        return _mul_const(self, k, ke, False, -0.0)
 
     def __rtruediv__(self, other):
-        b = self._lift(other)
-        if b is NotImplemented:
+        k = _scalar(other)
+        if k is None:
             return NotImplemented
-        return b.__mul__(self.reciprocal())
+        return _mul_const(self.reciprocal(), k, 0.0, True, 0.0)
+
+
+def _add_const(j: Jet, k: float, ke: float, k_left: bool, zero: float) -> Jet:
+    """j + K for the dimension-0 operand K = (k, ke), as the sum with K's
+    lift to j's dimension, whose coefficients all equal ``zero`` (0.0 or
+    -0.0).  ``k_left`` says K is the left operand, which orders the err
+    terms.  The lift draws no coefficient charge, so the center and err
+    are those of the dimension-0 sum."""
+    if k_left:
+        c, err = _add0(k, ke, j.center, j.err)
+    else:
+        c, err = _add0(j.center, j.err, k, ke)
+    xs = j.coeffs
+    if 0.0 in xs:  # x + 0.0 turns -0.0 into 0.0
+        xs = tuple([x + zero for x in xs])
+    return _jet(c, xs, err)
+
+
+def _mul_const(j: Jet, k: float, ke: float, k_left: bool, zero: float) -> Jet:
+    """j * K for the dimension-0 operand K = (k, ke), as the product with
+    K's lift to j's dimension, whose coefficients all equal ``zero``;
+    ``k_left`` says K is the left operand.  Coefficient i of the product
+    is k * x_i + j.center * zero, with the charges of ``Jet.__mul__``."""
+    a0, je, xs = j.center, j.err, j.coeffs
+    if not xs:
+        c, err = _mul0(k, ke, a0, je) if k_left else _mul0(a0, je, k, ke)
+        return _jet(c, (), err)
+    up, inf, eps = _nextafter, _INF, EPS_PRIM
+    c0 = a0 * k
+    err = 0.0
+    if a0 and k:
+        err = up(up(up(eps * abs(c0), inf) + TINY, inf), inf)
+    z = a0 * zero
+    coeffs = []
+    s = 0.0  # upward sum of |coeffs| of j
+    for x in xs:
+        t = k * x
+        if k and x:
+            err = up(err + up(up(eps * abs(t), inf) + TINY, inf), inf)
+        coeffs.append(t + z)
+        if x:
+            s = up(s + abs(x), inf)
+    err = up(err + up(s * 0.0, inf), inf)  # the cross term, as in __mul__
+    # The err terms in operand order: the right operand's err comes first.
+    if k_left and je:
+        err = up(err + up(up(up(abs(k), inf) + ke, inf) * je, inf), inf)
+    if ke:
+        err = up(err + up(up(up(abs(a0) + s, inf) + je, inf) * ke, inf), inf)
+    if je and not k_left:
+        err = up(err + up(up(up(abs(k), inf) + ke, inf) * je, inf), inf)
+    return _jet(c0, tuple(coeffs), err)
 
 
 def _jet(center: float, coeffs: tuple, err: float) -> Jet:
@@ -347,7 +523,7 @@ def _jet(center: float, coeffs: tuple, err: float) -> Jet:
 
 
 def pi_jet(dim: int = 0) -> Jet:
-    """Certified enclosure of pi as a jet."""
+    """Certified enclosure of pi as a jet (dimension 0 unless lifted)."""
     return _jet(PI_LO, (0.0,) * dim, PI_HI - PI_LO)
 
 
@@ -356,7 +532,7 @@ def half_pi_jet(dim: int = 0) -> Jet:
     return _jet(PI_LO * 0.5, (0.0,) * dim, (PI_HI - PI_LO) * 0.5)
 
 
-def _libm_point(value: float, dim: int) -> Jet:
+def _libm_point(value: float) -> Jet:
     """Enclosure of a libm-computed transcendental value.
 
     glibc's log/atan are documented below 2 ulp everywhere; we charge a
@@ -364,7 +540,7 @@ def _libm_point(value: float, dim: int) -> Jet:
     The oracle suites exercise this margin at zero tolerance, and
     ``smallvol selftest`` checks it against the running libm.
     """
-    return _jet(value, (0.0,) * dim, _up(_up(4.0 * EPS_PRIM * abs(value)) + TINY))
+    return _jet(value, (), _up(_up(4.0 * EPS_PRIM * abs(value)) + TINY))
 
 
 # Points at which ``libm_covered`` checks math.log and math.atan: both
@@ -389,7 +565,7 @@ def libm_covered(name: str) -> bool:
             value, exact = math.log(x), Decimal(x).ln(ctx)
         else:
             value, exact = math.atan(x), _decimal_atan(Decimal(x), ctx)
-        charge = _libm_point(value, 0).err
+        charge = _libm_point(value).err
         if not ctx.abs(ctx.subtract(Decimal(value), exact)) <= Decimal(charge):
             return False
     return True
@@ -413,6 +589,10 @@ def _decimal_atan(x, ctx):
     return ctx.multiply(total, 2 ** doublings)
 
 
+# Enclosure of 1/3 for ``log_jet``'s cubic term, built once.
+_THIRD = Jet.constant(3.0).reciprocal()
+
+
 def log_jet(a: Jet) -> Jet:
     """Pointwise natural log: degree-4 Taylor about the center plus a
     Lagrange remainder over the jet's (provably positive) range."""
@@ -428,7 +608,7 @@ def log_jet(a: Jet) -> Jet:
     if not t_sup < 1.0:
         raise JetDomainError("log: jet range too wide for the remainder bound")
     t2 = t * t
-    poly = t - t2 * 0.5 + (t2 * t) / 3.0 - (t2 * t2) * 0.25
+    poly = t - t2 * 0.5 + (t2 * t) * _THIRD - (t2 * t2) * 0.25
     # |R| <= T^5 / (5 (1-T)^5) for log(1+t), T = sup|t|.
     if t_sup == 0.0:
         rem = 0.0
@@ -441,10 +621,7 @@ def log_jet(a: Jet) -> Jet:
         if den <= 0.0:
             raise JetDomainError("log: jet range too wide for the remainder bound")
         rem = _div_up(t5, den)
-    if a0 == 1.0:
-        base = Jet.constant(0.0, a.dim)
-    else:
-        base = _libm_point(math.log(a0), a.dim)
+    base = Jet.constant(0.0) if a0 == 1.0 else _libm_point(math.log(a0))
     return (base + poly).widened(rem)
 
 
@@ -455,28 +632,32 @@ def atan_jet(a: Jet) -> Jet:
     the Lagrange remainder is at most sup|a - center|^5.
     """
     a0 = a.center
-    dim = a.dim
     d = a + (-a0)
-    # Taylor coefficients at a0, computed as certified constant jets:
+    # Taylor coefficients at a0, as certified dimension-0 (center, err)
+    # pairs, each step charged as the matching jet operation:
     #  c1 = 1/w, c2 = -a0/w^2, c3 = (3a0^2-1)/(3w^3), c4 = a0(1-a0^2)/w^4
     # with w = 1 + a0^2.
-    z = Jet.constant(a0, dim)
-    w = z * z + 1.0
-    w2 = w * w
-    c1 = w.reciprocal()
-    c2 = -(z / w2)
-    c3 = (z * z * 3.0 - 1.0) / (w2 * w * 3.0)
-    c4 = (z - z * z * z) / (w2 * w2)
-    poly = d * (c1 + d * (c2 + d * (c3 + d * c4)))
+    z = (a0, 0.0)
+    zz = _mul0(*z, *z)
+    w = _add0(*zz, 1.0, 0.0)
+    w2 = _mul0(*w, *w)
+    c1 = _recip0(*w)
+    c2 = _mul0(*z, *_recip0(*w2))
+    c2 = (-c2[0], c2[1])
+    c3 = _mul0(*_add0(*_mul0(*zz, 3.0, 0.0), -1.0, 0.0),
+               *_recip0(*_mul0(*_mul0(*w2, *w), 3.0, 0.0)))
+    zzz = _mul0(*zz, *z)
+    c4 = _mul0(*_add0(*z, -zzz[0], zzz[1]), *_recip0(*_mul0(*w2, *w2)))
+    # poly = d * (c1 + d * (c2 + d * (c3 + d * c4)))
+    poly = _mul_const(d, *c4, False, 0.0)
+    for c in (c3, c2, c1):
+        poly = d * _add_const(poly, *c, True, 0.0)
     t_sup = d.sup_abs()
     if t_sup == 0.0:
         rem = 0.0
     else:
         rem = _mul_up(_mul_up(_mul_up(t_sup, t_sup), _mul_up(t_sup, t_sup)), t_sup)
-    if a0 == 0.0:
-        base = Jet.constant(0.0, dim)
-    else:
-        base = _libm_point(math.atan(a0), dim)
+    base = Jet.constant(0.0) if a0 == 0.0 else _libm_point(math.atan(a0))
     return (base + poly).widened(rem)
 
 
@@ -492,9 +673,10 @@ class ComplexJet:
         self.im = im
 
     @classmethod
-    def constant(cls, z: complex, dim: int = 0) -> "ComplexJet":
+    def constant(cls, z: complex) -> "ComplexJet":
+        """The exact constant z, at dimension 0."""
         z = complex(z)
-        return _cjet(Jet.constant(z.real, dim), Jet.constant(z.imag, dim))
+        return _cjet(Jet.constant(z.real), Jet.constant(z.imag))
 
     @classmethod
     def variable(cls, z: complex, re_index: int, im_index: int,
@@ -523,7 +705,7 @@ class ComplexJet:
         if isinstance(other, ComplexJet):
             return other
         if isinstance(other, (int, float, complex)):
-            return ComplexJet.constant(complex(other), self.dim)
+            return ComplexJet.constant(complex(other))
         return NotImplemented
 
     def __neg__(self):
@@ -623,9 +805,9 @@ def _arg_by_real(z: ComplexJet):
         return atan_jet(z.im / z.re)
     if z.re.prove_negative():
         if z.im.prove_positive():
-            return pi_jet(z.dim) + atan_jet(z.im / z.re)
+            return pi_jet() + atan_jet(z.im / z.re)
         if z.im.prove_negative():
-            return atan_jet(z.im / z.re) - pi_jet(z.dim)
+            return atan_jet(z.im / z.re) - pi_jet()
     return None
 
 
@@ -633,9 +815,9 @@ def _arg_by_imag(z: ComplexJet):
     """Argument through +-pi/2 - atan(re/im), or None when Im has no
     provable sign."""
     if z.im.prove_positive():
-        return half_pi_jet(z.dim) - atan_jet(z.re / z.im)
+        return half_pi_jet() - atan_jet(z.re / z.im)
     if z.im.prove_negative():
-        return -(half_pi_jet(z.dim) + atan_jet(z.re / z.im))
+        return -(half_pi_jet() + atan_jet(z.re / z.im))
     return None
 
 

@@ -77,11 +77,11 @@ class SeriesCoeffs:
     upper: tuple
     exact: tuple
 
-    def term_jet(self, n: int, dim: int) -> Jet:
-        """Constant jet containing l_n (1-based index)."""
+    def term_jet(self, n: int) -> Jet:
+        """Dimension-0 jet containing l_n (1-based index)."""
         lo = self.lower[n - 1]
         hi = self.upper[n - 1]
-        return _jet(lo, (0.0,) * dim, _up(hi - lo))
+        return _jet(lo, (), _up(hi - lo))
 
 
 def series_coeffs(count: int = DEFAULT_TERMS) -> SeriesCoeffs:
@@ -130,7 +130,7 @@ def range_reduce(theta: Jet) -> Jet:
     if k == 0:
         theta0 = theta
     else:
-        theta0 = theta - pi_jet(theta.dim) * float(k)
+        theta0 = theta - pi_jet() * float(k)
     if not theta0.sup_abs() < _REDUCE_LIMIT:
         raise ReductionError(
             "cannot certify |theta0| < pi/sqrt(2) after range reduction"
@@ -144,14 +144,14 @@ def lobachevsky(theta: Jet, tol: float = 1e-12, coeffs: SeriesCoeffs = None) -> 
     The series is truncated at the first term whose magnitude bound falls
     below ``tol``; the dropped tail is bounded by twice that term and
     absorbed into the error radius.  Jets that are identically zero return
-    the exact zero; nondegenerate jets straddling zero are rejected since
-    log|2 theta| is singular there.
+    the exact (dimension-0) zero; nondegenerate jets straddling zero are
+    rejected since log|2 theta| is singular there.
     """
     if coeffs is None:
         coeffs = default_coeffs()
     theta0 = range_reduce(theta)
     if theta0.is_exact_zero():
-        return Jet.constant(0.0, theta.dim)
+        return Jet.constant(0.0)
     if theta0.prove_positive():
         return _eval_positive(theta0, tol, coeffs)
     if theta0.prove_negative():
@@ -163,17 +163,16 @@ def lobachevsky(theta: Jet, tol: float = 1e-12, coeffs: SeriesCoeffs = None) -> 
 
 def _eval_positive(t: Jet, tol: float, coeffs: SeriesCoeffs) -> Jet:
     """Series evaluation for t provably inside (0, pi/sqrt(2))."""
-    dim = t.dim
     s = 1.0 - log_jet(t * 2.0)
     t_sq = t * t
     power = t_sq
     tail = None
     for n in range(1, coeffs.count + 1):
-        term = coeffs.term_jet(n, dim) * power
+        term = coeffs.term_jet(n) * power
         bound = term.sup_abs()
         if bound <= tol:
             # Remaining terms from n on sum to less than 2 * bound.
-            tail = _jet(bound, (0.0,) * dim, bound)
+            tail = _jet(bound, (), bound)
             break
         s = s + term
         if n < coeffs.count:
@@ -184,5 +183,5 @@ def _eval_positive(t: Jet, tol: float, coeffs: SeriesCoeffs) -> Jet:
         pi_sq_lo = _down(PI_LO * PI_LO)
         next_bound = _up(_mul_up(bound, t_sq.sup_abs()) / pi_sq_lo)
         h = _mul_up(2.0, next_bound) * 0.5
-        tail = _jet(h, (0.0,) * dim, h)
+        tail = _jet(h, (), h)
     return t * (s + tail)

@@ -261,6 +261,15 @@ class TestGoldenBounds:
         iv = certified_volume(ShapeAssignment(GOLDEN_SHAPES[name], delta), tol=tol)
         assert (iv.lo.hex(), iv.hi.hex()) == (lo, hi)
 
+    def test_exact_shapes_evaluate_at_dimension_zero(self):
+        # Bounds captured from the volume path that gave every exact shape
+        # two zero-radius variables.
+        s = ShapeAssignment(GOLDEN_SHAPES["n16"], 0.0)
+        assert all(z.dim == 0 for z in s.shape_jets())
+        assert all(z.dim == 2 for z in ShapeAssignment(s.shapes, 1e-9).shape_jets())
+        iv = certified_volume(s, tol=1e-14)
+        assert (iv.lo.hex(), iv.hi.hex()) == ("0x1.63252e1084bfap+3", "0x1.63252e1084d5ap+3")
+
     def test_figure_eight_certificate_bits(self):
         cert = krawczyk_certify(figure_eight_system())
         assert cert.delta.hex() == "0x1.b7ce143e1a429p-33"

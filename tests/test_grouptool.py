@@ -213,6 +213,81 @@ class TestSearch:
         assert replayed == ()
 
 
+class TestWorkBounds:
+    """Hostile scripts cannot make the checker build or store unbounded
+    words, or spend time superlinear in a stored word."""
+
+    def test_is_rotation_matches_rotations(self):
+        rng = random.Random(8)
+        for _ in range(2000):
+            r = words.cyclic_reduce(rng.choice((1, -1, 2, -2, 3)) for _ in range(rng.randint(0, 8)))
+            w = (words.rotate(r, rng.randint(0, 9)) if rng.random() < 0.5 else
+                 tuple(rng.choice((1, -1, 2, -2, 3)) for _ in range(rng.randint(0, 8))))
+            assert words.is_rotation(r, w) == (len(w) == len(r) and w in words.rotations(r))
+
+    def test_has_trivial_is_linear_in_the_relator(self):
+        import tracemalloc
+
+        # Comparing against all rotations of this relator would hold about
+        # 10^8 letters (0.8 GB); a linear check needs well under 8 MB.
+        rng = random.Random(9)
+        r = tuple(rng.choice((1, 2)) for _ in range(words.MAX_WORD_LENGTH))
+        st_ = _State(names=["a", "b"], active=[1, 2], relators=[r])
+        rotated = words.rotate(r, 4321)
+        flipped = rotated[:-1] + (3 - rotated[-1],)  # one letter count differs
+        tracemalloc.start()
+        try:
+            assert st_.has_trivial(rotated)
+            assert st_.has_trivial(words.invert(words.rotate(r, 17)))
+            assert not st_.has_trivial(flipped)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_search_stops_when_its_letter_budget_is_spent(self, monkeypatch):
+        from smallvol.grouptool import search
+
+        # [a^3, b^3] in <a, b | a^2 b^3 a^-1 b^3>: two deepening rounds that
+        # build 1785 and 1803 letters, the last word being the empty one.
+        rel = words.parse_word("a2b3a-1b3", ("a", "b"))
+        w = words.commutator(words.power((1,), 3), words.power((2,), 3))
+        monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", 3588)
+        assert len(search_trivial(w, [rel], depth=6).steps) == 2
+        monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", 3587)
+        assert search_trivial(w, [rel], depth=6) is None
+
+    def test_long_commutator_search_gives_up(self):
+        # At the node budget alone this search built about 10^9 letters.
+        pres = Presentation.from_strings(("a", "b"), ["aba-1b-1"])
+        v = verify_script(pres, ProofScript.parse("trivial a40b40a-40b-40\nconclude abelian\n"))
+        assert v.status == INCONCLUSIVE and v.failed_step == 0
+
+    def test_rewritten_relators_are_capped(self):
+        # Alternating substitutions grow the relators like Fibonacci numbers.
+        pres = Presentation.from_strings(("a", "b"), ["ab", "ba2"])
+        steps = ["subst 1 0 2 0 0", "subst 2 0 1 0 0"] * 20
+        v = verify_script(pres, ProofScript.parse("\n".join(steps)))
+        assert v.status == INCONCLUSIVE and v.failed_step == 16
+        assert "step 17 malformed" in v.reason and "word cap" in v.reason
+
+    def test_introduce_over_the_cap_is_malformed(self):
+        pres = Presentation.from_strings(("a", "b"), ["aba-1b-1"])
+        text = f"introduce c a{words.MAX_WORD_LENGTH}\nconclude abelian\n"
+        v = verify_script(pres, ProofScript.parse(text))
+        assert v.status == INCONCLUSIVE and "step 1 malformed" in v.reason
+
+    def test_substitute_refuses_before_building(self):
+        cap = words.MAX_WORD_LENGTH
+        with pytest.raises(ValueError):
+            words.substitute((1,) * cap, 1, (2, 2))
+        # The bound counts occurrences, not |word| * |replacement|.
+        assert len(words.substitute((1,) + (2,) * 5000, 1, (3,) * 3000)) == 8000
+        pres = Presentation.from_strings(("a", "b", "c"), ["a-1c1000", "a20b"])
+        v = verify_script(pres, ProofScript.parse("eliminate a 1\nconclude abelian\n"))
+        assert v.status == INCONCLUSIVE and "step 1 malformed" in v.reason
+
+
 def _corpus_pair(name):
     pres = parse_presentation(presentation_text(name))
     script = parse_script(script_text(name))

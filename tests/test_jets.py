@@ -205,6 +205,123 @@ class TestOverflow:
                     assert r.err >= 0.0
 
 
+def _bits(j):
+    return j.center.hex(), tuple(c.hex() for c in j.coeffs), j.err.hex()
+
+
+def _outcome(fn):
+    """Every field of fn()'s jet as float.hex, or the JetError it raised."""
+    try:
+        return _bits(fn())
+    except JetError as exc:
+        return type(exc).__name__
+
+
+def _lift(k, dim):
+    """The explicit zero-coefficient lift of a dimension-0 jet or scalar."""
+    if isinstance(k, Jet):
+        return Jet(k.center, (0.0,) * dim, k.err)
+    return Jet(k, (0.0,) * dim, 0.0)
+
+
+class TestDimensionZeroOperands:
+    """A dimension-0 operand must act exactly as its zero-coefficient lift:
+    same center, coefficients (signed zeros included) and err, and the
+    same JetError, in both operand orders."""
+
+    MAGS = (0.0, 5e-324, 1e-310, 2.2e-308, 1e-200, 0.3, 1.7, 3.0, 1e150, 1e300, 1.5e308)
+    ERRS = (0.0, 5e-324, 1e-30, 1e-3, 1e300)
+    OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+           "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+    def _value(self, rng):
+        return rng.choice(self.MAGS) * rng.choice((1.0, -1.0))
+
+    def _jet(self, rng, dim):
+        return Jet(self._value(rng), tuple(self._value(rng) for _ in range(dim)),
+                   rng.choice(self.ERRS))
+
+    def test_jet_with_dimension_zero_jet(self):
+        rng = random.Random(2027)
+        for _ in range(3000):
+            dim = rng.randint(1, 3)
+            j, k = self._jet(rng, dim), self._jet(rng, 0)
+            lk = _lift(k, dim)
+            for name, op in self.OPS.items():
+                assert _outcome(lambda: op(j, k)) == _outcome(lambda: op(j, lk)), (name, j, k)
+                assert _outcome(lambda: op(k, j)) == _outcome(lambda: op(lk, j)), (name, k, j)
+
+    def test_jet_with_scalar(self):
+        rng = random.Random(2028)
+        scalars = (0, 3, -7, 0.0, -0.0, 5e-324, -1e-310, 0.5, -2.5, 1e300, -1.5e308)
+        for _ in range(1000):
+            dim = rng.randint(1, 3)
+            j = self._jet(rng, dim)
+            for s in scalars:
+                ls = _lift(s, dim)
+                for name, op in self.OPS.items():
+                    assert _outcome(lambda: op(j, s)) == _outcome(lambda: op(j, ls)), (name, j, s)
+                    assert _outcome(lambda: op(s, j)) == _outcome(lambda: op(ls, j)), (name, s, j)
+
+    def test_two_dimension_zero_operands(self):
+        # The float path must give the center and err of the lifted operation.
+        rng = random.Random(2029)
+        for _ in range(3000):
+            a, b = self._jet(rng, 0), self._jet(rng, 0)
+            s = rng.choice((2.0, -0.0, 1e-310, 1e300))
+            dim = rng.randint(1, 3)
+            la, lb, ls = _lift(a, dim), _lift(b, dim), _lift(s, dim)
+            for name, op in self.OPS.items():
+                for x, y, lx, ly in ((a, b, la, lb), (a, s, la, ls), (s, a, ls, la)):
+                    got, want = _outcome(lambda: op(x, y)), _outcome(lambda: op(lx, ly))
+                    if isinstance(want, str):
+                        assert got == want, (name, x, y)
+                    else:
+                        assert got[1] == () and (got[0], got[2]) == (want[0], want[2]), (name, x, y)
+            want = _outcome(lambda: la.reciprocal())
+            got = _outcome(lambda: a.reciprocal())
+            assert got == want if isinstance(want, str) else (got[0], got[2]) == (want[0], want[2])
+
+    def test_atan_taylor_coefficients_match_constant_jets(self):
+        # The reference evaluates atan_jet's Taylor coefficients as jet
+        # operations on a lifted constant, as atan_jet did before it ran
+        # them on (center, err) float pairs.
+        from smallvol.jets import _libm_point, _mul_up
+
+        def reference(a):
+            a0, dim = a.center, a.dim
+            d = a + (-a0)
+            z = Jet.constant(a0, dim)
+            w = z * z + 1.0
+            w2 = w * w
+            c1 = w.reciprocal()
+            c2 = -(z / w2)
+            c3 = (z * z * 3.0 - 1.0) / (w2 * w * 3.0)
+            c4 = (z - z * z * z) / (w2 * w2)
+            poly = d * (c1 + d * (c2 + d * (c3 + d * c4)))
+            t = d.sup_abs()
+            rem = 0.0 if t == 0.0 else _mul_up(_mul_up(_mul_up(t, t), _mul_up(t, t)), t)
+            base = Jet.constant(0.0) if a0 == 0.0 else _libm_point(math.atan(a0))
+            return (base + poly).widened(rem)
+
+        rng = random.Random(2030)
+        for _ in range(2000):
+            dim = rng.choice((0, 2))
+            if rng.random() < 0.3:  # extreme magnitudes, overflow included
+                a = self._jet(rng, dim)
+            else:  # narrow jets, where every charge shows in err
+                a = Jet(rng.uniform(-4.0, 4.0) * rng.choice((1.0, 1e-3, 1e3)),
+                        tuple(rng.uniform(-1.0, 1.0) * rng.choice((1e-3, 1e-12, 1e-17))
+                              for _ in range(dim)),
+                        rng.choice((0.0, rng.uniform(0.0, 1e-9))))
+            assert _outcome(lambda: atan_jet(a)) == _outcome(lambda: reference(a)), a
+
+    def test_constants_have_dimension_zero(self):
+        assert Jet.constant(2.0).dim == pi_jet().dim == half_pi_jet().dim == 0
+        assert ComplexJet.constant(1j).dim == 0
+        assert (Jet.variable(1.0, 0, 0.5, 2) + pi_jet()).dim == 2
+
+
 class TestPostInitHook:
     def test_hook_sees_operation_results(self, monkeypatch):
         # Tracing counts jets by patching Jet.__post_init__.
