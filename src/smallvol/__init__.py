@@ -10,71 +10,72 @@ The pipeline, end to end:
   into rigorous volume intervals via self-validating affine arithmetic;
 * ``grouptool`` checks non-hyperbolicity proofs for the fundamental
   groups of fillings where no hyperbolic structure exists.
+
+Importing the package loads only ``jets`` and ``lobachevsky``.  The
+other public names resolve on first access (PEP 562 module
+``__getattr__``): ``smallvol.certified_volume`` imports ``geometry`` the
+first time it is read and is an ordinary attribute after that, so a
+command-line run loads only the modules its subcommand uses.
 """
 
-from .certify import (
-    Certificate,
-    GluingEquation,
-    GluingSystem,
-    InconclusiveError,
-    figure_eight_system,
-    jacobian,
-    krawczyk_certify,
-    residual,
-    select_square_subsystem,
-)
-from .filling import (
-    CuspData,
-    SlopeList,
-    enumerate_slopes,
-    fkp_lower_bound,
-    slope_length,
-    slope_length_bound,
-)
-from .geometry import (
-    Interval,
-    ShapeAssignment,
-    certified_volume,
-    check_positive_orientation,
-    dihedral_angles,
-    prove_volume_gt,
-    prove_volume_le,
-)
+import sys as _sys
+
 from .jets import ComplexJet, Jet, arg_complex, atan_jet, log_jet
+# The package attribute ``lobachevsky`` must be this function, not the
+# submodule of the same name that the import binds first.
 from .lobachevsky import SeriesCoeffs, lobachevsky, range_reduce, series_coeffs
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Certificate",
-    "ComplexJet",
-    "CuspData",
-    "GluingEquation",
-    "GluingSystem",
-    "InconclusiveError",
-    "Interval",
-    "Jet",
-    "SeriesCoeffs",
-    "ShapeAssignment",
-    "SlopeList",
-    "arg_complex",
-    "atan_jet",
-    "certified_volume",
-    "check_positive_orientation",
-    "dihedral_angles",
-    "enumerate_slopes",
-    "figure_eight_system",
-    "fkp_lower_bound",
-    "jacobian",
-    "krawczyk_certify",
-    "lobachevsky",
-    "log_jet",
-    "prove_volume_gt",
-    "prove_volume_le",
-    "range_reduce",
-    "residual",
-    "select_square_subsystem",
-    "series_coeffs",
-    "slope_length",
-    "slope_length_bound",
-]
+# public name -> submodule that defines it, loaded on first access
+_LAZY = {
+    "Certificate": "certify",
+    "GluingEquation": "certify",
+    "GluingSystem": "certify",
+    "InconclusiveError": "certify",
+    "figure_eight_system": "certify",
+    "jacobian": "certify",
+    "krawczyk_certify": "certify",
+    "residual": "certify",
+    "select_square_subsystem": "certify",
+    "CuspData": "filling",
+    "SlopeList": "filling",
+    "enumerate_slopes": "filling",
+    "fkp_lower_bound": "filling",
+    "slope_length": "filling",
+    "slope_length_bound": "filling",
+    "Interval": "geometry",
+    "ShapeAssignment": "geometry",
+    "certified_volume": "geometry",
+    "check_positive_orientation": "geometry",
+    "dihedral_angles": "geometry",
+    "prove_volume_gt": "geometry",
+    "prove_volume_le": "geometry",
+}
+
+# Submodules not loaded at import; ``smallvol.certify`` loads its module.
+_SUBMODULES = ("certify", "cli", "data", "filling", "formats", "geometry",
+               "grouptool")
+
+__all__ = sorted([*_LAZY, "ComplexJet", "Jet", "SeriesCoeffs", "arg_complex",
+                  "atan_jet", "lobachevsky", "log_jet", "range_reduce",
+                  "series_coeffs"])
+
+
+def __getattr__(name):
+    module = name if name in _SUBMODULES else _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    qualified = f"{__name__}.{module}"
+    # __import__ rather than importlib.import_module: it takes the
+    # interpreter's own import path, so ``-X importtime`` reports the load.
+    __import__(qualified)
+    if module == name:
+        return _sys.modules[qualified]  # the import bound the attribute too
+    value = getattr(_sys.modules[qualified], name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_SUBMODULES))

@@ -8,6 +8,11 @@ is byte-identical across runs.
 
 Exit codes: 0 the claim was verified, 1 the computation was
 inconclusive (never an assertion of the negative), 2 malformed input.
+
+Each subcommand loads only the modules it runs: ``bound`` and
+``enumerate`` load ``filling``, ``certify`` and ``volume`` load
+``formats``, ``certify`` and ``geometry``, and ``nonhyp`` loads
+``formats`` and ``grouptool``.
 """
 
 from __future__ import annotations
@@ -18,28 +23,13 @@ import math
 import sys
 import time
 
-from . import data
-from .certify import (
-    CertifyError,
-    InconclusiveError,
-    krawczyk_certify,
-    residual,
-)
-from .filling import CuspData, enumerate_slopes, slope_length_bound
-from .formats import (
-    FormatError,
-    parse_gluing,
-    parse_presentation,
-    parse_script,
-)
-from .geometry import (
-    OrientationError,
-    ShapeAssignment,
-    certified_volume,
-)
-from .grouptool import detect_power_relator, verify_script
-from .grouptool.search import DEFAULT_DEPTH
-from .jets import JetDomainError, libm_covered
+# Importing the package loads only jets and lobachevsky; every other
+# submodule loads on first access through ``smallvol.<module>`` (the
+# package's PEP 562 ``__getattr__``).  So each command loads just the
+# modules it runs, and from its second call on a lookup costs one
+# attribute access.
+import smallvol
+from .jets import JetDomainError
 
 OK, UNDECIDED, BAD_INPUT = 0, 1, 2
 
@@ -120,13 +110,13 @@ def _read_text(path: str) -> str:
         try:
             return f.read()
         except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+            raise smallvol.formats.FormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def cmd_bound(args) -> int:
     rep = Report(f"bound --parent {_fmt(args.parent)} --target {_fmt(args.target)}")
     try:
-        b = slope_length_bound(args.parent, args.target)
+        b = smallvol.filling.slope_length_bound(args.parent, args.target)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
@@ -144,8 +134,9 @@ def cmd_enumerate(args) -> int:
         f" --fudge {_fmt(args.fudge)}"
     )
     try:
-        cusp = CuspData(args.meridian, args.longitude, args.parent)
-        slopes = enumerate_slopes(cusp, args.target, args.fudge)
+        filling = smallvol.filling
+        cusp = filling.CuspData(args.meridian, args.longitude, args.parent)
+        slopes = filling.enumerate_slopes(cusp, args.target, args.fudge)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
@@ -159,13 +150,14 @@ def cmd_enumerate(args) -> int:
 
 
 def _load_system(path: str):
-    return parse_gluing(_read_text(path))
+    return smallvol.formats.parse_gluing(_read_text(path))
 
 
 def _certify_into(rep: Report, sys_):
+    certify = smallvol.certify
     try:
-        cert = krawczyk_certify(sys_)
-    except (InconclusiveError, CertifyError, JetDomainError) as exc:
+        cert = certify.krawczyk_certify(sys_)
+    except (certify.InconclusiveError, certify.CertifyError, JetDomainError) as exc:
         rep.add("certified", "no")
         rep.add("reason", str(exc))
         return None
@@ -183,7 +175,7 @@ def cmd_certify(args) -> int:
     rep = Report(f"certify {args.file}")
     try:
         sys_ = _load_system(args.file)
-    except (OSError, FormatError) as exc:
+    except (OSError, smallvol.formats.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
     cert = _certify_into(rep, sys_)
@@ -200,7 +192,7 @@ def cmd_volume(args) -> int:
     )
     try:
         sys_ = _load_system(args.file)
-    except (OSError, FormatError) as exc:
+    except (OSError, smallvol.formats.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
 
@@ -211,13 +203,14 @@ def cmd_volume(args) -> int:
             rep.emit()
             return UNDECIDED
 
+    geometry = smallvol.geometry
     try:
         if args.delta is None:
             assignment = cert.shape_assignment()
         else:
-            assignment = ShapeAssignment(sys_.shapes, args.delta)
-        iv = certified_volume(assignment, tol=args.tol)
-    except (OrientationError, ValueError, JetDomainError) as exc:
+            assignment = geometry.ShapeAssignment(sys_.shapes, args.delta)
+        iv = geometry.certified_volume(assignment, tol=args.tol)
+    except (geometry.OrientationError, ValueError, JetDomainError) as exc:
         rep.add("volume", "inconclusive")
         rep.add("reason", str(exc))
         rep.add("verdict", "inconclusive")
@@ -253,28 +246,30 @@ def cmd_nonhyp(args) -> int:
         ("nonhyp --rel " + args.rel if args.rel else f"nonhyp {args.file}")
         + (f" --script {args.script}" if args.script else "")
     )
+    formats, grouptool = smallvol.formats, smallvol.grouptool
     try:
         if args.rel:
             gens = sorted(set(c for c in args.rel if c.isalpha()))
-            pres = parse_presentation(
+            pres = formats.parse_presentation(
                 "gens " + " ".join(gens) + "\nrel " + args.rel + "\n"
             )
         else:
-            pres = parse_presentation(_read_text(args.file))
-    except (OSError, FormatError, ValueError) as exc:
+            pres = formats.parse_presentation(_read_text(args.file))
+    except (OSError, formats.FormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
 
     if args.script:
         try:
-            script = parse_script(_read_text(args.script))
-        except (OSError, FormatError) as exc:
+            script = formats.parse_script(_read_text(args.script))
+        except (OSError, formats.FormatError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return BAD_INPUT
-        verdict = verify_script(pres, script, depth=args.depth)
+        depth = grouptool.search.DEFAULT_DEPTH if args.depth is None else args.depth
+        verdict = grouptool.verify_script(pres, script, depth=depth)
         rep.add("mode", "script")
     else:
-        verdict = detect_power_relator(pres)
+        verdict = grouptool.detect_power_relator(pres)
         rep.add("mode", "pattern")
     rep.add("verdict", verdict.status)
     rep.add("reason", verdict.reason)
@@ -287,6 +282,8 @@ def cmd_nonhyp(args) -> int:
 def cmd_selftest(args) -> int:
     rep = Report("selftest")
     failures = 0
+    certify, data, filling = smallvol.certify, smallvol.data, smallvol.filling
+    formats, geometry, grouptool = smallvol.formats, smallvol.geometry, smallvol.grouptool
 
     def check(name, ok):
         nonlocal failures
@@ -297,39 +294,39 @@ def cmd_selftest(args) -> int:
     # Every volume enclosure assumes libm's log/atan error is within the
     # charge of jets._libm_point; check that on this platform first.
     for fn in ("log", "atan"):
-        check(f"libm-{fn}", libm_covered(fn))
+        check(f"libm-{fn}", smallvol.jets.libm_covered(fn))
 
-    b = slope_length_bound(5.33349, 2.848)
+    b = filling.slope_length_bound(5.33349, 2.848)
     check("slope-length-bound", 10.74 <= b <= 10.76)
 
-    cusp = CuspData(complex(0.5, math.sqrt(7) / 2), 2.0, 5.33349)
-    slopes = enumerate_slopes(cusp, 2.848, 0.01)
+    cusp = filling.CuspData(complex(0.5, math.sqrt(7) / 2), 2.0, 5.33349)
+    slopes = filling.enumerate_slopes(cusp, 2.848, 0.01)
     check("s776-enumeration-46", len(slopes.pairs) == 46)
 
-    sys_ = parse_gluing(data.figure_eight_text())
+    sys_ = formats.parse_gluing(data.figure_eight_text())
     try:
-        cert = krawczyk_certify(sys_)
+        cert = certify.krawczyk_certify(sys_)
         check("figure-eight-certified", cert.delta < 1e-8)
-        iv = certified_volume(cert.shape_assignment())
+        iv = geometry.certified_volume(cert.shape_assignment())
         check("figure-eight-volume",
               iv.lo <= 2.0298832128193072 <= iv.hi and iv.width() < 1e-5)
         check("figure-eight-gt-0.943", iv.lo > 0.943)
         check("figure-eight-le-2.848", iv.hi <= 2.848)
-    except (CertifyError, InconclusiveError):
+    except (certify.CertifyError, certify.InconclusiveError):
         check("figure-eight-certified", False)
 
-    tet = ShapeAssignment((complex(0.5, math.sqrt(3) / 2),), 0.0)
-    iv = certified_volume(tet)
+    tet = geometry.ShapeAssignment((complex(0.5, math.sqrt(3) / 2),), 0.0)
+    iv = geometry.certified_volume(tet)
     check("regular-tetrahedron-volume",
           iv.lo <= 1.0149416064096536 <= iv.hi and iv.width() < 1e-6)
 
     for name in data.CORPUS:
-        pres = parse_presentation(data.presentation_text(name))
-        script = parse_script(data.script_text(name))
-        check(f"script-{name}", verify_script(pres, script).nonhyperbolic)
+        pres = formats.parse_presentation(data.presentation_text(name))
+        script = formats.parse_script(data.script_text(name))
+        check(f"script-{name}", grouptool.verify_script(pres, script).nonhyperbolic)
 
-    pres = parse_presentation("gens a b\nrel a3b2\n")
-    check("detect-a3b2", detect_power_relator(pres).nonhyperbolic)
+    pres = formats.parse_presentation("gens a b\nrel a3b2\n")
+    check("detect-a3b2", grouptool.detect_power_relator(pres).nonhyperbolic)
 
     rep.add("failures", failures)
     rep.emit()
@@ -385,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rel", default=None,
                    help="inline single relator, e.g. a3b2")
     p.add_argument("--script", default=None, help="proof script file")
-    p.add_argument("--depth", type=_depth_flag, default=DEFAULT_DEPTH,
+    p.add_argument("--depth", type=_depth_flag, default=None,
                    help="search depth for direct-calculation steps")
     p.set_defaults(fn=cmd_nonhyp)
 

@@ -18,9 +18,10 @@ emit a canonical form whose reparse is identical to the original parse.
 
 from __future__ import annotations
 
-from .certify import GluingEquation, GluingSystem
-from .grouptool.engine import ProofScript
-from .grouptool.presentation import Presentation
+# Each parser loads the module it builds for, certify or grouptool, on
+# its first call (``smallvol.<module>`` resolves through the package's
+# ``__getattr__``), so reading one format never loads the other's engine.
+import smallvol
 
 
 class FormatError(ValueError):
@@ -34,7 +35,8 @@ def _content_lines(text: str):
             yield lineno, line
 
 
-def parse_gluing(text: str) -> GluingSystem:
+def parse_gluing(text: str) -> smallvol.certify.GluingSystem:
+    certify = smallvol.certify
     n = None
     shapes = {}
     equations = []
@@ -49,7 +51,7 @@ def parse_gluing(text: str) -> GluingSystem:
             elif parts[0] == "eq":
                 body = " ".join(parts[1:])
                 a_s, b_s, c_s = (seg.strip() for seg in body.split(";"))
-                equations.append(GluingEquation(
+                equations.append(certify.GluingEquation(
                     tuple(int(x) for x in a_s.split()),
                     tuple(int(x) for x in b_s.split()),
                     int(c_s),
@@ -65,12 +67,12 @@ def parse_gluing(text: str) -> GluingSystem:
     if sorted(shapes) != list(range(n)):
         raise FormatError(f"need shapes 0..{n - 1}, got {sorted(shapes)}")
     try:
-        return GluingSystem(tuple(equations), tuple(shapes[i] for i in range(n)))
+        return certify.GluingSystem(tuple(equations), tuple(shapes[i] for i in range(n)))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
 
-def serialize_gluing(sys: GluingSystem) -> str:
+def serialize_gluing(sys: smallvol.certify.GluingSystem) -> str:
     out = [f"tets {sys.n}"]
     for i, z in enumerate(sys.shapes):
         out.append(f"shape {i} {z.real!r} {z.imag!r}")
@@ -81,7 +83,7 @@ def serialize_gluing(sys: GluingSystem) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_presentation(text: str) -> Presentation:
+def parse_presentation(text: str) -> smallvol.grouptool.Presentation:
     gens = None
     rel_texts = []
     for lineno, line in _content_lines(text):
@@ -99,17 +101,17 @@ def parse_presentation(text: str) -> Presentation:
     if gens is None:
         raise FormatError("missing 'gens' line")
     try:
-        return Presentation.from_strings(gens, rel_texts)
+        return smallvol.grouptool.Presentation.from_strings(gens, rel_texts)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
 
-def serialize_presentation(p: Presentation) -> str:
+def serialize_presentation(p: smallvol.grouptool.Presentation) -> str:
     out = ["gens " + " ".join(p.generators)]
     for r in p.relators:
         out.append("rel " + p.word_text(r))
     return "\n".join(out) + "\n"
 
 
-def parse_script(text: str) -> ProofScript:
-    return ProofScript.parse(text)
+def parse_script(text: str) -> smallvol.grouptool.ProofScript:
+    return smallvol.grouptool.ProofScript.parse(text)

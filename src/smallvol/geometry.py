@@ -87,22 +87,31 @@ class ShapeAssignment:
 
 
 def dihedral_angles(z: ComplexJet) -> tuple:
-    """Angle jets (arg z, arg 1/(1-z), arg (z-1)/z) of one tetrahedron."""
-    if not z.prove_nonzero():
+    """Angle jets (arg z, arg 1/(1-z), arg (z-1)/z) of one tetrahedron.
+
+    |z|^2 and |1-z|^2 are computed once each: the same jets prove z away
+    from 0 and 1 and then divide."""
+    z_sq = z.abs_squared()
+    if not z_sq.prove_positive():
         raise JetDomainError("shape not provably distinct from 0")
     one_minus = 1.0 - z
-    if not one_minus.prove_nonzero():
+    one_minus_sq = one_minus.abs_squared()
+    if not one_minus_sq.prove_positive():
         raise JetDomainError("shape not provably distinct from 1")
     a1 = arg_complex(z)
-    a2 = arg_complex(one_minus.reciprocal())
-    a3 = arg_complex((z - 1.0) / z)
+    a2 = arg_complex(one_minus.reciprocal(one_minus_sq))
+    a3 = arg_complex((z - 1.0) * z.reciprocal(z_sq))
     return a1, a2, a3
+
+
+def _oriented(shape_jets) -> bool:
+    return all(zj.im.prove_positive() for zj in shape_jets)
 
 
 def check_positive_orientation(assignment: ShapeAssignment) -> bool:
     """True only when every point within delta of every shape has Im > 0."""
     try:
-        return all(zj.im.prove_positive() for zj in assignment.shape_jets())
+        return _oriented(assignment.shape_jets())
     except JetDomainError:
         return False
 
@@ -115,13 +124,14 @@ def certified_volume(assignment: ShapeAssignment, tol: float = 1e-12) -> Interva
     tetrahedron and angle by angle, with tetrahedron j at 2j and 2j+1.
     A dimension-0 term (an exact shape) adds as zeros at those places.
     """
-    if not check_positive_orientation(assignment):
+    shape_jets = assignment.shape_jets()
+    if not _oriented(shape_jets):
         raise OrientationError(
             "tetrahedra not provably positively oriented within delta"
         )
     dim = 2 * assignment.count
     total = Jet.constant(0.0)
-    for j, zj in enumerate(assignment.shape_jets()):
+    for j, zj in enumerate(shape_jets):
         before, after = (0.0,) * (2 * j), (0.0,) * (dim - 2 * j - 2)
         for angle in dihedral_angles(zj):
             term = lobachevsky(angle, tol)

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import words
+from . import search, words
 from .presentation import Presentation, nontrivial_in_abelianization
 from .search import DEFAULT_DEPTH, DEFAULT_NODE_BUDGET, search_trivial
 
@@ -223,6 +223,24 @@ def _step_depth(step, pos: int, default: int) -> int:
     return d
 
 
+def _derive(st: _State, w, text: str, depth: int, node_budget: int):
+    """A replayed derivation of ``w`` = 1, or StepError naming the limit
+    that ended the search: the depth, the node budget or the letter
+    budget."""
+    stopped_by = []
+    deriv = search_trivial(w, st.searchable_relators(), depth=depth,
+                           node_budget=node_budget, stopped_by=stopped_by)
+    if deriv is not None and deriv.replay():
+        return deriv
+    if stopped_by == [search.NODES]:
+        limit = f"the {node_budget}-node search budget (depth {depth})"
+    elif stopped_by == [search.LETTERS]:
+        limit = f"the {search.MAX_SEARCH_LETTERS}-letter search budget (depth {depth})"
+    else:
+        limit = f"depth {depth}"
+    raise StepError(f"could not derive {text} = 1 within {limit}")
+
+
 def _run_step(st: _State, i: int, step, depth, node_budget):
     kind = step[0]
     if kind == "rotate":
@@ -305,10 +323,7 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
         text = step[1]
         d = _step_depth(step, 2, depth)
         w = st.parse(text)
-        deriv = search_trivial(w, st.searchable_relators(), depth=d,
-                               node_budget=node_budget)
-        if deriv is None or not deriv.replay():
-            raise StepError(f"could not derive {text} = 1 within depth {d}")
+        deriv = _derive(st, w, text, d, node_budget)
         st.add_trivial(w)
         st.log.append(f"verified {text} = 1 ({len(deriv.steps)} insertions)")
     elif kind == "commutes":
@@ -316,12 +331,7 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
         d = _step_depth(step, 3, depth)
         x, y = st.parse(x_text), st.parse(y_text)
         c = words.commutator(x, y)
-        deriv = search_trivial(c, st.searchable_relators(), depth=d,
-                               node_budget=node_budget)
-        if deriv is None or not deriv.replay():
-            raise StepError(
-                f"could not derive [{x_text},{y_text}] = 1 within depth {d}"
-            )
+        _derive(st, c, f"[{x_text},{y_text}]", d, node_budget)
         st.add_fact(x, y)
         st.add_trivial(c)
         st.log.append(f"verified [{x_text},{y_text}] = 1")

@@ -16,6 +16,10 @@ search builds is charged its letters before free reduction, and one
 can spawn many successors of its own length, so the node budget alone
 leaves the work quadratic in the word length.
 
+A failed search can say which limit ended it (``stopped_by``): the
+depth (every word within the depth and length bounds was explored), the
+node budget, or the letter budget.
+
 Success yields a ``Derivation`` that replays mechanically with no trust
 in the search: each step names the inserted variant and its position,
 and replaying the insertions through free reduction must end at the
@@ -77,19 +81,29 @@ def _variants(relators):
     return out
 
 
+# The limits that can end a failed search, as ``stopped_by`` reports them.
+DEPTH, NODES, LETTERS = "depth", "nodes", "letters"
+
+
 def search_trivial(word, relators, depth: int = DEFAULT_DEPTH,
-                   node_budget: int = DEFAULT_NODE_BUDGET):
+                   node_budget: int = DEFAULT_NODE_BUDGET, stopped_by=None):
     """Find a derivation of triviality for ``word``, or None.
 
     ``relators`` may include derived facts (words already known to be
     trivial in the group at hand); soundness of the result rests only on
-    that guarantee, never on the search order.
+    that guarantee, never on the search order.  When the search fails and
+    ``stopped_by`` is a list, the limit that ended it is appended: DEPTH
+    when the last deepening round explored every word within the depth
+    and length bounds, NODES when it popped ``node_budget`` nodes first,
+    LETTERS when the ``MAX_SEARCH_LETTERS`` budget ran out.
     """
     start = words.free_reduce(word)
     if start == ():
         return Derivation(start, ())
     variants = _variants(relators)
     if not variants:
+        if stopped_by is not None:
+            stopped_by.append(DEPTH)
         return None
     by_first = {}
     by_last = {}
@@ -101,12 +115,18 @@ def search_trivial(word, relators, depth: int = DEFAULT_DEPTH,
 
     limit = 1
     letters = MAX_SEARCH_LETTERS
-    while limit <= depth and letters > 0:
-        found, letters = _best_first(start, by_first, by_last, limit, max_len,
-                                     node_budget, letters)
+    stop = DEPTH  # also when depth 0 allows no round
+    while limit <= depth:
+        if letters <= 0:
+            stop = LETTERS
+            break
+        found, letters, stop = _best_first(start, by_first, by_last, limit,
+                                           max_len, node_budget, letters)
         if found is not None:
             return found
         limit = min(limit * 2, depth) if limit < depth else depth + 1
+    if stopped_by is not None:
+        stopped_by.append(stop)
     return None
 
 
@@ -127,13 +147,17 @@ def _successors(w, by_first, by_last):
 
 
 def _best_first(start, by_first, by_last, limit, max_len, node_budget, letters):
-    """(derivation or None, letters left of the budget ``letters``)."""
+    """(derivation or None, letters left of the budget ``letters``, and
+    for a failure the limit that ended the round: DEPTH when the queue
+    ran dry, else NODES or LETTERS)."""
     counter = 0
     heap = [(len(start), 0, counter, start)]
     parents = {start: None}
     depth_of = {start: 0}
     popped = 0
-    while heap and popped < node_budget:
+    while heap:
+        if popped >= node_budget:
+            return None, letters, NODES
         _, d, _, w = heapq.heappop(heap)
         popped += 1
         if d != depth_of.get(w, -1):
@@ -143,7 +167,7 @@ def _best_first(start, by_first, by_last, limit, max_len, node_budget, letters):
         for pos, variant in _successors(w, by_first, by_last):
             letters -= len(w) + len(variant)
             if letters < 0:
-                return None, letters
+                return None, letters, LETTERS
             new = words.concat(w[:pos], variant, w[pos:])
             if len(new) > max_len:
                 continue
@@ -153,11 +177,11 @@ def _best_first(start, by_first, by_last, limit, max_len, node_budget, letters):
             depth_of[new] = nd
             parents[new] = (w, pos, variant)
             if new == ():
-                return _unwind(parents, start), letters
+                return _unwind(parents, start), letters, None
             if nd < limit:
                 counter += 1
                 heapq.heappush(heap, (len(new), nd, counter, new))
-    return None, letters
+    return None, letters, DEPTH
 
 
 def _unwind(parents, start):

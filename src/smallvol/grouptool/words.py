@@ -64,10 +64,14 @@ def commutator(x, y) -> tuple:
 
 
 def cyclic_reduce(word) -> tuple:
-    w = list(free_reduce(word))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
+    """The freely reduced word with its cancelling end pairs stripped:
+    linear time, one slice however many pairs cancel."""
+    w = free_reduce(word)
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == -w[j]:
+        i += 1
+        j -= 1
+    return w[i:j + 1]
 
 
 def rotate(word, k: int) -> tuple:

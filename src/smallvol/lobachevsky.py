@@ -16,7 +16,7 @@ contains the true value of L pointwise over the input jet's range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -68,14 +68,14 @@ def _enclose(x: Fraction) -> tuple:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class SeriesCoeffs:
-    """Bracketed series coefficients l_1 .. l_K with their exact rationals."""
+class SeriesCoeffs(namedtuple("SeriesCoeffs", "count lower upper exact")):
+    """Bracketed series coefficients l_1 .. l_K with their exact rationals.
 
-    count: int
-    lower: tuple
-    upper: tuple
-    exact: tuple
+    A named tuple rather than a dataclass: ``dataclasses`` imports
+    ``inspect``, which would add to the start-up of every command.
+    """
+
+    __slots__ = ()
 
     def term_jet(self, n: int) -> Jet:
         """Dimension-0 jet containing l_n (1-based index)."""

@@ -81,6 +81,16 @@ class TestEnumerate:
                  for l in out.splitlines() if l.startswith("pair:")}
         assert (-8, 1) in pairs and (7, 1) in pairs and (8, 1) not in pairs
 
+    def test_borderline_slope_is_listed(self, capsys):
+        # Slope (1, 0) has length 10.23647889605773280..., just below the
+        # bound 10.23647889605773310...; the float bound reads
+        # 10.236478896057731 and would drop it.
+        rc, out, _ = run_cli(capsys, "enumerate", "--meridian", "10.236478896057733,0",
+                             "--longitude", "0,50", "--parent", "4.234022804821794",
+                             "--target", "2.0832521155408212", "--fudge", "0")
+        assert rc == 0
+        assert "pairs: 1" in out and "pair: 1 0 10.2364788961" in out
+
     def test_degenerate_cusp(self, capsys):
         rc, _, err = run_cli(capsys, "enumerate", "--meridian", "1,1",
                              "--longitude=-2,-2", "--parent", "5.0")
@@ -272,6 +282,72 @@ class TestParserReuse:
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def _loaded_after(code):
+    """The smallvol modules a fresh interpreter holds after running ``code``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smallvol.__file__)))
+    probe = (code + "\nimport sys\n"
+             "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'smallvol')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=src,
+                          capture_output=True, text=True, check=True)
+    return set(done.stdout.splitlines()[-1].split())
+
+
+FIG8 = os.path.join(os.path.dirname(smallvol.__file__), "data", "fig8.gluing")
+
+
+class TestColdStart:
+    """Each entry point loads only the modules it runs."""
+
+    def test_package_import_loads_the_jet_core_only(self):
+        assert _loaded_after("import smallvol") == {
+            "smallvol", "smallvol.jets", "smallvol.lobachevsky"}
+
+    def test_cli_import_loads_the_jet_core_only(self):
+        assert _loaded_after("import smallvol.cli") == {
+            "smallvol", "smallvol.cli", "smallvol.jets", "smallvol.lobachevsky"}
+
+    @pytest.mark.parametrize("argv, absent", (
+        (["bound", "--parent", "5.33349", "--target", "2.848"],
+         ("certify", "geometry", "formats", "grouptool")),
+        (["enumerate", "--meridian", "0.5,1.3228756555322954", "--longitude", "2,0",
+          "--parent", "5.33349"], ("certify", "geometry", "formats", "grouptool")),
+        (["volume", FIG8, "--gt", "2"], ("grouptool", "filling")),
+        (["certify", FIG8], ("grouptool", "filling")),
+        (["nonhyp", "--rel", "a3b2"], ("certify", "geometry", "filling")),
+    ))
+    def test_command_loads_only_its_modules(self, argv, absent):
+        loaded = _loaded_after(
+            "import contextlib, io\nfrom smallvol import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    cli.main({argv!r})")
+        assert "smallvol.cli" in loaded
+        packages = {".".join(m.split(".")[:2]) for m in loaded}
+        assert not packages & {f"smallvol.{m}" for m in absent}
+
+    def test_star_import_and_dir_cover_the_public_names(self):
+        namespace = {}
+        exec("from smallvol import *", namespace)
+        assert set(smallvol.__all__) <= set(namespace)
+        assert set(smallvol.__all__) <= set(dir(smallvol))
+        assert namespace["certified_volume"] is smallvol.geometry.certified_volume
+        assert namespace["krawczyk_certify"] is smallvol.certify.krawczyk_certify
+
+    def test_lobachevsky_attribute_is_the_function(self):
+        from smallvol.lobachevsky import lobachevsky
+
+        assert smallvol.lobachevsky is lobachevsky
+        # Neither importing the submodule again nor resolving other names
+        # rebinds the package attribute to the submodule.
+        _loaded_after("import importlib, smallvol\n"
+                      "m = importlib.import_module('smallvol.lobachevsky')\n"
+                      "smallvol.Jet, smallvol.certified_volume, smallvol.cli\n"
+                      "assert smallvol.lobachevsky is m.lobachevsky")
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError):
+            smallvol.no_such_name
+
+
 def test_cli_import_leaves_numpy_out():
     src = os.path.dirname(os.path.dirname(os.path.abspath(smallvol.__file__)))
     code = "import sys, smallvol.cli; sys.exit(int('numpy' in sys.modules))"
@@ -280,6 +356,20 @@ def test_cli_import_leaves_numpy_out():
 
 
 class TestNonhyp:
+    def test_default_depth_is_eight(self, capsys, tmp_path):
+        # a16 = 1 takes eight insertions of a2, and a18 = 1 nine.
+        pres = tmp_path / "a2.pres"
+        pres.write_text("gens a\nrel a2\n")
+        notes = {}
+        for word in ("a16", "a18"):
+            script = tmp_path / f"{word}.script"
+            script.write_text(f"trivial {word}\n")
+            rc, out, _ = run_cli(capsys, "nonhyp", str(pres), "--script", str(script))
+            assert rc == 1  # no conclusion step
+            notes[word] = out
+        assert "note: verified a16 = 1 (8 insertions)" in notes["a16"]
+        assert "could not derive a18 = 1 within depth 8" in notes["a18"]
+
     def test_inline_power_relator(self, capsys):
         rc, out, _ = run_cli(capsys, "nonhyp", "--rel", "a3b2")
         assert rc == 0

@@ -2,6 +2,7 @@ import math
 import random
 from math import gcd
 
+import mpmath
 import pytest
 
 from smallvol.filling import (
@@ -12,6 +13,7 @@ from smallvol.filling import (
     slope_length,
     slope_length_bound,
 )
+from smallvol.jets import PI_HI
 
 S776 = CuspData(
     meridian=complex(0.5, math.sqrt(7) / 2),
@@ -169,3 +171,86 @@ class TestEnumeration:
                         brute.add((p, q))
             assert fast == brute
             checked += 1
+
+
+class TestExactMembership:
+    """Zero omissions against a 50-digit mpmath oracle, and no pair beyond
+    the pi slack: a listed slope is at most cutoff * PI_HI / pi long."""
+
+    @staticmethod
+    def cutoff(parent, target, fudge):
+        with mpmath.workdps(50):
+            r = (mpmath.mpf(target) / mpmath.mpf(parent)) ** (mpmath.mpf(2) / 3)
+            return 2 * mpmath.pi / mpmath.sqrt(1 - r) * (1 + mpmath.mpf(fudge))
+
+    @staticmethod
+    def length(p, q, cusp):
+        with mpmath.workdps(50):
+            m, l = cusp.meridian, cusp.longitude
+            x = p * mpmath.mpf(m.real) + q * mpmath.mpf(l.real)
+            y = p * mpmath.mpf(m.imag) + q * mpmath.mpf(l.imag)
+            return mpmath.sqrt(x * x + y * y)
+
+    def check(self, cusp, target, fudge):
+        """The listed pairs against the oracle over a box that provably
+        covers the cutoff disk; returns the oracle's pair count."""
+        listed = enumerate_slopes(cusp, target, fudge).coefficients()
+        c = self.cutoff(cusp.parent_volume, target, fudge)
+        with mpmath.workdps(50):
+            slack = c * mpmath.mpf(PI_HI) / mpmath.pi
+        reach = float(c) * 1.001 / cusp.lattice_area()
+        p_max = int(reach * abs(cusp.longitude)) + 1
+        q_max = int(reach * abs(cusp.meridian)) + 1
+        inside = 0
+        for q in range(0, q_max + 1):
+            for p in range(-p_max, p_max + 1):
+                if (q == 0 and p != 1) or (p == 0 and q != 1) or gcd(abs(p), q) != 1:
+                    continue
+                length = self.length(p, q, cusp)
+                if length <= c:
+                    inside += 1
+                    assert (p, q) in listed, ("omitted", p, q, cusp, target, fudge)
+                elif (p, q) in listed:
+                    assert length <= slack, ("beyond the pi slack", p, q, cusp, target)
+        assert len(listed) >= inside
+        return inside
+
+    def test_random_cusps(self):
+        rng = random.Random(77)
+        for _ in range(25):
+            m = complex(rng.uniform(-1, 1), rng.uniform(0.5, 2.0))
+            l = complex(rng.uniform(1.5, 4.0), rng.uniform(-1, 1))
+            parent = rng.uniform(2.0, 8.0)
+            target = parent * rng.uniform(0.05, 0.6)
+            self.check(CuspData(m, l, parent), target, rng.choice((0.0, rng.uniform(0, 0.02))))
+
+    def test_constructed_borderline_cusps(self):
+        """Slope (1, 0) one ulp inside and one ulp outside the cutoff, the
+        meridian in a random direction: the inside one is always listed."""
+        rng = random.Random(78)
+        for _ in range(60):
+            parent = rng.uniform(2.0, 8.0)
+            target = parent * rng.uniform(0.05, 0.9)
+            fudge = rng.choice((0.0, rng.uniform(0, 0.02)))
+            c = self.cutoff(parent, target, fudge)
+            angle = rng.uniform(0.3, math.pi - 0.3)
+            im = float(c * mpmath.sin(angle))
+            re = float(c * mpmath.cos(angle))
+            l = complex(0.0, 3.0 * float(c))
+            step = math.inf if re >= 0 else -math.inf
+            # the last real part (moving outward) that keeps (1, 0) inside
+            while self.length(1, 0, CuspData(complex(re, im), l, parent)) > c:
+                re = math.nextafter(re, -step)
+            while self.length(1, 0, CuspData(complex(math.nextafter(re, step), im), l,
+                                             parent)) <= c:
+                re = math.nextafter(re, step)
+            assert self.check(CuspData(complex(re, im), l, parent), target, fudge) >= 1
+            self.check(CuspData(complex(math.nextafter(re, step), im), l, parent),
+                       target, fudge)
+
+    def test_float_bound_below_the_true_one(self):
+        # The float bound 10.236478896057731 lies below slope (1, 0), whose
+        # length lies below the true bound.
+        cusp = CuspData(complex(10.236478896057733, 0), 50j, 4.234022804821794)
+        assert enumerate_slopes(cusp, 2.0832521155408212, 0.0).coefficients() == {(1, 0)}
+        assert self.check(cusp, 2.0832521155408212, 0.0) == 1

@@ -96,6 +96,32 @@ class TestDihedralAngles:
             dihedral_angles(zj)
 
 
+class TestEachValueOnce:
+    def test_dihedral_angles_square_each_modulus_once(self, monkeypatch):
+        calls = []
+        original = ComplexJet.abs_squared
+
+        def counted(z):
+            calls.append(z)
+            return original(z)
+
+        monkeypatch.setattr(ComplexJet, "abs_squared", counted)
+        dihedral_angles(ComplexJet.variable(OMEGA, 0, 1, 1e-9, 2))
+        assert len(calls) == 2  # |z|^2 and |1 - z|^2
+
+    def test_certified_volume_builds_the_shape_jets_once(self, monkeypatch):
+        calls = []
+        original = ShapeAssignment.shape_jets
+
+        def counted(assignment):
+            calls.append(assignment)
+            return original(assignment)
+
+        monkeypatch.setattr(ShapeAssignment, "shape_jets", counted)
+        certified_volume(ShapeAssignment((OMEGA, OMEGA), 1e-9))
+        assert len(calls) == 1
+
+
 class TestOrientation:
     def test_regular_true(self):
         assert check_positive_orientation(ShapeAssignment((OMEGA,), 0.0))

@@ -20,6 +20,7 @@ from smallvol.grouptool import (
     verify_script,
     words,
 )
+from smallvol.grouptool import search
 from smallvol.grouptool.engine import _State, _run_step
 
 
@@ -32,6 +33,29 @@ class TestWords:
         gens = ("a", "b")
         w = words.parse_word("b-1ab", gens)
         assert words.cyclic_reduce(w) == (1,)
+
+    def test_cyclic_reduce_matches_pair_by_pair_stripping(self):
+        def stripped(word):
+            w = list(words.free_reduce(word))
+            while len(w) >= 2 and w[0] == -w[-1]:
+                w = w[1:-1]
+            return tuple(w)
+
+        rng = random.Random(23)
+        for _ in range(3000):
+            core = [rng.choice((1, -1, 2, -2, 3)) for _ in range(rng.randint(0, 6))]
+            conj = [rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 6))]
+            w = conj + core + [-x for x in reversed(conj)]
+            assert words.cyclic_reduce(w) == stripped(w)
+
+    def test_cyclic_reduce_is_linear(self):
+        import time
+
+        n = 50_000  # a 10^5-letter conjugate, one slice instead of n copies
+        w = (1,) * n + (2,) + (-1,) * n
+        start = time.perf_counter()
+        assert words.cyclic_reduce(w) == (2,)
+        assert time.perf_counter() - start < 1.0
 
     def test_commutator(self):
         gens = ("a", "b")
@@ -246,8 +270,6 @@ class TestWorkBounds:
         assert peak < 8 * 2**20
 
     def test_search_stops_when_its_letter_budget_is_spent(self, monkeypatch):
-        from smallvol.grouptool import search
-
         # [a^3, b^3] in <a, b | a^2 b^3 a^-1 b^3>: two deepening rounds that
         # build 1785 and 1803 letters, the last word being the empty one.
         rel = words.parse_word("a2b3a-1b3", ("a", "b"))
@@ -257,11 +279,44 @@ class TestWorkBounds:
         monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", 3587)
         assert search_trivial(w, [rel], depth=6) is None
 
+    def test_failed_search_names_the_depth(self):
+        # a18 = 1 needs nine insertions of a2; depth 8 explores every word.
+        stopped_by = []
+        assert search_trivial((1,) * 18, [(1, 1)], stopped_by=stopped_by) is None
+        assert stopped_by == [search.DEPTH]
+        pres = Presentation.from_strings(("a",), ["a2"])
+        v = verify_script(pres, ProofScript.parse("trivial a18\n"))
+        assert v.reason == "step 1 failed: could not derive a18 = 1 within depth 8"
+        assert search_trivial((1,) * 16, [(1, 1)]) is not None
+
+    def test_failed_search_names_the_node_budget(self):
+        stopped_by = []
+        assert search_trivial((1,) * 8, [(1, 1)], node_budget=2,
+                              stopped_by=stopped_by) is None
+        assert stopped_by == [search.NODES]
+        pres = Presentation.from_strings(("a", "b"), ["a2", "b2"])
+        v = verify_script(pres, ProofScript.parse("commutes a4 b 3\n"), node_budget=2)
+        assert v.reason == ("step 1 failed: could not derive [a4,b] = 1 within "
+                            "the 2-node search budget (depth 3)")
+
+    def test_failed_search_names_the_letter_budget(self, monkeypatch):
+        monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", 3587)
+        rel = words.parse_word("a2b3a-1b3", ("a", "b"))
+        w = words.commutator(words.power((1,), 3), words.power((2,), 3))
+        stopped_by = []
+        assert search_trivial(w, [rel], depth=6, stopped_by=stopped_by) is None
+        assert stopped_by == [search.LETTERS]
+        pres = Presentation.from_strings(("a", "b"), ["a2b3a-1b3"])
+        v = verify_script(pres, ProofScript.parse("commutes a3 b3 6\n"))
+        assert v.reason == ("step 1 failed: could not derive [a3,b3] = 1 within "
+                            "the 3587-letter search budget (depth 6)")
+
     def test_long_commutator_search_gives_up(self):
         # At the node budget alone this search built about 10^9 letters.
         pres = Presentation.from_strings(("a", "b"), ["aba-1b-1"])
         v = verify_script(pres, ProofScript.parse("trivial a40b40a-40b-40\nconclude abelian\n"))
         assert v.status == INCONCLUSIVE and v.failed_step == 0
+        assert "within the 10000000-letter search budget (depth 8)" in v.reason
 
     def test_rewritten_relators_are_capped(self):
         # Alternating substitutions grow the relators like Fibonacci numbers.
