@@ -254,3 +254,12 @@ class TestExactMembership:
         cusp = CuspData(complex(10.236478896057733, 0), 50j, 4.234022804821794)
         assert enumerate_slopes(cusp, 2.0832521155408212, 0.0).coefficients() == {(1, 0)}
         assert self.check(cusp, 2.0832521155408212, 0.0) == 1
+
+    def test_extreme_targets(self):
+        # (T/P)^2 underflows here, so the cube root is bounded by 2^-200
+        # instead of being verified by cubing.
+        assert self.check(S776, 1e-200, 0.01) == 14
+        # One ulp below the parent volume the cutoff exceeds any float
+        # box; this used to loop over ~1e17 lattice points.
+        with pytest.raises(ValueError, match="too close to the parent volume"):
+            enumerate_slopes(S776, math.nextafter(S776.parent_volume, 0.0))
