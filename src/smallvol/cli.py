@@ -29,7 +29,7 @@ import time
 # modules it runs, and from its second call on a lookup costs one
 # attribute access.
 import smallvol
-from .jets import JetDomainError
+from .jets import JetDomainError, _up
 
 OK, UNDECIDED, BAD_INPUT = 0, 1, 2
 
@@ -61,6 +61,16 @@ class Report:
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _cutoff_upper(parent: float, target: float, fudge: float = 0.0) -> float:
+    """A float whose repr is >= 2 pi (1 + fudge) / sqrt(1 - (target /
+    parent)^(2/3)), read as a decimal.  Rounding up the square root of
+    filling's certified upper square gives a float above the cutoff; one
+    more step up keeps the repr, which may lie up to half an ulp below
+    its float, above it too."""
+    c2_hi = smallvol.filling._cutoff_squared(parent, target, fudge)[1]
+    return _up(_up(math.sqrt(c2_hi)))
 
 
 def _complex_flag(text: str) -> complex:
@@ -116,11 +126,12 @@ def _read_text(path: str) -> str:
 def cmd_bound(args) -> int:
     rep = Report(f"bound --parent {_fmt(args.parent)} --target {_fmt(args.target)}")
     try:
-        b = smallvol.filling.slope_length_bound(args.parent, args.target)
+        smallvol.filling.slope_length_bound(args.parent, args.target)  # checks the volumes
+        b = _cutoff_upper(args.parent, args.target)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
-    rep.add("bound", _fmt(b))
+    rep.add("bound", repr(b))
     rep.add("floor_2pi", _fmt(2 * math.pi))
     rep.emit()
     return OK
@@ -140,8 +151,8 @@ def cmd_enumerate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
-    rep.add("bound", _fmt(slopes.bound_used))
-    rep.add("cutoff", _fmt(slopes.bound_used * (1 + slopes.fudge)))
+    rep.add("bound", repr(_cutoff_upper(args.parent, args.target)))
+    rep.add("cutoff", repr(_cutoff_upper(args.parent, args.target, args.fudge)))
     rep.add("pairs", len(slopes.pairs))
     for p, q, length in slopes.pairs:
         rep.add("pair", f"{p} {q} {_fmt(length)}")
@@ -222,10 +233,10 @@ def cmd_volume(args) -> int:
     claims = []
     if args.gt is not None:
         claims.append(iv.lo > args.gt)
-        rep.add("gt_claim", f"{_fmt(args.gt)} {'proven' if claims[-1] else 'unproven'}")
+        rep.add("gt_claim", f"{args.gt!r} {'proven' if claims[-1] else 'unproven'}")
     if args.le is not None:
         claims.append(iv.hi <= args.le)
-        rep.add("le_claim", f"{_fmt(args.le)} {'proven' if claims[-1] else 'unproven'}")
+        rep.add("le_claim", f"{args.le!r} {'proven' if claims[-1] else 'unproven'}")
     # With --delta nothing certified that a solution exists within delta,
     # so a claim that holds on the interval is assumed-delta, not proven.
     if claims:

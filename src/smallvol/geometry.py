@@ -8,9 +8,7 @@ on the true solution, every shape becomes a complex jet with two fresh
 perturbation variables of radius delta, and the resulting volume jet
 bounds the volume of any true solution within delta.  Exact shapes
 (delta = 0) are dimension-0 jets, so their whole evaluation runs on the
-jet core's plain-float path; a dimension-0 operand acts as its
-zero-coefficient lift, so the bounds are those of two zero-radius
-variables, bit for bit.
+jet core's plain-float path.
 
 Each angle term depends only on its own tetrahedron's shape, so
 tetrahedron j is evaluated over its own two variables, and only the
@@ -122,7 +120,7 @@ def certified_volume(assignment: ShapeAssignment, tol: float = 1e-12) -> Interva
     Each Lobachevsky term is evaluated over its tetrahedron's two local
     variables, then summed into a jet over all 2n, tetrahedron by
     tetrahedron and angle by angle, with tetrahedron j at 2j and 2j+1.
-    A dimension-0 term (an exact shape) adds as zeros at those places.
+    A dimension-0 term (an exact shape) adds only its center and err.
     """
     shape_jets = assignment.shape_jets()
     if not _oriented(shape_jets):

@@ -76,7 +76,6 @@ class Verdict:
 @dataclass(frozen=True)
 class ProofScript:
     steps: tuple  # of (kind, args...) tuples
-    source: str = ""
 
     @classmethod
     def parse(cls, text: str) -> "ProofScript":
@@ -87,7 +86,7 @@ class ProofScript:
                 continue
             parts = line.split()
             steps.append(tuple(parts))
-        return cls(tuple(steps), text)
+        return cls(tuple(steps))
 
     def serialize(self) -> str:
         return "\n".join(" ".join(step) for step in self.steps) + "\n"
@@ -451,12 +450,9 @@ def _conclude(st: _State, i: int, step):
             return Verdict(NONHYPERBOLIC, "abelian", log=tuple(st.log))
         # hub form: every generator commutes with one provably nontrivial
         # element, so all of them lie in its maximal abelian subgroup
-        snap = st.snapshot()
-        remap = {g: idx + 1 for idx, g in enumerate(st.active)}
         for hub in gens:
             if all(h == hub or _pairs_commute(st, hub, h) for h in gens):
-                hub_word = (remap[hub],)
-                if nontrivial_in_abelianization(snap, hub_word):
+                if _nontrivial(st, (hub,)):
                     st.log.append(
                         f"every generator commutes with the nontrivial "
                         f"element {names[hub - 1]}: the group is abelian"

@@ -16,9 +16,9 @@ range are exact, so additions never pay it).  Outward steps are taken
 with ``math.nextafter`` so the accumulated bound itself never rounds
 down.
 
-Nonlinear behaviour (products of linear parts, Taylor remainders of
-``log_jet``/``atan_jet``) is folded entirely into ``err``; tightness is
-best effort, containment is the contract.
+Nonlinear behaviour (products of linear parts and of error radii,
+Taylor remainders of ``log_jet``/``atan_jet``) is folded entirely into
+``err``; tightness is best effort, containment is the contract.
 
 Jets are built two ways.  The public constructor ``Jet(center, coeffs,
 err)`` coerces every field to float and rejects a non-finite field or a
@@ -32,15 +32,13 @@ coefficient can thus only become non-finite in a result whose ``err`` is
 non-finite too, and that result is rejected.
 
 Constants are dimension-0 jets (no coefficients), and a scalar operand
-counts as one with ``err`` 0.  A dimension-0 operand combines with a jet
-of any dimension exactly as its zero-coefficient lift to that dimension
-would: the same center, coefficients (signed zeros included) and err,
-from the same rounding charges in the same order.  Broadcasting thus
-changes no bound; only two different nonzero dimensions are an error.
-When both operands have dimension 0 the operation runs on plain
-``(center, err)`` float pairs (``_add0``, ``_mul0``, ``_recip0``), with
-the same charges and the same check on the result; ``atan_jet`` calls
-them directly for its Taylor coefficients.
+counts as one with ``err`` 0.  A dimension-0 operand K combines with a
+jet j of any dimension (``_add_const``, ``_mul_const``): j + K keeps j's
+coefficients, and j * K scales them by K's center and charges K's err
+times their spread.  Only two different nonzero dimensions are an
+error.  When both operands have dimension 0 the operation runs on
+plain ``(center, err)`` float pairs (``_add0``, ``_mul0``, ``_recip0``);
+``atan_jet`` calls them directly for its Taylor coefficients.
 """
 
 from __future__ import annotations
@@ -118,11 +116,9 @@ def _scalar(x):
 
 # -- dimension-0 arithmetic ---------------------------------------------
 #
-# Jet operations on two dimension-0 operands, as (center, err) pairs in
-# and out.  Each makes the charges of the matching Jet method in the same
-# order (with no coefficients, every coefficient charge vanishes and the
-# product's cross term is up(0 * 0) = TINY) and raises as ``_jet`` would
-# on a non-finite result.
+# Operations on dimension-0 operands as (center, err) float pairs in and
+# out, with the charges of the matching Jet methods; each raises as
+# ``_jet`` would on a non-finite result.
 
 def _add0(x0: float, xe: float, y0: float, ye: float) -> tuple:
     up, inf = _nextafter, _INF
@@ -140,47 +136,62 @@ def _add0(x0: float, xe: float, y0: float, ye: float) -> tuple:
 
 
 def _mul0(a0: float, ae: float, b0: float, be: float) -> tuple:
+    """(a0 + e_a)(b0 + e_b) = a0 b0 + (a0 + e_a) e_b + b0 e_a: the error
+    product e_a e_b is charged once, in the first term."""
     up, inf = _nextafter, _INF
     c0 = a0 * b0
     err = 0.0
     if a0 and b0:
         err = up(up(up(EPS_PRIM * abs(c0), inf) + TINY, inf), inf)
-    err = up(err + TINY, inf)
     if be:
-        err = up(err + up(up(up(abs(a0), inf) + ae, inf) * be, inf), inf)
+        err = up(err + up(up(abs(a0) + ae, inf) * be, inf), inf)
     if ae:
-        err = up(err + up(up(up(abs(b0), inf) + be, inf) * ae, inf), inf)
+        err = up(err + up(abs(b0) * ae, inf), inf)
     if -inf < c0 < inf and err < inf:
         return c0, err
     _reject(c0, err)
 
 
-def _recip0(b0: float, be: float) -> tuple:
-    up, inf = _nextafter, _INF
-    if be:
-        s = up(be, inf)  # Jet.spread
-        lo, hi = _nextafter(b0 - s, -inf), up(b0 + s, inf)
-    else:
-        s = 0.0
-        lo = hi = b0
+def _recip(b0: float, be: float, s: float, xs: tuple) -> tuple:
+    """Center, coefficients and err of 1/f, where f has center ``b0``,
+    coefficients ``xs``, error radius ``be`` and spread ``s``; requires
+    f to be provably nonzero."""
+    up, inf, eps = _nextafter, _INF, EPS_PRIM
+    lo, hi = (_nextafter(b0 - s, -inf), up(b0 + s, inf)) if s else (b0, b0)
     if not (lo > 0.0 or hi < 0.0):
         raise JetDomainError("reciprocal of a jet not provably nonzero")
     m = min(abs(lo), abs(hi))
     c = 1.0 / b0
-    err = up(up(up(EPS_PRIM * abs(c), inf) + TINY, inf), inf)
-    q_lo = _nextafter(b0 * b0, -inf)  # certified lower bound for b0^2
+    err = up(up(up(eps * abs(c), inf) + TINY, inf), inf)
+    q = b0 * b0
+    q_lo = _nextafter(q, -inf)  # certified lower bound for b0^2
     if q_lo <= 0.0:
         raise JetDomainError("reciprocal: center too close to zero")
+    coeffs = []
+    for bi in xs:
+        di = -(bi / q)
+        if bi:
+            # two roundings: q itself and the division
+            charge = up(up(eps * abs(di), inf) + TINY, inf)
+            err = up(up(err + charge, inf) + charge, inf)
+        coeffs.append(di)
     if be:
         err = up(err + up(be * up(1.0 / q_lo, inf), inf), inf)
-    if s != 0.0:
+    # Remainder of the linearization: (f-b0)^2 / (b0^2 f).
+    if s:
         den = _nextafter(q_lo * m, -inf)
         if den <= 0.0:
             raise JetDomainError("reciprocal: range too close to zero")
         err = up(err + up(up(s * s, inf) / den, inf), inf)
     if -inf < c < inf and err < inf:
-        return c, err
+        return c, tuple(coeffs), err
     _reject(c, err)
+
+
+def _recip0(b0: float, be: float) -> tuple:
+    """1/b for the dimension-0 operand b = (b0, be)."""
+    c, _, err = _recip(b0, be, _up(be) if be else 0.0, ())
+    return c, err
 
 
 class Jet:
@@ -294,7 +305,7 @@ class Jet:
     # is zero.
     #
     # A dimension-0 or scalar operand goes to ``_add_const``/``_mul_const``,
-    # which reproduce the operation on its zero-coefficient lift.
+    # which charge only what they compute.
 
     def _mismatch(self, other) -> JetError:
         return JetError(f"dimension mismatch: {self.dim} vs {other.dim}")
@@ -308,12 +319,12 @@ class Jet:
             k = _scalar(other)
             if k is None:
                 return NotImplemented
-            return _add_const(self, k, 0.0, False, 0.0)
+            return _add_const(self, k, 0.0)
         b = other
         if not b.coeffs:
-            return _add_const(self, b.center, b.err, False, 0.0)
+            return _add_const(self, b.center, b.err)
         if not self.coeffs:
-            return _add_const(b, self.center, self.err, True, 0.0)
+            return _add_const(b, self.center, self.err)
         if len(b.coeffs) != len(self.coeffs):
             raise self._mismatch(b)
         up, inf, eps = _nextafter, _INF, EPS_PRIM
@@ -340,13 +351,11 @@ class Jet:
         if other.__class__ is Jet:
             if other.coeffs:
                 return self.__add__(-other)
-            k, ke = other.center, other.err
-        else:
-            k, ke = _scalar(other), 0.0
-            if k is None:
-                return NotImplemented
-        # The negated lift has -0.0 coefficients, and x + -0.0 == x.
-        return _add_const(self, -k, ke, False, -0.0)
+            return _add_const(self, -other.center, other.err)
+        k = _scalar(other)
+        if k is None:
+            return NotImplemented
+        return _add_const(self, -k, 0.0)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -356,12 +365,12 @@ class Jet:
             k = _scalar(other)
             if k is None:
                 return NotImplemented
-            return _mul_const(self, k, 0.0, False, 0.0)
+            return _mul_const(self, k, 0.0)
         b = other
         if not b.coeffs:
-            return _mul_const(self, b.center, b.err, False, 0.0)
+            return _mul_const(self, b.center, b.err)
         if not self.coeffs:
-            return _mul_const(b, self.center, self.err, True, 0.0)
+            return _mul_const(b, self.center, self.err)
         if len(b.coeffs) != len(self.coeffs):
             raise self._mismatch(b)
         up, inf, eps = _nextafter, _INF, EPS_PRIM
@@ -388,12 +397,14 @@ class Jet:
             if y:
                 sb = up(sb + abs(y), inf)
         # Quadratic cross terms are folded entirely into err.
-        err = up(err + up(sa * sb, inf), inf)
+        if sa and sb:
+            err = up(err + up(sa * sb, inf), inf)
+        # The err terms as in ``_mul0``: self.err * b.err is charged once.
         if b.err:
             ma = up(up(abs(a0) + sa, inf) + self.err, inf)
             err = up(err + up(ma * b.err, inf), inf)
         if self.err:
-            mb = up(up(abs(b0) + sb, inf) + b.err, inf)
+            mb = up(abs(b0) + sb, inf)
             err = up(err + up(mb * self.err, inf), inf)
         return _jet(c0, tuple(coeffs), err)
 
@@ -401,41 +412,7 @@ class Jet:
 
     def reciprocal(self) -> "Jet":
         """1/f for every represented f; requires a provably nonzero range."""
-        if not self.coeffs:
-            c, err = _recip0(self.center, self.err)
-            return _jet(c, (), err)
-        lo, hi = self.bounds()
-        if not (lo > 0.0 or hi < 0.0):
-            raise JetDomainError("reciprocal of a jet not provably nonzero")
-        m = min(abs(lo), abs(hi))
-        up, inf, eps = _nextafter, _INF, EPS_PRIM
-        b0 = self.center
-        c = 1.0 / b0
-        err = 0.0
-        err = up(err + up(up(eps * abs(c), inf) + TINY, inf), inf)
-        q = b0 * b0
-        q_lo = _down(q)  # certified lower bound for b0^2
-        if q_lo <= 0.0:
-            raise JetDomainError("reciprocal: center too close to zero")
-        coeffs = []
-        for bi in self.coeffs:
-            di = -(bi / q)
-            if bi:
-                # two roundings: q itself and the division
-                charge = up(up(eps * abs(di), inf) + TINY, inf)
-                err = up(err + charge, inf)
-                err = up(err + charge, inf)
-            coeffs.append(di)
-        if self.err:
-            err = up(err + up(self.err * up(1.0 / q_lo, inf), inf), inf)
-        # Remainder of the linearization: (f-b0)^2 / (b0^2 f).
-        spread = self.spread()
-        if spread != 0.0:
-            den = _down(q_lo * m)
-            if den <= 0.0:
-                raise JetDomainError("reciprocal: range too close to zero")
-            err = up(err + up(up(spread * spread, inf) / den, inf), inf)
-        return _jet(c, tuple(coeffs), err)
+        return _jet(*_recip(self.center, self.err, self.spread(), self.coeffs))
 
     def __truediv__(self, other):
         if other.__class__ is Jet:
@@ -443,71 +420,47 @@ class Jet:
                 if self.coeffs and len(other.coeffs) != len(self.coeffs):
                     raise self._mismatch(other)
                 return self.__mul__(other.reciprocal())
-            k, ke = _recip0(other.center, other.err)
+            k, ke = other.center, other.err
         else:
-            k = _scalar(other)
+            k, ke = _scalar(other), 0.0
             if k is None:
                 return NotImplemented
-            k, ke = _recip0(k, 0.0)
-        # The reciprocal of the lift has -0.0 coefficients.
-        return _mul_const(self, k, ke, False, -0.0)
+        return _mul_const(self, *_recip0(k, ke))
 
     def __rtruediv__(self, other):
         k = _scalar(other)
         if k is None:
             return NotImplemented
-        return _mul_const(self.reciprocal(), k, 0.0, True, 0.0)
+        return _mul_const(self.reciprocal(), k, 0.0)
 
 
-def _add_const(j: Jet, k: float, ke: float, k_left: bool, zero: float) -> Jet:
-    """j + K for the dimension-0 operand K = (k, ke), as the sum with K's
-    lift to j's dimension, whose coefficients all equal ``zero`` (0.0 or
-    -0.0).  ``k_left`` says K is the left operand, which orders the err
-    terms.  The lift draws no coefficient charge, so the center and err
-    are those of the dimension-0 sum."""
-    if k_left:
-        c, err = _add0(k, ke, j.center, j.err)
-    else:
-        c, err = _add0(j.center, j.err, k, ke)
-    xs = j.coeffs
-    if 0.0 in xs:  # x + 0.0 turns -0.0 into 0.0
-        xs = tuple([x + zero for x in xs])
-    return _jet(c, xs, err)
+def _add_const(j: Jet, k: float, ke: float) -> Jet:
+    """j + K for the dimension-0 operand K = (k, ke): the sum of centers
+    and errs as in ``_add0``, with j's coefficients unchanged."""
+    c, err = _add0(j.center, j.err, k, ke)
+    return _jet(c, j.coeffs, err)
 
 
-def _mul_const(j: Jet, k: float, ke: float, k_left: bool, zero: float) -> Jet:
-    """j * K for the dimension-0 operand K = (k, ke), as the product with
-    K's lift to j's dimension, whose coefficients all equal ``zero``;
-    ``k_left`` says K is the left operand.  Coefficient i of the product
-    is k * x_i + j.center * zero, with the charges of ``Jet.__mul__``."""
-    a0, je, xs = j.center, j.err, j.coeffs
-    if not xs:
-        c, err = _mul0(k, ke, a0, je) if k_left else _mul0(a0, je, k, ke)
+def _mul_const(j: Jet, k: float, ke: float) -> Jet:
+    """j * K for the dimension-0 operand K = (k, ke): the product of
+    centers and errs as in ``_mul0``, the roundings of the coefficients
+    k * x_i, and spread(coefficients) * ke for their product with K's err."""
+    c, err = _mul0(j.center, j.err, k, ke)
+    if not j.coeffs:
         return _jet(c, (), err)
     up, inf, eps = _nextafter, _INF, EPS_PRIM
-    c0 = a0 * k
-    err = 0.0
-    if a0 and k:
-        err = up(up(up(eps * abs(c0), inf) + TINY, inf), inf)
-    z = a0 * zero
     coeffs = []
     s = 0.0  # upward sum of |coeffs| of j
-    for x in xs:
+    for x in j.coeffs:
         t = k * x
-        if k and x:
-            err = up(err + up(up(eps * abs(t), inf) + TINY, inf), inf)
-        coeffs.append(t + z)
         if x:
             s = up(s + abs(x), inf)
-    err = up(err + up(s * 0.0, inf), inf)  # the cross term, as in __mul__
-    # The err terms in operand order: the right operand's err comes first.
-    if k_left and je:
-        err = up(err + up(up(up(abs(k), inf) + ke, inf) * je, inf), inf)
-    if ke:
-        err = up(err + up(up(up(abs(a0) + s, inf) + je, inf) * ke, inf), inf)
-    if je and not k_left:
-        err = up(err + up(up(up(abs(k), inf) + ke, inf) * je, inf), inf)
-    return _jet(c0, tuple(coeffs), err)
+            if k:
+                err = up(err + up(up(eps * abs(t), inf) + TINY, inf), inf)
+        coeffs.append(t)
+    if ke and s:
+        err = up(err + up(s * ke, inf), inf)
+    return _jet(c, tuple(coeffs), err)
 
 
 def _jet(center: float, coeffs: tuple, err: float) -> Jet:
@@ -522,14 +475,14 @@ def _jet(center: float, coeffs: tuple, err: float) -> Jet:
     return j
 
 
-def pi_jet(dim: int = 0) -> Jet:
-    """Certified enclosure of pi as a jet (dimension 0 unless lifted)."""
-    return _jet(PI_LO, (0.0,) * dim, PI_HI - PI_LO)
+def pi_jet() -> Jet:
+    """Certified enclosure of pi as a dimension-0 jet."""
+    return _jet(PI_LO, (), PI_HI - PI_LO)
 
 
-def half_pi_jet(dim: int = 0) -> Jet:
+def half_pi_jet() -> Jet:
     """Certified enclosure of pi/2; halving the pi enclosure is exact."""
-    return _jet(PI_LO * 0.5, (0.0,) * dim, (PI_HI - PI_LO) * 0.5)
+    return _jet(PI_LO * 0.5, (), (PI_HI - PI_LO) * 0.5)
 
 
 def _libm_point(value: float) -> Jet:
@@ -649,9 +602,9 @@ def atan_jet(a: Jet) -> Jet:
     zzz = _mul0(*zz, *z)
     c4 = _mul0(*_add0(*z, -zzz[0], zzz[1]), *_recip0(*_mul0(*w2, *w2)))
     # poly = d * (c1 + d * (c2 + d * (c3 + d * c4)))
-    poly = _mul_const(d, *c4, False, 0.0)
+    poly = _mul_const(d, *c4)
     for c in (c3, c2, c1):
-        poly = d * _add_const(poly, *c, True, 0.0)
+        poly = d * _add_const(poly, *c)
     t_sup = d.sup_abs()
     if t_sup == 0.0:
         rem = 0.0

@@ -138,7 +138,7 @@ def range_reduce(theta: Jet) -> Jet:
     return theta0
 
 
-def lobachevsky(theta: Jet, tol: float = 1e-12, coeffs: SeriesCoeffs = None) -> Jet:
+def lobachevsky(theta: Jet, tol: float = 1e-12) -> Jet:
     """Jet containing L(theta) pointwise for every represented theta.
 
     The series is truncated at the first term whose magnitude bound falls
@@ -147,8 +147,7 @@ def lobachevsky(theta: Jet, tol: float = 1e-12, coeffs: SeriesCoeffs = None) -> 
     the exact (dimension-0) zero; nondegenerate jets straddling zero are
     rejected since log|2 theta| is singular there.
     """
-    if coeffs is None:
-        coeffs = default_coeffs()
+    coeffs = default_coeffs()
     theta0 = range_reduce(theta)
     if theta0.is_exact_zero():
         return Jet.constant(0.0)

@@ -1,8 +1,10 @@
 import math
 import os
+import random
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 import smallvol
@@ -49,6 +51,10 @@ class TestBound:
         rc, _, err = run_cli(capsys, "bound", "--parent", "5.0",
                              "--target", "5.0")
         assert rc == 2 and "error" in err
+        # one ulp below: no upper bound on the cutoff can be certified
+        rc, _, err = run_cli(capsys, "bound", "--parent", "5.0",
+                             "--target", "4.999999999999999")
+        assert rc == 2 and "too close" in err
 
     def test_two_pi_floor(self, capsys):
         rc, out, _ = run_cli(capsys, "bound", "--parent", "5.33349",
@@ -66,6 +72,41 @@ class TestBound:
             cli.main(["bound", *(f"{k}={v}" for k, v in argv.items())])
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+
+def _reported(out, key):
+    return next(l.split()[1] for l in out.splitlines() if l.startswith(f"{key}:"))
+
+
+class TestReportedBoundsAreUpper:
+    """``bound:`` and ``cutoff:`` print decimals at or above the exact
+    2 pi (1 + fudge) / sqrt(1 - (target/parent)^(2/3)), checked against a
+    50-digit oracle."""
+
+    def test_random_volumes(self, capsys):
+        rng = random.Random(2033)
+        for _ in range(200):
+            parent = rng.uniform(0.5, 20.0)
+            target = parent * rng.choice((rng.uniform(1e-6, 0.999), rng.uniform(0.9, 0.999)))
+            fudge = rng.choice((0.0, 0.01, rng.uniform(0.0, 0.1)))
+            rc, out_b, _ = run_cli(capsys, "bound", f"--parent={parent!r}",
+                                   f"--target={target!r}")
+            rc_e, out_e, _ = run_cli(capsys, "enumerate", "--meridian", "12,0",
+                                     "--longitude", "0,12", f"--parent={parent!r}",
+                                     f"--target={target!r}", f"--fudge={fudge!r}")
+            assert rc == rc_e == 0
+            with mpmath.workdps(50):
+                ratio = mpmath.mpf(target) / mpmath.mpf(parent)
+                exact = 2 * mpmath.pi / mpmath.sqrt(1 - ratio ** (mpmath.mpf(2) / 3))
+                for text in (_reported(out_b, "bound"), _reported(out_e, "bound")):
+                    assert mpmath.mpf(text) >= exact, (parent, target)
+                cutoff = exact * (1 + mpmath.mpf(fudge))
+                assert mpmath.mpf(_reported(out_e, "cutoff")) >= cutoff, (parent, target, fudge)
+
+    def test_readme_example(self, capsys):
+        _, out, _ = run_cli(capsys, "bound", "--parent", "5.33349", "--target", "2.848")
+        # the exact bound is 10.747030973534655657...
+        assert _reported(out, "bound") == "10.74703097353467"
 
 
 class TestEnumerate:
@@ -142,6 +183,12 @@ class TestCertifyVolume:
                              "--gt", "0.943", "--le", "2.848")
         assert rc == 0 and "verdict: proven" in out
 
+    def test_claims_echo_the_compared_threshold(self, capsys, fig8_file):
+        rc, out, _ = run_cli(capsys, "volume", fig8_file, "--gt", "1.0000000000000002",
+                             "--le", "2.0298832128193074")
+        assert "gt_claim: 1.0000000000000002 proven\n" in out
+        assert "le_claim: 2.0298832128193074 unproven\n" in out
+
     def test_volume_unprovable_claim(self, capsys, fig8_file):
         rc, out, _ = run_cli(capsys, "volume", fig8_file, "--gt", "2.848")
         assert rc == 1 and "verdict: inconclusive" in out
@@ -157,7 +204,7 @@ class TestCertifyVolume:
         assert f"verdict: {verdict}\n" in out
         assert "verdict: proven" not in out
         if verdict == "assumed-delta":
-            assert "gt_claim: 1 proven\n" in out
+            assert "gt_claim: 1.0 proven\n" in out
 
     def test_volume_with_explicit_delta(self, capsys, fig8_file):
         rc, out, _ = run_cli(capsys, "volume", fig8_file, "--delta", "1e-8")
@@ -263,7 +310,7 @@ class TestParserReuse:
             cli.build_parser.cache_clear()
             rc, out, err = run_cli(capsys, *argv)
             first[argv] = (rc, body(out), err)
-        assert "gt_claim: 2 proven" in first[runs[0]][1]
+        assert "gt_claim: 2.0 proven" in first[runs[0]][1]
         assert not any(l.startswith(("gt_claim", "le_claim")) for l in first[runs[1]][1])
         assert "within depth 3" in "\n".join(first[runs[2]][1])
         assert "note: verified a8 = 1 (4 insertions)" in first[runs[3]][1]
