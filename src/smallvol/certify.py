@@ -20,12 +20,14 @@ the certificate's delta bounds its C^n distance from the *input* shapes.
 
 The test's three sums, the residual F(x^), Y F(x^) and I - Y F'(X)
 over the Jacobian's nonzero entries, run on one plain-float
-midpoint-radius kernel, ``_dot``, with a priori rounding bounds; jets
-only enclose the logarithms in F(x^) and the reciprocals in F'(X).  The
-approximate quantities (the selected rows, the Newton steps and Y) all
-come from one Gaussian elimination with partial pivoting in plain
-complex floats, ``_eliminate``; their values need not be accurate for
-soundness.
+midpoint-radius kernel, ``_dot``, with a priori rounding bounds.  Its
+inputs are plain-float boxes as well: each logarithm in F(x^) takes one
+libm log and one atan at a point, with mean-value bounds for the
+rounding (``_log_box``), and each reciprocal in F'(X) takes the jet
+core's dimension-0 pair operations (``_recip_box``).  The approximate
+quantities (the selected rows, the Newton steps and Y) all come from one
+Gaussian elimination with partial pivoting in plain complex floats,
+``_eliminate``; their values need not be accurate for soundness.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ import math
 from dataclasses import dataclass
 
 from .geometry import ShapeAssignment
-from .jets import (EPS_PRIM, PI_HI, PI_LO, SQRT2_HI, TINY, ComplexJet, Jet,
-                   JetDomainError, _up, complex_log_jet)
+from .jets import (EPS_PRIM, PI_HI, PI_LO, SQRT2_HI, TINY, JetDomainError,
+                   _add0, _down, _libm_err, _mul0, _recip0, _up)
 
 _SINGULAR_TOL = 1e-13
 
@@ -244,16 +246,17 @@ def select_square_subsystem(sys: GluingSystem, shapes=None) -> tuple:
 
 
 def _newton_refine(sys: GluingSystem, selected, max_steps: int = 5):
-    """Plain floating-point Newton polish of the stored shapes.
+    """Plain floating-point Newton polish of the stored shapes; returns
+    the best iterate and its residuals.
 
     Keeps the best iterate by residual norm and never returns a point
     whose residual is worse than the input's (preserving the system's
     branch-consistency invariant).
     """
-    z = best = list(sys.shapes)
-    best_norm = _res_norm(sys, z)
+    z = list(sys.shapes)
+    res = residual(sys, z)
+    norm = max(abs(r) for r in res)
     for _ in range(max_steps):
-        res = residual(sys, z)
         jac = jacobian(sys, z)
         try:
             step = _solve([jac[i] for i in selected], [[-res[i]] for i in selected])
@@ -262,16 +265,12 @@ def _newton_refine(sys: GluingSystem, selected, max_steps: int = 5):
         z_new = [w + s for w, (s,) in zip(z, step)]
         if any(w == 0 or w == 1 for w in z_new):
             break
-        norm = _res_norm(sys, z_new)
-        if not norm < best_norm:
+        res_new = residual(sys, z_new)
+        norm_new = max(abs(r) for r in res_new)
+        if not norm_new < norm:
             break
-        z = best = z_new
-        best_norm = norm
-    return tuple(best)
-
-
-def _res_norm(sys: GluingSystem, shapes) -> float:
-    return max(abs(r) for r in residual(sys, shapes))
+        z, res, norm = z_new, res_new, norm_new
+    return tuple(z), res
 
 
 def _dot(points, terms) -> tuple:
@@ -317,16 +316,82 @@ def _dot(points, terms) -> tuple:
             _up(t_im + _up(_up(gamma * t_im) + tiny)))
 
 
-def _box(v: ComplexJet) -> tuple:
-    """A dimension-0 complex jet as (mid_re, mid_im, rad_re, rad_im)."""
-    return v.re.center, v.im.center, v.re.err, v.im.err
+# Below this |w|^2, or at infinity, ``_log_box`` checks its domain first.
+_LOG_SAFE = 2.0 ** -500
+_ONE_4U = 1.0 + 4.0 * EPS_PRIM
+
+
+def _log_box(x: float, y: float, eps: float) -> tuple:
+    """Enclosure (mid_re, mid_im, rad_re, rad_im) of the principal log of
+    w = X + iy, given the float x with |x - X| <= eps |x| (eps is 0 or
+    EPS_PRIM).  Binary64 round-to-nearest with gradual underflow, u =
+    EPS_PRIM: a product or quotient is off by at most u times its rounded
+    value plus TINY / 2, a sum by u times its rounded value, and libm's log
+    and atan by ``_libm_err`` of their results.
+
+    Real part log(X^2 + y^2) / 2: with p = fl(x^2), s = fl(p + fl(y^2))
+    is within E = (2u s + 2 eps p)(1 + 4u) + 2 TINY of X^2 + y^2, since
+    |X^2 - x^2| <= eps (2 + eps) x^2; by the mean value theorem log s is
+    then within E / (s - E) of log(X^2 + y^2).
+
+    Imaginary part arg w, by the dominance rule of ``jets.arg_complex``:
+    atan(q) for |x| >= |y| and x > 0, +-pi + atan(q) for x < 0 by the sign
+    of y, with q = y fl(1/x), and +-pi/2 - atan(q) by the sign of y for
+    |x| < |y|, with q = x fl(1/y).  q is within e = (2u + eps)(1 + 4u)
+    |q| + TINY of y/X (or X/y), and atan(q) within e / (1 + m^2) of that
+    one's atan, m = max(0, |q| - e); pi is PI_LO + [0, PI_HI - PI_LO], and the
+    midpoint's own sum adds u |mid|.
+
+    Raises JetDomainError with ``jets.arg_complex``'s message for w on the
+    negative real axis, and as ``jets.log_jet`` does where |w|^2 overflows,
+    is not provably positive or is too small to invert (``_log_domain``).
+    """
+    p = x * x
+    s = p + y * y
+    if not _LOG_SAFE <= s < math.inf:
+        _log_domain(x, y)
+    if y == 0.0 and x <= 0.0:
+        raise JetDomainError("argument: quadrant not provable (origin or branch cut)")
+    err_s = _up(_up(_up(2.0 * EPS_PRIM * s + 2.0 * eps * p) * _ONE_4U) + 2.0 * TINY)
+    lg = math.log(s)
+    rad_re = _up(_up(_libm_err(lg) + _up(err_s / _down(s - err_s))) * 0.5)
+    if abs(x) >= abs(y):
+        q = y * (1.0 / x)
+        a = math.atan(q)
+        if x > 0.0:
+            mid, width = a, 0.0
+        else:
+            mid, width = (PI_LO + a if y > 0.0 else a - PI_LO), PI_HI - PI_LO
+    else:
+        q = x * (1.0 / y)
+        a = math.atan(q)
+        mid = PI_LO * 0.5 - a if y > 0.0 else -(PI_LO * 0.5 + a)
+        width = (PI_HI - PI_LO) * 0.5
+    err_q = _up(_up(_up((2.0 * EPS_PRIM + eps) * abs(q)) * _ONE_4U) + TINY)
+    m = max(0.0, _down(abs(q) - err_q))
+    rad_im = _up(_libm_err(a) + _up(err_q / _down(1.0 + _down(m * m))))
+    if width:
+        rad_im = _up(_up(_up(EPS_PRIM * abs(mid)) + rad_im) + width)
+    return lg * 0.5, mid, rad_re, rad_im
+
+
+def _log_domain(x: float, y: float) -> None:
+    """Raise what ``jets.log_jet`` raises on |x + iy|^2 as a dimension-0
+    jet: JetError where it overflows, JetDomainError where it is not
+    provably positive or its square underflows.  Returns where none of
+    these holds, and then |x + iy|^2 is at least 2^-538."""
+    s, e = _add0(*_mul0(x, 0.0, x, 0.0), *_mul0(y, 0.0, y, 0.0))
+    if not _down(s - _up(e)) > 0.0:
+        raise JetDomainError("log of a jet not provably positive")
+    _recip0(s, 0.0)
 
 
 def _residual_enclosure(equations, center) -> list:
     """Enclosure (see ``_dot``) of each equation's residual at the point
-    ``center``; the logarithms are dimension-0 jets."""
-    zs = [ComplexJet.constant(z) for z in center]
-    boxes = [_box(complex_log_jet(w)) for w in zs + [1.0 - z for z in zs]]
+    ``center``; the logarithms are ``_log_box`` boxes, those of 1 - z
+    charged for the rounding of 1 - Re z."""
+    boxes = [_log_box(z.real, z.imag, 0.0) for z in center]
+    boxes += [_log_box(1.0 - z.real, -z.imag, EPS_PRIM) for z in center]
     boxes.append((0.0, PI_LO, 0.0, PI_HI - PI_LO))  # i*pi
     out = []
     for eq in equations:
@@ -335,20 +400,35 @@ def _residual_enclosure(equations, center) -> list:
     return out
 
 
+def _recip_box(x: float, ex: float, y: float, ey: float) -> tuple:
+    """Enclosure (mid_re, mid_im, rad_re, rad_im) of 1/w over the box
+    w in (x +- ex) + i (y +- ey): w conj(w) / |w|^2 in the jet core's
+    dimension-0 pair operations, in the order and with the charges of
+    ``ComplexJet.reciprocal``."""
+    s, se = _add0(*_mul0(x, ex, x, ex), *_mul0(y, ey, y, ey))
+    if not (_down(s - _up(se)) if se else s) > 0.0:
+        raise JetDomainError("complex reciprocal: jet not provably nonzero")
+    c, ce = _recip0(s, se)
+    re, re_e = _mul0(x, ex, c, ce)
+    im, im_e = _mul0(y, ey, c, ce)
+    return re, -im, re_e, im_e
+
+
 def _jacobian_columns(equations, center, r: float) -> list:
     """Interval Jacobian of ``equations`` over the box of per-real-coordinate
     radius r around ``center``, as one list per column of its nonzero
     entries (row, mid_re, mid_im, rad_re, rad_im).  Entry (l, k) is
-    a_lk / z_k - b_lk / (1 - z_k); the reciprocals are dimension-0 jets,
-    computed once per column and only when some row needs them."""
+    a_lk / z_k - b_lk / (1 - z_k); the reciprocals are ``_recip_box``
+    boxes, computed once per column and only when some row needs them."""
     cols = []
     zero = (0.0, 0.0, 0.0, 0.0)
     for k, z in enumerate(center):
-        box = ComplexJet(Jet(z.real, (), r), Jet(z.imag, (), r))
+        x, y = z.real, z.imag
         a = [eq.a[k] for eq in equations]
         b = [-eq.b[k] for eq in equations]
-        recips = ((0, *(_box(box.reciprocal()) if any(a) else zero)),
-                  (1, *(_box((1.0 - box).reciprocal()) if any(b) else zero)))
+        recips = ((0, *(_recip_box(x, r, y, r) if any(a) else zero)),
+                  (1, *(_recip_box(*_add0(1.0, 0.0, -x, r), *_add0(0.0, 0.0, -y, r))
+                        if any(b) else zero)))
         cols.append([(l, *_dot((al, bl), recips))
                      for l, (al, bl) in enumerate(zip(a, b)) if al or bl])
     return cols
@@ -448,7 +528,7 @@ def krawczyk_certify(sys: GluingSystem, r0: float = None) -> Certificate:
     subsystem does not follow from it.
     """
     selected = select_square_subsystem(sys)
-    center = _newton_refine(sys, selected)
+    center, center_residual = _newton_refine(sys, selected)
     selected = select_square_subsystem(sys, center)
     if r0 is None:
         r0 = 1e-10 * max(1.0, max(abs(z) for z in sys.shapes))
@@ -492,7 +572,7 @@ def krawczyk_certify(sys: GluingSystem, r0: float = None) -> Certificate:
     dist = _up(math.sqrt(dist))
     sqrt_n = _up(math.sqrt(n))
     delta = _up(dist + _up(box_radius * sqrt_n))
-    norms = tuple(abs(r) for r in residual(sys, center))
+    norms = tuple(abs(r) for r in center_residual)
     return Certificate(
         delta=delta,
         box_radius=box_radius,

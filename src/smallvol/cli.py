@@ -302,8 +302,8 @@ def cmd_selftest(args) -> int:
         if not ok:
             failures += 1
 
-    # Every volume enclosure assumes libm's log/atan error is within the
-    # charge of jets._libm_point; check that on this platform first.
+    # Every volume and residual enclosure assumes libm's log/atan error is
+    # within the charge of jets._libm_err; check that on this platform first.
     for fn in ("log", "atan"):
         check(f"libm-{fn}", smallvol.jets.libm_covered(fn))
 

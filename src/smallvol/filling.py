@@ -26,24 +26,25 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .jets import EPS_PRIM, PI_HI, _down, _up
 
 
-@dataclass(frozen=True)
-class CuspData:
-    """Meridian/longitude translations on a horoball boundary."""
+class CuspData(namedtuple("CuspData", "meridian longitude parent_volume")):
+    """Meridian/longitude translations on a horoball boundary.
 
-    meridian: complex
-    longitude: complex
-    parent_volume: float
+    Named tuples rather than dataclasses, as ``lobachevsky.SeriesCoeffs``:
+    ``dataclasses`` imports ``inspect``, which would add to the start-up
+    of ``bound`` and ``enumerate``.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "meridian", complex(self.meridian))
-        object.__setattr__(self, "longitude", complex(self.longitude))
-        object.__setattr__(self, "parent_volume", float(self.parent_volume))
+    __slots__ = ()
+
+    def __new__(cls, meridian, longitude, parent_volume):
+        self = super().__new__(cls, complex(meridian), complex(longitude),
+                               float(parent_volume))
         if not (cmath.isfinite(self.meridian) and cmath.isfinite(self.longitude)
                 and math.isfinite(self.parent_volume)):
             raise ValueError("cusp data must be finite")
@@ -51,19 +52,18 @@ class CuspData:
             raise ValueError("parent volume must be positive")
         if not self.lattice_area() > 0.0:
             raise ValueError("meridian and longitude must be R-linearly independent")
+        return self
 
     def lattice_area(self) -> float:
         m, l = self.meridian, self.longitude
         return abs(m.real * l.imag - m.imag * l.real)
 
 
-@dataclass(frozen=True)
-class SlopeList:
-    """Normalized coprime pairs below the fudged length bound, sorted by (p, q)."""
+class SlopeList(namedtuple("SlopeList", "bound_used fudge pairs")):
+    """Normalized coprime pairs below the fudged length bound, sorted by
+    (p, q); ``pairs`` holds (p, q, length) tuples."""
 
-    bound_used: float
-    fudge: float
-    pairs: tuple  # of (p, q, length)
+    __slots__ = ()
 
     def coefficients(self) -> set:
         return {(p, q) for p, q, _ in self.pairs}

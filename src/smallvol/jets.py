@@ -485,15 +485,20 @@ def half_pi_jet() -> Jet:
     return _jet(PI_LO * 0.5, (), (PI_HI - PI_LO) * 0.5)
 
 
-def _libm_point(value: float) -> Jet:
-    """Enclosure of a libm-computed transcendental value.
+def _libm_err(value: float) -> float:
+    """Error charged to a libm-computed transcendental value.
 
     glibc's log/atan are documented below 2 ulp everywhere; we charge a
     4-ulp-wide enclosure (relative 4*EPS_PRIM) plus a subnormal quantum.
     The oracle suites exercise this margin at zero tolerance, and
     ``smallvol selftest`` checks it against the running libm.
     """
-    return _jet(value, (), _up(_up(4.0 * EPS_PRIM * abs(value)) + TINY))
+    return _up(_up(4.0 * EPS_PRIM * abs(value)) + TINY)
+
+
+def _libm_point(value: float) -> Jet:
+    """Enclosure of a libm-computed transcendental value (``_libm_err``)."""
+    return _jet(value, (), _libm_err(value))
 
 
 # Points at which ``libm_covered`` checks math.log and math.atan: both
@@ -507,7 +512,7 @@ LIBM_SAMPLES = {
 
 
 def libm_covered(name: str) -> bool:
-    """True when the charge of ``_libm_point`` covers the error of
+    """True when the charge of ``_libm_err`` covers the error of
     ``math.<name>`` (``log`` or ``atan``) at every point of
     ``LIBM_SAMPLES``, measured against a 50-digit ``decimal`` reference."""
     from decimal import Context, Decimal  # only selftest needs it
@@ -518,7 +523,7 @@ def libm_covered(name: str) -> bool:
             value, exact = math.log(x), Decimal(x).ln(ctx)
         else:
             value, exact = math.atan(x), _decimal_atan(Decimal(x), ctx)
-        charge = _libm_point(value).err
+        charge = _libm_err(value)
         if not ctx.abs(ctx.subtract(Decimal(value), exact)) <= Decimal(charge):
             return False
     return True

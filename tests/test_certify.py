@@ -1,7 +1,9 @@
 import cmath
+import hashlib
 import math
 import random
 import re
+import types
 from fractions import Fraction
 
 import mpmath
@@ -22,6 +24,8 @@ from smallvol.certify import (
     _eliminate,
     _k_row_bound,
     _krawczyk_once,
+    _log_box,
+    _recip_box,
     figure_eight_system,
     jacobian,
     krawczyk_certify,
@@ -29,6 +33,7 @@ from smallvol.certify import (
     select_square_subsystem,
 )
 from smallvol.geometry import ShapeAssignment, certified_volume
+from smallvol.jets import EPS_PRIM, ComplexJet, Jet, JetError, _add0, complex_log_jet
 
 OMEGA = complex(0.5, math.sqrt(3) / 2)
 
@@ -39,10 +44,10 @@ def one_dim_system(offset=0.0):
     return GluingSystem((GluingEquation((3,), (0,), 1),), (z,))
 
 
-def mixed_figure_eight(k, rng):
-    """k disjoint figure-eight copies, mixed by unimodular row operations
-    row_i += +-row_j so every Jacobian column is dense, with the shapes
-    1e-10 away from the exact root."""
+def _copies(k, rng=None):
+    """Rows (a, b) of k disjoint figure-eight copies; with ``rng``, mixed
+    by unimodular row operations row_i += +-row_j so every Jacobian column
+    is dense."""
     n = 2 * k
     rows = []
     for c in range(k):
@@ -50,13 +55,31 @@ def mixed_figure_eight(k, rng):
             a, b = [0] * n, [0] * n
             a[2 * c:2 * c + 2], b[2 * c:2 * c + 2] = eq.a, eq.b
             rows.append((a, b))
-    for _ in range(2 * len(rows)):
-        i, j = rng.sample(range(len(rows)), 2)
-        t = rng.choice((-1, 1))
-        rows[i] = ([x + t * y for x, y in zip(rows[i][0], rows[j][0])],
-                   [x + t * y for x, y in zip(rows[i][1], rows[j][1])])
+    if rng is not None:
+        for _ in range(2 * len(rows)):
+            i, j = rng.sample(range(len(rows)), 2)
+            t = rng.choice((-1, 1))
+            rows[i] = ([x + t * y for x, y in zip(rows[i][0], rows[j][0])],
+                       [x + t * y for x, y in zip(rows[i][1], rows[j][1])])
+    return rows
+
+
+def mixed_figure_eight(k, rng):
+    """k row-mixed figure-eight copies (``_copies``), with the shapes 1e-10
+    away from the exact root."""
+    rows = _copies(k, rng)
     shapes = [OMEGA + 1e-10 * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
-              for _ in range(n)]
+              for _ in range(2 * k)]
+    return GluingSystem(tuple(GluingEquation(a, b, 0) for a, b in rows), shapes)
+
+
+def census_system(k, mixed, seed):
+    """k figure-eight copies, block-diagonal or row-mixed, each shape
+    2^-40 to 2^-27 away from the root; the shapes need no libm."""
+    rng = random.Random(seed)
+    rows = _copies(k, rng if mixed else None)
+    shapes = [OMEGA + complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+              * 2.0 ** -rng.randint(27, 40) for _ in range(2 * k)]
     return GluingSystem(tuple(GluingEquation(a, b, 0) for a, b in rows), shapes)
 
 
@@ -301,6 +324,82 @@ class TestKrawczyk:
         assert float(m.group(3)) >= 1.0
 
 
+# Certificates of census-style systems, captured with the Krawczyk test on
+# dimension-0 jets: (k, mixed, seed) -> delta, box_radius, radius (hex),
+# selected, max residual (hex), and a digest of the refined center's hex.
+CERTIFICATE_PINS = (
+    ((1, False, 1),
+     ('0x1.bdf4dbdde5c1cp-33', '0x1.36fd255a22a6bp-33', '0x1.b7cdfd9d7cab6p-34',
+      (0, 2), '0x1.007fe00ff6070p-52', 'ff039f5e864259eb')),
+    ((1, True, 2),
+     ('0x1.f7ac194404c9dp-32', '0x1.36fd255b66b47p-33', '0x1.b7cdfd9f46f36p-34',
+      (0, 1), '0x1.007fe00ff6070p-52', '04f711e8e4e4a6a5')),
+    ((1, True, 3),
+     ('0x1.ea22934f5c525p-33', '0x1.36fd255a4019dp-33', '0x1.b7cdfd9da6515p-34',
+      (1, 2), '0x1.04760c95db310p-49', '552709feb4809cb1')),
+    ((2, False, 4),
+     ('0x1.b7cefa14b69aap-28', '0x1.36fd255a2398ep-33', '0x1.b7cdfd9d7e01ep-34',
+      (0, 2, 3, 5), '0x1.0c3578c15393ep-52', 'ad21c7b5f89649db')),
+    ((2, True, 5),
+     ('0x1.8a30d9a1c231dp-29', '0x1.36fd255fe79f7p-33', '0x1.b7cdfda5a56c3p-34',
+      (0, 2, 4, 5), '0x1.597c33d892cf0p-51', 'cfb754af8d2909d9')),
+    ((2, True, 6),
+     ('0x1.3a0dab3a6e692p-30', '0x1.36fd255d1265bp-33', '0x1.b7cdfda1a3cc9p-34',
+      (0, 1, 3, 5), '0x1.36a9ef26f7629p-51', 'c05369a2ff89a28f')),
+    ((4, False, 7),
+     ('0x1.662a6b5d3bd9cp-28', '0x1.36fd2564cc9e0p-33', '0x1.b7cdfdac916cap-34',
+      (0, 2, 3, 5, 6, 8, 9, 11), '0x1.176d9090c79a9p-52', '6dfca6d91a6eead0')),
+    ((4, True, 8),
+     ('0x1.2ebe23c2459e1p-29', '0x1.36fd255ababdap-33', '0x1.b7cdfd9e53c1bp-34',
+      (3, 4, 5, 6, 7, 9, 10, 11), '0x1.45938fbb51fd5p-50', '00cbf4437a499a6f')),
+    ((4, True, 9),
+     ('0x1.4873b6caafd0dp-27', '0x1.36fd257a03c48p-33', '0x1.b7cdfdca923b2p-34',
+      (0, 1, 3, 4, 5, 8, 10, 11), '0x1.49d93405be836p-50', '12508bf43a60c219')),
+    ((8, False, 10),
+     ('0x1.267fc27979800p-27', '0x1.36fd255fdc7aep-33', '0x1.b7cdfda595aa1p-34',
+      (0, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20, 21, 23), '0x1.176d9090c79a8p-52', 'd63559866274fa79')),
+    ((8, True, 11),
+     ('0x1.b6080337d1ee1p-28', '0x1.36fd2568f9484p-33', '0x1.b7cdfdb278bebp-34',
+      (0, 1, 2, 5, 7, 9, 11, 12, 13, 14, 15, 18, 20, 21, 22, 23), '0x1.1451937b0e741p-51', '9e4cc3339afbe920')),
+    ((8, True, 12),
+     ('0x1.24357af8f2803p-27', '0x1.36fd255c340e6p-33', '0x1.b7cdfda0695c7p-34',
+      (0, 2, 4, 6, 7, 8, 9, 10, 11, 14, 15, 16, 18, 19, 20, 22), '0x1.01c0772f5172ep-49', '874df37506f0164e')),
+)
+
+
+class TestCertificatePins:
+    @pytest.mark.parametrize("case, pin", CERTIFICATE_PINS)
+    def test_certificate_bits(self, case, pin):
+        cert = krawczyk_certify(census_system(*case))
+        centre = repr([(z.real.hex(), z.imag.hex()) for z in cert.refined_center])
+        assert (cert.delta.hex(), cert.box_radius.hex(), cert.radius.hex(), cert.selected,
+                max(cert.residual_norms).hex(),
+                hashlib.sha256(centre.encode()).hexdigest()[:16]) == pin
+
+    def test_residual_on_the_branch_cut_is_refused(self):
+        sys = GluingSystem((GluingEquation((1,), (0,), 1),), (complex(-1.0, 0.0),))
+        with pytest.raises(InconclusiveError) as info:
+            krawczyk_certify(sys)
+        assert str(info.value) == (
+            "residual at the refined center cannot be enclosed: argument: "
+            "quadrant not provable (origin or branch cut)")
+
+    def test_residuals_evaluated_once_per_point(self, monkeypatch):
+        import smallvol.certify as certify
+
+        sys = census_system(2, True, 5)
+        points = []
+
+        def counted(system, shapes=None):
+            points.append(tuple(system.shapes if shapes is None else shapes))
+            return residual(system, shapes)
+
+        monkeypatch.setattr(certify, "residual", counted)
+        cert = krawczyk_certify(sys)
+        assert len(points) == len(set(points)) >= 2
+        assert points[0] == sys.shapes and cert.refined_center in points
+
+
 class TestCoverage:
     """Rows outside the certified square subsystem must follow from it."""
 
@@ -483,6 +582,185 @@ class TestDot:
             y = [[complex(bad, bad), 0j], [0j, complex(bad, bad)]]
             failure = _krawczyk_once(sys, sys.shapes, selected, y, yf, 1e-3)
             assert failure is not None and "max|K-x^|/r" in failure
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the JetError it raises."""
+    try:
+        return fn(*args)
+    except JetError as exc:
+        return type(exc), str(exc)
+
+
+def _signed(rng, lo, hi):
+    x = rng.uniform(1.0, 10.0) * 10.0 ** rng.uniform(lo, hi)
+    return -x if rng.random() < 0.5 else x
+
+
+def _log_points(rng):
+    """Shapes z whose logs, and those of 1 - z, the residual enclosure
+    takes: magnitudes 1e-300 to 1e300 (out of domain at both ends),
+    subnormal parts, |Re| = |Im| to a few ulps (the branch switch),
+    points on and one ulp off the negative real axis, and Re z for which
+    1 - Re z rounds."""
+    ulp = 2.0 ** -52
+    for _ in range(400):
+        yield complex(_signed(rng, -300, 300), _signed(rng, -300, 300))
+    for _ in range(100):
+        sub = rng.randint(-2 ** 20, 2 ** 20) * 5e-324
+        x = _signed(rng, -5, 5)
+        yield complex(x, sub)
+        yield complex(sub, x)
+    for _ in range(150):
+        x = _signed(rng, -80, 150)
+        yield complex(x, math.copysign(x, rng.random() - 0.5) * (1.0 + rng.randint(-3, 3) * ulp))
+    for _ in range(50):
+        x = -_signed(rng, -5, 5) if rng.random() < 0.8 else 1.0 + abs(_signed(rng, -15, 5))
+        for y in (0.0, -0.0, 5e-324, -5e-324, math.ulp(x), -math.ulp(x)):
+            yield complex(x, y)
+    for _ in range(100):
+        x = rng.choice((_signed(rng, -20, -16), _signed(rng, 0, 17),
+                        1.0 + rng.randint(-9, 9) * ulp, 2.0 + rng.randint(1, 9) * 2 * ulp))
+        yield complex(x, rng.choice((_signed(rng, -20, 5), 0.0, 5e-324)))
+    yield from (complex(1.0, 1e-170), complex(1.0, 1e-150), complex(1e-170, 0.0),
+                complex(3e-162, 1e-170), complex(1e154, 1e154), complex(0.0, 0.0))
+
+
+def _log_cases(rng):
+    """(w as 50-digit intervals, the ``_log_box`` call, the jet logarithm
+    call) for w = z and w = 1 - z over ``_log_points``."""
+    for z in _log_points(rng):
+        yield ((iv.mpf(z.real), iv.mpf(z.imag)),
+               lambda z=z: _log_box(z.real, z.imag, 0.0),
+               lambda z=z: complex_log_jet(ComplexJet.constant(z)))
+        yield ((1 - iv.mpf(z.real), -iv.mpf(z.imag)),
+               lambda z=z: _log_box(1.0 - z.real, -z.imag, EPS_PRIM),
+               lambda z=z: complex_log_jet(1.0 - ComplexJet.constant(z)))
+
+
+def _log_encloses(box, w):
+    x, y = w
+    return (_inside(box[0], box[2], iv.log(x * x + y * y) / 2)
+            and _inside(box[1], box[3], iv.atan2(y, x)))
+
+
+class TestLogBox:
+    """The plain-float point logarithm of the residual enclosure, against
+    50-digit interval arithmetic and the dimension-0 jet logarithm."""
+
+    def test_contains_interval_oracle_and_refuses_as_the_jets(self, iv50):
+        # Where the jet logarithm refuses, so does the point kernel, with
+        # the same error; the one exception is a jet whose error radius
+        # overflowed (a plain JetError: the quotient of atan(im/re) for
+        # |1 - Re z| above about 1e103), which the kernel encloses.
+        enclosed = refused = 0
+        for w, box, jet in _log_cases(random.Random(6063)):
+            got, old = _outcome(box), _outcome(jet)
+            if isinstance(old, tuple):
+                refused += 1
+                if len(got) != 4 or old[0] is not JetError:
+                    assert got == old, w
+                    continue
+            else:
+                assert len(got) == 4 and old.re.center == got[0], w
+            assert _log_encloses(got, w), w
+            enclosed += 1
+        assert enclosed > 1500 and refused > 300
+
+    @pytest.mark.parametrize("direction", (-math.inf, math.inf))
+    def test_contains_interval_oracle_under_a_worse_libm(self, iv50, monkeypatch,
+                                                         direction):
+        # A libm one ulp worse than glibc's everywhere is still inside the
+        # charge of jets._libm_err, so the enclosures must hold; this
+        # leaves the other charges less slack to hide behind.
+        import smallvol.certify as certify
+
+        worse = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math)
+                                         if not k.startswith("_")})
+        worse.log = lambda x: math.nextafter(math.log(x), direction)
+        worse.atan = lambda x: math.nextafter(math.atan(x), direction)
+        monkeypatch.setattr(certify, "math", worse)
+        enclosed = 0
+        for w, box, _ in _log_cases(random.Random(6067)):
+            got = _outcome(box)
+            if len(got) == 4:
+                assert _log_encloses(got, w), w
+                enclosed += 1
+        assert enclosed > 1500
+
+    def test_midpoints_and_widths_against_the_jet_logarithm(self):
+        # Midpoints are the jet logarithm's; no radius is wider, at the
+        # figure-eight root and at random moderate points.
+        rng = random.Random(6064)
+        points = [OMEGA] + [complex(_signed(rng, -3, 3), _signed(rng, -3, 3))
+                            for _ in range(500)]
+        for z in points:
+            for box, jet in ((_log_box(z.real, z.imag, 0.0),
+                              complex_log_jet(ComplexJet.constant(z))),
+                             (_log_box(1.0 - z.real, -z.imag, EPS_PRIM),
+                              complex_log_jet(1.0 - ComplexJet.constant(z)))):
+                assert box[:2] == (jet.re.center, jet.im.center), z
+                assert box[2] <= jet.re.err and box[3] <= jet.im.err, z
+
+
+def _jet_recip(x, ex, y, ey, one_minus):
+    w = ComplexJet(Jet(x, (), ex), Jet(y, (), ey))
+    r = (1.0 - w if one_minus else w).reciprocal()
+    return r.re.center, r.im.center, r.re.err, r.im.err
+
+
+def _recip_args(x, ex, y, ey, one_minus):
+    """``_recip_box`` arguments for 1/w or, as the Jacobian takes them,
+    1/(1 - w)."""
+    if one_minus:
+        return (*_add0(1.0, 0.0, -x, ex), *_add0(0.0, 0.0, -y, ey))
+    return x, ex, y, ey
+
+
+class TestRecipBox:
+    """The Jacobian's reciprocal boxes: bit for bit the dimension-0
+    ``ComplexJet.reciprocal``, and inside 50-digit interval arithmetic."""
+
+    def _cases(self, rng):
+        for _ in range(1500):
+            x, y = _signed(rng, -160, 150), _signed(rng, -160, 150)
+            if rng.random() < 0.3:
+                y = x * rng.uniform(-2.0, 2.0)
+            scale = max(abs(x), abs(y))
+            r = scale * 10.0 ** rng.uniform(-18, 0.5) if rng.random() < 0.9 else 0.0
+            yield x, r, y, r, rng.random() < 0.5
+        yield 0.0, 1e-3, 0.0, 1e-3, False
+        yield 1.0, 1e-3, 0.0, 1e-3, True
+        yield 1e-170, 1e-170, 1e-170, 1e-170, False
+
+    def test_bitwise_equal_to_the_jet_reciprocal(self):
+        refused = 0
+        for x, ex, y, ey, one_minus in self._cases(random.Random(6065)):
+            got = _outcome(_recip_box, *_recip_args(x, ex, y, ey, one_minus))
+            old = _outcome(_jet_recip, x, ex, y, ey, one_minus)
+            if isinstance(old, tuple) and isinstance(old[0], type):
+                refused += 1
+                assert got == old
+            else:
+                assert [v.hex() for v in got] == [v.hex() for v in old]
+        assert refused >= 3
+
+    def test_contains_interval_oracle(self, iv50):
+        rng = random.Random(6066)
+        for x, ex, y, ey, one_minus in self._cases(rng):
+            try:
+                m_re, m_im, r_re, r_im = _recip_box(*_recip_args(x, ex, y, ey, one_minus))
+            except JetError:
+                continue
+            for s, t in [(0, 0), (-1, -1), (-1, 1), (1, -1), (1, 1)] + [
+                    (rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]:
+                w_re = iv.mpf(x) + iv.mpf(ex) * s
+                w_im = iv.mpf(y) + iv.mpf(ey) * t
+                if one_minus:
+                    w_re, w_im = 1 - w_re, -w_im
+                d = w_re * w_re + w_im * w_im
+                assert _inside(m_re, r_re, w_re / d), (x, ex, y, ey, one_minus)
+                assert _inside(m_im, r_im, -w_im / d), (x, ex, y, ey, one_minus)
 
 
 # Verdicts and failure margins (as printed, 6 digits) of the earlier

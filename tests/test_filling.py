@@ -119,6 +119,22 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             CuspData(1j, 2.0, float("nan"))
 
+    def test_value_semantics(self):
+        cusp = CuspData(12, 12j, 5)
+        assert cusp == CuspData(12.0 + 0j, complex(0, 12), 5.0)
+        assert hash(cusp) == hash(CuspData(12.0, 12j, 5.0))
+        assert cusp != CuspData(12.0, 12j, 5.5)
+        assert repr(cusp) == "CuspData(meridian=(12+0j), longitude=12j, parent_volume=5.0)"
+        assert type(cusp.meridian) is complex and type(cusp.parent_volume) is float
+        slopes = enumerate_slopes(cusp, 2.848, fudge=0.0)
+        assert slopes == enumerate_slopes(CuspData(12, 12j, 5), 2.848, fudge=0.0)
+        assert repr(slopes).startswith("SlopeList(bound_used=")
+        for obj, field in ((cusp, "meridian"), (slopes, "pairs")):
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+            with pytest.raises(AttributeError):
+                obj.extra = None
+
     def test_sorted_and_normalized(self):
         slopes = enumerate_slopes(S776, 2.848, fudge=0.01)
         assert list(slopes.pairs) == sorted(slopes.pairs, key=lambda t: (t[0], t[1]))
