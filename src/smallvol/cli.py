@@ -59,10 +59,6 @@ class Report:
         print(f"elapsed_ms: {ms}", file=stream)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _cutoff_upper(parent: float, target: float, fudge: float = 0.0) -> float:
     """A float whose repr is >= 2 pi (1 + fudge) / sqrt(1 - (target /
     parent)^(2/3)), read as a decimal.  Rounding up the square root of
@@ -71,6 +67,22 @@ def _cutoff_upper(parent: float, target: float, fudge: float = 0.0) -> float:
     its float, above it too."""
     c2_hi = smallvol.filling._cutoff_squared(parent, target, fudge)[1]
     return _up(_up(math.sqrt(c2_hi)))
+
+
+def _pair_lines(cusp, pairs):
+    """``p q length`` for each pair, the length printed as the repr of a
+    float at or above |p * meridian + q * longitude|.  The four parts are
+    integers over one power of two, so the squared length is an integer
+    sq >= 1 over its square; isqrt(sq - 1) + 1 is the ceiling of its
+    square root, and two steps up cover the division and the repr, as in
+    ``_cutoff_upper``."""
+    parts = [x.as_integer_ratio() for x in (cusp.meridian.real, cusp.meridian.imag,
+                                            cusp.longitude.real, cusp.longitude.imag)]
+    den = max(d for _, d in parts)
+    mr, mi, lr, li = (n * (den // d) for n, d in parts)
+    for p, q, _ in pairs:
+        root = math.isqrt((p * mr + q * lr) ** 2 + (p * mi + q * li) ** 2 - 1) + 1
+        yield f"{p} {q} {_up(_up(root / den))!r}"
 
 
 def _complex_flag(text: str) -> complex:
@@ -124,7 +136,7 @@ def _read_text(path: str) -> str:
 
 
 def cmd_bound(args) -> int:
-    rep = Report(f"bound --parent {_fmt(args.parent)} --target {_fmt(args.target)}")
+    rep = Report(f"bound --parent {args.parent!r} --target {args.target!r}")
     try:
         smallvol.filling.slope_length_bound(args.parent, args.target)  # checks the volumes
         b = _cutoff_upper(args.parent, args.target)
@@ -132,7 +144,7 @@ def cmd_bound(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
     rep.add("bound", repr(b))
-    rep.add("floor_2pi", _fmt(2 * math.pi))
+    rep.add("floor_2pi", f"{2 * math.pi:.12g}")
     rep.emit()
     return OK
 
@@ -141,8 +153,7 @@ def cmd_enumerate(args) -> int:
     rep = Report(
         f"enumerate --meridian {args.meridian.real!r},{args.meridian.imag!r}"
         f" --longitude {args.longitude.real!r},{args.longitude.imag!r}"
-        f" --parent {_fmt(args.parent)} --target {_fmt(args.target)}"
-        f" --fudge {_fmt(args.fudge)}"
+        f" --parent {args.parent!r} --target {args.target!r} --fudge {args.fudge!r}"
     )
     try:
         filling = smallvol.filling
@@ -154,8 +165,8 @@ def cmd_enumerate(args) -> int:
     rep.add("bound", repr(_cutoff_upper(args.parent, args.target)))
     rep.add("cutoff", repr(_cutoff_upper(args.parent, args.target, args.fudge)))
     rep.add("pairs", len(slopes.pairs))
-    for p, q, length in slopes.pairs:
-        rep.add("pair", f"{p} {q} {_fmt(length)}")
+    for line in _pair_lines(cusp, slopes.pairs):
+        rep.add("pair", line)
     rep.emit()
     return OK
 
@@ -197,9 +208,9 @@ def cmd_certify(args) -> int:
 def cmd_volume(args) -> int:
     rep = Report(
         f"volume {args.file}"
-        + (f" --delta {_fmt(args.delta)}" if args.delta is not None else "")
-        + (f" --gt {_fmt(args.gt)}" if args.gt is not None else "")
-        + (f" --le {_fmt(args.le)}" if args.le is not None else "")
+        + (f" --delta {args.delta!r}" if args.delta is not None else "")
+        + (f" --gt {args.gt!r}" if args.gt is not None else "")
+        + (f" --le {args.le!r}" if args.le is not None else "")
     )
     try:
         sys_ = _load_system(args.file)

@@ -175,14 +175,33 @@ def _recip(b0: float, be: float, s: float, xs: tuple) -> tuple:
             charge = up(up(eps * abs(di), inf) + TINY, inf)
             err = up(up(err + charge, inf) + charge, inf)
         coeffs.append(di)
-    if be:
-        err = up(err + up(be * up(1.0 / q_lo, inf), inf), inf)
-    # Remainder of the linearization: (f-b0)^2 / (b0^2 f).
-    if s:
-        den = _nextafter(q_lo * m, -inf)
-        if den <= 0.0:
-            raise JetDomainError("reciprocal: range too close to zero")
-        err = up(err + up(up(s * s, inf) / den, inf), inf)
+    if q == inf:
+        # b0^2 overflows, so every bi / q above is 0 and q_lo is only
+        # DBL_MAX: charge the dropped |bi| / b0^2 (at most s / b0^2) and
+        # bound be / b0^2 and the remainder by dividing by |b0| twice.
+        ab = abs(b0)
+        s_q = up(up(s / ab, inf) / ab, inf)
+        if be:
+            err = up(err + up(up(be / ab, inf) / ab, inf), inf)
+        if any(xs):
+            err = up(err + s_q, inf)
+        if s:
+            err = up(err + up(s_q * up(s / m, inf), inf), inf)
+    else:
+        if be:
+            err = up(err + up(be * up(1.0 / q_lo, inf), inf), inf)
+        # Remainder of the linearization: (f-b0)^2 / (b0^2 f).
+        if s:
+            den = q_lo * m
+            if den == inf:
+                # s^2 / den would read den as DBL_MAX; divide s by each factor.
+                rem = up(up(s / q_lo, inf) * up(s / m, inf), inf)
+            else:
+                den = _nextafter(den, -inf)
+                if den <= 0.0:
+                    raise JetDomainError("reciprocal: range too close to zero")
+                rem = up(up(s * s, inf) / den, inf)
+            err = up(err + rem, inf)
     if -inf < c < inf and err < inf:
         return c, tuple(coeffs), err
     _reject(c, err)

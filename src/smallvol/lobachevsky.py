@@ -3,22 +3,25 @@
 The function is evaluated through its classical series
 
     L(theta) = theta * (1 - log|2 theta| + sum_{n>=1} l_n theta^(2n)),
-    l_n = |B_{2n}| 4^n / (2n (2n+1)!),
+    l_n = |B_{2n}| 4^n / (2n (2n+1)!) = T_n / ((4^n - 1) (2n+1)!),
 
-with exact-rational coefficients bracketed into double enclosures.  The
-coefficient ratios satisfy l_n / l_{n+1} > pi^2, so once the argument is
-reduced into (-pi/2, pi/2] (the function is pi-periodic) any term that
-falls below a tolerance bounds the whole remaining tail by twice itself.
-All evaluation is carried out in jet arithmetic, so the returned jet
-contains the true value of L pointwise over the input jet's range.
+where T_n is the n-th tangent number (tan x = sum_n T_n x^(2n-1) / (2n-1)!,
+so |B_{2n}| = 2n T_n / (4^n (4^n - 1))).  The tangent numbers come from
+the O(K^2) integer recurrence of Brent and Harvey ("Fast computation of
+Bernoulli, tangent and secant numbers", 2011), so each l_n is an exact
+integer ratio, bracketed into its tightest double enclosure; no rational
+arithmetic library is loaded.  The coefficient ratios satisfy
+l_n / l_{n+1} > pi^2, so once the argument is reduced into (-pi/2, pi/2]
+(the function is pi-periodic) any term that falls below a tolerance
+bounds the whole remaining tail by twice itself.  All evaluation is
+carried out in jet arithmetic, so the returned jet contains the true
+value of L pointwise over the input jet's range.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
-from math import comb
 
 from .jets import (
     Jet,
@@ -42,40 +45,62 @@ class ReductionError(JetDomainError):
     """Range reduction could not certify |theta0| < pi/sqrt(2)."""
 
 
-def _bernoulli_even(count: int) -> list:
-    """B_2, B_4, ..., B_{2*count} as exact Fractions.
-
-    Binomial recurrence sum_{r=0}^{m} C(m+1, r) B_r = 0 with B_1 = -1/2;
-    odd Bernoulli numbers beyond B_1 vanish and are skipped.
-    """
-    evens = [Fraction(1)]  # B_0
-    for m in range(1, count + 1):
-        n = 2 * m
-        s = Fraction(0)
-        for j in range(m):
-            s += comb(n + 1, 2 * j) * evens[j]
-        s += comb(n + 1, 1) * Fraction(-1, 2)
-        evens.append(-s / (n + 1))
-    return evens[1:]
+def _tangent_numbers(count: int) -> list:
+    """T_1, ..., T_count: the Brent-Harvey recurrence, in place on one
+    list of Python integers."""
+    t = [0, 1] + [0] * (count - 1)  # t[n] is T_n; t[0] is unused
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
 
 
-def _enclose(x: Fraction) -> tuple:
-    """Tightest double pair lo <= x <= hi; int/int division rounds correctly."""
-    f = x.numerator / x.denominator
-    fr = Fraction(f)
-    lo = f if fr <= x else math.nextafter(f, -math.inf)
-    hi = f if fr >= x else math.nextafter(f, math.inf)
+def _staudt_clausen_holds(n: int, t_n: int, primes: list) -> bool:
+    """von Staudt-Clausen for B_2n = (-1)^(n+1) 2n T_n / E, E = 4^n (4^n - 1):
+    B_2n plus the sum of 1/p over the primes p with (p - 1) | 2n (all in
+    ``primes``) is an integer.  With D the product of those primes, that
+    is E D | (-1)^(n+1) 2n T_n D + E sum D/p, which any change to T_n by
+    less than E / 2n breaks."""
+    ps = [p for p in primes if 2 * n % (p - 1) == 0]
+    d = math.prod(ps)
+    e = 4 ** n * (4 ** n - 1)
+    b_num = (-1) ** (n + 1) * 2 * n * t_n * d
+    return (b_num + e * sum(d // p for p in ps)) % (e * d) == 0
+
+
+def _enclose(p: int, q: int) -> tuple:
+    """Tightest double pair lo <= p/q <= hi for q > 0: int/int division
+    rounds correctly, and f = a/b compares with p/q exactly as a q
+    against p b."""
+    f = p / q
+    a, b = f.as_integer_ratio()
+    lo = f if a * q <= p * b else _down(f)
+    hi = f if a * q >= p * b else _up(f)
     return lo, hi
 
 
-class SeriesCoeffs(namedtuple("SeriesCoeffs", "count lower upper exact")):
-    """Bracketed series coefficients l_1 .. l_K with their exact rationals.
+class SeriesCoeffs(namedtuple("SeriesCoeffs", "count lower upper ratios")):
+    """Bracketed series coefficients l_1 .. l_K.
+
+    ``ratios`` holds each l_n = T_n / ((4^n - 1) (2n+1)!) exactly, as the
+    integer pair (T_n, (4^n - 1) (2n+1)!) with T_n the tangent number of
+    Brent and Harvey's recurrence; ``lower``/``upper`` are its tightest
+    double enclosures.  ``exact`` builds the same values as Fractions on
+    each read, so only callers that read it load ``fractions``.
 
     A named tuple rather than a dataclass: ``dataclasses`` imports
     ``inspect``, which would add to the start-up of every command.
     """
 
     __slots__ = ()
+
+    @property
+    def exact(self) -> tuple:
+        from fractions import Fraction
+
+        return tuple(Fraction(p, q) for p, q in self.ratios)
 
     def term_jet(self, n: int) -> Jet:
         """Dimension-0 jet containing l_n (1-based index)."""
@@ -85,24 +110,35 @@ class SeriesCoeffs(namedtuple("SeriesCoeffs", "count lower upper exact")):
 
 
 def series_coeffs(count: int = DEFAULT_TERMS) -> SeriesCoeffs:
-    """Exact-rational l_n enclosures, with the pi^2 ratio law verified."""
+    """Exact-ratio l_n enclosures, with the tangent numbers checked by von
+    Staudt-Clausen and the pi^2 ratio law verified."""
     if not 1 <= count <= MAX_TERMS:
         raise ValueError(f"term count must be in 1..{MAX_TERMS}, got {count}")
-    bern = _bernoulli_even(count)
-    exact = []
-    for n in range(1, count + 1):
-        l_n = abs(bern[n - 1]) * Fraction(4 ** n, 2 * n * math.factorial(2 * n + 1))
-        exact.append(l_n)
-    # pi^2 < Fraction(PI_HI)^2, so beating the latter proves the ratio law.
-    pi_sq_upper = Fraction(PI_HI) ** 2
+    primes = [p for p in range(2, 2 * count + 2)
+              if all(p % r for r in range(2, math.isqrt(p) + 1))]
+    ratios = []
+    factorial = 1  # (2n+1)!
+    for n, t_n in enumerate(_tangent_numbers(count), 1):
+        if not _staudt_clausen_holds(n, t_n, primes):
+            raise RuntimeError(
+                f"tangent number T_{n} fails the von Staudt-Clausen theorem; "
+                "the series implementation is broken"
+            )
+        factorial *= 2 * n * (2 * n + 1)
+        ratios.append((t_n, (4 ** n - 1) * factorial))
+    # pi^2 < (a/b)^2 for PI_HI = a/b, so p q' b^2 > a^2 q p' proves
+    # l_n / l_{n+1} = (p/q) / (p'/q') > pi^2.
+    a, b = PI_HI.as_integer_ratio()
+    a2, b2 = a * a, b * b
     for n in range(count - 1):
-        if not exact[n] / exact[n + 1] > pi_sq_upper:
+        (p, q), (p1, q1) = ratios[n], ratios[n + 1]
+        if not p * q1 * b2 > a2 * q * p1:
             raise RuntimeError(
                 f"coefficient ratio l_{n+1}/l_{n+2} failed the pi^2 law; "
                 "the series implementation is broken"
             )
-    los, his = zip(*(_enclose(l) for l in exact))
-    return SeriesCoeffs(count, los, his, tuple(exact))
+    lower, upper = zip(*(_enclose(p, q) for p, q in ratios))
+    return SeriesCoeffs(count, lower, upper, tuple(ratios))
 
 
 _DEFAULT_COEFFS = None

@@ -1,8 +1,12 @@
 """High-precision reference computations shared by the test suite.
 
-Everything here goes through mpmath at 30-50 significant digits and is
-deliberately independent of the library's own evaluation paths.
+Everything here goes through mpmath at 30-50 significant digits, or
+through exact rationals, and is deliberately independent of the
+library's own evaluation paths.
 """
+
+import math
+from fractions import Fraction
 
 import mpmath
 
@@ -22,6 +26,38 @@ def lobachevsky_clausen(theta, dps=30):
     """Independent cross-check: Cl_2(2 theta) / 2."""
     with mpmath.workdps(dps):
         return +(mpmath.clsin(2, 2 * mpmath.mpf(theta)) / 2)
+
+
+def bernoulli_even(count):
+    """B_2, B_4, ..., B_{2*count} as exact Fractions.
+
+    Binomial recurrence sum_{r=0}^{m} C(m+1, r) B_r = 0 with B_1 = -1/2;
+    odd Bernoulli numbers beyond B_1 vanish and are skipped.
+    """
+    evens = [Fraction(1)]  # B_0
+    for m in range(1, count + 1):
+        n = 2 * m
+        s = Fraction(0)
+        for j in range(m):
+            s += math.comb(n + 1, 2 * j) * evens[j]
+        s += math.comb(n + 1, 1) * Fraction(-1, 2)
+        evens.append(-s / (n + 1))
+    return evens[1:]
+
+
+def series_coeffs_reference(count):
+    """(lower, upper, exact) for the Lobachevsky series coefficients
+    l_n = |B_2n| 4^n / (2n (2n+1)!), n = 1..count, from the Bernoulli
+    numbers in Fractions: each l_n with its tightest double enclosure
+    (int/int division rounds correctly)."""
+    exact = tuple(abs(b) * Fraction(4 ** n, 2 * n * math.factorial(2 * n + 1))
+                  for n, b in enumerate(bernoulli_even(count), 1))
+    lower, upper = [], []
+    for x in exact:
+        f = x.numerator / x.denominator
+        lower.append(f if Fraction(f) <= x else math.nextafter(f, -math.inf))
+        upper.append(f if Fraction(f) >= x else math.nextafter(f, math.inf))
+    return tuple(lower), tuple(upper), exact
 
 
 def mp_arg(re, im, dps=50):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -109,6 +110,101 @@ class TestReportedBoundsAreUpper:
         assert _reported(out, "bound") == "10.74703097353467"
 
 
+def _fields(out):
+    """The report's (key, value) pairs, in order."""
+    return [tuple(l.split(": ", 1)) for l in out.splitlines() if l]
+
+
+def _echoed_flags(out):
+    """{flag: text} for the ``--flag value`` pairs of the command line."""
+    words = _fields(out)[0][1].split()
+    return {w: words[i + 1] for i, w in enumerate(words) if w.startswith("--")}
+
+
+class TestReportFields:
+    """Every numeric report field reads back as the value the command
+    used: echoed flags and claim thresholds equal the parsed arguments,
+    printed lengths lie at or above the exact ones, and certificate and
+    volume fields equal the library's results."""
+
+    PARENT, TARGET = 4.234022804821794, 2.0832521155408212
+
+    def test_bound(self, capsys):
+        rc, out, _ = run_cli(capsys, "bound", f"--parent={self.PARENT!r}",
+                             f"--target={self.TARGET!r}")
+        assert rc == 0
+        flags = _echoed_flags(out)
+        assert (float(flags["--parent"]), float(flags["--target"])) == (self.PARENT, self.TARGET)
+        fields = dict(_fields(out))
+        assert float(fields["bound"]) == cli._cutoff_upper(self.PARENT, self.TARGET)
+        # floor_2pi is 2 pi to 12 significant digits
+        assert abs(float(fields["floor_2pi"]) - 2 * math.pi) <= 5e-12 * 2 * math.pi
+        assert set(fields) == {"command", "bound", "floor_2pi", "elapsed_ms"}
+
+    @pytest.mark.parametrize("meridian, longitude, target, fudge", (
+        (complex(10.236478896057733, 0), 50j, TARGET, 0.0),
+        (complex(0.5, 1.3228756555322954), complex(2, 0), 2.848, 0.010000000000000002),
+        (complex(1.0000000000000002, 0.30000000000000004), complex(-0.1, 3.3), 2.848, 0.01),
+    ))
+    def test_enumerate(self, capsys, meridian, longitude, target, fudge):
+        rc, out, _ = run_cli(capsys, "enumerate",
+                             f"--meridian={meridian.real!r},{meridian.imag!r}",
+                             f"--longitude={longitude.real!r},{longitude.imag!r}",
+                             f"--parent={self.PARENT!r}", f"--target={target!r}",
+                             f"--fudge={fudge!r}")
+        assert rc == 0
+        flags = _echoed_flags(out)
+        assert complex(*map(float, flags["--meridian"].split(","))) == meridian
+        assert complex(*map(float, flags["--longitude"].split(","))) == longitude
+        assert float(flags["--parent"]) == self.PARENT
+        assert (float(flags["--target"]), float(flags["--fudge"])) == (target, fudge)
+        fields = _fields(out)
+        values = dict(fields)
+        cusp = smallvol.filling.CuspData(meridian, longitude, self.PARENT)
+        slopes = smallvol.filling.enumerate_slopes(cusp, target, fudge)
+        assert float(values["bound"]) == cli._cutoff_upper(self.PARENT, target)
+        assert float(values["cutoff"]) == cli._cutoff_upper(self.PARENT, target, fudge)
+        pairs = [v.split() for k, v in fields if k == "pair"]
+        assert int(values["pairs"]) == len(pairs) == len(slopes.pairs) > 0
+        m = [Fraction(x) for x in (meridian.real, meridian.imag)]
+        l = [Fraction(x) for x in (longitude.real, longitude.imag)]
+        for (p, q, text), (p0, q0, length) in zip(pairs, slopes.pairs):
+            p, q = int(p), int(q)
+            assert (p, q) == (p0, q0)
+            exact_sq = (p * m[0] + q * l[0]) ** 2 + (p * m[1] + q * l[1]) ** 2
+            assert Fraction(text) ** 2 >= exact_sq
+            assert float(text) <= length + 4 * math.ulp(length)
+
+    @pytest.mark.parametrize("extra", (
+        ("--gt", "1.0000000000000002", "--le", "2.0298832128193074"),
+        ("--delta", "1.0000000000000001e-08", "--gt", "0.30000000000000004"),
+        ("--delta", "0", "--le", "2.1"),
+    ))
+    def test_volume(self, capsys, fig8_file, extra):
+        rc, out, _ = run_cli(capsys, "volume", fig8_file, *extra)
+        args = dict(zip(extra[::2], map(float, extra[1::2])))
+        assert {k: float(v) for k, v in _echoed_flags(out).items()} == args
+        fields = _fields(out)
+        values = dict(fields)
+        sys_ = parse_gluing(figure_eight_text())
+        if "--delta" in args:
+            assignment = smallvol.geometry.ShapeAssignment(sys_.shapes, args["--delta"])
+        else:
+            cert = smallvol.certify.krawczyk_certify(sys_)
+            assignment = cert.shape_assignment()
+            assert float(values["delta"]) == cert.delta
+            assert float(values["box_radius"]) == cert.box_radius
+            assert float(values["residual_max"]) == max(cert.residual_norms)
+            centers = [v.split() for k, v in fields if k == "center"]
+            assert [(int(i), complex(float(x), float(y))) for i, x, y in centers] == \
+                list(enumerate(cert.refined_center))
+        iv = smallvol.geometry.certified_volume(assignment)
+        assert (float(values["volume_lo"]), float(values["volume_hi"])) == (iv.lo, iv.hi)
+        for flag, key in (("--gt", "gt_claim"), ("--le", "le_claim")):
+            if flag in args:
+                assert float(values[key].split()[0]) == args[flag]
+
+
 class TestEnumerate:
     S776 = ("enumerate", "--meridian", "0.5,1.3228756555322954",
             "--longitude", "2,0", "--parent", "5.33349",
@@ -130,7 +226,10 @@ class TestEnumerate:
                              "--longitude", "0,50", "--parent", "4.234022804821794",
                              "--target", "2.0832521155408212", "--fudge", "0")
         assert rc == 0
-        assert "pairs: 1" in out and "pair: 1 0 10.2364788961" in out
+        assert "pairs: 1" in out
+        # The length reads at or above the exact one and below the cutoff.
+        assert "pair: 1 0 10.236478896057736\n" in out
+        assert "cutoff: 10.236478896057747\n" in out
 
     def test_degenerate_cusp(self, capsys):
         rc, _, err = run_cli(capsys, "enumerate", "--meridian", "1,1",
@@ -329,13 +428,18 @@ class TestParserReuse:
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+# Standard modules a command should not load: dataclasses brings inspect,
+# and fractions brings decimal and numbers.
+WATCHED = ("smallvol", "dataclasses", "fractions", "decimal")
+
+
 def _loaded_after(code):
-    """The smallvol modules, and ``dataclasses`` if loaded, that a fresh
-    interpreter holds after running ``code``."""
+    """The smallvol modules, and those of ``WATCHED`` that are loaded, that
+    a fresh interpreter holds after running ``code``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(smallvol.__file__)))
     probe = (code + "\nimport sys\n"
              "print(' '.join(sorted(m for m in sys.modules\n"
-             "                      if m.split('.')[0] in ('smallvol', 'dataclasses'))))")
+             f"                      if m.split('.')[0] in {WATCHED!r})))")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=src,
                           capture_output=True, text=True, check=True)
@@ -356,17 +460,25 @@ class TestColdStart:
         assert _loaded_after("import smallvol.cli") == {
             "smallvol", "smallvol.cli", "smallvol.jets", "smallvol.lobachevsky"}
 
+    def test_coefficient_fill_loads_no_rational_arithmetic(self):
+        # What every command does first when it evaluates a volume.
+        assert _loaded_after("import smallvol.cli\n"
+                             "from smallvol.lobachevsky import default_coeffs\n"
+                             "default_coeffs()") == {
+            "smallvol", "smallvol.cli", "smallvol.jets", "smallvol.lobachevsky"}
+
     @pytest.mark.parametrize("argv, absent", (
         (["bound", "--parent", "5.33349", "--target", "2.848"],
          ("smallvol.certify", "smallvol.geometry", "smallvol.formats",
-          "smallvol.grouptool", "dataclasses")),
+          "smallvol.grouptool", "dataclasses", "fractions", "decimal")),
         (["enumerate", "--meridian", "0.5,1.3228756555322954", "--longitude", "2,0",
           "--parent", "5.33349"], ("smallvol.certify", "smallvol.geometry",
                                    "smallvol.formats", "smallvol.grouptool", "dataclasses")),
-        (["volume", FIG8, "--gt", "2"], ("smallvol.grouptool", "smallvol.filling")),
-        (["certify", FIG8], ("smallvol.grouptool", "smallvol.filling")),
-        (["nonhyp", "--rel", "a3b2"],
-         ("smallvol.certify", "smallvol.geometry", "smallvol.filling")),
+        (["volume", FIG8, "--gt", "2"],
+         ("smallvol.grouptool", "smallvol.filling", "fractions", "decimal")),
+        (["certify", FIG8], ("smallvol.grouptool", "smallvol.filling", "fractions", "decimal")),
+        (["nonhyp", "--rel", "a3b2"], ("smallvol.certify", "smallvol.geometry",
+                                       "smallvol.filling", "fractions", "decimal")),
     ))
     def test_command_loads_only_its_modules(self, argv, absent):
         loaded = _loaded_after(

@@ -199,6 +199,44 @@ class TestOverflow:
         with pytest.raises(JetError):
             Jet(1e-160, (1e-161,), 1e-161).reciprocal()
 
+    def test_reciprocal_remainder_when_its_denominator_overflows(self):
+        # b0^2 * m overflows here; the remainder was once charged as
+        # s^2 / DBL_MAX, an err of 8.1e72 on this quotient of -1.
+        x = 4.916359383700699e137
+        w = 1.0 - ComplexJet.constant(complex(x, -x))
+        r = w.im / w.re
+        assert r.center == -1.0 and r.err.hex() == "0x1.8000000000009p-52"
+        with mpmath.workdps(60):
+            exact = mpmath.mpf(x) / (1 - mpmath.mpf(x))
+            assert jet_contains_value(r, exact)
+            log = complex_log_jet(w)
+            truth = mpmath.log(mpmath.mpc(1 - mpmath.mpf(x), mpmath.mpf(x)))
+            assert jet_contains_value(log.re, truth.real)
+            assert jet_contains_value(log.im, truth.imag)
+            assert log.re.err < 1e-12 and log.im.err < 1e-14
+
+    def test_huge_reciprocals_contain_and_stay_tight(self):
+        # Centers from 1e95 to 1e308 reach both b0^2 * m and b0^2 overflowing.
+        rng = random.Random(1701)
+        checked = 0
+        for _ in range(600):
+            b0 = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(95.0, 308.0)
+            coeffs = tuple(rng.choice((0.0, b0 * rng.choice((-1, 1)) * 10.0 ** rng.uniform(-18, -1)))
+                           for _ in range(rng.randrange(3)))
+            be = rng.choice((0.0, abs(b0) * 10.0 ** rng.uniform(-18, -1)))
+            f = Jet(b0, coeffs, be)
+            r = f.reciprocal()
+            s = f.spread()
+            m = abs(b0) - s
+            assert r.err <= 4.0 * abs(r.center) * (s / m + EPS_PRIM) + 1e-322
+            with mpmath.workdps(60):
+                for xs in itertools.product((-1, 1), repeat=len(coeffs)):
+                    for e in (-be, be):
+                        v = mpmath.mpf(b0) + e + sum(mpmath.mpf(c) * x for c, x in zip(coeffs, xs))
+                        assert jet_contains(r, xs, 1 / v), (b0, coeffs, be)
+            checked += 1
+        assert checked == 600
+
     def test_results_are_finite_or_rejected(self):
         mags = (0.0, 5e-324, 1e-310, 1e-160, 0.7, 3.0, 1e160, 1e300, 1.7e308)
         jets = [Jet(c, (r, -r), e) for c in mags for r in mags[:6] for e in (0.0, 1e-300, 1e-3)]

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 
 from smallvol.jets import Jet, JetDomainError, pi_jet
 from smallvol.lobachevsky import (
+    MAX_TERMS,
     ReductionError,
     default_coeffs,
     lobachevsky,
@@ -14,7 +16,27 @@ from smallvol.lobachevsky import (
     series_coeffs,
 )
 
-from oracles import jet_contains_value, lobachevsky_clausen, lobachevsky_quad
+from oracles import (
+    jet_contains_value,
+    lobachevsky_clausen,
+    lobachevsky_quad,
+    series_coeffs_reference,
+)
+
+# The package attribute ``smallvol.lobachevsky`` is the function.
+lobachevsky_module = importlib.import_module("smallvol.lobachevsky")
+
+
+def _perturb_tangent_number(monkeypatch, n, delta):
+    """Make ``_tangent_numbers`` return T_n + delta in place of T_n."""
+    real = lobachevsky_module._tangent_numbers
+
+    def perturbed(count):
+        t = real(count)
+        t[n - 1] += delta
+        return t
+
+    monkeypatch.setattr(lobachevsky_module, "_tangent_numbers", perturbed)
 
 
 class TestSeriesCoeffs:
@@ -60,6 +82,28 @@ class TestSeriesCoeffs:
             series_coeffs(0)
         with pytest.raises(ValueError):
             series_coeffs(65)
+
+    def test_matches_the_bernoulli_reference(self):
+        lower, upper, exact = series_coeffs_reference(MAX_TERMS)
+        for k in range(1, MAX_TERMS + 1):
+            sc = series_coeffs(k)
+            assert [x.hex() for x in sc.lower] == [x.hex() for x in lower[:k]]
+            assert [x.hex() for x in sc.upper] == [x.hex() for x in upper[:k]]
+            assert sc.exact == exact[:k]
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 17, 32, 64))
+    @pytest.mark.parametrize("delta", (1, -1))
+    def test_tangent_number_off_by_one_raises(self, monkeypatch, n, delta):
+        _perturb_tangent_number(monkeypatch, n, delta)
+        with pytest.raises(RuntimeError, match="von Staudt-Clausen"):
+            series_coeffs(MAX_TERMS)
+
+    def test_ratio_law_violation_raises(self, monkeypatch):
+        # T_2 + 60 makes B_4 = -31/30, which von Staudt-Clausen accepts
+        # (-31/30 + 1/2 + 1/3 + 1/5 = 0), but l_1 / l_2 drops to 1.6.
+        _perturb_tangent_number(monkeypatch, 2, 60)
+        with pytest.raises(RuntimeError, match="pi\\^2 law"):
+            series_coeffs(4)
 
 
 class TestRangeReduce:
