@@ -11,16 +11,18 @@ The pipeline, end to end:
 * ``grouptool`` checks non-hyperbolicity proofs for the fundamental
   groups of fillings where no hyperbolic structure exists.
 
-Importing the package loads only ``jets`` and ``lobachevsky``.  The
-other public names resolve on first access (PEP 562 module
-``__getattr__``): ``smallvol.certified_volume`` imports ``geometry`` the
-first time it is read and is an ordinary attribute after that, so a
-command-line run loads only the modules its subcommand uses.
+Importing the package loads only ``lobachevsky`` and the float
+outward-rounding layer under it (``rounding``: the rounding steps, the
+pi enclosure, and ``JetError``/``JetDomainError``).  The other
+public names resolve on first access (PEP 562 module ``__getattr__``):
+``smallvol.certified_volume`` imports ``geometry`` the first time it is
+read and ``smallvol.Jet`` imports ``jets``, and each is an ordinary
+attribute after that, so a command-line run loads only the modules its
+subcommand uses, and the jet classes only where a jet is built.
 """
 
 import sys as _sys
 
-from .jets import ComplexJet, Jet, arg_complex, atan_jet, log_jet
 # The package attribute ``lobachevsky`` must be this function, not the
 # submodule of the same name that the import binds first.
 from .lobachevsky import SeriesCoeffs, lobachevsky, range_reduce, series_coeffs
@@ -51,14 +53,18 @@ _LAZY = {
     "dihedral_angles": "geometry",
     "prove_volume_gt": "geometry",
     "prove_volume_le": "geometry",
+    "ComplexJet": "jets",
+    "Jet": "jets",
+    "arg_complex": "jets",
+    "atan_jet": "jets",
+    "log_jet": "jets",
 }
 
 # Submodules not loaded at import; ``smallvol.certify`` loads its module.
 _SUBMODULES = ("certify", "cli", "data", "filling", "formats", "geometry",
-               "grouptool")
+               "grouptool", "jets")
 
-__all__ = sorted([*_LAZY, "ComplexJet", "Jet", "SeriesCoeffs", "arg_complex",
-                  "atan_jet", "lobachevsky", "log_jet", "range_reduce",
+__all__ = sorted([*_LAZY, "SeriesCoeffs", "lobachevsky", "range_reduce",
                   "series_coeffs"])
 
 

@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .geometry import ShapeAssignment
-from .jets import (EPS_PRIM, PI_HI, PI_LO, SQRT2_HI, TINY, JetDomainError,
-                   _add0, _down, _libm_err, _mul0, _recip0, _up)
+from .jets import _add0, _libm_err, _mul0, _recip0
+from .rounding import (EPS_PRIM, PI_HI, PI_LO, SQRT2_HI, TINY, JetDomainError,
+                       _down, _up)
 
 _SINGULAR_TOL = 1e-13
 
@@ -90,6 +91,8 @@ class GluingSystem:
 
     equations: tuple
     shapes: tuple
+    # residual(self) at ``shapes``, kept from the branch screen for Newton.
+    _stored_residual: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "equations", tuple(self.equations))
@@ -110,12 +113,14 @@ class GluingSystem:
                 raise CertifyError(f"stored shape {j} is not finite")
             if z == 0 or z == 1:
                 raise CertifyError(f"stored shape {j} is singular")
-        for i, r in enumerate(residual(self)):
+        res = tuple(residual(self))
+        for i, r in enumerate(res):
             if abs(r) >= 0.5:
                 raise BranchConsistencyError(
                     f"residual {abs(r):.3g} of equation {i} at the stored shapes "
                     "exceeds 0.5; log branches are inconsistent"
                 )
+        object.__setattr__(self, "_stored_residual", res)
 
     @property
     def n(self) -> int:
@@ -254,7 +259,7 @@ def _newton_refine(sys: GluingSystem, selected, max_steps: int = 5):
     branch-consistency invariant).
     """
     z = list(sys.shapes)
-    res = residual(sys, z)
+    res = sys._stored_residual
     norm = max(abs(r) for r in res)
     for _ in range(max_steps):
         jac = jacobian(sys, z)

@@ -23,13 +23,13 @@ import math
 import sys
 import time
 
-# Importing the package loads only jets and lobachevsky; every other
+# Importing the package loads only lobachevsky and rounding; every other
 # submodule loads on first access through ``smallvol.<module>`` (the
 # package's PEP 562 ``__getattr__``).  So each command loads just the
 # modules it runs, and from its second call on a lookup costs one
 # attribute access.
 import smallvol
-from .jets import JetDomainError, _up
+from .rounding import JetDomainError, _up
 
 OK, UNDECIDED, BAD_INPUT = 0, 1, 2
 

@@ -14,7 +14,7 @@ pairs below a length cutoff form a finite, enumerable set.
 float inputs are rationals, so Q = |p*m + q*l|^2 is an exact rational,
 and the cutoff test l <= 2 pi (1 + fudge) / sqrt(1 - (T/P)^(2/3)) is, with
 K = 4 pi^2 (1 + fudge)^2, equivalent to: Q <= K, or else
-(1 - K/Q)^3 <= (T/P)^2.  Evaluated with ``jets.PI_HI`` for pi this is a
+(1 - K/Q)^3 <= (T/P)^2.  Evaluated with ``rounding.PI_HI`` for pi this is a
 superset of the true list, so no candidate pair is omitted.  A float
 filter with an a priori error bound settles all but the borderline
 pairs, which go through ``fractions``; ``fudge`` is optional widening
@@ -29,7 +29,7 @@ import math
 from collections import namedtuple
 from math import gcd
 
-from .jets import EPS_PRIM, PI_HI, _down, _up
+from .rounding import EPS_PRIM, PI_HI, _down, _up
 
 
 class CuspData(namedtuple("CuspData", "meridian longitude parent_volume")):

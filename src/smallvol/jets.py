@@ -14,7 +14,9 @@ primitive operation returning v carries an absolute error of at most
 that may have underflowed (sums of doubles that land in the subnormal
 range are exact, so additions never pay it).  Outward steps are taken
 with ``math.nextafter`` so the accumulated bound itself never rounds
-down.
+down.  Those constants and steps, and ``JetError``/``JetDomainError``,
+live in ``rounding``, which modules that build no jet import without
+this one; the names are re-exported here, so each is one object.
 
 Nonlinear behaviour (products of linear parts and of error radii,
 Taylor remainders of ``log_jet``/``atan_jet``) is folded entirely into
@@ -45,48 +47,15 @@ from __future__ import annotations
 
 import math
 
-# Relative error committed by one round-to-nearest double operation is at
-# most 2^-53; the budget itself is then rounded outward.
-EPS_PRIM = 2.0 ** -53
-# One quantum of the subnormal range; covers the absolute error of a single
-# underflowing multiply/divide, where the relative bound fails.
-TINY = 5e-324
+from .rounding import (EPS_PRIM, PI_HI, PI_LO, TINY, JetDomainError, JetError,
+                       _INF, _down, _mul_up, _nextafter, _up)
 
-_INF = math.inf
-
-# pi is irrational; math.pi is the nearest double and lies below the true
-# value, so [PI_LO, PI_HI] is a certified enclosure one ulp wide.
-PI_LO = math.pi
-PI_HI = math.nextafter(math.pi, _INF)
-SQRT2_LO = math.nextafter(math.sqrt(2.0), -_INF)
-SQRT2_HI = math.nextafter(math.sqrt(2.0), _INF)
-
-_nextafter = math.nextafter
 _new = object.__new__
-
-
-class JetError(ValueError):
-    """Invalid jet construction (non-finite field, bad index, ...)."""
-
-
-class JetDomainError(JetError):
-    """Operation applied to a jet outside its provable domain."""
-
-
-def _up(x: float) -> float:
-    return _nextafter(x, _INF)
-
-
-def _down(x: float) -> float:
-    return _nextafter(x, -_INF)
+_MIN_NORMAL = 2.0 ** -1022
 
 
 def _add_up(x: float, y: float) -> float:
     return _up(x + y)
-
-
-def _mul_up(x: float, y: float) -> float:
-    return _up(x * y)
 
 
 def _div_up(x: float, y: float) -> float:
@@ -165,7 +134,9 @@ def _recip(b0: float, be: float, s: float, xs: tuple) -> tuple:
     err = up(up(up(eps * abs(c), inf) + TINY, inf), inf)
     q = b0 * b0
     q_lo = _nextafter(q, -inf)  # certified lower bound for b0^2
-    if q_lo <= 0.0:
+    # A subnormal q has no relative rounding bound, so nothing with a
+    # spread is divided by it.
+    if q_lo <= 0.0 or (s and q < _MIN_NORMAL):
         raise JetDomainError("reciprocal: center too close to zero")
     coeffs = []
     for bi in xs:
@@ -193,14 +164,13 @@ def _recip(b0: float, be: float, s: float, xs: tuple) -> tuple:
         # Remainder of the linearization: (f-b0)^2 / (b0^2 f).
         if s:
             den = q_lo * m
-            if den == inf:
-                # s^2 / den would read den as DBL_MAX; divide s by each factor.
+            if den == inf or den <= TINY:
+                # Over- or underflowed: s^2 / den would read den as DBL_MAX
+                # or as at most 0 after the step down; divide s by each
+                # factor instead.
                 rem = up(up(s / q_lo, inf) * up(s / m, inf), inf)
             else:
-                den = _nextafter(den, -inf)
-                if den <= 0.0:
-                    raise JetDomainError("reciprocal: range too close to zero")
-                rem = up(up(s * s, inf) / den, inf)
+                rem = up(up(s * s, inf) / _nextafter(den, -inf), inf)
             err = up(err + rem, inf)
     if -inf < c < inf and err < inf:
         return c, tuple(coeffs), err

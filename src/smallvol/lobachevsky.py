@@ -16,6 +16,11 @@ l_n / l_{n+1} > pi^2, so once the argument is reduced into (-pi/2, pi/2]
 bounds the whole remaining tail by twice itself.  All evaluation is
 carried out in jet arithmetic, so the returned jet contains the true
 value of L pointwise over the input jet's range.
+
+Loading the module, and filling the coefficients (``default_coeffs``),
+takes only the rounding layer (``rounding``).  The functions that take a
+jet reach ``jets`` through ``_jets()``, which imports it on first use,
+so a command that builds no jet never loads the jet classes.
 """
 
 from __future__ import annotations
@@ -23,19 +28,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .jets import (
-    Jet,
-    JetDomainError,
-    PI_HI,
-    PI_LO,
-    SQRT2_HI,
-    _down,
-    _jet,
-    _mul_up,
-    _up,
-    log_jet,
-    pi_jet,
-)
+from .rounding import PI_HI, PI_LO, SQRT2_HI, JetDomainError, _down, _mul_up, _up
 
 DEFAULT_TERMS = 32
 MAX_TERMS = 64
@@ -102,12 +95,6 @@ class SeriesCoeffs(namedtuple("SeriesCoeffs", "count lower upper ratios")):
 
         return tuple(Fraction(p, q) for p, q in self.ratios)
 
-    def term_jet(self, n: int) -> Jet:
-        """Dimension-0 jet containing l_n (1-based index)."""
-        lo = self.lower[n - 1]
-        hi = self.upper[n - 1]
-        return _jet(lo, (), _up(hi - lo))
-
 
 def series_coeffs(count: int = DEFAULT_TERMS) -> SeriesCoeffs:
     """Exact-ratio l_n enclosures, with the tangent numbers checked by von
@@ -151,6 +138,23 @@ def default_coeffs() -> SeriesCoeffs:
     return _DEFAULT_COEFFS
 
 
+_JETS = None
+
+
+def _jets():
+    """The ``jets`` module, imported by the first call that takes a jet.
+
+    Kept as the module, not its functions, so each call looks up
+    ``jets.log_jet`` afresh and sees a wrapper patched onto it.  An import
+    statement in place of this call costs about 3 % of a ``lobachevsky``
+    call."""
+    global _JETS
+    if _JETS is None:
+        from . import jets
+        _JETS = jets
+    return _JETS
+
+
 # Certified lower bound for pi/sqrt(2), the reduction target ceiling.
 _REDUCE_LIMIT = _down(PI_LO / SQRT2_HI)
 
@@ -166,7 +170,7 @@ def range_reduce(theta: Jet) -> Jet:
     if k == 0:
         theta0 = theta
     else:
-        theta0 = theta - pi_jet() * float(k)
+        theta0 = theta - _jets().pi_jet() * float(k)
     if not theta0.sup_abs() < _REDUCE_LIMIT:
         raise ReductionError(
             "cannot certify |theta0| < pi/sqrt(2) after range reduction"
@@ -186,7 +190,7 @@ def lobachevsky(theta: Jet, tol: float = 1e-12) -> Jet:
     coeffs = default_coeffs()
     theta0 = range_reduce(theta)
     if theta0.is_exact_zero():
-        return Jet.constant(0.0)
+        return _jets().Jet.constant(0.0)
     if theta0.prove_positive():
         return _eval_positive(theta0, tol, coeffs)
     if theta0.prove_negative():
@@ -198,12 +202,15 @@ def lobachevsky(theta: Jet, tol: float = 1e-12) -> Jet:
 
 def _eval_positive(t: Jet, tol: float, coeffs: SeriesCoeffs) -> Jet:
     """Series evaluation for t provably inside (0, pi/sqrt(2))."""
+    jets = _jets()
+    _jet, log_jet = jets._jet, jets.log_jet
     s = 1.0 - log_jet(t * 2.0)
     t_sq = t * t
     power = t_sq
     tail = None
-    for n in range(1, coeffs.count + 1):
-        term = coeffs.term_jet(n) * power
+    for n, (lo, hi) in enumerate(zip(coeffs.lower, coeffs.upper), 1):
+        # Dimension-0 jet containing l_n.
+        term = _jet(lo, (), _up(hi - lo)) * power
         bound = term.sup_abs()
         if bound <= tol:
             # Remaining terms from n on sum to less than 2 * bound.

@@ -1,0 +1,49 @@
+"""Outward rounding on plain doubles, shared by every stage.
+
+Round-to-nearest IEEE-754 doubles are assumed: one primitive operation
+returning v is off by at most ``EPS_PRIM * |v|``, plus ``TINY`` for a
+multiply or divide that may have underflowed.  ``_up``/``_down`` step
+one double outward, so a bound built from them never rounds toward the
+value it bounds.  The jet classes (``jets``) build on these constants
+and exceptions; ``cli``, ``filling`` and the Lobachevsky coefficients
+use them without loading ``jets``.
+"""
+
+import math
+
+# Relative error committed by one round-to-nearest double operation is at
+# most 2^-53; the budget itself is then rounded outward.
+EPS_PRIM = 2.0 ** -53
+# One quantum of the subnormal range; covers the absolute error of a single
+# underflowing multiply/divide, where the relative bound fails.
+TINY = 5e-324
+
+_INF = math.inf
+
+# pi is irrational; math.pi is the nearest double and lies below the true
+# value, so [PI_LO, PI_HI] is a certified enclosure one ulp wide.
+PI_LO = math.pi
+PI_HI = math.nextafter(math.pi, _INF)
+SQRT2_HI = math.nextafter(math.sqrt(2.0), _INF)
+
+_nextafter = math.nextafter
+
+
+class JetError(ValueError):
+    """Invalid jet construction (non-finite field, bad index, ...)."""
+
+
+class JetDomainError(JetError):
+    """Operation applied to a jet outside its provable domain."""
+
+
+def _up(x: float) -> float:
+    return _nextafter(x, _INF)
+
+
+def _down(x: float) -> float:
+    return _nextafter(x, -_INF)
+
+
+def _mul_up(x: float, y: float) -> float:
+    return _up(x * y)

@@ -387,14 +387,17 @@ class TestCertificatePins:
     def test_residuals_evaluated_once_per_point(self, monkeypatch):
         import smallvol.certify as certify
 
-        sys = census_system(2, True, 5)
+        template = census_system(2, True, 5)
         points = []
 
         def counted(system, shapes=None):
             points.append(tuple(system.shapes if shapes is None else shapes))
             return residual(system, shapes)
 
+        # Counted from construction on: Newton starts from the residual
+        # that the branch screen computed at the stored shapes.
         monkeypatch.setattr(certify, "residual", counted)
+        sys = GluingSystem(template.equations, template.shapes)
         cert = krawczyk_certify(sys)
         assert len(points) == len(set(points)) >= 2
         assert points[0] == sys.shapes and cert.refined_center in points

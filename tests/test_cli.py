@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import random
@@ -452,33 +453,36 @@ FIG8 = os.path.join(os.path.dirname(smallvol.__file__), "data", "fig8.gluing")
 class TestColdStart:
     """Each entry point loads only the modules it runs."""
 
-    def test_package_import_loads_the_jet_core_only(self):
+    def test_package_import_loads_the_rounding_layer_only(self):
         assert _loaded_after("import smallvol") == {
-            "smallvol", "smallvol.jets", "smallvol.lobachevsky"}
+            "smallvol", "smallvol.lobachevsky", "smallvol.rounding"}
 
-    def test_cli_import_loads_the_jet_core_only(self):
+    def test_cli_import_loads_the_rounding_layer_only(self):
         assert _loaded_after("import smallvol.cli") == {
-            "smallvol", "smallvol.cli", "smallvol.jets", "smallvol.lobachevsky"}
+            "smallvol", "smallvol.cli", "smallvol.lobachevsky", "smallvol.rounding"}
 
     def test_coefficient_fill_loads_no_rational_arithmetic(self):
-        # What every command does first when it evaluates a volume.
+        # What every command does first when it evaluates a volume; it
+        # builds no jet, so it loads no jets either.
         assert _loaded_after("import smallvol.cli\n"
                              "from smallvol.lobachevsky import default_coeffs\n"
                              "default_coeffs()") == {
-            "smallvol", "smallvol.cli", "smallvol.jets", "smallvol.lobachevsky"}
+            "smallvol", "smallvol.cli", "smallvol.lobachevsky", "smallvol.rounding"}
 
     @pytest.mark.parametrize("argv, absent", (
         (["bound", "--parent", "5.33349", "--target", "2.848"],
          ("smallvol.certify", "smallvol.geometry", "smallvol.formats",
-          "smallvol.grouptool", "dataclasses", "fractions", "decimal")),
+          "smallvol.grouptool", "smallvol.jets", "dataclasses", "fractions", "decimal")),
         (["enumerate", "--meridian", "0.5,1.3228756555322954", "--longitude", "2,0",
           "--parent", "5.33349"], ("smallvol.certify", "smallvol.geometry",
-                                   "smallvol.formats", "smallvol.grouptool", "dataclasses")),
+                                   "smallvol.formats", "smallvol.grouptool",
+                                   "smallvol.jets", "dataclasses")),
         (["volume", FIG8, "--gt", "2"],
          ("smallvol.grouptool", "smallvol.filling", "fractions", "decimal")),
         (["certify", FIG8], ("smallvol.grouptool", "smallvol.filling", "fractions", "decimal")),
         (["nonhyp", "--rel", "a3b2"], ("smallvol.certify", "smallvol.geometry",
-                                       "smallvol.filling", "fractions", "decimal")),
+                                       "smallvol.filling", "smallvol.jets",
+                                       "fractions", "decimal")),
     ))
     def test_command_loads_only_its_modules(self, argv, absent):
         loaded = _loaded_after(
@@ -505,6 +509,34 @@ class TestColdStart:
         _loaded_after("import importlib, smallvol\n"
                       "m = importlib.import_module('smallvol.lobachevsky')\n"
                       "smallvol.Jet, smallvol.certified_volume, smallvol.cli\n"
+                      "assert smallvol.lobachevsky is m.lobachevsky")
+
+    def test_lazy_jet_names_are_the_jets_objects(self):
+        from smallvol import jets
+
+        for name in ("Jet", "ComplexJet", "arg_complex", "atan_jet", "log_jet"):
+            assert name in smallvol.__all__
+            assert getattr(smallvol, name) is getattr(jets, name)
+        assert smallvol.jets is jets
+        # Reading a jet name loads jets and nothing else.
+        assert _loaded_after("import smallvol\nsmallvol.Jet") == {
+            "smallvol", "smallvol.jets", "smallvol.lobachevsky", "smallvol.rounding"}
+
+    def test_exception_classes_are_one_object_across_modules(self):
+        from smallvol import certify, geometry, jets, rounding
+
+        lobachevsky = importlib.import_module("smallvol.lobachevsky")
+        assert jets.JetError is rounding.JetError
+        for module in (jets, geometry, certify, cli):
+            assert module.JetDomainError is rounding.JetDomainError
+        assert issubclass(lobachevsky.ReductionError, jets.JetDomainError)
+        with pytest.raises(jets.JetDomainError):
+            jets.Jet(0.0, (1.0,), 0.0).reciprocal()
+
+    def test_lobachevsky_attribute_survives_loading_jets(self):
+        _loaded_after("import importlib, smallvol\n"
+                      "m = importlib.import_module('smallvol.lobachevsky')\n"
+                      "import smallvol.jets\n"
                       "assert smallvol.lobachevsky is m.lobachevsky")
 
     def test_unknown_attribute_raises(self):

@@ -189,6 +189,19 @@ class TestCertifiedVolume:
             )
             assert mpmath.mpf(iv.lo) <= vol <= mpmath.mpf(iv.hi)
 
+    @pytest.mark.parametrize("z", (1e-60 + 1e-60j, 2e-55 + 1e-55j, 1e-70 + 3e-70j))
+    @pytest.mark.parametrize("delta", (0.0, 1e-75))
+    def test_tiny_shapes_contain_the_bloch_wigner_volume(self, z, delta):
+        # 1/z divides by |z|^2, whose reciprocal has b0^2 * m underflowing;
+        # it once raised "range too close to zero".
+        iv = certified_volume(ShapeAssignment((z,), delta))
+        with mpmath.workdps(60):
+            w = mpmath.mpc(z)
+            # D(z) = Im Li2(z) + arg(1 - z) log|z|
+            vol = mpmath.im(mpmath.polylog(2, w)) + mpmath.arg(1 - w) * mpmath.log(abs(w))
+            assert vol > 0
+            assert mpmath.mpf(iv.lo) <= vol <= mpmath.mpf(iv.hi)
+
     def test_orientation_failure_raises(self):
         with pytest.raises(OrientationError):
             certified_volume(ShapeAssignment((0.5 - 0.9j,), 0.0))

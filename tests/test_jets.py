@@ -237,6 +237,48 @@ class TestOverflow:
             checked += 1
         assert checked == 600
 
+    def test_reciprocal_remainder_when_its_denominator_underflows(self):
+        # 1/(1 - z) for z = 1e120 (1 + i) has real part b0 = -5e-121, and
+        # b0^2 * m = 1.25e-361 underflows; the reciprocal of that provably
+        # nonzero part was once refused as "range too close to zero".
+        x = 1e120
+        w = (1.0 - ComplexJet.constant(complex(x, x))).reciprocal()
+        r = w.im / w.re
+        assert r.center == -1.0 and r.err < 1e-14
+        arg = arg_complex(w)
+        with mpmath.workdps(60):
+            assert jet_contains_value(r, mpmath.mpf(x) / (1 - mpmath.mpf(x)))
+            assert jet_contains_value(arg, mp_arg(1 - mpmath.mpf(x), mpmath.mpf(x), dps=60))
+
+    def test_tiny_reciprocals_contain_and_stay_tight(self):
+        # Centers from 1e-160 to 1e-100: b0^2 * m underflows for |b0| below
+        # about 1.7e-108, and b0^2 is subnormal below about 1.5e-154, where
+        # a jet with a spread is refused.
+        rng = random.Random(1702)
+        checked = refused = 0
+        for _ in range(600):
+            b0 = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-160.0, -100.0)
+            coeffs = tuple(rng.choice((0.0, b0 * rng.choice((-1, 1)) * 10.0 ** rng.uniform(-18, -1)))
+                           for _ in range(rng.randrange(3)))
+            be = rng.choice((0.0, abs(b0) * 10.0 ** rng.uniform(-18, -1)))
+            f = Jet(b0, coeffs, be)
+            s = f.spread()
+            if s and b0 * b0 < 2.0 ** -1022:
+                with pytest.raises(JetDomainError, match="center too close to zero"):
+                    f.reciprocal()
+                refused += 1
+                continue
+            r = f.reciprocal()
+            m = abs(b0) - s
+            assert r.err <= 4.0 * abs(r.center) * (s / m + EPS_PRIM) + 1e-322
+            with mpmath.workdps(60):
+                for xs in itertools.product((-1, 1), repeat=len(coeffs)):
+                    for e in (-be, be):
+                        v = mpmath.mpf(b0) + e + sum(mpmath.mpf(c) * x for c, x in zip(coeffs, xs))
+                        assert jet_contains(r, xs, 1 / v), (b0, coeffs, be)
+            checked += 1
+        assert checked + refused == 600 and checked > 400 and refused > 0
+
     def test_results_are_finite_or_rejected(self):
         mags = (0.0, 5e-324, 1e-310, 1e-160, 0.7, 3.0, 1e160, 1e300, 1.7e308)
         jets = [Jet(c, (r, -r), e) for c in mags for r in mags[:6] for e in (0.0, 1e-300, 1e-3)]
