@@ -2,9 +2,9 @@
 
 Subcommands: ``bound``, ``enumerate``, ``certify``, ``volume``,
 ``nonhyp`` and ``selftest``.  Reports are machine-parseable: one
-``key: value`` pair per line, items separated by blank lines, and the
-wall-clock line (``elapsed_ms``) always last so the rest of the report
-is byte-identical across runs.
+``key: value`` pair per line, the first (``command``) echoing the
+arguments the command ran on and the wall-clock line (``elapsed_ms``)
+always last, so the rest of the report is byte-identical across runs.
 
 Exit codes: 0 the claim was verified, 1 the computation was
 inconclusive (never an assertion of the negative), 2 malformed input.
@@ -35,7 +35,7 @@ OK, UNDECIDED, BAD_INPUT = 0, 1, 2
 
 
 class Report:
-    """Ordered key/value lines with blank-line item separators."""
+    """Ordered ``key: value`` lines, the wall-clock line last."""
 
     def __init__(self, command: str):
         self.lines = [("command", command)]
@@ -44,19 +44,11 @@ class Report:
     def add(self, key, value):
         self.lines.append((key, value))
 
-    def blank(self):
-        self.lines.append(None)
-
-    def emit(self, stream=None):
-        if stream is None:
-            stream = sys.stdout
-        for item in self.lines:
-            if item is None:
-                print(file=stream)
-            else:
-                print(f"{item[0]}: {item[1]}", file=stream)
+    def emit(self):
+        for key, value in self.lines:
+            print(f"{key}: {value}")
         ms = int(round(1000 * (time.perf_counter() - self.t0)))
-        print(f"elapsed_ms: {ms}", file=stream)
+        print(f"elapsed_ms: {ms}")
 
 
 def _cutoff_upper(parent: float, target: float, fudge: float = 0.0) -> float:
@@ -135,39 +127,22 @@ def _read_text(path: str) -> str:
             raise smallvol.formats.FormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
-def cmd_bound(args) -> int:
-    rep = Report(f"bound --parent {args.parent!r} --target {args.target!r}")
-    try:
-        smallvol.filling.slope_length_bound(args.parent, args.target)  # checks the volumes
-        b = _cutoff_upper(args.parent, args.target)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BAD_INPUT
-    rep.add("bound", repr(b))
+def cmd_bound(args, rep) -> int:
+    smallvol.filling.slope_length_bound(args.parent, args.target)  # checks the volumes
+    rep.add("bound", repr(_cutoff_upper(args.parent, args.target)))
     rep.add("floor_2pi", f"{2 * math.pi:.12g}")
-    rep.emit()
     return OK
 
 
-def cmd_enumerate(args) -> int:
-    rep = Report(
-        f"enumerate --meridian {args.meridian.real!r},{args.meridian.imag!r}"
-        f" --longitude {args.longitude.real!r},{args.longitude.imag!r}"
-        f" --parent {args.parent!r} --target {args.target!r} --fudge {args.fudge!r}"
-    )
-    try:
-        filling = smallvol.filling
-        cusp = filling.CuspData(args.meridian, args.longitude, args.parent)
-        slopes = filling.enumerate_slopes(cusp, args.target, args.fudge)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BAD_INPUT
+def cmd_enumerate(args, rep) -> int:
+    filling = smallvol.filling
+    cusp = filling.CuspData(args.meridian, args.longitude, args.parent)
+    slopes = filling.enumerate_slopes(cusp, args.target, args.fudge)
     rep.add("bound", repr(_cutoff_upper(args.parent, args.target)))
     rep.add("cutoff", repr(_cutoff_upper(args.parent, args.target, args.fudge)))
     rep.add("pairs", len(slopes.pairs))
     for line in _pair_lines(cusp, slopes.pairs):
         rep.add("pair", line)
-    rep.emit()
     return OK
 
 
@@ -193,36 +168,17 @@ def _certify_into(rep: Report, sys_):
     return cert
 
 
-def cmd_certify(args) -> int:
-    rep = Report(f"certify {args.file}")
-    try:
-        sys_ = _load_system(args.file)
-    except (OSError, smallvol.formats.FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BAD_INPUT
-    cert = _certify_into(rep, sys_)
-    rep.emit()
+def cmd_certify(args, rep) -> int:
+    cert = _certify_into(rep, _load_system(args.file))
     return OK if cert is not None else UNDECIDED
 
 
-def cmd_volume(args) -> int:
-    rep = Report(
-        f"volume {args.file}"
-        + (f" --delta {args.delta!r}" if args.delta is not None else "")
-        + (f" --gt {args.gt!r}" if args.gt is not None else "")
-        + (f" --le {args.le!r}" if args.le is not None else "")
-    )
-    try:
-        sys_ = _load_system(args.file)
-    except (OSError, smallvol.formats.FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BAD_INPUT
-
+def cmd_volume(args, rep) -> int:
+    sys_ = _load_system(args.file)
     if args.delta is None:
         cert = _certify_into(rep, sys_)
         if cert is None:
             rep.add("verdict", "inconclusive")
-            rep.emit()
             return UNDECIDED
 
     geometry = smallvol.geometry
@@ -231,12 +187,11 @@ def cmd_volume(args) -> int:
             assignment = cert.shape_assignment()
         else:
             assignment = geometry.ShapeAssignment(sys_.shapes, args.delta)
-        iv = geometry.certified_volume(assignment, tol=args.tol)
+        iv = geometry.certified_volume(assignment, tol=1e-12 if args.tol is None else args.tol)
     except (geometry.OrientationError, ValueError, JetDomainError) as exc:
         rep.add("volume", "inconclusive")
         rep.add("reason", str(exc))
         rep.add("verdict", "inconclusive")
-        rep.emit()
         return UNDECIDED
     rep.add("volume_lo", repr(iv.lo))
     rep.add("volume_hi", repr(iv.hi))
@@ -256,37 +211,27 @@ def cmd_volume(args) -> int:
         else:
             verdict = "proven" if args.delta is None else "assumed-delta"
         rep.add("verdict", verdict)
-        rep.emit()
         return OK if verdict == "proven" else UNDECIDED
     rep.add("verdict", "certified" if args.delta is None else "assumed-delta")
-    rep.emit()
     return OK
 
 
-def cmd_nonhyp(args) -> int:
-    rep = Report(
-        ("nonhyp --rel " + args.rel if args.rel else f"nonhyp {args.file}")
-        + (f" --script {args.script}" if args.script else "")
-    )
+def cmd_nonhyp(args, rep) -> int:
+    if args.file is None and args.rel is None:
+        raise ValueError("nonhyp needs a presentation file or --rel")
+    if args.file is not None and args.rel is not None:
+        raise ValueError("nonhyp takes a presentation file or --rel, not both")
     formats, grouptool = smallvol.formats, smallvol.grouptool
-    try:
-        if args.rel:
-            gens = sorted(set(c for c in args.rel if c.isalpha()))
-            pres = formats.parse_presentation(
-                "gens " + " ".join(gens) + "\nrel " + args.rel + "\n"
-            )
-        else:
-            pres = formats.parse_presentation(_read_text(args.file))
-    except (OSError, formats.FormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BAD_INPUT
+    if args.rel is not None:
+        gens = sorted(set(c for c in args.rel if c.isalpha()))
+        pres = formats.parse_presentation(
+            "gens " + " ".join(gens) + "\nrel " + args.rel + "\n"
+        )
+    else:
+        pres = formats.parse_presentation(_read_text(args.file))
 
-    if args.script:
-        try:
-            script = formats.parse_script(_read_text(args.script))
-        except (OSError, formats.FormatError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return BAD_INPUT
+    if args.script is not None:
+        script = formats.parse_script(_read_text(args.script))
         depth = grouptool.search.DEFAULT_DEPTH if args.depth is None else args.depth
         verdict = grouptool.verify_script(pres, script, depth=depth)
         rep.add("mode", "script")
@@ -297,12 +242,10 @@ def cmd_nonhyp(args) -> int:
     rep.add("reason", verdict.reason)
     for line in verdict.log:
         rep.add("note", line)
-    rep.emit()
     return OK if verdict.nonhyperbolic else UNDECIDED
 
 
-def cmd_selftest(args) -> int:
-    rep = Report("selftest")
+def cmd_selftest(args, rep) -> int:
     failures = 0
     certify, data, filling = smallvol.certify, smallvol.data, smallvol.filling
     formats, geometry, grouptool = smallvol.formats, smallvol.geometry, smallvol.grouptool
@@ -351,7 +294,6 @@ def cmd_selftest(args) -> int:
     check("detect-a3b2", grouptool.detect_power_relator(pres).nonhyperbolic)
 
     rep.add("failures", failures)
-    rep.emit()
     return OK if failures == 0 else UNDECIDED
 
 
@@ -370,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="slope-length bound from volumes")
     p.add_argument("--parent", type=_finite_flag, required=True)
     p.add_argument("--target", type=_finite_flag, default=2.848)
-    p.set_defaults(fn=cmd_bound)
+    p.set_defaults(fn=cmd_bound, echo=("--parent", "--target"))
 
     p = sub.add_parser("enumerate", help="enumerate candidate filling slopes")
     p.add_argument("--meridian", type=_complex_flag, required=True)
@@ -378,11 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parent", type=_finite_flag, required=True)
     p.add_argument("--target", type=_finite_flag, default=2.848)
     p.add_argument("--fudge", type=_finite_flag, default=0.01)
-    p.set_defaults(fn=cmd_enumerate)
+    p.set_defaults(fn=cmd_enumerate, echo=("--meridian", "--longitude", "--parent",
+                                           "--target", "--fudge"))
 
     p = sub.add_parser("certify", help="certify a gluing-equation solution")
     p.add_argument("file")
-    p.set_defaults(fn=cmd_certify)
+    p.set_defaults(fn=cmd_certify, echo=("file",))
 
     p = sub.add_parser("volume", help="certified volume interval")
     p.add_argument("file")
@@ -390,13 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="assume this solution-distance bound instead of "
                         "running certification (verdict: assumed-delta; "
                         "a claim is then never proven and exits 1)")
-    p.add_argument("--tol", type=_tol_flag, default=1e-12,
-                   help="Lobachevsky series truncation tolerance (> 0)")
+    p.add_argument("--tol", type=_tol_flag, default=None,
+                   help="Lobachevsky series truncation tolerance (> 0, "
+                        "default 1e-12)")
     p.add_argument("--gt", type=_finite_flag, default=None,
                    help="prove volume strictly greater than this")
     p.add_argument("--le", type=_finite_flag, default=None,
                    help="prove volume at most this")
-    p.set_defaults(fn=cmd_volume)
+    p.set_defaults(fn=cmd_volume, echo=("file", "--delta", "--tol", "--gt", "--le"))
 
     p = sub.add_parser("nonhyp", help="check a non-hyperbolicity claim")
     p.add_argument("file", nargs="?", default=None,
@@ -406,19 +350,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--script", default=None, help="proof script file")
     p.add_argument("--depth", type=_depth_flag, default=None,
                    help="search depth for direct-calculation steps")
-    p.set_defaults(fn=cmd_nonhyp)
+    p.set_defaults(fn=cmd_nonhyp, echo=("file", "--rel", "--script", "--depth"))
 
     p = sub.add_parser("selftest", help="run the embedded fixture suite")
-    p.set_defaults(fn=cmd_selftest)
+    p.set_defaults(fn=cmd_selftest, echo=())
     return ap
 
 
+def _echo(args) -> str:
+    """The ``command:`` line: the subcommand and each of its echoed
+    arguments that is set, positionals bare and options as ``--flag
+    value``, numbers by ``repr`` and complex numbers as ``re,im``."""
+    out = [args.cmd]
+    for name in args.echo:
+        value = getattr(args, name.lstrip("-"))
+        if value is None:
+            continue
+        if isinstance(value, complex):
+            value = f"{value.real!r},{value.imag!r}"
+        elif not isinstance(value, str):
+            value = repr(value)
+        out += [name, value] if name.startswith("--") else [value]
+    return " ".join(out)
+
+
 def main(argv=None) -> int:
+    """Run one subcommand and print its report.  A command only adds
+    report lines; an ``OSError`` or ``ValueError`` that escapes it is
+    malformed input, reported on stderr with nothing on stdout."""
     args = build_parser().parse_args(argv)
-    if args.cmd == "nonhyp" and not args.rel and not args.file:
-        print("error: nonhyp needs a presentation file or --rel", file=sys.stderr)
+    rep = Report(_echo(args))
+    try:
+        code = args.fn(args, rep)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
-    return args.fn(args)
+    rep.emit()
+    return code
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ inconclusive.  The rule base:
   finite-volume hyperbolic 3-manifold, and neither is one with torsion.
 
 Script text grammar (one step per line, ``#`` comments, relator indices
-1-based):
+1-based; a step with more or fewer tokens than shown is malformed):
 
     rotate <r> <k>
     subst <target> <pos> <source> <rot> <inv01>
@@ -240,8 +240,25 @@ def _derive(st: _State, w, text: str, depth: int, node_budget: int):
     raise StepError(f"could not derive {text} = 1 within {limit}")
 
 
+# Arguments each step takes after its kind (after the mode for
+# ``conclude``), as the grammar above spells them; ``trivial`` and
+# ``commutes`` may add a search depth.  Any other count is malformed.
+_ARGUMENTS = {
+    "rotate": (2,), "subst": (5,), "introduce": (2,), "eliminate": (2,),
+    "change": (3,), "trivial": (1, 2), "commutes": (2, 3), "power": (4,),
+    "conj": (3,), "peel": (4,), "wrap": (4,), "grouplem": (5,), "branch": (2,),
+    "conclude abelian": (0,), "conclude trivial-gen": (1,), "conclude torsion": (2,),
+}
+
+
 def _run_step(st: _State, i: int, step, depth, node_budget):
     kind = step[0]
+    name = " ".join(step[:2]) if kind == "conclude" else kind
+    counts = _ARGUMENTS.get(name)
+    given = len(step) - len(name.split())
+    if counts is not None and given not in counts:
+        raise ValueError(f"{name!r} takes {' or '.join(map(str, counts))} "
+                         f"arguments, got {given}")
     if kind == "rotate":
         r, k = int(step[1]), int(step[2])
         rel = _relator(st, r)

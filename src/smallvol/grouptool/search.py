@@ -14,7 +14,16 @@ The insertion count and popped nodes are bounded by ``depth`` and
 search builds is charged its letters before free reduction, and one
 ``search_trivial`` call gives up once that budget is spent.  Each node
 can spawn many successors of its own length, so the node budget alone
-leaves the work quadratic in the word length.
+leaves the work quadratic in the word length.  The rotations are capped
+by the same budget: spelling them out takes 2 len(r)^2 letters for a
+relator r, and a search whose relators need more than the whole budget
+for that stops before building any.
+
+The search runs over doubled letters (2x for the letter x), so that no
+word it stores holds the letter -1: CPython hashes -1 like -2, and words
+that differ only by swapping those two would all collide in its dicts.
+Doubling keeps signs, so cancellation, the successor order and hence
+every derivation are those of the undoubled search.
 
 A failed search can say which limit ended it (``stopped_by``): the
 depth (every word within the depth and length bounds was explored), the
@@ -65,13 +74,11 @@ class Derivation:
 
 
 def _variants(relators):
-    """All distinct rotations of every relator and its inverse."""
+    """All distinct rotations of every (cyclically reduced, nonempty)
+    relator and its inverse."""
     out = []
     seen = set()
-    for rel in relators:
-        r = words.cyclic_reduce(rel)
-        if not r:
-            continue
+    for r in relators:
         for base in (r, words.invert(r)):
             for k in range(len(base)):
                 v = words.rotate(base, k)
@@ -100,27 +107,25 @@ def search_trivial(word, relators, depth: int = DEFAULT_DEPTH,
     start = words.free_reduce(word)
     if start == ():
         return Derivation(start, ())
-    variants = _variants(relators)
-    if not variants:
-        if stopped_by is not None:
-            stopped_by.append(DEPTH)
-        return None
+    rels = [_doubled(r) for r in map(words.cyclic_reduce, relators) if r]
+    stop = DEPTH  # also when no relator is left, or depth 0 allows no round
+    if 2 * sum(len(r) ** 2 for r in rels) > MAX_SEARCH_LETTERS:
+        rels, stop = [], LETTERS
     by_first = {}
     by_last = {}
-    for v in variants:
+    for v in _variants(rels):
         by_first.setdefault(v[0], []).append(v)
         by_last.setdefault(v[-1], []).append(v)
-    max_rel = max(len(v) for v in variants)
-    max_len = len(start) + max_rel + 4
+    max_len = len(start) + max(map(len, rels), default=0) + 4
 
+    root = _doubled(start)
     limit = 1
     letters = MAX_SEARCH_LETTERS
-    stop = DEPTH  # also when depth 0 allows no round
-    while limit <= depth:
+    while rels and limit <= depth:
         if letters <= 0:
             stop = LETTERS
             break
-        found, letters, stop = _best_first(start, by_first, by_last, limit,
+        found, letters, stop = _best_first(root, by_first, by_last, limit,
                                            max_len, node_budget, letters)
         if found is not None:
             return found
@@ -130,26 +135,34 @@ def search_trivial(word, relators, depth: int = DEFAULT_DEPTH,
     return None
 
 
+def _doubled(w) -> tuple:
+    return tuple(2 * x for x in w)
+
+
+def _halved(w) -> tuple:
+    return tuple(x // 2 for x in w)
+
+
 def _successors(w, by_first, by_last):
-    """(position, variant) pairs whose insertion cancels at a junction."""
-    out = []
+    """(position, variant) pairs whose insertion cancels at a junction,
+    generated one at a time so that each is charged before the next."""
     n = len(w)
     for pos in range(n + 1):
         if pos > 0:
             for v in by_first.get(-w[pos - 1], ()):
-                out.append((pos, v))
+                yield pos, v
         if pos < n:
             for v in by_last.get(-w[pos], ()):
                 # avoid double-listing insertions that cancel on both sides
                 if not (pos > 0 and v[0] == -w[pos - 1]):
-                    out.append((pos, v))
-    return out
+                    yield pos, v
 
 
 def _best_first(start, by_first, by_last, limit, max_len, node_budget, letters):
     """(derivation or None, letters left of the budget ``letters``, and
     for a failure the limit that ended the round: DEPTH when the queue
-    ran dry, else NODES or LETTERS)."""
+    ran dry, else NODES or LETTERS).  Every word here, ``start`` and
+    the variants among them, is in doubled letters."""
     counter = 0
     heap = [(len(start), 0, counter, start)]
     parents = {start: None}
@@ -185,13 +198,15 @@ def _best_first(start, by_first, by_last, limit, max_len, node_budget, letters):
 
 
 def _unwind(parents, start):
+    """The derivation recorded in ``parents``, mapped back from doubled
+    letters."""
     steps = []
     w = ()
     while parents[w] is not None:
         prev, pos, variant = parents[w]
-        steps.append(Insertion(pos, variant))
+        steps.append(Insertion(pos, _halved(variant)))
         w = prev
     steps.reverse()
-    deriv = Derivation(start, tuple(steps))
+    deriv = Derivation(_halved(start), tuple(steps))
     assert deriv.replay(), "internal error: derivation does not replay"
     return deriv

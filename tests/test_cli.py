@@ -180,6 +180,7 @@ class TestReportFields:
         ("--gt", "1.0000000000000002", "--le", "2.0298832128193074"),
         ("--delta", "1.0000000000000001e-08", "--gt", "0.30000000000000004"),
         ("--delta", "0", "--le", "2.1"),
+        ("--delta", "1e-09", "--tol", "1.0000000000000001e-08", "--le", "2.1"),
     ))
     def test_volume(self, capsys, fig8_file, extra):
         rc, out, _ = run_cli(capsys, "volume", fig8_file, *extra)
@@ -199,11 +200,47 @@ class TestReportFields:
             centers = [v.split() for k, v in fields if k == "center"]
             assert [(int(i), complex(float(x), float(y))) for i, x, y in centers] == \
                 list(enumerate(cert.refined_center))
-        iv = smallvol.geometry.certified_volume(assignment)
+        iv = smallvol.geometry.certified_volume(assignment, args.get("--tol", 1e-12))
         assert (float(values["volume_lo"]), float(values["volume_hi"])) == (iv.lo, iv.hi)
         for flag, key in (("--gt", "gt_claim"), ("--le", "le_claim")):
             if flag in args:
                 assert float(values[key].split()[0]) == args[flag]
+
+
+    def test_nonhyp_depth(self, capsys, tmp_path):
+        # a8 = 1 takes four insertions of a2, more than depth 3 allows.
+        pres, script = tmp_path / "a2.pres", tmp_path / "a8.script"
+        pres.write_text("gens a\nrel a2\n")
+        script.write_text("trivial a8\n")
+        rc, out, _ = run_cli(capsys, "nonhyp", str(pres), "--script", str(script),
+                             "--depth", "3")
+        assert rc == 1 and int(_echoed_flags(out)["--depth"]) == 3
+        assert "within depth 3" in dict(_fields(out))["reason"]
+
+
+@pytest.mark.parametrize("argv, command", (
+    (("bound", "--parent", "5.33349"), "bound --parent 5.33349 --target 2.848"),
+    (("enumerate", "--meridian", "0.5,1.3228756555322954", "--longitude", "2,0",
+      "--parent", "5.33349"),
+     "enumerate --meridian 0.5,1.3228756555322954 --longitude 2.0,0.0"
+     " --parent 5.33349 --target 2.848 --fudge 0.01"),
+    (("certify", "{fig8}"), "certify {fig8}"),
+    (("volume", "{fig8}"), "volume {fig8}"),
+    (("nonhyp", "--rel", "a3b2"), "nonhyp --rel a3b2"),
+    (("nonhyp", "{pres}", "--script", "{script}"), "nonhyp {pres} --script {script}"),
+    (("selftest",), "selftest"),
+), ids=("bound", "enumerate", "certify", "volume", "nonhyp-rel", "nonhyp-script",
+        "selftest"))
+def test_default_command_lines_are_unchanged(capsys, tmp_path, fig8_file, argv, command):
+    """The ``command:`` line of each subcommand run on its defaults, as
+    earlier releases printed it."""
+    paths = {"fig8": fig8_file, "pres": str(tmp_path / "g.pres"),
+             "script": str(tmp_path / "g.script")}
+    (tmp_path / "g.pres").write_text(presentation_text("p44_01"))
+    (tmp_path / "g.script").write_text(script_text("p44_01"))
+    rc, out, _ = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert rc == 0
+    assert out.splitlines()[0] == "command: " + command.format(**paths)
 
 
 class TestEnumerate:
@@ -596,6 +633,14 @@ class TestNonhyp:
     def test_missing_args(self, capsys):
         rc, _, err = run_cli(capsys, "nonhyp")
         assert rc == 2
+
+    def test_file_and_rel_together_are_malformed(self, capsys, tmp_path):
+        # --rel used to win silently, with the file never read
+        pres = tmp_path / "g.pres"
+        pres.write_text("gens a b\nrel abab-1a-1ba-1b-1\n")
+        rc, out, err = run_cli(capsys, "nonhyp", str(pres), "--rel", "a3b2")
+        assert rc == 2 and out == ""
+        assert err == "error: nonhyp takes a presentation file or --rel, not both\n"
 
     @pytest.mark.parametrize("value", ("-1", "x"))
     def test_invalid_depth_is_malformed(self, capsys, value):

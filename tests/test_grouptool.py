@@ -279,6 +279,42 @@ class TestWorkBounds:
         monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", 3587)
         assert search_trivial(w, [rel], depth=6) is None
 
+    def test_long_relator_search_stops_before_building_its_rotations(self):
+        import tracemalloc
+
+        # The rotations of a^2000 b^2000 and its inverse spell 3.2 * 10^7
+        # letters, more than the whole letter budget.  Building them first
+        # took 52 s and 329 MB before the search could give up.
+        rel = words.concat(words.power((1,), 2000), words.power((2,), 2000))
+        stopped_by = []
+        tracemalloc.start()
+        try:
+            assert search_trivial((1, 2), [rel], stopped_by=stopped_by) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stopped_by == [search.LETTERS]
+        assert peak < 2**20
+        pres = Presentation.from_strings(("a", "b"), ["a2000b2000"])
+        v = verify_script(pres, ProofScript.parse("trivial ab\nconclude abelian\n"))
+        assert v.reason == ("step 1 failed: could not derive ab = 1 within "
+                            "the 10000000-letter search budget (depth 8)")
+
+    def test_derivations_are_spelled_in_the_callers_letters(self):
+        # The letters -1 and -2 (a^-1 and b^-1) hash alike in CPython, so
+        # the search runs over doubled letters; its derivations come back
+        # in the caller's letters, and renaming a to c changes nothing else.
+        rel = words.parse_word("a-2b-3ab-3", ("a", "b"))
+        w = words.commutator(words.power((-1,), 3), words.power((-2,), 3))
+        d = search_trivial(w, [rel], depth=6)
+        assert d is not None and d.replay() and d.start == w and len(d.steps) == 2
+        assert all(set(map(abs, step.inserted)) <= {1, 2} for step in d.steps)
+        renamed = {1: 3, -1: -3, 2: 2, -2: -2}
+        d3 = search_trivial(tuple(renamed[x] for x in w),
+                            [tuple(renamed[x] for x in rel)], depth=6)
+        assert [(s.position, tuple(renamed[x] for x in s.inserted)) for s in d.steps] == \
+            [(s.position, s.inserted) for s in d3.steps]
+
     def test_failed_search_names_the_depth(self):
         # a18 = 1 needs nine insertions of a2; depth 8 explores every word.
         stopped_by = []
@@ -442,6 +478,26 @@ class TestMutations:
             steps.insert(0, ["frobnicate", "a"])
         v = self._verify_mutated("p43_09", mutate)
         assert v.status == INCONCLUSIVE
+
+    @pytest.mark.parametrize("pres_text, steps_text", [
+        *((presentation_text(n), script_text(n)) for n in CORPUS),
+        ("gens a b\nrel a\n", "trivial a\nconclude trivial-gen a\n"),
+        ("gens a b\nrel a3\n", "trivial a3 2\nconclude torsion a 3\n"),
+    ], ids=[*CORPUS, "trivial-gen", "torsion"])
+    def test_an_extra_token_makes_any_step_malformed(self, pres_text, steps_text):
+        # Every step kind, and both depth forms of trivial and commutes
+        # (a step without its optional depth gets the default depth 8
+        # first): trailing tokens used to be ignored, so "conclude abelian
+        # please" proved.
+        pres = parse_presentation(pres_text)
+        steps = ProofScript.parse(steps_text).steps
+        assert verify_script(pres, ProofScript(steps)).nonhyperbolic
+        short = {"trivial": 2, "commutes": 3}
+        for i, step in enumerate(steps):
+            step += ("8",) * (short.get(step[0]) == len(step)) + ("9",)
+            v = verify_script(pres, ProofScript(steps[:i] + (step,) + steps[i + 1:]))
+            assert v.failed_step == i, (step, v.reason)
+            assert v.reason.startswith(f"step {i + 1} malformed: '{step[0]}"), v.reason
 
     def test_eliminate_with_two_occurrences(self):
         pres = parse_presentation("gens a b\nrel abab\n")
