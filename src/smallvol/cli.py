@@ -223,10 +223,8 @@ def cmd_nonhyp(args, rep) -> int:
         raise ValueError("nonhyp takes a presentation file or --rel, not both")
     formats, grouptool = smallvol.formats, smallvol.grouptool
     if args.rel is not None:
-        gens = sorted(set(c for c in args.rel if c.isalpha()))
-        pres = formats.parse_presentation(
-            "gens " + " ".join(gens) + "\nrel " + args.rel + "\n"
-        )
+        gens = sorted({c for c in args.rel if c.isalpha()})
+        pres = grouptool.Presentation.from_strings(gens, [args.rel])
     else:
         pres = formats.parse_presentation(_read_text(args.file))
 
@@ -360,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _echo(args) -> str:
     """The ``command:`` line: the subcommand and each of its echoed
     arguments that is set, positionals bare and options as ``--flag
-    value``, numbers by ``repr`` and complex numbers as ``re,im``."""
+    value``, numbers by ``repr`` and complex numbers as ``re,im``.  A
+    value holding a line break would split the line: malformed input."""
     out = [args.cmd]
     for name in args.echo:
         value = getattr(args, name.lstrip("-"))
@@ -370,17 +369,20 @@ def _echo(args) -> str:
             value = f"{value.real!r},{value.imag!r}"
         elif not isinstance(value, str):
             value = repr(value)
+        elif "".join(value.splitlines()) != value:
+            raise ValueError(f"{name} holds a line break: {value!r}")
         out += [name, value] if name.startswith("--") else [value]
     return " ".join(out)
 
 
 def main(argv=None) -> int:
     """Run one subcommand and print its report.  A command only adds
-    report lines; an ``OSError`` or ``ValueError`` that escapes it is
-    malformed input, reported on stderr with nothing on stdout."""
+    report lines; an ``OSError`` or ``ValueError`` that escapes it or the
+    ``command:`` echo is malformed input, reported on stderr with nothing
+    on stdout."""
     args = build_parser().parse_args(argv)
-    rep = Report(_echo(args))
     try:
+        rep = Report(_echo(args))
         code = args.fn(args, rep)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """Line-oriented text formats for gluing systems, presentations and scripts.
 
-All three formats are UTF-8 with ``#`` comments.  Gluing files:
+All three formats are UTF-8, with ``#`` comments and blank lines dropped
+by one line reader (``_content_lines``).  Gluing files:
 
     tets N
     shape <idx> <re> <im>          (one per tetrahedron)
@@ -11,9 +12,10 @@ Presentation files:
     gens a b c
     rel <word>                     (word syntax: ab-1a-2b-1ab2)
 
-Script files hold one proof step per line; see the grouptool engine for
-the step grammar.  Serializers (``ProofScript.serialize`` for scripts)
-emit a canonical form whose reparse is identical to the original parse.
+Script files hold one proof step per line, read here as its tokens; the
+grouptool engine's step grammar says what each token must be and reads
+it when the step runs.  Each serializer emits a canonical form whose
+reparse is identical to the original parse.
 """
 
 from __future__ import annotations
@@ -114,4 +116,9 @@ def serialize_presentation(p: smallvol.grouptool.Presentation) -> str:
 
 
 def parse_script(text: str) -> smallvol.grouptool.ProofScript:
-    return smallvol.grouptool.ProofScript.parse(text)
+    return smallvol.grouptool.ProofScript(
+        tuple(tuple(line.split()) for _, line in _content_lines(text)))
+
+
+def serialize_script(script: smallvol.grouptool.ProofScript) -> str:
+    return "\n".join(" ".join(step) for step in script.steps) + "\n"

@@ -25,24 +25,28 @@ inconclusive.  The rule base:
   finite-volume hyperbolic 3-manifold, and neither is one with torsion.
 
 Script text grammar (one step per line, ``#`` comments, relator indices
-1-based; a step with more or fewer tokens than shown is malformed):
+1-based).  Each argument is tagged with its signature letter: ``w`` a
+word, ``g`` a generator, ``i`` an integer, ``t`` raw text (a new
+generator's name), ``d`` the optional search depth.  A step reads every
+argument before it runs; one with more or fewer arguments than shown,
+or an argument its letter cannot read, is malformed.
 
-    rotate <r> <k>
-    subst <target> <pos> <source> <rot> <inv01>
-    introduce <name> <word>
-    eliminate <gen> <r>
-    change <old> <new> <word>
-    trivial <word> [depth]
-    commutes <x> <y> [depth]
-    power <x> <n> <y> <m>
-    conj <x> <y> <eps>
-    peel <q> <k> <z> <l>
-    wrap <q> <k> <z> <l>
-    grouplem <x> <y> <n> <m> <k>
-    branch <word> <j>
+    rotate <r:i> <k:i>
+    subst <target:i> <pos:i> <source:i> <rot:i> <inv01:i>
+    introduce <name:t> <word:w>
+    eliminate <gen:g> <r:i>
+    change <old:g> <new:t> <word:w>
+    trivial <word:w> [depth:d]
+    commutes <x:w> <y:w> [depth:d]
+    power <x:w> <n:i> <y:w> <m:i>
+    conj <x:w> <y:w> <eps:i>
+    peel <q:w> <k:i> <z:w> <l:i>
+    wrap <q:w> <k:i> <z:w> <l:i>
+    grouplem <x:w> <y:w> <n:i> <m:i> <k:i>
+    branch <word:w> <j:i>
     conclude abelian
-    conclude trivial-gen <g>
-    conclude torsion <word> <n>
+    conclude trivial-gen <g:g>
+    conclude torsion <word:w> <n:i>
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from dataclasses import dataclass, field
 
 from . import search, words
 from .presentation import Presentation, nontrivial_in_abelianization
-from .search import DEFAULT_DEPTH, DEFAULT_NODE_BUDGET, search_trivial
+from .search import DEFAULT_DEPTH, search_trivial
 
 NONHYPERBOLIC = "nonhyperbolic"
 INCONCLUSIVE = "inconclusive"
@@ -75,21 +79,7 @@ class Verdict:
 
 @dataclass(frozen=True)
 class ProofScript:
-    steps: tuple  # of (kind, args...) tuples
-
-    @classmethod
-    def parse(cls, text: str) -> "ProofScript":
-        steps = []
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            steps.append(tuple(parts))
-        return cls(tuple(steps))
-
-    def serialize(self) -> str:
-        return "\n".join(" ".join(step) for step in self.steps) + "\n"
+    steps: tuple  # of (kind, args...) token tuples; formats.parse_script reads them
 
 
 def _pair(x, y):
@@ -121,15 +111,16 @@ class _State:
     log: list = field(default_factory=list)
 
     def parse(self, text):
-        w = words.parse_word(text, tuple(self.names))
-        for x in w:
-            if abs(x) not in self.active:
-                raise StepError(f"word {text!r} uses an eliminated generator")
+        w = words.parse_word(text, self.names)
+        if len(self.active) < len(self.names):  # a generator was eliminated
+            for x in w:
+                if abs(x) not in self.active:
+                    raise StepError(f"word {text!r} uses an eliminated generator")
         return w
 
     def letter(self, name):
         if name not in self.names:
-            raise StepError(f"unknown generator {name!r}")
+            raise ValueError(f"unknown generator {name!r}")
         idx = self.names.index(name) + 1
         if idx not in self.active:
             raise StepError(f"generator {name!r} was eliminated")
@@ -186,8 +177,7 @@ class _State:
 
 
 def verify_script(pres: Presentation, script: ProofScript,
-                  depth: int = DEFAULT_DEPTH,
-                  node_budget: int = DEFAULT_NODE_BUDGET) -> Verdict:
+                  depth: int = DEFAULT_DEPTH) -> Verdict:
     """Check every step of ``script`` against ``pres``.
 
     Returns NonHyperbolic only when each step verifies and a conclude
@@ -201,7 +191,7 @@ def verify_script(pres: Presentation, script: ProofScript,
     )
     for i, step in enumerate(script.steps):
         try:
-            verdict = _run_step(st, i, step, depth, node_budget)
+            verdict = _run_step(st, step, depth)
         except StepError as exc:
             return Verdict(INCONCLUSIVE, f"step {i + 1} failed: {exc}",
                            failed_step=i, log=tuple(st.log))
@@ -214,18 +204,11 @@ def verify_script(pres: Presentation, script: ProofScript,
                    failed_step=None, log=tuple(st.log))
 
 
-def _step_depth(step, pos: int, default: int) -> int:
-    """The search depth given at ``pos`` of a step, else ``default``."""
-    d = int(step[pos]) if len(step) > pos else default
-    if d < 0:
-        raise ValueError(f"search depth {d} is negative")
-    return d
-
-
-def _derive(st: _State, w, text: str, depth: int, node_budget: int):
+def _derive(st: _State, w, text: str, depth: int):
     """A replayed derivation of ``w`` = 1, or StepError naming the limit
     that ended the search: the depth, the node budget or the letter
     budget."""
+    node_budget = search.DEFAULT_NODE_BUDGET
     stopped_by = []
     deriv = search_trivial(w, st.searchable_relators(), depth=depth,
                            node_budget=node_budget, stopped_by=stopped_by)
@@ -240,32 +223,60 @@ def _derive(st: _State, w, text: str, depth: int, node_budget: int):
     raise StepError(f"could not derive {text} = 1 within {limit}")
 
 
-# Arguments each step takes after its kind (after the mode for
-# ``conclude``), as the grammar above spells them; ``trivial`` and
-# ``commutes`` may add a search depth.  Any other count is malformed.
-_ARGUMENTS = {
-    "rotate": (2,), "subst": (5,), "introduce": (2,), "eliminate": (2,),
-    "change": (3,), "trivial": (1, 2), "commutes": (2, 3), "power": (4,),
-    "conj": (3,), "peel": (4,), "wrap": (4,), "grouplem": (5,), "branch": (2,),
-    "conclude abelian": (0,), "conclude trivial-gen": (1,), "conclude torsion": (2,),
+def _integer(st, token):
+    return int(token)
+
+
+def _text(st, token):
+    return token
+
+
+def _depth(st, token):
+    d = int(token)
+    if d < 0:
+        raise ValueError(f"search depth {d} is negative")
+    return d
+
+
+# Each step kind's signature, one letter per argument after the kind
+# (after the mode for ``conclude``), as the grammar above spells it.
+_SIGNATURES = {
+    "rotate": "ii", "subst": "iiiii", "introduce": "tw", "eliminate": "gi",
+    "change": "gtw", "trivial": "wd", "commutes": "wwd", "power": "wiwi",
+    "conj": "wwi", "peel": "wiwi", "wrap": "wiwi", "grouplem": "wwiii",
+    "branch": "wi", "conclude abelian": "", "conclude trivial-gen": "g",
+    "conclude torsion": "wi",
+}
+_READERS = {"w": _State.parse, "g": _State.letter, "i": _integer, "t": _text, "d": _depth}
+# Per kind: its argument readers, and the argument counts it accepts (a
+# trailing depth may be left out).
+_STEPS = {
+    kind: (tuple(_READERS[c] for c in sig),
+           (len(sig) - 1, len(sig)) if sig.endswith("d") else (len(sig),))
+    for kind, sig in _SIGNATURES.items()
 }
 
 
-def _run_step(st: _State, i: int, step, depth, node_budget):
+def _run_step(st: _State, step, depth):
     kind = step[0]
-    name = " ".join(step[:2]) if kind == "conclude" else kind
-    counts = _ARGUMENTS.get(name)
-    given = len(step) - len(name.split())
-    if counts is not None and given not in counts:
+    name, tokens = (" ".join(step[:2]), step[2:]) if kind == "conclude" else (kind, step[1:])
+    entry = _STEPS.get(name)
+    if entry is None:
+        raise StepError(f"unknown conclusion {step[1]!r}" if kind == "conclude"
+                        else f"unknown step kind {kind!r}")
+    readers, counts = entry
+    if len(tokens) not in counts:
         raise ValueError(f"{name!r} takes {' or '.join(map(str, counts))} "
-                         f"arguments, got {given}")
+                         f"arguments, got {len(tokens)}")
+    args = [read(st, token) for read, token in zip(readers, tokens)]
+    if len(args) < len(readers):
+        args.append(depth)
     if kind == "rotate":
-        r, k = int(step[1]), int(step[2])
-        rel = _relator(st, r)
-        st.relators[r - 1] = words.rotate(rel, k)
+        r, k = args
+        st.relators[r - 1] = words.rotate(_relator(st, r), k)
         st.log.append(f"rotate relator {r} by {k}")
     elif kind == "subst":
-        t, pos, s, rot, inv = (int(x) for x in step[1:6])
+        t, pos, s, rot, inv = args
         if t == s:
             raise StepError("cannot rewrite a relator with itself")
         target = _relator(st, t)
@@ -283,20 +294,18 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
             f"rewrite relator {t} with a conjugate of relator {s}"
         )
     elif kind == "introduce":
-        name, text = step[1], step[2]
-        if name in st.names:
-            raise StepError(f"generator {name!r} already exists")
-        if len(name) != 1 or not name.isalpha():
+        new_name, w = args
+        if new_name in st.names:
+            raise StepError(f"generator {new_name!r} already exists")
+        if len(new_name) != 1 or not new_name.isalpha():
             raise StepError("generator names are single letters")
-        w = st.parse(text)
-        st.names.append(name)
+        st.names.append(new_name)
         g = len(st.names)
         st.active.append(g)
         st.add_relator(words.cyclic_reduce(words.concat(w, (-g,))))
-        st.log.append(f"introduce {name} = {text}")
+        st.log.append(f"introduce {new_name} = {step[2]}")
     elif kind == "eliminate":
-        g = st.letter(step[1])
-        r = int(step[2])
+        g, r = args
         rel = _relator(st, r)
         occurrences = sum(1 for x in rel if abs(x) == g)
         if occurrences != 1:
@@ -324,38 +333,29 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
         st.trivial = {x for x in st.trivial if x}
         st.log.append(f"eliminate {step[1]} = {words.format_word(w, tuple(st.names))}")
     elif kind == "change":
-        old, new_name, text = step[1], step[2], step[3]
-        w = st.parse(text)
-        g_old = st.letter(old)
+        g_old, new_name, w = args
+        old, text = step[1], step[3]
         if sum(1 for x in w if abs(x) == g_old) != 1:
             raise StepError("change of generators needs the old generator "
                             "exactly once in the defining word")
-        _run_step(st, i, ("introduce", new_name, text), depth, node_budget)
-        _run_step(st, i, ("eliminate", old, str(len(st.relators))), depth,
-                  node_budget)
+        _run_step(st, ("introduce", new_name, text), depth)
+        _run_step(st, ("eliminate", old, str(len(st.relators))), depth)
         st.log[-2:] = [f"change generators: {new_name} = {text}, "
                        f"eliminating {old}"]
     elif kind == "trivial":
-        text = step[1]
-        d = _step_depth(step, 2, depth)
-        w = st.parse(text)
-        deriv = _derive(st, w, text, d, node_budget)
+        w, d = args
+        deriv = _derive(st, w, step[1], d)
         st.add_trivial(w)
-        st.log.append(f"verified {text} = 1 ({len(deriv.steps)} insertions)")
+        st.log.append(f"verified {step[1]} = 1 ({len(deriv.steps)} insertions)")
     elif kind == "commutes":
-        x_text, y_text = step[1], step[2]
-        d = _step_depth(step, 3, depth)
-        x, y = st.parse(x_text), st.parse(y_text)
+        x, y, d = args
         c = words.commutator(x, y)
-        _derive(st, c, f"[{x_text},{y_text}]", d, node_budget)
+        _derive(st, c, f"[{step[1]},{step[2]}]", d)
         st.add_fact(x, y)
         st.add_trivial(c)
-        st.log.append(f"verified [{x_text},{y_text}] = 1")
+        st.log.append(f"verified [{step[1]},{step[2]}] = 1")
     elif kind == "power":
-        x = st.parse(step[1])
-        n = int(step[2])
-        y = st.parse(step[3])
-        m = int(step[4])
+        x, n, y, m = args
         if n == 0 or m == 0:
             raise StepError("power rule needs nonzero exponents")
         if not st.has_fact(words.power(x, n), words.power(y, m)):
@@ -365,9 +365,7 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
         st.add_fact(x, y)
         st.log.append(f"[{step[1]},{step[3]}] = 1 by the power rule")
     elif kind == "conj":
-        x = st.parse(step[1])
-        y = st.parse(step[2])
-        eps = int(step[3])
+        x, y, eps = args
         if eps not in (-1, 1):
             raise StepError("conjugacy rule exponent must be +-1")
         conj = words.concat(y, words.power(x, eps), words.invert(y))
@@ -379,10 +377,7 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
         st.add_fact(x, y)
         st.log.append(f"[{step[1]},{step[2]}] = 1 by the conjugacy rule")
     elif kind in ("peel", "wrap"):
-        q = st.parse(step[1])
-        k = int(step[2])
-        z = st.parse(step[3])
-        l = int(step[4])
+        q, k, z, l = args
         wrapped = words.concat(words.power(q, k), z, words.power(q, l))
         if kind == "peel":
             if not st.has_fact(wrapped, q):
@@ -394,9 +389,7 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
             st.add_fact(wrapped, q)
         st.log.append(f"{kind} power factors of {step[1]}")
     elif kind == "grouplem":
-        x = st.parse(step[1])
-        y = st.parse(step[2])
-        n, m, k = int(step[3]), int(step[4]), int(step[5])
+        x, y, n, m, k = args
         if m == 0 or n + k == 0:
             raise StepError("relator-pattern rule needs m != 0 and n+k != 0")
         pattern = words.cyclic_reduce(
@@ -414,8 +407,7 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
             f"(n={n}, m={m}, k={k})"
         )
     elif kind == "branch":
-        w = st.parse(step[1])
-        j = int(step[2])
+        w, j = args
         if j < 2:
             raise StepError("branch needs an exponent >= 2")
         if not st.has_trivial(words.power(w, j)):
@@ -431,10 +423,8 @@ def _run_step(st: _State, i: int, step, depth, node_budget):
             f"case split on {step[1]}^{j} = 1: torsion arm is an immediate "
             f"contradiction; continuing with {step[1]} = 1"
         )
-    elif kind == "conclude":
-        return _conclude(st, i, step)
     else:
-        raise StepError(f"unknown step kind {kind!r}")
+        return _conclude(st, step, args)
     return None
 
 
@@ -450,7 +440,7 @@ def _pairs_commute(st: _State, g, h) -> bool:
     return st.has_fact((g,), (h,))
 
 
-def _conclude(st: _State, i: int, step):
+def _conclude(st: _State, step, args):
     mode = step[1]
     names = tuple(st.names)
     if mode == "abelian":
@@ -484,7 +474,7 @@ def _conclude(st: _State, i: int, step):
             + ", ".join(f"({names[g - 1]},{names[h - 1]})" for g, h in missing)
         )
     if mode == "trivial-gen":
-        g = st.letter(step[2])
+        (g,) = args
         if not st.gen_trivial(g):
             raise StepError(f"generator {step[2]!r} not proved trivial")
         others = [h for h in st.active if h != g]
@@ -501,21 +491,18 @@ def _conclude(st: _State, i: int, step):
             )
         st.log.append(f"generator {step[2]} is trivial and the rest commute")
         return Verdict(NONHYPERBOLIC, "trivial-generator", log=tuple(st.log))
-    if mode == "torsion":
-        w = st.parse(step[2])
-        n = int(step[3])
-        if n < 2:
-            raise StepError("torsion conclusion needs an exponent >= 2")
-        if not st.has_trivial(words.power(w, n)):
-            raise StepError(f"missing fact {step[2]}^{n} = 1")
-        if not _nontrivial(st, w):
-            raise StepError(
-                f"{step[2]} not provably nontrivial, torsion not established"
-            )
-        st.log.append(f"{step[2]} is a nontrivial element with "
-                      f"{step[2]}^{n} = 1: torsion")
-        return Verdict(NONHYPERBOLIC, "torsion", log=tuple(st.log))
-    raise StepError(f"unknown conclusion {mode!r}")
+    w, n = args  # torsion
+    if n < 2:
+        raise StepError("torsion conclusion needs an exponent >= 2")
+    if not st.has_trivial(words.power(w, n)):
+        raise StepError(f"missing fact {step[2]}^{n} = 1")
+    if not _nontrivial(st, w):
+        raise StepError(
+            f"{step[2]} not provably nontrivial, torsion not established"
+        )
+    st.log.append(f"{step[2]} is a nontrivial element with "
+                  f"{step[2]}^{n} = 1: torsion")
+    return Verdict(NONHYPERBOLIC, "torsion", log=tuple(st.log))
 
 
 def _nontrivial(st: _State, w) -> bool:

@@ -14,10 +14,11 @@ The insertion count and popped nodes are bounded by ``depth`` and
 search builds is charged its letters before free reduction, and one
 ``search_trivial`` call gives up once that budget is spent.  Each node
 can spawn many successors of its own length, so the node budget alone
-leaves the work quadratic in the word length.  The rotations are capped
-by the same budget: spelling them out takes 2 len(r)^2 letters for a
-relator r, and a search whose relators need more than the whole budget
-for that stops before building any.
+leaves the work quadratic in the word length.  The rotations are charged
+to the same budget first: spelling them out takes 2 len(r)^2 letters for
+a relator r, the search runs on what is left, and a search whose
+relators need more than the whole budget for that stops before building
+any.
 
 The search runs over doubled letters (2x for the letter x), so that no
 word it stores holds the letter -1: CPython hashes -1 like -2, and words
@@ -109,7 +110,8 @@ def search_trivial(word, relators, depth: int = DEFAULT_DEPTH,
         return Derivation(start, ())
     rels = [_doubled(r) for r in map(words.cyclic_reduce, relators) if r]
     stop = DEPTH  # also when no relator is left, or depth 0 allows no round
-    if 2 * sum(len(r) ** 2 for r in rels) > MAX_SEARCH_LETTERS:
+    letters = MAX_SEARCH_LETTERS - 2 * sum(len(r) ** 2 for r in rels)
+    if letters < 0:
         rels, stop = [], LETTERS
     by_first = {}
     by_last = {}
@@ -120,7 +122,6 @@ def search_trivial(word, relators, depth: int = DEFAULT_DEPTH,
 
     root = _doubled(start)
     limit = 1
-    letters = MAX_SEARCH_LETTERS
     while rels and limit <= depth:
         if letters <= 0:
             stop = LETTERS

@@ -202,10 +202,10 @@ def test_10_group_calculus():
             relators=list(pres.relators),
         )
         before = abelian_invariants(st.snapshot())
-        for i, step in enumerate(script.steps):
+        for step in script.steps:
             if step[0] == "branch":
                 break
-            out = _run_step(st, i, step, 8, 3000)
+            out = _run_step(st, step, 8)
             if step[0] in ("rotate", "subst", "introduce", "eliminate", "change"):
                 ok = ok and abelian_invariants(st.snapshot()) == before
             if out is not None:

@@ -19,6 +19,7 @@ from smallvol.formats import (
     parse_script,
     serialize_gluing,
     serialize_presentation,
+    serialize_script,
 )
 from smallvol.grouptool import words
 
@@ -649,6 +650,26 @@ class TestNonhyp:
         assert exc.value.code == 2
         assert "argument --depth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rel", ("a3b2\nrel ab", "a3b2\n", "a3b2 #"))
+    def test_rel_is_a_word_not_file_text(self, capsys, rel):
+        # --rel used to be spliced into presentation text: a3b2\nrel ab
+        # added a relator over the generators a b e l r, split the
+        # command line in two and exited 1, and a3b2 # proved.
+        rc, out, err = run_cli(capsys, "nonhyp", "--rel", rel)
+        assert rc == 2 and out == "" and err.startswith("error: ")
+
+    def test_line_break_in_a_file_name_is_malformed(self, capsys, tmp_path):
+        # Echoed, such a name split the command line in two.
+        pres = tmp_path / "g\n.pres"
+        pres.write_text("gens a b\nrel a3b2\n")
+        script = tmp_path / "g\n.script"
+        script.write_text("conclude abelian\n")
+        for argv, name in (([str(pres)], "file"),
+                           (["--rel", "a3b2", "--script", str(script)], "--script")):
+            rc, out, err = run_cli(capsys, "nonhyp", *argv)
+            assert rc == 2 and out == ""
+            assert err.startswith(f"error: {name} holds a line break: "), err
+
     def test_zero_depth_accepted(self, capsys):
         rc, out, _ = run_cli(capsys, "nonhyp", "--rel", "a3b2", "--depth", "0")
         assert rc == 0 and "verdict: nonhyperbolic" in out
@@ -681,7 +702,7 @@ class TestRoundTrips:
     @pytest.mark.parametrize("name", CORPUS)
     def test_script_round_trip(self, name):
         s = parse_script(script_text(name))
-        assert parse_script(s.serialize()).steps == s.steps
+        assert parse_script(serialize_script(s)).steps == s.steps
 
     def test_report_determinism(self, capsys, fig8_file):
         _, out1, _ = run_cli(capsys, "volume", fig8_file, "--gt", "0.943")

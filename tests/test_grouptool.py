@@ -20,7 +20,7 @@ from smallvol.grouptool import (
     verify_script,
     words,
 )
-from smallvol.grouptool import search
+from smallvol.grouptool import engine, search
 from smallvol.grouptool.engine import _State, _run_step
 
 
@@ -82,14 +82,14 @@ class TestWords:
     @pytest.mark.parametrize("step", ("trivial a2 -1", "commutes a b -1"))
     def test_script_negative_depth_is_malformed(self, step):
         pres = Presentation.from_strings(("a", "b"), ["a2", "aba-1b-1"])
-        v = verify_script(pres, ProofScript.parse(f"{step}\nconclude abelian\n"))
+        v = verify_script(pres, parse_script(f"{step}\nconclude abelian\n"))
         assert v.status == INCONCLUSIVE and v.failed_step == 0
         assert "step 1 malformed: search depth -1 is negative" in v.reason
 
     def test_script_exponent_over_the_cap_is_malformed(self):
         pres = Presentation.from_strings(("a", "b"), ["aba-1b-1"])
         big = words.MAX_WORD_LENGTH + 1
-        script = ProofScript.parse(f"power a {big} b 1\nconclude abelian\n")
+        script = parse_script(f"power a {big} b 1\nconclude abelian\n")
         v = verify_script(pres, script)
         assert v.status == INCONCLUSIVE and "step 1 malformed" in v.reason
 
@@ -270,13 +270,14 @@ class TestWorkBounds:
         assert peak < 8 * 2**20
 
     def test_search_stops_when_its_letter_budget_is_spent(self, monkeypatch):
-        # [a^3, b^3] in <a, b | a^2 b^3 a^-1 b^3>: two deepening rounds that
-        # build 1785 and 1803 letters, the last word being the empty one.
+        # [a^3, b^3] in <a, b | a^2 b^3 a^-1 b^3>: the relator rotations
+        # (2 * 9^2 = 162 letters), then two deepening rounds that build 1785
+        # and 1803 letters, the last word being the empty one.
         rel = words.parse_word("a2b3a-1b3", ("a", "b"))
         w = words.commutator(words.power((1,), 3), words.power((2,), 3))
-        monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", 3588)
+        monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", 3750)
         assert len(search_trivial(w, [rel], depth=6).steps) == 2
-        monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", 3587)
+        monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", 3749)
         assert search_trivial(w, [rel], depth=6) is None
 
     def test_long_relator_search_stops_before_building_its_rotations(self):
@@ -296,7 +297,7 @@ class TestWorkBounds:
         assert stopped_by == [search.LETTERS]
         assert peak < 2**20
         pres = Presentation.from_strings(("a", "b"), ["a2000b2000"])
-        v = verify_script(pres, ProofScript.parse("trivial ab\nconclude abelian\n"))
+        v = verify_script(pres, parse_script("trivial ab\nconclude abelian\n"))
         assert v.reason == ("step 1 failed: could not derive ab = 1 within "
                             "the 10000000-letter search budget (depth 8)")
 
@@ -321,36 +322,37 @@ class TestWorkBounds:
         assert search_trivial((1,) * 18, [(1, 1)], stopped_by=stopped_by) is None
         assert stopped_by == [search.DEPTH]
         pres = Presentation.from_strings(("a",), ["a2"])
-        v = verify_script(pres, ProofScript.parse("trivial a18\n"))
+        v = verify_script(pres, parse_script("trivial a18\n"))
         assert v.reason == "step 1 failed: could not derive a18 = 1 within depth 8"
         assert search_trivial((1,) * 16, [(1, 1)]) is not None
 
-    def test_failed_search_names_the_node_budget(self):
+    def test_failed_search_names_the_node_budget(self, monkeypatch):
         stopped_by = []
         assert search_trivial((1,) * 8, [(1, 1)], node_budget=2,
                               stopped_by=stopped_by) is None
         assert stopped_by == [search.NODES]
         pres = Presentation.from_strings(("a", "b"), ["a2", "b2"])
-        v = verify_script(pres, ProofScript.parse("commutes a4 b 3\n"), node_budget=2)
+        monkeypatch.setattr(search, "DEFAULT_NODE_BUDGET", 2)
+        v = verify_script(pres, parse_script("commutes a4 b 3\n"))
         assert v.reason == ("step 1 failed: could not derive [a4,b] = 1 within "
                             "the 2-node search budget (depth 3)")
 
     def test_failed_search_names_the_letter_budget(self, monkeypatch):
-        monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", 3587)
+        monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", 3749)
         rel = words.parse_word("a2b3a-1b3", ("a", "b"))
         w = words.commutator(words.power((1,), 3), words.power((2,), 3))
         stopped_by = []
         assert search_trivial(w, [rel], depth=6, stopped_by=stopped_by) is None
         assert stopped_by == [search.LETTERS]
         pres = Presentation.from_strings(("a", "b"), ["a2b3a-1b3"])
-        v = verify_script(pres, ProofScript.parse("commutes a3 b3 6\n"))
+        v = verify_script(pres, parse_script("commutes a3 b3 6\n"))
         assert v.reason == ("step 1 failed: could not derive [a3,b3] = 1 within "
-                            "the 3587-letter search budget (depth 6)")
+                            "the 3749-letter search budget (depth 6)")
 
     def test_long_commutator_search_gives_up(self):
         # At the node budget alone this search built about 10^9 letters.
         pres = Presentation.from_strings(("a", "b"), ["aba-1b-1"])
-        v = verify_script(pres, ProofScript.parse("trivial a40b40a-40b-40\nconclude abelian\n"))
+        v = verify_script(pres, parse_script("trivial a40b40a-40b-40\nconclude abelian\n"))
         assert v.status == INCONCLUSIVE and v.failed_step == 0
         assert "within the 10000000-letter search budget (depth 8)" in v.reason
 
@@ -358,14 +360,14 @@ class TestWorkBounds:
         # Alternating substitutions grow the relators like Fibonacci numbers.
         pres = Presentation.from_strings(("a", "b"), ["ab", "ba2"])
         steps = ["subst 1 0 2 0 0", "subst 2 0 1 0 0"] * 20
-        v = verify_script(pres, ProofScript.parse("\n".join(steps)))
+        v = verify_script(pres, parse_script("\n".join(steps)))
         assert v.status == INCONCLUSIVE and v.failed_step == 16
         assert "step 17 malformed" in v.reason and "word cap" in v.reason
 
     def test_introduce_over_the_cap_is_malformed(self):
         pres = Presentation.from_strings(("a", "b"), ["aba-1b-1"])
         text = f"introduce c a{words.MAX_WORD_LENGTH}\nconclude abelian\n"
-        v = verify_script(pres, ProofScript.parse(text))
+        v = verify_script(pres, parse_script(text))
         assert v.status == INCONCLUSIVE and "step 1 malformed" in v.reason
 
     def test_substitute_refuses_before_building(self):
@@ -375,7 +377,7 @@ class TestWorkBounds:
         # The bound counts occurrences, not |word| * |replacement|.
         assert len(words.substitute((1,) + (2,) * 5000, 1, (3,) * 3000)) == 8000
         pres = Presentation.from_strings(("a", "b", "c"), ["a-1c1000", "a20b"])
-        v = verify_script(pres, ProofScript.parse("eliminate a 1\nconclude abelian\n"))
+        v = verify_script(pres, parse_script("eliminate a 1\nconclude abelian\n"))
         assert v.status == INCONCLUSIVE and "step 1 malformed" in v.reason
 
 
@@ -424,7 +426,7 @@ class TestCorpus:
         for i, step in enumerate(script.steps):
             if step[0] == "branch":
                 break  # assumption steps legitimately change the group
-            out = _run_step(st_, i, step, 8, 3000)
+            out = _run_step(st_, step, 8)
             if step[0] in ("rotate", "subst", "introduce", "eliminate", "change"):
                 assert abelian_invariants(st_.snapshot()) == before, (name, i)
             if out is not None:
@@ -490,7 +492,7 @@ class TestMutations:
         # first): trailing tokens used to be ignored, so "conclude abelian
         # please" proved.
         pres = parse_presentation(pres_text)
-        steps = ProofScript.parse(steps_text).steps
+        steps = parse_script(steps_text).steps
         assert verify_script(pres, ProofScript(steps)).nonhyperbolic
         short = {"trivial": 2, "commutes": 3}
         for i, step in enumerate(steps):
@@ -501,13 +503,13 @@ class TestMutations:
 
     def test_eliminate_with_two_occurrences(self):
         pres = parse_presentation("gens a b\nrel abab\n")
-        script = ProofScript.parse("eliminate a 1\nconclude abelian\n")
+        script = parse_script("eliminate a 1\nconclude abelian\n")
         v = verify_script(pres, script)
         assert v.status == INCONCLUSIVE
 
     def test_branch_without_power_fact(self):
         pres = parse_presentation("gens a b\nrel a3b2\n")
-        script = ProofScript.parse("branch ab 2\nconclude abelian\n")
+        script = parse_script("branch ab 2\nconclude abelian\n")
         v = verify_script(pres, script)
         assert v.status == INCONCLUSIVE and v.failed_step == 0
 
@@ -515,35 +517,74 @@ class TestMutations:
         # all pairs commute with c, but c dies in the abelianization:
         # the hub argument must refuse
         pres = parse_presentation("gens a b c\nrel c\n")
-        script = ProofScript.parse(
+        script = parse_script(
             "commutes a c 2\ncommutes b c 2\nconclude abelian\n"
         )
         v = verify_script(pres, script)
         assert v.status == INCONCLUSIVE
 
 
+# Per signature letter, a token every kind reads over <a, b>, and one it
+# cannot read (``t`` reads any token).
+_READABLE = {"w": "a", "g": "a", "i": "1", "t": "c", "d": "2"}
+_UNREADABLE = {"w": "z", "g": "z", "i": "x", "d": "x"}
+
+
+class TestSignatures:
+    """Every step reads its arguments through one signature table."""
+
+    @pytest.mark.parametrize("kind, position", [
+        (kind, k) for kind, sig in engine._SIGNATURES.items()
+        for k, letter in enumerate(sig) if letter in _UNREADABLE
+    ])
+    def test_an_unreadable_argument_makes_the_step_malformed(self, kind, position):
+        sig = engine._SIGNATURES[kind]
+        tokens = [_READABLE[letter] for letter in sig]
+        tokens[position] = _UNREADABLE[sig[position]]
+        pres = Presentation.from_strings(("a", "b"), ["aba-1b-1"])
+        v = verify_script(pres, ProofScript((tuple(kind.split()) + tuple(tokens),)))
+        assert v.failed_step == 0 and v.status == INCONCLUSIVE
+        assert v.reason.startswith("step 1 malformed: "), v.reason
+
+    def test_the_docstring_grammar_declares_each_signature(self):
+        doc = engine.__doc__
+        grammar = {}
+        for line in doc[doc.index("Script text grammar"):].splitlines():
+            if not line.startswith("    "):
+                continue
+            parts = line.split()
+            kind = " ".join(p for p in parts if p[0] not in "<[")
+            args = [p for p in parts if p[0] in "<["]
+            assert all(p.startswith("[") == p.endswith(":d]") for p in args), line
+            grammar[kind] = "".join(p[-2] for p in args)
+        assert grammar == engine._SIGNATURES
+        for kind, sig in engine._SIGNATURES.items():
+            readers, counts = engine._STEPS[kind]
+            assert len(readers) == len(sig) == max(counts)
+
+
 class TestOtherConclusions:
     def test_trivial_generator_conclusion(self):
         pres = parse_presentation("gens a b\nrel a\n")
-        script = ProofScript.parse("trivial a 2\nconclude trivial-gen a\n")
+        script = parse_script("trivial a 2\nconclude trivial-gen a\n")
         v = verify_script(pres, script)
         assert v.nonhyperbolic and v.reason == "trivial-generator"
 
     def test_trivial_gen_needs_remaining_commutation(self):
         pres = parse_presentation("gens a b c\nrel a\n")
-        script = ProofScript.parse("trivial a 2\nconclude trivial-gen a\n")
+        script = parse_script("trivial a 2\nconclude trivial-gen a\n")
         v = verify_script(pres, script)
         assert v.status == INCONCLUSIVE  # (b, c) not proved to commute
 
     def test_torsion_conclusion(self):
         pres = parse_presentation("gens a b\nrel a3\n")
-        script = ProofScript.parse("trivial a3 2\nconclude torsion a 3\n")
+        script = parse_script("trivial a3 2\nconclude torsion a 3\n")
         v = verify_script(pres, script)
         assert v.nonhyperbolic and v.reason == "torsion"
 
     def test_torsion_needs_nontrivial_element(self):
         # a itself is a relator, so a^2 = 1 proves nothing about torsion
         pres = parse_presentation("gens a b\nrel a\n")
-        script = ProofScript.parse("trivial a2 2\nconclude torsion a 2\n")
+        script = parse_script("trivial a2 2\nconclude torsion a 2\n")
         v = verify_script(pres, script)
         assert v.status == INCONCLUSIVE
