@@ -259,6 +259,8 @@ _STEPS = {
 
 def _run_step(st: _State, step, depth):
     kind = step[0]
+    if kind == "conclude" and len(step) == 1:
+        raise ValueError("conclude needs a mode: abelian, trivial-gen or torsion")
     name, tokens = (" ".join(step[:2]), step[2:]) if kind == "conclude" else (kind, step[1:])
     entry = _STEPS.get(name)
     if entry is None:

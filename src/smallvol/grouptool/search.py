@@ -20,6 +20,15 @@ a relator r, the search runs on what is left, and a search whose
 relators need more than the whole budget for that stops before building
 any.
 
+Insertions reduce only at the two junctions (``words.insert``): the
+word and the inserted rotation are both freely reduced, so only the end
+of the text before the insertion point, the inserted word and the start
+of the text after it can cancel, and the new word is joined from tuple
+slices with no pass over the letters that stay.  The letter charge is
+unchanged: each successor is still charged the letters of the word and
+of the rotation, as if spelled out before free reduction, so every
+budget and every ``stopped_by`` is what a full re-reduction would give.
+
 The search runs over doubled letters (2x for the letter x), so that no
 word it stores holds the letter -1: CPython hashes -1 like -2, and words
 that differ only by swapping those two would all collide in its dicts.
@@ -32,9 +41,9 @@ node budget, or the letter budget.
 
 Success yields a ``Derivation`` that replays mechanically with no trust
 in the search: each step names the inserted variant and its position,
-and replaying the insertions through free reduction must end at the
-empty word.  Failure is just failure; the word problem is undecidable
-in general.
+and replaying the insertions through free reduction (``words.concat``,
+not the search's junction kernel) must end at the empty word.  Failure
+is just failure; the word problem is undecidable in general.
 """
 
 from __future__ import annotations
@@ -166,47 +175,47 @@ def _best_first(start, by_first, by_last, limit, max_len, node_budget, letters):
     the variants among them, is in doubled letters."""
     counter = 0
     heap = [(len(start), 0, counter, start)]
-    parents = {start: None}
-    depth_of = {start: 0}
+    # word -> (insertion depth, parent word, position, variant)
+    nodes = {start: (0, None, 0, None)}
     popped = 0
+    insert = words.insert
     while heap:
         if popped >= node_budget:
             return None, letters, NODES
         _, d, _, w = heapq.heappop(heap)
         popped += 1
-        if d != depth_of.get(w, -1):
+        if d != nodes[w][0]:
             continue  # stale queue entry
         if d >= limit:
             continue
+        nd = d + 1
         for pos, variant in _successors(w, by_first, by_last):
             letters -= len(w) + len(variant)
             if letters < 0:
                 return None, letters, LETTERS
-            new = words.concat(w[:pos], variant, w[pos:])
+            new = insert(w, pos, variant)
             if len(new) > max_len:
                 continue
-            nd = d + 1
-            if new in depth_of and depth_of[new] <= nd:
+            seen = nodes.get(new)
+            if seen is not None and seen[0] <= nd:
                 continue
-            depth_of[new] = nd
-            parents[new] = (w, pos, variant)
+            nodes[new] = (nd, w, pos, variant)
             if new == ():
-                return _unwind(parents, start), letters, None
+                return _unwind(nodes, start), letters, None
             if nd < limit:
                 counter += 1
                 heapq.heappush(heap, (len(new), nd, counter, new))
     return None, letters, DEPTH
 
 
-def _unwind(parents, start):
-    """The derivation recorded in ``parents``, mapped back from doubled
+def _unwind(nodes, start):
+    """The derivation recorded in ``nodes``, mapped back from doubled
     letters."""
     steps = []
-    w = ()
-    while parents[w] is not None:
-        prev, pos, variant = parents[w]
+    _, w, pos, variant = nodes[()]
+    while w is not None:
         steps.append(Insertion(pos, _halved(variant)))
-        w = prev
+        _, w, pos, variant = nodes[w]
     steps.reverse()
     deriv = Derivation(_halved(start), tuple(steps))
     assert deriv.replay(), "internal error: derivation does not replay"

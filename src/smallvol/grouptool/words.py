@@ -39,6 +39,34 @@ def concat(*words) -> tuple:
     return tuple(out)
 
 
+def insert(word, pos: int, v) -> tuple:
+    """``concat(word[:pos], v, word[pos:])`` for freely reduced ``word``
+    and ``v``.
+
+    Precondition, not checked: both inputs are freely reduced.  Then
+    only the two junctions can cancel: the tail of ``word[:pos]``
+    against the head of ``v``, the tail of ``v`` against the head of
+    ``word[pos:]``, and, once ``v`` is used up, the two parts of
+    ``word`` against each other.  The result is built from three tuple
+    slices, with no pass over the letters that stay.
+    """
+    m, n = len(v), len(word)
+    k = 0
+    while k < m and k < pos and word[pos - 1 - k] == -v[k]:
+        k += 1
+    j = 0
+    while k + j < m and pos + j < n and word[pos + j] == -v[m - 1 - j]:
+        j += 1
+    if k + j < m:
+        return word[:pos - k] + v[k:m - j] + word[pos + j:]
+    # v cancelled completely: join what is left of the two parts of word.
+    left, right = pos - k, pos + j
+    while left > 0 and right < n and word[left - 1] == -word[right]:
+        left -= 1
+        right += 1
+    return word[:left] + word[right:]
+
+
 def invert(word) -> tuple:
     return tuple(-x for x in reversed(word))
 

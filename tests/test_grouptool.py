@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smallvol.data import CORPUS, PROP43, PROP44, presentation_text, script_text
@@ -108,6 +108,44 @@ class TestWords:
         u = words.free_reduce(u)
         v = words.free_reduce(v)
         assert words.concat(u, v) == words.free_reduce(tuple(u) + tuple(v))
+
+
+_LETTERS = st.sampled_from([1, -1, 2, -2, 3, -3])
+
+
+@st.composite
+def _insertions(draw):
+    """A reduced word w, a position in it and a reduced v built to cancel
+    up to k letters into w[:pos] and j into w[pos:] (either may be 0)
+    around a free middle part; every letter doubled, as the search spells
+    them, half of the time."""
+    w = words.free_reduce(draw(st.lists(_LETTERS, max_size=12)))
+    pos = draw(st.integers(0, len(w)))
+    k = draw(st.integers(0, pos))
+    j = draw(st.integers(0, len(w) - pos))
+    middle = tuple(draw(st.lists(_LETTERS, max_size=4)))
+    v = words.free_reduce(words.invert(w[pos - k:pos]) + middle
+                          + words.invert(w[pos:pos + j]))
+    scale = draw(st.sampled_from([1, 2]))
+    return tuple(scale * x for x in w), pos, tuple(scale * x for x in v)
+
+
+class TestInsert:
+    @given(_insertions())
+    @example(((), 0, (1, 2)))             # the empty word
+    @example(((1, 2), 2, (-2,)))          # v cancels into the left part only
+    @example(((1, 2, -1), 2, (-2,)))      # ... and the parts then meet
+    @example(((1, 2), 0, (-1,)))          # into the right part, at pos 0
+    @example(((1, 2, 3), 1, (-1, -2)))    # into both parts
+    @example(((2, 4, -2), 2, (-4,)))      # doubled letters
+    @example(((2, 4, 6), 3, (-6, -4, 2)))  # doubled, at pos len(w)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_insert_is_the_reduced_concatenation(self, case):
+        w, pos, v = case
+        assert words.insert(w, pos, v) == words.concat(w[:pos], v, w[pos:])
+        # and at every other position too, where v cancels less or not at all
+        for p in range(len(w) + 1):
+            assert words.insert(w, p, v) == words.concat(w[:p], v, w[p:])
 
 
 class TestSmithNormalForm:
@@ -235,6 +273,82 @@ class TestSearch:
                 replayed[: step.position], step.inserted, replayed[step.position:]
             )
         assert replayed == ()
+
+
+def _equivalence_cases():
+    """(word, relators, search options, letter budget) over the corpus
+    groups: seeded products of two conjugated relators (trivial) at the
+    default budgets and at a letter budget small enough to run out, and
+    seeded random words at depth 2 / 20 nodes."""
+    rng = random.Random(15)
+    cases = []
+    for name in CORPUS:
+        rels = parse_presentation(presentation_text(name)).relators
+        g = max(abs(x) for r in rels for x in r)
+
+        def random_word(length):
+            return words.free_reduce(rng.choice((1, -1)) * rng.randint(1, g)
+                                     for _ in range(length))
+        for letters in (search.MAX_SEARCH_LETTERS, 20000):
+            c, d = random_word(rng.randint(0, 2)), random_word(rng.randint(0, 2))
+            r, s = rng.choice(rels), words.invert(rng.choice(rels))
+            word = words.concat(c, r, words.invert(c), d, s, words.invert(d))
+            cases.append((word, rels, {}, letters))
+        for _ in range(2):
+            cases.append((random_word(rng.randint(1, 10)), rels,
+                          {"depth": 2, "node_budget": 20}, search.MAX_SEARCH_LETTERS))
+    return cases
+
+
+def _search_outcomes(monkeypatch, cases):
+    """Each case's derivation and ``stopped_by``, and each deepening
+    round's result with the letters it left of the budget."""
+    rounds = []
+    best_first = search._best_first
+
+    def recording(*args):
+        out = best_first(*args)
+        rounds.append(out)
+        return out
+    monkeypatch.setattr(search, "_best_first", recording)
+    outcomes = []
+    for word, rels, options, letters in cases:
+        monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", letters)
+        stopped_by = []
+        outcomes.append((search_trivial(word, rels, stopped_by=stopped_by, **options),
+                         stopped_by))
+    monkeypatch.setattr(search, "_best_first", best_first)
+    return outcomes, rounds
+
+
+class TestJunctionKernel:
+    """The search builds its words with ``words.insert``; the certificate
+    check replays them with ``words.concat``."""
+
+    def test_search_matches_the_concat_kernel(self, monkeypatch):
+        cases = _equivalence_cases()
+        fast = _search_outcomes(monkeypatch, cases)
+        monkeypatch.setattr(words, "insert",
+                            lambda w, pos, v: words.concat(w[:pos], v, w[pos:]))
+        slow = _search_outcomes(monkeypatch, cases)
+        assert fast == slow
+        outcomes, rounds = fast
+        assert sum(d is not None and len(d.steps) > 1 for d, _ in outcomes) >= 10
+        assert {tuple(s) for _, s in outcomes} == {
+            (), (search.DEPTH,), (search.NODES,), (search.LETTERS,)}
+        assert len({letters for _, letters, _ in rounds}) > len(cases)
+
+    def test_replay_does_not_use_the_kernel(self, monkeypatch):
+        rel = words.parse_word("a2b3a-1b3", ("a", "b"))
+        w = words.commutator(words.power((1,), 3), words.power((2,), 3))
+        d = search_trivial(w, [rel], depth=6)
+
+        def refuse(*args):
+            raise AssertionError("replay called words.insert")
+        monkeypatch.setattr(words, "insert", refuse)
+        assert len(d.steps) == 2 and d.replay()
+        with pytest.raises(AssertionError, match="replay called"):
+            search_trivial(w, [rel], depth=6)
 
 
 class TestWorkBounds:
@@ -500,6 +614,15 @@ class TestMutations:
             v = verify_script(pres, ProofScript(steps[:i] + (step,) + steps[i + 1:]))
             assert v.failed_step == i, (step, v.reason)
             assert v.reason.startswith(f"step {i + 1} malformed: '{step[0]}"), v.reason
+
+    def test_bare_conclude_names_the_missing_mode(self):
+        # It used to read "step 1 malformed: tuple index out of range".
+        pres = parse_presentation("gens a b\nrel aba-1b-1\n")
+        for text, i in (("conclude\n", 0), ("commutes a b 2\nconclude\n", 1)):
+            v = verify_script(pres, parse_script(text))
+            assert v.status == INCONCLUSIVE and v.failed_step == i
+            assert v.reason == (f"step {i + 1} malformed: conclude needs a mode: "
+                                "abelian, trivial-gen or torsion")
 
     def test_eliminate_with_two_occurrences(self):
         pres = parse_presentation("gens a b\nrel abab\n")
