@@ -8,6 +8,8 @@ The pipeline, end to end:
   near an approximate one, with an explicit distance bound;
 * ``geometry`` + ``lobachevsky`` + ``jets`` convert certified shapes
   into rigorous volume intervals via self-validating affine arithmetic;
+* ``points`` is the float-pair and midpoint-radius box layer under both
+  ``certify`` and ``jets``, where the rounding model is stated;
 * ``grouptool`` checks non-hyperbolicity proofs for the fundamental
   groups of fillings where no hyperbolic structure exists.
 
@@ -18,7 +20,8 @@ public names resolve on first access (PEP 562 module ``__getattr__``):
 ``smallvol.certified_volume`` imports ``geometry`` the first time it is
 read and ``smallvol.Jet`` imports ``jets``, and each is an ordinary
 attribute after that, so a command-line run loads only the modules its
-subcommand uses, and the jet classes only where a jet is built.
+subcommand uses: the point layer only where a certificate or a volume
+is computed, and the jet classes only where a jet is built.
 """
 
 import sys as _sys
@@ -62,7 +65,7 @@ _LAZY = {
 
 # Submodules not loaded at import; ``smallvol.certify`` loads its module.
 _SUBMODULES = ("certify", "cli", "data", "filling", "formats", "geometry",
-               "grouptool", "jets")
+               "grouptool", "jets", "points")
 
 __all__ = sorted([*_LAZY, "SeriesCoeffs", "lobachevsky", "range_reduce",
                   "series_coeffs"])

@@ -23,10 +23,12 @@ over the Jacobian's nonzero entries, run on one plain-float
 midpoint-radius kernel, ``_dot``, with a priori rounding bounds.  Its
 inputs are plain-float boxes as well: each logarithm in F(x^) takes one
 libm log and one atan at a point, with mean-value bounds for the
-rounding (``_log_box``), and each reciprocal in F'(X) takes the jet
-core's dimension-0 pair operations (``_recip_box``).  The approximate
-quantities (the selected rows, the Newton steps and Y) all come from one
-Gaussian elimination with partial pivoting in plain complex floats,
+rounding (``_log_box``), and each reciprocal in F'(X) takes the
+dimension-0 pair operations of the jet classes (``_recip_box``).  All
+three live in the point layer, ``points``, so certification loads
+neither ``jets`` nor ``geometry``.  The approximate quantities (the
+selected rows, the Newton steps and Y) all come from one Gaussian
+elimination with partial pivoting in plain complex floats,
 ``_eliminate``; their values need not be accurate for soundness.
 """
 
@@ -36,10 +38,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .geometry import ShapeAssignment
-from .jets import _add0, _libm_err, _mul0, _recip0
-from .rounding import (EPS_PRIM, PI_HI, PI_LO, SQRT2_HI, TINY, JetDomainError,
-                       _down, _up)
+from .points import _add0, _dot, _log_box, _recip_box
+from .rounding import EPS_PRIM, PI_HI, PI_LO, SQRT2_HI, JetDomainError, _up
 
 _SINGULAR_TOL = 1e-13
 
@@ -155,8 +155,11 @@ class Certificate:
         if len(set(self.selected)) != len(self.selected):
             raise CertifyError("selected equation indices must be distinct")
 
-    def shape_assignment(self) -> ShapeAssignment:
-        """The certified box as input to the volume stage."""
+    def shape_assignment(self):
+        """The certified box as input to the volume stage, a
+        ``geometry.ShapeAssignment``."""
+        from .geometry import ShapeAssignment  # the volume stage only
+
         return ShapeAssignment(self.refined_center, self.radius)
 
 
@@ -278,119 +281,6 @@ def _newton_refine(sys: GluingSystem, selected, max_steps: int = 5):
     return tuple(z), res
 
 
-def _dot(points, terms) -> tuple:
-    """Enclosure of sum_l points[l] * X_l over ``terms`` (l, m_re, m_im,
-    p_re, p_im), X_l = (m_re +- p_re) + i (m_im +- p_im), as (mid_re,
-    mid_im, rad_re, rad_im).  A point y = a + ib is a complex or an integer
-    of magnitude at most 2^53; y X_l has radii |a| p_re + |b| p_im (real)
-    and |a| p_im + |b| p_re (imaginary).
-
-    Rounding (binary64 round-to-nearest, gradual underflow, u = EPS_PRIM,
-    L terms; Higham 2002, Sec. 3.1; Rump, Acta Numerica 2010, Secs. 2-3):
-    a part's midpoint, ``math.fsum`` of its 2L rounded products p_i, is
-    off by at most u |mid| + u sum |p_i| + L TINY, a product erring by
-    u |p_i| or, underflowing, by TINY / 2.  The float sums S = sum |p_i|
-    and R of the radius products are at least (1 - gamma_2L) times the
-    exact ones minus L TINY, gamma_k = k u / (1 - k u).  So for L < 2^50
-    the radius is at most t + 8 L u t + 4 L TINY, t = R + u (S + |mid|),
-    each step rounded up.  An overflow gives a NaN midpoint or an infinite
-    radius, which no interior test accepts.
-    """
-    re, im = [], []
-    s_re = s_im = r_re = r_im = 0.0
-    for l, xr, xi, pr, pi in terms:
-        y = points[l]
-        a, b = y.real, y.imag
-        t1, t2, t3, t4 = a * xr, b * xi, a * xi, b * xr
-        re += (t1, -t2)
-        im += (t3, t4)
-        s_re += abs(t1) + abs(t2)
-        s_im += abs(t3) + abs(t4)
-        a, b = abs(a), abs(b)
-        r_re += a * pr + b * pi
-        r_im += a * pi + b * pr
-    try:
-        m_re = math.fsum(re)
-        m_im = math.fsum(im)
-    except (OverflowError, ValueError):
-        return math.nan, math.nan, math.inf, math.inf
-    gamma, tiny = 8 * len(terms) * EPS_PRIM, 4 * len(terms) * TINY
-    t_re = _up(r_re + _up(EPS_PRIM * _up(s_re + abs(m_re))))
-    t_im = _up(r_im + _up(EPS_PRIM * _up(s_im + abs(m_im))))
-    return (m_re, m_im, _up(t_re + _up(_up(gamma * t_re) + tiny)),
-            _up(t_im + _up(_up(gamma * t_im) + tiny)))
-
-
-# Below this |w|^2, or at infinity, ``_log_box`` checks its domain first.
-_LOG_SAFE = 2.0 ** -500
-_ONE_4U = 1.0 + 4.0 * EPS_PRIM
-
-
-def _log_box(x: float, y: float, eps: float) -> tuple:
-    """Enclosure (mid_re, mid_im, rad_re, rad_im) of the principal log of
-    w = X + iy, given the float x with |x - X| <= eps |x| (eps is 0 or
-    EPS_PRIM).  Binary64 round-to-nearest with gradual underflow, u =
-    EPS_PRIM: a product or quotient is off by at most u times its rounded
-    value plus TINY / 2, a sum by u times its rounded value, and libm's log
-    and atan by ``_libm_err`` of their results.
-
-    Real part log(X^2 + y^2) / 2: with p = fl(x^2), s = fl(p + fl(y^2))
-    is within E = (2u s + 2 eps p)(1 + 4u) + 2 TINY of X^2 + y^2, since
-    |X^2 - x^2| <= eps (2 + eps) x^2; by the mean value theorem log s is
-    then within E / (s - E) of log(X^2 + y^2).
-
-    Imaginary part arg w, by the dominance rule of ``jets.arg_complex``:
-    atan(q) for |x| >= |y| and x > 0, +-pi + atan(q) for x < 0 by the sign
-    of y, with q = y fl(1/x), and +-pi/2 - atan(q) by the sign of y for
-    |x| < |y|, with q = x fl(1/y).  q is within e = (2u + eps)(1 + 4u)
-    |q| + TINY of y/X (or X/y), and atan(q) within e / (1 + m^2) of that
-    one's atan, m = max(0, |q| - e); pi is PI_LO + [0, PI_HI - PI_LO], and the
-    midpoint's own sum adds u |mid|.
-
-    Raises JetDomainError with ``jets.arg_complex``'s message for w on the
-    negative real axis, and as ``jets.log_jet`` does where |w|^2 overflows,
-    is not provably positive or is too small to invert (``_log_domain``).
-    """
-    p = x * x
-    s = p + y * y
-    if not _LOG_SAFE <= s < math.inf:
-        _log_domain(x, y)
-    if y == 0.0 and x <= 0.0:
-        raise JetDomainError("argument: quadrant not provable (origin or branch cut)")
-    err_s = _up(_up(_up(2.0 * EPS_PRIM * s + 2.0 * eps * p) * _ONE_4U) + 2.0 * TINY)
-    lg = math.log(s)
-    rad_re = _up(_up(_libm_err(lg) + _up(err_s / _down(s - err_s))) * 0.5)
-    if abs(x) >= abs(y):
-        q = y * (1.0 / x)
-        a = math.atan(q)
-        if x > 0.0:
-            mid, width = a, 0.0
-        else:
-            mid, width = (PI_LO + a if y > 0.0 else a - PI_LO), PI_HI - PI_LO
-    else:
-        q = x * (1.0 / y)
-        a = math.atan(q)
-        mid = PI_LO * 0.5 - a if y > 0.0 else -(PI_LO * 0.5 + a)
-        width = (PI_HI - PI_LO) * 0.5
-    err_q = _up(_up(_up((2.0 * EPS_PRIM + eps) * abs(q)) * _ONE_4U) + TINY)
-    m = max(0.0, _down(abs(q) - err_q))
-    rad_im = _up(_libm_err(a) + _up(err_q / _down(1.0 + _down(m * m))))
-    if width:
-        rad_im = _up(_up(_up(EPS_PRIM * abs(mid)) + rad_im) + width)
-    return lg * 0.5, mid, rad_re, rad_im
-
-
-def _log_domain(x: float, y: float) -> None:
-    """Raise what ``jets.log_jet`` raises on |x + iy|^2 as a dimension-0
-    jet: JetError where it overflows, JetDomainError where it is not
-    provably positive or its square underflows.  Returns where none of
-    these holds, and then |x + iy|^2 is at least 2^-538."""
-    s, e = _add0(*_mul0(x, 0.0, x, 0.0), *_mul0(y, 0.0, y, 0.0))
-    if not _down(s - _up(e)) > 0.0:
-        raise JetDomainError("log of a jet not provably positive")
-    _recip0(s, 0.0)
-
-
 def _residual_enclosure(equations, center) -> list:
     """Enclosure (see ``_dot``) of each equation's residual at the point
     ``center``; the logarithms are ``_log_box`` boxes, those of 1 - z
@@ -403,20 +293,6 @@ def _residual_enclosure(equations, center) -> list:
         points = (*eq.a, *eq.b, -eq.c)
         out.append(_dot(points, [(l, *x) for l, x in enumerate(boxes) if points[l]]))
     return out
-
-
-def _recip_box(x: float, ex: float, y: float, ey: float) -> tuple:
-    """Enclosure (mid_re, mid_im, rad_re, rad_im) of 1/w over the box
-    w in (x +- ex) + i (y +- ey): w conj(w) / |w|^2 in the jet core's
-    dimension-0 pair operations, in the order and with the charges of
-    ``ComplexJet.reciprocal``."""
-    s, se = _add0(*_mul0(x, ex, x, ex), *_mul0(y, ey, y, ey))
-    if not (_down(s - _up(se)) if se else s) > 0.0:
-        raise JetDomainError("complex reciprocal: jet not provably nonzero")
-    c, ce = _recip0(s, se)
-    re, re_e = _mul0(x, ex, c, ce)
-    im, im_e = _mul0(y, ey, c, ce)
-    return re, -im, re_e, im_e
 
 
 def _jacobian_columns(equations, center, r: float) -> list:

@@ -10,9 +10,10 @@ Exit codes: 0 the claim was verified, 1 the computation was
 inconclusive (never an assertion of the negative), 2 malformed input.
 
 Each subcommand loads only the modules it runs: ``bound`` and
-``enumerate`` load ``filling``, ``certify`` and ``volume`` load
-``formats``, ``certify`` and ``geometry``, and ``nonhyp`` loads
-``formats`` and ``grouptool``.
+``enumerate`` load ``filling``, ``certify`` loads ``formats``,
+``certify`` and the point layer ``points``, ``volume`` loads these and
+``geometry`` and ``jets`` too, and ``nonhyp`` loads ``formats`` and
+``grouptool``.
 """
 
 from __future__ import annotations
@@ -95,6 +96,38 @@ def _finite_flag(text: str) -> float:
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return x
+
+
+class _Typed(float):
+    """A finite float flag that keeps the text it was read from."""
+
+    __slots__ = ("text",)
+
+
+def _typed_flag(text: str) -> _Typed:
+    x = _Typed(_finite_flag(text))
+    x.text = text
+    return x
+
+
+def _at_most(x: float, bound: _Typed) -> bool:
+    """x <= T for the decimal T typed as ``bound``.  float(T) is the
+    double nearest T, so x < float(T) implies x < T, and x > float(T)
+    implies x > T.  Only x == float(T) is settled on T itself, as the
+    integer ratios num * 10^exp and x.as_integer_ratio()."""
+    if x != bound:
+        return x < bound
+    mant, _, tail = bound.text.strip().replace("_", "").lower().partition("e")
+    whole, _, frac = mant.partition(".")
+    num, exp = int(whole + frac), int(tail or 0) - len(frac)
+    if not x:
+        return num >= 0
+    # T rounds to x != 0, so 10^|exp| has at most the digits of the text
+    # plus 324.
+    n, d = x.as_integer_ratio()
+    if exp >= 0:
+        return n <= num * 10 ** exp * d
+    return n * 10 ** -exp <= num * d
 
 
 def _delta_flag(text: str) -> float:
@@ -201,7 +234,7 @@ def cmd_volume(args, rep) -> int:
         claims.append(iv.lo > args.gt)
         rep.add("gt_claim", f"{args.gt!r} {'proven' if claims[-1] else 'unproven'}")
     if args.le is not None:
-        claims.append(iv.hi <= args.le)
+        claims.append(_at_most(iv.hi, args.le))
         rep.add("le_claim", f"{args.le!r} {'proven' if claims[-1] else 'unproven'}")
     # With --delta nothing certified that a solution exists within delta,
     # so a claim that holds on the interval is assumed-delta, not proven.
@@ -255,9 +288,9 @@ def cmd_selftest(args, rep) -> int:
             failures += 1
 
     # Every volume and residual enclosure assumes libm's log/atan error is
-    # within the charge of jets._libm_err; check that on this platform first.
+    # within the charge of points._libm_err; check that on this platform first.
     for fn in ("log", "atan"):
-        check(f"libm-{fn}", smallvol.jets.libm_covered(fn))
+        check(f"libm-{fn}", smallvol.points.libm_covered(fn))
 
     b = filling.slope_length_bound(5.33349, 2.848)
     check("slope-length-bound", 10.74 <= b <= 10.76)
@@ -336,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "default 1e-12)")
     p.add_argument("--gt", type=_finite_flag, default=None,
                    help="prove volume strictly greater than this")
-    p.add_argument("--le", type=_finite_flag, default=None,
+    p.add_argument("--le", type=_typed_flag, default=None,
                    help="prove volume at most this")
     p.set_defaults(fn=cmd_volume, echo=("file", "--delta", "--tol", "--gt", "--le"))
 

@@ -19,7 +19,9 @@ superset of the true list, so no candidate pair is omitted.  A float
 filter with an a priori error bound settles all but the borderline
 pairs, which go through ``fractions``; ``fudge`` is optional widening
 and carries no soundness.  The search box comes from a certified upper
-bound on the cutoff.  The reported lengths and bounds are plain floats.
+bound on the cutoff; a box that is not finite or holds more than
+``MAX_BOX_PAIRS`` pairs is a ValueError before any pair is tried.  The
+reported lengths and bounds are plain floats.
 """
 
 from __future__ import annotations
@@ -30,6 +32,11 @@ from collections import namedtuple
 from math import gcd
 
 from .rounding import EPS_PRIM, PI_HI, _down, _up
+
+# Most (p, q) pairs a search box may hold.  The tests, the selftest and
+# the census benchmark search boxes of at most 4 * 10^4 pairs; a box at
+# the cap takes under a second and about 100 MB.
+MAX_BOX_PAIRS = 10**6
 
 
 class CuspData(namedtuple("CuspData", "meridian longitude parent_volume")):
@@ -117,8 +124,15 @@ def enumerate_slopes(cusp: CuspData, vol_target: float, fudge: float = 0.01) -> 
     mr, mi, lr, li = m.real, m.imag, l.real, l.imag
     area = _area_lower(m, l)
     radius = _up(math.sqrt(c2_hi))
-    p_max = int(_up(_up(radius * _abs_upper(l)) / area)) + 1
-    q_max = int(_up(_up(radius * _abs_upper(m)) / area)) + 1
+    p_hi = _up(_up(radius * _abs_upper(l)) / area)
+    q_hi = _up(_up(radius * _abs_upper(m)) / area)
+    # Pairs in the box below, from above; an overflowed bound is infinite.
+    size = (2.0 * p_hi + 3.0) * (q_hi + 2.0)
+    if not size <= MAX_BOX_PAIRS:
+        raise ValueError(f"the search box holds about {size:.3g} pairs, over "
+                         f"the cap of {MAX_BOX_PAIRS}")
+    p_max = int(p_hi) + 1
+    q_max = int(q_hi) + 1
 
     # ``error(q2)`` bounds |fl(Q) - Q| for every box pair with fl(Q) <= q2.
     # The two parts of p*m + q*l take two roundings each, so together they

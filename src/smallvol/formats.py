@@ -3,8 +3,8 @@
 All three formats are UTF-8, with ``#`` comments and blank lines dropped
 by one line reader (``_content_lines``).  Gluing files:
 
-    tets N
-    shape <idx> <re> <im>          (one per tetrahedron)
+    tets N                         (once)
+    shape <idx> <re> <im>          (once per tetrahedron)
     eq a_1 .. a_n ; b_1 .. b_n ; c (any number, at least N)
 
 Presentation files:
@@ -46,9 +46,13 @@ def parse_gluing(text: str) -> smallvol.certify.GluingSystem:
         parts = line.split()
         try:
             if parts[0] == "tets":
+                if n is not None:
+                    raise FormatError(f"line {lineno}: duplicate 'tets' line")
                 n = int(parts[1])
             elif parts[0] == "shape":
                 idx = int(parts[1])
+                if idx in shapes:
+                    raise FormatError(f"line {lineno}: duplicate 'shape {idx}' line")
                 shapes[idx] = complex(float(parts[2]), float(parts[3]))
             elif parts[0] == "eq":
                 body = " ".join(parts[1:])
@@ -66,7 +70,9 @@ def parse_gluing(text: str) -> smallvol.certify.GluingSystem:
             raise FormatError(f"line {lineno}: {exc}") from exc
     if n is None:
         raise FormatError("missing 'tets' line")
-    if sorted(shapes) != list(range(n)):
+    # The count is untrusted: compare it with the shape lines read before
+    # building anything of its size.
+    if len(shapes) != max(n, 0) or not all(0 <= i < n for i in shapes):
         raise FormatError(f"need shapes 0..{n - 1}, got {sorted(shapes)}")
     try:
         return certify.GluingSystem(tuple(equations), tuple(shapes[i] for i in range(n)))

@@ -8,15 +8,10 @@ A ``Jet`` stands for the set of real-valued functions f on the cube
 Every operation returns a jet whose represented set contains the
 pointwise image of its operands' sets, and every floating-point
 rounding committed along the way is absorbed into ``err`` by outward
-accumulation.  Plain round-to-nearest IEEE-754 doubles are assumed: a
-primitive operation returning v carries an absolute error of at most
-``EPS_PRIM * |v|``, plus one subnormal quantum for a multiply or divide
-that may have underflowed (sums of doubles that land in the subnormal
-range are exact, so additions never pay it).  Outward steps are taken
-with ``math.nextafter`` so the accumulated bound itself never rounds
-down.  Those constants and steps, and ``JetError``/``JetDomainError``,
-live in ``rounding``, which modules that build no jet import without
-this one; the names are re-exported here, so each is one object.
+accumulation, under the rounding model stated in ``points``.  The
+constants and outward steps, and ``JetError``/``JetDomainError``, come
+from ``rounding``; the names are re-exported here, so each is one
+object.
 
 Nonlinear behaviour (products of linear parts and of error radii,
 Taylor remainders of ``log_jet``/``atan_jet``) is folded entirely into
@@ -39,19 +34,21 @@ jet j of any dimension (``_add_const``, ``_mul_const``): j + K keeps j's
 coefficients, and j * K scales them by K's center and charges K's err
 times their spread.  Only two different nonzero dimensions are an
 error.  When both operands have dimension 0 the operation runs on
-plain ``(center, err)`` float pairs (``_add0``, ``_mul0``, ``_recip0``);
-``atan_jet`` calls them directly for its Taylor coefficients.
+plain ``(center, err)`` float pairs (``points._add0``, ``_mul0``,
+``_recip0``, with the same charges); ``atan_jet`` calls them directly
+for its Taylor coefficients.
 """
 
 from __future__ import annotations
 
 import math
 
+from .points import (_add0, _libm_err, _mul0, _recip, _recip0, _reject,
+                     _require_finite)
 from .rounding import (EPS_PRIM, PI_HI, PI_LO, TINY, JetDomainError, JetError,
                        _INF, _down, _mul_up, _nextafter, _up)
 
 _new = object.__new__
-_MIN_NORMAL = 2.0 ** -1022
 
 
 def _add_up(x: float, y: float) -> float:
@@ -62,18 +59,6 @@ def _div_up(x: float, y: float) -> float:
     return _up(x / y)
 
 
-def _require_finite(x: float, what: str) -> None:
-    if not math.isfinite(x):
-        raise JetError(f"{what} is not finite: {x!r}")
-
-
-def _reject(center: float, err: float) -> None:
-    """Raise the JetError for a result that failed the O(1) check."""
-    _require_finite(center, "jet center")
-    _require_finite(err, "jet error term")
-    raise JetError(f"jet error term is negative: {err!r}")
-
-
 def _scalar(x):
     """A finite int/float operand as a float; None for other types."""
     if isinstance(x, (int, float)):
@@ -81,106 +66,6 @@ def _scalar(x):
         _require_finite(c, "scalar operand")
         return c
     return None
-
-
-# -- dimension-0 arithmetic ---------------------------------------------
-#
-# Operations on dimension-0 operands as (center, err) float pairs in and
-# out, with the charges of the matching Jet methods; each raises as
-# ``_jet`` would on a non-finite result.
-
-def _add0(x0: float, xe: float, y0: float, ye: float) -> tuple:
-    up, inf = _nextafter, _INF
-    c0 = x0 + y0
-    err = 0.0
-    if x0 and y0 and c0:
-        err = up(up(EPS_PRIM * abs(c0), inf), inf)
-    if xe:
-        err = up(err + xe, inf)
-    if ye:
-        err = up(err + ye, inf)
-    if -inf < c0 < inf and err < inf:
-        return c0, err
-    _reject(c0, err)
-
-
-def _mul0(a0: float, ae: float, b0: float, be: float) -> tuple:
-    """(a0 + e_a)(b0 + e_b) = a0 b0 + (a0 + e_a) e_b + b0 e_a: the error
-    product e_a e_b is charged once, in the first term."""
-    up, inf = _nextafter, _INF
-    c0 = a0 * b0
-    err = 0.0
-    if a0 and b0:
-        err = up(up(up(EPS_PRIM * abs(c0), inf) + TINY, inf), inf)
-    if be:
-        err = up(err + up(up(abs(a0) + ae, inf) * be, inf), inf)
-    if ae:
-        err = up(err + up(abs(b0) * ae, inf), inf)
-    if -inf < c0 < inf and err < inf:
-        return c0, err
-    _reject(c0, err)
-
-
-def _recip(b0: float, be: float, s: float, xs: tuple) -> tuple:
-    """Center, coefficients and err of 1/f, where f has center ``b0``,
-    coefficients ``xs``, error radius ``be`` and spread ``s``; requires
-    f to be provably nonzero."""
-    up, inf, eps = _nextafter, _INF, EPS_PRIM
-    lo, hi = (_nextafter(b0 - s, -inf), up(b0 + s, inf)) if s else (b0, b0)
-    if not (lo > 0.0 or hi < 0.0):
-        raise JetDomainError("reciprocal of a jet not provably nonzero")
-    m = min(abs(lo), abs(hi))
-    c = 1.0 / b0
-    err = up(up(up(eps * abs(c), inf) + TINY, inf), inf)
-    q = b0 * b0
-    q_lo = _nextafter(q, -inf)  # certified lower bound for b0^2
-    # A subnormal q has no relative rounding bound, so nothing with a
-    # spread is divided by it.
-    if q_lo <= 0.0 or (s and q < _MIN_NORMAL):
-        raise JetDomainError("reciprocal: center too close to zero")
-    coeffs = []
-    for bi in xs:
-        di = -(bi / q)
-        if bi:
-            # two roundings: q itself and the division
-            charge = up(up(eps * abs(di), inf) + TINY, inf)
-            err = up(up(err + charge, inf) + charge, inf)
-        coeffs.append(di)
-    if q == inf:
-        # b0^2 overflows, so every bi / q above is 0 and q_lo is only
-        # DBL_MAX: charge the dropped |bi| / b0^2 (at most s / b0^2) and
-        # bound be / b0^2 and the remainder by dividing by |b0| twice.
-        ab = abs(b0)
-        s_q = up(up(s / ab, inf) / ab, inf)
-        if be:
-            err = up(err + up(up(be / ab, inf) / ab, inf), inf)
-        if any(xs):
-            err = up(err + s_q, inf)
-        if s:
-            err = up(err + up(s_q * up(s / m, inf), inf), inf)
-    else:
-        if be:
-            err = up(err + up(be * up(1.0 / q_lo, inf), inf), inf)
-        # Remainder of the linearization: (f-b0)^2 / (b0^2 f).
-        if s:
-            den = q_lo * m
-            if den == inf or den <= TINY:
-                # Over- or underflowed: s^2 / den would read den as DBL_MAX
-                # or as at most 0 after the step down; divide s by each
-                # factor instead.
-                rem = up(up(s / q_lo, inf) * up(s / m, inf), inf)
-            else:
-                rem = up(up(s * s, inf) / _nextafter(den, -inf), inf)
-            err = up(err + rem, inf)
-    if -inf < c < inf and err < inf:
-        return c, tuple(coeffs), err
-    _reject(c, err)
-
-
-def _recip0(b0: float, be: float) -> tuple:
-    """1/b for the dimension-0 operand b = (b0, be)."""
-    c, _, err = _recip(b0, be, _up(be) if be else 0.0, ())
-    return c, err
 
 
 class Jet:
@@ -474,66 +359,9 @@ def half_pi_jet() -> Jet:
     return _jet(PI_LO * 0.5, (), (PI_HI - PI_LO) * 0.5)
 
 
-def _libm_err(value: float) -> float:
-    """Error charged to a libm-computed transcendental value.
-
-    glibc's log/atan are documented below 2 ulp everywhere; we charge a
-    4-ulp-wide enclosure (relative 4*EPS_PRIM) plus a subnormal quantum.
-    The oracle suites exercise this margin at zero tolerance, and
-    ``smallvol selftest`` checks it against the running libm.
-    """
-    return _up(_up(4.0 * EPS_PRIM * abs(value)) + TINY)
-
-
 def _libm_point(value: float) -> Jet:
     """Enclosure of a libm-computed transcendental value (``_libm_err``)."""
     return _jet(value, (), _libm_err(value))
-
-
-# Points at which ``libm_covered`` checks math.log and math.atan: both
-# sides of 1 and of the atan knee, and magnitudes from 1e-300 to 1e300.
-LIBM_SAMPLES = {
-    "log": (1e-300, 1e-10, 0.1, 0.5, 0.75, 0.9, 0.999, 1.001,
-            1.1, 1.5, 2.0, math.e, 10.0, 1e5, 1e100, 1e300),
-    "atan": (1e-300, 1e-8, 0.01, 0.1, 0.25, 0.5, 0.75, 1.0,
-             1.5, 2.0, 3.0, 10.0, 100.0, 1e8, 1e300, -0.7),
-}
-
-
-def libm_covered(name: str) -> bool:
-    """True when the charge of ``_libm_err`` covers the error of
-    ``math.<name>`` (``log`` or ``atan``) at every point of
-    ``LIBM_SAMPLES``, measured against a 50-digit ``decimal`` reference."""
-    from decimal import Context, Decimal  # only selftest needs it
-
-    ctx = Context(prec=50)
-    for x in LIBM_SAMPLES[name]:
-        if name == "log":
-            value, exact = math.log(x), Decimal(x).ln(ctx)
-        else:
-            value, exact = math.atan(x), _decimal_atan(Decimal(x), ctx)
-        charge = _libm_err(value)
-        if not ctx.abs(ctx.subtract(Decimal(value), exact)) <= Decimal(charge):
-            return False
-    return True
-
-
-def _decimal_atan(x, ctx):
-    """atan(x) to about ``ctx.prec`` digits: halve the argument with
-    atan(x) = 2 atan(x / (1 + sqrt(1 + x^2))) until |x| < 1/64, then sum
-    the alternating Taylor series."""
-    doublings = 0
-    while abs(x) >= ctx.create_decimal("0.015625"):
-        x = ctx.divide(x, ctx.add(1, ctx.sqrt(ctx.add(1, ctx.multiply(x, x)))))
-        doublings += 1
-    x2 = ctx.multiply(x, x)
-    total, power, k = x, x, 1
-    eps = ctx.multiply(abs(x), ctx.create_decimal(f"1e-{ctx.prec + 5}"))
-    while abs(power) > eps:
-        power = ctx.minus(ctx.multiply(power, x2))
-        k += 2
-        total = ctx.add(total, ctx.divide(power, k))
-    return ctx.multiply(total, 2 ** doublings)
 
 
 # Enclosure of 1/3 for ``log_jet``'s cubic term, built once.

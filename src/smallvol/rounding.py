@@ -1,12 +1,13 @@
 """Outward rounding on plain doubles, shared by every stage.
 
-Round-to-nearest IEEE-754 doubles are assumed: one primitive operation
-returning v is off by at most ``EPS_PRIM * |v|``, plus ``TINY`` for a
-multiply or divide that may have underflowed.  ``_up``/``_down`` step
-one double outward, so a bound built from them never rounds toward the
-value it bounds.  The jet classes (``jets``) build on these constants
-and exceptions; ``cli``, ``filling`` and the Lobachevsky coefficients
-use them without loading ``jets``.
+The constants and outward steps of the rounding model stated in
+``points``: ``EPS_PRIM`` and ``TINY`` bound one operation's error, and
+``_up``/``_down`` step one double outward, so a bound built from them
+never rounds toward the value it bounds.  Here too are the pi
+enclosure and ``JetError``/``JetDomainError``.  The point layer
+(``points``) and the jet classes (``jets``) build on these; ``cli``,
+``filling`` and the Lobachevsky coefficients use them without loading
+either.
 """
 
 import math

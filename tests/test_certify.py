@@ -20,12 +20,9 @@ from smallvol.certify import (
     InconclusiveError,
     RankDeficientError,
     UncoveredEquationError,
-    _dot,
     _eliminate,
     _k_row_bound,
     _krawczyk_once,
-    _log_box,
-    _recip_box,
     figure_eight_system,
     jacobian,
     krawczyk_certify,
@@ -33,7 +30,9 @@ from smallvol.certify import (
     select_square_subsystem,
 )
 from smallvol.geometry import ShapeAssignment, certified_volume
-from smallvol.jets import EPS_PRIM, ComplexJet, Jet, JetError, _add0, complex_log_jet
+from smallvol.jets import ComplexJet, Jet, JetError, complex_log_jet
+from smallvol.points import _add0, _dot, _log_box, _recip_box
+from smallvol.rounding import EPS_PRIM
 
 OMEGA = complex(0.5, math.sqrt(3) / 2)
 
@@ -674,15 +673,15 @@ class TestLogBox:
     def test_contains_interval_oracle_under_a_worse_libm(self, iv50, monkeypatch,
                                                          direction):
         # A libm one ulp worse than glibc's everywhere is still inside the
-        # charge of jets._libm_err, so the enclosures must hold; this
+        # charge of points._libm_err, so the enclosures must hold; this
         # leaves the other charges less slack to hide behind.
-        import smallvol.certify as certify
+        import smallvol.points as points
 
         worse = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math)
                                          if not k.startswith("_")})
         worse.log = lambda x: math.nextafter(math.log(x), direction)
         worse.atan = lambda x: math.nextafter(math.atan(x), direction)
-        monkeypatch.setattr(certify, "math", worse)
+        monkeypatch.setattr(points, "math", worse)
         enclosed = 0
         for w, box, _ in _log_cases(random.Random(6067)):
             got = _outcome(box)

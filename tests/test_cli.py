@@ -2,6 +2,7 @@ import importlib
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -296,6 +297,20 @@ class TestEnumerate:
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", (
+        ("--meridian", "0.5,1.32", "--longitude", "2,0", "--parent", "5.33349",
+         "--fudge", "1e300"),
+        ("--meridian", "1e-300,1", "--longitude", "1e300,0", "--parent", "5.33349"),
+        ("--meridian", "0.5,1.32", "--longitude", "2,0", "--parent", "5.33349",
+         "--fudge", "1e10"),
+    ))
+    def test_box_that_overflows_or_exceeds_the_cap_is_malformed(self, capsys, argv):
+        # The first two overflowed the box bound into a traceback, and the
+        # third ran a box of about 10^22 pairs.
+        rc, out, err = run_cli(capsys, "enumerate", *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: the search box holds about ")
+
 
 class TestCertifyVolume:
     def test_certify(self, capsys, fig8_file):
@@ -388,6 +403,54 @@ class TestCertifyVolume:
         p.write_text("tets 1\nshape 0 zero one\n")
         rc, _, err = run_cli(capsys, "certify", str(p))
         assert rc == 2
+
+    @pytest.mark.parametrize("text, message", (
+        ("tets 1000000000000\n", "need shapes 0..999999999999, got []"),
+        ("tets 1\ntets 1\nshape 0 0.5 0.8660254037844386\neq 3 ; 0 ; 1\n",
+         "line 2: duplicate 'tets' line"),
+        ("tets 1\nshape 0 0.5 0.8660254037844386\nshape 0 0.5 0.8660254037844386\n"
+         "eq 3 ; 0 ; 1\n", "line 3: duplicate 'shape 0' line"),
+    ), ids=("huge-count", "second-tets", "repeated-shape"))
+    def test_count_and_duplicates_are_malformed(self, capsys, tmp_path, text, message):
+        # The count is compared before anything of its size is built, and
+        # a second line never replaces the first.
+        with pytest.raises(FormatError, match=re.escape(message)):
+            parse_gluing(text)
+        p = tmp_path / "bad.gluing"
+        p.write_text(text)
+        rc, out, err = run_cli(capsys, "certify", str(p))
+        assert rc == 2 and out == "" and message in err
+
+    def test_le_is_decided_for_the_typed_decimal(self, capsys, fig8_file):
+        # volume_hi is the double 2.02988321282003347789..., which the
+        # typed value, below it, rounds to.
+        rc, out, _ = run_cli(capsys, "volume", fig8_file,
+                             "--le", "2.029883212820033467896686236")
+        assert rc == 1
+        assert "volume_hi: 2.0298832128200335\n" in out
+        assert "le_claim: 2.0298832128200335 unproven\n" in out
+        assert "verdict: inconclusive\n" in out
+        # The shortest repr of volume_hi lies above it, and proves.
+        rc, out, _ = run_cli(capsys, "volume", fig8_file, "--le", "2.0298832128200335")
+        assert rc == 0 and "le_claim: 2.0298832128200335 proven\n" in out
+
+    def test_at_most_is_exact(self):
+        rng = random.Random(1616)
+        cases = [(0.0, "-0"), (0.0, "1e-400"), (0.0, "-1e-400"), (5e-324, "3e-324"),
+                 (5e-324, "2.4703282292062328e-324"), (1.0, "+1_0e-1"), (-0.5, "-.5"),
+                 (2.0, " 2. "), (1e308, "1E308")]
+        for _ in range(2000):
+            x = rng.choice((rng.uniform(-4, 4),
+                            math.ldexp(rng.random(), rng.randint(-1074, 1023))))
+            digits = f"{x:.{rng.randint(15, 40)}e}"
+            cases.append((float(digits), digits))
+            cases.append((x, repr(x)))
+        for x, text in cases:
+            bound = cli._typed_flag(text)
+            assert float(bound) == float(text) and bound.text == text
+            exact = Fraction(text.strip().replace("_", ""))
+            for y in (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)):
+                assert cli._at_most(y, bound) is (Fraction(y) <= exact), (y, text)
 
     @pytest.mark.parametrize("flag, value", (("--delta", "-1"), ("--delta", "nan"),
                                              ("--delta", "inf"), ("--delta", "x"),
@@ -510,17 +573,20 @@ class TestColdStart:
     @pytest.mark.parametrize("argv, absent", (
         (["bound", "--parent", "5.33349", "--target", "2.848"],
          ("smallvol.certify", "smallvol.geometry", "smallvol.formats",
-          "smallvol.grouptool", "smallvol.jets", "dataclasses", "fractions", "decimal")),
+          "smallvol.grouptool", "smallvol.jets", "smallvol.points", "dataclasses",
+          "fractions", "decimal")),
         (["enumerate", "--meridian", "0.5,1.3228756555322954", "--longitude", "2,0",
           "--parent", "5.33349"], ("smallvol.certify", "smallvol.geometry",
                                    "smallvol.formats", "smallvol.grouptool",
-                                   "smallvol.jets", "dataclasses")),
+                                   "smallvol.jets", "smallvol.points", "dataclasses")),
         (["volume", FIG8, "--gt", "2"],
          ("smallvol.grouptool", "smallvol.filling", "fractions", "decimal")),
-        (["certify", FIG8], ("smallvol.grouptool", "smallvol.filling", "fractions", "decimal")),
+        # The Krawczyk test runs on the point layer alone.
+        (["certify", FIG8], ("smallvol.grouptool", "smallvol.filling", "smallvol.jets",
+                             "smallvol.geometry", "fractions", "decimal")),
         (["nonhyp", "--rel", "a3b2"], ("smallvol.certify", "smallvol.geometry",
                                        "smallvol.filling", "smallvol.jets",
-                                       "fractions", "decimal")),
+                                       "smallvol.points", "fractions", "decimal")),
     ))
     def test_command_loads_only_its_modules(self, argv, absent):
         loaded = _loaded_after(
@@ -529,6 +595,19 @@ class TestColdStart:
         assert "smallvol.cli" in loaded
         packages = {".".join(m.split(".")[:2]) for m in loaded}
         assert not packages & set(absent)
+
+    @pytest.mark.parametrize("argv, present", (
+        (["certify", FIG8], {"smallvol.certify", "smallvol.points"}),
+        # --le at volume_hi's own double: settled on the typed decimal.
+        (["volume", FIG8, "--gt", "2", "--le", "2.029883212820033467896686236"],
+         {"smallvol.certify", "smallvol.geometry", "smallvol.jets", "smallvol.points"}),
+    ))
+    def test_command_loads_the_modules_it_runs(self, argv, present):
+        loaded = _loaded_after(
+            "import contextlib, io\nfrom smallvol import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    cli.main({argv!r})")
+        assert present <= loaded
+        assert not loaded & {"fractions", "decimal"}
 
     def test_star_import_and_dir_cover_the_public_names(self):
         namespace = {}
@@ -556,9 +635,11 @@ class TestColdStart:
             assert name in smallvol.__all__
             assert getattr(smallvol, name) is getattr(jets, name)
         assert smallvol.jets is jets
-        # Reading a jet name loads jets and nothing else.
+        # Reading a jet name loads jets, the point layer under it and
+        # nothing else.
         assert _loaded_after("import smallvol\nsmallvol.Jet") == {
-            "smallvol", "smallvol.jets", "smallvol.lobachevsky", "smallvol.rounding"}
+            "smallvol", "smallvol.jets", "smallvol.lobachevsky", "smallvol.points",
+            "smallvol.rounding"}
 
     def test_exception_classes_are_one_object_across_modules(self):
         from smallvol import certify, geometry, jets, rounding

@@ -113,6 +113,23 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             CuspData(1 + 1j, -2 - 2j, 5.0)
 
+    @pytest.mark.parametrize("cusp, fudge", (
+        (CuspData(complex(0.5, 1.32), 2.0, 5.33349), 1e300),
+        (CuspData(complex(1e-300, 1.0), 1e300, 5.33349), 0.01),
+        (CuspData(complex(0.5, 1.32), 2.0, 5.33349), 1e10),
+    ))
+    def test_box_over_the_cap_rejected(self, cusp, fudge):
+        # An overflowed bound reads as an infinite box.
+        with pytest.raises(ValueError, match="over the cap of 1000000"):
+            enumerate_slopes(cusp, 2.848, fudge)
+
+    def test_box_at_the_cap_is_searched(self):
+        # About 9.2 * 10^5 pairs in the box, just under the cap.
+        s = 0.0102
+        cusp = CuspData(S776.meridian * s, S776.longitude * s, S776.parent_volume)
+        slopes = enumerate_slopes(cusp, 2.848, fudge=0.01)
+        assert S776_PAIRS <= slopes.coefficients()
+
     def test_nonfinite_cusp_rejected(self):
         with pytest.raises(ValueError):
             CuspData(float("inf"), 2j, 5.0)

@@ -17,15 +17,14 @@ from smallvol.jets import (
     JetError,
     PI_HI,
     PI_LO,
-    _decimal_atan,
     arg_complex,
     atan_jet,
     complex_log_jet,
     half_pi_jet,
-    libm_covered,
     log_jet,
     pi_jet,
 )
+from smallvol.points import _decimal_atan, libm_covered
 
 from oracles import jet_contains, jet_contains_value, mp_arg, mp_atan, mp_log
 
