@@ -30,7 +30,7 @@ import time
 # modules it runs, and from its second call on a lookup costs one
 # attribute access.
 import smallvol
-from .rounding import JetDomainError, _up
+from .rounding import JetDomainError
 
 OK, UNDECIDED, BAD_INPUT = 0, 1, 2
 
@@ -50,32 +50,6 @@ class Report:
             print(f"{key}: {value}")
         ms = int(round(1000 * (time.perf_counter() - self.t0)))
         print(f"elapsed_ms: {ms}")
-
-
-def _cutoff_upper(parent: float, target: float, fudge: float = 0.0) -> float:
-    """A float whose repr is >= 2 pi (1 + fudge) / sqrt(1 - (target /
-    parent)^(2/3)), read as a decimal.  Rounding up the square root of
-    filling's certified upper square gives a float above the cutoff; one
-    more step up keeps the repr, which may lie up to half an ulp below
-    its float, above it too."""
-    c2_hi = smallvol.filling._cutoff_squared(parent, target, fudge)[1]
-    return _up(_up(math.sqrt(c2_hi)))
-
-
-def _pair_lines(cusp, pairs):
-    """``p q length`` for each pair, the length printed as the repr of a
-    float at or above |p * meridian + q * longitude|.  The four parts are
-    integers over one power of two, so the squared length is an integer
-    sq >= 1 over its square; isqrt(sq - 1) + 1 is the ceiling of its
-    square root, and two steps up cover the division and the repr, as in
-    ``_cutoff_upper``."""
-    parts = [x.as_integer_ratio() for x in (cusp.meridian.real, cusp.meridian.imag,
-                                            cusp.longitude.real, cusp.longitude.imag)]
-    den = max(d for _, d in parts)
-    mr, mi, lr, li = (n * (den // d) for n, d in parts)
-    for p, q, _ in pairs:
-        root = math.isqrt((p * mr + q * lr) ** 2 + (p * mi + q * li) ** 2 - 1) + 1
-        yield f"{p} {q} {_up(_up(root / den))!r}"
 
 
 def _complex_flag(text: str) -> complex:
@@ -173,8 +147,7 @@ def _read_text(path: str) -> str:
 
 
 def cmd_bound(args, rep) -> int:
-    smallvol.filling.slope_length_bound(args.parent, args.target)  # checks the volumes
-    rep.add("bound", repr(_cutoff_upper(args.parent, args.target)))
+    rep.add("bound", repr(smallvol.filling.slope_length_bound(args.parent, args.target)))
     rep.add("floor_2pi", f"{2 * math.pi:.12g}")
     return OK
 
@@ -183,11 +156,11 @@ def cmd_enumerate(args, rep) -> int:
     filling = smallvol.filling
     cusp = filling.CuspData(args.meridian, args.longitude, args.parent)
     slopes = filling.enumerate_slopes(cusp, args.target, args.fudge)
-    rep.add("bound", repr(_cutoff_upper(args.parent, args.target)))
-    rep.add("cutoff", repr(_cutoff_upper(args.parent, args.target, args.fudge)))
+    rep.add("bound", repr(filling.slope_length_bound(args.parent, args.target)))
+    rep.add("cutoff", repr(slopes.cutoff))
     rep.add("pairs", len(slopes.pairs))
-    for line in _pair_lines(cusp, slopes.pairs):
-        rep.add("pair", line)
+    for p, q, length in slopes.pairs:
+        rep.add("pair", f"{p} {q} {length!r}")
     return OK
 
 

@@ -20,8 +20,14 @@ filter with an a priori error bound settles all but the borderline
 pairs, which go through ``fractions``; ``fudge`` is optional widening
 and carries no soundness.  The search box comes from a certified upper
 bound on the cutoff; a box that is not finite or holds more than
-``MAX_BOX_PAIRS`` pairs is a ValueError before any pair is tried.  The
-reported lengths and bounds are plain floats.
+``MAX_BOX_PAIRS`` pairs is a ValueError before any pair is tried.
+
+The bound, the cutoff and the listed lengths are certified upper floats:
+each is one step up from an upper bound (outward-rounded, with pi one ulp
+high, for the bound and the cutoff; an integer square root rounded up
+for a length) and then one step more, so its repr, the shortest decimal
+that reads back as it, also lies at or above the exact value.  The CLI
+prints them as they are.  ``slope_length`` is a plain float estimate.
 """
 
 from __future__ import annotations
@@ -61,9 +67,12 @@ class CuspData(namedtuple("CuspData", "meridian longitude parent_volume")):
         return abs(m.real * l.imag - m.imag * l.real)
 
 
-class SlopeList(namedtuple("SlopeList", "bound_used fudge pairs")):
+class SlopeList(namedtuple("SlopeList", "cutoff fudge pairs")):
     """Normalized coprime pairs below the fudged length bound, sorted by
-    (p, q); ``pairs`` holds (p, q, length) tuples."""
+    (p, q); ``pairs`` holds (p, q, length) tuples.  ``cutoff`` and each
+    length are certified upper floats (see the module docstring) on
+    2 pi (1 + fudge) / sqrt(1 - (T/P)^(2/3)) and |p * meridian + q *
+    longitude|."""
 
     __slots__ = ()
 
@@ -82,18 +91,15 @@ def fkp_lower_bound(vol_parent: float, l_min: float) -> float:
 
 
 def slope_length_bound(vol_parent: float, vol_target: float) -> float:
-    """Largest minimal slope length compatible with a hyperbolic filling of
-    volume at most vol_target."""
-    if not vol_parent > 0.0:
-        raise ValueError("parent volume must be positive")
-    if not 0.0 < vol_target < vol_parent:
-        raise ValueError("need 0 < vol_target < vol_parent")
-    r = (vol_target / vol_parent) ** (2.0 / 3.0)
-    return 2 * math.pi / math.sqrt(1.0 - r)
+    """A certified upper float on the largest minimal slope length
+    compatible with a hyperbolic filling of volume at most vol_target,
+    2 pi / sqrt(1 - (vol_target / vol_parent)^(2/3))."""
+    return _up(_up(math.sqrt(_cutoff_squared(vol_parent, vol_target, 0.0)[1])))
 
 
 def slope_length(p: int, q: int, cusp: CuspData) -> float:
-    """|p * meridian + q * longitude| on the horoball boundary."""
+    """|p * meridian + q * longitude| on the horoball boundary, as a
+    plain float estimate."""
     if p == 0 and q == 0:
         raise ValueError("(0, 0) is not a slope")
     v = p * cusp.meridian + q * cusp.longitude
@@ -113,7 +119,6 @@ def enumerate_slopes(cusp: CuspData, vol_target: float, fudge: float = 0.01) -> 
     """
     if not fudge >= 0.0:
         raise ValueError("fudge must be >= 0")
-    bound = slope_length_bound(cusp.parent_volume, vol_target)
     c2_lo, c2_hi = _cutoff_squared(cusp.parent_volume, vol_target, fudge)
     m, l = cusp.meridian, cusp.longitude
     mr, mi, lr, li = m.real, m.imag, l.real, l.imag
@@ -147,6 +152,14 @@ def enumerate_slopes(cusp: CuspData, vol_target: float, fudge: float = 0.01) -> 
     far = 4.0 * c2_hi
     surely_out = _up(c2_hi + error(far)) if (64.0 * s) ** 2 <= far else math.inf
 
+    # The four parts are integers over one power of two, so a squared
+    # length is an integer sq >= 1 over den^2: isqrt(sq - 1) + 1 is the
+    # ceiling of its square root, and two steps up cover the division and
+    # the repr.
+    parts = [x.as_integer_ratio() for x in (mr, mi, lr, li)]
+    den = max(d for _, d in parts)
+    nmr, nmi, nlr, nli = (n * (den // d) for n, d in parts)
+
     pairs = []
     for q in range(0, q_max + 1):
         p_lo = 1 if q == 0 else -p_max
@@ -165,9 +178,10 @@ def enumerate_slopes(cusp: CuspData, vol_target: float, fudge: float = 0.01) -> 
                 continue
             if q2 > surely_in and not _exactly_in(p, q, cusp, vol_target, fudge):
                 continue
-            pairs.append((p, q, math.hypot(x, y)))
+            root = math.isqrt((p * nmr + q * nlr) ** 2 + (p * nmi + q * nli) ** 2 - 1) + 1
+            pairs.append((p, q, _up(_up(root / den))))
     pairs.sort(key=lambda t: (t[0], t[1]))
-    return SlopeList(bound_used=bound, fudge=fudge, pairs=tuple(pairs))
+    return SlopeList(cutoff=_up(radius), fudge=fudge, pairs=tuple(pairs))
 
 
 def _exactly_in(p: int, q: int, cusp: CuspData, vol_target: float, fudge: float) -> bool:
@@ -189,6 +203,10 @@ def _cutoff_squared(vol_parent: float, vol_target: float, fudge: float) -> tuple
     """Floats lo <= K / (1 - r) <= hi, where K = 4 PI_HI^2 (1 + fudge)^2
     and r = (vol_target / vol_parent)^(2/3): outward-rounded arithmetic,
     with the cube root verified by cubing, so no libm result is trusted."""
+    if not vol_parent > 0.0:
+        raise ValueError("parent volume must be positive")
+    if not 0.0 < vol_target < vol_parent:
+        raise ValueError("need 0 < vol_target < vol_parent")
     t = vol_target / vol_parent
     t_lo, t_hi = _down(t), _up(t)
     s_lo, s_hi = _down(t_lo * t_lo), _up(t_hi * t_hi)  # bracket (T/P)^2

@@ -60,13 +60,13 @@ def parse_gluing(text: str) -> smallvol.certify.GluingSystem:
                     raise FormatError(f"line {lineno}: duplicate 'shape {idx}' line")
                 shapes[idx] = complex(float(parts[2]), float(parts[3]))
             elif parts[0] == "eq":
-                body = " ".join(parts[1:])
-                a_s, b_s, c_s = (seg.strip() for seg in body.split(";"))
+                segs = [seg.split() for seg in line[2:].split(";")]
+                if len(segs) != 3 or len(segs[2]) != 1:
+                    raise FormatError(
+                        f"line {lineno}: 'eq' takes a_1 .. a_n ; b_1 .. b_n ; c")
+                a_s, b_s, (c_s,) = segs
                 equations.append(certify.GluingEquation(
-                    tuple(int(x) for x in a_s.split()),
-                    tuple(int(x) for x in b_s.split()),
-                    int(c_s),
-                ))
+                    tuple(int(x) for x in a_s), tuple(int(x) for x in b_s), int(c_s)))
             else:
                 raise FormatError(f"line {lineno}: unknown directive {parts[0]!r}")
         except (IndexError, ValueError) as exc:

@@ -98,7 +98,7 @@ def _reported(out, key):
 class TestReportedBoundsAreUpper:
     """``bound:`` and ``cutoff:`` print decimals at or above the exact
     2 pi (1 + fudge) / sqrt(1 - (target/parent)^(2/3)), checked against a
-    50-digit oracle."""
+    50-digit oracle, and so does the library's bound."""
 
     def test_random_volumes(self, capsys):
         rng = random.Random(2033)
@@ -117,6 +117,8 @@ class TestReportedBoundsAreUpper:
                 exact = 2 * mpmath.pi / mpmath.sqrt(1 - ratio ** (mpmath.mpf(2) / 3))
                 for text in (_reported(out_b, "bound"), _reported(out_e, "bound")):
                     assert mpmath.mpf(text) >= exact, (parent, target)
+                bound = smallvol.filling.slope_length_bound(parent, target)
+                assert mpmath.mpf(bound) >= exact, (parent, target)
                 cutoff = exact * (1 + mpmath.mpf(fudge))
                 assert mpmath.mpf(_reported(out_e, "cutoff")) >= cutoff, (parent, target, fudge)
 
@@ -140,8 +142,8 @@ def _echoed_flags(out):
 class TestReportFields:
     """Every numeric report field reads back as the value the command
     used: echoed flags and claim thresholds equal the parsed arguments,
-    printed lengths lie at or above the exact ones, and certificate and
-    volume fields equal the library's results."""
+    printed lengths lie at or above the exact ones, and bounds, lengths,
+    certificate and volume fields are the reprs of the library's results."""
 
     PARENT, TARGET = 4.234022804821794, 2.0832521155408212
 
@@ -152,7 +154,8 @@ class TestReportFields:
         flags = _echoed_flags(out)
         assert (float(flags["--parent"]), float(flags["--target"])) == (self.PARENT, self.TARGET)
         fields = dict(_fields(out))
-        assert float(fields["bound"]) == cli._cutoff_upper(self.PARENT, self.TARGET)
+        assert fields["bound"] == repr(smallvol.filling.slope_length_bound(self.PARENT,
+                                                                         self.TARGET))
         # floor_2pi is 2 pi to 12 significant digits
         assert abs(float(fields["floor_2pi"]) - 2 * math.pi) <= 5e-12 * 2 * math.pi
         assert set(fields) == {"command", "bound", "floor_2pi", "elapsed_ms"}
@@ -178,8 +181,8 @@ class TestReportFields:
         values = dict(fields)
         cusp = smallvol.filling.CuspData(meridian, longitude, self.PARENT)
         slopes = smallvol.filling.enumerate_slopes(cusp, target, fudge)
-        assert float(values["bound"]) == cli._cutoff_upper(self.PARENT, target)
-        assert float(values["cutoff"]) == cli._cutoff_upper(self.PARENT, target, fudge)
+        assert values["bound"] == repr(smallvol.filling.slope_length_bound(self.PARENT, target))
+        assert values["cutoff"] == repr(slopes.cutoff)
         pairs = [v.split() for k, v in fields if k == "pair"]
         assert int(values["pairs"]) == len(pairs) == len(slopes.pairs) > 0
         m = [Fraction(x) for x in (meridian.real, meridian.imag)]
@@ -189,7 +192,7 @@ class TestReportFields:
             assert (p, q) == (p0, q0)
             exact_sq = (p * m[0] + q * l[0]) ** 2 + (p * m[1] + q * l[1]) ** 2
             assert Fraction(text) ** 2 >= exact_sq
-            assert float(text) <= length + 4 * math.ulp(length)
+            assert text == repr(length)
 
     @pytest.mark.parametrize("extra", (
         ("--gt", "1.0000000000000002", "--le", "2.0298832128193074"),
@@ -427,8 +430,17 @@ class TestCertifyVolume:
          "line 1: 'tets' takes one count"),
         ("tets 1\nshape 0 0.5 0.8660254037844386 extra tokens\neq 3 ; 0 ; 1\n",
          "line 2: 'shape' takes an index and two numbers"),
+        ("tets 1\nshape 0 0.5 0.8660254037844386\n\neq 1 1 ; 1 1\n",
+         "line 4: 'eq' takes a_1 .. a_n ; b_1 .. b_n ; c"),
+        ("tets 1\nshape 0 0.5 0.8660254037844386\neq\n",
+         "line 3: 'eq' takes a_1 .. a_n ; b_1 .. b_n ; c"),
+        ("tets 1\nshape 0 0.5 0.8660254037844386\neq 3 ; 0 ; 1 ; 1\n",
+         "line 3: 'eq' takes a_1 .. a_n ; b_1 .. b_n ; c"),
+        ("tets 1\nshape 0 0.5 0.8660254037844386\neq 3 ; 0 ; 0 0\n",
+         "line 3: 'eq' takes a_1 .. a_n ; b_1 .. b_n ; c"),
     ), ids=("huge-count", "second-tets", "repeated-shape", "extra-tokens",
-            "extra-shape-tokens"))
+            "extra-shape-tokens", "eq-two-segments", "bare-eq", "eq-four-segments",
+            "eq-wide-constant"))
     def test_count_and_duplicates_are_malformed(self, capsys, tmp_path, text, message):
         # The count is compared before anything of its size is built, and
         # a second line never replaces the first.

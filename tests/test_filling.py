@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from math import gcd
 
 import mpmath
@@ -145,7 +146,7 @@ class TestEnumeration:
         assert type(cusp.meridian) is complex and type(cusp.parent_volume) is float
         slopes = enumerate_slopes(cusp, 2.848, fudge=0.0)
         assert slopes == enumerate_slopes(CuspData(12, 12j, 5), 2.848, fudge=0.0)
-        assert repr(slopes).startswith("SlopeList(bound_used=")
+        assert repr(slopes).startswith("SlopeList(cutoff=")
         for obj, field in ((cusp, "meridian"), (slopes, "pairs")):
             with pytest.raises(AttributeError):
                 setattr(obj, field, None)
@@ -159,7 +160,7 @@ class TestEnumeration:
             assert q > 0 or (q == 0 and p > 0)
             assert gcd(abs(p), abs(q)) == 1
             assert (p, q) != (0, 0)
-            assert length <= slopes.bound_used * (1 + slopes.fudge)
+            assert length <= slopes.cutoff
             assert (-p, -q) not in slopes.coefficients()
 
     def test_monotone_in_fudge(self):
@@ -208,7 +209,8 @@ class TestEnumeration:
 
 class TestExactMembership:
     """Zero omissions against a 50-digit mpmath oracle, and no pair beyond
-    the pi slack: a listed slope is at most cutoff * PI_HI / pi long."""
+    the pi slack: a listed slope is at most cutoff * PI_HI / pi long.  The
+    list's cutoff and lengths lie at or above the exact ones."""
 
     @staticmethod
     def cutoff(parent, target, fudge):
@@ -227,8 +229,15 @@ class TestExactMembership:
     def check(self, cusp, target, fudge):
         """The listed pairs against the oracle over a box that provably
         covers the cutoff disk; returns the oracle's pair count."""
-        listed = enumerate_slopes(cusp, target, fudge).coefficients()
+        slopes = enumerate_slopes(cusp, target, fudge)
+        listed = slopes.coefficients()
         c = self.cutoff(cusp.parent_volume, target, fudge)
+        assert mpmath.mpf(slopes.cutoff) >= c, (cusp, target, fudge)
+        m, l = cusp.meridian, cusp.longitude
+        for p, q, length in slopes.pairs:
+            x = p * Fraction(m.real) + q * Fraction(l.real)
+            y = p * Fraction(m.imag) + q * Fraction(l.imag)
+            assert Fraction(length) ** 2 >= x * x + y * y, (p, q, cusp)
         with mpmath.workdps(50):
             slack = c * mpmath.mpf(PI_HI) / mpmath.pi
         reach = float(c) * 1.001 / cusp.lattice_area()
@@ -247,6 +256,9 @@ class TestExactMembership:
                     assert length <= slack, ("beyond the pi slack", p, q, cusp, target)
         assert len(listed) >= inside
         return inside
+
+    def test_s776(self):
+        assert self.check(S776, 2.848, 0.01) == len(S776_PAIRS)
 
     def test_random_cusps(self):
         rng = random.Random(77)
