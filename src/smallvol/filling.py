@@ -153,9 +153,10 @@ def enumerate_slopes(cusp: CuspData, vol_target: float, fudge: float = 0.01) -> 
     surely_out = _up(c2_hi + error(far)) if (64.0 * s) ** 2 <= far else math.inf
 
     # The four parts are integers over one power of two, so a squared
-    # length is an integer sq >= 1 over den^2: isqrt(sq - 1) + 1 is the
-    # ceiling of its square root, and two steps up cover the division and
-    # the repr.
+    # length is an integer sq >= 1 over den^2.  Scaled by 4^k so that its
+    # root has at least 56 bits, isqrt(sq * 4^k - 1) + 1 is the ceiling of
+    # that root, less than 2^-55 of it above the exact one, and two steps
+    # up cover the division by den * 2^k and the repr.
     parts = [x.as_integer_ratio() for x in (mr, mi, lr, li)]
     den = max(d for _, d in parts)
     nmr, nmi, nlr, nli = (n * (den // d) for n, d in parts)
@@ -178,8 +179,10 @@ def enumerate_slopes(cusp: CuspData, vol_target: float, fudge: float = 0.01) -> 
                 continue
             if q2 > surely_in and not _exactly_in(p, q, cusp, vol_target, fudge):
                 continue
-            root = math.isqrt((p * nmr + q * nlr) ** 2 + (p * nmi + q * nli) ** 2 - 1) + 1
-            pairs.append((p, q, _up(_up(root / den))))
+            sq = (p * nmr + q * nlr) ** 2 + (p * nmi + q * nli) ** 2
+            k = max(0, 56 - sq.bit_length() // 2)
+            root = math.isqrt((sq << 2 * k) - 1) + 1
+            pairs.append((p, q, _up(_up(root / (den << k)))))
     pairs.sort(key=lambda t: (t[0], t[1]))
     return SlopeList(cutoff=_up(radius), fudge=fudge, pairs=tuple(pairs))
 

@@ -1,23 +1,23 @@
 """Certified volumes of ideal triangulations from shape parameters.
 
-An ideal tetrahedron with shape z (Im z > 0) has dihedral angles
-arg z, arg 1/(1-z), arg (z-1)/z, and the volume of a triangulation is
-the sum of the Lobachevsky function over all dihedral angles.  Given an
-approximate shape assignment together with a distance bound ``delta``
-on the true solution, every shape becomes a complex jet with two fresh
-perturbation variables of radius delta, and the resulting volume jet
-bounds the volume of any true solution within delta.  Exact shapes
-(delta = 0) are dimension-0 jets, so their whole evaluation runs on the
-jet core's plain-float path.
+An ideal tetrahedron with shape z = x + iy (y > 0) has dihedral angles
+arg z, arg 1/(1-z) = arg((1-x) + iy) and arg (z-1)/z = arg((|z|^2-x) + iy):
+conjugating a number, or scaling it by |z|^2 > 0, leaves its argument
+unchanged, so no complex reciprocal or product is built.  The volume of a
+triangulation is the sum of the Lobachevsky function over all dihedral
+angles.  Given an approximate shape assignment together with a distance
+bound ``delta`` on the true solution, every shape becomes a complex jet
+with two fresh perturbation variables of radius delta, and the volume
+interval bounds the volume of any true solution within delta.  Exact
+shapes (delta = 0) are dimension-0 jets, so their whole evaluation runs
+on the jet core's plain-float path.
 
-Each angle term depends only on its own tetrahedron's shape, so
-tetrahedron j is evaluated over its own two variables, and only the
-finished Lobachevsky terms are placed at coordinates 2j and 2j+1 of the
-2n-variable volume jet.  The work per tetrahedron therefore does not
-grow with n.  The bounds are the same, bit for bit, as over 2n shared
-variables: a zero coefficient draws no rounding charge in any jet
-operation and adds nothing to ``Jet.spread``, so the nonzero
-coefficients, the charges and their order are unchanged.
+The volume is a sum of one term per tetrahedron (Neumann-Zagier), and
+terms of different tetrahedra share no variable.  So each tetrahedron's
+three terms are summed over its own two variables, and the tetrahedra
+are added as dimension-0 (center, spread) pairs: the boxes are
+independent, so the sup of the sum is the sum of the sups, and one jet
+over all 2n variables would be no tighter.
 """
 
 from __future__ import annotations
@@ -72,9 +72,8 @@ class ShapeAssignment(namedtuple("ShapeAssignment", "shapes delta")):
         Variable 0 moves the real part and variable 1 the imaginary part,
         each by at most delta: delta bounds the C^n distance to the true
         solution, so the per-coordinate box over-covers the delta-ball.
-        Tetrahedron j's variables are coordinates 2j and 2j+1 of the
-        volume jet (see ``certified_volume``).  With delta == 0 the shapes
-        are exact and the jets have dimension 0.
+        Tetrahedra share no variable (see ``certified_volume``).  With
+        delta == 0 the shapes are exact and the jets have dimension 0.
         """
         if self.delta == 0.0:
             return [ComplexJet.constant(z) for z in self.shapes]
@@ -82,20 +81,19 @@ class ShapeAssignment(namedtuple("ShapeAssignment", "shapes delta")):
 
 
 def dihedral_angles(z: ComplexJet) -> tuple:
-    """Angle jets (arg z, arg 1/(1-z), arg (z-1)/z) of one tetrahedron.
+    """Angle jets (arg z, arg 1/(1-z), arg (z-1)/z) of one tetrahedron: the
+    arguments of z, (1-x) + iy and (|z|^2-x) + iy (see the module docstring).
 
-    |z|^2 and |1-z|^2 are computed once each: the same jets prove z away
-    from 0 and 1 and then divide."""
+    |z|^2 and |1-z|^2 are computed once each, to prove z away from 0 and 1."""
     z_sq = z.abs_squared()
     if not z_sq.prove_positive():
         raise JetDomainError("shape not provably distinct from 0")
     one_minus = 1.0 - z
-    one_minus_sq = one_minus.abs_squared()
-    if not one_minus_sq.prove_positive():
+    if not one_minus.abs_squared().prove_positive():
         raise JetDomainError("shape not provably distinct from 1")
     a1 = arg_complex(z)
-    a2 = arg_complex(one_minus.reciprocal(one_minus_sq))
-    a3 = arg_complex((z - 1.0) * z.reciprocal(z_sq))
+    a2 = arg_complex(ComplexJet(one_minus.re, z.im))
+    a3 = arg_complex(ComplexJet(z_sq - z.re, z.im))
     return a1, a2, a3
 
 
@@ -114,25 +112,18 @@ def check_positive_orientation(assignment: ShapeAssignment) -> bool:
 def certified_volume(assignment: ShapeAssignment, tol: float = 1e-12) -> Interval:
     """Interval containing the volume of any true solution within delta.
 
-    Each Lobachevsky term is evaluated over its tetrahedron's two local
-    variables, then summed into a jet over all 2n, tetrahedron by
-    tetrahedron and angle by angle, with tetrahedron j at 2j and 2j+1.
-    A dimension-0 term (an exact shape) adds only its center and err.
+    Each tetrahedron's three Lobachevsky terms are summed over its own two
+    variables, and the tetrahedra are added as (center, spread) pairs.
     """
     shape_jets = assignment.shape_jets()
     if not _oriented(shape_jets):
         raise OrientationError(
             "tetrahedra not provably positively oriented within delta"
         )
-    dim = 2 * assignment.count
-    total = Jet.constant(0.0)
-    for j, zj in enumerate(shape_jets):
-        before, after = (0.0,) * (2 * j), (0.0,) * (dim - 2 * j - 2)
-        for angle in dihedral_angles(zj):
-            term = lobachevsky(angle, tol)
-            if term.coeffs:
-                term = _jet(term.center, before + term.coeffs + after, term.err)
-            total = total + term
+    total = zero = Jet.constant(0.0)
+    for zj in shape_jets:
+        term = sum((lobachevsky(a, tol) for a in dihedral_angles(zj)), zero)
+        total = total + _jet(term.center, (), term.spread())
     lo, hi = total.bounds()
     return Interval(lo, hi)
 

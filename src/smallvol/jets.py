@@ -524,10 +524,9 @@ class ComplexJet:
     def prove_nonzero(self) -> bool:
         return self.abs_squared().prove_positive()
 
-    def reciprocal(self, abs_squared: Jet = None) -> "ComplexJet":
-        """1/z; ``abs_squared`` passes ``self.abs_squared()`` when the
-        caller has computed it already."""
-        d = self.abs_squared() if abs_squared is None else abs_squared
+    def reciprocal(self) -> "ComplexJet":
+        """1/z = conj(z) / |z|^2."""
+        d = self.abs_squared()
         if not d.prove_positive():
             raise JetDomainError("complex reciprocal: jet not provably nonzero")
         inv = d.reciprocal()

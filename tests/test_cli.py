@@ -452,22 +452,22 @@ class TestCertifyVolume:
         assert rc == 2 and out == "" and message in err
 
     def test_le_is_decided_for_the_typed_decimal(self, capsys, fig8_file):
-        # volume_hi is the double 2.02988321282003347789..., which the
+        # volume_hi is the double 2.02988321282002948109..., which the
         # typed value, below it, rounds to.
         rc, out, _ = run_cli(capsys, "volume", fig8_file,
-                             "--le", "2.029883212820033467896686236")
+                             "--le", "2.029883212820029471093797585")
         assert rc == 1
-        assert "volume_hi: 2.0298832128200335\n" in out
-        assert "le_claim: 2.0298832128200335 unproven\n" in out
+        assert "volume_hi: 2.0298832128200295\n" in out
+        assert "le_claim: 2.0298832128200295 unproven\n" in out
         assert "verdict: inconclusive\n" in out
         # The shortest repr of volume_hi lies above it, and proves.
-        rc, out, _ = run_cli(capsys, "volume", fig8_file, "--le", "2.0298832128200335")
-        assert rc == 0 and "le_claim: 2.0298832128200335 proven\n" in out
+        rc, out, _ = run_cli(capsys, "volume", fig8_file, "--le", "2.0298832128200295")
+        assert rc == 0 and "le_claim: 2.0298832128200295 proven\n" in out
 
     @pytest.mark.parametrize("text", (
-        "2.0298832128200334" + "7" * 5000,
-        "2.0298832128200335e" + "0" * 5000,
-        "0." + "0" * 5000 + "20298832128200335e5001",
+        "2.0298832128200294" + "7" * 5000,
+        "2.0298832128200295e" + "0" * 5000,
+        "0." + "0" * 5000 + "20298832128200295e5001",
     ), ids=("long-mantissa", "long-exponent", "leading-zeros"))
     def test_le_past_the_integer_digit_limit(self, capsys, fig8_file, text):
         # Each rounds to volume_hi, so the claim is decided on the text.
@@ -653,7 +653,7 @@ class TestColdStart:
     @pytest.mark.parametrize("argv, present", (
         (["certify", FIG8], {"smallvol.certify", "smallvol.points"}),
         # --le at volume_hi's own double: settled on the typed decimal.
-        (["volume", FIG8, "--gt", "2", "--le", "2.029883212820033467896686236"],
+        (["volume", FIG8, "--gt", "2", "--le", "2.029883212820029471093797585"],
          {"smallvol.certify", "smallvol.geometry", "smallvol.jets", "smallvol.points"}),
     ))
     def test_command_loads_the_modules_it_runs(self, argv, present):

@@ -238,6 +238,11 @@ class TestExactMembership:
             x = p * Fraction(m.real) + q * Fraction(l.real)
             y = p * Fraction(m.imag) + q * Fraction(l.imag)
             assert Fraction(length) ** 2 >= x * x + y * y, (p, q, cusp)
+            # and at most three ulps above it
+            below = length
+            for _ in range(3):
+                below = math.nextafter(below, 0.0)
+            assert Fraction(below) ** 2 <= x * x + y * y, (p, q, cusp)
         with mpmath.workdps(50):
             slack = c * mpmath.mpf(PI_HI) / mpmath.pi
         reach = float(c) * 1.001 / cusp.lattice_area()
@@ -259,6 +264,16 @@ class TestExactMembership:
 
     def test_s776(self):
         assert self.check(S776, 2.848, 0.01) == len(S776_PAIRS)
+
+    def test_integer_lattice(self):
+        # Integer parts: each squared length is an integer, whose root
+        # once came out rounded up to the next whole number (sqrt(101)
+        # as 11), above the cutoff.
+        cusp = CuspData(1.0, 1j, 5.33349)
+        assert self.check(cusp, 2.848, 0.01) == 112
+        slopes = enumerate_slopes(cusp, 2.848, 0.01)
+        assert all(length <= slopes.cutoff for _, _, length in slopes.pairs)
+        assert (-10, 1, 10.049875621120893) in slopes.pairs
 
     def test_random_cusps(self):
         rng = random.Random(77)

@@ -31,6 +31,17 @@ def _v_tet():
     return V_TET
 
 
+def _bloch_wigner(z):
+    """D(z) = Im Li2(z) + arg(1 - z) log|z| at 50 digits, through D(z) =
+    -D(1/z) when |z| > 1, where the two terms would cancel."""
+    with mpmath.workdps(50):
+        w = mpmath.mpc(z)
+        sign = 1
+        if abs(w) > 1:
+            w, sign = 1 / w, -1
+        return sign * (mpmath.im(mpmath.polylog(2, w)) + mpmath.arg(1 - w) * mpmath.log(abs(w)))
+
+
 class TestShapeAssignment:
     def test_valid(self):
         s = ShapeAssignment((OMEGA,), 0.0)
@@ -108,6 +119,16 @@ class TestEachValueOnce:
         monkeypatch.setattr(ComplexJet, "abs_squared", counted)
         dihedral_angles(ComplexJet.variable(OMEGA, 0, 1, 1e-9, 2))
         assert len(calls) == 2  # |z|^2 and |1 - z|^2
+
+    def test_dihedral_angles_build_no_complex_reciprocal_or_product(self, monkeypatch):
+        # Each angle is the argument of a polynomial in Re z and Im z.
+        def refuse(*args):
+            raise AssertionError("complex reciprocal or product built")
+
+        for name in ("reciprocal", "__mul__", "__rmul__"):
+            monkeypatch.setattr(ComplexJet, name, refuse)
+        for zj in (ComplexJet.constant(OMEGA), ComplexJet.variable(OMEGA, 0, 1, 1e-9, 2)):
+            assert len(dihedral_angles(zj)) == 3
 
     def test_certified_volume_builds_the_shape_jets_once(self, monkeypatch):
         calls = []
@@ -192,15 +213,25 @@ class TestCertifiedVolume:
     @pytest.mark.parametrize("z", (1e-60 + 1e-60j, 2e-55 + 1e-55j, 1e-70 + 3e-70j))
     @pytest.mark.parametrize("delta", (0.0, 1e-75))
     def test_tiny_shapes_contain_the_bloch_wigner_volume(self, z, delta):
-        # 1/z divides by |z|^2, whose reciprocal has b0^2 * m underflowing;
-        # it once raised "range too close to zero".
+        # A reciprocal of |z|^2 here once had b0^2 * m underflowing, and
+        # raised "range too close to zero".
         iv = certified_volume(ShapeAssignment((z,), delta))
-        with mpmath.workdps(60):
-            w = mpmath.mpc(z)
-            # D(z) = Im Li2(z) + arg(1 - z) log|z|
-            vol = mpmath.im(mpmath.polylog(2, w)) + mpmath.arg(1 - w) * mpmath.log(abs(w))
-            assert vol > 0
-            assert mpmath.mpf(iv.lo) <= vol <= mpmath.mpf(iv.hi)
+        vol = _bloch_wigner(z)
+        assert vol > 0
+        assert mpmath.mpf(iv.lo) <= vol <= mpmath.mpf(iv.hi)
+
+    @pytest.mark.parametrize("e", range(-150, 151, 15))
+    @pytest.mark.parametrize("unit", (1 + 1j, -1 + 3j, 0.5 + 0.001j))
+    @pytest.mark.parametrize("rel_delta", (0.0, 1e-9))
+    def test_extreme_shapes_contain_the_bloch_wigner_volume(self, e, unit, rel_delta):
+        # |z| from 1e-150 to 1e150.  The third angle is about 1/|z| for a
+        # huge shape; as the argument of (z - 1)(1/z) it once cancelled
+        # below its own rounding error, so 1e105+1e105j and 1e120+1e120j
+        # were refused.
+        z = unit * 10.0 ** e
+        iv = certified_volume(ShapeAssignment((z,), abs(z) * rel_delta))
+        vol = _bloch_wigner(z)
+        assert mpmath.mpf(iv.lo) <= vol <= mpmath.mpf(iv.hi)
 
     def test_orientation_failure_raises(self):
         with pytest.raises(OrientationError):
@@ -250,8 +281,8 @@ GOLDEN_SHAPES = {"tet": (OMEGA,), "fig8": (OMEGA, OMEGA),
 # separate accumulator object (x86-64, glibc libm).  The n8 and
 # n16 rows were captured from the volume path that evaluated every
 # tetrahedron over all 2n shared variables, before each tetrahedron got
-# its own two.  A later jet core may only tighten a row: its bounds must
-# lie inside the row and equal it unless TIGHTENED_VOLUMES pins them.
+# its own two.  A later volume path may only tighten a row: its bounds
+# must lie inside the row's last pin and are pinned anew.
 GOLDEN_VOLUMES = (
     ("tet", 0.0, 1e-12, "0x1.03d3368ee093dp+0", "0x1.03d3368ee1773p+0"),
     ("fig8", 0.0, 1e-12, "0x1.03d3368ee093cp+1", "0x1.03d3368ee1774p+1"),
@@ -313,21 +344,73 @@ TIGHTENED_VOLUMES = {
 }
 
 
+# The bounds of the volume path that takes each dihedral angle as the
+# argument of a polynomial in the shape and sums each tetrahedron over its
+# own two variables, for every GOLDEN_VOLUMES row.  Each lies inside the
+# row's earlier pin: its TIGHTENED_VOLUMES value where there is one, else
+# the row itself.
+PINNED_VOLUMES = {
+    ("tet", 0.0, 1e-12): ("0x1.03d3368ee0944p+0", "0x1.03d3368ee176cp+0"),
+    ("fig8", 0.0, 1e-12): ("0x1.03d3368ee0944p+1", "0x1.03d3368ee176cp+1"),
+    ("fig8", 1e-08, 1e-12): ("0x1.03d3368ee093ap+1", "0x1.03d3368ee1776p+1"),
+    ("n1", 0.0, 1e-12): ("0x1.b9b5f280350bap-1", "0x1.b9b5f2803c04ep-1"),
+    ("n1", 0.0, 1e-08): ("0x1.b9b5f238d2a7ap-1", "0x1.b9b5f2b2753aap-1"),
+    ("n1", 1e-08, 1e-12): ("0x1.b9b5f2307745cp-1", "0x1.b9b5f2cff9cacp-1"),
+    ("n1", 1e-08, 1e-08): ("0x1.b9b5f1e914e13p-1", "0x1.b9b5f3023303fp-1"),
+    ("n1", 0.0001, 1e-12): ("0x1.b9a9b368caabep-1", "0x1.b9c23197a66f0p-1"),
+    ("n1", 0.0001, 1e-08): ("0x1.b9a9b32153e11p-1", "0x1.b9c231ca66cb5p-1"),
+    ("n2", 0.0, 1e-12): ("0x1.b10ab216aae2fp+0", "0x1.b10ab216af165p+0"),
+    ("n2", 0.0, 1e-08): ("0x1.b10ab1e0eec5fp+0", "0x1.b10ab249640b9p+0"),
+    ("n2", 1e-08, 1e-12): ("0x1.b10ab1e418d8bp+0", "0x1.b10ab24941209p+0"),
+    ("n2", 1e-08, 1e-08): ("0x1.b10ab1ae5cbafp+0", "0x1.b10ab27bf6171p+0"),
+    ("n2", 0.0001, 1e-12): ("0x1.b102f0a273609p+0", "0x1.b112738ae69a9p+0"),
+    ("n2", 0.0001, 1e-08): ("0x1.b102f06c96f6ep+0", "0x1.b11273bdcecb6p+0"),
+    ("n3", 0.0, 1e-12): ("0x1.4c91ce8c54abap+1", "0x1.4c91ce8c58c76p+1"),
+    ("n3", 0.0, 1e-08): ("0x1.4c91ce3b7fdc1p+1", "0x1.4c91cecfb38cfp+1"),
+    ("n3", 1e-08, 1e-12): ("0x1.4c91ce719f26bp+1", "0x1.4c91cea70e4c5p+1"),
+    ("n3", 1e-08, 1e-08): ("0x1.4c91ce20ca572p+1", "0x1.4c91ceea69136p+1"),
+    ("n3", 0.0001, 1e-12): ("0x1.4c8db58896fc3p+1", "0x1.4c95e7901678bp+1"),
+    ("n3", 0.0001, 1e-08): ("0x1.4c8db537bef32p+1", "0x1.4c95e7d3aa3f6p+1"),
+    ("n4", 0.0, 1e-12): ("0x1.330819d9f09a7p+1", "0x1.330819d9f34fdp+1"),
+    ("n4", 0.0, 1e-08): ("0x1.330819a480474p+1", "0x1.33081a15727c8p+1"),
+    ("n4", 1e-08, 1e-12): ("0x1.330819a3a5095p+1", "0x1.33081a103ee0fp+1"),
+    ("n4", 1e-08, 1e-08): ("0x1.3308196e34b4bp+1", "0x1.33081a4bbe0edp+1"),
+    ("n4", 0.0001, 1e-12): ("0x1.32ffc7f9c0b85p+1", "0x1.33106bba23307p+1"),
+    ("n4", 0.0001, 1e-08): ("0x1.32ffc7c41902ep+1", "0x1.33106bf5d02dap+1"),
+    ("n8", 0.0, 1e-12): ("0x1.796649be125f0p+2", "0x1.796649be16c64p+2"),
+    ("n8", 0.0, 1e-08): ("0x1.7966496f44323p+2", "0x1.79664a11b8125p+2"),
+    ("n8", 1e-08, 1e-12): ("0x1.796649872e660p+2", "0x1.796649f4fabf4p+2"),
+    ("n8", 1e-08, 1e-08): ("0x1.796649386037ep+2", "0x1.79664a489c0ccp+2"),
+    ("n8", 0.0001, 1e-12): ("0x1.795ddd49f89b9p+2", "0x1.796eb632308abp+2"),
+    ("n8", 0.0001, 1e-08): ("0x1.795ddcfaf571ap+2", "0x1.796eb68605f6ep+2"),
+    ("n16", 0.0, 1e-12): ("0x1.63252e1082b9dp+3", "0x1.63252e1086f8fp+3"),
+    ("n16", 0.0, 1e-08): ("0x1.63252dcceb192p+3", "0x1.63252e550aea2p+3"),
+    ("n16", 1e-08, 1e-12): ("0x1.63252dcd5b7f5p+3", "0x1.63252e53ae337p+3"),
+    ("n16", 1e-08, 1e-08): ("0x1.63252d89c3dd8p+3", "0x1.63252e983225cp+3"),
+    ("n16", 0.0001, 1e-12): ("0x1.631ae42cd65c7p+3", "0x1.632f77f433563p+3"),
+    ("n16", 0.0001, 1e-08): ("0x1.631ae3e918df7p+3", "0x1.632f7838e5937p+3"),
+}
+
+
 class TestGoldenBounds:
     @pytest.mark.parametrize("name, delta, tol, lo, hi", GOLDEN_VOLUMES)
     def test_certified_volume_bits(self, name, delta, tol, lo, hi):
+        key = (name, delta, tol)
         iv = certified_volume(ShapeAssignment(GOLDEN_SHAPES[name], delta), tol=tol)
-        assert (iv.lo.hex(), iv.hi.hex()) == TIGHTENED_VOLUMES.get((name, delta, tol), (lo, hi))
-        assert float.fromhex(lo) <= iv.lo and iv.hi <= float.fromhex(hi)
+        assert (iv.lo.hex(), iv.hi.hex()) == PINNED_VOLUMES[key]
+        env_lo, env_hi = TIGHTENED_VOLUMES.get(key, (lo, hi))
+        assert float.fromhex(env_lo) <= iv.lo and iv.hi <= float.fromhex(env_hi)
 
     def test_exact_shapes_evaluate_at_dimension_zero(self):
-        # Bounds captured from the volume path that gave every exact shape
-        # two zero-radius variables.
         s = ShapeAssignment(GOLDEN_SHAPES["n16"], 0.0)
         assert all(z.dim == 0 for z in s.shape_jets())
         assert all(z.dim == 2 for z in ShapeAssignment(s.shapes, 1e-9).shape_jets())
         iv = certified_volume(s, tol=1e-14)
-        assert (iv.lo.hex(), iv.hi.hex()) == ("0x1.63252e1084bfap+3", "0x1.63252e1084d5ap+3")
+        assert (iv.lo.hex(), iv.hi.hex()) == ("0x1.63252e1084c15p+3", "0x1.63252e1084d3fp+3")
+        # Inside the bounds of the volume path that gave every exact shape
+        # two zero-radius variables.
+        assert (float.fromhex("0x1.63252e1084bfap+3") <= iv.lo
+                and iv.hi <= float.fromhex("0x1.63252e1084d5ap+3"))
 
     def test_figure_eight_certificate_bits(self):
         cert = krawczyk_certify(figure_eight_system())
