@@ -3,14 +3,15 @@
 An ideal tetrahedron with shape z = x + iy (y > 0) has dihedral angles
 arg z, arg 1/(1-z) = arg((1-x) + iy) and arg (z-1)/z = arg((|z|^2-x) + iy):
 conjugating a number, or scaling it by |z|^2 > 0, leaves its argument
-unchanged, so no complex reciprocal or product is built.  The volume of a
-triangulation is the sum of the Lobachevsky function over all dihedral
-angles.  Given an approximate shape assignment together with a distance
-bound ``delta`` on the true solution, every shape becomes a complex jet
-with two fresh perturbation variables of radius delta, and the volume
-interval bounds the volume of any true solution within delta.  Exact
-shapes (delta = 0) are dimension-0 jets, so their whole evaluation runs
-on the jet core's plain-float path.
+unchanged.  So each angle is the argument of a pair of real jets built
+from x and y (a ``ComplexJet``), and no complex arithmetic is needed.
+The volume of a triangulation is the sum of the Lobachevsky function
+over all dihedral angles.  Given an approximate shape assignment
+together with a distance bound ``delta`` on the true solution, every
+shape becomes a complex jet with two fresh perturbation variables of
+radius delta, and the volume interval bounds the volume of any true
+solution within delta.  Exact shapes (delta = 0) are dimension-0 jets,
+so their whole evaluation runs on the jet core's plain-float path.
 
 The volume is a sum of one term per tetrahedron (Neumann-Zagier), and
 terms of different tetrahedra share no variable.  So each tetrahedron's
@@ -22,6 +23,8 @@ over all 2n variables would be no tighter.
 
 from __future__ import annotations
 
+import cmath
+import math
 from collections import namedtuple
 
 from .jets import ComplexJet, Jet, JetDomainError, _jet, arg_complex
@@ -54,9 +57,11 @@ class ShapeAssignment(namedtuple("ShapeAssignment", "shapes delta")):
         if not (self.delta >= 0.0 and self.delta < float("inf")):
             raise ValueError(f"delta must be finite and >= 0, got {self.delta!r}")
         for j, z in enumerate(self.shapes):
-            if z != z or abs(z) == float("inf"):
+            if not cmath.isfinite(z):
                 raise ValueError(f"shape {j} is not finite")
-            if abs(z) <= self.delta or abs(z - 1.0) <= self.delta:
+            # hypot returns inf where abs(z) of a finite z raises OverflowError.
+            if (math.hypot(z.real, z.imag) <= self.delta
+                    or math.hypot(z.real - 1.0, z.imag) <= self.delta):
                 raise ValueError(
                     f"shape {j} = {z} is within delta of a degenerate value"
                 )
@@ -88,11 +93,11 @@ def dihedral_angles(z: ComplexJet) -> tuple:
     z_sq = z.abs_squared()
     if not z_sq.prove_positive():
         raise JetDomainError("shape not provably distinct from 0")
-    one_minus = 1.0 - z
-    if not one_minus.abs_squared().prove_positive():
+    w = ComplexJet(1.0 - z.re, z.im)
+    if not w.abs_squared().prove_positive():
         raise JetDomainError("shape not provably distinct from 1")
     a1 = arg_complex(z)
-    a2 = arg_complex(ComplexJet(one_minus.re, z.im))
+    a2 = arg_complex(w)
     a3 = arg_complex(ComplexJet(z_sq - z.re, z.im))
     return a1, a2, a3
 

@@ -437,7 +437,10 @@ def atan_jet(a: Jet) -> Jet:
 
 
 class ComplexJet:
-    """Complex value with jet real and imaginary parts over one variable space."""
+    """Complex value as a pair (re, im) of real jets over one variable
+    space.  It has no complex arithmetic: callers build each part with
+    real-jet operations and read the pair through ``abs_squared``,
+    ``arg_complex`` and ``complex_log_jet``."""
 
     __slots__ = ("re", "im")
 
@@ -451,7 +454,7 @@ class ComplexJet:
     def constant(cls, z: complex) -> "ComplexJet":
         """The exact constant z, at dimension 0."""
         z = complex(z)
-        return _cjet(Jet.constant(z.real), Jet.constant(z.imag))
+        return cls(Jet.constant(z.real), Jet.constant(z.imag))
 
     @classmethod
     def variable(cls, z: complex, re_index: int, im_index: int,
@@ -476,81 +479,8 @@ class ComplexJet:
     def __hash__(self):
         return hash((self.re, self.im))
 
-    def _lift(self, other):
-        if isinstance(other, ComplexJet):
-            return other
-        if isinstance(other, (int, float, complex)):
-            return ComplexJet.constant(complex(other))
-        return NotImplemented
-
-    def __neg__(self):
-        return _cjet(-self.re, -self.im)
-
-    def __add__(self, other):
-        b = self._lift(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return _cjet(self.re + b.re, self.im + b.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        b = self._lift(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return _cjet(self.re - b.re, self.im - b.im)
-
-    def __rsub__(self, other):
-        b = self._lift(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return b.__sub__(self)
-
-    def __mul__(self, other):
-        b = self._lift(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return _cjet(self.re * b.re - self.im * b.im,
-                     self.re * b.im + self.im * b.re)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "ComplexJet":
-        return _cjet(self.re, -self.im)
-
     def abs_squared(self) -> Jet:
         return self.re * self.re + self.im * self.im
-
-    def prove_nonzero(self) -> bool:
-        return self.abs_squared().prove_positive()
-
-    def reciprocal(self) -> "ComplexJet":
-        """1/z = conj(z) / |z|^2."""
-        d = self.abs_squared()
-        if not d.prove_positive():
-            raise JetDomainError("complex reciprocal: jet not provably nonzero")
-        inv = d.reciprocal()
-        return _cjet(self.re * inv, -(self.im * inv))
-
-    def __truediv__(self, other):
-        b = self._lift(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return self.__mul__(b.reciprocal())
-
-    def __rtruediv__(self, other):
-        b = self._lift(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return b.__mul__(self.reciprocal())
-
-
-def _cjet(re: Jet, im: Jet) -> ComplexJet:
-    """Trusted constructor for results whose parts share one dimension."""
-    z = _new(ComplexJet)
-    z.re = re
-    z.im = im
-    return z
 
 
 def arg_complex(z: ComplexJet) -> Jet:
@@ -598,5 +528,8 @@ def _arg_by_imag(z: ComplexJet):
 
 
 def complex_log_jet(z: ComplexJet) -> ComplexJet:
-    """Principal complex logarithm: log|z| + i arg z."""
-    return _cjet(log_jet(z.abs_squared()) * 0.5, arg_complex(z))
+    """Principal complex logarithm: log|z| + i arg z.
+
+    No library code calls it: it stays as the benchmark tracer's span
+    and as the tests' jet logarithm."""
+    return ComplexJet(log_jet(z.abs_squared()) * 0.5, arg_complex(z))

@@ -326,9 +326,10 @@ def _log_domain(x: float, y: float) -> None:
 
 def _recip_box(x: float, ex: float, y: float, ey: float) -> tuple:
     """Enclosure (mid_re, mid_im, rad_re, rad_im) of 1/w over the box
-    w in (x +- ex) + i (y +- ey): w conj(w) / |w|^2 in the pair
-    operations above, in the order and with the charges of
-    ``jets.ComplexJet.reciprocal``."""
+    w in (x +- ex) + i (y +- ey) as conj(w) / |w|^2, in this order: |w|^2
+    as ``_add0`` of the two ``_mul0`` squares, its reciprocal by
+    ``_recip0``, then Re w and Im w each times that reciprocal by
+    ``_mul0``, with the charges of those pair operations."""
     s, se = _add0(*_mul0(x, ex, x, ex), *_mul0(y, ey, y, ey))
     if not (_down(s - _up(se)) if se else s) > 0.0:
         raise JetDomainError("complex reciprocal: jet not provably nonzero")

@@ -36,6 +36,8 @@ from smallvol.jets import ComplexJet, Jet, JetError, complex_log_jet
 from smallvol.points import _add0, _dot, _log_box, _recip_box
 from smallvol.rounding import EPS_PRIM
 
+from complex_refs import one_minus, reciprocal
+
 OMEGA = complex(0.5, math.sqrt(3) / 2)
 
 
@@ -647,7 +649,7 @@ def _log_cases(rng):
                lambda z=z: complex_log_jet(ComplexJet.constant(z)))
         yield ((1 - iv.mpf(z.real), -iv.mpf(z.imag)),
                lambda z=z: _log_box(1.0 - z.real, -z.imag, EPS_PRIM),
-               lambda z=z: complex_log_jet(1.0 - ComplexJet.constant(z)))
+               lambda z=z: complex_log_jet(one_minus(ComplexJet.constant(z))))
 
 
 def _log_encloses(box, w):
@@ -710,14 +712,14 @@ class TestLogBox:
             for box, jet in ((_log_box(z.real, z.imag, 0.0),
                               complex_log_jet(ComplexJet.constant(z))),
                              (_log_box(1.0 - z.real, -z.imag, EPS_PRIM),
-                              complex_log_jet(1.0 - ComplexJet.constant(z)))):
+                              complex_log_jet(one_minus(ComplexJet.constant(z))))):
                 assert box[:2] == (jet.re.center, jet.im.center), z
                 assert box[2] <= jet.re.err and box[3] <= jet.im.err, z
 
 
-def _jet_recip(x, ex, y, ey, one_minus):
+def _jet_recip(x, ex, y, ey, minus):
     w = ComplexJet(Jet(x, (), ex), Jet(y, (), ey))
-    r = (1.0 - w if one_minus else w).reciprocal()
+    r = reciprocal(one_minus(w) if minus else w)
     return r.re.center, r.im.center, r.re.err, r.im.err
 
 
@@ -730,8 +732,9 @@ def _recip_args(x, ex, y, ey, one_minus):
 
 
 class TestRecipBox:
-    """The Jacobian's reciprocal boxes: bit for bit the dimension-0
-    ``ComplexJet.reciprocal``, and inside 50-digit interval arithmetic."""
+    """The Jacobian's reciprocal boxes: bit for bit the dimension-0 jet
+    reciprocal (``complex_refs.reciprocal``), and inside 50-digit interval
+    arithmetic."""
 
     def _cases(self, rng):
         for _ in range(1500):

@@ -1,14 +1,19 @@
+import contextlib
 import importlib
+import io
 import math
 import os
 import random
 import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import smallvol
 from smallvol import cli
@@ -516,6 +521,58 @@ class TestCertifyVolume:
         rc, out, _ = run_cli(capsys, "volume", fig8_file, "--delta", "0",
                              "--tol", "1e-300")
         assert rc == 0 and "verdict: assumed-delta\n" in out
+
+    def test_finite_shape_whose_modulus_overflows(self, capsys, tmp_path):
+        # |z| of this finite shape overflows; it once escaped main as an
+        # OverflowError traceback.
+        p = tmp_path / "huge.gluing"
+        p.write_text(HUGE_SHAPE_GLUING)
+        rc, out, err = run_cli(capsys, "volume", str(p), "--delta", "0")
+        assert rc == 1 and "volume: inconclusive\n" in out
+        assert "verdict: inconclusive\n" in out and err == ""
+
+
+HUGE_SHAPE_GLUING = "tets 1\nshape 0 1.7e308 1.7e308\neq 0 ; 0 ; 0\n"
+
+# Shape parts at the edges of binary64: zero, subnormals, the smallest
+# normal, magnitudes whose squares or moduli overflow, the largest double.
+EXTREME_PARTS = (0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-320, -1e-320,
+                 2.2250738585072014e-308, 1e154, -1e154, 1e308, -1e308,
+                 1.7e308, -1.7e308, 1.7976931348623157e308)
+
+
+@st.composite
+def gluing_texts(draw):
+    """Gluing files of 1-3 tetrahedra with extreme or random finite shape
+    parts and equations of 0/+-1 coefficients.  About half the rows are
+    zero, which the residual screen at the stored shapes always passes,
+    so ``volume --delta`` reaches the shapes themselves."""
+    n = draw(st.integers(1, 3))
+    part = st.one_of(st.sampled_from(EXTREME_PARTS),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    unit = st.sampled_from((-1, 0, 1))
+    lines = [f"tets {n}"]
+    lines += [f"shape {j} {draw(part)!r} {draw(part)!r}" for j in range(n)]
+    for _ in range(draw(st.integers(n, n + 1))):
+        zero = draw(st.booleans())
+        a, b = ([str(0 if zero else draw(unit)) for _ in range(n)] for _ in range(2))
+        lines.append(f"eq {' '.join(a)} ; {' '.join(b)} ; {0 if zero else draw(unit)}")
+    return "\n".join(lines) + "\n"
+
+
+@given(gluing_texts())
+@example(HUGE_SHAPE_GLUING)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_extreme_shapes_end_in_an_exit_code(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "extreme.gluing")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+        for argv in (["certify", path], ["volume", path], ["volume", path, "--delta", "0"]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                rc = cli.main(argv)
+            assert rc in (0, 1, 2), (text, argv)
 
 
 @pytest.fixture()

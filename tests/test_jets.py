@@ -26,6 +26,7 @@ from smallvol.jets import (
 )
 from smallvol.points import _decimal_atan, libm_covered
 
+from complex_refs import minus_one, one_minus, quotient, reciprocal
 from oracles import jet_contains, jet_contains_value, mp_arg, mp_atan, mp_log
 
 
@@ -202,7 +203,7 @@ class TestOverflow:
         # b0^2 * m overflows here; the remainder was once charged as
         # s^2 / DBL_MAX, an err of 8.1e72 on this quotient of -1.
         x = 4.916359383700699e137
-        w = 1.0 - ComplexJet.constant(complex(x, -x))
+        w = one_minus(ComplexJet.constant(complex(x, -x)))
         r = w.im / w.re
         assert r.center == -1.0 and r.err.hex() == "0x1.8000000000009p-52"
         with mpmath.workdps(60):
@@ -241,7 +242,7 @@ class TestOverflow:
         # b0^2 * m = 1.25e-361 underflows; the reciprocal of that provably
         # nonzero part was once refused as "range too close to zero".
         x = 1e120
-        w = (1.0 - ComplexJet.constant(complex(x, x))).reciprocal()
+        w = reciprocal(one_minus(ComplexJet.constant(complex(x, x))))
         r = w.im / w.re
         assert r.center == -1.0 and r.err < 1e-14
         arg = arg_complex(w)
@@ -598,8 +599,8 @@ class TestArgument:
     @pytest.mark.parametrize("z, delta", ARG_REPROS)
     def test_near_axis_boxes_contain_oracle(self, z, delta):
         zj = ComplexJet.variable(z, 0, 1, delta, 2)
-        params = ((zj, lambda w: w), ((1.0 - zj).reciprocal(), lambda w: 1 / (1 - w)),
-                  ((zj - 1.0) / zj, lambda w: (w - 1) / w))
+        params = ((zj, lambda w: w), (reciprocal(one_minus(zj)), lambda w: 1 / (1 - w)),
+                  (quotient(minus_one(zj), zj), lambda w: (w - 1) / w))
         for wj, f in params:
             a = arg_complex(wj)
             with mpmath.workdps(50):
