@@ -12,8 +12,10 @@ inconclusive (never an assertion of the negative), 2 malformed input.
 Each subcommand loads only the modules it runs: ``bound`` and
 ``enumerate`` load ``filling``, ``certify`` loads ``formats``,
 ``certify`` and the point layer ``points``, ``volume`` loads these and
-``geometry`` and ``jets`` too, and ``nonhyp`` loads ``formats`` and
-``grouptool``.
+``geometry``, and ``jets`` too unless ``--delta 0`` makes the shapes
+exact, and ``nonhyp`` loads ``formats`` and ``grouptool``.  ``--tol``
+bounds the series truncation on the jet path only: exact shapes are
+summed to full precision.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 import time
 
@@ -351,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "a claim is then never proven and exits 1)")
     p.add_argument("--tol", type=_tol_flag, default=None,
                    help="Lobachevsky series truncation tolerance (> 0, "
-                        "default 1e-12)")
+                        "default 1e-12); exact shapes (--delta 0) are "
+                        "summed to full precision")
     p.add_argument("--gt", type=_finite_flag, default=None,
                    help="prove volume strictly greater than this")
     p.add_argument("--le", type=_typed_flag, default=None,
@@ -397,7 +401,8 @@ def main(argv=None) -> int:
     """Run one subcommand and print its report.  A command only adds
     report lines; an ``OSError`` or ``ValueError`` that escapes it or the
     ``command:`` echo is malformed input, reported on stderr with nothing
-    on stdout."""
+    on stdout.  A closed stdout does not change the exit code, and
+    writes nothing to stderr."""
     args = build_parser().parse_args(argv)
     try:
         rep = Report(_echo(args))
@@ -405,8 +410,25 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
-    rep.emit()
+    try:
+        rep.emit()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``| head -1``): the verdict stands.
+        # What is left unwritten goes to the null device, so the
+        # interpreter's flush at exit neither fails nor prints.
+        _stdout_to_devnull()
     return code
+
+
+def _stdout_to_devnull() -> None:
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # a stream with no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -24,10 +24,12 @@ Insertions reduce only at the two junctions (``words.insert``): the
 word and the inserted rotation are both freely reduced, so only the end
 of the text before the insertion point, the inserted word and the start
 of the text after it can cancel, and the new word is joined from tuple
-slices with no pass over the letters that stay.  The letter charge is
-unchanged: each successor is still charged the letters of the word and
-of the rotation, as if spelled out before free reduction, so every
-budget and every ``stopped_by`` is what a full re-reduction would give.
+slices with no pass over the letters that stay.  Its length follows from
+the cancellation counts, so a successor longer than the length bound is
+dropped before it is built.  The letter charge is unchanged: each
+successor is still charged the letters of the word and of the rotation,
+as if spelled out before free reduction, so every budget and every
+``stopped_by`` is what a full re-reduction would give.
 
 The search runs over doubled letters (2x for the letter x), so that no
 word it stores holds the letter -1: CPython hashes -1 like -2, and words
@@ -189,8 +191,9 @@ def _best_first(start, by_first, by_last, limit, max_len, node_budget, letters):
             letters -= len(w) + len(variant)
             if letters < 0:
                 return None, letters, LETTERS
-            new = insert(w, pos, variant)
-            if len(new) > max_len:
+            # A successor past max_len is charged but never built.
+            new = insert(w, pos, variant, max_len)
+            if new is None:
                 continue
             seen = nodes.get(new)
             if seen is not None and seen[0] <= nd:

@@ -2,10 +2,13 @@
 
 A word is a tuple of nonzero ints: +k is generator k-1, -k its inverse
 (generators are 0-indexed externally, letters 1-indexed internally so
-negation works).  All public helpers return freely reduced tuples.
+negation works).  All public helpers return freely reduced tuples
+(``insert`` returns None for a word past its length bound).
 """
 
 from __future__ import annotations
+
+import math
 
 # Longest word that ``power``, ``parse_word`` or ``substitute`` will build,
 # and that the proof-script checker stores, in letters.  Exponents and
@@ -39,16 +42,17 @@ def concat(*words) -> tuple:
     return tuple(out)
 
 
-def insert(word, pos: int, v) -> tuple:
+def insert(word, pos: int, v, max_len: float = math.inf):
     """``concat(word[:pos], v, word[pos:])`` for freely reduced ``word``
-    and ``v``.
+    and ``v``, or None when that word is longer than ``max_len``.
 
     Precondition, not checked: both inputs are freely reduced.  Then
     only the two junctions can cancel: the tail of ``word[:pos]``
     against the head of ``v``, the tail of ``v`` against the head of
     ``word[pos:]``, and, once ``v`` is used up, the two parts of
-    ``word`` against each other.  The result is built from three tuple
-    slices, with no pass over the letters that stay.
+    ``word`` against each other.  The cancellation counts give the
+    length, so a word too long is never built; one that fits is built
+    from three tuple slices, with no pass over the letters that stay.
     """
     m, n = len(v), len(word)
     k = 0
@@ -58,12 +62,16 @@ def insert(word, pos: int, v) -> tuple:
     while k + j < m and pos + j < n and word[pos + j] == -v[m - 1 - j]:
         j += 1
     if k + j < m:
+        if n + m - 2 * (k + j) > max_len:
+            return None
         return word[:pos - k] + v[k:m - j] + word[pos + j:]
     # v cancelled completely: join what is left of the two parts of word.
     left, right = pos - k, pos + j
     while left > 0 and right < n and word[left - 1] == -word[right]:
         left -= 1
         right += 1
+    if left + n - right > max_len:
+        return None
     return word[:left] + word[right:]
 
 

@@ -13,15 +13,21 @@ integer ratio, bracketed into its tightest double enclosure; no rational
 arithmetic library is loaded.  The coefficient ratios satisfy
 l_n / l_{n+1} > pi^2, so once the argument is reduced into (-pi/2, pi/2]
 (the function is pi-periodic) any term that falls below a tolerance
-bounds the whole remaining tail by twice itself.  All evaluation is
-carried out in jet arithmetic, so the returned jet contains the true
-value of L pointwise over the input jet's range.
+bounds the whole remaining tail by twice itself.
+
+There are two evaluators.  ``lobachevsky`` takes a jet with linear
+terms through jet arithmetic, truncating at a tolerance, so the returned
+jet contains the true value of L pointwise over the input jet's range.
+``_point`` takes a point (center, err) in plain floats with an a priori
+rounding bound, and sums the series until its terms fall below 2^-64,
+so no tolerance enters; exact-shape volumes (``geometry``) and
+dimension-0 jets use it.
 
 Loading the module, and filling the coefficients (``default_coeffs``),
-takes only the rounding layer (``rounding``).  The functions that take a
-jet reach the jet classes as ``smallvol.jets``, which loads them on
-first use (the package's ``__getattr__``), so a command that builds no
-jet never loads them.
+takes only the rounding layer (``rounding``).  The jet classes and the
+point layer are reached as ``smallvol.jets`` and ``smallvol.points``,
+which load on first use (the package's ``__getattr__``), so a command
+that builds no jet never loads the jet classes.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ from collections import namedtuple
 # ``sys.modules``, and its ``__getattr__`` is defined by the first call.
 import smallvol
 
-from .rounding import PI_HI, PI_LO, SQRT2_HI, JetDomainError, _down, _mul_up, _up
+from .rounding import (EPS_PRIM, PI_HI, PI_LO, SQRT2_HI, TINY, JetDomainError,
+                       _down, _mul_up, _up)
 
 DEFAULT_TERMS = 32
 MAX_TERMS = 64
@@ -170,8 +177,12 @@ def lobachevsky(theta: Jet, tol: float = 1e-12) -> Jet:
     below ``tol``; the dropped tail is bounded by twice that term and
     absorbed into the error radius.  Jets that are identically zero return
     the exact (dimension-0) zero; nondegenerate jets straddling zero are
-    rejected since log|2 theta| is singular there.
+    rejected since log|2 theta| is singular there.  A dimension-0 jet is
+    evaluated by ``_point``, which ignores ``tol``.
     """
+    if not theta.coeffs:
+        c, e = _point(theta.center, theta.err)
+        return smallvol.jets._jet(c, (), e)
     coeffs = default_coeffs()
     theta0 = range_reduce(theta)
     if theta0.is_exact_zero():
@@ -212,3 +223,80 @@ def _eval_positive(t: Jet, tol: float, coeffs: SeriesCoeffs) -> Jet:
         h = _mul_up(2.0, next_bound) * 0.5
         tail = _jet(h, (), h)
     return t * (s + tail)
+
+
+# Series terms below this are dropped: far below one rounding of the
+# bracket 1 - log 2t + sum, which is O(1) for t up to pi/2.
+_STOP = 2.0 ** -64
+# gamma_k <= k u _ONE_GAMMA for every k the kernel meets (k <= 2 MAX_TERMS + 4),
+# with room for the roundings of its weight sums.
+_ONE_GAMMA = 1.0 + 2.0 ** -40
+# Above log(pi/2) = 0.451582705...: |L'(t)| = |log 2 sin t| is at most
+# |log 2t| + log(pi/2) on (0, pi/sqrt(2)), as 2t >= 2 sin t >= 4t/pi on
+# [0, pi/2] (Jordan) and 1.5 < 2 sin t <= 2 < 2t beyond.
+_LOG_HALF_PI_HI = 0.4516
+_PI_SQ_LO = _down(PI_LO * PI_LO)
+
+
+def _point(theta: float, err: float) -> tuple:
+    """Pair (value, err) enclosing L over [theta - err, theta + err], in
+    plain floats: no jet is built.
+
+    theta is reduced by round(theta / pi) times [PI_LO, PI_HI] (pair
+    operations of ``points``), and L(t) = t (1 - log 2t + S), S = sum l_n
+    t^2n, is evaluated at t = |theta| with the upper coefficients, taking
+    terms until one falls below ``_STOP``, so the result does not depend
+    on a tolerance.  Term n is nonnegative and within gamma_{2n+2} of
+    l_n t^2n (the coefficient's ulp, t^2, and n multiplications; Higham
+    2002, Sec. 3.1), and ``math.fsum`` rounds their sum once, so S is
+    within u (sum (2n + 2) term_n + S) (1 + 2^-40) of the float sum.  The
+    dropped tail is at most twice its first term (ratios below t^2 / pi^2
+    <= 1/2), libm's log is charged ``_libm_err``, and err adds
+    |L'(t)| err + err^2 / (2 d), d = min(t, pi - t) - err, since
+    |L''| = |cot| <= 1 / min(t, pi - t).
+    """
+    points, up, inf = smallvol.points, math.nextafter, math.inf
+    k = round(theta / math.pi)
+    if k:
+        theta, err = points._add0(theta, err, *points._mul0(PI_LO, PI_HI - PI_LO, -k, 0.0))
+    t = abs(theta)
+    if not t:
+        if err:
+            raise JetDomainError("Lobachevsky argument straddles zero with positive width")
+        return 0.0, 0.0
+    lo = _down(t - err) if err else t
+    if not lo > 0.0:
+        raise JetDomainError("Lobachevsky argument straddles zero with positive width")
+    if not up(t + err, inf) < _REDUCE_LIMIT:
+        raise ReductionError("cannot certify |theta0| < pi/sqrt(2) after range reduction")
+    t2 = t * t
+    terms = []
+    power, p, w = 1.0, 0.0, 0.0
+    for n, c in enumerate(default_coeffs().upper, 1):
+        power *= t2
+        p = c * power
+        if p < _STOP:
+            tail = up(up(p * 2.0 * _ONE_GAMMA, inf) + 2.0 * TINY, inf)
+            break
+        terms.append(p)
+        w += n * p
+    else:
+        # Out of coefficients: l_{K+1} < l_K / pi^2 bounds the next term.
+        nxt = up(up(up(p * _ONE_GAMMA, inf) * up(t2, inf), inf) / _PI_SQ_LO, inf)
+        tail = up(2.0 * nxt, inf)
+    s = math.fsum(terms)
+    lg = math.log(2.0 * t)
+    a = 1.0 - lg
+    b = a + s
+    e_lg = points._libm_err(lg)
+    e_s = up(up(EPS_PRIM * (2.0 * w + 3.0 * s), inf) * _ONE_GAMMA, inf)
+    b_err = up(up(e_lg + up(EPS_PRIM * abs(a), inf), inf) + up(EPS_PRIM * abs(b), inf), inf)
+    b_err = up(b_err + up(e_s + tail, inf), inf)
+    v = t * b
+    v_err = up(up(t * b_err, inf) + up(up(EPS_PRIM * abs(v), inf) + TINY, inf), inf)
+    if err:
+        d = up(up(abs(lg) + e_lg, inf) + _LOG_HALF_PI_HI, inf)
+        den = min(lo, _down(_down(PI_LO - t) - err))
+        quad = up(up(0.5 * up(err * err, inf), inf) / den, inf)
+        v_err = up(v_err + up(up(d * err, inf) + quad, inf), inf)
+    return (v if theta > 0.0 else -v), v_err

@@ -17,7 +17,8 @@ Two kinds of value are built on this model:
 * ``(center, err)`` float pairs, a real number within ``err`` of
   ``center``: ``_add0``, ``_mul0`` and ``_recip0``, the dimension-0
   operations of the jet classes in ``jets`` (``_recip`` also takes a
-  jet's linear coefficients);
+  jet's linear coefficients), and the dihedral angle ``_arg_mod_pi``
+  that exact-shape volumes sum (``geometry``);
 * midpoint-radius complex boxes ``(mid_re, mid_im, rad_re, rad_im)``,
   the sums and inputs of the Krawczyk test in ``certify``: ``_dot``, the
   point logarithm ``_log_box`` and the reciprocal box ``_recip_box``.
@@ -311,6 +312,45 @@ def _log_box(x: float, y: float, eps: float) -> tuple:
     if width:
         rad_im = _up(_up(_up(EPS_PRIM * abs(mid)) + rad_im) + width)
     return lg * 0.5, mid, rad_re, rad_im
+
+
+def _arg_mod_pi(r: float, er: float, y: float) -> tuple:
+    """Pair (center, err) enclosing, for every R within ``er`` of r, an
+    angle in [-pi/2, pi/2] congruent modulo pi to arg(R + iy), y > 0.
+
+    By the dominance rule of ``_log_box``: atan(y/R) where |r| >= y and
+    |r| > er is certified, else pi/2 - atan(R/y), shifted by -pi when
+    r < 0.  arg(R + iy) is atan(y/R) or pi + atan(y/R) and always
+    pi/2 - atan(R/y), so each branch is congruent to it, and a near-flat
+    angle (about 0 or pi) never meets pi's enclosure.  The quotient q of
+    the floats is within u |q| + TINY / 2 of y/r (or r/y); y/R is then
+    within A er / (|r| - er) of y/r, A >= |y/r|, and R/y within er / y
+    of r/y.  Together e bounds |q - y/R| (or |q - R/y|), and atan(q)
+    is charged e / (1 + m^2), m = max(0, |q| - e), on top of libm, as
+    in ``_log_box``.
+    """
+    up, inf, eps = _nextafter, _INF, EPS_PRIM
+    if abs(r) >= y and (not er or _down(abs(r) - er) > 0.0):
+        q = y / r
+        e = up(up(eps * abs(q), inf) + TINY, inf)
+        if er:
+            bound = up(up(abs(q) + e, inf) * up(er / _down(abs(r) - er), inf), inf)
+            e = up(e + bound, inf)
+        mid = a = math.atan(q)
+        width = 0.0
+    else:
+        q = r / y
+        e = up(up(eps * abs(q), inf) + TINY, inf)
+        if er:
+            e = up(e + up(er / y, inf), inf)
+        a = math.atan(q)
+        mid = PI_LO * 0.5 - a if q >= 0.0 else -(PI_LO * 0.5 + a)
+        width = (PI_HI - PI_LO) * 0.5
+    m = max(0.0, _down(abs(q) - e))
+    err = up(_libm_err(a) + up(e / _down(1.0 + _down(m * m)), inf), inf)
+    if width:
+        err = up(up(up(eps * abs(mid), inf) + err, inf) + width, inf)
+    return mid, err
 
 
 def _log_domain(x: float, y: float) -> None:

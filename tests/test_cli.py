@@ -532,6 +532,41 @@ class TestCertifyVolume:
         assert "verdict: inconclusive\n" in out and err == ""
 
 
+    def test_exact_shape_refusal_names_the_tetrahedron(self, capsys, tmp_path):
+        # |z|^2 of this shape overflows; the reason once named jet
+        # internals ("jet center is not finite: inf").
+        p = tmp_path / "big.gluing"
+        p.write_text("tets 1\nshape 0 1e154 1e154\neq 0 ; 0 ; 0\n")
+        rc, out, err = run_cli(capsys, "volume", str(p), "--delta", "0")
+        assert rc == 1 and err == ""
+        assert "reason: tetrahedron 0: |z|^2 is not finite\n" in out
+
+    @pytest.mark.parametrize("gt, code", (("2", 0), ("3", 1)))
+    def test_closed_stdout_keeps_the_exit_code(self, capsys, monkeypatch, gt, code):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert cli.main(["volume", FIG8, "--gt", gt]) == code
+        assert capsys.readouterr().err == ""
+
+    def test_closed_stdout_pipe_exits_with_the_verdict(self):
+        # The pipe's read end is closed before the command starts, so every
+        # write fails, at the latest in the interpreter's flush at exit.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(smallvol.__file__)))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "smallvol.cli", "volume", FIG8, "--gt", "2"],
+                stdout=write_end, stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=src))
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, b"")
+
+
 HUGE_SHAPE_GLUING = "tets 1\nshape 0 1.7e308 1.7e308\neq 0 ; 0 ; 0\n"
 
 # Shape parts at the edges of binary64: zero, subnormals, the smallest
@@ -690,6 +725,10 @@ class TestColdStart:
         (["volume", FIG8, "--gt", "2"],
          ("smallvol.grouptool", "smallvol.filling", "dataclasses", "inspect",
           "fractions", "decimal")),
+        # Exact shapes are summed on the point layer: no jet is built.
+        (["volume", FIG8, "--delta", "0"],
+         ("smallvol.jets", "smallvol.grouptool", "smallvol.filling", "dataclasses",
+          "inspect", "fractions", "decimal")),
         # The Krawczyk test runs on the point layer alone.
         (["certify", FIG8], ("smallvol.grouptool", "smallvol.filling", "smallvol.jets",
                              "smallvol.geometry", "dataclasses", "inspect",

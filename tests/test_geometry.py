@@ -16,7 +16,8 @@ from smallvol.geometry import (
     prove_volume_le,
 )
 from smallvol.certify import figure_eight_system, krawczyk_certify
-from smallvol.jets import ComplexJet, JetDomainError, pi_jet
+from smallvol.jets import ComplexJet, Jet, JetDomainError, pi_jet
+from smallvol.lobachevsky import lobachevsky
 
 from oracles import jet_contains_value, lobachevsky_quad, mp_arg
 
@@ -162,6 +163,11 @@ class TestOrientation:
     def test_figure_eight_small_delta(self):
         assert check_positive_orientation(ShapeAssignment((OMEGA, OMEGA), 1e-6))
 
+    def test_exact_shapes_test_the_imaginary_part(self):
+        assert check_positive_orientation(ShapeAssignment((0.5 + 5e-324j,), 0.0))
+        for z in (0.5 + 0j, 0.5 - 1e-300j, -5e-324j):
+            assert not check_positive_orientation(ShapeAssignment((OMEGA, z), 0.0))
+
 
 class TestCertifiedVolume:
     def test_regular_tetrahedron_volume(self):
@@ -243,6 +249,73 @@ class TestCertifiedVolume:
     def test_orientation_failure_raises(self):
         with pytest.raises(OrientationError):
             certified_volume(ShapeAssignment((0.5 - 0.9j,), 0.0))
+
+
+def _near_flat_shapes():
+    """Shapes within a few degrees of the real axis, at every scale of
+    |z| from 1e-150 to 1e150, on both sides of 0 and 1."""
+    rng = random.Random(16)
+    out = []
+    for e in range(-150, 151, 25):
+        for _ in range(4):
+            angle = 10.0 ** rng.uniform(-12, -1) * rng.choice((1, 1, 1, -1))
+            out.append(cmath.rect(10.0 ** e * rng.uniform(0.5, 2.0),
+                                  angle if angle > 0 else math.pi + angle))
+    return out
+
+
+def _one_ulp_off_the_axes():
+    """z one ulp above the real axis, one ulp left or right of the
+    imaginary axis, and one ulp to each side of the line Re z = 1."""
+    out = []
+    for x in (-3.0, -1.0, 1e-3, 0.25, 0.5, 1 - 2.0 ** -53, 1 + 2.0 ** -52, 1.5, 2.0, 7.0):
+        out.append(complex(x, math.ulp(x)))
+    for y in (1e-3, 0.5, 1.0, 2.0, 10.0):
+        out += [complex(math.ulp(y), y), complex(-math.ulp(y), y),
+                complex(math.nextafter(1.0, 2.0), y), complex(math.nextafter(1.0, 0.0), y)]
+    return out
+
+
+class TestExactShapes:
+    """delta = 0: the volume is summed on the point layer, with no jet."""
+
+    @pytest.mark.parametrize("z", _near_flat_shapes() + _one_ulp_off_the_axes())
+    def test_contains_the_bloch_wigner_volume(self, z):
+        iv = certified_volume(ShapeAssignment((z,), 0.0))
+        vol = _bloch_wigner(z)
+        assert mpmath.mpf(iv.lo) <= vol <= mpmath.mpf(iv.hi)
+
+    def test_no_wider_than_the_jet_series(self):
+        # The jet path at tol = 1e-12, reached through two zero-radius
+        # variables per shape; exact-shape enclosures are never wider.
+        rng = random.Random(17)
+        zero = Jet.constant(0.0)
+        for _ in range(200):
+            theta = rng.choice((rng.uniform(0.02, math.pi - 0.02),
+                                10.0 ** rng.uniform(-6, -2)))
+            z = cmath.rect(10.0 ** rng.uniform(-3, 3), theta)
+            iv = certified_volume(ShapeAssignment((z,), 0.0))
+            assert mpmath.mpf(iv.lo) <= _bloch_wigner(z) <= mpmath.mpf(iv.hi)
+            angles = dihedral_angles(ComplexJet.variable(z, 0, 1, 0.0, 2))
+            jet_lo, jet_hi = sum((lobachevsky(a, 1e-12) for a in angles), zero).bounds()
+            assert iv.width() <= jet_hi - jet_lo, z
+
+    def test_builds_no_jet(self, monkeypatch):
+        def refuse(jet):
+            raise AssertionError("jet constructed")
+
+        monkeypatch.setattr(Jet, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="jet constructed"):
+            Jet.constant(0.0)
+        iv = certified_volume(ShapeAssignment(GOLDEN_SHAPES["n16"], 0.0))
+        assert iv.lo <= iv.hi
+        assert not prove_volume_gt(ShapeAssignment((0.5 - 0.9j,), 0.0), 0.0)
+        with pytest.raises(ValueError, match="tetrahedron 0: [|]z[|]"):
+            certified_volume(ShapeAssignment((complex(1e154, 1e154),), 0.0))
+
+    def test_tol_does_not_change_the_bounds(self):
+        s = ShapeAssignment(GOLDEN_SHAPES["n4"], 0.0)
+        assert len({certified_volume(s, tol) for tol in (1e-3, 1e-8, 1e-12, 1e-300)}) == 1
 
 
 class TestProveVolume:
@@ -355,47 +428,71 @@ TIGHTENED_VOLUMES = {
 # argument of a polynomial in the shape and sums each tetrahedron over its
 # own two variables, for every GOLDEN_VOLUMES row.  Each lies inside the
 # row's earlier pin: its TIGHTENED_VOLUMES value where there is one, else
-# the row itself.
+# the row itself.  The delta = 0 rows are those of the point-layer path
+# for exact shapes, each inside its JET_PATH_EXACT_VOLUMES pin.
 PINNED_VOLUMES = {
-    ("tet", 0.0, 1e-12): ("0x1.03d3368ee0944p+0", "0x1.03d3368ee176cp+0"),
-    ("fig8", 0.0, 1e-12): ("0x1.03d3368ee0944p+1", "0x1.03d3368ee176cp+1"),
+    ("tet", 0.0, 1e-12): ("0x1.03d3368ee10fdp+0", "0x1.03d3368ee1125p+0"),
+    ("fig8", 0.0, 1e-12): ("0x1.03d3368ee10fdp+1", "0x1.03d3368ee1125p+1"),
     ("fig8", 1e-08, 1e-12): ("0x1.03d3368ee093ap+1", "0x1.03d3368ee1776p+1"),
-    ("n1", 0.0, 1e-12): ("0x1.b9b5f280350bap-1", "0x1.b9b5f2803c04ep-1"),
-    ("n1", 0.0, 1e-08): ("0x1.b9b5f238d2a7ap-1", "0x1.b9b5f2b2753aap-1"),
+    ("n1", 0.0, 1e-12): ("0x1.b9b5f280394c2p-1", "0x1.b9b5f28039504p-1"),
+    ("n1", 0.0, 1e-08): ("0x1.b9b5f280394c2p-1", "0x1.b9b5f28039504p-1"),
     ("n1", 1e-08, 1e-12): ("0x1.b9b5f2307745cp-1", "0x1.b9b5f2cff9cacp-1"),
     ("n1", 1e-08, 1e-08): ("0x1.b9b5f1e914e13p-1", "0x1.b9b5f3023303fp-1"),
     ("n1", 0.0001, 1e-12): ("0x1.b9a9b368caabep-1", "0x1.b9c23197a66f0p-1"),
     ("n1", 0.0001, 1e-08): ("0x1.b9a9b32153e11p-1", "0x1.b9c231ca66cb5p-1"),
-    ("n2", 0.0, 1e-12): ("0x1.b10ab216aae2fp+0", "0x1.b10ab216af165p+0"),
-    ("n2", 0.0, 1e-08): ("0x1.b10ab1e0eec5fp+0", "0x1.b10ab249640b9p+0"),
+    ("n2", 0.0, 1e-12): ("0x1.b10ab216ad153p+0", "0x1.b10ab216ad191p+0"),
+    ("n2", 0.0, 1e-08): ("0x1.b10ab216ad153p+0", "0x1.b10ab216ad191p+0"),
     ("n2", 1e-08, 1e-12): ("0x1.b10ab1e418d8bp+0", "0x1.b10ab24941209p+0"),
     ("n2", 1e-08, 1e-08): ("0x1.b10ab1ae5cbafp+0", "0x1.b10ab27bf6171p+0"),
     ("n2", 0.0001, 1e-12): ("0x1.b102f0a273609p+0", "0x1.b112738ae69a9p+0"),
     ("n2", 0.0001, 1e-08): ("0x1.b102f06c96f6ep+0", "0x1.b11273bdcecb6p+0"),
-    ("n3", 0.0, 1e-12): ("0x1.4c91ce8c54abap+1", "0x1.4c91ce8c58c76p+1"),
-    ("n3", 0.0, 1e-08): ("0x1.4c91ce3b7fdc1p+1", "0x1.4c91cecfb38cfp+1"),
+    ("n3", 0.0, 1e-12): ("0x1.4c91ce8c56f29p+1", "0x1.4c91ce8c56f5bp+1"),
+    ("n3", 0.0, 1e-08): ("0x1.4c91ce8c56f29p+1", "0x1.4c91ce8c56f5bp+1"),
     ("n3", 1e-08, 1e-12): ("0x1.4c91ce719f26bp+1", "0x1.4c91cea70e4c5p+1"),
     ("n3", 1e-08, 1e-08): ("0x1.4c91ce20ca572p+1", "0x1.4c91ceea69136p+1"),
     ("n3", 0.0001, 1e-12): ("0x1.4c8db58896fc3p+1", "0x1.4c95e7901678bp+1"),
     ("n3", 0.0001, 1e-08): ("0x1.4c8db537bef32p+1", "0x1.4c95e7d3aa3f6p+1"),
-    ("n4", 0.0, 1e-12): ("0x1.330819d9f09a7p+1", "0x1.330819d9f34fdp+1"),
-    ("n4", 0.0, 1e-08): ("0x1.330819a480474p+1", "0x1.33081a15727c8p+1"),
+    ("n4", 0.0, 1e-12): ("0x1.330819d9f1d1fp+1", "0x1.330819d9f1d51p+1"),
+    ("n4", 0.0, 1e-08): ("0x1.330819d9f1d1fp+1", "0x1.330819d9f1d51p+1"),
     ("n4", 1e-08, 1e-12): ("0x1.330819a3a5095p+1", "0x1.33081a103ee0fp+1"),
     ("n4", 1e-08, 1e-08): ("0x1.3308196e34b4bp+1", "0x1.33081a4bbe0edp+1"),
     ("n4", 0.0001, 1e-12): ("0x1.32ffc7f9c0b85p+1", "0x1.33106bba23307p+1"),
     ("n4", 0.0001, 1e-08): ("0x1.32ffc7c41902ep+1", "0x1.33106bf5d02dap+1"),
-    ("n8", 0.0, 1e-12): ("0x1.796649be125f0p+2", "0x1.796649be16c64p+2"),
-    ("n8", 0.0, 1e-08): ("0x1.7966496f44323p+2", "0x1.79664a11b8125p+2"),
+    ("n8", 0.0, 1e-12): ("0x1.796649be1490cp+2", "0x1.796649be14950p+2"),
+    ("n8", 0.0, 1e-08): ("0x1.796649be1490cp+2", "0x1.796649be14950p+2"),
     ("n8", 1e-08, 1e-12): ("0x1.796649872e660p+2", "0x1.796649f4fabf4p+2"),
     ("n8", 1e-08, 1e-08): ("0x1.796649386037ep+2", "0x1.79664a489c0ccp+2"),
     ("n8", 0.0001, 1e-12): ("0x1.795ddd49f89b9p+2", "0x1.796eb632308abp+2"),
     ("n8", 0.0001, 1e-08): ("0x1.795ddcfaf571ap+2", "0x1.796eb68605f6ep+2"),
-    ("n16", 0.0, 1e-12): ("0x1.63252e1082b9dp+3", "0x1.63252e1086f8fp+3"),
-    ("n16", 0.0, 1e-08): ("0x1.63252dcceb192p+3", "0x1.63252e550aea2p+3"),
+    ("n16", 0.0, 1e-12): ("0x1.63252e1084c83p+3", "0x1.63252e1084cd3p+3"),
+    ("n16", 0.0, 1e-08): ("0x1.63252e1084c83p+3", "0x1.63252e1084cd3p+3"),
     ("n16", 1e-08, 1e-12): ("0x1.63252dcd5b7f5p+3", "0x1.63252e53ae337p+3"),
     ("n16", 1e-08, 1e-08): ("0x1.63252d89c3dd8p+3", "0x1.63252e983225cp+3"),
     ("n16", 0.0001, 1e-12): ("0x1.631ae42cd65c7p+3", "0x1.632f77f433563p+3"),
     ("n16", 0.0001, 1e-08): ("0x1.631ae3e918df7p+3", "0x1.632f7838e5937p+3"),
+}
+
+
+# The exact-shape (delta = 0) pins of the volume path that evaluated
+# exact shapes as dimension-0 jets, truncating each series at ``tol``.
+# Exact shapes are now summed on the point layer to full precision, so
+# ``tol`` no longer changes their bounds; each PINNED_VOLUMES row with
+# delta = 0 lies inside its value here.
+JET_PATH_EXACT_VOLUMES = {
+    ("tet", 0.0, 1e-12): ("0x1.03d3368ee0944p+0", "0x1.03d3368ee176cp+0"),
+    ("fig8", 0.0, 1e-12): ("0x1.03d3368ee0944p+1", "0x1.03d3368ee176cp+1"),
+    ("n1", 0.0, 1e-12): ("0x1.b9b5f280350bap-1", "0x1.b9b5f2803c04ep-1"),
+    ("n1", 0.0, 1e-08): ("0x1.b9b5f238d2a7ap-1", "0x1.b9b5f2b2753aap-1"),
+    ("n2", 0.0, 1e-12): ("0x1.b10ab216aae2fp+0", "0x1.b10ab216af165p+0"),
+    ("n2", 0.0, 1e-08): ("0x1.b10ab1e0eec5fp+0", "0x1.b10ab249640b9p+0"),
+    ("n3", 0.0, 1e-12): ("0x1.4c91ce8c54abap+1", "0x1.4c91ce8c58c76p+1"),
+    ("n3", 0.0, 1e-08): ("0x1.4c91ce3b7fdc1p+1", "0x1.4c91cecfb38cfp+1"),
+    ("n4", 0.0, 1e-12): ("0x1.330819d9f09a7p+1", "0x1.330819d9f34fdp+1"),
+    ("n4", 0.0, 1e-08): ("0x1.330819a480474p+1", "0x1.33081a15727c8p+1"),
+    ("n8", 0.0, 1e-12): ("0x1.796649be125f0p+2", "0x1.796649be16c64p+2"),
+    ("n8", 0.0, 1e-08): ("0x1.7966496f44323p+2", "0x1.79664a11b8125p+2"),
+    ("n16", 0.0, 1e-12): ("0x1.63252e1082b9dp+3", "0x1.63252e1086f8fp+3"),
+    ("n16", 0.0, 1e-08): ("0x1.63252dcceb192p+3", "0x1.63252e550aea2p+3"),
 }
 
 
@@ -405,17 +502,19 @@ class TestGoldenBounds:
         key = (name, delta, tol)
         iv = certified_volume(ShapeAssignment(GOLDEN_SHAPES[name], delta), tol=tol)
         assert (iv.lo.hex(), iv.hi.hex()) == PINNED_VOLUMES[key]
-        env_lo, env_hi = TIGHTENED_VOLUMES.get(key, (lo, hi))
+        env_lo, env_hi = (JET_PATH_EXACT_VOLUMES.get(key)
+                          or TIGHTENED_VOLUMES.get(key, (lo, hi)))
         assert float.fromhex(env_lo) <= iv.lo and iv.hi <= float.fromhex(env_hi)
 
-    def test_exact_shapes_evaluate_at_dimension_zero(self):
+    def test_exact_n16_volume_lies_inside_the_jet_path_bounds(self):
         s = ShapeAssignment(GOLDEN_SHAPES["n16"], 0.0)
-        assert all(z.dim == 0 for z in s.shape_jets())
-        assert all(z.dim == 2 for z in ShapeAssignment(s.shapes, 1e-9).shape_jets())
         iv = certified_volume(s, tol=1e-14)
-        assert (iv.lo.hex(), iv.hi.hex()) == ("0x1.63252e1084c15p+3", "0x1.63252e1084d3fp+3")
-        # Inside the bounds of the volume path that gave every exact shape
-        # two zero-radius variables.
+        assert (iv.lo.hex(), iv.hi.hex()) == ("0x1.63252e1084c83p+3", "0x1.63252e1084cd3p+3")
+        # Inside the bounds of the jet path that evaluated exact shapes as
+        # dimension-0 jets, and of the one before it that gave every exact
+        # shape two zero-radius variables.
+        assert (float.fromhex("0x1.63252e1084c15p+3") <= iv.lo
+                and iv.hi <= float.fromhex("0x1.63252e1084d3fp+3"))
         assert (float.fromhex("0x1.63252e1084bfap+3") <= iv.lo
                 and iv.hi <= float.fromhex("0x1.63252e1084d5ap+3"))
 

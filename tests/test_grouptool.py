@@ -147,6 +147,16 @@ class TestInsert:
         for p in range(len(w) + 1):
             assert words.insert(w, p, v) == words.concat(w[:p], v, w[p:])
 
+    @given(_insertions())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_length_bound_drops_exactly_the_longer_words(self, case):
+        w, pos, v = case
+        for p in range(len(w) + 1):
+            new = words.concat(w[:p], v, w[p:])
+            for max_len in (len(new) - 1, len(new)):
+                want = new if len(new) <= max_len else None
+                assert words.insert(w, p, v, max_len) == want
+
 
 class TestSmithNormalForm:
     def test_free_group(self):
@@ -328,8 +338,12 @@ class TestJunctionKernel:
     def test_search_matches_the_concat_kernel(self, monkeypatch):
         cases = _equivalence_cases()
         fast = _search_outcomes(monkeypatch, cases)
-        monkeypatch.setattr(words, "insert",
-                            lambda w, pos, v: words.concat(w[:pos], v, w[pos:]))
+
+        def concat_kernel(w, pos, v, max_len):
+            new = words.concat(w[:pos], v, w[pos:])
+            return new if len(new) <= max_len else None
+
+        monkeypatch.setattr(words, "insert", concat_kernel)
         slow = _search_outcomes(monkeypatch, cases)
         assert fast == slow
         outcomes, rounds = fast
@@ -337,6 +351,35 @@ class TestJunctionKernel:
         assert {tuple(s) for _, s in outcomes} == {
             (), (search.DEPTH,), (search.NODES,), (search.LETTERS,)}
         assert len({letters for _, letters, _ in rounds}) > len(cases)
+
+    def test_search_builds_no_word_past_its_length_bound(self, monkeypatch):
+        # A successor longer than the search's max_len is charged but never
+        # built: every word words.insert returns fits the bound of its round.
+        bounds, built, dropped = [], [], []
+        best_first, insert = search._best_first, words.insert
+
+        def bounded(start, by_first, by_last, limit, max_len, *rest):
+            bounds.append(max_len)
+            return best_first(start, by_first, by_last, limit, max_len, *rest)
+
+        def recording_insert(w, pos, v, max_len):
+            assert max_len == bounds[-1]
+            new = insert(w, pos, v, max_len)
+            if new is None:
+                dropped.append(len(words.concat(w[:pos], v, w[pos:])) - max_len)
+            else:
+                built.append((len(new), max_len))
+            return new
+
+        monkeypatch.setattr(search, "_best_first", bounded)
+        monkeypatch.setattr(words, "insert", recording_insert)
+        for word, rels, options, letters in _equivalence_cases():
+            monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", letters)
+            search_trivial(word, rels, **options)
+        assert built and all(n <= max_len for n, max_len in built)
+        assert any(n == max_len for n, max_len in built)
+        # Some successors were too long, and insert built none of them.
+        assert dropped and all(excess > 0 for excess in dropped)
 
     def test_replay_does_not_use_the_kernel(self, monkeypatch):
         rel = words.parse_word("a2b3a-1b3", ("a", "b"))

@@ -211,3 +211,68 @@ class TestLobachevsky:
     def test_small_tol_still_contains(self):
         j = lobachevsky(Jet.constant(1.0), tol=1e-30)  # exhausts all terms
         assert jet_contains_value(j, lobachevsky_quad(1.0))
+
+
+def _encloses(pair, value):
+    c, e = pair
+    return mpmath.mpf(c) - mpmath.mpf(e) <= value <= mpmath.mpf(c) + mpmath.mpf(e)
+
+
+class TestPointKernel:
+    """``_point``: L on plain floats, summed to full precision."""
+
+    THETAS = (1e-300, 5e-324, 1e-100, 1e-20, 1e-8, 0.1, 0.5, 1.0, math.pi / 3,
+              math.pi / 2, math.nextafter(math.pi / 2, 0.0), 1.6, 2.5, 3.0,
+              3.1415926, 3.2, 7.0, 100.0)
+
+    @pytest.mark.parametrize("theta", THETAS + tuple(-t for t in THETAS))
+    def test_contains_the_clausen_value(self, theta):
+        c, e = pair = lobachevsky_module._point(theta, 0.0)
+        value = lobachevsky_clausen(theta, dps=50)
+        assert _encloses(pair, value)
+        if abs(theta) < 1.0:  # no reduction: a few ulps of the value
+            assert e <= 2e-15 * abs(value) + 1e-320
+        else:  # pi's enclosure, times |L'|, after reduction
+            assert e <= 2e-14
+
+    def test_random_points_with_an_error_radius(self):
+        rng = random.Random(46)
+        for _ in range(200):
+            theta = rng.uniform(-4.0, 4.0)
+            err = theta * 10.0 ** rng.uniform(-16, -3)
+            err = abs(err)
+            try:
+                pair = lobachevsky_module._point(theta, err)
+            except JetDomainError:  # straddles a multiple of pi
+                continue
+            for x in (theta - err, theta, theta + err, theta + err * rng.uniform(-1, 1)):
+                assert _encloses(pair, lobachevsky_clausen(x, dps=40)), (theta, err)
+
+    def test_straddling_zero_rejected(self):
+        assert lobachevsky_module._point(0.0, 0.0) == (0.0, 0.0)
+        # The float nearest pi lies within pi's own enclosure of pi.
+        for theta, err in ((0.0, 1e-300), (1e-20, 1e-20), (math.pi, 0.0)):
+            with pytest.raises(JetDomainError):
+                lobachevsky_module._point(theta, err)
+
+    def test_dimension_zero_jets_use_the_kernel_whatever_tol(self, monkeypatch):
+        # No jet series runs, so no jet log is taken and tol changes nothing.
+        from smallvol import jets
+
+        def refuse(*args):
+            raise AssertionError("jet series evaluated")
+
+        monkeypatch.setattr(jets, "log_jet", refuse)
+        for x in (0.3, 1.0, -2.0, 1e-30):
+            pair = lobachevsky_module._point(x, abs(x) * 1e-15)
+            for tol in (1e-3, 1e-12, 1e-30):
+                j = lobachevsky(Jet(x, (), abs(x) * 1e-15), tol=tol)
+                assert (j.center, j.coeffs, j.err) == (pair[0], (), pair[1])
+
+    def test_at_least_as_tight_as_the_jet_series(self):
+        rng = random.Random(47)
+        for _ in range(100):
+            x = rng.uniform(1e-3, math.pi / 2)
+            c, e = lobachevsky_module._point(x, 0.0)
+            lo, hi = lobachevsky(Jet(x, (0.0,), 0.0), tol=1e-16).bounds()
+            assert 2 * e <= hi - lo
