@@ -67,7 +67,7 @@ class CuspData(namedtuple("CuspData", "meridian longitude parent_volume")):
         return abs(m.real * l.imag - m.imag * l.real)
 
 
-class SlopeList(namedtuple("SlopeList", "cutoff fudge pairs")):
+class SlopeList(namedtuple("SlopeList", "cutoff pairs")):
     """Normalized coprime pairs below the fudged length bound, sorted by
     (p, q); ``pairs`` holds (p, q, length) tuples.  ``cutoff`` and each
     length are certified upper floats (see the module docstring) on
@@ -184,7 +184,7 @@ def enumerate_slopes(cusp: CuspData, vol_target: float, fudge: float = 0.01) -> 
             root = math.isqrt((sq << 2 * k) - 1) + 1
             pairs.append((p, q, _up(_up(root / (den << k)))))
     pairs.sort(key=lambda t: (t[0], t[1]))
-    return SlopeList(cutoff=_up(radius), fudge=fudge, pairs=tuple(pairs))
+    return SlopeList(cutoff=_up(radius), pairs=tuple(pairs))
 
 
 def _exactly_in(p: int, q: int, cusp: CuspData, vol_target: float, fudge: float) -> bool:

@@ -12,8 +12,9 @@ Exact shapes (delta = 0) are evaluated on the point layer, with no jet:
 each angle is an ``points._arg_mod_pi`` pair (L is pi-periodic, so an
 angle is needed only modulo pi), |z|^2 - x is x (x - 1) + y^2 from the
 pair operations, and ``lobachevsky._point`` sums the series to full
-precision, so ``tol`` does not change their bounds.  Im z > 0 is the
-orientation test.
+precision, so ``tol`` does not change their bounds.  Orientation is
+tested on the point layer for every delta: Im z - delta, rounded down,
+must be positive.
 
 Given an approximate shape assignment together with a distance bound
 ``delta > 0`` on the true solution, every shape becomes a complex jet
@@ -117,22 +118,16 @@ def dihedral_angles(z: ComplexJet) -> tuple:
     return a1, a2, a3
 
 
-def _oriented(shape_jets) -> bool:
-    return all(zj.im.prove_positive() for zj in shape_jets)
-
-
-def _exact_oriented(shapes) -> bool:
-    return all(z.imag > 0.0 for z in shapes)
+def _oriented(shapes, delta: float) -> bool:
+    """Im > 0 on each shape's box of radius delta: the outward lower bound
+    of the imaginary-part jet of ``shape_jets``, with no jet built."""
+    return all((z.imag if not delta else _down(z.imag - _up(delta))) > 0.0
+               for z in shapes)
 
 
 def check_positive_orientation(assignment: ShapeAssignment) -> bool:
     """True only when every point within delta of every shape has Im > 0."""
-    if assignment.delta == 0.0:
-        return _exact_oriented(assignment.shapes)
-    try:
-        return _oriented(assignment.shape_jets())
-    except JetDomainError:
-        return False
+    return _oriented(assignment.shapes, assignment.delta)
 
 
 def certified_volume(assignment: ShapeAssignment, tol: float = 1e-12) -> Interval:
@@ -143,17 +138,16 @@ def certified_volume(assignment: ShapeAssignment, tol: float = 1e-12) -> Interva
     terms are summed over its own two variables, and the tetrahedra are
     added as (center, spread) pairs.
     """
+    if not _oriented(assignment.shapes, assignment.delta):
+        raise OrientationError(
+            "tetrahedra not provably positively oriented within delta"
+        )
     if assignment.delta == 0.0:
         c, e = _exact_volume(assignment.shapes)
         return Interval(_down(c - e), _up(c + e)) if e else Interval(c, c)
     jets = smallvol.jets
-    shape_jets = assignment.shape_jets()
-    if not _oriented(shape_jets):
-        raise OrientationError(
-            "tetrahedra not provably positively oriented within delta"
-        )
     total = zero = jets.Jet.constant(0.0)
-    for zj in shape_jets:
+    for zj in assignment.shape_jets():
         term = sum((lobachevsky(a, tol) for a in dihedral_angles(zj)), zero)
         total = total + jets._jet(term.center, (), term.spread())
     lo, hi = total.bounds()
@@ -161,14 +155,11 @@ def certified_volume(assignment: ShapeAssignment, tol: float = 1e-12) -> Interva
 
 
 def _exact_volume(shapes) -> tuple:
-    """Pair (center, err) enclosing the volume of the exact shapes: for
-    each z = x + iy, the angles of x + iy, (1 - x) + iy and (|z|^2 - x) +
-    iy, each through ``_arg_mod_pi`` and ``_point``.  A refusal names the
-    tetrahedron, and the angle or quantity that failed."""
-    if not _exact_oriented(shapes):
-        raise OrientationError(
-            "tetrahedra not provably positively oriented within delta"
-        )
+    """Pair (center, err) enclosing the volume of the exact, positively
+    oriented shapes: for each z = x + iy, the angles of x + iy, (1 - x) +
+    iy and (|z|^2 - x) + iy, each through ``_arg_mod_pi`` and ``_point``.
+    A refusal names the tetrahedron, and the angle or quantity that
+    failed."""
     total = err = 0.0
     for j, z in enumerate(shapes):
         x, y = z.real, z.imag

@@ -144,6 +144,11 @@ def _echoed_flags(out):
     return {w: words[i + 1] for i, w in enumerate(words) if w.startswith("--")}
 
 
+def _re_im(text):
+    """The complex number a ``re,im`` flag spells."""
+    return complex(*map(float, text.split(",")))
+
+
 class TestReportFields:
     """Every numeric report field reads back as the value the command
     used: echoed flags and claim thresholds equal the parsed arguments,
@@ -165,29 +170,37 @@ class TestReportFields:
         assert abs(float(fields["floor_2pi"]) - 2 * math.pi) <= 5e-12 * 2 * math.pi
         assert set(fields) == {"command", "bound", "floor_2pi", "elapsed_ms"}
 
-    @pytest.mark.parametrize("meridian, longitude, target, fudge", (
-        (complex(10.236478896057733, 0), 50j, TARGET, 0.0),
-        (complex(0.5, 1.3228756555322954), complex(2, 0), 2.848, 0.010000000000000002),
-        (complex(1.0000000000000002, 0.30000000000000004), complex(-0.1, 3.3), 2.848, 0.01),
-    ))
-    def test_enumerate(self, capsys, meridian, longitude, target, fudge):
-        rc, out, _ = run_cli(capsys, "enumerate",
-                             f"--meridian={meridian.real!r},{meridian.imag!r}",
-                             f"--longitude={longitude.real!r},{longitude.imag!r}",
-                             f"--parent={self.PARENT!r}", f"--target={target!r}",
-                             f"--fudge={fudge!r}")
+    @pytest.mark.parametrize("meridian, longitude, parent, target, fudge", (
+        ("10.236478896057733,0", "0,50", repr(PARENT), repr(TARGET), "0.0"),
+        ("0.5,1.3228756555322954", "2,0", repr(PARENT), "2.848", "0.010000000000000002"),
+        ("1.0000000000000002,0.30000000000000004", "-0.1,3.3", repr(PARENT), "2.848",
+         "0.01"),
+        # The README's example, as typed there.
+        ("0.5,1.3228756555", "2,0", "5.33349", "2.848", "0.01"),
+    ), ids=("borderline", "s776-fudge", "skew", "readme"))
+    def test_enumerate(self, capsys, meridian, longitude, parent, target, fudge):
+        rc, out, _ = run_cli(capsys, "enumerate", f"--meridian={meridian}",
+                             f"--longitude={longitude}", f"--parent={parent}",
+                             f"--target={target}", f"--fudge={fudge}")
         assert rc == 0
         flags = _echoed_flags(out)
-        assert complex(*map(float, flags["--meridian"].split(","))) == meridian
-        assert complex(*map(float, flags["--longitude"].split(","))) == longitude
-        assert float(flags["--parent"]) == self.PARENT
-        assert (float(flags["--target"]), float(flags["--fudge"])) == (target, fudge)
+        for flag, text in (("--meridian", meridian), ("--longitude", longitude)):
+            assert _re_im(flags[flag]) == _re_im(text)
+        for flag, text in (("--parent", parent), ("--target", target), ("--fudge", fudge)):
+            assert float(flags[flag]) == float(text)
+        meridian, longitude = _re_im(meridian), _re_im(longitude)
+        parent, target, fudge = float(parent), float(target), float(fudge)
         fields = _fields(out)
         values = dict(fields)
-        cusp = smallvol.filling.CuspData(meridian, longitude, self.PARENT)
+        cusp = smallvol.filling.CuspData(meridian, longitude, parent)
         slopes = smallvol.filling.enumerate_slopes(cusp, target, fudge)
-        assert values["bound"] == repr(smallvol.filling.slope_length_bound(self.PARENT, target))
+        assert values["bound"] == repr(smallvol.filling.slope_length_bound(parent, target))
         assert values["cutoff"] == repr(slopes.cutoff)
+        with mpmath.workdps(50):
+            ratio = mpmath.mpf(target) / mpmath.mpf(parent)
+            cutoff = 2 * mpmath.pi * (1 + mpmath.mpf(fudge)) / mpmath.sqrt(
+                1 - ratio ** (mpmath.mpf(2) / 3))
+            assert mpmath.mpf(values["cutoff"]) >= cutoff
         pairs = [v.split() for k, v in fields if k == "pair"]
         assert int(values["pairs"]) == len(pairs) == len(slopes.pairs) > 0
         m = [Fraction(x) for x in (meridian.real, meridian.imag)]
@@ -751,6 +764,8 @@ class TestColdStart:
         # --le at volume_hi's own double: settled on the typed decimal.
         (["volume", FIG8, "--gt", "2", "--le", "2.029883212820029471093797585"],
          {"smallvol.certify", "smallvol.geometry", "smallvol.jets", "smallvol.points"}),
+        (["bound", "--parent", "5.33349", "--target", "2.848"], {"smallvol.filling"}),
+        (["volume", FIG8, "--delta", "0"], {"smallvol.geometry", "smallvol.points"}),
     ))
     def test_command_loads_the_modules_it_runs(self, argv, present):
         loaded = _loaded_after(
@@ -758,6 +773,13 @@ class TestColdStart:
             f"with contextlib.redirect_stdout(io.StringIO()):\n    cli.main({argv!r})")
         assert present <= loaded
         assert not loaded & {"fractions", "decimal"}
+
+    def test_orientation_check_builds_no_jet(self):
+        loaded = _loaded_after(
+            "from smallvol.geometry import ShapeAssignment, check_positive_orientation\n"
+            "assert check_positive_orientation(ShapeAssignment((0.5+0.8660254037844386j,),"
+            " 1e-3))")
+        assert "smallvol.geometry" in loaded and "smallvol.jets" not in loaded
 
     def test_star_import_and_dir_cover_the_public_names(self):
         namespace = {}
@@ -841,14 +863,26 @@ class TestNonhyp:
         assert "verdict: nonhyperbolic" in out
         assert "reason: power-relator" in out
 
-    def test_script_corpus_member(self, capsys, tmp_path):
+    @pytest.mark.parametrize("pres_text, script_text_, code, line", (
+        (presentation_text("p44_01"), script_text("p44_01"), 0, "verdict: nonhyperbolic"),
+        # A 3000-way branch on a^3000 = 1 stays fast.
+        ("gens a b\nrel a3000\nrel ab\n", "branch a 3000\nconclude abelian\n", 0,
+         "verdict: nonhyperbolic"),
+        # The 8 * 10^6 rotation letters of this relator are charged to the
+        # search's letter budget before the search starts.
+        ("gens a b\nrel a1000b1000\n", "trivial ab\nconclude abelian\n", 1,
+         "reason: step 1 failed: could not derive ab = 1 within the"
+         " 10000000-letter search budget (depth 8)"),
+    ), ids=("p44_01", "branch-a3000", "relator-a1000b1000"))
+    def test_script_corpus_member(self, capsys, tmp_path, pres_text, script_text_, code,
+                                  line):
         pres = tmp_path / "g.pres"
         script = tmp_path / "g.script"
-        pres.write_text(presentation_text("p44_01"))
-        script.write_text(script_text("p44_01"))
+        pres.write_text(pres_text)
+        script.write_text(script_text_)
         rc, out, _ = run_cli(capsys, "nonhyp", str(pres),
                              "--script", str(script))
-        assert rc == 0 and "verdict: nonhyperbolic" in out
+        assert rc == code and line + "\n" in out
 
     def test_no_pattern_no_script(self, capsys, tmp_path):
         pres = tmp_path / "g.pres"

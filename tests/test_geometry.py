@@ -163,10 +163,20 @@ class TestOrientation:
     def test_figure_eight_small_delta(self):
         assert check_positive_orientation(ShapeAssignment((OMEGA, OMEGA), 1e-6))
 
-    def test_exact_shapes_test_the_imaginary_part(self):
-        assert check_positive_orientation(ShapeAssignment((0.5 + 5e-324j,), 0.0))
-        for z in (0.5 + 0j, 0.5 - 1e-300j, -5e-324j):
-            assert not check_positive_orientation(ShapeAssignment((OMEGA, z), 0.0))
+    @pytest.mark.parametrize("y, delta, oriented", (
+        (5e-324, 0.0, True), (0.0, 0.0, False), (-1e-300, 0.0, False),
+        (-5e-324, 0.0, False),
+        # Im z = delta, and two ulps above it: the outward step of delta
+        # and of the difference leaves one ulp.
+        (1e-3, 1e-3, False), (math.nextafter(math.nextafter(1e-3, 1), 1), 1e-3, True),
+        # Subnormal delta: 3 quanta minus 2 rounds down to 0, 4 minus 2 does not.
+        (5e-324, 5e-324, False), (1.5e-323, 5e-324, False), (2e-323, 5e-324, True),
+    ))
+    def test_imaginary_part_minus_delta_decides(self, y, delta, oriented):
+        # The point-layer test decides as the imaginary-part jet would.
+        assert Jet.variable(y, 1, delta, 2).prove_positive() is oriented
+        z = complex(0.5, y)
+        assert check_positive_orientation(ShapeAssignment((OMEGA, z), delta)) is oriented
 
 
 class TestCertifiedVolume:
@@ -246,9 +256,12 @@ class TestCertifiedVolume:
         vol = _bloch_wigner(z)
         assert mpmath.mpf(iv.lo) <= vol <= mpmath.mpf(iv.hi)
 
-    def test_orientation_failure_raises(self):
+    @pytest.mark.parametrize("delta", (0.0, 1e-3))
+    def test_orientation_failure_raises(self, monkeypatch, delta):
+        # Refused before any shape jet is built.
+        monkeypatch.delattr(ShapeAssignment, "shape_jets")
         with pytest.raises(OrientationError):
-            certified_volume(ShapeAssignment((0.5 - 0.9j,), 0.0))
+            certified_volume(ShapeAssignment((0.5 - 0.9j,), delta))
 
 
 def _near_flat_shapes():
