@@ -3,7 +3,7 @@
 All three formats are UTF-8, with ``#`` comments and blank lines dropped
 by one line reader (``_content_lines``).  Gluing files:
 
-    tets N                         (once)
+    tets N                         (once, N <= MAX_TETS)
     shape <idx> <re> <im>          (once per tetrahedron)
     eq a_1 .. a_n ; b_1 .. b_n ; c (any number, at least N)
 
@@ -24,6 +24,10 @@ from __future__ import annotations
 # its first call (``smallvol.<module>`` resolves through the package's
 # ``__getattr__``), so reading one format never loads the other's engine.
 import smallvol
+
+
+# Gluing files name at most this many tetrahedra (certify is cubic in them).
+MAX_TETS = 256
 
 
 class FormatError(ValueError):
@@ -51,6 +55,8 @@ def parse_gluing(text: str) -> smallvol.certify.GluingSystem:
                 if len(parts) != 2:
                     raise FormatError(f"line {lineno}: 'tets' takes one count")
                 n = int(parts[1])
+                if n > MAX_TETS:
+                    raise FormatError(f"line {lineno}: tets {n} exceeds the cap of {MAX_TETS}")
             elif parts[0] == "shape":
                 if len(parts) != 4:
                     raise FormatError(

@@ -14,7 +14,7 @@ from ``rounding``; the names are re-exported here, so each is one
 object.
 
 Nonlinear behaviour (products of linear parts and of error radii,
-Taylor remainders of ``log_jet``/``atan_jet``) is folded entirely into
+Taylor terms of ``log_jet``/``atan_jet``) is folded entirely into
 ``err``; tightness is best effort, containment is the contract.
 
 Jets are built two ways.  The public constructor ``Jet(center, coeffs,
@@ -36,7 +36,9 @@ times their spread.  Only two different nonzero dimensions are an
 error.  When both operands have dimension 0 the operation runs on
 plain ``(center, err)`` float pairs (``points._add0``, ``_mul0``,
 ``_recip0``, with the same charges); ``atan_jet`` calls them directly
-for its Taylor coefficients.
+for its Taylor coefficients.  ``log_jet`` and ``atan_jet`` share one
+rule: the libm value at the center, the linear part as one
+``_mul_const``, and each higher term bounded once in upward floats.
 """
 
 from __future__ import annotations
@@ -49,14 +51,6 @@ from .rounding import (EPS_PRIM, PI_HI, PI_LO, TINY, JetDomainError, JetError,
                        _INF, _down, _mul_up, _nextafter, _up)
 
 _new = object.__new__
-
-
-def _add_up(x: float, y: float) -> float:
-    return _up(x + y)
-
-
-def _div_up(x: float, y: float) -> float:
-    return _up(x / y)
 
 
 def _scalar(x):
@@ -156,7 +150,7 @@ class Jet:
             raise JetError("widening amount must be >= 0")
         if extra == 0.0:
             return self
-        return _jet(self.center, self.coeffs, _add_up(self.err, extra))
+        return _jet(self.center, self.coeffs, _up(self.err + extra))
 
     def __repr__(self):
         return f"Jet({self.center!r}; {list(self.coeffs)!r}; {self.err!r})"
@@ -359,81 +353,81 @@ def half_pi_jet() -> Jet:
     return _jet(PI_LO * 0.5, (), (PI_HI - PI_LO) * 0.5)
 
 
-def _libm_point(value: float) -> Jet:
-    """Enclosure of a libm-computed transcendental value (``_libm_err``)."""
-    return _jet(value, (), _libm_err(value))
+def _horner_up(h: float, coeffs: tuple, x: float) -> float:
+    """Horner steps h = c + h x, rounded up: nonnegative floats only."""
+    for c in coeffs:
+        h = _up(c + _mul_up(h, x))
+    return h
 
 
-# Enclosure of 1/3 for ``log_jet``'s cubic term, built once.
-_THIRD = Jet.constant(3.0).reciprocal()
+def _sum_up(terms) -> float:
+    """Upward sum of nonnegative floats: one rounding, and inf past range."""
+    try:
+        s = math.fsum(terms)
+    except OverflowError:
+        return _INF
+    return _up(s) if s else 0.0
 
 
 def log_jet(a: Jet) -> Jet:
-    """Pointwise natural log: degree-4 Taylor about the center plus a
-    Lagrange remainder over the jet's (provably positive) range."""
+    """Pointwise natural log: log a0 + t, t = (a - a0)/a0, with the terms
+    of degree 2 to 4 and the Lagrange remainder of log(1 + t) charged as
+    T^2/2 + T^3/3 + T^4/4 + T^5 / (5 (1-T)^5), T = sup|t| < 1."""
     if not a.prove_positive():
         raise JetDomainError("log of a jet not provably positive")
     a0 = a.center
-    if a0 <= 0.0:  # unreachable once positivity is proved
-        raise JetDomainError("log: center not positive")
-    # t = (a - a0)/a0; positivity of the range forces |t| < 1.
-    d = a + (-a0)
-    t = d / a0
-    t_sup = t.sup_abs()
+    # a - a0 is exact: the same coefficients and err about center 0.
+    t = _mul_const(_jet(0.0, a.coeffs, a.err), *_recip0(a0, 0.0))
+    t_sup = t.spread()
     if not t_sup < 1.0:
         raise JetDomainError("log: jet range too wide for the remainder bound")
-    t2 = t * t
-    poly = t - t2 * 0.5 + (t2 * t) * _THIRD - (t2 * t2) * 0.25
-    # |R| <= T^5 / (5 (1-T)^5) for log(1+t), T = sup|t|.
-    if t_sup == 0.0:
-        rem = 0.0
-    else:
-        t5 = _mul_up(_mul_up(_mul_up(t_sup, t_sup), _mul_up(t_sup, t_sup)), t_sup)
+    terms = [t.err]
+    if t_sup:
+        # T < 1 keeps 1 - T >= 2^-53, so the denominator is positive.
         om = _down(1.0 - t_sup)
         om2 = _down(om * om)
-        om5 = _down(_down(om2 * om2) * om)
-        den = _down(5.0 * om5)
-        if den <= 0.0:
-            raise JetDomainError("log: jet range too wide for the remainder bound")
-        rem = _div_up(t5, den)
-    base = Jet.constant(0.0) if a0 == 1.0 else _libm_point(math.log(a0))
-    return (base + poly).widened(rem)
+        rem = _up(t_sup / _down(5.0 * _down(_down(om2 * om2) * om)))
+        h = _horner_up(_up(0.25 + rem), (_up(1.0 / 3.0), 0.5), t_sup)
+        terms.append(_mul_up(h, _mul_up(t_sup, t_sup)))
+    value = 0.0 if a0 == 1.0 else math.log(a0)
+    if value:
+        terms.append(_libm_err(value))
+    return _jet(value, t.coeffs, _sum_up(terms))
 
 
 def atan_jet(a: Jet) -> Jet:
-    """Pointwise arctangent: degree-4 Taylor about the center.
-
-    The fifth derivative of atan is bounded by 120 in absolute value, so
-    the Lagrange remainder is at most sup|a - center|^5.
-    """
+    """Pointwise arctangent: atan a0 + c1 (a - a0), with a = a0 + sum x_i
+    a_i + e and D = s + |e|, s = sum |a_i|, charged |c1| |e| + err(c1) D,
+    (|c_k| + err(c_k)) D^k for the Taylor coefficients c_2..c_4 at a0, and
+    the Lagrange remainder D^5 / 5 (|atan^(5)| <= 4!).  The c2 term takes
+    D^2 as s^2 + |e| (s + D), so a tiny err does not round it up."""
     a0 = a.center
-    d = a + (-a0)
-    # Taylor coefficients at a0, as certified dimension-0 (center, err)
-    # pairs, each step charged as the matching jet operation:
-    #  c1 = 1/w, c2 = -a0/w^2, c3 = (3a0^2-1)/(3w^3), c4 = a0(1-a0^2)/w^4
-    # with w = 1 + a0^2.
+    # Taylor coefficients at a0 as (center, err) pairs, w = 1 + a0^2: c1 = 1/w,
+    # c2 = -a0/w^2, c3 = (3a0^2-1)/(3w^3), c4 = a0(1-a0^2)/w^4.
     z = (a0, 0.0)
     zz = _mul0(*z, *z)
     w = _add0(*zz, 1.0, 0.0)
     w2 = _mul0(*w, *w)
     c1 = _recip0(*w)
     c2 = _mul0(*z, *_recip0(*w2))
-    c2 = (-c2[0], c2[1])
     c3 = _mul0(*_add0(*_mul0(*zz, 3.0, 0.0), -1.0, 0.0),
                *_recip0(*_mul0(*_mul0(*w2, *w), 3.0, 0.0)))
     zzz = _mul0(*zz, *z)
     c4 = _mul0(*_add0(*z, -zzz[0], zzz[1]), *_recip0(*_mul0(*w2, *w2)))
-    # poly = d * (c1 + d * (c2 + d * (c3 + d * c4)))
-    poly = _mul_const(d, *c4)
-    for c in (c3, c2, c1):
-        poly = d * _add_const(poly, *c)
-    t_sup = d.sup_abs()
-    if t_sup == 0.0:
-        rem = 0.0
-    else:
-        rem = _mul_up(_mul_up(_mul_up(t_sup, t_sup), _mul_up(t_sup, t_sup)), t_sup)
-    base = Jet.constant(0.0) if a0 == 0.0 else _libm_point(math.atan(a0))
-    return (base + poly).widened(rem)
+    lin = _mul_const(_jet(0.0, a.coeffs, 0.0), c1[0], 0.0)
+    e, s = a.err, _sum_up(map(abs, a.coeffs))
+    d_sup = _up(s + e) if e else s
+    terms = [lin.err, _mul_up(abs(c1[0]), e)] if e else [lin.err]
+    if d_sup:
+        h = _up(_up(abs(c4[0]) + c4[1]) + _up(d_sup / 5.0))
+        h = _horner_up(h, (_up(abs(c3[0]) + c3[1]), c2[1]), d_sup)
+        terms += [_mul_up(c1[1], d_sup), _mul_up(h, _mul_up(d_sup, d_sup))]
+        sq = ([_mul_up(s, s)] if s else []) + ([_mul_up(e, _up(s + d_sup))] if e else [])
+        terms += [_mul_up(abs(c2[0]), q) for q in sq if c2[0]]
+    value = 0.0 if a0 == 0.0 else math.atan(a0)
+    if value:
+        terms.append(_libm_err(value))
+    return _jet(value, lin.coeffs, _sum_up(terms))
 
 
 class ComplexJet:

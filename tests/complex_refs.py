@@ -1,5 +1,6 @@
 """Complex operations on ``ComplexJet`` pairs, for building test inputs
-and references.
+and references, and the degree-4 jet log and atan that the library's
+Taylor-rule ``log_jet``/``atan_jet`` replaced.
 
 ``ComplexJet`` has no complex arithmetic.  These functions compute 1 - w,
 w - 1, the product, the reciprocal and the quotient from real-jet
@@ -8,7 +9,12 @@ keeps its inputs and references bit for bit.  Unlike ``oracles``, they
 run on the library's own jet operations.
 """
 
-from smallvol.jets import ComplexJet, JetDomainError
+import math
+
+from smallvol.jets import (ComplexJet, Jet, JetDomainError, _add0, _add_const,
+                           _mul0, _mul_const, _recip0)
+from smallvol.points import _libm_err
+from smallvol.rounding import _down, _mul_up, _up
 
 
 def one_minus(w):
@@ -37,3 +43,66 @@ def reciprocal(w):
 
 def quotient(a, b):
     return product(a, reciprocal(b))
+
+
+# The degree-4 log and atan of the jet core before the Taylor rule: each
+# Taylor term is a jet product and sum.  ``jets.log_jet``/``atan_jet``
+# fold the same terms into err, and tests hold them to these widths.
+_THIRD = Jet.constant(3.0).reciprocal()
+
+
+def _libm_point(value):
+    return Jet(value, (), _libm_err(value))
+
+
+def degree4_log_jet(a):
+    if not a.prove_positive():
+        raise JetDomainError("log of a jet not provably positive")
+    a0 = a.center
+    d = a + (-a0)
+    t = d / a0
+    t_sup = t.sup_abs()
+    if not t_sup < 1.0:
+        raise JetDomainError("log: jet range too wide for the remainder bound")
+    t2 = t * t
+    poly = t - t2 * 0.5 + (t2 * t) * _THIRD - (t2 * t2) * 0.25
+    # |R| <= T^5 / (5 (1-T)^5) for log(1+t), T = sup|t|.
+    if t_sup == 0.0:
+        rem = 0.0
+    else:
+        t5 = _mul_up(_mul_up(_mul_up(t_sup, t_sup), _mul_up(t_sup, t_sup)), t_sup)
+        om = _down(1.0 - t_sup)
+        om2 = _down(om * om)
+        om5 = _down(_down(om2 * om2) * om)
+        rem = _up(t5 / _down(5.0 * om5))
+    base = Jet.constant(0.0) if a0 == 1.0 else _libm_point(math.log(a0))
+    return (base + poly).widened(rem)
+
+
+def degree4_atan_jet(a):
+    """Degree-4 Taylor about the center; |atan^(5)| <= 120 makes the
+    Lagrange remainder at most sup|a - center|^5."""
+    a0 = a.center
+    d = a + (-a0)
+    z = (a0, 0.0)
+    zz = _mul0(*z, *z)
+    w = _add0(*zz, 1.0, 0.0)
+    w2 = _mul0(*w, *w)
+    c1 = _recip0(*w)
+    c2 = _mul0(*z, *_recip0(*w2))
+    c2 = (-c2[0], c2[1])
+    c3 = _mul0(*_add0(*_mul0(*zz, 3.0, 0.0), -1.0, 0.0),
+               *_recip0(*_mul0(*_mul0(*w2, *w), 3.0, 0.0)))
+    zzz = _mul0(*zz, *z)
+    c4 = _mul0(*_add0(*z, -zzz[0], zzz[1]), *_recip0(*_mul0(*w2, *w2)))
+    # poly = d * (c1 + d * (c2 + d * (c3 + d * c4)))
+    poly = _mul_const(d, *c4)
+    for c in (c3, c2, c1):
+        poly = d * _add_const(poly, *c)
+    t_sup = d.sup_abs()
+    if t_sup == 0.0:
+        rem = 0.0
+    else:
+        rem = _mul_up(_mul_up(_mul_up(t_sup, t_sup), _mul_up(t_sup, t_sup)), t_sup)
+    base = Jet.constant(0.0) if a0 == 0.0 else _libm_point(math.atan(a0))
+    return (base + poly).widened(rem)

@@ -19,6 +19,7 @@ import smallvol
 from smallvol import cli
 from smallvol.data import CORPUS, figure_eight_text, presentation_text, script_text
 from smallvol.formats import (
+    MAX_TETS,
     FormatError,
     parse_gluing,
     parse_presentation,
@@ -52,6 +53,25 @@ def exact_decimal(text):
 def body(text):
     """Report lines without the timing line."""
     return [l for l in text.splitlines() if not l.startswith("elapsed_ms:")]
+
+
+def figure_eight_copies_text(k, extra=0):
+    """A gluing file of k disjoint figure-eight copies (the edge and
+    completeness rows of ``fig8.gluing`` each), and ``extra`` regular
+    tetrahedra with one edge row each."""
+    n = 2 * k + extra
+    lines = [f"tets {n}"] + [f"shape {i} 0.5 0.866025404" for i in range(n)]
+
+    def row(a, b, c):
+        return f"eq {' '.join(map(str, a))} ; {' '.join(map(str, b))} ; {c}"
+
+    for j in range(k):
+        for a, b in (((1, 1), (1, 1)), ((0, 1), (1, 0))):
+            lines.append(row([0] * 2 * j + list(a) + [0] * (n - 2 * j - 2),
+                             [0] * 2 * j + list(b) + [0] * (n - 2 * j - 2), 0))
+    for i in range(2 * k, n):
+        lines.append(row([0] * i + [3] + [0] * (n - i - 1), [0] * n, 1))
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture()
@@ -439,7 +459,8 @@ class TestCertifyVolume:
         assert rc == 2
 
     @pytest.mark.parametrize("text, message", (
-        ("tets 1000000000000\n", "need shapes 0..999999999999, got []"),
+        ("tets 1000000000000\n", "line 1: tets 1000000000000 exceeds the cap of 256"),
+        ("tets 3\n", "need shapes 0..2, got []"),
         ("tets 1\ntets 1\nshape 0 0.5 0.8660254037844386\neq 3 ; 0 ; 1\n",
          "line 2: duplicate 'tets' line"),
         ("tets 1\nshape 0 0.5 0.8660254037844386\nshape 0 0.5 0.8660254037844386\n"
@@ -456,9 +477,9 @@ class TestCertifyVolume:
          "line 3: 'eq' takes a_1 .. a_n ; b_1 .. b_n ; c"),
         ("tets 1\nshape 0 0.5 0.8660254037844386\neq 3 ; 0 ; 0 0\n",
          "line 3: 'eq' takes a_1 .. a_n ; b_1 .. b_n ; c"),
-    ), ids=("huge-count", "second-tets", "repeated-shape", "extra-tokens",
-            "extra-shape-tokens", "eq-two-segments", "bare-eq", "eq-four-segments",
-            "eq-wide-constant"))
+    ), ids=("huge-count", "count-without-shapes", "second-tets", "repeated-shape",
+            "extra-tokens", "extra-shape-tokens", "eq-two-segments", "bare-eq",
+            "eq-four-segments", "eq-wide-constant"))
     def test_count_and_duplicates_are_malformed(self, capsys, tmp_path, text, message):
         # The count is compared before anything of its size is built, and
         # a second line never replaces the first.
@@ -468,6 +489,20 @@ class TestCertifyVolume:
         p.write_text(text)
         rc, out, err = run_cli(capsys, "certify", str(p))
         assert rc == 2 and out == "" and message in err
+
+    @pytest.mark.parametrize("copies, extra, code", ((MAX_TETS // 2, 0, 0),
+                                                    (MAX_TETS // 2, 1, 2)))
+    def test_tetrahedron_cap(self, capsys, tmp_path, copies, extra, code):
+        # certify is cubic in the tetrahedra: a file at formats.MAX_TETS is
+        # certified within about 2 s, one over it is malformed input.
+        p = tmp_path / "copies.gluing"
+        p.write_text(figure_eight_copies_text(copies, extra))
+        rc, out, err = run_cli(capsys, "certify", str(p))
+        assert rc == code
+        if code:
+            assert out == "" and f"exceeds the cap of {MAX_TETS}" in err
+        else:
+            assert "certified: yes\n" in out and err == ""
 
     def test_le_is_decided_for_the_typed_decimal(self, capsys, fig8_file):
         # volume_hi is the double 2.02988321282002948109..., which the

@@ -26,7 +26,8 @@ from smallvol.jets import (
 )
 from smallvol.points import _decimal_atan, libm_covered
 
-from complex_refs import minus_one, one_minus, quotient, reciprocal
+from complex_refs import (degree4_atan_jet, degree4_log_jet, minus_one, one_minus,
+                          quotient, reciprocal)
 from oracles import jet_contains, jet_contains_value, mp_arg, mp_atan, mp_log
 
 
@@ -158,16 +159,23 @@ class TestGoldenBits:
     )
 
     # Charging err_a * err_b once and no up(0.0) cross term took one ulp
-    # off these errs.
+    # off these errs.  They are the errs of the degree-4 jet-product log
+    # and atan, and the envelope of the one-rule forms below.
     TIGHTENED = {"log_jet(a)": "0x1.34378fccc3247p-51",
                  "atan_jet(b)": "0x1.0a00a3bcfffb9p-51"}
+
+    # log_jet and atan_jet as one Taylor rule, each higher term folded
+    # into err once: one more ulp off.  arg_complex keeps its bits.
+    TAYLOR_RULE = {"log_jet(a)": "0x1.34378fccc3246p-51",
+                   "atan_jet(b)": "0x1.0a00a3bcfffb8p-51"}
 
     @pytest.mark.parametrize("expr, center, coeffs, err", GOLDEN)
     def test_fields_bitwise(self, expr, center, coeffs, err):
         j = self.EXPRS[expr](self.A, self.B)
+        envelope = self.TIGHTENED.get(expr, err)
         assert (j.center.hex(), tuple(c.hex() for c in j.coeffs), j.err.hex()) == (
-            center, coeffs, self.TIGHTENED.get(expr, err))
-        assert j.err <= float.fromhex(err)
+            center, coeffs, self.TAYLOR_RULE.get(expr, envelope))
+        assert j.err <= float.fromhex(envelope) <= float.fromhex(err)
 
 
 class TestOverflow:
@@ -400,6 +408,17 @@ class TestDimensionZeroOperands:
             bad += self._violations(log_jet, (a,), mpmath.log, rng)
         assert bad == 0
 
+    def test_elementary_functions_over_the_taylor_rule_regimes(self):
+        # The regimes of the width sweep (``taylor_operand``): dimensions
+        # 0-8, err 0 and > 0, sup|a/a0 - 1| up to 0.999 for log, |a0| from
+        # 1e-300 to 1e300 for atan.
+        rng = random.Random(2032)
+        bad = 0
+        for _ in range(300):
+            bad += self._violations(log_jet, (taylor_operand(rng, "log"),), mpmath.log, rng)
+            bad += self._violations(atan_jet, (taylor_operand(rng, "atan"),), mpmath.atan, rng)
+        assert bad == 0
+
     def _extreme(self, rng, dim):
         def value():
             return rng.choice(self.MAGS) * rng.choice((1.0, -1.0))
@@ -425,6 +444,62 @@ class TestDimensionZeroOperands:
         assert Jet.constant(2.0).dim == pi_jet().dim == half_pi_jet().dim == 0
         assert ComplexJet.constant(1j).dim == 0
         assert (Jet.variable(1.0, 0, 0.5, 2) + pi_jet()).dim == 2
+
+
+def taylor_operand(rng, fn):
+    """A jet for the ``log_jet``/``atan_jet`` sweeps: dimension 0-8, and
+    sup|a - a0| = D shared among the coefficients and err, with err 0 in
+    a third of the draws and 1e-20 D in a tenth.  For "log", a0 is in
+    1e-150..1e150 and D / a0 up to 0.999; for "atan", |a0| is in
+    1e-300..1e300 (or 1e-6..1e2) and D is absolute or relative to a0."""
+    dim = rng.randint(0, 8)
+    if fn == "log":
+        a0 = 10.0 ** rng.uniform(-150, 150)
+        d = a0 * rng.choice((0.0, 1e-16, 1e-8, 1e-4, 0.01, 0.1, 0.5, 0.9, 0.999))
+    else:
+        a0 = rng.choice((-1.0, 1.0)) * 10.0 ** rng.choice(
+            (rng.uniform(-300, 300), rng.uniform(-6, 2)))
+        d = 10.0 ** rng.uniform(-17, 1) * rng.choice((1.0, abs(a0)))
+    shares = [rng.random() for _ in range(dim + 1)]
+    r = rng.random()
+    if r < 1 / 3:
+        shares[-1] = 0.0
+    elif r < 1 / 3 + 0.1:
+        shares[-1] = 1e-20 * sum(shares[:-1])
+    total = sum(shares) or 1.0
+    return Jet(a0, [rng.choice((-d, d)) * x / total for x in shares[:-1]],
+               d * shares[-1] / total)
+
+
+class TestTaylorRuleWidth:
+    """``log_jet`` and ``atan_jet`` fold every Taylor term into err once,
+    where the degree-4 forms of ``complex_refs`` built each term as jet
+    products and sums.  On a seeded sweep the center and coefficients are
+    the reference's, err is never larger, and where the reference raises
+    the same error is raised."""
+
+    @staticmethod
+    def _outcome(fn, a):
+        try:
+            return fn(a)
+        except JetError as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("name, fn, ref", [
+        ("log", log_jet, degree4_log_jet), ("atan", atan_jet, degree4_atan_jet)])
+    def test_never_wider_than_the_degree4_reference(self, name, fn, ref):
+        rng = random.Random(f"taylor-rule/{name}")
+        compared = 0
+        for _ in range(10_000):
+            a = taylor_operand(rng, name)
+            new, old = self._outcome(fn, a), self._outcome(ref, a)
+            if isinstance(old, tuple):
+                assert new == old, a
+                continue
+            assert (new.center, new.coeffs) == (old.center, old.coeffs), a
+            assert new.err <= old.err, a
+            compared += 1
+        assert compared > 5_000
 
 
 class TestPostInitHook:
