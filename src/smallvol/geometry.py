@@ -24,6 +24,31 @@ any true solution within delta; ``tol`` bounds the truncation of each
 jet Lobachevsky series.  The jet classes are reached as
 ``smallvol.jets``, so exact shapes never load them.
 
+The angle jets of a box come from one Taylor rule on the point layer
+(``_angle_jets``; Moore, Kearfott and Cloud, *Introduction to Interval
+Analysis*, 2009, ch. 6), with no jet product, quotient or atan.  Angle
+k is Im F_k(z) for F_1 = log z, F_2 = -log(1 - z) and F_3 = log(1 - 1/z),
+so it has gradient (Im F_k', Re F_k') in (Re z, Im z), with F_1' = 1/z,
+F_2' = 1/(1 - z) and F_3' = -F_1' F_2' (one product, which does not
+cancel for huge |z|).  A jet holds:
+
+* center: the exact-shape angle modulo pi at the box's center;
+* coefficients: the gradient applied to those of Re z and Im z, the
+  reciprocals taken in power-of-two-scaled parts
+  (``points._recip_scaled``) so that nothing over- or underflows for |z|
+  from 1e-150 to 1e150;
+* err: the center's err, the gradient's err times the box's spreads,
+  |gradient| times the input errs, the coefficients' roundings, and the
+  Lagrange remainder 1/2 sup|F_k''| h^2 over the disc of radius h (the
+  box's half-diagonal), with |F_1''| = 1/|z|^2, |F_2''| = 1/|1 - z|^2
+  and |F_3''| = |1 - 2z| / (|z|^2 |1 - z|^2), each bounded from the
+  ratios h / inf|z| and h / inf|1 - z|.
+
+A box whose disc meets 0 or 1, or that meets the real axis, is refused.
+``dihedral_angles`` adds pi to a negative center, giving the principal
+angles; the volume passes the angles modulo pi to ``lobachevsky``, so a
+near-flat angle never meets pi's enclosure.
+
 The volume is a sum of one term per tetrahedron (Neumann-Zagier), and
 terms of different tetrahedra share no variable.  So each tetrahedron's
 three terms are summed over its own two variables, and the tetrahedra
@@ -42,8 +67,17 @@ from collections import namedtuple
 import smallvol
 
 from .lobachevsky import _point, lobachevsky
-from .points import _add0, _arg_mod_pi, _mul0
-from .rounding import JetDomainError, JetError, _down, _up
+from .points import _add0, _arg_mod_pi, _mul0, _recip_scaled
+from .rounding import (EPS_PRIM, TINY, JetDomainError, JetError, _INF, _down,
+                       _nextafter, _up)
+
+# Covers the roundings of one part of a complex product of parts whose
+# absolute values sum to at most A1 and A2: u A1 A2 (2 + u), u = EPS_PRIM.
+_G3 = 2.01 * EPS_PRIM
+# A sum of k nonnegative products of nonnegative floats, none of them
+# underflowing, is within (1 + u)^k - 1 of its float value; times this
+# for k far below 2^12.
+_SLACK = 1.0 + 2.0 ** -40
 
 
 class Interval(namedtuple("Interval", "lo hi")):
@@ -101,21 +135,105 @@ class ShapeAssignment(namedtuple("ShapeAssignment", "shapes delta")):
 
 
 def dihedral_angles(z: ComplexJet) -> tuple:
-    """Angle jets (arg z, arg 1/(1-z), arg (z-1)/z) of one tetrahedron: the
-    arguments of z, (1-x) + iy and (|z|^2-x) + iy (see the module docstring).
-
-    |z|^2 and |1-z|^2 are computed once each, to prove z away from 0 and 1."""
+    """Principal angle jets (arg z, arg 1/(1-z), arg (z-1)/z) of one
+    tetrahedron over the box ``z``: the jets of ``_angle_jets``, with the
+    pi pair added to a negative center.  A box in the lower half-plane
+    gives the negated angles of its conjugate.  Refuses a box that meets
+    0, 1 or the real axis."""
     jets = smallvol.jets
-    z_sq = z.abs_squared()
-    if not z_sq.prove_positive():
+    if z.im.center < 0.0:
+        return tuple(-a for a in dihedral_angles(jets.ComplexJet(z.re, -z.im)))
+    pi = jets.pi_jet()
+    return tuple(a + pi if math.copysign(1.0, a.center) < 0.0 else a
+                 for a in _angle_jets(z))
+
+
+def _centres(x: float, y: float, w: tuple) -> tuple:
+    """The three dihedral angles of z = x + iy, y > 0, modulo pi as
+    ``_arg_mod_pi`` pairs, given the pair w = 1 - x: the arguments of
+    x + iy, w + iy and |z|^2 - x + iy.  |z|^2 - x is x (x - 1) + y^2,
+    which keeps its relative accuracy where |z|^2 and x nearly cancel
+    (z near 1); it raises JetError where it overflows."""
+    zw = _add0(*_mul0(x, 0.0, -w[0], w[1]), *_mul0(y, 0.0, y, 0.0))
+    return _arg_mod_pi(x, 0.0, y), _arg_mod_pi(*w, y), _arg_mod_pi(*zw, y)
+
+
+def _radius(dx: float, dy: float) -> float:
+    """Upper bound for sqrt(dx^2 + dy^2), squaring nothing but a ratio."""
+    up, inf = _nextafter, _INF
+    lo, hi = (dx, dy) if dx <= dy else (dy, dx)
+    if not lo:
+        return hi
+    t = up(lo / hi, inf)
+    return up(hi * up(math.sqrt(up(1.0 + up(t * t, inf), inf)), inf), inf)
+
+
+def _angle_jets(z: ComplexJet) -> list:
+    """Jets of the three dihedral angles modulo pi over the box ``z``,
+    whose imaginary part must be provably positive (see the module
+    docstring for the rule and its charges)."""
+    up, inf = _nextafter, _INF
+    re, im = z.re, z.im
+    x, y = re.center, im.center
+    dx, dy = re.spread(), im.spread()
+    w = _add0(1.0, 0.0, -x, 0.0)
+    # 1/z = s1 (r1 + i i1) and 1/(1-z) = s2 (r2 + i i2), each part within
+    # s1 e1 (s2 e2); m1 <= s1 |z| and m2 <= s2 |1 - z|.
+    r1, i1, e1, s1, m1 = _recip_scaled(x, 0.0, y)
+    r2, i2, e2, s2, m2 = _recip_scaled(w[0], w[1], -y)
+    h = _radius(dx, dy)
+    hs1, hs2 = up(h * s1, inf), up(h * s2, inf)
+    rho1, rho2 = up(m1 - hs1, -inf), up(m2 - hs2, -inf)  # s1 inf|z|, s2 inf|1 - z|
+    if not rho1 > 0.0:
         raise JetDomainError("shape not provably distinct from 0")
-    w = jets.ComplexJet(1.0 - z.re, z.im)
-    if not w.abs_squared().prove_positive():
+    if not rho2 > 0.0:
         raise JetDomainError("shape not provably distinct from 1")
-    a1 = jets.arg_complex(z)
-    a2 = jets.arg_complex(w)
-    a3 = jets.arg_complex(jets.ComplexJet(z_sq - z.re, z.im))
-    return a1, a2, a3
+    if not (up(y - dy, -inf) if dy else y) > 0.0:
+        raise JetDomainError("argument: quadrant not provable (origin or branch cut)")
+    centres = _centres(x, y, w)
+    # F3' = -(1/z)(1/(1-z)) as one product, in units of s3 = s1 s2 (exact:
+    # the centres overflow long before s3 could underflow).  Its parts
+    # are off by e1 a2 + e2 a1 + 2 e1 e2 from the inputs, a_k the sums of
+    # |parts|, and by u a1 a2 (2 + u) + TINY from the roundings; all of
+    # these are far above the underflow range.
+    s3 = s1 * s2
+    a1, a2 = abs(r1) + abs(i1), abs(r2) + abs(i2)
+    e3 = up((e1 * a2 + e2 * a1 + 2.0 * e1 * e2 + _G3 * a1 * a2) * _SLACK + TINY, inf)
+    grads = ((i1 * s1, r1 * s1, up(up(e1 * s1, inf) + TINY, inf)),
+             (i2 * s2, r2 * s2, up(up(e2 * s2, inf) + TINY, inf)),
+             (-(r1 * i2 + i1 * r2) * s3, (i1 * i2 - r1 * r2) * s3,
+              up(up(e3 * s3, inf) + TINY, inf)))
+    if h:
+        # sup|1 - 2z| <= |1 - 2c| + 2h about the center c, and 1 - 2x is
+        # within half an ulp of its float.
+        q1, q2 = up(hs1 / rho1, inf), up(hs2 / rho2, inf)
+        t = up(_radius(up(abs(1.0 - 2.0 * x), inf), 2.0 * abs(y)) + up(2.0 * h, inf), inf)
+        for f, g in ((s1, rho1), (s2, rho2)):  # sup|1 - 2z| / inf(|z| |1 - z|)
+            t = up(up(t * f, inf) / g, inf)
+        rems = (up(0.5 * up(q1 * q1, inf), inf), up(0.5 * up(q2 * q2, inf), inf),
+                up(0.5 * up(up(q1 * q2, inf) * t, inf), inf))
+    else:
+        rems = (0.0, 0.0, 0.0)
+    d = up(dx + dy, inf)
+    jet, sum_up = smallvol.jets._jet, smallvol.jets._sum_up
+    out = []
+    for (c, ec), (p, q, eg), rem in zip(centres, grads, rems):
+        coeffs, sizes = [], []
+        for a, b in zip(re.coeffs, im.coeffs):
+            t1, t2 = p * a, q * b
+            ci = t1 + t2
+            coeffs.append(ci)
+            sizes += (abs(t1), abs(t2), abs(ci))
+        terms = [ec, rem, up(eg * d, inf)]
+        if sizes:
+            # Each product within u|t| + TINY / 2, each sum within u|ci|.
+            terms.append(up(EPS_PRIM * sum_up(sizes) + len(sizes) * TINY, inf))
+        if re.err:
+            terms.append(up(abs(p) * re.err, inf))
+        if im.err:
+            terms.append(up(abs(q) * im.err, inf))
+        out.append(jet(c, tuple(coeffs), sum_up(terms)))
+    return out
 
 
 def _oriented(shapes, delta: float) -> bool:
@@ -148,7 +266,7 @@ def certified_volume(assignment: ShapeAssignment, tol: float = 1e-12) -> Interva
     jets = smallvol.jets
     total = zero = jets.Jet.constant(0.0)
     for zj in assignment.shape_jets():
-        term = sum((lobachevsky(a, tol) for a in dihedral_angles(zj)), zero)
+        term = sum((lobachevsky(a, tol) for a in _angle_jets(zj)), zero)
         total = total + jets._jet(term.center, (), term.spread())
     lo, hi = total.bounds()
     return Interval(lo, hi)
@@ -156,23 +274,19 @@ def certified_volume(assignment: ShapeAssignment, tol: float = 1e-12) -> Interva
 
 def _exact_volume(shapes) -> tuple:
     """Pair (center, err) enclosing the volume of the exact, positively
-    oriented shapes: for each z = x + iy, the angles of x + iy, (1 - x) +
-    iy and (|z|^2 - x) + iy, each through ``_arg_mod_pi`` and ``_point``.
-    A refusal names the tetrahedron, and the angle or quantity that
+    oriented shapes: each angle of ``_centres`` through ``_point``.  A
+    refusal names the tetrahedron, and the angle or quantity that
     failed."""
     total = err = 0.0
     for j, z in enumerate(shapes):
         x, y = z.real, z.imag
-        w = _add0(1.0, 0.0, -x, 0.0)
         try:
-            # |z|^2 - x as x (x - 1) + y^2, which keeps its relative
-            # accuracy where |z|^2 and x nearly cancel (z near 1).
-            zw = _add0(*_mul0(x, 0.0, -w[0], w[1]), *_mul0(y, 0.0, y, 0.0))
+            angles = _centres(x, y, _add0(1.0, 0.0, -x, 0.0))
         except JetError:
             raise JetError(f"tetrahedron {j}: |z|^2 is not finite") from None
-        for i, (r, er) in enumerate(((x, 0.0), w, zw), 1):
+        for i, a in enumerate(angles, 1):
             try:
-                v, e = _point(*_arg_mod_pi(r, er, y))
+                v, e = _point(*a)
             except JetDomainError as exc:
                 raise type(exc)(f"tetrahedron {j}: dihedral angle {i}: {exc}") from None
             total, err = _add0(total, err, v, e)

@@ -395,13 +395,26 @@ def log_jet(a: Jet) -> Jet:
     return _jet(value, t.coeffs, _sum_up(terms))
 
 
+# From this |a0| on, the pair w^4 = (1 + a0^2)^4 of ``atan_jet`` overflows
+# (1 + a0^2 rounds to a0^2 from 2^27 on).
+_ATAN_REFLECT = 2.0 ** 128
+
+
 def atan_jet(a: Jet) -> Jet:
     """Pointwise arctangent: atan a0 + c1 (a - a0), with a = a0 + sum x_i
     a_i + e and D = s + |e|, s = sum |a_i|, charged |c1| |e| + err(c1) D,
     (|c_k| + err(c_k)) D^k for the Taylor coefficients c_2..c_4 at a0, and
     the Lagrange remainder D^5 / 5 (|atan^(5)| <= 4!).  The c2 term takes
-    D^2 as s^2 + |e| (s + D), so a tiny err does not round it up."""
+    D^2 as s^2 + |e| (s + D), so a tiny err does not round it up.
+
+    From |a0| = 2^128 on, where those coefficients overflow, a provably
+    signed jet takes atan a = +-pi/2 - atan(1/a)."""
     a0 = a.center
+    if abs(a0) >= _ATAN_REFLECT:
+        if a.prove_positive():
+            return half_pi_jet() - atan_jet(a.reciprocal())
+        if a.prove_negative():
+            return -(half_pi_jet() + atan_jet(a.reciprocal()))
     # Taylor coefficients at a0 as (center, err) pairs, w = 1 + a0^2: c1 = 1/w,
     # c2 = -a0/w^2, c3 = (3a0^2-1)/(3w^3), c4 = a0(1-a0^2)/w^4.
     z = (a0, 0.0)

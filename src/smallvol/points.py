@@ -17,8 +17,9 @@ Two kinds of value are built on this model:
 * ``(center, err)`` float pairs, a real number within ``err`` of
   ``center``: ``_add0``, ``_mul0`` and ``_recip0``, the dimension-0
   operations of the jet classes in ``jets`` (``_recip`` also takes a
-  jet's linear coefficients), and the dihedral angle ``_arg_mod_pi``
-  that exact-shape volumes sum (``geometry``);
+  jet's linear coefficients), the dihedral angle ``_arg_mod_pi`` at the
+  center of every volume term, and the power-of-two-scaled reciprocal
+  ``_recip_scaled`` whose parts give the angle gradients (``geometry``);
 * midpoint-radius complex boxes ``(mid_re, mid_im, rad_re, rad_im)``,
   the sums and inputs of the Krawczyk test in ``certify``: ``_dot``, the
   point logarithm ``_log_box`` and the reciprocal box ``_recip_box``.
@@ -351,6 +352,44 @@ def _arg_mod_pi(r: float, er: float, y: float) -> tuple:
     if width:
         err = up(up(up(eps * abs(mid), inf) + err, inf) + width, inf)
     return mid, err
+
+
+_RECIP_ERR = 9.0 * EPS_PRIM
+_ONE_M3U = 1.0 - 3.0 * EPS_PRIM
+
+
+def _recip_scaled(a: float, ea: float, b: float) -> tuple:
+    """1/(A + ib) for every A within ``ea`` of a, as (re, im, err, s, mod):
+    s is the power of two that brings max(|a|, |b|) into [1/2, 1), every
+    1/(A + ib) is s (re + i im) with each part off by at most s err, and
+    mod <= s |A + ib|.  Nothing over- or underflows for |a + ib| from
+    2^-1020 to the top of the double range.
+
+    With a' = s a and b' = s b (exact, or within TINY / 2 when subnormal),
+    the pair squares a'^2 + b'^2 = N, at least 1/4, once: n = fl(a'^2 +
+    b'^2) is within 2.01 u N of it, u = EPS_PRIM, and fl(1/n) within
+    3.02 u / N of 1/N.  So fl(a' fl(1/n)) is within 4.03 u |a'| / N +
+    TINY of a'/N, and |a'| / N <= 1 / |a' + ib'| <= 2: 9u covers each part.
+    Moving a' by at most ea' = s ea moves 1/(a' + ib') by at most
+    ea' / (|a' + ib'| |A' + ib'|), and |a' + ib'| >= sqrt(n (1 - 3u)).
+    """
+    m = max(abs(a), abs(b))
+    if not m >= 2.0 ** -1020:
+        raise JetDomainError("reciprocal: center too close to zero")
+    s = math.ldexp(1.0, -math.frexp(m)[1])
+    a1, b1 = a * s, b * s
+    n = a1 * a1 + b1 * b1
+    inv = 1.0 / n
+    mod = _down(math.sqrt(_down(n * _ONE_M3U)))
+    err = _RECIP_ERR
+    if ea:
+        eas = _up(ea * s)
+        low = _down(mod - eas)
+        if not low > 0.0:
+            raise JetDomainError("reciprocal of a jet not provably nonzero")
+        err = _up(err + _up(eas / _down(mod * low)))
+        mod = low
+    return a1 * inv, -(b1 * inv), err, s, mod
 
 
 def _log_domain(x: float, y: float) -> None:
