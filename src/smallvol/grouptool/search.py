@@ -31,6 +31,17 @@ successor is still charged the letters of the word and of the rotation,
 as if spelled out before free reduction, so every budget and every
 ``stopped_by`` is what a full re-reduction would give.
 
+At the last depth of a round only the empty word matters, and the
+words one insertion carries to it can be written down: w is one of
+them only if its middle is a variant and the letters around it cancel
+in pairs (``_may_vanish``).  A word that fails this test has its
+successors charged in one step from per-letter tables (``_charge``)
+and none of them built or stored; a word that passes it, or whose
+charge would overdraw the budget, has them built one at a time.  So the
+charges, budgets, ``stopped_by`` values and certificates are those of
+building every successor.  The search stores the words below the depth
+limit, and words at the limit only for the words that fall back.
+
 The search runs over doubled letters (2x for the letter x), so that no
 word it stores holds the letter -1: CPython hashes -1 like -2, and words
 that differ only by swapping those two would all collide in its dicts.
@@ -81,21 +92,6 @@ class Derivation(namedtuple("Derivation", "start steps")):
         return w == ()
 
 
-def _variants(relators):
-    """All distinct rotations of every (cyclically reduced, nonempty)
-    relator and its inverse."""
-    out = []
-    seen = set()
-    for r in relators:
-        for base in (r, words.invert(r)):
-            for k in range(len(base)):
-                v = words.rotate(base, k)
-                if v not in seen:
-                    seen.add(v)
-                    out.append(v)
-    return out
-
-
 # The limits that can end a failed search, as ``stopped_by`` reports them.
 DEPTH, NODES, LETTERS = "depth", "nodes", "letters"
 
@@ -120,11 +116,7 @@ def search_trivial(word, relators, depth: int = DEFAULT_DEPTH,
     letters = MAX_SEARCH_LETTERS - 2 * sum(len(r) ** 2 for r in rels)
     if letters < 0:
         rels, stop = [], LETTERS
-    by_first = {}
-    by_last = {}
-    for v in _variants(rels):
-        by_first.setdefault(v[0], []).append(v)
-        by_last.setdefault(v[-1], []).append(v)
+    by_first, by_last, leaves = _tables(rels)
     max_len = len(start) + max(map(len, rels), default=0) + 4
 
     root = _doubled(start)
@@ -134,7 +126,7 @@ def search_trivial(word, relators, depth: int = DEFAULT_DEPTH,
             stop = LETTERS
             break
         found, letters, stop = _best_first(root, by_first, by_last, limit,
-                                           max_len, node_budget, letters)
+                                           max_len, node_budget, letters, leaves)
         if found is not None:
             return found
         limit = min(limit * 2, depth) if limit < depth else depth + 1
@@ -149,6 +141,73 @@ def _doubled(w) -> tuple:
 
 def _halved(w) -> tuple:
     return tuple(x // 2 for x in w)
+
+
+_NONE = (0, 0)
+
+
+def _tables(rels):
+    """The tables of ``_best_first`` over the variants, the distinct
+    rotations of every (cyclically reduced, nonempty) relator in ``rels``
+    and of its inverse: ``by_first`` and ``by_last``, the variants by
+    first and by last letter, and for its last depth the set of variants,
+    their lengths (longest first), and the (count, total length) of the
+    variants that cancel against a letter x (those that start or end
+    with -x) and against an adjacent pair (x, y) (start with -x and end
+    with -y)."""
+    by_first, by_last, variants, ends, pairs = {}, {}, set(), {}, {}
+    for v in (words.rotate(base, k) for r in rels for base in (r, words.invert(r))
+              for k in range(len(base))):
+        if v in variants:
+            continue
+        variants.add(v)
+        first, last = v[0], v[-1]
+        by_first.setdefault(first, []).append(v)
+        by_last.setdefault(last, []).append(v)
+        for table, key in ((ends, -first), (ends, -last), (pairs, (-first, -last))):
+            count, total = table.get(key, _NONE)
+            table[key] = count + 1, total + len(v)
+    lengths = sorted({len(v) for v in variants}, reverse=True)
+    return by_first, by_last, (variants, lengths, ends, pairs)
+
+
+def _may_vanish(w, variants, lengths) -> bool:
+    """False when no single insertion of a variant into the freely
+    reduced ``w`` gives the empty word.
+
+    Such an insertion must cancel the variant v completely, against a
+    block of w that is a rotation of v^-1 (itself a variant), and the
+    parts of w around the block must then cancel each other: the block
+    is the middle w[t:n-t], with t = (n - len(v)) / 2, and w[:t] is the
+    inverse of w[n-t:].  True means only that such a block exists."""
+    n = len(w)
+    c = 0  # w[:t] inverts w[n-t:] exactly for t <= c
+    while c < n and w[c] == -w[n - 1 - c]:
+        c += 1
+    for m in lengths:  # longest first: t grows
+        t, odd = divmod(n - m, 2)
+        if t > c:
+            break
+        if t >= 0 and not odd and w[t:n - t] in variants:
+            return True
+    return False
+
+
+def _charge(w, ends, pairs) -> int:
+    """The letters that ``_successors(w, ...)`` charges in all, len(w) +
+    len(v) for each insertion of a variant v, from the tables of
+    ``_tables``: the variants that cancel against each letter, less
+    those listed once where they cancel against both neighbours."""
+    count = total = 0
+    for x in w:
+        c, t = ends.get(x, _NONE)
+        count += c
+        total += t
+    for pair in zip(w, w[1:]):
+        c, t = pairs.get(pair, _NONE)
+        count -= c
+        total -= t
+    return len(w) * count + total
 
 
 def _successors(w, by_first, by_last):
@@ -166,11 +225,21 @@ def _successors(w, by_first, by_last):
                     yield pos, v
 
 
-def _best_first(start, by_first, by_last, limit, max_len, node_budget, letters):
+def _best_first(start, by_first, by_last, limit, max_len, node_budget, letters,
+                leaves):
     """(derivation or None, letters left of the budget ``letters``, and
     for a failure the limit that ended the round: DEPTH when the queue
     ran dry, else NODES or LETTERS).  Every word here, ``start`` and
-    the variants among them, is in doubled letters."""
+    the variants among them, is in doubled letters.
+
+    A word whose successors lie at the depth ``limit`` is settled
+    without building them when ``_may_vanish`` rules out the empty word
+    among them: they are charged in one step (``_charge``) and, never
+    explored further, not stored.  Where the test passes, or the charge
+    would overdraw the letter budget, its successors are built one at a
+    time as at every other depth, so every derivation, ``stopped_by``
+    and letters-left value is that of building them all."""
+    variants, lengths, ends, pairs = leaves
     counter = 0
     heap = [(len(start), 0, counter, start)]
     # word -> (insertion depth, parent word, position, variant)
@@ -187,6 +256,11 @@ def _best_first(start, by_first, by_last, limit, max_len, node_budget, letters):
         if d >= limit:
             continue
         nd = d + 1
+        if nd == limit and not _may_vanish(w, variants, lengths):
+            spent = _charge(w, ends, pairs)
+            if spent <= letters:
+                letters -= spent
+                continue
         for pos, variant in _successors(w, by_first, by_last):
             letters -= len(w) + len(variant)
             if letters < 0:

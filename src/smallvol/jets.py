@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 
-from .points import (_add0, _libm_err, _mul0, _recip, _recip0, _reject,
+from .points import (_add0, _inv0, _libm_err, _mul0, _recip, _recip0, _reject,
                      _require_finite)
 from .rounding import (EPS_PRIM, PI_HI, PI_LO, TINY, JetDomainError, JetError,
                        _INF, _down, _mul_up, _nextafter, _up)
@@ -377,7 +377,7 @@ def log_jet(a: Jet) -> Jet:
         raise JetDomainError("log of a jet not provably positive")
     a0 = a.center
     # a - a0 is exact: the same coefficients and err about center 0.
-    t = _mul_const(_jet(0.0, a.coeffs, a.err), *_recip0(a0, 0.0))
+    t = _mul_const(_jet(0.0, a.coeffs, a.err), *_inv0(a0))
     t_sup = t.spread()
     if not t_sup < 1.0:
         raise JetDomainError("log: jet range too wide for the remainder bound")

@@ -17,7 +17,8 @@ Two kinds of value are built on this model:
 * ``(center, err)`` float pairs, a real number within ``err`` of
   ``center``: ``_add0``, ``_mul0`` and ``_recip0``, the dimension-0
   operations of the jet classes in ``jets`` (``_recip`` also takes a
-  jet's linear coefficients), the dihedral angle ``_arg_mod_pi`` at the
+  jet's linear coefficients, and ``_inv0`` inverts the exact center of
+  ``log_jet``), the dihedral angle ``_arg_mod_pi`` at the
   center of every volume term, and the power-of-two-scaled reciprocal
   ``_recip_scaled`` whose parts give the angle gradients (``geometry``);
 * midpoint-radius complex boxes ``(mid_re, mid_im, rad_re, rad_im)``,
@@ -150,6 +151,16 @@ def _recip0(b0: float, be: float) -> tuple:
     """1/b for the dimension-0 operand b = (b0, be)."""
     c, _, err = _recip(b0, be, _up(be) if be else 0.0, ())
     return c, err
+
+
+def _inv0(b0: float) -> tuple:
+    """1/b0 for an exact b0 > 0: the center and err of ``_recip0(b0,
+    0.0)``, which squares b0 and so refuses every b0 below about 2.2e-162;
+    this refuses only where 1/b0 overflows."""
+    c = 1.0 / b0
+    if c == _INF:
+        raise JetDomainError("reciprocal: center too close to zero")
+    return c, _up(_up(_up(EPS_PRIM * c) + TINY))
 
 
 # -- the libm charge ----------------------------------------------------
@@ -395,12 +406,12 @@ def _recip_scaled(a: float, ea: float, b: float) -> tuple:
 def _log_domain(x: float, y: float) -> None:
     """Raise what ``jets.log_jet`` raises on |x + iy|^2 as a dimension-0
     jet: JetError where it overflows, JetDomainError where it is not
-    provably positive or its square underflows.  Returns where none of
-    these holds, and then |x + iy|^2 is at least 2^-538."""
+    provably positive or its reciprocal overflows.  Returns where none of
+    these holds, and then |x + iy|^2 is above 2^-1024."""
     s, e = _add0(*_mul0(x, 0.0, x, 0.0), *_mul0(y, 0.0, y, 0.0))
     if not _down(s - _up(e)) > 0.0:
         raise JetDomainError("log of a jet not provably positive")
-    _recip0(s, 0.0)
+    _inv0(s)
 
 
 def _recip_box(x: float, ex: float, y: float, ey: float) -> tuple:

@@ -92,3 +92,38 @@ def jet_contains_value(jet, true_value):
     lo, hi = jet.bounds()
     with mpmath.workdps(50):
         return mpmath.mpf(lo) <= mpmath.mpf(true_value) <= mpmath.mpf(hi)
+
+
+def free_reduction(letters):
+    """The freely reduced form of a word (nonzero ints, -x the inverse of
+    x): delete the leftmost adjacent inverse pair and rescan from the
+    start, until no pair is left."""
+    w = list(letters)
+    i = 0
+    while i + 1 < len(w):
+        if w[i] == -w[i + 1]:
+            del w[i:i + 2]
+            i = 0
+        else:
+            i += 1
+    return tuple(w)
+
+
+def derivation_replays(derivation, relators):
+    """Check an insertion certificate with no library code: every
+    inserted word is a cyclic rotation of a cyclically reduced relator or
+    of its inverse, every position lies in the word, and inserting them
+    in turn, each followed by ``free_reduction``, ends at the empty word."""
+    allowed = set()
+    for r in relators:
+        r = free_reduction(r)
+        while len(r) > 1 and r[0] == -r[-1]:
+            r = r[1:-1]
+        for base in (r, tuple(-x for x in reversed(r))):
+            allowed.update(base[k:] + base[:k] for k in range(len(base)))
+    w = free_reduction(derivation.start)
+    for pos, inserted in derivation.steps:
+        if tuple(inserted) not in allowed or not 0 <= pos <= len(w):
+            return False
+        w = free_reduction(w[:pos] + tuple(inserted) + w[pos:])
+    return w == ()

@@ -1,0 +1,51 @@
+"""The round of the word search as it was before ``search._best_first``
+settled its last depth by a membership test: every successor of every
+popped word is built and compared with the empty word.  Tests hold the
+library's rounds to this one, result for result.  Unlike ``oracles``, it
+runs on the library's own successors, junction kernel and unwinding.
+"""
+
+import heapq
+
+from smallvol.grouptool import words
+from smallvol.grouptool.search import (DEPTH, LETTERS, NODES, _successors,
+                                       _unwind)
+
+
+def best_first(start, by_first, by_last, limit, max_len, node_budget, letters):
+    """(derivation or None, letters left, stop), with the arguments and
+    results of ``search._best_first`` less its last-level tables."""
+    counter = 0
+    heap = [(len(start), 0, counter, start)]
+    # word -> (insertion depth, parent word, position, variant)
+    nodes = {start: (0, None, 0, None)}
+    popped = 0
+    insert = words.insert
+    while heap:
+        if popped >= node_budget:
+            return None, letters, NODES
+        _, d, _, w = heapq.heappop(heap)
+        popped += 1
+        if d != nodes[w][0]:
+            continue  # stale queue entry
+        if d >= limit:
+            continue
+        nd = d + 1
+        for pos, variant in _successors(w, by_first, by_last):
+            letters -= len(w) + len(variant)
+            if letters < 0:
+                return None, letters, LETTERS
+            # A successor past max_len is charged but never built.
+            new = insert(w, pos, variant, max_len)
+            if new is None:
+                continue
+            seen = nodes.get(new)
+            if seen is not None and seen[0] <= nd:
+                continue
+            nodes[new] = (nd, w, pos, variant)
+            if new == ():
+                return _unwind(nodes, start), letters, None
+            if nd < limit:
+                counter += 1
+                heapq.heappush(heap, (len(new), nd, counter, new))
+    return None, letters, DEPTH

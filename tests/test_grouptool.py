@@ -23,6 +23,9 @@ from smallvol.grouptool import (
 from smallvol.grouptool import engine, search
 from smallvol.grouptool.engine import _State, _run_step
 
+from oracles import derivation_replays
+from search_refs import best_first as reference_best_first
+
 
 class TestWords:
     def test_free_reduce(self):
@@ -128,6 +131,26 @@ def _insertions(draw):
                           + words.invert(w[pos:pos + j]))
     scale = draw(st.sampled_from([1, 2]))
     return tuple(scale * x for x in w), pos, tuple(scale * x for x in v)
+
+
+@st.composite
+def _near_a_variant(draw):
+    """Cyclically reduced relators, and a word L x L^-1 where x is a
+    rotation of one of them or of its inverse, with one of its letters
+    changed a third of the time, or any word another third."""
+    relator = st.lists(_LETTERS, min_size=1, max_size=6).map(words.cyclic_reduce)
+    rels = draw(st.lists(relator.filter(len), min_size=1, max_size=2))
+    r = draw(st.sampled_from(rels))
+    x = words.rotate(draw(st.sampled_from((r, words.invert(r)))),
+                     draw(st.integers(0, len(r) - 1)))
+    kind = draw(st.sampled_from(("variant", "changed", "any")))
+    if kind == "changed":
+        i = draw(st.integers(0, len(x) - 1))
+        x = x[:i] + (draw(_LETTERS),) + x[i + 1:]
+    elif kind == "any":
+        x = tuple(draw(st.lists(_LETTERS, max_size=8)))
+    left = tuple(draw(st.lists(_LETTERS, max_size=4)))
+    return rels, words.concat(left, x, words.invert(left))
 
 
 class TestInsert:
@@ -285,6 +308,18 @@ class TestSearch:
         assert replayed == ()
 
 
+def _corpus_groups():
+    """Each corpus presentation's relators and its highest generator."""
+    for name in CORPUS:
+        rels = parse_presentation(presentation_text(name)).relators
+        yield rels, max(abs(x) for r in rels for x in r)
+
+
+def _random_word(rng, g, length):
+    return words.free_reduce(rng.choice((1, -1)) * rng.randint(1, g)
+                             for _ in range(length))
+
+
 def _equivalence_cases():
     """(word, relators, search options, letter budget) over the corpus
     groups: seeded products of two conjugated relators (trivial) at the
@@ -292,21 +327,69 @@ def _equivalence_cases():
     seeded random words at depth 2 / 20 nodes."""
     rng = random.Random(15)
     cases = []
-    for name in CORPUS:
-        rels = parse_presentation(presentation_text(name)).relators
-        g = max(abs(x) for r in rels for x in r)
-
-        def random_word(length):
-            return words.free_reduce(rng.choice((1, -1)) * rng.randint(1, g)
-                                     for _ in range(length))
+    for rels, g in _corpus_groups():
         for letters in (search.MAX_SEARCH_LETTERS, 20000):
-            c, d = random_word(rng.randint(0, 2)), random_word(rng.randint(0, 2))
+            c = _random_word(rng, g, rng.randint(0, 2))
+            d = _random_word(rng, g, rng.randint(0, 2))
             r, s = rng.choice(rels), words.invert(rng.choice(rels))
             word = words.concat(c, r, words.invert(c), d, s, words.invert(d))
             cases.append((word, rels, {}, letters))
         for _ in range(2):
-            cases.append((random_word(rng.randint(1, 10)), rels,
+            cases.append((_random_word(rng, g, rng.randint(1, 10)), rels,
                           {"depth": 2, "node_budget": 20}, search.MAX_SEARCH_LETTERS))
+    return cases
+
+
+def _deep_cases():
+    """Seeded random words over the corpus groups at depth 3 and 60
+    nodes: searches whose inner levels build words up to max_len."""
+    rng = random.Random(3)
+    return [(_random_word(rng, g, rng.randint(1, 6)), rels,
+             {"depth": 3, "node_budget": 60}, search.MAX_SEARCH_LETTERS)
+            for rels, g in _corpus_groups() for _ in range(3)]
+
+
+def _root_charge(word, rels):
+    """The letters the search charges for all successors of ``word``,
+    counted one successor at a time, and the letters its relator
+    rotations take first."""
+    rels = [search._doubled(r) for r in map(words.cyclic_reduce, rels) if r]
+    by_first, by_last, _ = search._tables(rels)
+    w = search._doubled(word)
+    return (sum(len(w) + len(v) for _, v in search._successors(w, by_first, by_last)),
+            2 * sum(len(r) ** 2 for r in rels))
+
+
+def _last_depth_cases():
+    """Seeded searches over the corpus groups that settle their last
+    depth each way, at depth 1 (the start word is the only word whose
+    successors are at the limit) and depth 3:
+    - "pass": L x L^-1 for a rotation x of a relator or of its inverse,
+      which passes the membership test;
+    - "miss": the same with one letter of x changed, which misses it
+      by one letter;
+    - "overdraw": a random word at depth 1 with a letter budget that
+      runs out among its successors."""
+    rng = random.Random(35)
+    cases = []
+    for rels, g in _corpus_groups():
+        for _ in range(2):
+            r = rng.choice(rels)
+            x = words.rotate(rng.choice((r, words.invert(r))), rng.randrange(len(r)))
+            i = rng.randrange(len(x))
+            other = rng.choice([y for y in range(-g, g + 1) if y not in (0, x[i])])
+            changed = x[:i] + (other,) + x[i + 1:]
+            left = _random_word(rng, g, rng.randint(0, 3))
+            for kind, middle in (("pass", x), ("miss", changed)):
+                word = words.concat(left, middle, words.invert(left))
+                for options in ({"depth": 1}, {"depth": 3, "node_budget": 60}):
+                    cases.append((kind, (word, rels, options, search.MAX_SEARCH_LETTERS)))
+            charge = 0
+            while not charge:
+                word = _random_word(rng, g, rng.randint(3, 10))
+                charge, rotations = _root_charge(word, rels)
+            cases.append(("overdraw", (word, rels, {"depth": 1},
+                                       rotations + 1 + rng.randrange(charge - 1))))
     return cases
 
 
@@ -373,7 +456,7 @@ class TestJunctionKernel:
 
         monkeypatch.setattr(search, "_best_first", bounded)
         monkeypatch.setattr(words, "insert", recording_insert)
-        for word, rels, options, letters in _equivalence_cases():
+        for word, rels, options, letters in _equivalence_cases() + _deep_cases():
             monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", letters)
             search_trivial(word, rels, **options)
         assert built and all(n <= max_len for n, max_len in built)
@@ -392,6 +475,58 @@ class TestJunctionKernel:
         assert len(d.steps) == 2 and d.replay()
         with pytest.raises(AssertionError, match="replay called"):
             search_trivial(w, [rel], depth=6)
+
+
+class TestLastDepth:
+    """``_best_first`` settles the words whose successors lie at the
+    depth limit by a membership test and one bulk charge; every round
+    returns what building each successor returns (``search_refs``)."""
+
+    def test_rounds_match_the_reference(self, monkeypatch):
+        kinds, last_depth = zip(*_last_depth_cases())
+        cases = _equivalence_cases() + _deep_cases() + list(last_depth)
+        tested = []
+        may_vanish = search._may_vanish
+
+        def recording(w, *tables):
+            tested.append(may_vanish(w, *tables))
+            return tested[-1]
+        monkeypatch.setattr(search, "_may_vanish", recording)
+        fast = _search_outcomes(monkeypatch, cases)
+        monkeypatch.setattr(search, "_best_first",
+                            lambda *args: reference_best_first(*args[:7]))
+        assert fast == _search_outcomes(monkeypatch, cases)
+        assert True in tested and False in tested
+        outcomes = fast[0][-len(last_depth):]
+        for kind, case, (d, stopped_by) in zip(kinds, last_depth, outcomes):
+            word, rels, options, _ = case
+            root = search._doubled(word)
+            variants, lengths, _, _ = search._tables(
+                [search._doubled(words.cyclic_reduce(r)) for r in rels])[2]
+            if kind == "pass":
+                assert may_vanish(root, variants, lengths)
+                if options["depth"] == 1:
+                    assert d is not None and len(d.steps) == 1
+            elif kind == "overdraw":
+                assert not may_vanish(root, variants, lengths)
+                assert stopped_by == [search.LETTERS]
+        assert sum(kind == "miss" and d is None for kind, (d, _) in zip(kinds, outcomes)) >= 10
+
+    @given(_near_a_variant())
+    @example(([(1, 2, -1, -2)], (3, 2, 1, -2, -1, -3)))  # L x L^-1
+    @example(([(1, 2, -1, -2)], (3, 2, 1, -2, 1, -3)))   # ... missed by one letter
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_membership_test_and_charge(self, case):
+        rels, word = case
+        by_first, by_last, (variants, lengths, ends, pairs) = search._tables(
+            [search._doubled(r) for r in rels])
+        w = search._doubled(word)
+        successors = list(search._successors(w, by_first, by_last))
+        assert search._charge(w, ends, pairs) == sum(len(w) + len(v) for _, v in successors)
+        if not search._may_vanish(w, variants, lengths):
+            assert all(words.concat(w[:pos], v, w[pos:]) != () for pos, v in successors)
+        d = search_trivial(word, rels, depth=3, node_budget=200)
+        assert d is None or derivation_replays(d, rels)
 
 
 class TestWorkBounds:

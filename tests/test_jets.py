@@ -419,6 +419,24 @@ class TestDimensionZeroOperands:
             bad += self._violations(atan_jet, (taylor_operand(rng, "atan"),), mpmath.atan, rng)
         assert bad == 0
 
+    def test_log_of_centres_whose_square_underflows(self):
+        # log_jet takes 1/a0 directly; through a0^2 it refused every
+        # centre below about 2.2e-162.  Centres 1e-307..1e-150, with
+        # sup|a/a0 - 1| up to 0.999: none refused, none missing its
+        # 50-digit value.
+        rng = random.Random(2034)
+        bad = 0
+        for _ in range(300):
+            a = taylor_operand(rng, "log")
+            a0 = 10.0 ** rng.uniform(-307, -150)
+            scale = a0 / a.center
+            a = Jet(a0, tuple(c * scale for c in a.coeffs), a.err * scale)
+            if a.prove_positive():
+                log_jet(a)
+                bad += self._violations(log_jet, (a,), mpmath.log, rng)
+        assert bad == 0
+        assert log_jet(Jet(1e-170, (1e-173,), 0.0)).bounds()[0] < -390
+
     def _extreme(self, rng, dim):
         def value():
             return rng.choice(self.MAGS) * rng.choice((1.0, -1.0))
