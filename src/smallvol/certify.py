@@ -23,10 +23,11 @@ over the Jacobian's nonzero entries, run on one plain-float
 midpoint-radius kernel, ``_dot``, with a priori rounding bounds.  Its
 inputs are plain-float boxes as well: each logarithm in F(x^) takes one
 libm log and one atan at a point, with mean-value bounds for the
-rounding (``_log_box``), and each reciprocal in F'(X) takes the
-dimension-0 pair operations of the jet classes (``_recip_box``).  All
-three live in the point layer, ``points``, so certification loads
-neither ``jets`` nor ``geometry``.  The approximate quantities (the
+rounding (``_log_box``), and each reciprocal in F'(X) is the
+power-of-two-scaled reciprocal that the volume's angle kernel takes
+(``_recip_scaled``), over the disc that holds the box.  All of these
+live in the point layer, ``points``, so certification loads neither
+``jets`` nor ``geometry``.  The approximate quantities (the
 selected rows, the Newton steps and Y) all come from one Gaussian
 elimination with partial pivoting in plain complex floats,
 ``_eliminate``; their values need not be accurate for soundness.
@@ -40,8 +41,8 @@ from collections import namedtuple
 
 import smallvol
 
-from .points import _add0, _dot, _log_box, _recip_box
-from .rounding import EPS_PRIM, PI_HI, PI_LO, SQRT2_HI, JetDomainError, _up
+from .points import _MIN_NORMAL, _add0, _dot, _log_box, _radius, _recip_scaled
+from .rounding import EPS_PRIM, PI_HI, PI_LO, SQRT2_HI, TINY, JetDomainError, _up
 
 _SINGULAR_TOL = 1e-13
 
@@ -300,17 +301,26 @@ def _jacobian_columns(equations, center, r: float) -> list:
     """Interval Jacobian of ``equations`` over the box of per-real-coordinate
     radius r around ``center``, as one list per column of its nonzero
     entries (row, mid_re, mid_im, rad_re, rad_im).  Entry (l, k) is
-    a_lk / z_k - b_lk / (1 - z_k); the reciprocals are ``_recip_box``
-    boxes, computed once per column and only when some row needs them."""
+    a_lk / z_k - b_lk / (1 - z_k).  The reciprocals are computed once per
+    column, and only when some row needs them, by ``_recip_scaled`` over
+    the disc of radius ``_radius`` of the box's half-widths; the real
+    half-width of 1 - z includes the rounding of 1 - Re z."""
     cols = []
-    zero = (0.0, 0.0, 0.0, 0.0)
     for k, z in enumerate(center):
-        x, y = z.real, z.imag
         a = [eq.a[k] for eq in equations]
         b = [-eq.b[k] for eq in equations]
-        recips = ((0, *(_recip_box(x, r, y, r) if any(a) else zero)),
-                  (1, *(_recip_box(*_add0(1.0, 0.0, -x, r), *_add0(0.0, 0.0, -y, r))
-                        if any(b) else zero)))
+        discs = [(0, z.real, r, z.imag)] if any(a) else []
+        if any(b):
+            discs.append((1, *_add0(1.0, 0.0, -z.real, r), -z.imag))
+        recips = []
+        for l, x, ex, y in discs:
+            re, im, err, s, _ = _recip_scaled(x, _radius(ex, r), y)
+            # s is a power of two, so a part scaled back rounds only in the
+            # subnormal range (by TINY / 2), and only when s < 1.
+            re, im, rad = re * s, im * s, _up(err * s)
+            if s < 1.0 and min(abs(re), abs(im)) < _MIN_NORMAL:
+                rad = _up(rad + TINY)
+            recips.append((l, re, im, rad, rad))
         cols.append([(l, *_dot((al, bl), recips))
                      for l, (al, bl) in enumerate(zip(a, b)) if al or bl])
     return cols

@@ -67,7 +67,7 @@ from collections import namedtuple
 import smallvol
 
 from .lobachevsky import _point, lobachevsky
-from .points import _add0, _arg_mod_pi, _mul0, _recip_scaled
+from .points import _add0, _arg_mod_pi, _mul0, _radius, _recip_scaled
 from .rounding import (EPS_PRIM, TINY, JetDomainError, JetError, _INF, _down,
                        _nextafter, _up)
 
@@ -156,16 +156,6 @@ def _centres(x: float, y: float, w: tuple) -> tuple:
     (z near 1); it raises JetError where it overflows."""
     zw = _add0(*_mul0(x, 0.0, -w[0], w[1]), *_mul0(y, 0.0, y, 0.0))
     return _arg_mod_pi(x, 0.0, y), _arg_mod_pi(*w, y), _arg_mod_pi(*zw, y)
-
-
-def _radius(dx: float, dy: float) -> float:
-    """Upper bound for sqrt(dx^2 + dy^2), squaring nothing but a ratio."""
-    up, inf = _nextafter, _INF
-    lo, hi = (dx, dy) if dx <= dy else (dy, dx)
-    if not lo:
-        return hi
-    t = up(lo / hi, inf)
-    return up(hi * up(math.sqrt(up(1.0 + up(t * t, inf), inf)), inf), inf)
 
 
 def _angle_jets(z: ComplexJet) -> list:

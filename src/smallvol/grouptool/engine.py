@@ -438,17 +438,20 @@ def _pairs_commute(st: _State, g, h) -> bool:
     return st.has_fact((g,), (h,))
 
 
+def _unproved_pairs(st: _State, gens) -> str:
+    """The pairs of ``gens`` not proved to commute, as "(a,b), (a,c)", or
+    "" when every pair is."""
+    return ", ".join(f"({st.names[g - 1]},{st.names[h - 1]})"
+                     for i, g in enumerate(gens) for h in gens[i + 1:]
+                     if not _pairs_commute(st, g, h))
+
+
 def _conclude(st: _State, step, args):
     mode = step[1]
     names = tuple(st.names)
     if mode == "abelian":
         gens = list(st.active)
-        missing = [
-            (g, h)
-            for a, g in enumerate(gens)
-            for h in gens[a + 1:]
-            if not _pairs_commute(st, g, h)
-        ]
+        missing = _unproved_pairs(st, gens)
         if not missing:
             st.log.append("all generator pairs commute: the group is abelian, "
                           "contradicting trivial centre")
@@ -467,26 +470,14 @@ def _conclude(st: _State, step, args):
                         "abelian (maximal abelian subgroup argument)",
                         log=tuple(st.log),
                     )
-        raise StepError(
-            "missing commutation facts for generator pairs "
-            + ", ".join(f"({names[g - 1]},{names[h - 1]})" for g, h in missing)
-        )
+        raise StepError("missing commutation facts for generator pairs " + missing)
     if mode == "trivial-gen":
         (g,) = args
         if not st.gen_trivial(g):
             raise StepError(f"generator {step[2]!r} not proved trivial")
-        others = [h for h in st.active if h != g]
-        bad = [
-            (a, b)
-            for idx, a in enumerate(others)
-            for b in others[idx + 1:]
-            if not _pairs_commute(st, a, b)
-        ]
+        bad = _unproved_pairs(st, [h for h in st.active if h != g])
         if bad:
-            raise StepError(
-                "remaining generators not proved to commute: "
-                + ", ".join(f"({names[a - 1]},{names[b - 1]})" for a, b in bad)
-            )
+            raise StepError("remaining generators not proved to commute: " + bad)
         st.log.append(f"generator {step[2]} is trivial and the rest commute")
         return Verdict(NONHYPERBOLIC, "trivial-generator", log=tuple(st.log))
     w, n = args  # torsion

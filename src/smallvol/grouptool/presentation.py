@@ -45,13 +45,15 @@ class Presentation(namedtuple("Presentation", "generators relators")):
 
     def exponent_matrix(self) -> list:
         """Relator exponent sums, one row per relator."""
-        rows = []
-        for r in self.relators:
-            row = [0] * len(self.generators)
-            for x in r:
-                row[abs(x) - 1] += 1 if x > 0 else -1
-            rows.append(row)
-        return rows
+        return [_exponent_sums(r, len(self.generators)) for r in self.relators]
+
+
+def _exponent_sums(word, n: int) -> list:
+    """The exponent sum of each of the n generators in ``word``."""
+    row = [0] * n
+    for x in word:
+        row[abs(x) - 1] += 1 if x > 0 else -1
+    return row
 
 
 def smith_normal_form(matrix) -> list:
@@ -136,9 +138,7 @@ def abelian_invariants(p: Presentation) -> tuple:
 def nontrivial_in_abelianization(p: Presentation, w) -> bool:
     """True if the word is provably nontrivial already in the abelianization,
     i.e. its exponent vector lies outside the relator lattice."""
-    target = [0] * len(p.generators)
-    for x in w:
-        target[abs(x) - 1] += 1 if x > 0 else -1
+    target = _exponent_sums(w, len(p.generators))
     if not any(target):
         return False
     rows = p.exponent_matrix()

@@ -20,18 +20,15 @@ MAX_WORD_LENGTH = 10**4
 
 
 def free_reduce(letters) -> tuple:
-    out = []
-    for x in letters:
-        if x == 0:
-            raise ValueError("zero letter in word")
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
+    letters = tuple(letters)
+    if 0 in letters:
+        raise ValueError("zero letter in word")
+    return concat(letters)
 
 
 def concat(*words) -> tuple:
+    """The freely reduced product of the words: one cancellation loop,
+    which every reduction outside the search's ``insert`` goes through."""
     out = []
     for w in words:
         for x in w:
@@ -166,20 +163,8 @@ def substitute(word, gen: int, replacement) -> tuple:
             f"substitution exceeds the {MAX_WORD_LENGTH}-letter word cap"
         )
     rep_inv = invert(replacement)
-    out = []
-    for x in word:
-        if x == gen:
-            chunk = replacement
-        elif x == -gen:
-            chunk = rep_inv
-        else:
-            chunk = (x,)
-        for y in chunk:
-            if out and out[-1] == -y:
-                out.pop()
-            else:
-                out.append(y)
-    return tuple(out)
+    return concat(*(replacement if x == gen else rep_inv if x == -gen else (x,)
+                    for x in word))
 
 
 # -- text syntax -------------------------------------------------------------

@@ -253,7 +253,8 @@ def _point(theta: float, err: float) -> tuple:
     dropped tail is at most twice its first term (ratios below t^2 / pi^2
     <= 1/2), libm's log is charged ``_libm_err``, and err adds
     |L'(t)| err + err^2 / (2 d), d = min(t, pi - t) - err, since
-    |L''| = |cot| <= 1 / min(t, pi - t).
+    |L''| = |cot| <= 1 / min(t, pi - t); where err^2 underflows, the
+    quadratic term is bounded as err (err / d) / 2 instead.
     """
     points, up, inf = smallvol.points, math.nextafter, math.inf
     k = round(theta / math.pi)
@@ -297,6 +298,10 @@ def _point(theta: float, err: float) -> tuple:
     if err:
         d = up(up(abs(lg) + e_lg, inf) + _LOG_HALF_PI_HI, inf)
         den = min(lo, _down(_down(PI_LO - t) - err))
-        quad = up(up(0.5 * up(err * err, inf), inf) / den, inf)
+        sq = err * err
+        if sq >= points._MIN_NORMAL:
+            quad = up(up(0.5 * up(sq, inf), inf) / den, inf)
+        else:  # err^2 underflows: no relative bound, so divide first
+            quad = up(0.5 * up(err * up(err / den, inf), inf), inf)
         v_err = up(v_err + up(up(d * err, inf) + quad, inf), inf)
     return (v if theta > 0.0 else -v), v_err

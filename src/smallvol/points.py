@@ -18,12 +18,16 @@ Two kinds of value are built on this model:
   ``center``: ``_add0``, ``_mul0`` and ``_recip0``, the dimension-0
   operations of the jet classes in ``jets`` (``_recip`` also takes a
   jet's linear coefficients, and ``_inv0`` inverts the exact center of
-  ``log_jet``), the dihedral angle ``_arg_mod_pi`` at the
-  center of every volume term, and the power-of-two-scaled reciprocal
-  ``_recip_scaled`` whose parts give the angle gradients (``geometry``);
+  ``log_jet``), and the dihedral angle ``_arg_mod_pi`` at the center of
+  every volume term;
 * midpoint-radius complex boxes ``(mid_re, mid_im, rad_re, rad_im)``,
-  the sums and inputs of the Krawczyk test in ``certify``: ``_dot``, the
-  point logarithm ``_log_box`` and the reciprocal box ``_recip_box``.
+  the sums and inputs of the Krawczyk test in ``certify``: ``_dot`` and
+  the point logarithm ``_log_box``, whose argument takes the quotient
+  and charge of ``_arg_mod_pi`` (``_atan_ratio``);
+* the power-of-two-scaled reciprocal ``_recip_scaled`` of every point of
+  a disc, with ``_radius`` for the disc that holds a box: its parts give
+  the angle gradients of the volume (``geometry``) and the reciprocals of
+  the Krawczyk Jacobian (``certify``).
 
 A non-finite result raises ``JetError``, and a point outside an
 operation's provable domain ``JetDomainError``, with the messages of the
@@ -285,17 +289,16 @@ def _log_box(x: float, y: float, eps: float) -> tuple:
     |X^2 - x^2| <= eps (2 + eps) x^2; by the mean value theorem log s is
     then within E / (s - E) of log(X^2 + y^2).
 
-    Imaginary part arg w, by the dominance rule of ``jets.arg_complex``:
-    atan(q) for |x| >= |y| and x > 0, +-pi + atan(q) for x < 0 by the sign
-    of y, with q = y fl(1/x), and +-pi/2 - atan(q) by the sign of y for
-    |x| < |y|, with q = x fl(1/y).  q is within e = (2u + eps)(1 + 4u)
-    |q| + TINY of y/X (or X/y), and atan(q) within e / (1 + m^2) of that
-    one's atan, m = max(0, |q| - e); pi is PI_LO + [0, PI_HI - PI_LO], and the
-    midpoint's own sum adds u |mid|.
+    Imaginary part arg w, by the dominance rule of ``_arg_mod_pi``, whose
+    quotient and charge (``_atan_ratio``) it shares, X being within
+    eps |x| of x: atan(y/x) for |x| >= |y| and x > 0, +-pi + atan(y/x)
+    for x < 0 by the sign of y, and +-pi/2 - atan(x/y) by the sign of y
+    for |x| < |y|.  pi is PI_LO + [0, PI_HI - PI_LO], and the midpoint's
+    own sum adds u |mid|.
 
-    Raises JetDomainError with ``jets.arg_complex``'s message for w on the
-    negative real axis, and as ``jets.log_jet`` does where |w|^2 overflows,
-    is not provably positive or is too small to invert (``_log_domain``).
+    Raises JetDomainError for w on the negative real axis, and as
+    ``jets.log_jet`` does where |w|^2 overflows, is not provably positive
+    or is too small to invert (``_log_domain``).
     """
     p = x * x
     s = p + y * y
@@ -306,63 +309,57 @@ def _log_box(x: float, y: float, eps: float) -> tuple:
     err_s = _up(_up(_up(2.0 * EPS_PRIM * s + 2.0 * eps * p) * _ONE_4U) + 2.0 * TINY)
     lg = math.log(s)
     rad_re = _up(_up(_libm_err(lg) + _up(err_s / _down(s - err_s))) * 0.5)
-    if abs(x) >= abs(y):
-        q = y * (1.0 / x)
-        a = math.atan(q)
-        if x > 0.0:
-            mid, width = a, 0.0
-        else:
-            mid, width = (PI_LO + a if y > 0.0 else a - PI_LO), PI_HI - PI_LO
+    by_real, _, a, rad_im = _atan_ratio(x, _up(eps * abs(x)) if eps else 0.0, y)
+    if by_real and x > 0.0:
+        return lg * 0.5, a, rad_re, rad_im
+    if by_real:
+        mid, width = (PI_LO + a if y > 0.0 else a - PI_LO), PI_HI - PI_LO
     else:
-        q = x * (1.0 / y)
-        a = math.atan(q)
         mid = PI_LO * 0.5 - a if y > 0.0 else -(PI_LO * 0.5 + a)
         width = (PI_HI - PI_LO) * 0.5
-    err_q = _up(_up(_up((2.0 * EPS_PRIM + eps) * abs(q)) * _ONE_4U) + TINY)
-    m = max(0.0, _down(abs(q) - err_q))
-    rad_im = _up(_libm_err(a) + _up(err_q / _down(1.0 + _down(m * m))))
-    if width:
-        rad_im = _up(_up(_up(EPS_PRIM * abs(mid)) + rad_im) + width)
-    return lg * 0.5, mid, rad_re, rad_im
+    return lg * 0.5, mid, rad_re, _up(_up(_up(EPS_PRIM * abs(mid)) + rad_im) + width)
+
+
+def _atan_ratio(r: float, er: float, y: float) -> tuple:
+    """(by_real, q, atan q, err), y != 0: by_real where |r| >= |y| and
+    |r| > er is certified, and then q = fl(y/r), else q = fl(r/y); for
+    every R within ``er`` of r, atan q is within err of atan(y/R) (or
+    atan(R/y)).
+
+    q is within u |q| + TINY / 2 of y/r (or r/y); y/R is then within
+    A er / (|r| - er) of y/r, A >= |y/r|, and R/y within er / |y| of r/y.
+    Together e bounds |q - y/R| (or |q - R/y|), and atan(q) is charged
+    e / (1 + m^2), m = max(0, |q| - e), on top of libm.
+    """
+    up, inf = _nextafter, _INF
+    by_real = abs(r) >= abs(y) and (not er or _down(abs(r) - er) > 0.0)
+    q = y / r if by_real else r / y
+    e = up(up(EPS_PRIM * abs(q), inf) + TINY, inf)
+    if er and by_real:
+        e = up(e + up(up(abs(q) + e, inf) * up(er / _down(abs(r) - er), inf), inf), inf)
+    elif er:
+        e = up(e + up(er / abs(y), inf), inf)
+    a = math.atan(q)
+    m = max(0.0, _down(abs(q) - e))
+    return by_real, q, a, up(_libm_err(a) + up(e / _down(1.0 + _down(m * m)), inf), inf)
 
 
 def _arg_mod_pi(r: float, er: float, y: float) -> tuple:
     """Pair (center, err) enclosing, for every R within ``er`` of r, an
     angle in [-pi/2, pi/2] congruent modulo pi to arg(R + iy), y > 0.
 
-    By the dominance rule of ``_log_box``: atan(y/R) where |r| >= y and
-    |r| > er is certified, else pi/2 - atan(R/y), shifted by -pi when
-    r < 0.  arg(R + iy) is atan(y/R) or pi + atan(y/R) and always
-    pi/2 - atan(R/y), so each branch is congruent to it, and a near-flat
-    angle (about 0 or pi) never meets pi's enclosure.  The quotient q of
-    the floats is within u |q| + TINY / 2 of y/r (or r/y); y/R is then
-    within A er / (|r| - er) of y/r, A >= |y/r|, and R/y within er / y
-    of r/y.  Together e bounds |q - y/R| (or |q - R/y|), and atan(q)
-    is charged e / (1 + m^2), m = max(0, |q| - e), on top of libm, as
-    in ``_log_box``.
+    The dominance rule: atan(y/R) where |r| >= y and |r| > er is
+    certified, else pi/2 - atan(R/y), shifted by -pi when r < 0, each
+    atan with the charge of ``_atan_ratio``.  arg(R + iy) is atan(y/R) or
+    pi + atan(y/R) and always pi/2 - atan(R/y), so each branch is
+    congruent to it, and a near-flat angle (about 0 or pi) never meets
+    pi's enclosure.
     """
-    up, inf, eps = _nextafter, _INF, EPS_PRIM
-    if abs(r) >= y and (not er or _down(abs(r) - er) > 0.0):
-        q = y / r
-        e = up(up(eps * abs(q), inf) + TINY, inf)
-        if er:
-            bound = up(up(abs(q) + e, inf) * up(er / _down(abs(r) - er), inf), inf)
-            e = up(e + bound, inf)
-        mid = a = math.atan(q)
-        width = 0.0
-    else:
-        q = r / y
-        e = up(up(eps * abs(q), inf) + TINY, inf)
-        if er:
-            e = up(e + up(er / y, inf), inf)
-        a = math.atan(q)
-        mid = PI_LO * 0.5 - a if q >= 0.0 else -(PI_LO * 0.5 + a)
-        width = (PI_HI - PI_LO) * 0.5
-    m = max(0.0, _down(abs(q) - e))
-    err = up(_libm_err(a) + up(e / _down(1.0 + _down(m * m)), inf), inf)
-    if width:
-        err = up(up(up(eps * abs(mid), inf) + err, inf) + width, inf)
-    return mid, err
+    by_real, q, a, err = _atan_ratio(r, er, y)
+    if by_real:
+        return a, err
+    mid = PI_LO * 0.5 - a if q >= 0.0 else -(PI_LO * 0.5 + a)
+    return mid, _up(_up(_up(EPS_PRIM * abs(mid)) + err) + (PI_HI - PI_LO) * 0.5)
 
 
 _RECIP_ERR = 9.0 * EPS_PRIM
@@ -370,19 +367,20 @@ _ONE_M3U = 1.0 - 3.0 * EPS_PRIM
 
 
 def _recip_scaled(a: float, ea: float, b: float) -> tuple:
-    """1/(A + ib) for every A within ``ea`` of a, as (re, im, err, s, mod):
-    s is the power of two that brings max(|a|, |b|) into [1/2, 1), every
-    1/(A + ib) is s (re + i im) with each part off by at most s err, and
-    mod <= s |A + ib|.  Nothing over- or underflows for |a + ib| from
-    2^-1020 to the top of the double range.
+    """1/w for every w within ``ea`` of a + ib (a disc, not only a real
+    segment), as (re, im, err, s, mod): s is the power of two that brings
+    max(|a|, |b|) into [1/2, 1), every 1/w is s (re + i im) with each part
+    off by at most s err, and mod <= s |w|.  Nothing over- or underflows
+    for |a + ib| from 2^-1020 to the top of the double range.
 
     With a' = s a and b' = s b (exact, or within TINY / 2 when subnormal),
     the pair squares a'^2 + b'^2 = N, at least 1/4, once: n = fl(a'^2 +
     b'^2) is within 2.01 u N of it, u = EPS_PRIM, and fl(1/n) within
     3.02 u / N of 1/N.  So fl(a' fl(1/n)) is within 4.03 u |a'| / N +
     TINY of a'/N, and |a'| / N <= 1 / |a' + ib'| <= 2: 9u covers each part.
-    Moving a' by at most ea' = s ea moves 1/(a' + ib') by at most
-    ea' / (|a' + ib'| |A' + ib'|), and |a' + ib'| >= sqrt(n (1 - 3u)).
+    Moving a' + ib' by at most ea' = s ea, in any direction, moves
+    1/(a' + ib') by at most ea' / (|a' + ib'| |w'|), w' = s w, and
+    |a' + ib'| >= sqrt(n (1 - 3u)).
     """
     m = max(abs(a), abs(b))
     if not m >= 2.0 ** -1020:
@@ -403,6 +401,15 @@ def _recip_scaled(a: float, ea: float, b: float) -> tuple:
     return a1 * inv, -(b1 * inv), err, s, mod
 
 
+def _radius(dx: float, dy: float) -> float:
+    """Upper bound for sqrt(dx^2 + dy^2), squaring nothing but a ratio."""
+    up, inf = _nextafter, _INF
+    lo, hi = (dx, dy) if dx <= dy else (dy, dx)
+    if not lo:
+        return hi
+    t = up(lo / hi, inf)
+    return up(hi * up(math.sqrt(up(1.0 + up(t * t, inf), inf)), inf), inf)
+
 def _log_domain(x: float, y: float) -> None:
     """Raise what ``jets.log_jet`` raises on |x + iy|^2 as a dimension-0
     jet: JetError where it overflows, JetDomainError where it is not
@@ -413,17 +420,3 @@ def _log_domain(x: float, y: float) -> None:
         raise JetDomainError("log of a jet not provably positive")
     _inv0(s)
 
-
-def _recip_box(x: float, ex: float, y: float, ey: float) -> tuple:
-    """Enclosure (mid_re, mid_im, rad_re, rad_im) of 1/w over the box
-    w in (x +- ex) + i (y +- ey) as conj(w) / |w|^2, in this order: |w|^2
-    as ``_add0`` of the two ``_mul0`` squares, its reciprocal by
-    ``_recip0``, then Re w and Im w each times that reciprocal by
-    ``_mul0``, with the charges of those pair operations."""
-    s, se = _add0(*_mul0(x, ex, x, ex), *_mul0(y, ey, y, ey))
-    if not (_down(s - _up(se)) if se else s) > 0.0:
-        raise JetDomainError("complex reciprocal: jet not provably nonzero")
-    c, ce = _recip0(s, se)
-    re, re_e = _mul0(x, ex, c, ce)
-    im, im_e = _mul0(y, ey, c, ce)
-    return re, -im, re_e, im_e

@@ -127,3 +127,92 @@ def derivation_replays(derivation, relators):
             return False
         w = free_reduction(w[:pos] + tuple(inserted) + w[pos:])
     return w == ()
+
+
+def gluing_rows(text):
+    """The (a, b, c) integer rows of the ``eq`` lines of a gluing file."""
+    rows = []
+    for line in text.splitlines():
+        fields = line.split("#")[0].split()
+        if fields and fields[0] == "eq":
+            a, b, c = " ".join(fields[1:]).split(";")
+            rows.append((tuple(map(int, a.split())), tuple(map(int, b.split())), int(c)))
+    return rows
+
+
+def certificate_claim(report):
+    """(centre, box_radius, selected) as a ``certify`` report prints them:
+    the ``center:`` lines as complex floats (exact, by ``repr``), and the
+    1-based ``selected`` rows as 0-based indices."""
+    fields = [line.split(": ", 1) for line in report.splitlines() if ": " in line]
+    centre = [complex(float(x), float(y)) for key, v in fields if key == "center"
+              for _, x, y in [v.split()]]
+    values = dict(fields)
+    return (centre, float(values["box_radius"]),
+            [int(i) - 1 for i in values["selected"].split()])
+
+
+def _float_inverse(m):
+    """Approximate inverse of a square complex matrix: Gauss-Jordan with
+    partial pivoting in plain floats."""
+    n = len(m)
+    rows = [list(r) + [complex(i == j) for j in range(n)] for i, r in enumerate(m)]
+    for col in range(n):
+        p = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[p] = rows[p], rows[col]
+        pivot = rows[col][col]
+        rows[col] = [v / pivot for v in rows[col]]
+        for r in range(n):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
+    return [r[n:] for r in rows]
+
+
+def krawczyk_margin(rows, centre, box_radius, selected, dps=30):
+    """Re-check a certificate's Krawczyk test with ``mpmath.iv`` at ``dps``
+    digits, from the gluing rows (a, b, c) and what the report claims.
+
+    X is the box of real half-width rho = box_radius / sqrt(2) about the
+    centre c (its corners lie box_radius from c), F the selected rows
+    sum_j a_j log z_j + b_j log(1 - z_j) - c i pi, J their Jacobian
+    a_j / z_j - b_j / (1 - z_j), and Y an approximate inverse of J(c) in
+    floats.  F(c) takes ``iv.log`` and ``iv.atan2`` at the centre, J(X)
+    ``iv.mpc`` reciprocals of z and 1 - z over the box.  Returns an upper
+    bound on max |Re, Im (K(X) - c)| / rho for K(X) = c - Y F(c) +
+    (I - Y J(X)) (X - c), as the nearest float: below 1, K(X) lies inside
+    X, and a solution of the selected rows exists in X."""
+    iv = mpmath.iv
+    prec = iv.prec
+    iv.dps = dps
+    try:
+        eqs = [rows[i] for i in selected]
+        n = len(centre)
+        rho = iv.mpf(box_radius) / iv.sqrt(2)
+        h = iv.mpf([-1, 1]) * rho.b
+        box = iv.mpc(h, h)
+        logs, recips = [], []
+        for z in centre:
+            x, y = iv.mpf(z.real), iv.mpf(z.imag)
+            logs.append([iv.mpc(iv.log(u * u + v * v) / 2, iv.atan2(v, u))
+                         for u, v in ((x, y), (1 - x, -y))])
+            w = iv.mpc(x, y) + box
+            recips.append((1 / w, 1 / (1 - w)))
+        y_mat = _float_inverse([[a[j] / z - b[j] / (1 - z) for j, z in enumerate(centre)]
+                                for a, b, _ in eqs])
+        ipi = iv.mpc(0, iv.pi)
+        f = [sum((a[j] * logs[j][0] + b[j] * logs[j][1] for j in range(n)), -c * ipi)
+             for a, b, c in eqs]
+        jac = [[a[j] * recips[j][0] - b[j] * recips[j][1] for j in range(n)]
+               for a, b, _ in eqs]
+        bounds = []
+        for i, y_row in enumerate(y_mat):
+            y_row = [iv.mpc(v.real, v.imag) for v in y_row]
+            k = -sum((yv * fv for yv, fv in zip(y_row, f)), iv.mpc(0))
+            for j in range(n):
+                c_ij = -sum((y_row[l] * jac[l][j] for l in range(n)), iv.mpc(-(i == j)))
+                k += c_ij * box
+            bounds += (abs(k.real).b, abs(k.imag).b)
+        return float((iv.mpf(max(bounds)) / rho).b)
+    finally:
+        iv.prec = prec

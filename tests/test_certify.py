@@ -13,7 +13,8 @@ import pytest
 from mpmath import iv
 from mpmath.libmp import to_rational
 
-from smallvol import jets
+import oracles
+from smallvol import cli, jets
 from smallvol.certify import (
     BranchConsistencyError,
     Certificate,
@@ -24,6 +25,7 @@ from smallvol.certify import (
     RankDeficientError,
     UncoveredEquationError,
     _eliminate,
+    _jacobian_columns,
     _k_row_bound,
     _krawczyk_once,
     figure_eight_system,
@@ -32,9 +34,10 @@ from smallvol.certify import (
     residual,
     select_square_subsystem,
 )
+from smallvol.data import figure_eight_text
 from smallvol.geometry import ShapeAssignment, certified_volume
 from smallvol.jets import ComplexJet, Jet, JetError, complex_log_jet
-from smallvol.points import _add0, _dot, _log_box, _recip_box
+from smallvol.points import _dot, _log_box
 from smallvol.rounding import EPS_PRIM
 
 from complex_refs import degree4_atan_jet, degree4_log_jet, one_minus, reciprocal
@@ -415,6 +418,58 @@ class TestCertificatePins:
         assert points[0] == sys.shapes and cert.refined_center in points
 
 
+def _gluing_text(sys):
+    """The system as a gluing file: shapes by ``repr``, then its rows."""
+    lines = [f"tets {sys.n}"]
+    lines += [f"shape {j} {z.real!r} {z.imag!r}" for j, z in enumerate(sys.shapes)]
+    lines += [f"eq {' '.join(map(str, eq.a))} ; {' '.join(map(str, eq.b))} ; {eq.c}"
+              for eq in sys.equations]
+    return "\n".join(lines) + "\n"
+
+
+def _recheck_fixtures():
+    """fig8.gluing, the ``CERTIFICATE_PINS`` systems, census-style copies
+    for k = 3, and 1 to 4 copies of the rounded figure-eight rows."""
+    yield pytest.param(figure_eight_text(), id="fig8")
+    for case, _ in CERTIFICATE_PINS:
+        yield pytest.param(_gluing_text(census_system(*case)), id=f"pin-{case}")
+    for mixed in (False, True):
+        yield pytest.param(_gluing_text(census_system(3, mixed, 13)), id=f"census-3-{mixed}")
+    z = figure_eight_system(round_digits=9).shapes[0]
+    for k in range(1, 5):
+        rows = tuple(GluingEquation(a, b, 0) for a, b in _copies(k))
+        yield pytest.param(_gluing_text(GluingSystem(rows, [z] * 2 * k)), id=f"copies-{k}")
+
+
+class TestIndependentRecheck:
+    """Every certificate fixture passes ``oracles.krawczyk_margin``, a
+    Krawczyk test in 30-digit ``mpmath.iv`` that shares no code with
+    smallvol, run on what the ``certify`` report prints."""
+
+    @pytest.mark.parametrize("text", _recheck_fixtures())
+    def test_certified_report_passes(self, capsys, tmp_path, text):
+        path = tmp_path / "system.gluing"
+        path.write_text(text)
+        assert cli.main(["certify", str(path)]) == 0
+        claim = oracles.certificate_claim(capsys.readouterr().out)
+        assert oracles.krawczyk_margin(oracles.gluing_rows(text), *claim) < 1.0
+
+    def test_boxes_that_fail_smallvol_fail_it(self):
+        # The figure-eight's true residual is about 6e-17, so K(X) - c is
+        # too, and boxes of radius 1e-17 and 1e-18 cannot contract: the
+        # oracle's margins are about 6 and 61, and smallvol refuses both
+        # (its schedule from r0 = 1e-18 ends at 1e-16, with margin 31.8).
+        sys = figure_eight_system(round_digits=9)
+        with pytest.raises(InconclusiveError):
+            krawczyk_certify(sys, r0=1e-18)
+        cert = krawczyk_certify(sys)
+        rows = [tuple(eq) for eq in sys.equations]
+        for r in (1e-17, 1e-18):
+            margin = oracles.krawczyk_margin(rows, list(cert.refined_center),
+                                             r * math.sqrt(2), list(cert.selected))
+            assert margin > 5.0, (r, margin)
+
+
 class TestCoverage:
     """Rows outside the certified square subsystem must follow from it."""
 
@@ -704,11 +759,11 @@ class TestLogBox:
         assert enclosed > 1500
 
     def test_midpoints_and_widths_against_the_jet_logarithm(self, monkeypatch):
-        # Midpoints are the jet logarithm's, at the figure-eight root and
-        # at random moderate points.  No radius is wider than that of the
-        # jet logarithm built on the degree-4 jet log and atan, the one
-        # these boxes were made to match; the one-rule log_jet/atan_jet
-        # can be an ulp tighter still.
+        # Real midpoints are the jet logarithm's, at the figure-eight root
+        # and at random moderate points; the imaginary ones take y/x (or
+        # x/y) in one division, where the jet argument takes y (1/x).  No
+        # radius is wider than that of the one-rule jet logarithm, nor than
+        # that of the jet logarithm built on the degree-4 jet log and atan.
         rng = random.Random(6064)
         points = [OMEGA] + [complex(_signed(rng, -3, 3), _signed(rng, -3, 3))
                             for _ in range(500)]
@@ -717,12 +772,13 @@ class TestLogBox:
                            (_log_box(1.0 - z.real, -z.imag, EPS_PRIM),
                             one_minus(ComplexJet.constant(z)))):
                 jet = complex_log_jet(w)
-                assert box[:2] == (jet.re.center, jet.im.center), z
+                assert box[0] == jet.re.center, z
+                assert box[2] <= jet.re.err and box[3] <= jet.im.err, z
                 with monkeypatch.context() as m:
                     m.setattr(jets, "log_jet", degree4_log_jet)
                     m.setattr(jets, "atan_jet", degree4_atan_jet)
                     ref = complex_log_jet(w)
-                assert box[:2] == (ref.re.center, ref.im.center), z
+                assert box[0] == ref.re.center, z
                 assert box[2] <= ref.re.err and box[3] <= ref.im.err, z
 
 
@@ -732,59 +788,72 @@ def _jet_recip(x, ex, y, ey, minus):
     return r.re.center, r.im.center, r.re.err, r.im.err
 
 
-def _recip_args(x, ex, y, ey, one_minus):
-    """``_recip_box`` arguments for 1/w or, as the Jacobian takes them,
-    1/(1 - w)."""
-    if one_minus:
-        return (*_add0(1.0, 0.0, -x, ex), *_add0(0.0, 0.0, -y, ey))
-    return x, ex, y, ey
+def _jacobian_box(x, r, y, minus):
+    """The Jacobian's box of 1/z, or of 1/(1 - z), over the box of
+    per-real-coordinate radius r about z = x + iy: the one entry of a
+    one-equation ``_jacobian_columns``."""
+    eq = GluingEquation((0,), (-1,), 0) if minus else GluingEquation((1,), (0,), 0)
+    ((entry,),) = _jacobian_columns([eq], [complex(x, y)], r)
+    return entry[1:]
 
 
-class TestRecipBox:
-    """The Jacobian's reciprocal boxes: bit for bit the dimension-0 jet
-    reciprocal (``complex_refs.reciprocal``), and inside 50-digit interval
-    arithmetic."""
+class TestJacobianBoxes:
+    """The Jacobian's reciprocal boxes (``_recip_scaled`` over a disc that
+    holds the box) against exact rational reciprocals and against the
+    dimension-0 jet reciprocal (``complex_refs.reciprocal``), which they
+    may never be wider than where the disc radius is at least 1e-12 |w|."""
 
-    def _cases(self, rng):
-        for _ in range(1500):
-            x, y = _signed(rng, -160, 150), _signed(rng, -160, 150)
-            if rng.random() < 0.3:
-                y = x * rng.uniform(-2.0, 2.0)
-            scale = max(abs(x), abs(y))
-            r = scale * 10.0 ** rng.uniform(-18, 0.5) if rng.random() < 0.9 else 0.0
-            yield x, r, y, r, rng.random() < 0.5
-        yield 0.0, 1e-3, 0.0, 1e-3, False
-        yield 1.0, 1e-3, 0.0, 1e-3, True
-        yield 1e-170, 1e-170, 1e-170, 1e-170, False
-
-    def test_bitwise_equal_to_the_jet_reciprocal(self):
-        refused = 0
-        for x, ex, y, ey, one_minus in self._cases(random.Random(6065)):
-            got = _outcome(_recip_box, *_recip_args(x, ex, y, ey, one_minus))
-            old = _outcome(_jet_recip, x, ex, y, ey, one_minus)
-            if isinstance(old, tuple) and isinstance(old[0], type):
-                refused += 1
-                assert got == old
+    def _cases(self, rng, count, lowest):
+        """(x, r, y, minus) with |w| from about 1e-160 to 1e150 (w = z or
+        1 - z), parts of equal size, z within a few ulps of 1, and box
+        radii r from 10^lowest |w| to past |w| / sqrt(2) (where both
+        refuse).  From lowest = -12 on, the disc radius sqrt(2) r is at
+        least 1.4e-12 |w|, and the default schedule's radii, 1e-10
+        max(1, |z|) times 1, 10 and 100, all lie in that range."""
+        ulp = 2.0 ** -52
+        for _ in range(count):
+            if rng.random() < 0.1:
+                x, y = 1.0 + rng.randint(-9, 9) * ulp, _signed(rng, -15, 0)
             else:
-                assert [v.hex() for v in got] == [v.hex() for v in old]
-        assert refused >= 3
+                x, y = _signed(rng, -160, 150), _signed(rng, -160, 150)
+                if rng.random() < 0.3:
+                    y = x * rng.uniform(-2.0, 2.0)
+            minus = rng.random() < 0.5
+            w = abs(complex(1.0 - x, -y) if minus else complex(x, y))
+            yield x, w * 10.0 ** rng.uniform(lowest, 0.2), y, minus
+        yield 0.0, 1e-3, 0.0, False
+        yield 1.0, 1e-3, 0.0, True
+        yield 1e-170, 1e-170, 1e-170, False
 
-    def test_contains_interval_oracle(self, iv50):
-        rng = random.Random(6066)
-        for x, ex, y, ey, one_minus in self._cases(rng):
-            try:
-                m_re, m_im, r_re, r_im = _recip_box(*_recip_args(x, ex, y, ey, one_minus))
-            except JetError:
+    @pytest.mark.parametrize("lowest, count", ((-12.0, 12000), (-18.0, 1500)))
+    def test_contains_the_exact_range(self, lowest, count):
+        # Each box holds 1/w exactly (in rationals) at the center and the
+        # corners.  From disc radius 1e-12 |w| on, every box the reference
+        # encloses is enclosed too, and its radii sum to at most the
+        # reference's; below that, 9 ulps of 1/|w| per part can exceed it.
+        rng = random.Random(6065)
+        enclosed = refused = 0
+        for x, r, y, minus in self._cases(rng, count, lowest):
+            got = _outcome(_jacobian_box, x, r, y, minus)
+            if lowest >= -12.0:
+                old = _outcome(_jet_recip, x, r, y, r, minus)
+                if isinstance(old, tuple) and isinstance(old[0], type):
+                    refused += 1
+                else:
+                    assert len(got) == 4, (x, r, y, minus, got)
+                    assert got[2] + got[3] <= old[2] + old[3], (x, r, y, minus)
+            if len(got) != 4:
                 continue
-            for s, t in [(0, 0), (-1, -1), (-1, 1), (1, -1), (1, 1)] + [
-                    (rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]:
-                w_re = iv.mpf(x) + iv.mpf(ex) * s
-                w_im = iv.mpf(y) + iv.mpf(ey) * t
-                if one_minus:
+            enclosed += 1
+            m_re, m_im, r_re, r_im = map(Fraction, got)
+            for s, t in ((0, 0), (-1, -1), (-1, 1), (1, -1), (1, 1)):
+                w_re, w_im = Fraction(x) + s * Fraction(r), Fraction(y) + t * Fraction(r)
+                if minus:
                     w_re, w_im = 1 - w_re, -w_im
                 d = w_re * w_re + w_im * w_im
-                assert _inside(m_re, r_re, w_re / d), (x, ex, y, ey, one_minus)
-                assert _inside(m_im, r_im, -w_im / d), (x, ex, y, ey, one_minus)
+                assert abs(w_re / d - m_re) <= r_re, (x, r, y, minus)
+                assert abs(w_im / d + m_im) <= r_im, (x, r, y, minus)
+        assert enclosed >= 0.9 * count and refused >= (100 if lowest >= -12.0 else 0)
 
 
 # Verdicts and failure margins (as printed, 6 digits) of the earlier

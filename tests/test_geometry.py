@@ -430,6 +430,21 @@ class TestExactShapes:
         vol = _bloch_wigner(z)
         assert mpmath.mpf(iv.lo) <= vol <= mpmath.mpf(iv.hi)
 
+    @pytest.mark.parametrize("z", (1e8 + 1e-300j, 1e10 + 1e-300j))
+    def test_near_flat_shape_with_a_large_real_part(self, z):
+        # Two angles are below 1e-300, so err^2 underflows in their
+        # Lobachevsky remainder, which is then bounded as err (err / d) / 2.
+        # The volumes are below 1e-314 and are enclosed within 3e-319.  The
+        # reference is a Clausen sum over the three angles: an angle near
+        # pi needs 300 digits.
+        iv = certified_volume(ShapeAssignment((z,), 0.0))
+        with mpmath.workdps(400):
+            w = mpmath.mpc(z)
+            angles = (mpmath.arg(w), mpmath.arg(1 / (1 - w)), mpmath.arg((w - 1) / w))
+            vol = sum(mpmath.clsin(2, 2 * a) for a in angles) / 2
+            assert mpmath.mpf(iv.lo) <= vol <= mpmath.mpf(iv.hi)
+        assert 0.0 < iv.lo and iv.width() < 3e-319
+
     def test_no_wider_than_the_jet_series(self):
         # The jet path at tol = 1e-12, reached through two zero-radius
         # variables per shape; exact-shape enclosures are never wider.
