@@ -415,7 +415,8 @@ def krawczyk_certify(sys: GluingSystem, r0: float = None) -> Certificate:
     """Certify that a true solution exists near the stored shapes.
 
     Radius schedule: r0, 10*r0, 100*r0 (default r0 scales with the shape
-    magnitudes).  Raises InconclusiveError when every radius fails, and
+    magnitudes).  Raises CertifyError for an r0 that is not positive and
+    finite, InconclusiveError when 100*r0 overflows or every radius fails, and
     UncoveredEquationError when an equation outside the certified square
     subsystem does not follow from it.
     """
@@ -424,8 +425,10 @@ def krawczyk_certify(sys: GluingSystem, r0: float = None) -> Certificate:
     selected = select_square_subsystem(sys, center)
     if r0 is None:
         r0 = 1e-10 * max(1.0, max(abs(z) for z in sys.shapes))
-    if not r0 > 0.0:
-        raise CertifyError("r0 must be positive")
+    if not 0.0 < r0 < math.inf:
+        raise CertifyError("r0 must be positive and finite")
+    if r0 * 100.0 == math.inf:
+        raise InconclusiveError(f"the radius schedule from r0 = {r0!r} overflows")
 
     n = sys.n
     jac = jacobian(sys, center)

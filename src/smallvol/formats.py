@@ -10,7 +10,9 @@ by one line reader (``_content_lines``).  Gluing files:
 Presentation files:
 
     gens a b c
-    rel <word>                     (word syntax: ab-1a-2b-1ab2)
+    rel <word>                     (word syntax: ab-1a-2b-1ab2; the words
+                                    spell at most MAX_PRESENTATION_LETTERS
+                                    letters in all, counted by exponents)
 
 Script files hold one proof step per line, read here as its tokens; the
 grouptool engine's step grammar says what each token must be and reads

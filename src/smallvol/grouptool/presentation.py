@@ -7,6 +7,12 @@ from math import gcd
 
 from . import words
 
+# Letters the relator texts of one presentation may spell out in all,
+# counted before free reduction.  Each text is charged from its exponents
+# before it is expanded, so a small file cannot make the parser build
+# millions of letters; a word alone is capped at ``words.MAX_WORD_LENGTH``.
+MAX_PRESENTATION_LETTERS = 10**5
+
 
 class Presentation(namedtuple("Presentation", "generators relators")):
     """Generators (single-letter names) and cyclically reduced relators."""
@@ -34,7 +40,14 @@ class Presentation(namedtuple("Presentation", "generators relators")):
     @classmethod
     def from_strings(cls, generators, relator_texts) -> "Presentation":
         gens = tuple(generators)
-        rels = [words.parse_word(t, gens) for t in relator_texts]
+        rels, left = [], MAX_PRESENTATION_LETTERS
+        for t in relator_texts:
+            letters = words.spell(t, gens, left)
+            if letters is None:
+                raise ValueError(f"relators exceed the {MAX_PRESENTATION_LETTERS}"
+                                 "-letter presentation cap")
+            left -= len(letters)
+            rels.append(words.free_reduce(letters))
         return cls(gens, tuple(rels))
 
     def word(self, text: str) -> tuple:

@@ -10,37 +10,50 @@ neighbouring letter are expanded; free-floating insertions never help
 the short direct calculations this tool is for.
 
 The insertion count and popped nodes are bounded by ``depth`` and
-``node_budget``, and the work by ``MAX_SEARCH_LETTERS``: every word the
-search builds is charged its letters before free reduction, and one
-``search_trivial`` call gives up once that budget is spent.  Each node
-can spawn many successors of its own length, so the node budget alone
-leaves the work quadratic in the word length.  The rotations are charged
-to the same budget first: spelling them out takes 2 len(r)^2 letters for
-a relator r, the search runs on what is left, and a search whose
-relators need more than the whole budget for that stops before building
-any.
+``node_budget``, and the work by ``MAX_SEARCH_LETTERS``: every successor
+the search generates is charged its letters before free reduction,
+whether or not it is ever built, and one ``search_trivial`` call gives
+up once that budget is spent.  Each node can spawn many successors of
+its own length, so the node budget alone leaves the work quadratic in
+the word length.  The rotations are charged to the same budget first:
+spelling them out takes 2 len(r)^2 letters for a relator r, the search
+runs on what is left, and a search whose relators need more than the
+whole budget for that stops before building any.
 
-Insertions reduce only at the two junctions (``words.insert``): the
+Insertions reduce only at the two junctions (``words.junction``): the
 word and the inserted rotation are both freely reduced, so only the end
 of the text before the insertion point, the inserted word and the start
-of the text after it can cancel, and the new word is joined from tuple
-slices with no pass over the letters that stay.  Its length follows from
-the cancellation counts, so a successor longer than the length bound is
-dropped before it is built.  The letter charge is unchanged: each
-successor is still charged the letters of the word and of the rotation,
-as if spelled out before free reduction, so every budget and every
-``stopped_by`` is what a full re-reduction would give.
+of the text after it can cancel, and the cancellation counts give the
+successor's length without building it.  A successor longer than the
+length bound is dropped there.  One that fits is queued as an entry
+(length, depth, counter, parent word, position, variant) and built, by
+``words.insert`` from tuple slices, only when it is popped: partial
+expansion in the sense of Yoshizumi, Miura and Ishida (AAAI 2000).  A
+found search pops a few entries of the hundreds it queues, so it builds
+and hashes a few words.
+
+Each round returns what building every successor as it is generated
+would return (the eager round): the same derivation, letters left and
+``stopped_by``.  The eager round queues a word only where no earlier
+successor reached it at no greater depth, and skips its queue entry as
+stale when a later one reached it at a smaller depth first.  Entries of
+one word share its length, so they pop in (depth, counter) order, and
+both cases are settled at pop time from the (depth, counter) of the
+word's entries popped so far: an entry that an earlier one at no
+greater depth covers is one the eager round never queued and is skipped
+without being counted; a stale entry still counts against
+``node_budget``.  The eager round records a word when it queues it, and
+this round when it expands it; ``_unwind`` says why the two records
+agree along every derivation.
 
 At the last depth of a round only the empty word matters, and the
 words one insertion carries to it can be written down: w is one of
 them only if its middle is a variant and the letters around it cancel
 in pairs (``_may_vanish``).  A word that fails this test has its
-successors charged in one step from per-letter tables (``_charge``)
-and none of them built or stored; a word that passes it, or whose
-charge would overdraw the budget, has them built one at a time.  So the
-charges, budgets, ``stopped_by`` values and certificates are those of
-building every successor.  The search stores the words below the depth
-limit, and words at the limit only for the words that fall back.
+successors charged in one step from per-letter tables (``_charge``);
+a word that passes it, or whose charge would overdraw the budget, has
+them charged one at a time, and the one of length 0 is the empty word.
+No successor at the last depth is queued or built.
 
 The search runs over doubled letters (2x for the letter x), so that no
 word it stores holds the letter -1: CPython hashes -1 like -2, and words
@@ -156,17 +169,20 @@ def _tables(rels):
     with -x) and against an adjacent pair (x, y) (start with -x and end
     with -y)."""
     by_first, by_last, variants, ends, pairs = {}, {}, set(), {}, {}
-    for v in (words.rotate(base, k) for r in rels for base in (r, words.invert(r))
+    for v in (base[k:] + base[:k] for r in rels for base in (r, words.invert(r))
               for k in range(len(base))):
         if v in variants:
             continue
         variants.add(v)
-        first, last = v[0], v[-1]
-        by_first.setdefault(first, []).append(v)
-        by_last.setdefault(last, []).append(v)
-        for table, key in ((ends, -first), (ends, -last), (pairs, (-first, -last))):
-            count, total = table.get(key, _NONE)
-            table[key] = count + 1, total + len(v)
+        by_first.setdefault(v[0], []).append(v)
+        by_last.setdefault(v[-1], []).append(v)
+        key = -v[0], -v[-1]
+        count, total = pairs.get(key, _NONE)
+        pairs[key] = count + 1, total + len(v)
+    for table in (by_first, by_last):  # a variant counts once at each end
+        for x, vs in table.items():
+            count, total = ends.get(-x, _NONE)
+            ends[-x] = count + len(vs), total + sum(map(len, vs))
     lengths = sorted({len(v) for v in variants}, reverse=True)
     return by_first, by_last, (variants, lengths, ends, pairs)
 
@@ -232,58 +248,79 @@ def _best_first(start, by_first, by_last, limit, max_len, node_budget, letters,
     ran dry, else NODES or LETTERS).  Every word here, ``start`` and
     the variants among them, is in doubled letters.
 
+    Successors are queued unbuilt and built when popped; the popped
+    entries of each word settle, as the module docstring says, which
+    entries the eager round never queued and which it skips as stale.
     A word whose successors lie at the depth ``limit`` is settled
-    without building them when ``_may_vanish`` rules out the empty word
-    among them: they are charged in one step (``_charge``) and, never
-    explored further, not stored.  Where the test passes, or the charge
-    would overdraw the letter budget, its successors are built one at a
-    time as at every other depth, so every derivation, ``stopped_by``
-    and letters-left value is that of building them all."""
+    without computing their lengths when ``_may_vanish`` rules out the
+    empty word among them: they are charged in one step (``_charge``).
+    Where the test passes, or the charge would overdraw the letter
+    budget, they are charged one at a time as at every other depth."""
     variants, lengths, ends, pairs = leaves
     counter = 0
-    heap = [(len(start), 0, counter, start)]
-    # word -> (insertion depth, parent word, position, variant)
-    nodes = {start: (0, None, 0, None)}
+    # (length, insertion depth, counter, parent word, position, variant);
+    # the start is the entry with no parent, its own variant.
+    heap = [(len(start), 0, counter, None, 0, start)]
+    # popped word -> [(insertion depth, counter)] of its entries the
+    # eager round queued; expanded word -> (insertion depth, parent
+    # word, position, variant) of its last expansion
+    marks, nodes = {}, {}
     popped = 0
-    insert = words.insert
+    insert, junction = words.insert, words.junction
+    heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
+        size, d, c, parent, pos, variant = heappop(heap)
+        w = variant if parent is None else insert(parent, pos, variant, size)
+        seen = marks.setdefault(w, [])
+        if any(sd <= d and sc < c for sd, sc in seen):
+            continue  # reached earlier at no greater depth: never queued
         if popped >= node_budget:
             return None, letters, NODES
-        _, d, _, w = heapq.heappop(heap)
         popped += 1
-        if d != nodes[w][0]:
-            continue  # stale queue entry
-        if d >= limit:
-            continue
+        stale = any(sd < d for sd, _ in seen)
+        seen.append((d, c))
+        if stale:
+            continue  # reached at a smaller depth since it was queued
+        nodes[w] = (d, parent, pos, variant)
         nd = d + 1
         if nd == limit and not _may_vanish(w, variants, lengths):
             spent = _charge(w, ends, pairs)
             if spent <= letters:
                 letters -= spent
                 continue
+        n = len(w)
         for pos, variant in _successors(w, by_first, by_last):
-            letters -= len(w) + len(variant)
+            letters -= n + len(variant)
             if letters < 0:
                 return None, letters, LETTERS
-            # A successor past max_len is charged but never built.
-            new = insert(w, pos, variant, max_len)
-            if new is None:
-                continue
-            seen = nodes.get(new)
-            if seen is not None and seen[0] <= nd:
-                continue
-            nodes[new] = (nd, w, pos, variant)
-            if new == ():
+            size = junction(w, pos, variant)[0]
+            if size == 0:
+                nodes[()] = (nd, w, pos, variant)
                 return _unwind(nodes, start), letters, None
-            if nd < limit:
+            # A successor past max_len is charged but never queued.
+            if nd < limit and size <= max_len:
                 counter += 1
-                heapq.heappush(heap, (len(new), nd, counter, new))
+                heappush(heap, (size, nd, counter, w, pos, variant))
     return None, letters, DEPTH
 
 
 def _unwind(nodes, start):
     """The derivation recorded in ``nodes``, mapped back from doubled
-    letters."""
+    letters.
+
+    ``nodes`` holds each word's last expansion, and the eager round
+    holds its last queued entry.  They differ for a word u on the path
+    only if an entry E of u, at a smaller depth than u's last
+    expansion, is still queued; take the last such u on the path.  Its
+    path below it is deeper than E, and from u's last expansion on some
+    entry of it is queued at every moment.  Each of those popped after
+    the first ancestor Q of E that was queued at u's last expansion is
+    shorter than u: one popped while E waits, as E has u's length, and
+    one popped earlier by induction, as it waits for an ancestor of E
+    that is no longer than a later path entry.  Q pops while a path
+    entry waits, so Q is no longer than it, hence shorter than u; but u
+    popped while Q waited, at a greater depth, so Q is longer than u.
+    So the records agree, and the path is the eager round's."""
     steps = []
     _, w, pos, variant = nodes[()]
     while w is not None:

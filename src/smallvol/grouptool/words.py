@@ -3,7 +3,9 @@
 A word is a tuple of nonzero ints: +k is generator k-1, -k its inverse
 (generators are 0-indexed externally, letters 1-indexed internally so
 negation works).  All public helpers return freely reduced tuples
-(``insert`` returns None for a word past its length bound).
+(``insert`` returns None for a word past its length bound, ``junction``
+only the cuts and length of an insertion, and ``spell`` the unreduced
+letters of a word's text).
 """
 
 from __future__ import annotations
@@ -39,17 +41,17 @@ def concat(*words) -> tuple:
     return tuple(out)
 
 
-def insert(word, pos: int, v, max_len: float = math.inf):
-    """``concat(word[:pos], v, word[pos:])`` for freely reduced ``word``
-    and ``v``, or None when that word is longer than ``max_len``.
+def junction(word, pos: int, v) -> tuple:
+    """(length, a, i, j, b) with ``concat(word[:pos], v, word[pos:]) ==
+    word[:a] + v[i:j] + word[b:]``, of ``length`` letters, for freely
+    reduced ``word`` and ``v``.
 
     Precondition, not checked: both inputs are freely reduced.  Then
     only the two junctions can cancel: the tail of ``word[:pos]``
     against the head of ``v``, the tail of ``v`` against the head of
     ``word[pos:]``, and, once ``v`` is used up, the two parts of
-    ``word`` against each other.  The cancellation counts give the
-    length, so a word too long is never built; one that fits is built
-    from three tuple slices, with no pass over the letters that stay.
+    ``word`` against each other.  The cancellation counts give the cuts
+    and the length without building the word.
     """
     m, n = len(v), len(word)
     k = 0
@@ -59,17 +61,27 @@ def insert(word, pos: int, v, max_len: float = math.inf):
     while k + j < m and pos + j < n and word[pos + j] == -v[m - 1 - j]:
         j += 1
     if k + j < m:
-        if n + m - 2 * (k + j) > max_len:
-            return None
-        return word[:pos - k] + v[k:m - j] + word[pos + j:]
+        return n + m - 2 * (k + j), pos - k, k, m - j, pos + j
     # v cancelled completely: join what is left of the two parts of word.
     left, right = pos - k, pos + j
     while left > 0 and right < n and word[left - 1] == -word[right]:
         left -= 1
         right += 1
-    if left + n - right > max_len:
+    return left + n - right, left, 0, 0, right
+
+
+def insert(word, pos: int, v, max_len: float = math.inf):
+    """``concat(word[:pos], v, word[pos:])`` for freely reduced ``word``
+    and ``v``, or None when that word is longer than ``max_len``.
+
+    The cuts of ``junction`` give the length, so a word too long is
+    never built; one that fits is built from three tuple slices, with
+    no pass over the letters that stay.
+    """
+    length, a, i, j, b = junction(word, pos, v)
+    if length > max_len:
         return None
-    return word[:left] + word[right:]
+    return word[:a] + v[i:j] + word[b:]
 
 
 def invert(word) -> tuple:
@@ -172,13 +184,17 @@ def substitute(word, gen: int, replacement) -> tuple:
 # Generator letters with optional signed integer exponents, concatenated:
 # "ab-1a-2b-1ab2" means a b^-1 a^-2 b^-1 a b^2.
 
-def parse_word(text: str, gen_names) -> tuple:
+def spell(text: str, gen_names, budget: float = math.inf):
+    """The letters of the word ``text`` before free reduction, as a list,
+    or None when they would exceed ``budget``.  Each exponent is checked
+    against MAX_WORD_LENGTH (a ValueError) and ``budget`` before it is
+    expanded."""
     index = {name: i + 1 for i, name in enumerate(gen_names)}
     out = []
     i = 0
     text = text.strip()
     if text in ("1", ""):
-        return ()
+        return out
     while i < len(text):
         ch = text[i]
         if ch not in index:
@@ -199,9 +215,15 @@ def parse_word(text: str, gen_names) -> tuple:
             raise ValueError(
                 f"word {text!r} exceeds the {MAX_WORD_LENGTH}-letter word cap"
             )
+        if len(out) + abs(exp) > budget:
+            return None
         letter = index[ch] if exp > 0 else -index[ch]
         out.extend([letter] * abs(exp))
-    return free_reduce(out)
+    return out
+
+
+def parse_word(text: str, gen_names) -> tuple:
+    return free_reduce(spell(text, gen_names))
 
 
 def format_word(word, gen_names) -> str:

@@ -1,8 +1,10 @@
 """The round of the word search as it was before ``search._best_first``
-settled its last depth by a membership test: every successor of every
-popped word is built and compared with the empty word.  Tests hold the
-library's rounds to this one, result for result.  Unlike ``oracles``, it
-runs on the library's own successors, junction kernel and unwinding.
+settled its last depth by a membership test and queued its successors
+unbuilt: the eager-building round, which builds every successor of every
+popped word as it generates it, looks it up and compares it with the
+empty word.  Tests hold the library's rounds to this one, result for
+result.  Unlike ``oracles``, it runs on the library's own successors,
+junction kernel and unwinding.
 """
 
 import heapq
@@ -12,24 +14,43 @@ from smallvol.grouptool.search import (DEPTH, LETTERS, NODES, _successors,
                                        _unwind)
 
 
-def best_first(start, by_first, by_last, limit, max_len, node_budget, letters):
+def best_first(start, by_first, by_last, limit, max_len, node_budget, letters,
+               events=None):
     """(derivation or None, letters left, stop), with the arguments and
-    results of ``search._best_first`` less its last-level tables."""
+    results of ``search._best_first`` less its last-level tables.
+
+    When ``events`` is a dict, it counts what the round met:
+    "duplicate", a successor that an earlier one reached at no greater
+    depth; "start again", a successor equal to the start word;
+    "re-reached", a word reached at a smaller depth after it was
+    expanded; "stale", a stale entry popped; and "nodes among stale", a
+    node-budget stop after stale entries of the round were counted
+    against the budget."""
+    events = {} if events is None else events
+
+    def note(event):
+        events[event] = events.get(event, 0) + 1
     counter = 0
     heap = [(len(start), 0, counter, start)]
     # word -> (insertion depth, parent word, position, variant)
     nodes = {start: (0, None, 0, None)}
-    popped = 0
+    expanded = set()
+    popped = stale = 0
     insert = words.insert
     while heap:
         if popped >= node_budget:
+            if stale:
+                note("nodes among stale")
             return None, letters, NODES
         _, d, _, w = heapq.heappop(heap)
         popped += 1
         if d != nodes[w][0]:
+            stale += 1
+            note("stale")
             continue  # stale queue entry
         if d >= limit:
             continue
+        expanded.add(w)
         nd = d + 1
         for pos, variant in _successors(w, by_first, by_last):
             letters -= len(w) + len(variant)
@@ -39,9 +60,14 @@ def best_first(start, by_first, by_last, limit, max_len, node_budget, letters):
             new = insert(w, pos, variant, max_len)
             if new is None:
                 continue
+            if new == start:
+                note("start again")
             seen = nodes.get(new)
             if seen is not None and seen[0] <= nd:
+                note("duplicate")
                 continue
+            if new in expanded:
+                note("re-reached")
             nodes[new] = (nd, w, pos, variant)
             if new == ():
                 return _unwind(nodes, start), letters, None

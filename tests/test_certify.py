@@ -7,6 +7,7 @@ import random
 import re
 import types
 from fractions import Fraction
+from sys import float_info
 
 import mpmath
 import pytest
@@ -325,6 +326,19 @@ class TestKrawczyk:
         iv = certified_volume(shapes)
         assert iv.lo <= 2.0298832128193072 <= iv.hi
         assert iv.width() <= wide.width()
+
+    @pytest.mark.parametrize("r0, error", [
+        (1e306, InconclusiveError),              # a finite schedule that fails
+        (1e307, InconclusiveError),              # 100 r0 overflows
+        (float_info.max, InconclusiveError),
+        (math.inf, CertifyError),
+        (math.nan, CertifyError),
+        (0.0, CertifyError),
+    ])
+    def test_radius_schedule_out_of_range(self, r0, error):
+        with pytest.raises(error) as info:
+            krawczyk_certify(figure_eight_system(round_digits=9), r0=r0)
+        assert type(info.value) is error
 
     def test_inconclusive_names_row_and_margin(self):
         # Radii far below the residual's rounding error cannot contract.

@@ -29,6 +29,7 @@ from smallvol.formats import (
     serialize_script,
 )
 from smallvol.grouptool import words
+from smallvol.grouptool.presentation import MAX_PRESENTATION_LETTERS
 
 
 def run_cli(capsys, *argv):
@@ -930,6 +931,43 @@ class TestNonhyp:
         pres.write_text(f"gens a b\nrel a{words.MAX_WORD_LENGTH + 1}b\n")
         rc, _, err = run_cli(capsys, "nonhyp", str(pres))
         assert rc == 2 and "cap" in err
+
+    @pytest.mark.parametrize("extra, code", ((0, 1), (1, 2)))
+    def test_presentation_letter_cap(self, capsys, tmp_path, extra, code):
+        # Ten relators of MAX_WORD_LENGTH letters fill the cap exactly.
+        assert 10 * words.MAX_WORD_LENGTH == MAX_PRESENTATION_LETTERS
+        pres = tmp_path / "g.pres"
+        relator = f"rel a{words.MAX_WORD_LENGTH - 1}b\n"
+        pres.write_text("gens a b\n" + relator * 10 + "rel a\n" * extra)
+        rc, out, err = run_cli(capsys, "nonhyp", str(pres))
+        assert rc == code
+        if code == 2:
+            assert out == "" and err == (
+                f"error: relators exceed the {MAX_PRESENTATION_LETTERS}-letter presentation cap\n")
+
+    def test_many_long_relators_are_refused_before_expansion(self, capsys, tmp_path,
+                                                             monkeypatch):
+        # 380 KB of relators a^k b^m a^-1 b^-1 (k, m in 100..999) spell about
+        # 11 million letters; the file is refused before they pass the cap.
+        rng = random.Random(27)
+        pres = tmp_path / "g.pres"
+        pres.write_text("gens a b\n" + "".join(
+            f"rel a{rng.randint(100, 999)}b{rng.randint(100, 999)}a-1b-1\n"
+            for _ in range(20000)))
+        script = tmp_path / "g.script"
+        script.write_text("commutes aba-1b-1 ab\nconclude abelian\n")
+        spelled = []
+        spell = words.spell
+
+        def counting(*args):
+            letters = spell(*args)
+            spelled.append(letters)
+            return letters
+        monkeypatch.setattr(words, "spell", counting)
+        rc, out, err = run_cli(capsys, "nonhyp", str(pres), "--script", str(script))
+        assert rc == 2 and out == "" and "presentation cap" in err
+        assert spelled[-1] is None
+        assert sum(map(len, spelled[:-1])) <= MAX_PRESENTATION_LETTERS
 
     def test_missing_args(self, capsys):
         rc, _, err = run_cli(capsys, "nonhyp")

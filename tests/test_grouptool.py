@@ -1,4 +1,6 @@
+import heapq
 import random
+import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -393,6 +395,35 @@ def _last_depth_cases():
     return cases
 
 
+# Searches that meet each case ``_best_first`` settles when it pops an
+# entry, with the event by which ``search_refs.best_first`` shows it: a
+# word re-reached at a smaller depth after it was expanded, found or not;
+# node-budget stops that fall among stale entries; successors equal to
+# the start word; and duplicates the eager round never queued, counted
+# against the budget or not.
+POP_RULE_CASES = (
+    ("re-reached", (-1,), [(-1, -1, -2, -1)], {"depth": 8, "node_budget": 100}),
+    ("re-reached", (2, 2, 2), [(-2, -2, 1, 2, -1), (-1, 2)], {}),
+    ("nodes among stale", (-1, 2, 2), [(1, 1, 2)], {"depth": 8, "node_budget": 100}),
+    ("nodes among stale", (2, 1, 2), [(1, -2, -2)], {"depth": 8, "node_budget": 70}),
+    ("start again", (1,), [(1, 1)], {"depth": 8, "node_budget": 100}),
+    ("start again", (1,), [(-1, -2), (2,)], {}),
+    ("start again", (1,), [(-2, -2, -1), (2, 1)], {"depth": 8, "node_budget": 100}),
+    ("duplicate", (-1,), [(-1, -2, -2)], {"depth": 8, "node_budget": 183}),
+    ("duplicate", (2,), [(-1, -2, -1)], {"depth": 4, "node_budget": 30}),
+)
+
+
+def _reference_events(monkeypatch, word, rels, options):
+    """The events ``search_refs.best_first`` counts over the rounds of
+    one search."""
+    events = {}
+    monkeypatch.setattr(search, "_best_first", lambda *args: reference_best_first(
+        *args[:7], events=events))
+    search_trivial(word, rels, **options)
+    return events
+
+
 def _search_outcomes(monkeypatch, cases):
     """Each case's derivation and ``stopped_by``, and each deepening
     round's result with the letters it left of the budget."""
@@ -437,32 +468,36 @@ class TestJunctionKernel:
 
     def test_search_builds_no_word_past_its_length_bound(self, monkeypatch):
         # A successor longer than the search's max_len is charged but never
-        # built: every word words.insert returns fits the bound of its round.
-        bounds, built, dropped = [], [], []
-        best_first, insert = search._best_first, words.insert
+        # built: words.junction finds it too long, and every word
+        # words.insert builds fits the bound of its round.
+        bounds, built, too_long = [], [], set()
+        best_first, insert, junction = search._best_first, words.insert, words.junction
 
         def bounded(start, by_first, by_last, limit, max_len, *rest):
             bounds.append(max_len)
             return best_first(start, by_first, by_last, limit, max_len, *rest)
 
+        def recording_junction(w, pos, v):
+            cuts = junction(w, pos, v)
+            if cuts[0] > bounds[-1]:
+                too_long.add((w, pos, v, bounds[-1]))
+            return cuts
+
         def recording_insert(w, pos, v, max_len):
-            assert max_len == bounds[-1]
             new = insert(w, pos, v, max_len)
-            if new is None:
-                dropped.append(len(words.concat(w[:pos], v, w[pos:])) - max_len)
-            else:
-                built.append((len(new), max_len))
+            built.append(((w, pos, v, bounds[-1]), len(new)))
             return new
 
         monkeypatch.setattr(search, "_best_first", bounded)
+        monkeypatch.setattr(words, "junction", recording_junction)
         monkeypatch.setattr(words, "insert", recording_insert)
         for word, rels, options, letters in _equivalence_cases() + _deep_cases():
             monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", letters)
             search_trivial(word, rels, **options)
-        assert built and all(n <= max_len for n, max_len in built)
-        assert any(n == max_len for n, max_len in built)
+        assert built and all(n <= key[3] for key, n in built)
+        assert any(n == key[3] for key, n in built)
         # Some successors were too long, and insert built none of them.
-        assert dropped and all(excess > 0 for excess in dropped)
+        assert too_long and not too_long & {key for key, _ in built}
 
     def test_replay_does_not_use_the_kernel(self, monkeypatch):
         rel = words.parse_word("a2b3a-1b3", ("a", "b"))
@@ -484,7 +519,9 @@ class TestLastDepth:
 
     def test_rounds_match_the_reference(self, monkeypatch):
         kinds, last_depth = zip(*_last_depth_cases())
-        cases = _equivalence_cases() + _deep_cases() + list(last_depth)
+        pop_rules = [(word, rels, options, search.MAX_SEARCH_LETTERS)
+                     for _, word, rels, options in POP_RULE_CASES]
+        cases = _equivalence_cases() + _deep_cases() + pop_rules + list(last_depth)
         tested = []
         may_vanish = search._may_vanish
 
@@ -511,6 +548,34 @@ class TestLastDepth:
                 assert not may_vanish(root, variants, lengths)
                 assert stopped_by == [search.LETTERS]
         assert sum(kind == "miss" and d is None for kind, (d, _) in zip(kinds, outcomes)) >= 10
+
+    @pytest.mark.parametrize("event, word, rels, options", POP_RULE_CASES)
+    def test_pop_rule_cases_meet_their_event(self, monkeypatch, event, word, rels,
+                                             options):
+        assert event in _reference_events(monkeypatch, word, rels, options)
+
+    def test_a_found_search_builds_only_what_it_pops(self, monkeypatch):
+        # Successors are queued unbuilt: a found search builds each word it
+        # pops once, and no successor at the last depth.
+        counts = {"pops": 0, "builds": 0}
+        insert, heappop = words.insert, heapq.heappop
+
+        def counting(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapped
+        monkeypatch.setattr(words, "insert", counting("builds", insert))
+        monkeypatch.setattr(search, "heapq", types.SimpleNamespace(
+            heappop=counting("pops", heappop), heappush=heapq.heappush))
+        deep = 0
+        for word, rels, options, _ in _equivalence_cases():
+            counts.update(pops=0, builds=0)
+            d = search_trivial(word, rels, **options)
+            if d is not None:
+                assert counts["builds"] <= counts["pops"], (word, counts)
+                deep += len(d.steps) > 1
+        assert deep >= 10
 
     @given(_near_a_variant())
     @example(([(1, 2, -1, -2)], (3, 2, 1, -2, -1, -3)))  # L x L^-1
