@@ -18,19 +18,29 @@ then shown, by exact integer elimination, to be a rational combination
 of the selected ones, so the solution satisfies the whole system, and
 the certificate's delta bounds its C^n distance from the *input* shapes.
 
-The test's three sums, the residual F(x^), Y F(x^) and I - Y F'(X)
-over the Jacobian's nonzero entries, run on one plain-float
-midpoint-radius kernel, ``_dot``, with a priori rounding bounds.  Its
-inputs are plain-float boxes as well: each logarithm in F(x^) takes one
-libm log and one atan at a point, with mean-value bounds for the
-rounding (``_log_box``), and each reciprocal in F'(X) is the
-power-of-two-scaled reciprocal that the volume's angle kernel takes
-(``_recip_scaled``), over the disc that holds the box.  All of these
-live in the point layer, ``points``, so certification loads neither
-``jets`` nor ``geometry``.  The approximate quantities (the
-selected rows, the Newton steps and Y) all come from one Gaussian
-elimination with partial pivoting in plain complex floats,
-``_eliminate``; their values need not be accurate for soundness.
+F(x^) and Y F(x^) run on the point layer's plain-float midpoint-radius
+kernel, ``_dot``, with a priori rounding bounds; each logarithm in F(x^)
+takes one libm log and one atan at a point, with mean-value bounds for
+the rounding (``_log_box``).  I - Y F'(X) takes the Jacobian's column
+structure: F'(z)_lk = a_lk / z_k - b_lk / (1 - z_k) with integer rows A
+and B, so I - Y F'(X) = I - P diag(R) + Q diag(S), where P = Y A and
+Q = Y B are formed once per certificate in plain floats with an a priori
+rounding bound (``_column_products``), and R_k and S_k hold 1/z_k and
+1/(1 - z_k) over the box: the power-of-two-scaled reciprocal that the
+volume's angle kernel takes (``_recip_scaled``), over the disc that holds
+the box.  Each radius tried then costs 2n reciprocals and one pass over
+the entries of each row (``_row_spread``), which skips the entries where
+P and Q are exactly 0, off the blocks of a block-diagonal system.  Each
+box enters each entry once, so an entry's range |P_ik| rad R_k +
+|Q_ik| rad S_k is never wider than sum_l |y_il| (|a_lk| rad R_k +
+|b_lk| rad S_k), the range of the same entry summed from the interval
+Jacobian's column; where the rows of A and B cancel in Y A and Y B, as
+on mixed systems, it is far narrower.  All of these live in the point
+layer, ``points``, so certification loads neither ``jets`` nor
+``geometry``.  The approximate quantities (the selected rows, the Newton
+steps and Y) all come from one Gaussian elimination with partial
+pivoting in plain complex floats, ``_eliminate``, on one Jacobian per
+point; their values need not be accurate for soundness.
 """
 
 from __future__ import annotations
@@ -186,12 +196,13 @@ def residual(sys: GluingSystem, shapes=None) -> list:
 
 
 def jacobian(sys: GluingSystem, shapes=None) -> list:
-    """m x n partials as a list of rows: d/dz_j = a_j / z_j - b_j / (1 - z_j)."""
+    """m x n partials as a list of rows: d/dz_j = a_j / z_j - b_j / (1 - z_j),
+    evaluated where a_j or b_j is nonzero and 0j elsewhere."""
     zs = sys.shapes if shapes is None else [complex(z) for z in shapes]
     for z in zs:
         if z == 0 or z == 1:
             raise CertifyError("jacobian evaluated at a singular shape")
-    return [[eq.a[j] / z - eq.b[j] / (1 - z) for j, z in enumerate(zs)]
+    return [[a / z - b / (1 - z) if a or b else 0j for a, b, z in zip(eq.a, eq.b, zs)]
             for eq in sys.equations]
 
 
@@ -250,14 +261,21 @@ def select_square_subsystem(sys: GluingSystem, shapes=None) -> tuple:
     depend on it, since the Krawczyk test proves the selected rows and
     ``_check_unselected`` proves every other row exactly.
     """
-    work = jacobian(sys, shapes)
-    scale = max(1.0, max(abs(x) for row in work for x in row))
-    return tuple(sorted(_eliminate(work, sys.n, _SINGULAR_TOL * scale)))
+    return _select_rows(jacobian(sys, shapes), sys.n)
 
 
-def _newton_refine(sys: GluingSystem, selected, max_steps: int = 5):
-    """Plain floating-point Newton polish of the stored shapes; returns
-    the best iterate and its residuals.
+def _select_rows(jac, n: int) -> tuple:
+    """``select_square_subsystem`` on the Jacobian ``jac``, which it leaves
+    as it is."""
+    scale = max(1.0, max(abs(x) for row in jac for x in row))
+    return tuple(sorted(_eliminate([list(row) for row in jac], n,
+                                   _SINGULAR_TOL * scale)))
+
+
+def _newton_refine(sys: GluingSystem, selected, jac, max_steps: int = 5):
+    """Plain floating-point Newton polish of the stored shapes, given the
+    Jacobian ``jac`` there; returns the best iterate, its residuals and
+    its Jacobian.
 
     Keeps the best iterate by residual norm and never returns a point
     whose residual is worse than the input's (preserving the system's
@@ -267,7 +285,6 @@ def _newton_refine(sys: GluingSystem, selected, max_steps: int = 5):
     res = sys.stored_residual
     norm = max(abs(r) for r in res)
     for _ in range(max_steps):
-        jac = jacobian(sys, z)
         try:
             step = _solve([jac[i] for i in selected], [[-res[i]] for i in selected])
         except RankDeficientError:
@@ -280,7 +297,8 @@ def _newton_refine(sys: GluingSystem, selected, max_steps: int = 5):
         if not norm_new < norm:
             break
         z, res, norm = z_new, res_new, norm_new
-    return tuple(z), res
+        jac = jacobian(sys, z)
+    return tuple(z), res, jac
 
 
 def _residual_enclosure(equations, center) -> list:
@@ -297,71 +315,168 @@ def _residual_enclosure(equations, center) -> list:
     return out
 
 
-def _jacobian_columns(equations, center, r: float) -> list:
-    """Interval Jacobian of ``equations`` over the box of per-real-coordinate
-    radius r around ``center``, as one list per column of its nonzero
-    entries (row, mid_re, mid_im, rad_re, rad_im).  Entry (l, k) is
-    a_lk / z_k - b_lk / (1 - z_k).  The reciprocals are computed once per
-    column, and only when some row needs them, by ``_recip_scaled`` over
-    the disc of radius ``_radius`` of the box's half-widths; the real
-    half-width of 1 - z includes the rounding of 1 - Re z."""
-    cols = []
-    for k, z in enumerate(center):
-        a = [eq.a[k] for eq in equations]
-        b = [-eq.b[k] for eq in equations]
-        discs = [(0, z.real, r, z.imag)] if any(a) else []
-        if any(b):
-            discs.append((1, *_add0(1.0, 0.0, -z.real, r), -z.imag))
-        recips = []
-        for l, x, ex, y in discs:
-            re, im, err, s, _ = _recip_scaled(x, _radius(ex, r), y)
-            # s is a power of two, so a part scaled back rounds only in the
-            # subnormal range (by TINY / 2), and only when s < 1.
-            re, im, rad = re * s, im * s, _up(err * s)
-            if s < 1.0 and min(abs(re), abs(im)) < _MIN_NORMAL:
-                rad = _up(rad + TINY)
-            recips.append((l, re, im, rad, rad))
-        cols.append([(l, *_dot((al, bl), recips))
-                     for l, (al, bl) in enumerate(zip(a, b)) if al or bl])
-    return cols
+# For k below 2^40, k u (1 + 2^-8) bounds gamma_k = k u / (1 - k u) and
+# (1 - u)^-k - 1, u = EPS_PRIM.
+_GAMMA_UNIT = EPS_PRIM * (1.0 + 2.0 ** -8)
+# A part of an entry of C passes each of its products through at most
+# four roundings (the product and three additions): gamma_4.
+_C_ERR = 4.001 * EPS_PRIM
 
 
-def _k_row_bound(points, cols, row: int, yf_row, r: float) -> tuple:
-    """Upper bounds on |Re| and |Im| of (K(X) - x^)_row, given the points
-    -Y_row plus a trailing 1, the Jacobian's columns and (Y F(x^))_row.
-    (K - x^)_row = -(Y F)_row + sum_k C_k w_k with C = I - Y F'(X) and w
-    in [-r, r] + i [-r, r], so each part is at most
-    |(Y F)_row| + r sum_k (|Re C_k| + |Im C_k|)."""
-    eye = (len(cols), 1.0, 0.0, 0.0, 0.0)
-    spread = 0.0
-    for k, col in enumerate(cols):
+def _rounding_count(coefficients) -> int:
+    """Roundings on the longest path of a recursive float sum of y_l x_l
+    over the nonzero integers x_l (|x_l| <= 2^53): one per addition after
+    the first term, and one more when some product can round, that is
+    when some |x_l| is not a power of two."""
+    nonzero = [abs(x) for x in coefficients if x]
+    if not nonzero:
+        return 0
+    return len(nonzero) - 1 + any(x & (x - 1) for x in nonzero)
+
+
+def _column_products(equations, y) -> tuple:
+    """P = Y A and Q = Y B, where the selected rows' Jacobian is
+    F'_lk = a_lk / z_k - b_lk / (1 - z_k), in plain floats with an a priori
+    error bound; returns (rows, need_a, need_b).
+
+    ``rows[i]`` lists the columns k where P_ik or Q_ik may be nonzero, and
+    k = i, as (k, P, Q, |Re P| + |Im P|, e_P, |Re Q| + |Im Q|, e_Q):
+    columns off the blocks of a block-diagonal system have no entry.
+    ``need_a[k]`` and ``need_b[k]`` say whether some a_lk or b_lk is
+    nonzero, that is whether 1/z_k or 1/(1 - z_k) enters at all.
+
+    Each part of P_ik is the recursive float sum of y_il a_lk over the
+    rows l with a_lk != 0 and y_il != 0.  A product of a double with an
+    integer rounds by at most u times itself and never underflows (its
+    exact value is a multiple of the double's quantum), and not at all
+    when |a_lk| is a power of two; the first sum is exact.  So with
+    ``_rounding_count`` c of column k, each part is within
+    gamma_c sum_l |y_il| |a_lk| (Higham 2002, Sec. 3.1).  The float sum
+    s of |Re y_il| + |Im y_il| times |a_lk| passes at most m + 1 roundings
+    (m terms) and no underflow, so e_P = c u (1 + 2^-8) s, above
+    gamma_c (1 - u)^-(m+1) s, bounds both parts for m < 2^40 once its own
+    product is rounded up; ``_row_spread`` counts that rounding, and the
+    one of |Re P| + |Im P|, among its own.  Likewise for Q.
+    """
+    n = len(y)
+    terms_a = [[(k, float(a), float(abs(a))) for k, a in enumerate(eq.a) if a]
+               for eq in equations]
+    terms_b = [[(k, float(b), float(abs(b))) for k, b in enumerate(eq.b) if b]
+               for eq in equations]
+    cols_a = list(zip(*(eq.a for eq in equations)))
+    cols_b = list(zip(*(eq.b for eq in equations)))
+    gam_a = [_rounding_count(col) * _GAMMA_UNIT for col in cols_a]
+    gam_b = [_rounding_count(col) * _GAMMA_UNIT for col in cols_b]
+    rows = []
+    for i, y_row in enumerate(y):
+        p, q, sp, sq = [0j] * n, [0j] * n, [0.0] * n, [0.0] * n
+        for v, row_a, row_b in zip(y_row, terms_a, terms_b):
+            if not v:
+                continue
+            v1 = abs(v.real) + abs(v.imag)
+            for k, a, abs_a in row_a:
+                p[k] += v * a
+                sp[k] += v1 * abs_a
+            for k, b, abs_b in row_b:
+                q[k] += v * b
+                sq[k] += v1 * abs_b
+        rows.append([(k, pk, qk, abs(pk.real) + abs(pk.imag), ga * spk,
+                      abs(qk.real) + abs(qk.imag), gb * sqk)
+                     for k, (pk, qk, ga, spk, gb, sqk)
+                     in enumerate(zip(p, q, gam_a, sp, gam_b, sq))
+                     if spk or sqk or k == i])
+    return rows, [any(col) for col in cols_a], [any(col) for col in cols_b]
+
+
+def _recip_box(x: float, ex: float, y: float, r: float) -> tuple:
+    """(mid, rad): 1/w for every w within ex of x in the real part and r
+    of y in the imaginary part lies within rad of the complex mid in each
+    part.  ``_recip_scaled`` over the disc of radius ``_radius`` of the
+    half-widths."""
+    re, im, err, s, _ = _recip_scaled(x, _radius(ex, r), y)
+    # s is a power of two, so a part scaled back rounds only in the
+    # subnormal range (by TINY / 2), and only when s < 1.
+    re, im, rad = re * s, im * s, _up(err * s)
+    if s < 1.0 and min(abs(re), abs(im)) < _MIN_NORMAL:
+        rad = _up(rad + TINY)
+    return complex(re, im), rad
+
+
+def _jacobian_boxes(center, need_a, need_b, r: float) -> list:
+    """Per column k, the boxes ``_recip_box`` of 1/z_k and 1/(1 - z_k)
+    over the box of per-real-coordinate radius r around ``center`` (None
+    where the column does not need one); the real half-width of 1 - z
+    includes the rounding of 1 - Re z."""
+    return [(_recip_box(z.real, r, z.imag, r) if use_a else None,
+             _recip_box(*_add0(1.0, 0.0, -z.real, r), -z.imag, r) if use_b else None)
+            for z, use_a, use_b in zip(center, need_a, need_b)]
+
+
+def _weights(box) -> tuple:
+    """(w, u, v), each rounded up, for the box (w, rho) of a reciprocal W.
+    For P within e_P of P~ in each part and W in the box, P W - P~ w has
+    |Re| + |Im| at most (|Re P~| + |Im P~|) 2 rho + e_P v, with
+    v = 2 (|Re w| + |Im w| + 2 rho); u = 2 rho + gamma_4 (|Re w| + |Im w|)
+    adds the charge for the rounding of the entry's midpoint."""
+    if box is None:
+        return 0j, 0.0, 0.0
+    w, rho = box
+    w1 = _up(abs(w.real) + abs(w.imag))
+    return w, _up(2.0 * rho + _up(_C_ERR * w1)), _up(2.0 * _up(w1 + 2.0 * rho))
+
+
+def _row_spread(entries, cols, row: int) -> float:
+    """Upper bound on sum_k (sup |Re C_k| + sup |Im C_k|) over the box, for
+    row ``row`` of C = I - Y F'(X), given the row's ``_column_products``
+    entries and the columns' ``_weights`` of 1/z and 1/(1 - z).
+
+    C_k = delta_row,k - P_k R_k + Q_k S_k takes each box once: its float
+    midpoint c~, off by at most gamma_4 (the sum of its products'
+    magnitudes + delta) plus 3 TINY per part, and the ranges of
+    ``_weights``.  Every term of the sum s is a nonnegative float that
+    passes at most N = m + 7 roundings (m entries; those of
+    |Re P~| + |Im P~| and e_P included), so the exact sum is below
+    s (1 + N u (1 + 2^-8)) plus 8 m TINY for the underflow of the products.
+    """
+    s = _C_ERR  # gamma_4 delta_row,row
+    for k, p, q, p1, ep, q1, eq in entries:
+        rk, ur, vr, sk, us, vs = cols[k]
+        c = q * sk - p * rk
         if k == row:
-            col = col + [eye]
-        elif not col:
-            continue
-        c_re, c_im, p_re, p_im = _dot(points, col)
-        spread = _up(spread + _up(_up(abs(c_re) + p_re) + _up(abs(c_im) + p_im)))
-    spread = _up(spread * r)
+            c += 1.0
+        s += abs(c.real) + abs(c.imag) + p1 * ur + ep * vr + q1 * us + eq * vs
+    m = len(entries)
+    return _up(_up(s + _up(s * ((m + 7) * _GAMMA_UNIT))) + 8 * m * TINY)
+
+
+def _row_bound(entries, cols, row: int, yf_row, r: float) -> tuple:
+    """Upper bounds on |Re| and |Im| of (K(X) - x^)_row, given what
+    ``_row_spread`` takes and (Y F(x^))_row.  (K - x^)_row =
+    -(Y F)_row + sum_k C_k w_k with w in [-r, r] + i [-r, r], so each part
+    is at most |(Y F)_row| + r sum_k (sup |Re C_k| + sup |Im C_k|)."""
+    spread = _up(_row_spread(entries, cols, row) * r)
     f_re, f_im, q_re, q_im = yf_row
     return (_up(_up(abs(f_re) + q_re) + spread),
             _up(_up(abs(f_im) + q_im) + spread))
 
 
-def _krawczyk_once(sys: GluingSystem, center, selected, y, yf, r: float):
+def _krawczyk_once(center, products, selected, yf, r: float):
     """One Krawczyk contraction test on the per-real-coordinate box of
-    radius r around ``center``, given Y as rows of complex floats and the
-    enclosure of Y F(x^) row by row.
+    radius r around ``center``, given the ``_column_products`` of Y and
+    the enclosure of Y F(x^) row by row.
 
     Returns None when K(X) is provably interior, else why not: the first
     equation whose row of K(X) is not, with its margin max|K - x^| / r.
     A NaN bound compares False and so never passes.
     """
+    rows, need_a, need_b = products
     try:
-        cols = _jacobian_columns([sys.equations[i] for i in selected], center, r)
+        boxes = _jacobian_boxes(center, need_a, need_b, r)
     except JetDomainError as exc:
         return f"the Jacobian over the box cannot be enclosed ({exc})"
-    for row, y_row in enumerate(y):
-        k_re, k_im = _k_row_bound([-v for v in y_row] + [1], cols, row, yf[row], r)
+    cols = [_weights(rb) + _weights(sb) for rb, sb in boxes]
+    for row, entries in enumerate(rows):
+        k_re, k_im = _row_bound(entries, cols, row, yf[row], r)
         if not (k_re < r and k_im < r):
             margin = max(k_re, k_im) / r
             return f"equation {selected[row] + 1} has max|K-x^|/r = {margin:.6g}"
@@ -420,9 +535,9 @@ def krawczyk_certify(sys: GluingSystem, r0: float = None) -> Certificate:
     UncoveredEquationError when an equation outside the certified square
     subsystem does not follow from it.
     """
-    selected = select_square_subsystem(sys)
-    center, center_residual = _newton_refine(sys, selected)
-    selected = select_square_subsystem(sys, center)
+    jac = jacobian(sys)
+    center, center_residual, jac = _newton_refine(sys, _select_rows(jac, sys.n), jac)
+    selected = _select_rows(jac, sys.n)
     if r0 is None:
         r0 = 1e-10 * max(1.0, max(abs(z) for z in sys.shapes))
     if not 0.0 < r0 < math.inf:
@@ -431,7 +546,6 @@ def krawczyk_certify(sys: GluingSystem, r0: float = None) -> Certificate:
         raise InconclusiveError(f"the radius schedule from r0 = {r0!r} overflows")
 
     n = sys.n
-    jac = jacobian(sys, center)
     identity = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     try:
         y = _solve([jac[i] for i in selected], identity)
@@ -439,17 +553,19 @@ def krawczyk_certify(sys: GluingSystem, r0: float = None) -> Certificate:
         raise InconclusiveError(
             "Jacobian at the refined center is singular"
         ) from None
+    equations = [sys.equations[i] for i in selected]
     try:
-        f_center = _residual_enclosure([sys.equations[i] for i in selected], center)
+        f_center = _residual_enclosure(equations, center)
     except JetDomainError as exc:
         raise InconclusiveError(
             f"residual at the refined center cannot be enclosed: {exc}"
         ) from None
     f_terms = [(l, *f) for l, f in enumerate(f_center)]
     yf = [_dot(y_row, f_terms) for y_row in y]
+    products = _column_products(equations, y)
 
     for radius in (r0, r0 * 10.0, r0 * 100.0):
-        failure = _krawczyk_once(sys, center, selected, y, yf, radius)
+        failure = _krawczyk_once(center, products, selected, yf, radius)
         if failure is None:
             break
     else:

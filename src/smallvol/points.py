@@ -21,8 +21,8 @@ Two kinds of value are built on this model:
   ``log_jet``), and the dihedral angle ``_arg_mod_pi`` at the center of
   every volume term;
 * midpoint-radius complex boxes ``(mid_re, mid_im, rad_re, rad_im)``,
-  the sums and inputs of the Krawczyk test in ``certify``: ``_dot`` and
-  the point logarithm ``_log_box``, whose argument takes the quotient
+  the residual sums of the Krawczyk test in ``certify`` and their
+  inputs: ``_dot`` and the point logarithm ``_log_box``, whose argument takes the quotient
   and charge of ``_arg_mod_pi`` (``_atan_ratio``);
 * the power-of-two-scaled reciprocal ``_recip_scaled`` of every point of
   a disc, with ``_radius`` for the disc that holds a box: its parts give

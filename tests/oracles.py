@@ -169,7 +169,7 @@ def _float_inverse(m):
     return [r[n:] for r in rows]
 
 
-def krawczyk_margin(rows, centre, box_radius, selected, dps=30):
+def krawczyk_margin(rows, centre, box_radius, selected, dps=30, columns=False):
     """Re-check a certificate's Krawczyk test with ``mpmath.iv`` at ``dps``
     digits, from the gluing rows (a, b, c) and what the report claims.
 
@@ -181,7 +181,13 @@ def krawczyk_margin(rows, centre, box_radius, selected, dps=30):
     ``iv.mpc`` reciprocals of z and 1 - z over the box.  Returns an upper
     bound on max |Re, Im (K(X) - c)| / rho for K(X) = c - Y F(c) +
     (I - Y J(X)) (X - c), as the nearest float: below 1, K(X) lies inside
-    X, and a solution of the selected rows exists in X."""
+    X, and a solution of the selected rows exists in X.
+
+    With ``columns``, I - Y J(X) is taken as I - (Y A) R + (Y B) S, where
+    A and B hold the selected rows' a and b and R and S are the diagonal
+    boxes of 1/z and 1/(1 - z): J(z) = A diag(1/z) - B diag(1/(1 - z)) at
+    every z in X, and each box then enters each entry once, where the
+    plain product takes it once per row of its column."""
     iv = mpmath.iv
     prec = iv.prec
     iv.dps = dps
@@ -210,7 +216,12 @@ def krawczyk_margin(rows, centre, box_radius, selected, dps=30):
             y_row = [iv.mpc(v.real, v.imag) for v in y_row]
             k = -sum((yv * fv for yv, fv in zip(y_row, f)), iv.mpc(0))
             for j in range(n):
-                c_ij = -sum((y_row[l] * jac[l][j] for l in range(n)), iv.mpc(-(i == j)))
+                if columns:
+                    p, q = (sum((y_row[l] * eqs[l][t][j] for l in range(n) if eqs[l][t][j]),
+                                iv.mpc(0)) for t in (0, 1))
+                    c_ij = iv.mpc(i == j) - p * recips[j][0] + q * recips[j][1]
+                else:
+                    c_ij = -sum((y_row[l] * jac[l][j] for l in range(n)), iv.mpc(-(i == j)))
                 k += c_ij * box
             bounds += (abs(k.real).b, abs(k.imag).b)
         return float((iv.mpf(max(bounds)) / rho).b)

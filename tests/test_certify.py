@@ -25,10 +25,14 @@ from smallvol.certify import (
     InconclusiveError,
     RankDeficientError,
     UncoveredEquationError,
+    _C_ERR,
+    _column_products,
     _eliminate,
-    _jacobian_columns,
-    _k_row_bound,
+    _jacobian_boxes,
     _krawczyk_once,
+    _row_bound,
+    _row_spread,
+    _weights,
     figure_eight_system,
     jacobian,
     krawczyk_certify,
@@ -39,8 +43,9 @@ from smallvol.data import figure_eight_text
 from smallvol.geometry import ShapeAssignment, certified_volume
 from smallvol.jets import ComplexJet, Jet, JetError, complex_log_jet
 from smallvol.points import _dot, _log_box
-from smallvol.rounding import EPS_PRIM
+from smallvol.rounding import EPS_PRIM, TINY
 
+import krawczyk_refs
 from complex_refs import degree4_atan_jet, degree4_log_jet, one_minus, reciprocal
 
 OMEGA = complex(0.5, math.sqrt(3) / 2)
@@ -177,6 +182,23 @@ class TestJacobian:
             sys = figure_eight_system()._replace(equations=tuple(eqs),
                                                  shapes=tuple(shapes))
             _check_fd(sys, shapes, 1e-5)
+
+    def test_entries_are_the_expression_or_zero(self):
+        # Where a_j or b_j is nonzero, the entry has the bits of
+        # a_j / z_j - b_j / (1 - z_j); elsewhere it is 0j.
+        rng = random.Random(78)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            shapes = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n)]
+            eqs = [GluingEquation([rng.choice((0, 0, 1, -2, 3)) for _ in range(n)],
+                                  [rng.choice((0, 0, -1, 2, 5)) for _ in range(n)], 0)
+                   for _ in range(n + rng.randint(0, 2))]
+            sys = figure_eight_system()._replace(equations=tuple(eqs),
+                                                 shapes=tuple(shapes))
+            for eq, row in zip(eqs, jacobian(sys)):
+                for a, b, z, x in zip(eq.a, eq.b, shapes, row):
+                    want = a / z - b / (1 - z) if a or b else 0j
+                    assert (x.real.hex(), x.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 def _check_fd(sys, shapes, rtol):
@@ -396,6 +418,31 @@ CERTIFICATE_PINS = (
 )
 
 
+# Verdicts and failure margins (as printed, 6 digits) of the float kernel
+# that summed each entry of I - Y F'(X) over the rows of its column
+# (``krawczyk_refs``), on mixed systems of ``CERTIFICATE_PINS`` at radii
+# where C dominates the margin (about sum_k sup |C_k| there).  The column
+# kernel proves all six at r0.
+ENTRY_KERNEL_VERDICTS = (
+    ((4, True, 8), 2.5e-3, None),
+    ((4, True, 8), 5e-3, 316.811),
+    ((4, True, 9), 4e-3, 180.152),
+    ((8, True, 11), 1e-3, None),
+    ((8, True, 11), 2.5e-3, 77.0907),
+    ((8, True, 12), 2.5e-3, 112.456),
+)
+
+
+def _verdict_system(name):
+    """The system a verdict row names: "fig8", "mixed<seed>" (two
+    row-mixed copies) or a ``census_system`` case."""
+    if name == "fig8":
+        return figure_eight_system(round_digits=9)
+    if isinstance(name, tuple):
+        return census_system(*name)
+    return mixed_figure_eight(2, random.Random(int(name[-1])))
+
+
 class TestCertificatePins:
     @pytest.mark.parametrize("case, pin", CERTIFICATE_PINS)
     def test_certificate_bits(self, case, pin):
@@ -430,6 +477,25 @@ class TestCertificatePins:
         cert = krawczyk_certify(sys)
         assert len(points) == len(set(points)) >= 2
         assert points[0] == sys.shapes and cert.refined_center in points
+
+    @pytest.mark.parametrize("case", ((2, True, 5), (4, False, 7), (1, True, 3)))
+    def test_jacobian_evaluated_once_per_point(self, monkeypatch, case):
+        # The selection at the stored shapes and Newton's first step share
+        # one Jacobian, and the selection at the refined centre and Y
+        # another; Newton evaluates one at each point it accepts.
+        import smallvol.certify as certify
+
+        sys = census_system(*case)
+        points = []
+
+        def counted(system, shapes=None):
+            points.append(tuple(system.shapes if shapes is None else shapes))
+            return jacobian(system, shapes)
+
+        monkeypatch.setattr(certify, "jacobian", counted)
+        cert = krawczyk_certify(sys)
+        assert len(points) == len(set(points)) >= 2
+        assert points[0] == sys.shapes and points[-1] == cert.refined_center
 
 
 def _gluing_text(sys):
@@ -468,6 +534,21 @@ class TestIndependentRecheck:
         claim = oracles.certificate_claim(capsys.readouterr().out)
         assert oracles.krawczyk_margin(oracles.gluing_rows(text), *claim) < 1.0
 
+    @pytest.mark.parametrize("name, r0", [(name, r0) for name, r0, _ in ENTRY_KERNEL_VERDICTS]
+                             + [(f"mixed{seed}", 1e-2) for seed in (1, 2, 3)])
+    def test_large_boxes_pass_the_column_form(self, name, r0):
+        # At these radii the certificates rest on the column structure of
+        # C: the oracle's plain product Y J(X), which takes each box once
+        # per row of its column, cannot contract these boxes (margins 1.2
+        # to 4.2, and about 2 to 2.8 for the mixed systems at 1e-2), and
+        # the column form I - (Y A) R + (Y B) S can (0.02 to 0.18).
+        sys = _verdict_system(name)
+        cert = krawczyk_certify(sys, r0=r0)
+        rows = [tuple(eq) for eq in sys.equations]
+        margin = oracles.krawczyk_margin(rows, list(cert.refined_center), cert.box_radius,
+                                         list(cert.selected), columns=True)
+        assert margin < 1.0
+
     def test_boxes_that_fail_smallvol_fail_it(self):
         # The figure-eight's true residual is about 6e-17, so K(X) - c is
         # too, and boxes of radius 1e-17 and 1e-18 cannot contract: the
@@ -482,6 +563,127 @@ class TestIndependentRecheck:
             margin = oracles.krawczyk_margin(rows, list(cert.refined_center),
                                              r * math.sqrt(2), list(cert.selected))
             assert margin > 5.0, (r, margin)
+
+
+def _krawczyk_inputs(sys):
+    """(selected equations, refined centre, Y, Y F(x^) enclosure) as
+    ``krawczyk_certify`` hands them to its kernel, captured from a call."""
+    import smallvol.certify as certify
+
+    seen = {}
+    products, once = certify._column_products, certify._krawczyk_once
+
+    def column_products(equations, y):
+        seen["equations"], seen["y"] = equations, y
+        return products(equations, y)
+
+    def krawczyk_once(center, prods, selected, yf, r):
+        seen["center"], seen["yf"] = center, yf
+        return once(center, prods, selected, yf, r)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(certify, "_column_products", column_products)
+        m.setattr(certify, "_krawczyk_once", krawczyk_once)
+        krawczyk_certify(sys)
+    return seen["equations"], seen["center"], seen["y"], seen["yf"]
+
+
+def _kernel_rows(equations, center, y, r):
+    """The entries, columns and weights of the column kernel at radius r,
+    or the message of the JetDomainError where the Jacobian cannot be
+    enclosed."""
+    rows, need_a, need_b = _column_products(equations, y)
+    try:
+        boxes = _jacobian_boxes(center, need_a, need_b, r)
+    except JetError as exc:
+        return str(exc)
+    return rows, [_weights(rb) + _weights(sb) for rb, sb in boxes]
+
+
+def _kernel_systems():
+    """fig8, the ``CERTIFICATE_PINS`` systems and census copies for
+    k = 2, 4 and 8, block-diagonal and mixed."""
+    yield pytest.param(figure_eight_system(round_digits=9), id="fig8")
+    for case, _ in CERTIFICATE_PINS:
+        yield pytest.param(census_system(*case), id=f"pin-{case}")
+    for k in (2, 4, 8):
+        for mixed in (False, True):
+            yield pytest.param(census_system(k, mixed, 30 + k), id=f"census-{k}-{mixed}")
+
+
+KERNEL_RADII = tuple(10.0 ** -e for e in range(16, 2, -1)) + (2.5e-3,)
+
+
+class TestColumnKernel:
+    """I - Y F'(X) as I - P R + Q S, P = Y A and Q = Y B formed once per
+    certificate, against the per-entry kernel it replaced
+    (``krawczyk_refs``) and against 50-digit I - Y F'(z) at points of the
+    box."""
+
+    @pytest.mark.parametrize("sys", _kernel_systems())
+    def test_row_bounds_never_above_the_reference(self, sys):
+        equations, center, y, yf = _krawczyk_inputs(sys)
+        for r in KERNEL_RADII:
+            old = krawczyk_refs.row_bounds(equations, center, y, yf, r)
+            new = _kernel_rows(equations, center, y, r)
+            if isinstance(old, str) or isinstance(new, str):
+                assert new == old, r
+                continue
+            rows, cols = new
+            for i, entries in enumerate(rows):
+                bound = _row_bound(entries, cols, i, yf[i], r)
+                for got, ref in zip(bound, old[i]):
+                    assert got <= ref * (1 + 1e-12), (r, i, got, ref)
+
+    @pytest.mark.parametrize("sys", _kernel_systems())
+    def test_entries_hold_the_50_digit_matrix(self, sys):
+        # At the box's corners and at random members z, each entry of
+        # C(z) = I - Y F'(z) lies within the entry's radius (|Re| + |Im|,
+        # exact in rationals) of its float midpoint, and each row's
+        # sum_k |Re C_k| + |Im C_k| below ``_row_spread``.
+        equations, center, y, _ = _krawczyk_inputs(sys)
+        rng = random.Random(6068)
+        n = len(center)
+        radii = KERNEL_RADII[::4] + KERNEL_RADII[-1:]
+        samples = 3 if n <= 4 else 1
+        with mpmath.workdps(50):
+            ys = [[mpmath.mpc(v) for v in row] for row in y]
+            for r in radii:
+                rows, cols = _kernel_rows(equations, center, y, r)
+                signs = [[(s, s)] * n for s in (-1, 1)]
+                signs += [[(rng.choice((-1, 1)), rng.choice((-1, 1))) for _ in range(n)]
+                          for _ in range(samples)]
+                signs += [[(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+                          for _ in range(samples)]
+                for shift in signs:
+                    z = [mpmath.mpc(c.real, c.imag) + mpmath.mpc(sr, si) * mpmath.mpf(r)
+                         for c, (sr, si) in zip(center, shift)]
+                    fp = [[(a / zk if a else 0) - (b / (1 - zk) if b else 0)
+                           for a, b, zk in zip(eq.a, eq.b, z)] for eq in equations]
+                    for i, entries in enumerate(rows):
+                        c_row = [(i == k) - mpmath.fsum(ys[i][l] * fp[l][k] for l in range(n)
+                                                        if fp[l][k])
+                                 for k in range(n)]
+                        total = mpmath.fsum(abs(c.real) + abs(c.imag) for c in c_row)
+                        assert total <= _row_spread(entries, cols, i), (r, i)
+                        active = set()
+                        for k, p, q, _, ep, _, eq in entries:
+                            active.add(k)
+                            rk, ur, vr, sk, us, vs = cols[k]
+                            mid = q * sk - p * rk + (1.0 if k == i else 0.0)
+                            rad = (_abs1(p) * Fraction(ur) + _abs1(q) * Fraction(us)
+                                   + Fraction(ep) * Fraction(vr) * (1 + Fraction(2) ** -52)
+                                   + Fraction(eq) * Fraction(vs) * (1 + Fraction(2) ** -52)
+                                   + (k == i) * Fraction(_C_ERR) + 8 * Fraction(TINY))
+                            dev = (abs(c_row[k].real - mid.real)
+                                   + abs(c_row[k].imag - mid.imag))
+                            assert dev <= mpmath.mpf(rad.numerator) / rad.denominator, (r, i, k)
+                        assert all(c_row[k] == 0 for k in range(n) if k not in active)
+
+
+def _abs1(v):
+    """|Re v| + |Im v| exactly."""
+    return abs(Fraction(v.real)) + abs(Fraction(v.imag))
 
 
 class TestCoverage:
@@ -612,36 +814,57 @@ class TestDot:
             assert _inside(m_re, r_re, re), (points, terms)
             assert _inside(m_im, r_im, im), (points, terms)
 
-    def test_k_row_contains_interval_oracle(self, iv50):
+    def test_row_bound_contains_interval_oracle(self, iv50):
+        # Random entries P~, Q~ with error bounds e_P, e_Q (a third of them
+        # exact, some with P~ = 0 but e_P > 0) and random reciprocal boxes:
+        # the bound holds |Re|, |Im| of -Y F + sum_k C_k w_k in 50-digit
+        # interval arithmetic, C_k = delta - P R + Q S over the boxes.
         rng = random.Random(6062)
+
+        def cpx():
+            return complex(rng.gauss(0, 2), rng.gauss(0, 2))
+
+        def err():
+            return 0.0 if rng.random() < 0.3 else abs(rng.gauss(0, 1e-14))
+
         for _ in range(200):
             n = rng.randint(1, 5)
             r = 10.0 ** rng.uniform(-18, -1)
-            y_row = [complex(rng.gauss(0, 3), rng.gauss(0, 3)) for _ in range(n)]
-            cols = []
-            for _ in range(n):
-                col = []
-                for l in range(n):
-                    if rng.random() < 0.6:
-                        m = complex(rng.gauss(0, 2), rng.gauss(0, 2))
-                        col.append((l, m.real, m.imag, abs(rng.gauss(0, r)),
-                                    abs(rng.gauss(0, r))))
-                cols.append(col)
+            boxes = [tuple((1 / cpx(), abs(rng.gauss(0, r))) if rng.random() < 0.8
+                           else None for _ in range(2)) for _ in range(n)]
+            row = rng.randrange(n)
+            entries = []
+            for k, (rb, sb) in enumerate(boxes):
+                if k != row and rng.random() < 0.3:
+                    continue
+                p = (0j if rng.random() < 0.2 else cpx()) if rb else 0j
+                q = cpx() if sb else 0j
+                ep = err() if rb else 0.0
+                eq = err() if sb else 0.0
+                entries.append((k, p, q, abs(p.real) + abs(p.imag), ep,
+                                abs(q.real) + abs(q.imag), eq))
+            cols = [_weights(rb) + _weights(sb) for rb, sb in boxes]
             yf_row = (rng.gauss(0, 1e-15), rng.gauss(0, 1e-15),
                       abs(rng.gauss(0, 1e-16)), abs(rng.gauss(0, 1e-16)))
-            row = rng.randrange(n)
-            points = [-v for v in y_row] + [1]
-            k_re, k_im = _k_row_bound(points, cols, row, yf_row, r)
+            k_re, k_im = _row_bound(entries, cols, row, yf_row, r)
+
+            def iv_c(v, e):
+                return (iv.mpf(v.real) + iv.mpf([-e, e]), iv.mpf(v.imag) + iv.mpf([-e, e]))
 
             yf_re, yf_im = _iv_box(*yf_row)
             w = iv.mpf([-r, r])
             re, im = -yf_re, -yf_im
-            for k, col in enumerate(cols):
-                s_re, s_im = _iv_dot(points, col)  # -(Y F'(X))_row,k
-                if k == row:
-                    s_re += 1
-                re += s_re * w - s_im * w
-                im += s_re * w + s_im * w
+            for k, p, q, _, ep, _, eq in entries:
+                c_re, c_im = iv.mpf(k == row), iv.mpf(0)
+                for sign, (x_re, x_im), box in ((-1, iv_c(p, ep), boxes[k][0]),
+                                                (1, iv_c(q, eq), boxes[k][1])):
+                    if box is None:
+                        continue
+                    b_re, b_im = iv_c(*box)
+                    c_re += sign * (x_re * b_re - x_im * b_im)
+                    c_im += sign * (x_re * b_im + x_im * b_re)
+                re += c_re * w - c_im * w
+                im += c_re * w + c_im * w
             for part, bound in ((re, k_re), (im, k_im)):
                 lo, hi = _exact(part)
                 assert max(-lo, hi) <= Fraction(bound)
@@ -655,16 +878,22 @@ class TestDot:
         ):
             m_re, m_im, r_re, r_im = _dot(points, terms)
             assert not (abs(m_re) + r_re < 1.0 and abs(m_im) + r_im < 1.0)
-            k_re, k_im = _k_row_bound(points + [1], [terms], 0, (0.0, 0.0, 0.0, 0.0), 1.0)
+            # The same values as a row of Y and the box of 1/z, a = 1.
+            (_, xr, xi, pr, _), = terms
+            rows, _, _ = _column_products([GluingEquation((1,), (0,), 0)], [[-points[0]]])
+            cols = [_weights((complex(xr, xi), pr)) + _weights(None)]
+            k_re, k_im = _row_bound(rows[0], cols, 0, (0.0, 0.0, 0.0, 0.0), 1.0)
             assert not (k_re < 1.0 and k_im < 1.0)
 
     def test_non_finite_inverse_fails_the_test(self):
         sys = figure_eight_system(round_digits=9)
         selected = select_square_subsystem(sys)
         yf = [(0.0, 0.0, 0.0, 0.0)] * 2
+        equations = [sys.equations[i] for i in selected]
         for bad in (math.nan, math.inf, 1e308):
             y = [[complex(bad, bad), 0j], [0j, complex(bad, bad)]]
-            failure = _krawczyk_once(sys, sys.shapes, selected, y, yf, 1e-3)
+            failure = _krawczyk_once(sys.shapes, _column_products(equations, y),
+                                     selected, yf, 1e-3)
             assert failure is not None and "max|K-x^|/r" in failure
 
 
@@ -804,11 +1033,11 @@ def _jet_recip(x, ex, y, ey, minus):
 
 def _jacobian_box(x, r, y, minus):
     """The Jacobian's box of 1/z, or of 1/(1 - z), over the box of
-    per-real-coordinate radius r about z = x + iy: the one entry of a
-    one-equation ``_jacobian_columns``."""
-    eq = GluingEquation((0,), (-1,), 0) if minus else GluingEquation((1,), (0,), 0)
-    ((entry,),) = _jacobian_columns([eq], [complex(x, y)], r)
-    return entry[1:]
+    per-real-coordinate radius r about z = x + iy, from
+    ``_jacobian_boxes``, as (mid_re, mid_im, rad_re, rad_im)."""
+    ((box_a, box_b),) = _jacobian_boxes([complex(x, y)], [not minus], [minus], r)
+    w, rad = box_b if minus else box_a
+    return w.real, w.imag, rad, rad
 
 
 class TestJacobianBoxes:
@@ -891,14 +1120,10 @@ JET_KERNEL_VERDICTS = (
 
 
 class TestVerdictRegression:
-    @pytest.mark.parametrize("name, r0, before", JET_KERNEL_VERDICTS)
+    @pytest.mark.parametrize("name, r0, before", JET_KERNEL_VERDICTS + ENTRY_KERNEL_VERDICTS)
     def test_no_lost_proof_or_wider_margin(self, name, r0, before):
-        if name == "fig8":
-            sys = figure_eight_system(round_digits=9)
-        else:
-            sys = mixed_figure_eight(2, random.Random(int(name[-1])))
         try:
-            krawczyk_certify(sys, r0=r0)
+            krawczyk_certify(_verdict_system(name), r0=r0)
         except InconclusiveError as exc:
             msg = str(exc)
             assert before is not None, f"proven before, now: {msg}"

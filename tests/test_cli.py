@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import smallvol
 from smallvol import cli
 from smallvol.data import CORPUS, figure_eight_text, presentation_text, script_text
@@ -617,6 +618,13 @@ class TestCertifyVolume:
 
 
 HUGE_SHAPE_GLUING = "tets 1\nshape 0 1.7e308 1.7e308\neq 0 ; 0 ; 0\n"
+# Shapes with subnormal imaginary parts near the real root z = 1/2 of
+# log z - log(1 - z) = 0, which certify: exit 0 on extreme parts.
+SUBNORMAL_ROOT_GLUINGS = (
+    "tets 1\nshape 0 0.5 5e-324\neq 1 ; -1 ; 0\n",
+    "tets 2\nshape 0 0.5 -5e-324\nshape 1 0.5 1e-320\n"
+    "eq 1 1 ; -1 -1 ; 0\neq 0 1 ; 0 -1 ; 0\n",
+)
 
 # Shape parts at the edges of binary64: zero, subnormals, the smallest
 # normal, magnitudes whose squares or moduli overflow, the largest double.
@@ -646,17 +654,25 @@ def gluing_texts(draw):
 
 @given(gluing_texts())
 @example(HUGE_SHAPE_GLUING)
+@example(SUBNORMAL_ROOT_GLUINGS[0])
+@example(SUBNORMAL_ROOT_GLUINGS[1])
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_extreme_shapes_end_in_an_exit_code(text):
+    # Every certify exit 0 passes the independent 30-digit re-check of its
+    # report: extreme |z| and subnormal parts are where the Jacobian's
+    # column products times the reciprocal boxes could over- or underflow.
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "extreme.gluing")
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
         for argv in (["certify", path], ["volume", path], ["volume", path, "--delta", "0"]):
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 rc = cli.main(argv)
             assert rc in (0, 1, 2), (text, argv)
+            if argv[0] == "certify" and rc == 0:
+                claim = oracles.certificate_claim(out.getvalue())
+                assert oracles.krawczyk_margin(oracles.gluing_rows(text), *claim) < 1.0, text
 
 
 @pytest.fixture()
