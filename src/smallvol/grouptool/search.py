@@ -24,13 +24,18 @@ Insertions reduce only at the two junctions (``words.junction``): the
 word and the inserted rotation are both freely reduced, so only the end
 of the text before the insertion point, the inserted word and the start
 of the text after it can cancel, and the cancellation counts give the
-successor's length without building it.  A successor longer than the
-length bound is dropped there.  One that fits is queued as an entry
-(length, depth, counter, parent word, position, variant) and built, by
+successor's length without building it.  The successors of a word are
+sized one insertion point at a time (``words.junctions``, which settles
+most of them by comparing two letters on each side), and queued as one
+block: bucketed by length, in generation order within each bucket, with
+only the block's next entry on the heap (length, depth, counter, parent
+word, block, bucket); popping it queues the one after.  A successor
+longer than the length bound is never queued.  An entry is built, by
 ``words.insert`` from tuple slices, only when it is popped: partial
-expansion in the sense of Yoshizumi, Miura and Ishida (AAAI 2000).  A
-found search pops a few entries of the hundreds it queues, so it builds
-and hashes a few words.
+expansion in the sense of Yoshizumi, Miura and Ishida (AAAI 2000), and
+one heap entry for a whole set of successors as in enhanced partial
+expansion (Felner et al., AAAI 2012).  A found search pops a few
+entries of the hundreds it sizes, so it builds and hashes a few words.
 
 Each round returns what building every successor as it is generated
 would return (the eager round): the same derivation, letters left and
@@ -46,14 +51,14 @@ without being counted; a stale entry still counts against
 this round when it expands it; ``_unwind`` says why the two records
 agree along every derivation.
 
-At the last depth of a round only the empty word matters, and the
-words one insertion carries to it can be written down: w is one of
-them only if its middle is a variant and the letters around it cancel
-in pairs (``_may_vanish``).  A word that fails this test has its
-successors charged in one step from per-letter tables (``_charge``);
-a word that passes it, or whose charge would overdraw the budget, has
-them charged one at a time, and the one of length 0 is the empty word.
-No successor at the last depth is queued or built.
+A round succeeds only at the empty word, and the words one insertion
+carries to it can be written down: w is one of them only if its middle
+is a variant and the letters around it cancel in pairs (``_may_vanish``).
+A word that fails this test, at any depth, has its successors charged
+in one step (``_charge``), and at the last depth of a round that is all
+it needs; a word that passes it, or whose charge would overdraw the
+budget, has them charged one at a time, and the one of length 0 is the
+empty word.  No successor at the last depth is queued or built.
 
 The search runs over doubled letters (2x for the letter x), so that no
 word it stores holds the letter -1: CPython hashes -1 like -2, and words
@@ -75,7 +80,8 @@ is just failure; the word problem is undecidable in general.
 from __future__ import annotations
 
 import heapq
-from collections import namedtuple
+from bisect import bisect_right
+from collections import defaultdict, namedtuple
 
 from . import words
 
@@ -156,35 +162,43 @@ def _halved(w) -> tuple:
     return tuple(x // 2 for x in w)
 
 
-_NONE = (0, 0)
-
-
 def _tables(rels):
     """The tables of ``_best_first`` over the variants, the distinct
     rotations of every (cyclically reduced, nonempty) relator in ``rels``
     and of its inverse: ``by_first`` and ``by_last``, the variants by
-    first and by last letter, and for its last depth the set of variants,
-    their lengths (longest first), and the (count, total length) of the
-    variants that cancel against a letter x (those that start or end
-    with -x) and against an adjacent pair (x, y) (start with -x and end
-    with -y)."""
-    by_first, by_last, variants, ends, pairs = {}, {}, set(), {}, {}
-    for v in (base[k:] + base[:k] for r in rels for base in (r, words.invert(r))
-              for k in range(len(base))):
-        if v in variants:
-            continue
-        variants.add(v)
-        by_first.setdefault(v[0], []).append(v)
-        by_last.setdefault(v[-1], []).append(v)
-        key = -v[0], -v[-1]
-        count, total = pairs.get(key, _NONE)
-        pairs[key] = count + 1, total + len(v)
-    for table in (by_first, by_last):  # a variant counts once at each end
-        for x, vs in table.items():
-            count, total = ends.get(-x, _NONE)
-            ends[-x] = count + len(vs), total + sum(map(len, vs))
-    lengths = sorted({len(v) for v in variants}, reverse=True)
-    return by_first, by_last, (variants, lengths, ends, pairs)
+    first and by last letter; the set of variants (a dict, in the order
+    they are spelled); their lengths, longest first; and an empty memo
+    for ``_between``.
+
+    One pass spells each variant once: the rotations of a word that is
+    already listed are all listed (two words have the same rotations or
+    none in common), and those of a proper power u^p repeat after the
+    first len(u)."""
+    variants, by_first, by_last = {}, defaultdict(list), defaultdict(list)
+    for r in rels:
+        for base in (r, words.invert(r)):
+            if base in variants:
+                continue
+            m, twice = len(base), base + base
+            for k in range(m):
+                v = twice[k:k + m]
+                if k and v == base:
+                    break
+                variants[v] = None
+                by_first[v[0]].append(v)
+                by_last[v[-1]].append(v)
+    lengths = sorted(set(map(len, variants)), reverse=True)
+    return by_first, by_last, (variants, lengths, {})
+
+
+def _between(key, by_first, by_last, around) -> tuple:
+    """(variants, count, total length) for the letters ``key`` = (x, y)
+    of a word, 0 standing for its end: the variants ``_successors``
+    inserts between x and y, in its order, memoized in ``around``."""
+    x, y = -key[0], -key[1]
+    here = by_first.get(x, []) + [v for v in by_last.get(y, ()) if v[0] != x]
+    around[key] = entry = here, len(here), sum(map(len, here))
+    return entry
 
 
 def _may_vanish(w, variants, lengths) -> bool:
@@ -209,26 +223,23 @@ def _may_vanish(w, variants, lengths) -> bool:
     return False
 
 
-def _charge(w, ends, pairs) -> int:
+def _charge(w, by_first, by_last, around) -> int:
     """The letters that ``_successors(w, ...)`` charges in all, len(w) +
-    len(v) for each insertion of a variant v, from the tables of
-    ``_tables``: the variants that cancel against each letter, less
-    those listed once where they cancel against both neighbours."""
-    count = total = 0
-    for x in w:
-        c, t = ends.get(x, _NONE)
-        count += c
-        total += t
-    for pair in zip(w, w[1:]):
-        c, t = pairs.get(pair, _NONE)
-        count -= c
-        total -= t
-    return len(w) * count + total
+    len(v) for each insertion of a variant v, one junction position at a
+    time (``_between``)."""
+    n, spent = len(w), 0
+    for key in zip((0, *w), (*w, 0)):
+        _, count, total = around.get(key) or _between(key, by_first, by_last, around)
+        spent += n * count + total
+    return spent
 
 
 def _successors(w, by_first, by_last):
-    """(position, variant) pairs whose insertion cancels at a junction,
-    generated one at a time so that each is charged before the next."""
+    """(position, variant) pairs whose insertion cancels at a junction, in
+    the order the search charges and counts them: by position, first
+    those that cancel against the letter before it, then those that
+    cancel against the letter after it alone (``_between`` lists each
+    position's)."""
     n = len(w)
     for pos in range(n + 1):
         if pos > 0:
@@ -251,26 +262,46 @@ def _best_first(start, by_first, by_last, limit, max_len, node_budget, letters,
     Successors are queued unbuilt and built when popped; the popped
     entries of each word settle, as the module docstring says, which
     entries the eager round never queued and which it skips as stale.
-    A word whose successors lie at the depth ``limit`` is settled
-    without computing their lengths when ``_may_vanish`` rules out the
-    empty word among them: they are charged in one step (``_charge``).
-    Where the test passes, or the charge would overdraw the letter
-    budget, they are charged one at a time as at every other depth."""
-    variants, lengths, ends, pairs = leaves
-    counter = 0
-    # (length, insertion depth, counter, parent word, position, variant);
-    # the start is the entry with no parent, its own variant.
-    heap = [(len(start), 0, counter, None, 0, start)]
+    Where ``_may_vanish`` rules out the empty word among a word's
+    successors, they are all charged in one step (``_charge``), and a
+    word at the depth ``limit`` is then done with.  Where the test
+    passes, or the charge would overdraw the letter budget, they are
+    charged one at a time in ``_successors`` order, each once it is
+    sized.  The successors of a word below the depth ``limit`` are
+    sized one junction position at a time (``words.junctions``) and
+    queued as one block."""
+    variants, lengths, around = leaves
+    # (length, insertion depth, counter, parent word, block, bucket);
+    # the start is the entry with no parent.  A block is one word's
+    # successors: their lengths, variants and the index of the first at
+    # each position, the counter of the first, and the lengths that fit
+    # max_len in increasing order, one bucket each.  Its entries pop by
+    # (length, index); the heap holds the next one alone, and an entry's
+    # counter is the block's plus its index.
+    heap = [(len(start), 0, 0, None, None, 0)]
+    counter = 1
     # popped word -> [(insertion depth, counter)] of its entries the
     # eager round queued; expanded word -> (insertion depth, parent
     # word, position, variant) of its last expansion
     marks, nodes = {}, {}
     popped = 0
-    insert, junction = words.insert, words.junction
+    insert, junctions = words.insert, words.junctions
     heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
-        size, d, c, parent, pos, variant = heappop(heap)
-        w = variant if parent is None else insert(parent, pos, variant, size)
+        size, d, c, parent, block, bucket = heappop(heap)
+        if parent is None:
+            w, pos, variant = start, 0, start
+        else:
+            sizes, vs, starts, base, fits = block
+            i = c - base
+            pos, variant = bisect_right(starts, i) - 1, vs[i]
+            after = sizes.index(size, i + 1)
+            if after >= len(vs):  # the bucket is done: on to the next one
+                bucket += 1
+                after = sizes.index(fits[bucket]) if bucket < len(fits) else -1
+            if after >= 0:
+                heappush(heap, (sizes[after], d, base + after, parent, block, bucket))
+            w = insert(parent, pos, variant, size)
         seen = marks.setdefault(w, [])
         if any(sd <= d and sc < c for sd, sc in seen):
             continue  # reached earlier at no greater depth: never queued
@@ -283,24 +314,39 @@ def _best_first(start, by_first, by_last, limit, max_len, node_budget, letters,
             continue  # reached at a smaller depth since it was queued
         nodes[w] = (d, parent, pos, variant)
         nd = d + 1
-        if nd == limit and not _may_vanish(w, variants, lengths):
-            spent = _charge(w, ends, pairs)
+        bulk = False
+        if not _may_vanish(w, variants, lengths):
+            spent = _charge(w, by_first, by_last, around)
             if spent <= letters:
                 letters -= spent
-                continue
+                if nd == limit:
+                    continue
+                bulk = True
         n = len(w)
-        for pos, variant in _successors(w, by_first, by_last):
-            letters -= n + len(variant)
-            if letters < 0:
-                return None, letters, LETTERS
-            size = junction(w, pos, variant)[0]
-            if size == 0:
-                nodes[()] = (nd, w, pos, variant)
-                return _unwind(nodes, start), letters, None
+        sizes, vs, starts = [], [], []
+        for pos, key in enumerate(zip((0, *w), (*w, 0))):
+            here = (around.get(key) or _between(key, by_first, by_last, around))[0]
+            got = junctions(w, pos, here)
+            if not bulk:
+                for size, variant in zip(got, here):
+                    letters -= n + len(variant)
+                    if letters < 0:
+                        return None, letters, LETTERS
+                    if size == 0:
+                        nodes[()] = (nd, w, pos, variant)
+                        return _unwind(nodes, start), letters, None
+            starts.append(len(sizes))
+            sizes += got
+            vs += here
+        if nd < limit:
             # A successor past max_len is charged but never queued.
-            if nd < limit and size <= max_len:
-                counter += 1
-                heappush(heap, (size, nd, counter, w, pos, variant))
+            fits = sorted(size for size in set(sizes) if size <= max_len)
+            if fits:
+                i = sizes.index(fits[0])
+                sizes += fits  # ends each bucket's scan past the successors
+                heappush(heap, (fits[0], nd, counter + i, w,
+                                (sizes, vs, starts, counter, fits), 0))
+            counter += len(vs)
     return None, letters, DEPTH
 
 

@@ -4,8 +4,8 @@ A word is a tuple of nonzero ints: +k is generator k-1, -k its inverse
 (generators are 0-indexed externally, letters 1-indexed internally so
 negation works).  All public helpers return freely reduced tuples
 (``insert`` returns None for a word past its length bound, ``junction``
-only the cuts and length of an insertion, and ``spell`` the unreduced
-letters of a word's text).
+and ``junctions`` only the cuts and lengths of insertions, and ``spell``
+the unreduced letters of a word's text).
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ def concat(*words) -> tuple:
 def junction(word, pos: int, v) -> tuple:
     """(length, a, i, j, b) with ``concat(word[:pos], v, word[pos:]) ==
     word[:a] + v[i:j] + word[b:]``, of ``length`` letters, for freely
-    reduced ``word`` and ``v``.
+    reduced ``word`` and ``v``: the one cancellation kernel of the
+    search.
 
     Precondition, not checked: both inputs are freely reduced.  Then
     only the two junctions can cancel: the tail of ``word[:pos]``
@@ -54,11 +55,11 @@ def junction(word, pos: int, v) -> tuple:
     and the length without building the word.
     """
     m, n = len(v), len(word)
-    k = 0
-    while k < m and k < pos and word[pos - 1 - k] == -v[k]:
+    k, top = 0, m if m < pos else pos
+    while k < top and word[pos - 1 - k] == -v[k]:
         k += 1
-    j = 0
-    while k + j < m and pos + j < n and word[pos + j] == -v[m - 1 - j]:
+    j, top = 0, m - k if m - k < n - pos else n - pos
+    while j < top and word[pos + j] == -v[~j]:  # v[~j] is v[m - 1 - j]
         j += 1
     if k + j < m:
         return n + m - 2 * (k + j), pos - k, k, m - j, pos + j
@@ -68,6 +69,41 @@ def junction(word, pos: int, v) -> tuple:
         left -= 1
         right += 1
     return left + n - right, left, 0, 0, right
+
+
+def junctions(word, pos: int, variants) -> list:
+    """The length of ``concat(word[:pos], v, word[pos:])`` for each v of
+    ``variants``, for freely reduced ``word`` and v, by ``junction``.
+
+    A variant longer than two letters whose cancellation on each side
+    stops by its second letter is settled by comparing those letters
+    alone, with no call."""
+    n = len(word)
+    x1 = -word[pos - 1] if pos else 0  # 0 matches no letter
+    x2 = -word[pos - 2] if pos > 1 else 0
+    y1 = -word[pos] if pos < n else 0
+    y2 = -word[pos + 1] if pos + 1 < n else 0
+    lengths = []
+    length = lengths.append
+    for v in variants:
+        m = len(v)
+        if m > 2:
+            if v[0] == x1:
+                if v[1] != x2:
+                    if v[-1] != y1:
+                        length(n + m - 2)
+                        continue
+                    if v[-2] != y2:
+                        length(n + m - 4)
+                        continue
+            elif v[-1] != y1:
+                length(n + m)
+                continue
+            elif v[-2] != y2:
+                length(n + m - 2)
+                continue
+        length(junction(word, pos, v)[0])
+    return lengths
 
 
 def insert(word, pos: int, v, max_len: float = math.inf):

@@ -1028,6 +1028,32 @@ class TestNonhyp:
         rc, out, _ = run_cli(capsys, "nonhyp", "--rel", "a3b2", "--depth", "0")
         assert rc == 0 and "verdict: nonhyperbolic" in out
 
+    def test_corpus_report_bodies_are_pinned(self, capsys, tmp_path):
+        # Each corpus script's report, less its command: and elapsed_ms:
+        # lines, as tests/nonhyp_corpus_reports.txt pins it; the search's
+        # work order must not move a certificate, and a second run in the
+        # same process prints the same.
+        pins, name = {}, None
+        with open(os.path.join(os.path.dirname(__file__), "nonhyp_corpus_reports.txt"),
+                  encoding="utf-8") as f:
+            for line in f.read().splitlines():
+                if line.startswith("== "):
+                    name = line[3:]
+                    pins[name] = []
+                else:
+                    pins[name].append(line)
+        assert list(pins) == list(CORPUS)
+        for name in CORPUS:
+            pres, script = tmp_path / f"{name}.pres", tmp_path / f"{name}.script"
+            pres.write_text(presentation_text(name))
+            script.write_text(script_text(name))
+            bodies = []
+            for _ in range(2):
+                rc, out, _ = run_cli(capsys, "nonhyp", str(pres), "--script", str(script))
+                assert rc == 0
+                bodies.append([l for l in body(out) if not l.startswith("command:")])
+            assert bodies == [pins[name], pins[name]], name
+
 
 class TestSelftest:
     def test_all_pass(self, capsys):

@@ -155,6 +155,60 @@ def _near_a_variant(draw):
     return rels, words.concat(left, x, words.invert(left))
 
 
+@st.composite
+def _insertion_lists(draw):
+    """A reduced word w, a position in it and reduced words v, each built
+    as in ``_insertions`` to cancel up to k letters into w[:pos] and j
+    into w[pos:], several at one position as ``words.junctions`` takes
+    them; every letter doubled half of the time."""
+    w = words.free_reduce(draw(st.lists(_LETTERS, max_size=12)))
+    pos = draw(st.integers(0, len(w)))
+    vs = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(0, pos))
+        j = draw(st.integers(0, len(w) - pos))
+        middle = tuple(draw(st.lists(_LETTERS, max_size=4)))
+        vs.append(words.free_reduce(words.invert(w[pos - k:pos]) + middle
+                                    + words.invert(w[pos:pos + j])))
+    scale = draw(st.sampled_from([1, 2]))
+    return (tuple(scale * x for x in w), pos,
+            [tuple(scale * x for x in v) for v in vs])
+
+
+@st.composite
+def _searches(draw):
+    """(word, relators, search options, letter budget) for
+    ``search_trivial``: relators of one letter, proper powers u^p or any
+    cyclically reduced word; a product of conjugated relators, whose
+    successors include insertions that cancel a whole variant, or any
+    word; and either the full letter budget or the relator rotations'
+    cost plus up to 800 letters, which can run out at any depth."""
+    def relator():
+        kind = draw(st.sampled_from(("letter", "power", "any")))
+        if kind == "letter":
+            return (draw(_LETTERS),)
+        if kind == "power":
+            u = words.cyclic_reduce(draw(st.lists(_LETTERS, min_size=1, max_size=3)))
+            return words.power(u or (1,), draw(st.integers(2, 3)))
+        return words.cyclic_reduce(draw(st.lists(_LETTERS, min_size=1, max_size=6))) or (2,)
+
+    rels = [relator() for _ in range(draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        parts = []
+        for _ in range(draw(st.integers(1, 2))):
+            c = tuple(draw(st.lists(_LETTERS, max_size=2)))
+            r = draw(st.sampled_from(rels))
+            parts += [c, words.invert(r) if draw(st.booleans()) else r, words.invert(c)]
+        word = words.concat(*parts)
+    else:
+        word = words.free_reduce(draw(st.lists(_LETTERS, max_size=8)))
+    options = {"depth": draw(st.integers(1, 4)), "node_budget": draw(st.integers(1, 200))}
+    letters = search.MAX_SEARCH_LETTERS
+    if draw(st.booleans()):
+        letters = 2 * sum(len(r) ** 2 for r in rels) + draw(st.integers(0, 800))
+    return word, rels, options, letters
+
+
 class TestInsert:
     @given(_insertions())
     @example(((), 0, (1, 2)))             # the empty word
@@ -181,6 +235,21 @@ class TestInsert:
             for max_len in (len(new) - 1, len(new)):
                 want = new if len(new) <= max_len else None
                 assert words.insert(w, p, v, max_len) == want
+
+    @given(_insertion_lists())
+    @example(((1, 2, 3), 2, [(-2, 3, 1), (-2, 3, -3), (3, 1, -3), (3, 2, 1)]))  # k, j <= 1
+    @example(((1, 2, 3), 2, [(-2, -1, 2, -3)]))   # k = 2 reaches the word's start
+    @example(((1, 2, 3, 1), 2, [(2, 2, -1, -3)]))  # j = 2 reaches its end
+    @example(((1, 2, 3), 2, [(-2,), (-3,), (3, -2)]))  # one and two letters
+    @example(((1, 2, 3, -1), 2, [(-2, -3)]))       # v used up (k + j = m), parts meet
+    @example(((1, 2, 3, 4, -1), 2, [(-2, -4, -3)]))  # ... past two letters
+    @example(((2, 4, 6), 3, [(-6, -4, 2), (4, -6)]))  # doubled, at pos len(w)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_junctions_are_the_reduced_lengths(self, case):
+        w, pos, vs = case
+        lengths = words.junctions(w, pos, vs)
+        assert lengths == [len(words.concat(w[:pos], v, w[pos:])) for v in vs]
+        assert lengths == [words.junction(w, pos, v)[0] for v in vs]
 
 
 class TestSmithNormalForm:
@@ -445,6 +514,50 @@ def _search_outcomes(monkeypatch, cases):
     return outcomes, rounds
 
 
+def _outcome(case, best_first):
+    """The derivation, ``stopped_by`` and rounds of one ``search_trivial``
+    call whose rounds run ``best_first``: each round's depth limit and
+    result with the letters it left.  Patches and restores by hand, as
+    hypothesis runs many cases per test call."""
+    word, rels, options, letters = case
+    rounds = []
+
+    def recording(*args):
+        out = best_first(*args)
+        rounds.append((args[3], out))
+        return out
+    saved = search._best_first, search.MAX_SEARCH_LETTERS
+    search._best_first, search.MAX_SEARCH_LETTERS = recording, letters
+    try:
+        stopped_by = []
+        return search_trivial(word, rels, stopped_by=stopped_by, **options), stopped_by, rounds
+    finally:
+        search._best_first, search.MAX_SEARCH_LETTERS = saved
+
+
+def _reference_round(*args):
+    return reference_best_first(*args[:7])
+
+
+# Searches that meet what the round does differently from the eager
+# round, each with its feature: a one-letter relator, whose rotations
+# and inverse are single letters; a proper power, whose rotations
+# repeat; a successor that uses up its variant and joins the word's two
+# parts (the empty word here); a failed search over a proper power; and a
+# letter budget that the root's charge overdraws at an inner depth (the
+# rotations take 50 letters, the root's successors 162 in each round).
+SEARCH_FEATURE_CASES = (
+    ("one letter", ((2, 1, 1, -2, 3, 1, -3), [(1,)], {"depth": 4}, search.MAX_SEARCH_LETTERS)),
+    ("proper power", ((3, 1, 2, 1, 2, -3), [(1, 2, 1, 2)], {}, search.MAX_SEARCH_LETTERS)),
+    ("whole variant", ((3, 1, 2, -1, -2, -2, -3), [(1, 2, -1, -2, -2)], {},
+                       search.MAX_SEARCH_LETTERS)),
+    ("fails", ((2, 1), [(1, 2, 1, 2)], {"depth": 4, "node_budget": 100},
+               search.MAX_SEARCH_LETTERS)),
+    ("inner overdraw", ((2, 1, 1, 2), [(1, 2, -1, -2, -2)], {"depth": 4, "node_budget": 100},
+                        50 + 162 + 81)),
+)
+
+
 class TestJunctionKernel:
     """The search builds its words with ``words.insert``; the certificate
     check replays them with ``words.concat``."""
@@ -468,20 +581,20 @@ class TestJunctionKernel:
 
     def test_search_builds_no_word_past_its_length_bound(self, monkeypatch):
         # A successor longer than the search's max_len is charged but never
-        # built: words.junction finds it too long, and every word
+        # built: words.junctions finds it too long, and every word
         # words.insert builds fits the bound of its round.
         bounds, built, too_long = [], [], set()
-        best_first, insert, junction = search._best_first, words.insert, words.junction
+        best_first, insert, junctions = search._best_first, words.insert, words.junctions
 
         def bounded(start, by_first, by_last, limit, max_len, *rest):
             bounds.append(max_len)
             return best_first(start, by_first, by_last, limit, max_len, *rest)
 
-        def recording_junction(w, pos, v):
-            cuts = junction(w, pos, v)
-            if cuts[0] > bounds[-1]:
-                too_long.add((w, pos, v, bounds[-1]))
-            return cuts
+        def recording_junctions(w, pos, variants):
+            sizes = junctions(w, pos, variants)
+            too_long.update((w, pos, v, bounds[-1])
+                            for v, size in zip(variants, sizes) if size > bounds[-1])
+            return sizes
 
         def recording_insert(w, pos, v, max_len):
             new = insert(w, pos, v, max_len)
@@ -489,7 +602,7 @@ class TestJunctionKernel:
             return new
 
         monkeypatch.setattr(search, "_best_first", bounded)
-        monkeypatch.setattr(words, "junction", recording_junction)
+        monkeypatch.setattr(words, "junctions", recording_junctions)
         monkeypatch.setattr(words, "insert", recording_insert)
         for word, rels, options, letters in _equivalence_cases() + _deep_cases():
             monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", letters)
@@ -538,7 +651,7 @@ class TestLastDepth:
         for kind, case, (d, stopped_by) in zip(kinds, last_depth, outcomes):
             word, rels, options, _ = case
             root = search._doubled(word)
-            variants, lengths, _, _ = search._tables(
+            variants, lengths, _ = search._tables(
                 [search._doubled(words.cyclic_reduce(r)) for r in rels])[2]
             if kind == "pass":
                 assert may_vanish(root, variants, lengths)
@@ -548,6 +661,36 @@ class TestLastDepth:
                 assert not may_vanish(root, variants, lengths)
                 assert stopped_by == [search.LETTERS]
         assert sum(kind == "miss" and d is None for kind, (d, _) in zip(kinds, outcomes)) >= 10
+
+    @given(_searches())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_random_searches_match_the_reference(self, case):
+        assert _outcome(case, search._best_first) == _outcome(case, _reference_round)
+
+    @pytest.mark.parametrize("feature, case", SEARCH_FEATURE_CASES,
+                             ids=[feature for feature, _ in SEARCH_FEATURE_CASES])
+    def test_feature_cases_match_the_reference(self, feature, case):
+        got = _outcome(case, search._best_first)
+        assert got == _outcome(case, _reference_round)
+        d, stopped_by, rounds = got
+        word, rels, _, letters = case
+        if feature == "one letter":
+            assert d is not None and len(d.steps) > 1
+        elif feature == "proper power":
+            r, = rels
+            assert len(set(words.rotations(r))) < len(r) and d is not None
+        elif feature == "whole variant":
+            assert d is not None and len(d.steps) == 1
+        elif feature == "fails":
+            assert d is None and stopped_by == [search.DEPTH]
+        else:
+            (first, (_, left, stop)), (second, (_, _, last)) = rounds
+            root = search._doubled(word)
+            by_first, by_last, (_, _, around) = search._tables(
+                [search._doubled(r) for r in rels])
+            charge = search._charge(root, by_first, by_last, around)
+            assert (first, stop, second, last) == (1, search.DEPTH, 2, search.LETTERS)
+            assert letters - 50 - charge == left < charge
 
     @pytest.mark.parametrize("event, word, rels, options", POP_RULE_CASES)
     def test_pop_rule_cases_meet_their_event(self, monkeypatch, event, word, rels,
@@ -577,17 +720,32 @@ class TestLastDepth:
                 deep += len(d.steps) > 1
         assert deep >= 10
 
+    @given(_searches())
+    @example(((), [(1, 2, -1, -2), (2, 1, -2, -1)], {}, 0))  # one is the other's inverse
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_tables_list_each_rotation_once(self, case):
+        rels = [search._doubled(r) for r in case[1]]
+        by_first, by_last, (variants, lengths, _) = search._tables(rels)
+        spelled = dict.fromkeys(v for r in rels for base in (r, words.invert(r))
+                                for v in words.rotations(base))
+        assert list(variants) == list(spelled)
+        assert lengths == sorted({len(v) for v in spelled}, reverse=True)
+        for table, end in ((by_first, 0), (by_last, -1)):
+            assert {x: list(vs) for x, vs in table.items()} == {
+                x: [v for v in spelled if v[end] == x] for x in {v[end] for v in spelled}}
+
     @given(_near_a_variant())
     @example(([(1, 2, -1, -2)], (3, 2, 1, -2, -1, -3)))  # L x L^-1
     @example(([(1, 2, -1, -2)], (3, 2, 1, -2, 1, -3)))   # ... missed by one letter
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_membership_test_and_charge(self, case):
         rels, word = case
-        by_first, by_last, (variants, lengths, ends, pairs) = search._tables(
+        by_first, by_last, (variants, lengths, around) = search._tables(
             [search._doubled(r) for r in rels])
         w = search._doubled(word)
         successors = list(search._successors(w, by_first, by_last))
-        assert search._charge(w, ends, pairs) == sum(len(w) + len(v) for _, v in successors)
+        charge = sum(len(w) + len(v) for _, v in successors)
+        assert search._charge(w, by_first, by_last, around) == charge
         if not search._may_vanish(w, variants, lengths):
             assert all(words.concat(w[:pos], v, w[pos:]) != () for pos, v in successors)
         d = search_trivial(word, rels, depth=3, node_budget=200)
