@@ -37,10 +37,11 @@ box enters each entry once, so an entry's range |P_ik| rad R_k +
 Jacobian's column; where the rows of A and B cancel in Y A and Y B, as
 on mixed systems, it is far narrower.  All of these live in the point
 layer, ``points``, so certification loads neither ``jets`` nor
-``geometry``.  The approximate quantities (the selected rows, the Newton
-steps and Y) all come from one Gaussian elimination with partial
-pivoting in plain complex floats, ``_eliminate``, on one Jacobian per
-point; their values need not be accurate for soundness.
+``geometry``.  The approximate quantities come from LU factorizations
+with partial pivoting in plain complex floats (``_factor``, ``_solve``):
+the one at the stored shapes selects rows and gives Newton's first step,
+and the one at the refined center selects the certified rows and gives
+Y; their values need not be accurate for soundness.
 """
 
 from __future__ import annotations
@@ -206,12 +207,12 @@ def jacobian(sys: GluingSystem, shapes=None) -> list:
             for eq in sys.equations]
 
 
-def _eliminate(rows, n: int, tol: float) -> list:
-    """Forward Gaussian elimination with partial pivoting on the first n
-    columns of ``rows``, in place; returns the pivot row of each column.
-    Raises RankDeficientError when the best remaining pivot has modulus
-    at most ``tol``."""
-    available = list(range(len(rows)))
+def _factor(rows, n: int, tol: float) -> list:
+    """LU factorization with partial pivoting on the first n columns of
+    ``rows``, a dict of rows by index, in place: each multiplier goes into
+    the entry it eliminates.  Returns the pivot row of each column; raises
+    RankDeficientError when the best remaining pivot is at most ``tol``."""
+    available = list(rows)
     pivots = []
     for col in range(n):
         best = max(available, key=lambda r: abs(rows[r][col]))
@@ -225,31 +226,38 @@ def _eliminate(rows, n: int, tol: float) -> list:
         available.remove(best)
         for r in available:
             row = rows[r]
-            f = row[col] / pivot
+            f = row[col] = row[col] / pivot
             if f:
-                for c in range(col + 1, len(row)):
+                for c in range(col + 1, n):
                     row[c] -= f * prow[c]
     return pivots
 
 
-def _solve(a, rhs) -> list:
-    """Approximate solution of a x = rhs (one right-hand side per column of
-    the row list ``rhs``).  Raises RankDeficientError when a pivot is
-    exactly zero."""
-    n = len(a)
-    rows = [list(ar) + list(br) for ar, br in zip(a, rhs)]
-    pivots = _eliminate(rows, n, 0.0)
-    x = [None] * n
-    for i in range(n - 1, -1, -1):
-        row = rows[pivots[i]]
-        out = []
-        for c in range(n, len(row)):
-            s = row[c]
-            for j in range(i + 1, n):
-                s -= row[j] * x[j][c - n]
-            out.append(s / row[i])
-        x[i] = out
-    return x
+def _solve(lu, pivots, rhs) -> list:
+    """Approximate x with A x = b for each column b of ``rhs`` (``rhs[p]``
+    for row p), A the pivot rows that ``_factor`` factored in ``lu``, by
+    forward and back substitution."""
+    b = {p: list(rhs[p]) for p in pivots}
+    for col, p in enumerate(pivots):
+        for q in pivots[col + 1:]:
+            f = lu[q][col]
+            if f:
+                b[q] = [s - f * t for s, t in zip(b[q], b[p])]
+    for i in range(len(pivots) - 1, -1, -1):
+        row, x = lu[pivots[i]], b[pivots[i]]
+        for c in range(len(x)):
+            for j in range(i + 1, len(pivots)):
+                x[c] -= row[j] * b[pivots[j]][c]
+            x[c] /= row[i]
+    return [b[p] for p in pivots]
+
+
+def _factor_rows(jac, n: int) -> tuple:
+    """(lu, pivots): ``_factor`` on a copy of every row of the Jacobian
+    ``jac``, with the rank tolerance of ``select_square_subsystem``."""
+    scale = max(1.0, max(abs(x) for row in jac for x in row))
+    lu = {i: list(row) for i, row in enumerate(jac)}
+    return lu, _factor(lu, n, _SINGULAR_TOL * scale)
 
 
 def select_square_subsystem(sys: GluingSystem, shapes=None) -> tuple:
@@ -261,34 +269,35 @@ def select_square_subsystem(sys: GluingSystem, shapes=None) -> tuple:
     depend on it, since the Krawczyk test proves the selected rows and
     ``_check_unselected`` proves every other row exactly.
     """
-    return _select_rows(jacobian(sys, shapes), sys.n)
+    return tuple(sorted(_factor_rows(jacobian(sys, shapes), sys.n)[1]))
 
 
-def _select_rows(jac, n: int) -> tuple:
-    """``select_square_subsystem`` on the Jacobian ``jac``, which it leaves
-    as it is."""
-    scale = max(1.0, max(abs(x) for row in jac for x in row))
-    return tuple(sorted(_eliminate([list(row) for row in jac], n,
-                                   _SINGULAR_TOL * scale)))
+def _newton_refine(sys: GluingSystem, jac, max_steps: int = 5):
+    """Plain floating-point Newton polish of the stored shapes on the rows
+    that the ``_factor_rows`` of their Jacobian ``jac`` selects; returns
+    the best iterate, its residuals and the ``_factor_rows`` there.
 
-
-def _newton_refine(sys: GluingSystem, selected, jac, max_steps: int = 5):
-    """Plain floating-point Newton polish of the stored shapes, given the
-    Jacobian ``jac`` there; returns the best iterate, its residuals and
-    its Jacobian.
+    The first step substitutes from the stored shapes' factorization of
+    all rows, and each later one factors the selected rows alone, in index
+    order; a pivot row only takes multiples of earlier ones, so both agree.
 
     Keeps the best iterate by residual norm and never returns a point
     whose residual is worse than the input's (preserving the system's
     branch-consistency invariant).
     """
+    lu, pivots = factors = _factor_rows(jac, sys.n)
+    selected = sorted(pivots)
     z = list(sys.shapes)
     res = sys.stored_residual
     norm = max(abs(r) for r in res)
-    for _ in range(max_steps):
-        try:
-            step = _solve([jac[i] for i in selected], [[-res[i]] for i in selected])
-        except RankDeficientError:
-            break
+    for step_no in range(max_steps):
+        if step_no:
+            lu = {i: list(jac[i]) for i in selected}
+            try:
+                pivots = _factor(lu, sys.n, 0.0)
+            except RankDeficientError:
+                break
+        step = _solve(lu, pivots, [[-r] for r in res])
         z_new = [w + s for w, (s,) in zip(z, step)]
         if any(w == 0 or w == 1 for w in z_new):
             break
@@ -297,8 +306,8 @@ def _newton_refine(sys: GluingSystem, selected, jac, max_steps: int = 5):
         if not norm_new < norm:
             break
         z, res, norm = z_new, res_new, norm_new
-        jac = jacobian(sys, z)
-    return tuple(z), res, jac
+        jac, factors = jacobian(sys, z), None
+    return tuple(z), res, factors or _factor_rows(jac, sys.n)
 
 
 def _residual_enclosure(equations, center) -> list:
@@ -531,13 +540,14 @@ def krawczyk_certify(sys: GluingSystem, r0: float = None) -> Certificate:
 
     Radius schedule: r0, 10*r0, 100*r0 (default r0 scales with the shape
     magnitudes).  Raises CertifyError for an r0 that is not positive and
-    finite, InconclusiveError when 100*r0 overflows or every radius fails, and
-    UncoveredEquationError when an equation outside the certified square
-    subsystem does not follow from it.
+    finite, RankDeficientError when the Jacobian at the stored shapes or at
+    the refined center is numerically rank deficient, InconclusiveError
+    when 100*r0 overflows or every radius fails, and UncoveredEquationError
+    when an equation outside the certified square subsystem does not follow
+    from it.
     """
-    jac = jacobian(sys)
-    center, center_residual, jac = _newton_refine(sys, _select_rows(jac, sys.n), jac)
-    selected = _select_rows(jac, sys.n)
+    center, center_residual, (lu, pivots) = _newton_refine(sys, jacobian(sys))
+    selected = tuple(sorted(pivots))
     if r0 is None:
         r0 = 1e-10 * max(1.0, max(abs(z) for z in sys.shapes))
     if not 0.0 < r0 < math.inf:
@@ -545,14 +555,7 @@ def krawczyk_certify(sys: GluingSystem, r0: float = None) -> Certificate:
     if r0 * 100.0 == math.inf:
         raise InconclusiveError(f"the radius schedule from r0 = {r0!r} overflows")
 
-    n = sys.n
-    identity = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    try:
-        y = _solve([jac[i] for i in selected], identity)
-    except RankDeficientError:
-        raise InconclusiveError(
-            "Jacobian at the refined center is singular"
-        ) from None
+    y = _solve(lu, pivots, {i: [float(i == j) for j in selected] for i in selected})
     equations = [sys.equations[i] for i in selected]
     try:
         f_center = _residual_enclosure(equations, center)
@@ -580,18 +583,9 @@ def krawczyk_certify(sys: GluingSystem, r0: float = None) -> Certificate:
     for z_in, z_ref in zip(sys.shapes, center):
         d = z_in - z_ref
         dist = _up(dist + _up(d.real * d.real) + _up(d.imag * d.imag))
-    dist = _up(math.sqrt(dist))
-    sqrt_n = _up(math.sqrt(n))
-    delta = _up(dist + _up(box_radius * sqrt_n))
-    norms = tuple(abs(r) for r in center_residual)
-    return Certificate(
-        delta=delta,
-        box_radius=box_radius,
-        selected=selected,
-        refined_center=center,
-        residual_norms=norms,
-        radius=radius,
-    )
+    delta = _up(_up(math.sqrt(dist)) + _up(box_radius * _up(math.sqrt(sys.n))))
+    return Certificate(delta, box_radius, selected, center,
+                       tuple(abs(r) for r in center_residual), radius)
 
 
 # ---------------------------------------------------------------------------

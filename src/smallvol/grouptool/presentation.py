@@ -47,8 +47,8 @@ class Presentation(namedtuple("Presentation", "generators relators")):
                 raise ValueError(f"relators exceed the {MAX_PRESENTATION_LETTERS}"
                                  "-letter presentation cap")
             left -= len(letters)
-            rels.append(words.free_reduce(letters))
-        return cls(gens, tuple(rels))
+            rels.append(letters)
+        return cls(gens, rels)
 
     def word(self, text: str) -> tuple:
         return words.parse_word(text, self.generators)

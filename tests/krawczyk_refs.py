@@ -4,8 +4,14 @@ Q = Y B once per certificate: the interval Jacobian built entry by entry
 of its column by ``points._dot`` (``k_row_bound``).  Tests hold the
 library's row bounds to these, row for row, at many radii: never above
 them.  Unlike ``oracles``, they run on the library's own point layer.
+
+Also the float algebra as it was before ``certify`` factored each
+Jacobian once (``approximate``): every row selection, Newton step and Y
+ran its own Gaussian elimination (``eliminate``).  Tests hold the
+library's selected rows, refined centre and Y to it bit for bit.
 """
 
+from smallvol.certify import _SINGULAR_TOL, RankDeficientError, jacobian, residual
 from smallvol.points import _MIN_NORMAL, _add0, _dot, _radius, _recip_scaled
 from smallvol.rounding import TINY, JetDomainError, _up
 
@@ -69,3 +75,88 @@ def row_bounds(equations, center, y, yf, r):
         return str(exc)
     return [k_row_bound([-v for v in y_row] + [1], cols, row, yf[row], r)
             for row, y_row in enumerate(y)]
+
+
+def eliminate(rows, n, tol):
+    """Forward Gaussian elimination with partial pivoting on the first n
+    columns of the row list ``rows``, in place; returns the pivot row of
+    each column.  Raises RankDeficientError when the best remaining pivot
+    has modulus at most ``tol``."""
+    available = list(range(len(rows)))
+    pivots = []
+    for col in range(n):
+        best = max(available, key=lambda r: abs(rows[r][col]))
+        prow = rows[best]
+        pivot = prow[col]
+        if abs(pivot) <= tol:
+            raise RankDeficientError(f"no usable pivot in column {col}")
+        pivots.append(best)
+        available.remove(best)
+        for r in available:
+            row = rows[r]
+            f = row[col] / pivot
+            if f:
+                for c in range(col + 1, len(row)):
+                    row[c] -= f * prow[c]
+    return pivots
+
+
+def solve(a, rhs):
+    """Approximate solution of a x = rhs, one right-hand side per column of
+    the row list ``rhs``: the rows and right-hand sides eliminated
+    together, then back substitution."""
+    n = len(a)
+    rows = [list(ar) + list(br) for ar, br in zip(a, rhs)]
+    pivots = eliminate(rows, n, 0.0)
+    x = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[pivots[i]]
+        out = []
+        for c in range(n, len(row)):
+            s = row[c]
+            for j in range(i + 1, n):
+                s -= row[j] * x[j][c - n]
+            out.append(s / row[i])
+        x[i] = out
+    return x
+
+
+def select_rows(jac, n):
+    """The sorted pivot rows of the whole Jacobian ``jac``, eliminated on a
+    copy with the library's rank tolerance."""
+    scale = max(1.0, max(abs(x) for row in jac for x in row))
+    return tuple(sorted(eliminate([list(row) for row in jac], n, _SINGULAR_TOL * scale)))
+
+
+def newton_refine(sys, selected, jac, max_steps=5):
+    """Newton on the fixed rows ``selected`` from the stored shapes, one
+    elimination per step; returns the best iterate, its residuals and its
+    Jacobian."""
+    z = list(sys.shapes)
+    res = sys.stored_residual
+    norm = max(abs(r) for r in res)
+    for _ in range(max_steps):
+        try:
+            step = solve([jac[i] for i in selected], [[-res[i]] for i in selected])
+        except RankDeficientError:
+            break
+        z_new = [w + s for w, (s,) in zip(z, step)]
+        if any(w == 0 or w == 1 for w in z_new):
+            break
+        res_new = residual(sys, z_new)
+        norm_new = max(abs(r) for r in res_new)
+        if not norm_new < norm:
+            break
+        z, res, norm = z_new, res_new, norm_new
+        jac = jacobian(sys, z)
+    return tuple(z), res, jac
+
+
+def approximate(sys):
+    """(selected, refined centre, Y) as ``krawczyk_certify`` formed them
+    with one elimination per selection, Newton step and Y."""
+    jac = jacobian(sys)
+    center, _, jac = newton_refine(sys, select_rows(jac, sys.n), jac)
+    selected = select_rows(jac, sys.n)
+    identity = [[1.0 if i == j else 0.0 for j in range(sys.n)] for i in range(sys.n)]
+    return selected, center, solve([jac[i] for i in selected], identity)

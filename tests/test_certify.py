@@ -27,7 +27,7 @@ from smallvol.certify import (
     UncoveredEquationError,
     _C_ERR,
     _column_products,
-    _eliminate,
+    _factor,
     _jacobian_boxes,
     _krawczyk_once,
     _row_bound,
@@ -248,9 +248,9 @@ class TestSelection:
 
     def test_exactly_zero_pivot(self):
         # Rows 0 and 1 are proportional, so column 1 is left with only zeros.
-        rows = [[1j, 2.0], [2j, 4.0], [0j, 0j]]
+        rows = {0: [1j, 2.0], 1: [2j, 4.0], 2: [0j, 0j]}
         with pytest.raises(RankDeficientError):
-            _eliminate(rows, 2, 0.0)
+            _factor(rows, 2, 0.0)
 
     def test_row_mixed_figure_eight_copies(self):
         k = 4
@@ -443,6 +443,25 @@ def _verdict_system(name):
     return mixed_figure_eight(2, random.Random(int(name[-1])))
 
 
+def _reference_systems():
+    """The ``CERTIFICATE_PINS`` systems and census copies for k = 1, 2, 4
+    and 8, block-diagonal and mixed."""
+    for case, _ in CERTIFICATE_PINS:
+        yield pytest.param(census_system(*case), id=f"pin-{case}")
+    for k in (1, 2, 4, 8):
+        for mixed in (False, True):
+            yield pytest.param(census_system(k, mixed, 40 + k), id=f"census-{k}-{mixed}")
+
+
+def _hex(values):
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+# A census round's mix of copies: 24 with k = 1, 6 with k = 2, 8 with
+# k = 4 and 2 with k = 8, alternately block-diagonal and mixed.
+CENSUS_KS = (1,) * 24 + (2,) * 6 + (4,) * 8 + (8,) * 2
+
+
 class TestCertificatePins:
     @pytest.mark.parametrize("case, pin", CERTIFICATE_PINS)
     def test_certificate_bits(self, case, pin):
@@ -496,6 +515,72 @@ class TestCertificatePins:
         cert = krawczyk_certify(sys)
         assert len(points) == len(set(points)) >= 2
         assert points[0] == sys.shapes and points[-1] == cert.refined_center
+
+    def test_one_factorization_per_jacobian(self, monkeypatch):
+        # Newton's first step substitutes from the factorization that
+        # selects rows at the stored shapes, and Y from the one at the
+        # refined centre, so a certificate factors two Jacobians fewer than
+        # the eliminations it replaced (``krawczyk_refs.approximate``), and
+        # three fewer when Newton accepts no step.
+        import smallvol.certify as certify
+
+        counts = dict.fromkeys(("eliminate", "_factor", "jacobian"), 0)
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args):
+                counts[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, counted)
+
+        count(krawczyk_refs, "eliminate")
+        count(certify, "_factor")
+        count(certify, "jacobian")
+        systems = [census_system(k, i % 2 == 1, 50 + i) for i, k in enumerate(CENSUS_KS)]
+        totals = []
+        for sys in [one_dim_system()] + systems:
+            for name in counts:
+                counts[name] = 0
+            krawczyk_refs.approximate(sys)
+            krawczyk_certify(sys)
+            points, factored = counts["jacobian"], counts["_factor"]
+            assert factored == (points + 1 if points > 1 else 1)
+            assert factored == counts["eliminate"] - (2 if points > 1 else 3)
+            totals.append((factored, counts["eliminate"]))
+        assert totals[0] == (1, 4)
+        # 3.7 factorizations per certificate on the census mix, 5.7 before.
+        assert [sum(t) for t in zip(*totals[1:])] == [148, 228]
+
+    @pytest.mark.parametrize("sys", _reference_systems())
+    def test_algebra_matches_the_eliminations(self, sys):
+        # The selected rows, the refined centre and every entry of Y carry
+        # the bits of one elimination per selection, Newton step and Y.
+        selected, center, y = krawczyk_refs.approximate(sys)
+        cert = krawczyk_certify(sys)
+        _, got_center, got_y, _ = _krawczyk_inputs(sys)
+        assert cert.selected == selected
+        assert _hex(cert.refined_center) == _hex(got_center) == _hex(center)
+        assert [_hex(row) for row in got_y] == [_hex(row) for row in y]
+
+    def test_rank_deficient_at_the_refined_centre(self, monkeypatch):
+        # The Jacobian is full rank at the stored shapes and has a zero
+        # column at every Newton iterate, so the refined centre's
+        # factorization finds no pivot in column 1.
+        import smallvol.certify as certify
+
+        monkeypatch.setattr(certify, "jacobian", _singular_off_the_stored_shapes)
+        with pytest.raises(RankDeficientError, match="no usable pivot in column 1"):
+            krawczyk_certify(figure_eight_system(round_digits=9))
+
+
+def _singular_off_the_stored_shapes(sys, shapes=None):
+    """``jacobian``, with column 1 zeroed wherever ``shapes`` are given."""
+    jac = jacobian(sys, shapes)
+    if shapes is not None:
+        for row in jac:
+            row[1] = 0j
+    return jac
 
 
 def _gluing_text(sys):

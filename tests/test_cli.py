@@ -441,6 +441,25 @@ class TestCertifyVolume:
         assert "certified: no" in out and "verdict: inconclusive" in out
         assert "reason: equation 3 is independent" in out
 
+    def test_rank_deficient_refined_centre_is_not_certified(self, capsys, monkeypatch,
+                                                            fig8_file):
+        # Column 1 of the Jacobian is zeroed at every Newton iterate, so
+        # the refined centre's factorization finds no pivot there.
+        certify = smallvol.certify
+        jacobian = certify.jacobian
+
+        def singular(sys, shapes=None):
+            jac = jacobian(sys, shapes)
+            if shapes is not None:
+                for row in jac:
+                    row[1] = 0j
+            return jac
+
+        monkeypatch.setattr(certify, "jacobian", singular)
+        rc, out, _ = run_cli(capsys, "certify", fig8_file)
+        assert rc == 1
+        assert "certified: no\nreason: no usable pivot in column 1" in out
+
     def test_negative_imaginary_orientation(self, capsys, tmp_path):
         bad = tmp_path / "bad.gluing"
         bad.write_text(
