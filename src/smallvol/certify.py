@@ -469,13 +469,14 @@ def _row_bound(entries, cols, row: int, yf_row, r: float) -> tuple:
             _up(_up(abs(f_im) + q_im) + spread))
 
 
-def _krawczyk_once(center, products, selected, yf, r: float):
+def _krawczyk_once(center, products, yf, r: float):
     """One Krawczyk contraction test on the per-real-coordinate box of
     radius r around ``center``, given the ``_column_products`` of Y and
     the enclosure of Y F(x^) row by row.
 
     Returns None when K(X) is provably interior, else why not: the first
-    equation whose row of K(X) is not, with its margin max|K - x^| / r.
+    shape whose row of K(X) is not (row i of Y maps the residual to shape
+    i), with its margin max|K - x^| / r.
     A NaN bound compares False and so never passes.
     """
     rows, need_a, need_b = products
@@ -488,7 +489,7 @@ def _krawczyk_once(center, products, selected, yf, r: float):
         k_re, k_im = _row_bound(entries, cols, row, yf[row], r)
         if not (k_re < r and k_im < r):
             margin = max(k_re, k_im) / r
-            return f"equation {selected[row] + 1} has max|K-x^|/r = {margin:.6g}"
+            return f"shape {row} has max|K-x^|/r = {margin:.6g}"
     return None
 
 
@@ -568,7 +569,7 @@ def krawczyk_certify(sys: GluingSystem, r0: float = None) -> Certificate:
     products = _column_products(equations, y)
 
     for radius in (r0, r0 * 10.0, r0 * 100.0):
-        failure = _krawczyk_once(center, products, selected, yf, radius)
+        failure = _krawczyk_once(center, products, yf, radius)
         if failure is None:
             break
     else:

@@ -16,12 +16,16 @@ Each subcommand loads only the modules it runs: ``bound`` and
 exact, and ``nonhyp`` loads ``formats`` and ``grouptool``.  ``--tol``
 bounds the series truncation on the jet path only: exact shapes are
 summed to full precision.
+
+The command line is read in one pass over the table ``COMMANDS``, with
+no argparse: each flag as ``--flag value`` or ``--flag=value``, spelled
+in full or by a unique prefix, its value taken whatever it starts with
+(``--meridian -0.5,1.32``), the last of a repeated flag winning, and
+``-h`` printing the help.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import os
 import sys
@@ -49,10 +53,9 @@ class Report:
         self.lines.append((key, value))
 
     def emit(self):
-        for key, value in self.lines:
-            print(f"{key}: {value}")
+        text = "".join([f"{key}: {value}\n" for key, value in self.lines])
         ms = int(round(1000 * (time.perf_counter() - self.t0)))
-        print(f"elapsed_ms: {ms}")
+        sys.stdout.write(f"{text}elapsed_ms: {ms}\n")
 
 
 def _complex_flag(text: str) -> complex:
@@ -60,7 +63,7 @@ def _complex_flag(text: str) -> complex:
         re_s, im_s = text.split(",")
         return complex(float(re_s), float(im_s))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"expected re,im (e.g. 0.5,1.32), got {text!r}"
         ) from exc
 
@@ -71,7 +74,7 @@ def _finite_flag(text: str) -> float:
     except ValueError:
         x = math.nan
     if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+        raise ValueError(f"expected a finite number, got {text!r}")
     return x
 
 
@@ -122,21 +125,21 @@ def _at_most(x: float, bound: _Typed) -> bool:
 def _delta_flag(text: str) -> float:
     x = _finite_flag(text)
     if x < 0.0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+        raise ValueError(f"must be >= 0, got {text!r}")
     return x
 
 
 def _tol_flag(text: str) -> float:
     x = _finite_flag(text)
     if x <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+        raise ValueError(f"must be > 0, got {text!r}")
     return x
 
 
 def _depth_flag(text: str) -> int:
-    d = int(text)  # argparse reports a ValueError as a bad value
+    d = int(text)  # its ValueError names the bad value
     if d < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+        raise ValueError(f"must be >= 0, got {text!r}")
     return d
 
 
@@ -316,65 +319,171 @@ def cmd_selftest(args, rep) -> int:
     return OK if failures == 0 else UNDECIDED
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every
-    ``main`` call in the process; each call parses into a fresh
-    Namespace, so nothing carries over between calls."""
-    ap = argparse.ArgumentParser(
-        prog="smallvol",
-        description="verified computation for small-volume hyperbolic "
-                    "3-manifolds",
-    )
-    sub = ap.add_subparsers(dest="cmd", required=True)
+# The command table: each subcommand's handler, help line and arguments
+# {name: (converter, default, help)}, positionals bare and flags with
+# ``--``.  Positionals are filled in table order; a converter of None
+# keeps the text, and a default of REQUIRED makes the argument required.
+# The ``command:`` line echoes the arguments in table order.
+REQUIRED = object()
+COMMANDS = {
+    "bound": (cmd_bound, "slope-length bound from volumes", {
+        "--parent": (_finite_flag, REQUIRED, None),
+        "--target": (_finite_flag, 2.848, None),
+    }),
+    "enumerate": (cmd_enumerate, "enumerate candidate filling slopes", {
+        "--meridian": (_complex_flag, REQUIRED, None),
+        "--longitude": (_complex_flag, REQUIRED, None),
+        "--parent": (_finite_flag, REQUIRED, None),
+        "--target": (_finite_flag, 2.848, None),
+        "--fudge": (_finite_flag, 0.01, None),
+    }),
+    "certify": (cmd_certify, "certify a gluing-equation solution", {
+        "file": (None, REQUIRED, None),
+    }),
+    "volume": (cmd_volume, "certified volume interval", {
+        "file": (None, REQUIRED, None),
+        "--delta": (_delta_flag, None,
+                    "assume this solution-distance bound instead of running "
+                    "certification (verdict: assumed-delta; a claim is then "
+                    "never proven and exits 1)"),
+        "--tol": (_tol_flag, None,
+                  "Lobachevsky series truncation tolerance (> 0, default "
+                  "1e-12); exact shapes (--delta 0) are summed to full "
+                  "precision"),
+        "--gt": (_finite_flag, None, "prove volume strictly greater than this"),
+        "--le": (_typed_flag, None, "prove volume at most this"),
+    }),
+    "nonhyp": (cmd_nonhyp, "check a non-hyperbolicity claim", {
+        "file": (None, None, "presentation file"),
+        "--rel": (None, None, "inline single relator, e.g. a3b2"),
+        "--script": (None, None, "proof script file"),
+        "--depth": (_depth_flag, None, "search depth for direct-calculation steps"),
+    }),
+    "selftest": (cmd_selftest, "run the embedded fixture suite", {}),
+}
+HELP = ("-h", "--help")
 
-    p = sub.add_parser("bound", help="slope-length bound from volumes")
-    p.add_argument("--parent", type=_finite_flag, required=True)
-    p.add_argument("--target", type=_finite_flag, default=2.848)
-    p.set_defaults(fn=cmd_bound, echo=("--parent", "--target"))
 
-    p = sub.add_parser("enumerate", help="enumerate candidate filling slopes")
-    p.add_argument("--meridian", type=_complex_flag, required=True)
-    p.add_argument("--longitude", type=_complex_flag, required=True)
-    p.add_argument("--parent", type=_finite_flag, required=True)
-    p.add_argument("--target", type=_finite_flag, default=2.848)
-    p.add_argument("--fudge", type=_finite_flag, default=0.01)
-    p.set_defaults(fn=cmd_enumerate, echo=("--meridian", "--longitude", "--parent",
-                                           "--target", "--fudge"))
+class _Args:
+    """The parsed command line: ``cmd`` and each of its arguments by
+    name (``--tol`` as ``tol``)."""
 
-    p = sub.add_parser("certify", help="certify a gluing-equation solution")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_certify, echo=("file",))
 
-    p = sub.add_parser("volume", help="certified volume interval")
-    p.add_argument("file")
-    p.add_argument("--delta", type=_delta_flag, default=None,
-                   help="assume this solution-distance bound instead of "
-                        "running certification (verdict: assumed-delta; "
-                        "a claim is then never proven and exits 1)")
-    p.add_argument("--tol", type=_tol_flag, default=None,
-                   help="Lobachevsky series truncation tolerance (> 0, "
-                        "default 1e-12); exact shapes (--delta 0) are "
-                        "summed to full precision")
-    p.add_argument("--gt", type=_finite_flag, default=None,
-                   help="prove volume strictly greater than this")
-    p.add_argument("--le", type=_typed_flag, default=None,
-                   help="prove volume at most this")
-    p.set_defaults(fn=cmd_volume, echo=("file", "--delta", "--tol", "--gt", "--le"))
+def _spelled(name: str) -> str:
+    return name if name[0] != "-" else f"{name} {name[2:].upper()}"
 
-    p = sub.add_parser("nonhyp", help="check a non-hyperbolicity claim")
-    p.add_argument("file", nargs="?", default=None,
-                   help="presentation file")
-    p.add_argument("--rel", default=None,
-                   help="inline single relator, e.g. a3b2")
-    p.add_argument("--script", default=None, help="proof script file")
-    p.add_argument("--depth", type=_depth_flag, default=None,
-                   help="search depth for direct-calculation steps")
-    p.set_defaults(fn=cmd_nonhyp, echo=("file", "--rel", "--script", "--depth"))
 
-    p = sub.add_parser("selftest", help="run the embedded fixture suite")
-    p.set_defaults(fn=cmd_selftest, echo=())
-    return ap
+def _usage(cmd=None) -> str:
+    if cmd is None:
+        return f"usage: smallvol [-h] {{{','.join(COMMANDS)}}} ..."
+    words = [_spelled(name) if default is REQUIRED else f"[{_spelled(name)}]"
+             for name, (_, default, _) in COMMANDS[cmd][2].items()]
+    return " ".join(["usage: smallvol", cmd, "[-h]", *words])
+
+
+def _help(cmd=None) -> str:
+    if cmd is None:
+        return (f"{_usage()}\n\nverified computation for small-volume hyperbolic "
+                "3-manifolds\n\ncommands:\n"
+                + "".join(f"  {name:<11} {entry[1]}\n" for name, entry in COMMANDS.items()))
+    _, text, spec = COMMANDS[cmd]
+    rows = [("-h, --help", "show this help message and exit")]
+    rows += [(_spelled(name), help or "") for name, (_, _, help) in spec.items()]
+    width = max(len(name) for name, _ in rows)
+    return f"{_usage(cmd)}\n\n{text}\n\narguments:\n" + "".join(
+        f"  {name:<{width}}  {help}".rstrip() + "\n" for name, help in rows)
+
+
+def _fail(cmd, message):
+    """Report a malformed command line: the usage line and the message
+    on stderr, nothing on stdout, exit code 2."""
+    prog = "smallvol" if cmd is None else f"smallvol {cmd}"
+    sys.stderr.write(f"{_usage(cmd)}\n{prog}: error: {message}\n")
+    raise SystemExit(BAD_INPUT)
+
+
+def _lookup(cmd, name, spec):
+    """The flag ``name`` spells: itself, or the one flag (``--help``
+    among them) of which it is a prefix; None for no flag."""
+    if name in spec or name in HELP:
+        return name
+    if not name.startswith("--"):
+        return None
+    found = [flag for flag in ("--help", *spec) if flag.startswith(name)]
+    if len(found) > 1:
+        _fail(cmd, f"ambiguous option: {name} could match {', '.join(found)}")
+    return found[0] if found else None
+
+
+def parse_args(argv) -> _Args:
+    """``argv`` read against the command table in one pass.  A token that
+    starts with ``-`` names a flag, spelled in full or by a unique prefix,
+    as ``--flag value`` or ``--flag=value``; the token after such a flag
+    is its value whatever it starts with.  A repeated flag keeps its last
+    value, and after ``--`` every token is a positional.  ``-h`` prints
+    the help and exits 0; a malformed command line exits 2."""
+    if not argv:
+        _fail(None, "the following arguments are required: cmd")
+    cmd = argv[0]
+    if cmd not in COMMANDS:
+        if cmd != "--" and _lookup(None, cmd, {}) in HELP:
+            sys.stdout.write(_help())
+            raise SystemExit(OK)
+        choices = ", ".join(map(repr, COMMANDS))
+        _fail(None, f"argument cmd: invalid choice: {cmd!r} (choose from {choices})")
+    spec = COMMANDS[cmd][2]
+    slots = [name for name in spec if name[0] != "-"]
+    values, extras = {}, []
+    flags_end = False
+    i, n = 1, len(argv)
+    while i < n:
+        token = argv[i]
+        i += 1
+        if flags_end or token[:1] != "-" or token == "-":
+            if slots:
+                values[slots.pop(0)] = token
+            else:
+                extras.append(token)
+            continue
+        if token == "--":
+            flags_end = True
+            continue
+        name, eq, value = token.partition("=")
+        flag = _lookup(cmd, name, spec)
+        if flag is None:
+            extras.append(token)
+            continue
+        if flag in HELP:
+            if eq:
+                _fail(cmd, f"argument -h/--help: ignored explicit argument {value!r}")
+            sys.stdout.write(_help(cmd))
+            raise SystemExit(OK)
+        if not eq:
+            if i == n:
+                _fail(cmd, f"argument {flag}: expected one argument")
+            value = argv[i]
+            i += 1
+        convert = spec[flag][0]
+        if convert is not None:
+            try:
+                value = convert(value)
+            except ValueError as exc:
+                _fail(cmd, f"argument {flag}: {exc}")
+        values[flag] = value
+
+    args = _Args()
+    args.cmd = cmd
+    missing = []
+    for name, (_, default, _) in spec.items():
+        value = values.get(name, default)
+        if value is REQUIRED:
+            missing.append(name)
+        setattr(args, name.lstrip("-"), value)
+    if missing:
+        _fail(cmd, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _echo(args) -> str:
@@ -383,7 +492,7 @@ def _echo(args) -> str:
     value``, numbers by ``repr`` and complex numbers as ``re,im``.  A
     value holding a line break would split the line: malformed input."""
     out = [args.cmd]
-    for name in args.echo:
+    for name in COMMANDS[args.cmd][2]:
         value = getattr(args, name.lstrip("-"))
         if value is None:
             continue
@@ -403,10 +512,10 @@ def main(argv=None) -> int:
     ``command:`` echo is malformed input, reported on stderr with nothing
     on stdout.  A closed stdout does not change the exit code, and
     writes nothing to stderr."""
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         rep = Report(_echo(args))
-        code = args.fn(args, rep)
+        code = COMMANDS[args.cmd][0](args, rep)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT

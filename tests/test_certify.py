@@ -40,6 +40,7 @@ from smallvol.certify import (
     select_square_subsystem,
 )
 from smallvol.data import figure_eight_text
+from smallvol.formats import parse_gluing
 from smallvol.geometry import ShapeAssignment, certified_volume
 from smallvol.jets import ComplexJet, Jet, JetError, complex_log_jet
 from smallvol.points import _dot, _log_box
@@ -368,11 +369,23 @@ class TestKrawczyk:
         with pytest.raises(InconclusiveError) as info:
             krawczyk_certify(sys, r0=1e-20)
         msg = str(info.value)
-        m = re.search(r"at radius (\S+), equation (\d+) has max\|K-x\^\|/r = (\S+)", msg)
+        m = re.search(r"at radius (\S+), shape (\d+) has max\|K-x\^\|/r = (\S+)", msg)
         assert m, msg
         assert float(m.group(1)) == 1e-20 * 100.0
-        assert int(m.group(2)) in (i + 1 for i in select_square_subsystem(sys))
+        assert int(m.group(2)) in range(sys.n)
         assert float(m.group(3)) >= 1.0
+
+    @pytest.mark.parametrize("rows", (("eq 0 2 ; 0 -1 ; 1", "eq 3 0 ; -1 0 ; 1"),
+                                      ("eq 3 0 ; -1 0 ; 1", "eq 0 2 ; 0 -1 ; 1")))
+    def test_inconclusive_names_the_shape_not_an_equation(self, rows):
+        # Row i of K(X) - x^ is shape i.  Shape 0 (a root of z^3 - z + 1)
+        # appears only in the "eq 3 0" row, equation 2 in one order and
+        # equation 1 in the other; the failing margin is shape 0's in both.
+        text = "tets 2\nshape 0 0.662 0.562\nshape 1 0.5 0.866\n" + "\n".join(rows) + "\n"
+        with pytest.raises(InconclusiveError) as info:
+            krawczyk_certify(parse_gluing(text), r0=1e-20)
+        assert str(info.value).endswith(
+            "at radius 9.999999999999999e-19, shape 0 has max|K-x^|/r = 865.064")
 
 
 # Certificates of census-style systems, captured with the Krawczyk test on
@@ -662,9 +675,9 @@ def _krawczyk_inputs(sys):
         seen["equations"], seen["y"] = equations, y
         return products(equations, y)
 
-    def krawczyk_once(center, prods, selected, yf, r):
+    def krawczyk_once(center, prods, yf, r):
         seen["center"], seen["yf"] = center, yf
-        return once(center, prods, selected, yf, r)
+        return once(center, prods, yf, r)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(certify, "_column_products", column_products)
@@ -978,7 +991,7 @@ class TestDot:
         for bad in (math.nan, math.inf, 1e308):
             y = [[complex(bad, bad), 0j], [0j, complex(bad, bad)]]
             failure = _krawczyk_once(sys.shapes, _column_products(equations, y),
-                                     selected, yf, 1e-3)
+                                     yf, 1e-3)
             assert failure is not None and "max|K-x^|/r" in failure
 
 

@@ -715,6 +715,9 @@ def test_non_utf8_input_is_malformed(capsys, tmp_path, binary_file, command):
 
 
 class TestParserReuse:
+    """Each ``main`` call reads its command line afresh from the command
+    table: nothing carries over from an earlier call."""
+
     @pytest.fixture()
     def depth_files(self, tmp_path):
         # a8 = 1 takes four insertions of a2: found at the default depth,
@@ -733,7 +736,6 @@ class TestParserReuse:
                 ("nonhyp", pres, "--script", script))
         first = {}
         for argv in runs:
-            cli.build_parser.cache_clear()
             rc, out, err = run_cli(capsys, *argv)
             first[argv] = (rc, body(out), err)
         assert "gt_claim: 2.0 proven" in first[runs[0]][1]
@@ -741,23 +743,119 @@ class TestParserReuse:
         assert "within depth 3" in "\n".join(first[runs[2]][1])
         assert "note: verified a8 = 1 (4 insertions)" in first[runs[3]][1]
 
-        cli.build_parser.cache_clear()
-        for argv in runs:
+        for argv in runs[::-1]:
             rc, out, err = run_cli(capsys, *argv)
             assert (rc, body(out), err) == first[argv]
-        assert cli.build_parser.cache_info().misses == 1
 
-    def test_parser_not_built_at_import(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(smallvol.__file__)))
-        code = ("import sys, smallvol.cli; "
-                "sys.exit(smallvol.cli.build_parser.cache_info().currsize)")
-        env = dict(os.environ, PYTHONPATH=src)
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    def test_echo_follows_the_table_not_the_command_line(self, capsys, fig8_file,
+                                                          depth_files):
+        pres, script = depth_files
+        _, out, _ = run_cli(capsys, "volume", "--le", "2.1", "--gt", "2", "--tol", "1e-10",
+                            "--delta", "0", fig8_file)
+        assert _fields(out)[0][1] == (f"volume {fig8_file} --delta 0.0 --tol 1e-10"
+                                      " --gt 2.0 --le 2.1")
+        _, out, _ = run_cli(capsys, "nonhyp", "--depth", "3", "--script", script, pres)
+        assert _fields(out)[0][1] == f"nonhyp {pres} --script {script} --depth 3"
+
+
+def _usage_error(capsys, *argv):
+    """The stderr of a command line that must exit 2 with nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "", argv
+    return out.err
+
+
+class TestCommandLine:
+    """How ``main`` reads flags: both spellings, values that start with
+    ``-``, prefixes, ``--``, help, and each usage error."""
+
+    MERIDIAN = ("--meridian", "-0.5,1.3228756555322954", "--longitude", "2,0",
+                "--parent", "5.33349")
+    LONGITUDE = ("--meridian", "0.5,1.3228756555322954", "--longitude", "-2,0",
+                 "--parent", "5.33349")
+
+    @staticmethod
+    def _joined(argv):
+        """``--flag value`` pairs spelled ``--flag=value``."""
+        out, it = [], iter(argv)
+        for token in it:
+            out.append(f"{token}={next(it)}" if token.startswith("--") else token)
+        return out
+
+    @pytest.mark.parametrize("flags", (MERIDIAN, LONGITUDE))
+    def test_enumerate_value_may_start_with_a_dash(self, capsys, flags):
+        rc, spaced, err = run_cli(capsys, "enumerate", *flags)
+        assert rc == 0 and err == ""
+        rc_eq, joined, _ = run_cli(capsys, "enumerate", *self._joined(flags))
+        assert rc_eq == 0 and body(spaced) == body(joined)
+        assert int(_reported(spaced, "pairs")) > 0
+
+    def test_volume_gt_may_start_with_a_dash(self, capsys, fig8_file):
+        rc, spaced, _ = run_cli(capsys, "volume", fig8_file, "--gt", "-1")
+        rc_eq, joined, _ = run_cli(capsys, "volume", fig8_file, "--gt=-1")
+        assert rc == rc_eq == 0 and body(spaced) == body(joined)
+        assert "gt_claim: -1.0 proven" in spaced
+
+    def test_value_is_the_next_token_whatever_it_is(self, capsys):
+        err = _usage_error(capsys, "bound", "--parent", "--target", "2")
+        assert "argument --parent: expected a finite number, got '--target'" in err
+
+    def test_unique_prefix_names_its_flag(self, capsys):
+        _, full, _ = run_cli(capsys, "bound", "--parent", "5.33349")
+        rc, prefix, _ = run_cli(capsys, "bound", "--par", "5.33349")
+        rc_eq, joined, _ = run_cli(capsys, "bound", "--par=5.33349")
+        assert rc == rc_eq == 0 and body(full) == body(prefix) == body(joined)
+
+    def test_last_of_a_repeated_flag_wins(self, capsys):
+        _, once, _ = run_cli(capsys, "bound", "--parent", "5.33349")
+        rc, twice, _ = run_cli(capsys, "bound", "--parent", "9", "--parent=5.33349")
+        assert rc == 0 and body(once) == body(twice)
+
+    def test_double_dash_ends_the_flags(self, capsys, fig8_file):
+        _, plain, _ = run_cli(capsys, "certify", fig8_file)
+        rc, ended, _ = run_cli(capsys, "certify", "--", fig8_file)
+        assert rc == 0 and body(plain) == body(ended)
+        err = _usage_error(capsys, "volume", fig8_file, "--", "--gt", "2")
+        assert "unrecognized arguments: --gt 2" in err
+
+    @pytest.mark.parametrize("argv, message", (
+        (("bound", "--parent", "5", "--bogus", "1"), "unrecognized arguments: --bogus 1"),
+        (("enumerate", "--meridian", "1,1", "--parent", "5"),
+         "the following arguments are required: --longitude"),
+        (("bound",), "the following arguments are required: --parent"),
+        (("volume",), "the following arguments are required: file"),
+        (("certify", "a.gluing", "b.gluing"), "unrecognized arguments: b.gluing"),
+        (("nonhyp", "a.pres", "b.pres"), "unrecognized arguments: b.pres"),
+        # Every flag of a command has its own first letter, so only the
+        # empty prefix is ambiguous.
+        (("bound", "--=5"), "could match --help, --parent, --target"),
+        (("bound", "--parent"), "argument --parent: expected one argument"),
+        (("bogus",), "argument cmd: invalid choice: 'bogus'"),
+        ((), "the following arguments are required: cmd"),
+        (("certify", "--help=x"), "argument -h/--help: ignored explicit argument 'x'"),
+    ))
+    def test_usage_error_exits_2(self, capsys, argv, message):
+        err = _usage_error(capsys, *argv)
+        assert message in err and err.startswith("usage: smallvol")
+
+    @pytest.mark.parametrize("argv", (("--help",), ("-h",), ("--he",), ("volume", "--help"),
+                                      ("nonhyp", "-h"), ("bound", "--parent", "5", "--h")))
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        out = capsys.readouterr()
+        assert exc.value.code == 0 and out.err == ""
+        assert out.out.startswith("usage: smallvol")
+        if "volume" in argv:
+            assert "--delta DELTA" in out.out and "prove volume at most this" in out.out
 
 
 # Standard modules a command should not load: dataclasses brings inspect,
-# and fractions brings decimal and numbers.
-WATCHED = ("smallvol", "dataclasses", "inspect", "fractions", "decimal")
+# fractions brings decimal and numbers, and argparse brings gettext.
+WATCHED = ("smallvol", "dataclasses", "inspect", "fractions", "decimal", "argparse",
+           "gettext")
 
 
 def _loaded_after(code):
@@ -799,28 +897,28 @@ class TestColdStart:
         (["bound", "--parent", "5.33349", "--target", "2.848"],
          ("smallvol.certify", "smallvol.geometry", "smallvol.formats",
           "smallvol.grouptool", "smallvol.jets", "smallvol.points", "dataclasses",
-          "inspect", "fractions", "decimal")),
+          "inspect", "fractions", "decimal", "argparse", "gettext")),
         (["enumerate", "--meridian", "0.5,1.3228756555322954", "--longitude", "2,0",
           "--parent", "5.33349"], ("smallvol.certify", "smallvol.geometry",
                                    "smallvol.formats", "smallvol.grouptool",
                                    "smallvol.jets", "smallvol.points", "dataclasses",
-                                   "inspect")),
+                                   "inspect", "argparse", "gettext")),
         # The value types are named tuples, so no command loads dataclasses.
         (["volume", FIG8, "--gt", "2"],
          ("smallvol.grouptool", "smallvol.filling", "dataclasses", "inspect",
-          "fractions", "decimal")),
+          "fractions", "decimal", "argparse", "gettext")),
         # Exact shapes are summed on the point layer: no jet is built.
         (["volume", FIG8, "--delta", "0"],
          ("smallvol.jets", "smallvol.grouptool", "smallvol.filling", "dataclasses",
-          "inspect", "fractions", "decimal")),
+          "inspect", "fractions", "decimal", "argparse", "gettext")),
         # The Krawczyk test runs on the point layer alone.
         (["certify", FIG8], ("smallvol.grouptool", "smallvol.filling", "smallvol.jets",
                              "smallvol.geometry", "dataclasses", "inspect",
-                             "fractions", "decimal")),
+                             "fractions", "decimal", "argparse", "gettext")),
         (["nonhyp", "--rel", "a3b2"], ("smallvol.certify", "smallvol.geometry",
                                        "smallvol.filling", "smallvol.jets",
                                        "smallvol.points", "dataclasses", "inspect",
-                                       "fractions", "decimal")),
+                                       "fractions", "decimal", "argparse", "gettext")),
     ))
     def test_command_loads_only_its_modules(self, argv, absent):
         loaded = _loaded_after(
@@ -843,7 +941,7 @@ class TestColdStart:
             "import contextlib, io\nfrom smallvol import cli\n"
             f"with contextlib.redirect_stdout(io.StringIO()):\n    cli.main({argv!r})")
         assert present <= loaded
-        assert not loaded & {"fractions", "decimal"}
+        assert not loaded & {"fractions", "decimal", "argparse", "gettext"}
 
     def test_orientation_check_builds_no_jet(self):
         loaded = _loaded_after(
