@@ -277,9 +277,12 @@ def _newton_refine(sys: GluingSystem, jac, max_steps: int = 5):
     that the ``_factor_rows`` of their Jacobian ``jac`` selects; returns
     the best iterate, its residuals and the ``_factor_rows`` there.
 
-    The first step substitutes from the stored shapes' factorization of
-    all rows, and each later one factors the selected rows alone, in index
-    order; a pivot row only takes multiples of earlier ones, so both agree.
+    Each step substitutes from the ``_factor_rows`` of all rows at its
+    point when that selects the same rows, and otherwise factors the
+    selected rows alone, in index order.  A pivot row only takes
+    multiples of earlier ones, so both run the same float operations on
+    the selected rows, and the last point's factorization is returned
+    without a second one.
 
     Keeps the best iterate by residual norm and never returns a point
     whose residual is worse than the input's (preserving the system's
@@ -292,11 +295,18 @@ def _newton_refine(sys: GluingSystem, jac, max_steps: int = 5):
     norm = max(abs(r) for r in res)
     for step_no in range(max_steps):
         if step_no:
-            lu = {i: list(jac[i]) for i in selected}
             try:
-                pivots = _factor(lu, sys.n, 0.0)
+                factors = _factor_rows(jac, sys.n)
             except RankDeficientError:
-                break
+                factors = None
+            if factors and sorted(factors[1]) == selected:
+                lu, pivots = factors
+            else:
+                lu = {i: list(jac[i]) for i in selected}
+                try:
+                    pivots = _factor(lu, sys.n, 0.0)
+                except RankDeficientError:
+                    break
         step = _solve(lu, pivots, [[-r] for r in res])
         z_new = [w + s for w, (s,) in zip(z, step)]
         if any(w == 0 or w == 1 for w in z_new):

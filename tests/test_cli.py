@@ -1172,6 +1172,23 @@ class TestNonhyp:
             assert bodies == [pins[name], pins[name]], name
 
 
+    @pytest.mark.parametrize("name, step, reason", [
+        ("p44_04", "power a 2500 b 1000", "missing fact [a^2500, b^1000] = 1"),
+        ("p43_01", "power ab 1200 b-1 900", "missing fact [ab^1200, b-1^900] = 1"),
+        ("p44_07", "power a-1 1750 ba 600", "missing fact [a-1^1750, ba^600] = 1"),
+    ])
+    def test_hostile_power_report_bodies_are_pinned(self, capsys, tmp_path, name, step,
+                                                    reason):
+        # Powers of up to 2,500 letters, built by repeated free reduction,
+        # leave the report as it was: inconclusive at the power step.
+        pres, script = tmp_path / f"{name}.pres", tmp_path / "hostile.script"
+        pres.write_text(presentation_text(name))
+        script.write_text(f"{step}\nconclude abelian\n")
+        rc, out, _ = run_cli(capsys, "nonhyp", str(pres), "--script", str(script))
+        assert rc == 1
+        assert [l for l in body(out) if not l.startswith("command:")] == [
+            "mode: script", "verdict: inconclusive", f"reason: step 1 failed: {reason}"]
+
 class TestSelftest:
     def test_all_pass(self, capsys):
         rc, out, _ = run_cli(capsys, "selftest")

@@ -25,6 +25,7 @@ from smallvol.grouptool import (
 from smallvol.grouptool import engine, search
 from smallvol.grouptool.engine import _State, _run_step
 
+import word_refs
 from oracles import derivation_replays
 from search_refs import best_first as reference_best_first
 
@@ -113,6 +114,44 @@ class TestWords:
         u = words.free_reduce(u)
         v = words.free_reduce(v)
         assert words.concat(u, v) == words.free_reduce(tuple(u) + tuple(v))
+
+
+# Unreduced letters, 0 among them, and lists of any number of such words.
+_RAW_WORDS = st.lists(st.sampled_from([0, 1, -1, 2, -2, 3, -3]), max_size=12).map(tuple)
+
+
+def _result(fn, *args):
+    """fn(*args), or the type of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestConcatLoop:
+    """``words.concat`` against the loop it replaced (``word_refs``), and
+    every word operation built on it against the same operation on that
+    loop, over unreduced words with 0 letters."""
+
+    @given(st.lists(_RAW_WORDS, max_size=6))
+    @example([])
+    @example([(), ()])
+    @example([(0,), (0,)])
+    @example([(0, 1, -1, 0), (2,), (-2, 0)])
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_concat(self, ws):
+        assert words.concat(*ws) == word_refs.concat(*ws)
+
+    @given(_RAW_WORDS, _RAW_WORDS, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+    @example((), (), 0, 1)
+    @example((0, 0), (0,), -2, 1)
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_word_operations(self, u, v, n, gen):
+        for name, args in (("free_reduce", (u,)), ("power", (u, n)),
+                           ("commutator", (u, v)), ("substitute", (u, gen, v)),
+                           ("normal_form", (u,))):
+            got = _result(getattr(words, name), *args)
+            assert got == _result(getattr(word_refs, name), *args), name
 
 
 _LETTERS = st.sampled_from([1, -1, 2, -2, 3, -3])

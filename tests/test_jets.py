@@ -494,10 +494,12 @@ class TestTaylorRuleWidth:
     where the degree-4 forms of ``complex_refs`` built each term as jet
     products and sums.  On a seeded sweep the center and coefficients are
     the reference's, err is never larger, and where the reference raises
-    the same error is raised, except where its Taylor coefficients
-    overflow (|a0| >= 2^128): there ``atan_jet`` reflects a provably
-    signed jet, and its result holds the 50-digit atan at sampled
-    members."""
+    the same error is raised, except where ``atan_jet`` reflects a
+    provably signed jet (|a0| >= 2): there its result holds the 50-digit
+    atan at sampled members and, where the reference's Taylor
+    coefficients do not overflow (|a0| < 2^128), it is narrower in most
+    draws and never wider by more than 5 % and two ulps of pi/2, unless
+    the reference is wider than the whole range of atan."""
 
     @staticmethod
     def _outcome(fn, a):
@@ -511,16 +513,23 @@ class TestTaylorRuleWidth:
     def test_never_wider_than_the_degree4_reference(self, name, fn, ref):
         rng = random.Random(f"taylor-rule/{name}")
         members = random.Random(f"taylor-rule/{name}/members")
-        compared = reflected = 0
+        compared = reflected = narrower = wider = 0
         for _ in range(10_000):
             a = taylor_operand(rng, name)
             new, old = self._outcome(fn, a), self._outcome(ref, a)
-            if isinstance(old, tuple) and isinstance(new, Jet):
-                # The reference's w^4 overflows from |a0| = 2^128 on, where
-                # atan_jet takes +-pi/2 - atan(1/a) of a provably signed jet.
-                assert fn is atan_jet and abs(a.center) >= 2.0 ** 128, a
+            if fn is atan_jet and abs(a.center) >= 2.0 and a.prove_nonzero():
+                # atan_jet takes +-pi/2 - atan(1/a); the reference's w^4
+                # overflows from |a0| = 2^128 on.
+                assert isinstance(new, Jet), a
                 assert TestDimensionZeroOperands()._violations(
                     atan_jet, (a,), mpmath.atan, members) == 0, a
+                if isinstance(old, Jet):
+                    allowed = 1.05 * old.spread() + 2 * ulp(math.pi / 2)
+                    assert new.spread() <= allowed or old.spread() > math.pi, a
+                    narrower += new.spread() < old.spread()
+                    wider += new.spread() > old.spread()
+                else:
+                    assert abs(a.center) >= 2.0 ** 128, a
                 reflected += 1
                 continue
             if isinstance(old, tuple):
@@ -530,7 +539,38 @@ class TestTaylorRuleWidth:
             assert new.err <= old.err, a
             compared += 1
         assert compared > 5_000
-        assert reflected > 2_000 if name == "atan" else reflected == 0
+        assert reflected > 3_000 if name == "atan" else reflected == 0
+        assert narrower > 3 * wider if name == "atan" else narrower == wider == 0
+
+
+    def test_atan_of_large_centres_is_tight(self):
+        # 50-digit sweep: |a0| in 1..1e300, sup|a - a0| / |a0| in
+        # 1e-12..1e-3, dimension 0-3.  Each result holds atan at sampled
+        # members and over the whole range, and is at most twice as wide
+        # as the true range plus 8 ulps of atan a0.
+        # The Taylor form alone charged D^5 / 5 whatever a0 was: 0.2 at
+        # a0 = 1e3, D = 1, and 2e54 at a0 = 1e20, D = 1e11.
+        rng = random.Random("atan-large-centres")
+        members = random.Random("atan-large-centres/members")
+        for _ in range(2_000):
+            dim = rng.randint(0, 3)
+            a0 = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0, 300)
+            d = abs(a0) * 10.0 ** rng.uniform(-12, -3)
+            shares = [rng.random() for _ in range(dim + 1)]
+            total = sum(shares)
+            a = Jet(a0, [rng.choice((-d, d)) * x / total for x in shares[:-1]],
+                    d * shares[-1] / total)
+            assert TestDimensionZeroOperands()._violations(
+                atan_jet, (a,), mpmath.atan, members) == 0, a
+            lo, hi = atan_jet(a).bounds()
+            with mpmath.workdps(50):
+                a_lo, a_hi = a.bounds()
+                t_lo, t_hi = mpmath.atan(a_lo), mpmath.atan(a_hi)
+                assert lo <= t_lo and t_hi <= hi, a
+                true_width = float(t_hi - t_lo)
+            assert hi - lo <= 2 * (true_width + 8 * ulp(math.atan(a0))), a
+        assert atan_jet(Jet(1e3, (1.0, 0.0), 0.0)).err < 1.1e-9
+        assert atan_jet(Jet(1e20, (1e11, 0.0), 0.0)).err < 4e-16
 
 
 class TestPostInitHook:
