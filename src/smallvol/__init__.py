@@ -46,16 +46,12 @@ _LAZY = {
     "CuspData": "filling",
     "SlopeList": "filling",
     "enumerate_slopes": "filling",
-    "fkp_lower_bound": "filling",
     "slope_length": "filling",
     "slope_length_bound": "filling",
     "Interval": "geometry",
     "ShapeAssignment": "geometry",
     "certified_volume": "geometry",
-    "check_positive_orientation": "geometry",
-    "dihedral_angles": "geometry",
     "prove_volume_gt": "geometry",
-    "prove_volume_le": "geometry",
     "ComplexJet": "jets",
     "Jet": "jets",
     "arg_complex": "jets",

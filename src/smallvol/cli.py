@@ -15,7 +15,10 @@ Each subcommand loads only the modules it runs: ``bound`` and
 ``geometry``, and ``jets`` too unless ``--delta 0`` makes the shapes
 exact, and ``nonhyp`` loads ``formats`` and ``grouptool``.  ``--tol``
 bounds the series truncation on the jet path only: exact shapes are
-summed to full precision.
+summed to full precision.  A claim is made about the decimals typed:
+``--le`` is compared with them exactly, ``--parent`` is rounded down
+and ``--target`` up, and the meridian and longitude parts are read as
+exact ratios (``_decimal``).
 
 The command line is read in one pass over the table ``COMMANDS``, with
 no argparse: each flag as ``--flag value`` or ``--flag=value``, spelled
@@ -58,14 +61,22 @@ class Report:
         sys.stdout.write(f"{text}elapsed_ms: {ms}\n")
 
 
-def _complex_flag(text: str) -> complex:
+class _TypedPair(complex):
+    """A finite ``re,im`` flag that keeps the texts of its two parts."""
+
+    __slots__ = ("texts",)
+
+
+def _complex_flag(text: str) -> _TypedPair:
     try:
         re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
+        z = _TypedPair(_finite_flag(re_s), _finite_flag(im_s))
     except ValueError as exc:
         raise ValueError(
             f"expected re,im (e.g. 0.5,1.32), got {text!r}"
         ) from exc
+    z.texts = (re_s, im_s)
+    return z
 
 
 def _finite_flag(text: str) -> float:
@@ -90,36 +101,74 @@ def _typed_flag(text: str) -> _Typed:
     return x
 
 
-def _at_most(x: float, bound: _Typed) -> bool:
-    """x <= T for the decimal T typed as ``bound``.  float(T) is the
-    double nearest T, so x < float(T) implies x < T, and x > float(T)
-    implies x > T.  Only x == float(T) is settled on T itself, as the
-    integer ratios num * 10^exp and x.as_integer_ratio()."""
-    if x != bound:
-        return x < bound
-    text = bound.text.strip()
+# Significant digits that ``_decimal`` keeps, and the least integer
+# with one more.
+_DIGITS = 800
+_DIGITS_END = 10 ** _DIGITS
+
+
+def _decimal(text: str) -> tuple:
+    """(num, exp) with num * 10^exp the decimal that ``text``, a text
+    float() reads as finite, spells.  Digits past the 800th significant
+    one become one sticky 1 in the 801st place when any is nonzero: a
+    double within a factor 2 of the decimal has at most 767 significant
+    digits, none past its 800th, so it lies on the same side of the
+    result as of the decimal."""
+    text = text.strip()
     if not text.isascii():  # float() reads every Unicode decimal digit
         text = "".join(c if c.isascii() else str(int(c)) for c in text)
     mant, _, tail = text.replace("_", "").lower().partition("e")
-    negative = mant.startswith("-")
     whole, _, frac = mant.lstrip("+-").partition(".")
     digits = (whole + frac).lstrip("0")
-    if not x:
-        return not (digits and negative)
-    # |T| is within a factor 2 of |x| != 0, so the exponent has only a
-    # few digits once its leading zeros are dropped.
-    exp = int(tail.lstrip("+-").lstrip("0") or 0)
+    head = digits[:_DIGITS] + ("1" if digits[_DIGITS:].strip("0") else "")
+    num = -int(head or 0) if mant.startswith("-") else int(head or 0)
+    # A finite value's exponent has a few digits once its leading zeros
+    # are dropped; a longer one comes only with a value that float()
+    # reads as 0, whose sign alone is used, and is cut to 20 digits.
+    exp = int(tail.lstrip("+-").lstrip("0")[:20] or 0)
     exp = (-exp if tail.startswith("-") else exp) - len(frac)
-    # x has at most 767 significant digits, none past T's 800th, so
-    # T's digits past the 800th may become one sticky 1 in the 801st
-    # place: x lies on the same side of the result as of T.
-    head = digits[:800] + ("1" if digits[800:].strip("0") else "")
-    num = -int(head) if negative else int(head)
-    exp += len(digits) - len(head)
+    return num, exp + len(digits) - len(head)
+
+
+def _compare(x: float, bound: _Typed) -> int:
+    """The sign of x - T for the decimal T typed as ``bound``.  float(T)
+    is the double nearest T, so x < float(T) implies x < T, and x >
+    float(T) implies x > T.  Only x == float(T) is settled on T itself,
+    as the integer ratios num * 10^exp and x.as_integer_ratio()."""
+    if x != bound:
+        return 1 if x > bound else -1
+    num, exp = _decimal(bound.text)
+    if not x:
+        return (num < 0) - (num > 0)
     n, d = x.as_integer_ratio()
-    if exp >= 0:
-        return n <= num * 10 ** exp * d
-    return n * 10 ** -exp <= num * d
+    a, b = (n, num * 10 ** exp * d) if exp >= 0 else (n * 10 ** -exp, num * d)
+    return (a > b) - (a < b)
+
+
+def _at_most(x: float, bound: _Typed) -> bool:
+    """x <= T for the decimal T typed as ``bound``."""
+    return _compare(x, bound) <= 0
+
+
+def _rounded(x: _Typed, up: bool) -> float:
+    """The double next to the decimal typed as ``x``: the nearest one at
+    or above it when ``up``, else at or below it."""
+    side = _compare(x, x)
+    if side == 0 or (side > 0) is up:
+        return float(x)
+    return math.nextafter(x, math.inf if up else -math.inf)
+
+
+def _ratio(text: str) -> tuple:
+    """(n, d) with n / d exactly the decimal that ``text`` spells; a text
+    of more than 800 significant digits, or of a magnitude far out of
+    the float range, is malformed."""
+    num, exp = _decimal(text)
+    if not num:
+        return 0, 1
+    if abs(num) >= _DIGITS_END or abs(exp) > 2000:
+        raise ValueError(f"{text.strip()!r} has too many digits to read exactly")
+    return (num * 10 ** exp, 1) if exp >= 0 else (num, 10 ** -exp)
 
 
 def _delta_flag(text: str) -> float:
@@ -152,17 +201,25 @@ def _read_text(path: str) -> str:
             raise smallvol.formats.FormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
+def _volumes(args) -> tuple:
+    """The parent volume rounded down and the target rounded up from the
+    decimals typed, so that every bound and list covers the typed ones."""
+    return _rounded(args.parent, up=False), _rounded(args.target, up=True)
+
+
 def cmd_bound(args, rep) -> int:
-    rep.add("bound", repr(smallvol.filling.slope_length_bound(args.parent, args.target)))
+    rep.add("bound", repr(smallvol.filling.slope_length_bound(*_volumes(args))))
     rep.add("floor_2pi", f"{2 * math.pi:.12g}")
     return OK
 
 
 def cmd_enumerate(args, rep) -> int:
     filling = smallvol.filling
-    cusp = filling.CuspData(args.meridian, args.longitude, args.parent)
-    slopes = filling.enumerate_slopes(cusp, args.target, args.fudge)
-    rep.add("bound", repr(filling.slope_length_bound(args.parent, args.target)))
+    parent, target = _volumes(args)
+    parts = [_ratio(t) for z in (args.meridian, args.longitude) for t in z.texts]
+    cusp = filling.CuspData(args.meridian, args.longitude, parent)
+    slopes = filling.enumerate_slopes(cusp, target, args.fudge, parts)
+    rep.add("bound", repr(filling.slope_length_bound(parent, target)))
     rep.add("cutoff", repr(slopes.cutoff))
     rep.add("pairs", len(slopes.pairs))
     for p, q, length in slopes.pairs:
@@ -327,14 +384,14 @@ def cmd_selftest(args, rep) -> int:
 REQUIRED = object()
 COMMANDS = {
     "bound": (cmd_bound, "slope-length bound from volumes", {
-        "--parent": (_finite_flag, REQUIRED, None),
-        "--target": (_finite_flag, 2.848, None),
+        "--parent": (_typed_flag, REQUIRED, None),
+        "--target": (_typed_flag, _typed_flag("2.848"), None),
     }),
     "enumerate": (cmd_enumerate, "enumerate candidate filling slopes", {
         "--meridian": (_complex_flag, REQUIRED, None),
         "--longitude": (_complex_flag, REQUIRED, None),
-        "--parent": (_finite_flag, REQUIRED, None),
-        "--target": (_finite_flag, 2.848, None),
+        "--parent": (_typed_flag, REQUIRED, None),
+        "--target": (_typed_flag, _typed_flag("2.848"), None),
         "--fudge": (_finite_flag, 0.01, None),
     }),
     "certify": (cmd_certify, "certify a gluing-equation solution", {

@@ -11,16 +11,18 @@ slopes lattice vectors p*m + q*l in C, so all candidate coefficient
 pairs below a length cutoff form a finite, enumerable set.
 
 ``enumerate_slopes`` decides membership exactly apart from pi.  The
-float inputs are rationals, so Q = |p*m + q*l|^2 is an exact rational,
-and the cutoff test l <= 2 pi (1 + fudge) / sqrt(1 - (T/P)^(2/3)) is, with
-K = 4 pi^2 (1 + fudge)^2, equivalent to: Q <= K, or else
-(1 - K/Q)^3 <= (T/P)^2.  Evaluated with ``rounding.PI_HI`` for pi this is a
-superset of the true list, so no candidate pair is omitted.  A float
-filter with an a priori error bound settles all but the borderline
-pairs, which go through ``fractions``; ``fudge`` is optional widening
-and carries no soundness.  The search box comes from a certified upper
-bound on the cutoff; a box that is not finite or holds more than
-``MAX_BOX_PAIRS`` pairs is a ValueError before any pair is tried.
+parts of m and l are rationals (the floats, or the exact values they
+round when ``enumerate_slopes`` is given them), so Q = |p*m + q*l|^2 is an
+exact rational, and the cutoff test l <= 2 pi (1 + fudge) / sqrt(1 -
+(T/P)^(2/3)) is, with K = 4 pi^2 (1 + fudge)^2, equivalent to: Q <= K,
+or else (1 - K/Q)^3 <= (T/P)^2.  Evaluated with ``rounding.PI_HI`` for pi
+this is a superset of the true list, so no candidate pair is omitted.  A
+float filter with an a priori error bound, which absorbs the rounding of
+the parts to floats, settles all but the borderline pairs, which go
+through ``fractions``; ``fudge`` is optional widening and carries no
+soundness.  The search box comes from a certified upper bound on the
+cutoff; a box that is not finite or holds more than ``MAX_BOX_PAIRS``
+pairs is a ValueError before any pair is tried.
 
 The bound, the cutoff and the listed lengths are certified upper floats:
 each is one step up from an upper bound (outward-rounded, with pi one ulp
@@ -37,7 +39,7 @@ import math
 from collections import namedtuple
 from math import gcd
 
-from .rounding import EPS_PRIM, PI_HI, _down, _up
+from .rounding import EPS_PRIM, PI_HI, TINY, _down, _up
 
 # Most (p, q) pairs a search box may hold.  The tests, the selftest and
 # the census benchmark search boxes of at most 4 * 10^4 pairs; a box at
@@ -80,16 +82,6 @@ class SlopeList(namedtuple("SlopeList", "cutoff pairs")):
         return {(p, q) for p, q, _ in self.pairs}
 
 
-def fkp_lower_bound(vol_parent: float, l_min: float) -> float:
-    """Volume lower bound for a filling whose slopes all exceed length l_min."""
-    if not vol_parent > 0.0:
-        raise ValueError("parent volume must be positive")
-    if not l_min > 2 * math.pi:
-        raise ValueError("the bound is vacuous unless l_min > 2*pi")
-    ratio = 2 * math.pi / l_min
-    return (1.0 - ratio * ratio) ** 1.5 * vol_parent
-
-
 def slope_length_bound(vol_parent: float, vol_target: float) -> float:
     """A certified upper float on the largest minimal slope length
     compatible with a hyperbolic filling of volume at most vol_target,
@@ -106,10 +98,13 @@ def slope_length(p: int, q: int, cusp: CuspData) -> float:
     return math.hypot(v.real, v.imag)
 
 
-def enumerate_slopes(cusp: CuspData, vol_target: float, fudge: float = 0.01) -> SlopeList:
+def enumerate_slopes(cusp: CuspData, vol_target: float, fudge: float = 0.01,
+                     parts=None) -> SlopeList:
     """All normalized coprime (p, q) with slope length at most
     slope_length_bound * (1 + fudge), decided exactly apart from pi (see
-    the module docstring).
+    the module docstring).  ``parts`` may give Re m, Im m, Re l and Im l
+    as the integer ratios (n, d) of exact values that the cusp's floats
+    round to nearest; by default the floats are exact.
 
     Normalization keeps q > 0, or q = 0 with p > 0, so no pair appears
     together with its negation.  The search box |p| <= L|longitude|/A,
@@ -122,7 +117,22 @@ def enumerate_slopes(cusp: CuspData, vol_target: float, fudge: float = 0.01) -> 
     c2_lo, c2_hi = _cutoff_squared(cusp.parent_volume, vol_target, fudge)
     m, l = cusp.meridian, cusp.longitude
     mr, mi, lr, li = m.real, m.imag, l.real, l.imag
-    area = _area_lower(m, l)
+    if parts is None:
+        parts = [x.as_integer_ratio() for x in (mr, mi, lr, li)]
+    elif [n / d for n, d in parts] != [mr, mi, lr, li]:
+        raise ValueError("the parts must round to the meridian and longitude")
+    # The exact parts as integers over their least common denominator, so
+    # that each length below depends on the values alone.
+    parts = [(n // g, d // g) for n, d in parts for g in [gcd(n, d)]]
+    den = math.lcm(*(d for _, d in parts))
+    nmr, nmi, nlr, nli = (n * (den // d) for n, d in parts)
+    # A float below the exact lattice covolume.  The exact |m| and |l|
+    # are within a relative 2^-52 of their floats (a subnormal one makes
+    # the box overflow the cap), so each exact box bound stays below the
+    # integer part of its float bound plus one.
+    area = _down(abs(nmr * nli - nmi * nlr) / (den * den))
+    if not area > 0.0:
+        raise ValueError("meridian and longitude are parallel")
     radius = _up(math.sqrt(c2_hi))
     p_hi = _up(_up(radius * _abs_upper(l)) / area)
     q_hi = _up(_up(radius * _abs_upper(m)) / area)
@@ -135,12 +145,15 @@ def enumerate_slopes(cusp: CuspData, vol_target: float, fudge: float = 0.01) -> 
     q_max = int(q_hi) + 1
 
     # ``error(q2)`` bounds |fl(Q) - Q| for every box pair with fl(Q) <= q2.
-    # The two parts of p*m + q*l take two roundings each, so together they
-    # are off by at most s (2 eps per rounding, taken at 3 eps); squaring
-    # them adds under 2 s sqrt(Q) + s^2 (taken at 3 s sqrt(q2)), rounding
-    # the squares and their sum under 3 eps fl(Q) (taken at 4 eps), and
-    # the factor 2 covers the rounding of the bound itself.
-    s = _up(3.0 * EPS_PRIM * (p_max * (abs(mr) + abs(mi)) + q_max * (abs(lr) + abs(li))))
+    # The two parts of p*m + q*l are off by at most s: the floats of m
+    # and l are within half an ulp of the exact parts (eps of each, or
+    # TINY below the normal range), and the two roundings of each part
+    # add 2 eps, taken at 4 eps in all; squaring them adds under
+    # 2 s sqrt(Q) + s^2 (taken at 3 s sqrt(q2)), rounding the squares
+    # and their sum under 3 eps fl(Q) (taken at 4 eps), and the factor 2
+    # covers the rounding of the bound itself.
+    s = _up(4.0 * EPS_PRIM * (p_max * (abs(mr) + abs(mi)) + q_max * (abs(lr) + abs(li)))
+            + 2.0 * (p_max + q_max) * TINY)
 
     def error(q2):
         return 2.0 * (4.0 * EPS_PRIM * q2 + 3.0 * s * math.sqrt(q2) + s * s)
@@ -152,15 +165,10 @@ def enumerate_slopes(cusp: CuspData, vol_target: float, fudge: float = 0.01) -> 
     far = 4.0 * c2_hi
     surely_out = _up(c2_hi + error(far)) if (64.0 * s) ** 2 <= far else math.inf
 
-    # The four parts are integers over one power of two, so a squared
-    # length is an integer sq >= 1 over den^2.  Scaled by 4^k so that its
-    # root has at least 56 bits, isqrt(sq * 4^k - 1) + 1 is the ceiling of
-    # that root, less than 2^-55 of it above the exact one, and two steps
-    # up cover the division by den * 2^k and the repr.
-    parts = [x.as_integer_ratio() for x in (mr, mi, lr, li)]
-    den = max(d for _, d in parts)
-    nmr, nmi, nlr, nli = (n * (den // d) for n, d in parts)
-
+    # A squared length is an integer sq >= 1 over den^2.  Scaled by 4^k
+    # so that its root has at least 56 bits, isqrt(sq * 4^k - 1) + 1 is
+    # the ceiling of that root, less than 2^-55 of it above the exact one,
+    # and two steps up cover the division by den * 2^k and the repr.
     pairs = []
     for q in range(0, q_max + 1):
         p_lo = 1 if q == 0 else -p_max
@@ -177,9 +185,10 @@ def enumerate_slopes(cusp: CuspData, vol_target: float, fudge: float = 0.01) -> 
             q2 = x * x + y * y
             if q2 > surely_out or gcd(abs(p), q) != 1:
                 continue
-            if q2 > surely_in and not _exactly_in(p, q, cusp, vol_target, fudge):
-                continue
             sq = (p * nmr + q * nlr) ** 2 + (p * nmi + q * nli) ** 2
+            if q2 > surely_in and not _exactly_in(sq, den, cusp.parent_volume,
+                                                  vol_target, fudge):
+                continue
             k = max(0, 56 - sq.bit_length() // 2)
             root = math.isqrt((sq << 2 * k) - 1) + 1
             pairs.append((p, q, _up(_up(root / (den << k)))))
@@ -187,18 +196,17 @@ def enumerate_slopes(cusp: CuspData, vol_target: float, fudge: float = 0.01) -> 
     return SlopeList(cutoff=_up(radius), pairs=tuple(pairs))
 
 
-def _exactly_in(p: int, q: int, cusp: CuspData, vol_target: float, fudge: float) -> bool:
-    """The exact membership test of the module docstring, with PI_HI for pi."""
+def _exactly_in(sq: int, den: int, vol_parent: float, vol_target: float,
+                fudge: float) -> bool:
+    """The exact membership test of the module docstring for Q = sq /
+    den^2, with PI_HI for pi."""
     from fractions import Fraction  # borderline pairs only
 
-    m, l = cusp.meridian, cusp.longitude
-    x = p * Fraction(m.real) + q * Fraction(l.real)
-    y = p * Fraction(m.imag) + q * Fraction(l.imag)
-    big_q = x * x + y * y
+    big_q = Fraction(sq, den * den)
     k = 4 * Fraction(PI_HI) ** 2 * (1 + Fraction(fudge)) ** 2
     if big_q <= k:
         return True
-    ratio = Fraction(vol_target) / Fraction(cusp.parent_volume)
+    ratio = Fraction(vol_target) / Fraction(vol_parent)
     return (1 - k / big_q) ** 3 <= ratio * ratio
 
 
@@ -233,14 +241,3 @@ def _cutoff_squared(vol_parent: float, vol_target: float, fudge: float) -> tuple
 
 def _abs_upper(z: complex) -> float:
     return _up(math.sqrt(_up(_up(z.real * z.real) + _up(z.imag * z.imag))))
-
-
-def _area_lower(m: complex, l: complex) -> float:
-    """A positive float below the lattice covolume |Re m Im l - Im m Re l|."""
-    a, b = m.real * l.imag, m.imag * l.real
-    lo, hi = _down(_down(a) - _up(b)), _up(_up(a) - _down(b))
-    if lo > 0.0:
-        return lo
-    if hi < 0.0:
-        return -hi
-    raise ValueError("meridian and longitude are too close to parallel to bound the search")

@@ -16,8 +16,7 @@ Presentation files:
 
 Script files hold one proof step per line, read here as its tokens; the
 grouptool engine's step grammar says what each token must be and reads
-it when the step runs.  Each serializer emits a canonical form whose
-reparse is identical to the original parse.
+it when the step runs.
 """
 
 from __future__ import annotations
@@ -93,16 +92,6 @@ def parse_gluing(text: str) -> smallvol.certify.GluingSystem:
         raise FormatError(str(exc)) from exc
 
 
-def serialize_gluing(sys: smallvol.certify.GluingSystem) -> str:
-    out = [f"tets {sys.n}"]
-    for i, z in enumerate(sys.shapes):
-        out.append(f"shape {i} {z.real!r} {z.imag!r}")
-    for eq in sys.equations:
-        out.append("eq " + " ".join(str(x) for x in eq.a)
-                   + " ; " + " ".join(str(x) for x in eq.b)
-                   + f" ; {eq.c}")
-    return "\n".join(out) + "\n"
-
 
 def parse_presentation(text: str) -> smallvol.grouptool.Presentation:
     gens = None
@@ -127,17 +116,6 @@ def parse_presentation(text: str) -> smallvol.grouptool.Presentation:
         raise FormatError(str(exc)) from exc
 
 
-def serialize_presentation(p: smallvol.grouptool.Presentation) -> str:
-    out = ["gens " + " ".join(p.generators)]
-    for r in p.relators:
-        out.append("rel " + p.word_text(r))
-    return "\n".join(out) + "\n"
-
-
 def parse_script(text: str) -> smallvol.grouptool.ProofScript:
     return smallvol.grouptool.ProofScript(
         tuple(tuple(line.split()) for _, line in _content_lines(text)))
-
-
-def serialize_script(script: smallvol.grouptool.ProofScript) -> str:
-    return "\n".join(" ".join(step) for step in script.steps) + "\n"

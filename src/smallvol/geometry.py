@@ -45,9 +45,8 @@ cancel for huge |z|).  A jet holds:
   ratios h / inf|z| and h / inf|1 - z|.
 
 A box whose disc meets 0 or 1, or that meets the real axis, is refused.
-``dihedral_angles`` adds pi to a negative center, giving the principal
-angles; the volume passes the angles modulo pi to ``lobachevsky``, so a
-near-flat angle never meets pi's enclosure.
+The volume passes the angles modulo pi to ``lobachevsky`` (L is
+pi-periodic), so a near-flat angle never meets pi's enclosure.
 
 The volume is a sum of one term per tetrahedron (Neumann-Zagier), and
 terms of different tetrahedra share no variable.  So each tetrahedron's
@@ -132,20 +131,6 @@ class ShapeAssignment(namedtuple("ShapeAssignment", "shapes delta")):
         """
         ComplexJet = smallvol.jets.ComplexJet
         return [ComplexJet.variable(z, 0, 1, self.delta, 2) for z in self.shapes]
-
-
-def dihedral_angles(z: ComplexJet) -> tuple:
-    """Principal angle jets (arg z, arg 1/(1-z), arg (z-1)/z) of one
-    tetrahedron over the box ``z``: the jets of ``_angle_jets``, with the
-    pi pair added to a negative center.  A box in the lower half-plane
-    gives the negated angles of its conjugate.  Refuses a box that meets
-    0, 1 or the real axis."""
-    jets = smallvol.jets
-    if z.im.center < 0.0:
-        return tuple(-a for a in dihedral_angles(jets.ComplexJet(z.re, -z.im)))
-    pi = jets.pi_jet()
-    return tuple(a + pi if math.copysign(1.0, a.center) < 0.0 else a
-                 for a in _angle_jets(z))
 
 
 def _centres(x: float, y: float, w: tuple) -> tuple:
@@ -233,11 +218,6 @@ def _oriented(shapes, delta: float) -> bool:
                for z in shapes)
 
 
-def check_positive_orientation(assignment: ShapeAssignment) -> bool:
-    """True only when every point within delta of every shape has Im > 0."""
-    return _oriented(assignment.shapes, assignment.delta)
-
-
 def certified_volume(assignment: ShapeAssignment, tol: float = 1e-12) -> Interval:
     """Interval containing the volume of any true solution within delta.
 
@@ -289,15 +269,5 @@ def prove_volume_gt(assignment: ShapeAssignment, threshold: float,
     ``threshold``; False whenever the computation is inconclusive."""
     try:
         return certified_volume(assignment, tol).lo > threshold
-    except ValueError:
-        return False
-
-
-def prove_volume_le(assignment: ShapeAssignment, threshold: float,
-                    tol: float = 1e-12) -> bool:
-    """True only if the certified volume interval lies at or below
-    ``threshold``; False whenever the computation is inconclusive."""
-    try:
-        return certified_volume(assignment, tol).hi <= threshold
     except ValueError:
         return False

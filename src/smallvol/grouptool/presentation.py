@@ -50,12 +50,6 @@ class Presentation(namedtuple("Presentation", "generators relators")):
             rels.append(letters)
         return cls(gens, rels)
 
-    def word(self, text: str) -> tuple:
-        return words.parse_word(text, self.generators)
-
-    def word_text(self, w) -> str:
-        return words.format_word(w, self.generators)
-
     def exponent_matrix(self) -> list:
         """Relator exponent sums, one row per relator."""
         return [_exponent_sums(r, len(self.generators)) for r in self.relators]

@@ -193,8 +193,10 @@ def _tables(rels):
 
 def _between(key, by_first, by_last, around) -> tuple:
     """(variants, count, total length) for the letters ``key`` = (x, y)
-    of a word, 0 standing for its end: the variants ``_successors``
-    inserts between x and y, in its order, memoized in ``around``."""
+    of a word, 0 standing for its end: the variants whose insertion
+    between x and y cancels at a junction, in generation order (first
+    those that cancel against x, then those that cancel against y
+    alone), memoized in ``around``."""
     x, y = -key[0], -key[1]
     here = by_first.get(x, []) + [v for v in by_last.get(y, ()) if v[0] != x]
     around[key] = entry = here, len(here), sum(map(len, here))
@@ -224,32 +226,14 @@ def _may_vanish(w, variants, lengths) -> bool:
 
 
 def _charge(w, by_first, by_last, around) -> int:
-    """The letters that ``_successors(w, ...)`` charges in all, len(w) +
-    len(v) for each insertion of a variant v, one junction position at a
-    time (``_between``)."""
+    """The letters that the successors of ``w`` are charged in all,
+    len(w) + len(v) for each insertion of a variant v, one junction
+    position at a time (``_between``)."""
     n, spent = len(w), 0
     for key in zip((0, *w), (*w, 0)):
         _, count, total = around.get(key) or _between(key, by_first, by_last, around)
         spent += n * count + total
     return spent
-
-
-def _successors(w, by_first, by_last):
-    """(position, variant) pairs whose insertion cancels at a junction, in
-    the order the search charges and counts them: by position, first
-    those that cancel against the letter before it, then those that
-    cancel against the letter after it alone (``_between`` lists each
-    position's)."""
-    n = len(w)
-    for pos in range(n + 1):
-        if pos > 0:
-            for v in by_first.get(-w[pos - 1], ()):
-                yield pos, v
-        if pos < n:
-            for v in by_last.get(-w[pos], ()):
-                # avoid double-listing insertions that cancel on both sides
-                if not (pos > 0 and v[0] == -w[pos - 1]):
-                    yield pos, v
 
 
 def _best_first(start, by_first, by_last, limit, max_len, node_budget, letters,
@@ -266,8 +250,7 @@ def _best_first(start, by_first, by_last, limit, max_len, node_budget, letters,
     successors, they are all charged in one step (``_charge``), and a
     word at the depth ``limit`` is then done with.  Where the test
     passes, or the charge would overdraw the letter budget, they are
-    charged one at a time in ``_successors`` order, each once it is
-    sized.  The successors of a word below the depth ``limit`` are
+    charged one at a time in generation order, each once it is sized.  The successors of a word below the depth ``limit`` are
     sized one junction position at a time (``words.junctions``) and
     queued as one block."""
     variants, lengths, around = leaves

@@ -144,14 +144,6 @@ class Jet:
     def is_exact_zero(self) -> bool:
         return self.center == 0.0 and self.err == 0.0 and not any(self.coeffs)
 
-    def widened(self, extra: float) -> "Jet":
-        """Same affine part with the error radius grown by ``extra``."""
-        if extra < 0.0:
-            raise JetError("widening amount must be >= 0")
-        if extra == 0.0:
-            return self
-        return _jet(self.center, self.coeffs, _up(self.err + extra))
-
     def __repr__(self):
         return f"Jet({self.center!r}; {list(self.coeffs)!r}; {self.err!r})"
 

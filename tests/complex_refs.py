@@ -1,6 +1,7 @@
 """Complex operations on ``ComplexJet`` pairs, for building test inputs
 and references, and the degree-4 jet log and atan that the library's
-Taylor-rule ``log_jet``/``atan_jet`` replaced.
+Taylor-rule ``log_jet``/``atan_jet`` replaced, with the ``widened``
+step they end on.
 
 ``ComplexJet`` has no complex arithmetic.  These functions compute 1 - w,
 w - 1, the product, the reciprocal and the quotient from real-jet
@@ -11,10 +12,20 @@ run on the library's own jet operations.
 
 import math
 
-from smallvol.jets import (ComplexJet, Jet, JetDomainError, _add0, _add_const,
-                           _mul0, _mul_const, _recip0)
+from smallvol.jets import (ComplexJet, Jet, JetDomainError, JetError, _add0,
+                           _add_const, _jet, _mul0, _mul_const, _recip0)
 from smallvol.points import _libm_err
 from smallvol.rounding import _down, _mul_up, _up
+
+
+def widened(a, extra):
+    """``a`` with the same affine part and its error radius grown by
+    ``extra``."""
+    if extra < 0.0:
+        raise JetError("widening amount must be >= 0")
+    if extra == 0.0:
+        return a
+    return _jet(a.center, a.coeffs, _up(a.err + extra))
 
 
 def one_minus(w):
@@ -76,7 +87,7 @@ def degree4_log_jet(a):
         om5 = _down(_down(om2 * om2) * om)
         rem = _up(t5 / _down(5.0 * om5))
     base = Jet.constant(0.0) if a0 == 1.0 else _libm_point(math.log(a0))
-    return (base + poly).widened(rem)
+    return widened(base + poly, rem)
 
 
 def degree4_atan_jet(a):
@@ -105,4 +116,4 @@ def degree4_atan_jet(a):
     else:
         rem = _mul_up(_mul_up(_mul_up(t_sup, t_sup), _mul_up(t_sup, t_sup)), t_sup)
     base = Jet.constant(0.0) if a0 == 0.0 else _libm_point(math.atan(a0))
-    return (base + poly).widened(rem)
+    return widened(base + poly, rem)

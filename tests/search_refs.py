@@ -3,15 +3,32 @@ settled its last depth by a membership test and queued its successors
 unbuilt: the eager-building round, which builds every successor of every
 popped word as it generates it, looks it up and compares it with the
 empty word.  Tests hold the library's rounds to this one, result for
-result.  Unlike ``oracles``, it runs on the library's own successors,
-junction kernel and unwinding.
+result.  Unlike ``oracles``, it runs on the library's own junction
+kernel and unwinding; ``successors`` defines the generation order that
+the library's ``search._between`` lists one position at a time.
 """
 
 import heapq
 
 from smallvol.grouptool import words
-from smallvol.grouptool.search import (DEPTH, LETTERS, NODES, _successors,
-                                       _unwind)
+from smallvol.grouptool.search import DEPTH, LETTERS, NODES, _unwind
+
+
+def successors(w, by_first, by_last):
+    """(position, variant) pairs whose insertion cancels at a junction, in
+    the order the search charges and counts them: by position, first
+    those that cancel against the letter before it, then those that
+    cancel against the letter after it alone."""
+    n = len(w)
+    for pos in range(n + 1):
+        if pos > 0:
+            for v in by_first.get(-w[pos - 1], ()):
+                yield pos, v
+        if pos < n:
+            for v in by_last.get(-w[pos], ()):
+                # avoid double-listing insertions that cancel on both sides
+                if not (pos > 0 and v[0] == -w[pos - 1]):
+                    yield pos, v
 
 
 def best_first(start, by_first, by_last, limit, max_len, node_budget, letters,
@@ -52,7 +69,7 @@ def best_first(start, by_first, by_last, limit, max_len, node_budget, letters,
             continue
         expanded.add(w)
         nd = d + 1
-        for pos, variant in _successors(w, by_first, by_last):
+        for pos, variant in successors(w, by_first, by_last):
             letters -= len(w) + len(variant)
             if letters < 0:
                 return None, letters, LETTERS

@@ -10,7 +10,6 @@ from smallvol.filling import (
     CuspData,
     SlopeList,
     enumerate_slopes,
-    fkp_lower_bound,
     slope_length,
     slope_length_bound,
 )
@@ -35,21 +34,36 @@ S776_PAIRS = {
 }
 
 
+def _fkp(vol_parent, l_min):
+    """The volume bound (1 - (2 pi / l_min)^2)^(3/2) vol_parent for a
+    filling whose slopes are all longer than l_min, at 50 digits;
+    ``slope_length_bound`` inverts it."""
+    with mpmath.workdps(50):
+        ratio = 2 * mpmath.pi / mpmath.mpf(l_min)
+        return (1 - ratio * ratio) ** mpmath.mpf(1.5) * mpmath.mpf(vol_parent)
+
+
 class TestBounds:
     def test_fkp_limit_case(self):
-        assert abs(fkp_lower_bound(5.33349, 1e12) - 5.33349) < 1e-6
+        # A target near the parent volume leaves the slope length unbounded.
+        assert slope_length_bound(5.33349, 5.33349 * (1 - 1e-12)) > 1e6
 
     def test_fkp_four_pi(self):
-        v = fkp_lower_bound(5.33349, 4 * math.pi)
-        assert abs(v - (0.75 ** 1.5) * 5.33349) < 1e-9
-        assert abs(v - 3.4642) < 5e-4
+        b = slope_length_bound(5.33349, (0.75 ** 1.5) * 5.33349)
+        assert abs(b - 4 * math.pi) < 1e-9
+        assert abs(_fkp(5.33349, 4 * math.pi) - 3.4642) < 5e-4
 
     def test_fkp_inverse_consistency(self):
-        assert abs(fkp_lower_bound(5.33349, 10.747) - 2.848) < 1e-3
+        # The bound is an upper float: the volume bound there is at or
+        # above the target.
+        v = _fkp(5.33349, slope_length_bound(5.33349, 2.848))
+        assert 2.848 <= v < 2.848 + 1e-12
 
     def test_fkp_rejects_short_slopes(self):
-        with pytest.raises(ValueError):
-            fkp_lower_bound(5.0, 6.0)
+        # The volume bound is vacuous at or below 2 pi, and no slope
+        # length bound falls there.
+        for target in (1e-300, 1e-12, 1e-3):
+            assert mpmath.mpf(slope_length_bound(5.0, target)) > 2 * mpmath.pi
 
     def test_slope_length_bound_value(self):
         b = slope_length_bound(5.33349, 2.848)
@@ -63,7 +77,7 @@ class TestBounds:
         for _ in range(100):
             v = rng.uniform(1.0, 10.0)
             t = rng.uniform(0.01, v * 0.99)
-            assert abs(fkp_lower_bound(v, slope_length_bound(v, t)) - t) < 1e-9
+            assert 0 <= _fkp(v, slope_length_bound(v, t)) - t < 1e-9
 
     def test_bound_ratio_validation(self):
         with pytest.raises(ValueError):
@@ -72,14 +86,15 @@ class TestBounds:
             slope_length_bound(5.0, 6.0)
 
     def test_fkp_strictly_increasing(self):
+        # A larger target allows longer slopes.
         prev = None
-        l = 2 * math.pi + 0.01
-        while l < 50:
-            v = fkp_lower_bound(5.33349, l)
+        t = 0.01
+        while t < 5.3:
+            b = slope_length_bound(5.33349, t)
             if prev is not None:
-                assert v > prev
-            prev = v
-            l += 0.37
+                assert b > prev
+            prev = b
+            t += 0.037
 
 
 class TestSlopeLength:
@@ -153,6 +168,11 @@ class TestEnumeration:
             with pytest.raises(AttributeError):
                 obj.extra = None
 
+    def test_parts_must_round_to_the_cusp(self):
+        with pytest.raises(ValueError, match="must round"):
+            enumerate_slopes(S776, 2.848, 0.01, [(1, 3), (0, 1), (2, 1), (0, 1)])
+
+
     def test_sorted_and_normalized(self):
         slopes = enumerate_slopes(S776, 2.848, fudge=0.01)
         assert list(slopes.pairs) == sorted(slopes.pairs, key=lambda t: (t[0], t[1]))
@@ -205,6 +225,69 @@ class TestEnumeration:
                         brute.add((p, q))
             assert fast == brute
             checked += 1
+
+
+def _toward(text, up):
+    """The double next to the decimal ``text``: the nearest one at or
+    above it when ``up``, else at or below it."""
+    x = float(text)
+    if Fraction(x) < Fraction(text) if up else Fraction(x) > Fraction(text):
+        x = math.nextafter(x, math.inf if up else -math.inf)
+    return x
+
+
+def _typed_cutoff(parent, target):
+    """2 pi / sqrt(1 - (target / parent)^(2/3)) for the decimals typed, at
+    50 digits."""
+    with mpmath.workdps(50):
+        ratio = mpmath.mpf(target) / mpmath.mpf(parent)
+        return 2 * mpmath.pi / mpmath.sqrt(1 - ratio ** (mpmath.mpf(2) / 3))
+
+
+class TestTypedParts:
+    """Given the exact values that the cusp's floats round, the list is
+    decided and each length bounded on those values."""
+
+    # Slope (1, 0) is shorter than the cutoff of the decimals typed,
+    # 42.4760937603331202..., and longer than that of their floats,
+    # 42.4760937603330556...; the float meridian is 42.4760937603330646...
+    MERIDIAN, PARENT, TARGET = "42.476093760333065", "2.9441", "2.848"
+
+    def test_false_exit_reproducer(self):
+        m = float(self.MERIDIAN)
+        assert enumerate_slopes(CuspData(m, 500j, 2.9441), 2.848, 0.0).pairs == ()
+        cusp = CuspData(m, 500j, _toward(self.PARENT, False))
+        parts = [Fraction(self.MERIDIAN).as_integer_ratio(), (0, 1), (0, 1), (500, 1)]
+        slopes = enumerate_slopes(cusp, _toward(self.TARGET, True), 0.0, parts)
+        assert [(p, q) for p, q, _ in slopes.pairs] == [(1, 0)]
+        assert Fraction(slopes.pairs[0][2]) >= Fraction(self.MERIDIAN)
+        assert mpmath.mpf(slopes.cutoff) >= _typed_cutoff(self.PARENT, self.TARGET)
+
+    def test_borderline_meridians_are_decided_on_the_typed_value(self):
+        # Meridians typed to 25 digits within a few ulps of the cutoff are
+        # listed exactly when a rational oracle of the typed value lists
+        # them; their floats would decide some of them the other way.
+        rng = random.Random(3301)
+        k = 4 * Fraction(PI_HI) ** 2
+        seen = set()
+        for _ in range(300):
+            parent = rng.uniform(2.0, 6.0)
+            target = parent * rng.uniform(0.2, 0.95)
+            with mpmath.workdps(50):
+                c = _typed_cutoff(repr(parent), repr(target)) * (
+                    1 + mpmath.mpf(rng.uniform(-6e-16, 6e-16)))
+                text = mpmath.nstr(c, 25, strip_zeros=False)
+            q = Fraction(text) ** 2
+            ratio = Fraction(target) / Fraction(parent)
+            listed = q <= k or (1 - k / q) ** 3 <= ratio * ratio
+            seen.add(listed)
+            cusp = CuspData(float(text), 1e3j, parent)
+            parts = [Fraction(text).as_integer_ratio(), (0, 1), (0, 1), (1000, 1)]
+            slopes = enumerate_slopes(cusp, target, 0.0, parts)
+            assert ((1, 0) in slopes.coefficients()) is listed, text
+            if listed:
+                assert Fraction(slopes.pairs[0][2]) ** 2 >= q
+        assert seen == {True, False}
 
 
 class TestExactMembership:

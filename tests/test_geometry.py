@@ -11,10 +11,7 @@ from smallvol.geometry import (
     OrientationError,
     ShapeAssignment,
     certified_volume,
-    check_positive_orientation,
-    dihedral_angles,
     prove_volume_gt,
-    prove_volume_le,
 )
 from smallvol.certify import figure_eight_system, krawczyk_certify
 from smallvol import jets
@@ -49,6 +46,19 @@ def _refuse(*args):
     raise AssertionError("refused call on the volume path")
 
 
+def _principal(zj):
+    """The principal angles (arg z, arg 1/(1-z), arg (z-1)/z) over a box
+    in the upper half-plane: the volume kernel's angles modulo pi, with
+    pi added to a negative center."""
+    pi = pi_jet()
+    return tuple(a + pi if math.copysign(1.0, a.center) < 0.0 else a
+                 for a in geometry._angle_jets(zj))
+
+
+def _oriented(assignment):
+    return geometry._oriented(assignment.shapes, assignment.delta)
+
+
 class TestShapeAssignment:
     def test_valid(self):
         s = ShapeAssignment((OMEGA,), 0.0)
@@ -76,13 +86,13 @@ class TestShapeAssignment:
 
 class TestDihedralAngles:
     def test_regular_tetrahedron(self):
-        angles = dihedral_angles(ComplexJet.constant(OMEGA))
+        angles = _principal(ComplexJet.constant(OMEGA))
         third_pi = mpmath.pi / 3
         for a in angles:
             assert jet_contains_value(a, third_pi)
 
     def test_z_equals_i(self):
-        angles = dihedral_angles(ComplexJet.constant(1j))
+        angles = _principal(ComplexJet.constant(1j))
         expected = (mpmath.pi / 2, mpmath.pi / 4, mpmath.pi / 4)
         for a, e in zip(angles, expected):
             assert jet_contains_value(a, e)
@@ -93,7 +103,7 @@ class TestDihedralAngles:
             z = complex(rng.uniform(-1.5, 2.5), rng.uniform(0.15, 1.5))
             dim = 2
             zj = ComplexJet.variable(z, 0, 1, 1e-4, dim)
-            angles = dihedral_angles(zj)
+            angles = _principal(zj)
             for _ in range(5):
                 dz = complex(rng.uniform(-1e-4, 1e-4), rng.uniform(-1e-4, 1e-4))
                 w = z + dz
@@ -113,14 +123,14 @@ class TestDihedralAngles:
         for _ in range(40):
             z = complex(rng.uniform(-1, 2), rng.uniform(0.2, 1.5))
             zj = ComplexJet.variable(z, 0, 1, 1e-5, 2)
-            a1, a2, a3 = dihedral_angles(zj)
+            a1, a2, a3 = _principal(zj)
             total = a1 + a2 + a3
             assert jet_contains_value(total, mpmath.pi)
 
     def test_degenerate_shape_rejected(self):
         zj = ComplexJet.variable(0.001 + 0.001j, 0, 1, 0.01, 2)
         with pytest.raises(JetDomainError):
-            dihedral_angles(zj)
+            _principal(zj)
 
 
 def _mod_pi_angles(x, y):
@@ -166,14 +176,15 @@ class TestAngleKernel:
 
     def test_oracle_sweep(self):
         # Every sampled member's angle lies in the jet evaluated there:
-        # modulo pi for the kernel, principal for ``dihedral_angles``.
+        # modulo pi for the kernel, and principal once pi is added to a
+        # negative centre.
         rng = random.Random(25)
         bad = []
         with mpmath.workdps(50):
             for z, delta, share in _kernel_boxes():
                 zj = _box(z, delta, share)
                 mod_pi = geometry._angle_jets(zj)
-                principal = dihedral_angles(zj)
+                principal = _principal(zj)
                 c, e = zj.re.coeffs[0], zj.re.err
                 for xs in ((1, 1), (1, -1), (-1, 1), (-1, -1),
                            (rng.uniform(-1, 1), rng.uniform(-1, 1))):
@@ -200,7 +211,7 @@ class TestAngleKernel:
         # ratios, so nothing over- or underflows.
         z = unit * 1e150
         for a3 in (geometry._angle_jets(_box(z, abs(z) * 1e-9, 0.0))[2],
-                   dihedral_angles(_box(z, abs(z) * 1e-9, 0.5))[2]):
+                   _principal(_box(z, abs(z) * 1e-9, 0.5))[2]):
             assert 0.0 < a3.spread() < a3.center
 
     @pytest.mark.parametrize("z, delta, message", (
@@ -209,17 +220,19 @@ class TestAngleKernel:
         (2.0 + 0.001j, 0.01, "quadrant not provable")))
     def test_refuses_boxes_meeting_0_1_or_the_real_axis(self, z, delta, message):
         with pytest.raises(JetDomainError, match=message):
-            dihedral_angles(ComplexJet.variable(z, 0, 1, delta, 2))
+            geometry._angle_jets(ComplexJet.variable(z, 0, 1, delta, 2))
 
-    def test_lower_half_plane_negates_the_conjugate(self):
+    def test_lower_half_plane_is_refused(self):
+        # The kernel takes boxes above the axis only; the conjugate's
+        # principal angles enclose the negated angles of z.
         z = complex(0.3, -0.8)
-        below = dihedral_angles(ComplexJet.variable(z, 0, 1, 1e-6, 2))
-        above = dihedral_angles(ComplexJet(Jet.variable(z.real, 0, 1e-6, 2),
-                                           -Jet.variable(z.imag, 1, 1e-6, 2)))
-        assert below == tuple(-a for a in above)
-        for a, t in zip(below, (cmath.phase(z), cmath.phase(1 / (1 - z)),
+        with pytest.raises(JetDomainError, match="quadrant not provable"):
+            geometry._angle_jets(ComplexJet.variable(z, 0, 1, 1e-6, 2))
+        above = _principal(ComplexJet(Jet.variable(z.real, 0, 1e-6, 2),
+                                      -Jet.variable(z.imag, 1, 1e-6, 2)))
+        for a, t in zip(above, (cmath.phase(z), cmath.phase(1 / (1 - z)),
                                 cmath.phase((z - 1) / z))):
-            assert jet_contains_value(a, t)
+            assert jet_contains_value(a, -t)
 
     @pytest.mark.parametrize("name", ("fig8", "n4"))
     @pytest.mark.parametrize("delta", (1e-8, 1e-4))
@@ -259,7 +272,7 @@ class TestEachValueOnce:
 
         monkeypatch.setattr(geometry, "_recip_scaled", counted)
         monkeypatch.setattr(ComplexJet, "abs_squared", _refuse)
-        dihedral_angles(ComplexJet.variable(OMEGA, 0, 1, 1e-9, 2))
+        geometry._angle_jets(ComplexJet.variable(OMEGA, 0, 1, 1e-9, 2))
         assert calls == [(OMEGA.real, OMEGA.imag), (1.0 - OMEGA.real, -OMEGA.imag)]
 
     def test_complex_jet_has_no_complex_arithmetic(self):
@@ -285,15 +298,15 @@ class TestEachValueOnce:
 
 class TestOrientation:
     def test_regular_true(self):
-        assert check_positive_orientation(ShapeAssignment((OMEGA,), 0.0))
+        assert _oriented(ShapeAssignment((OMEGA,), 0.0))
 
     def test_ball_crossing_axis_false(self):
-        assert not check_positive_orientation(
+        assert not _oriented(
             ShapeAssignment((0.5 + 0.001j,), 0.01)
         )
 
     def test_figure_eight_small_delta(self):
-        assert check_positive_orientation(ShapeAssignment((OMEGA, OMEGA), 1e-6))
+        assert _oriented(ShapeAssignment((OMEGA, OMEGA), 1e-6))
 
     @pytest.mark.parametrize("y, delta, oriented", (
         (5e-324, 0.0, True), (0.0, 0.0, False), (-1e-300, 0.0, False),
@@ -308,7 +321,7 @@ class TestOrientation:
         # The point-layer test decides as the imaginary-part jet would.
         assert Jet.variable(y, 1, delta, 2).prove_positive() is oriented
         z = complex(0.5, y)
-        assert check_positive_orientation(ShapeAssignment((OMEGA, z), delta)) is oriented
+        assert _oriented(ShapeAssignment((OMEGA, z), delta)) is oriented
 
 
 class TestCertifiedVolume:
@@ -456,7 +469,7 @@ class TestExactShapes:
             z = cmath.rect(10.0 ** rng.uniform(-3, 3), theta)
             iv = certified_volume(ShapeAssignment((z,), 0.0))
             assert mpmath.mpf(iv.lo) <= _bloch_wigner(z) <= mpmath.mpf(iv.hi)
-            angles = dihedral_angles(ComplexJet.variable(z, 0, 1, 0.0, 2))
+            angles = _principal(ComplexJet.variable(z, 0, 1, 0.0, 2))
             jet_lo, jet_hi = sum((lobachevsky(a, 1e-12) for a in angles), zero).bounds()
             assert iv.width() <= jet_hi - jet_lo, z
 
@@ -494,13 +507,14 @@ class TestProveVolume:
             z = complex(rng.uniform(-0.5, 1.5), rng.uniform(0.3, 1.2))
             s = ShapeAssignment((z,), 1e-8)
             t = rng.uniform(0.0, 1.2)
-            assert not (prove_volume_gt(s, t) and prove_volume_le(s, t))
+            assert not (prove_volume_gt(s, t) and certified_volume(s).hi <= t)
 
     def test_inconclusive_is_false(self):
-        # negative imaginary part: orientation fails, both provers decline
+        # negative imaginary part: orientation fails, the prover declines
         s = ShapeAssignment((0.5 - 0.9j,), 0.0)
         assert not prove_volume_gt(s, 0.1)
-        assert not prove_volume_le(s, 10.0)
+        with pytest.raises(OrientationError):
+            certified_volume(s)
 
 
 def _golden_shapes(n):

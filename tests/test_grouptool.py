@@ -27,6 +27,7 @@ from smallvol.grouptool.engine import _State, _run_step
 
 import word_refs
 from oracles import derivation_replays
+import search_refs
 from search_refs import best_first as reference_best_first
 
 
@@ -317,8 +318,8 @@ class TestSmithNormalForm:
 
     def test_nontrivial_in_abelianization(self):
         p = Presentation.from_strings(("a", "b", "c"), ["a2cb-1cb", "b2c2"])
-        assert nontrivial_in_abelianization(p, p.word("c"))
-        assert not nontrivial_in_abelianization(p, p.word("aba-1b-1"))
+        assert nontrivial_in_abelianization(p, words.parse_word("c", p.generators))
+        assert not nontrivial_in_abelianization(p, words.parse_word("aba-1b-1", p.generators))
 
 
 class TestDetectPowerRelator:
@@ -466,7 +467,7 @@ def _root_charge(word, rels):
     rels = [search._doubled(r) for r in map(words.cyclic_reduce, rels) if r]
     by_first, by_last, _ = search._tables(rels)
     w = search._doubled(word)
-    return (sum(len(w) + len(v) for _, v in search._successors(w, by_first, by_last)),
+    return (sum(len(w) + len(v) for _, v in search_refs.successors(w, by_first, by_last)),
             2 * sum(len(r) ** 2 for r in rels))
 
 
@@ -782,7 +783,7 @@ class TestLastDepth:
         by_first, by_last, (variants, lengths, around) = search._tables(
             [search._doubled(r) for r in rels])
         w = search._doubled(word)
-        successors = list(search._successors(w, by_first, by_last))
+        successors = list(search_refs.successors(w, by_first, by_last))
         charge = sum(len(w) + len(v) for _, v in successors)
         assert search._charge(w, by_first, by_last, around) == charge
         if not search._may_vanish(w, variants, lengths):
