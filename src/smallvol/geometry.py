@@ -223,8 +223,9 @@ def certified_volume(assignment: ShapeAssignment, tol: float = 1e-12) -> Interva
 
     Exact shapes (delta = 0) are summed on the point layer
     (``_exact_volume``).  Otherwise each tetrahedron's three Lobachevsky
-    terms are summed over its own two variables, and the tetrahedra are
-    added as (center, spread) pairs.
+    terms are summed over its own two variables, as (center, coeffs, err)
+    triples (``jets._add``), and the tetrahedra are added as (center,
+    spread) pairs.
     """
     if not _oriented(assignment.shapes, assignment.delta):
         raise OrientationError(
@@ -234,11 +235,15 @@ def certified_volume(assignment: ShapeAssignment, tol: float = 1e-12) -> Interva
         c, e = _exact_volume(assignment.shapes)
         return Interval(_down(c - e), _up(c + e)) if e else Interval(c, c)
     jets = smallvol.jets
-    total = zero = jets.Jet.constant(0.0)
+    add = jets._add
+    total = err = 0.0
     for zj in assignment.shape_jets():
-        term = sum((lobachevsky(a, tol) for a in _angle_jets(zj)), zero)
-        total = total + jets._jet(term.center, (), term.spread())
-    lo, hi = total.bounds()
+        c, xs, e = 0.0, (), 0.0
+        for a in _angle_jets(zj):
+            v = lobachevsky(a, tol)
+            c, xs, e = add(c, xs, e, v.center, v.coeffs, v.err)
+        total, err = _add0(total, err, c, jets._spread(xs, e))
+    lo, hi = jets._jet(total, (), err).bounds()
     return Interval(lo, hi)
 
 

@@ -28,6 +28,17 @@ operands and is therefore charged ``EPS_PRIM * inf`` into ``err``.  A
 coefficient can thus only become non-finite in a result whose ``err`` is
 non-finite too, and that result is rejected.
 
+Every rule runs on plain ``(center, coeffs, err)`` triples: jet + jet
+(``_add``), jet * jet (``_mul``), jet + and * a dimension-0 operand
+(``_add_const``, ``_mul_const``), and the bounds ``_spread`` and
+``_sup_abs``.  Each is a module function that raises as ``_jet`` does
+on a non-finite result, and the ``Jet`` operators and queries are thin
+wrappers over them, so each rule has one implementation.  A chain of
+operations whose intermediate results no caller sees (the Lobachevsky
+series, a tetrahedron's volume terms, the linear parts of ``log_jet``
+and ``atan_jet``) runs on the triples and builds one jet at its end,
+with the same float operations and charges as the operators.
+
 Constants are dimension-0 jets (no coefficients), and a scalar operand
 counts as one with ``err`` 0.  A dimension-0 operand K combines with a
 jet j of any dimension (``_add_const``, ``_mul_const``): j + K keeps j's
@@ -110,26 +121,17 @@ class Jet:
 
     def spread(self) -> float:
         """Upper bound for sup |f(x) - center| over the represented set."""
-        s = 0.0
-        for c in self.coeffs:
-            if c:
-                s = _nextafter(s + abs(c), _INF)
-        if self.err == 0.0:
-            return s
-        return _up(s + self.err)
+        return _spread(self.coeffs, self.err)
 
     def bounds(self) -> tuple:
         """Outward interval enclosing every value of every member function."""
-        s = self.spread()
+        s = _spread(self.coeffs, self.err)
         if s == 0.0:
             return self.center, self.center
         return _down(self.center - s), _up(self.center + s)
 
     def sup_abs(self) -> float:
-        s = self.spread()
-        if s == 0.0:
-            return abs(self.center)
-        return _up(abs(self.center) + s)
+        return _sup_abs(self.center, self.coeffs, self.err)
 
     def prove_positive(self) -> bool:
         return self.bounds()[0] > 0.0
@@ -155,20 +157,7 @@ class Jet:
     def __hash__(self):
         return hash((self.center, self.coeffs, self.err))
 
-    # -- arithmetic ---------------------------------------------------
-    #
-    # Rounding charges are accumulated in a local float, each one as
-    # err = up(err + charge), in a fixed order.  A sum v = fl(x + y) is
-    # charged up(EPS_PRIM |v|) unless x, y or v is zero (adding zero and
-    # cancelling to zero are exact); a product v = fl(x * y) (or a quotient
-    # with divisor y) is charged up(up(EPS_PRIM |v|) + TINY) unless x or y
-    # is zero.
-    #
-    # A dimension-0 or scalar operand goes to ``_add_const``/``_mul_const``,
-    # which charge only what they compute.
-
-    def _mismatch(self, other) -> JetError:
-        return JetError(f"dimension mismatch: {self.dim} vs {other.dim}")
+    # -- arithmetic: wrappers over the rules on triples below -----------
 
     def __neg__(self) -> "Jet":
         # Negation of doubles is exact.
@@ -179,31 +168,9 @@ class Jet:
             k = _scalar(other)
             if k is None:
                 return NotImplemented
-            return _add_const(self, k, 0.0)
-        b = other
-        if not b.coeffs:
-            return _add_const(self, b.center, b.err)
-        if not self.coeffs:
-            return _add_const(b, self.center, self.err)
-        if len(b.coeffs) != len(self.coeffs):
-            raise self._mismatch(b)
-        up, inf, eps = _nextafter, _INF, EPS_PRIM
-        x0, y0 = self.center, b.center
-        c0 = x0 + y0
-        err = 0.0
-        if x0 and y0 and c0:
-            err = up(err + up(eps * abs(c0), inf), inf)
-        coeffs = []
-        for x, y in zip(self.coeffs, b.coeffs):
-            ci = x + y
-            if x and y and ci:
-                err = up(err + up(eps * abs(ci), inf), inf)
-            coeffs.append(ci)
-        if self.err:
-            err = up(err + self.err, inf)
-        if b.err:
-            err = up(err + b.err, inf)
-        return _jet(c0, tuple(coeffs), err)
+            return _jet(*_add_const(self.center, self.coeffs, self.err, k, 0.0))
+        return _jet(*_add(self.center, self.coeffs, self.err,
+                          other.center, other.coeffs, other.err))
 
     __radd__ = __add__
 
@@ -211,11 +178,12 @@ class Jet:
         if other.__class__ is Jet:
             if other.coeffs:
                 return self.__add__(-other)
-            return _add_const(self, -other.center, other.err)
+            return _jet(*_add_const(self.center, self.coeffs, self.err,
+                                    -other.center, other.err))
         k = _scalar(other)
         if k is None:
             return NotImplemented
-        return _add_const(self, -k, 0.0)
+        return _jet(*_add_const(self.center, self.coeffs, self.err, -k, 0.0))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -225,48 +193,9 @@ class Jet:
             k = _scalar(other)
             if k is None:
                 return NotImplemented
-            return _mul_const(self, k, 0.0)
-        b = other
-        if not b.coeffs:
-            return _mul_const(self, b.center, b.err)
-        if not self.coeffs:
-            return _mul_const(b, self.center, self.err)
-        if len(b.coeffs) != len(self.coeffs):
-            raise self._mismatch(b)
-        up, inf, eps = _nextafter, _INF, EPS_PRIM
-        a0, b0 = self.center, b.center
-        c0 = a0 * b0
-        err = 0.0
-        if a0 and b0:
-            err = up(err + up(up(eps * abs(c0), inf) + TINY, inf), inf)
-        coeffs = []
-        sa = sb = 0.0  # upward sums of |coeffs| of self and of b
-        for x, y in zip(self.coeffs, b.coeffs):
-            t1 = a0 * y
-            t2 = b0 * x
-            ci = t1 + t2
-            if a0 and y:
-                err = up(err + up(up(eps * abs(t1), inf) + TINY, inf), inf)
-            if b0 and x:
-                err = up(err + up(up(eps * abs(t2), inf) + TINY, inf), inf)
-            if t1 and t2 and ci:
-                err = up(err + up(eps * abs(ci), inf), inf)
-            coeffs.append(ci)
-            if x:
-                sa = up(sa + abs(x), inf)
-            if y:
-                sb = up(sb + abs(y), inf)
-        # Quadratic cross terms are folded entirely into err.
-        if sa and sb:
-            err = up(err + up(sa * sb, inf), inf)
-        # The err terms as in ``_mul0``: self.err * b.err is charged once.
-        if b.err:
-            ma = up(up(abs(a0) + sa, inf) + self.err, inf)
-            err = up(err + up(ma * b.err, inf), inf)
-        if self.err:
-            mb = up(abs(b0) + sb, inf)
-            err = up(err + up(mb * self.err, inf), inf)
-        return _jet(c0, tuple(coeffs), err)
+            return _jet(*_mul_const(self.center, self.coeffs, self.err, k, 0.0))
+        return _jet(*_mul(self.center, self.coeffs, self.err,
+                          other.center, other.coeffs, other.err))
 
     __rmul__ = __mul__
 
@@ -278,49 +207,21 @@ class Jet:
         if other.__class__ is Jet:
             if other.coeffs:
                 if self.coeffs and len(other.coeffs) != len(self.coeffs):
-                    raise self._mismatch(other)
+                    raise _mismatch(self.coeffs, other.coeffs)
                 return self.__mul__(other.reciprocal())
             k, ke = other.center, other.err
         else:
             k, ke = _scalar(other), 0.0
             if k is None:
                 return NotImplemented
-        return _mul_const(self, *_recip0(k, ke))
+        return _jet(*_mul_const(self.center, self.coeffs, self.err, *_recip0(k, ke)))
 
     def __rtruediv__(self, other):
         k = _scalar(other)
         if k is None:
             return NotImplemented
-        return _mul_const(self.reciprocal(), k, 0.0)
-
-
-def _add_const(j: Jet, k: float, ke: float) -> Jet:
-    """j + K for the dimension-0 operand K = (k, ke): the sum of centers
-    and errs as in ``_add0``, with j's coefficients unchanged."""
-    c, err = _add0(j.center, j.err, k, ke)
-    return _jet(c, j.coeffs, err)
-
-
-def _mul_const(j: Jet, k: float, ke: float) -> Jet:
-    """j * K for the dimension-0 operand K = (k, ke): the product of
-    centers and errs as in ``_mul0``, the roundings of the coefficients
-    k * x_i, and spread(coefficients) * ke for their product with K's err."""
-    c, err = _mul0(j.center, j.err, k, ke)
-    if not j.coeffs:
-        return _jet(c, (), err)
-    up, inf, eps = _nextafter, _INF, EPS_PRIM
-    coeffs = []
-    s = 0.0  # upward sum of |coeffs| of j
-    for x in j.coeffs:
-        t = k * x
-        if x:
-            s = up(s + abs(x), inf)
-            if k:
-                err = up(err + up(up(eps * abs(t), inf) + TINY, inf), inf)
-        coeffs.append(t)
-    if ke and s:
-        err = up(err + up(s * ke, inf), inf)
-    return _jet(c, tuple(coeffs), err)
+        r = self.reciprocal()
+        return _jet(*_mul_const(r.center, r.coeffs, r.err, k, 0.0))
 
 
 def _jet(center: float, coeffs: tuple, err: float) -> Jet:
@@ -333,6 +234,146 @@ def _jet(center: float, coeffs: tuple, err: float) -> Jet:
     j.err = err
     j.__post_init__()
     return j
+
+
+# -- rules on (center, coeffs, err) triples ------------------------------
+#
+# Each returns the triple of its result and raises as ``_jet`` would on a
+# non-finite one.  Rounding charges are accumulated in a local float,
+# each one as err = up(err + charge), in a fixed order.  A sum v =
+# fl(x + y) is charged up(EPS_PRIM |v|) unless x, y or v is zero (adding
+# zero and cancelling to zero are exact); a product v = fl(x * y) (or a
+# quotient with divisor y) is charged up(up(EPS_PRIM |v|) + TINY) unless
+# x or y is zero.
+#
+# A dimension-0 operand goes to ``_add_const``/``_mul_const``, which
+# charge only what they compute.
+
+def _mismatch(xs: tuple, ys: tuple) -> JetError:
+    return JetError(f"dimension mismatch: {len(xs)} vs {len(ys)}")
+
+
+def _spread(xs: tuple, err: float) -> float:
+    """Upper bound for sup |f(x) - center| over the triple's set."""
+    s = 0.0
+    for c in xs:
+        if c:
+            s = _nextafter(s + abs(c), _INF)
+    if err == 0.0:
+        return s
+    return _up(s + err)
+
+
+def _sup_abs(x0: float, xs: tuple, err: float) -> float:
+    """Upper bound for sup |f(x)| over the triple's set."""
+    s = _spread(xs, err)
+    if s == 0.0:
+        return abs(x0)
+    return _up(abs(x0) + s)
+
+
+def _add(x0: float, xs: tuple, xe: float, y0: float, ys: tuple, ye: float) -> tuple:
+    """x + y."""
+    if not ys:
+        return _add_const(x0, xs, xe, y0, ye)
+    if not xs:
+        return _add_const(y0, ys, ye, x0, xe)
+    if len(ys) != len(xs):
+        raise _mismatch(xs, ys)
+    up, inf, eps = _nextafter, _INF, EPS_PRIM
+    c0 = x0 + y0
+    err = 0.0
+    if x0 and y0 and c0:
+        err = up(err + up(eps * abs(c0), inf), inf)
+    coeffs = []
+    for x, y in zip(xs, ys):
+        ci = x + y
+        if x and y and ci:
+            err = up(err + up(eps * abs(ci), inf), inf)
+        coeffs.append(ci)
+    if xe:
+        err = up(err + xe, inf)
+    if ye:
+        err = up(err + ye, inf)
+    if -inf < c0 < inf and 0.0 <= err < inf:
+        return c0, tuple(coeffs), err
+    _reject(c0, err)
+
+
+def _mul(a0: float, xs: tuple, ae: float, b0: float, ys: tuple, be: float) -> tuple:
+    """a * b."""
+    if not ys:
+        return _mul_const(a0, xs, ae, b0, be)
+    if not xs:
+        return _mul_const(b0, ys, be, a0, ae)
+    if len(ys) != len(xs):
+        raise _mismatch(xs, ys)
+    up, inf, eps = _nextafter, _INF, EPS_PRIM
+    c0 = a0 * b0
+    err = 0.0
+    if a0 and b0:
+        err = up(err + up(up(eps * abs(c0), inf) + TINY, inf), inf)
+    coeffs = []
+    sa = sb = 0.0  # upward sums of |coeffs| of a and of b
+    for x, y in zip(xs, ys):
+        t1 = a0 * y
+        t2 = b0 * x
+        ci = t1 + t2
+        if a0 and y:
+            err = up(err + up(up(eps * abs(t1), inf) + TINY, inf), inf)
+        if b0 and x:
+            err = up(err + up(up(eps * abs(t2), inf) + TINY, inf), inf)
+        if t1 and t2 and ci:
+            err = up(err + up(eps * abs(ci), inf), inf)
+        coeffs.append(ci)
+        if x:
+            sa = up(sa + abs(x), inf)
+        if y:
+            sb = up(sb + abs(y), inf)
+    # Quadratic cross terms are folded entirely into err.
+    if sa and sb:
+        err = up(err + up(sa * sb, inf), inf)
+    # The err terms as in ``_mul0``: ae * be is charged once.
+    if be:
+        ma = up(up(abs(a0) + sa, inf) + ae, inf)
+        err = up(err + up(ma * be, inf), inf)
+    if ae:
+        mb = up(abs(b0) + sb, inf)
+        err = up(err + up(mb * ae, inf), inf)
+    if -inf < c0 < inf and 0.0 <= err < inf:
+        return c0, tuple(coeffs), err
+    _reject(c0, err)
+
+
+def _add_const(x0: float, xs: tuple, xe: float, k: float, ke: float) -> tuple:
+    """x + K for the dimension-0 operand K = (k, ke): the sum of centers
+    and errs as in ``_add0``, with x's coefficients unchanged."""
+    c, err = _add0(x0, xe, k, ke)
+    return c, xs, err
+
+
+def _mul_const(x0: float, xs: tuple, xe: float, k: float, ke: float) -> tuple:
+    """x * K for the dimension-0 operand K = (k, ke): the product of
+    centers and errs as in ``_mul0``, the roundings of the coefficients
+    k * x_i, and spread(coefficients) * ke for their product with K's err."""
+    c, err = _mul0(x0, xe, k, ke)
+    if not xs:
+        return c, (), err
+    up, inf, eps = _nextafter, _INF, EPS_PRIM
+    coeffs = []
+    s = 0.0  # upward sum of |coeffs| of x
+    for x in xs:
+        t = k * x
+        if x:
+            s = up(s + abs(x), inf)
+            if k:
+                err = up(err + up(up(eps * abs(t), inf) + TINY, inf), inf)
+        coeffs.append(t)
+    if ke and s:
+        err = up(err + up(s * ke, inf), inf)
+    if 0.0 <= err < inf:
+        return c, tuple(coeffs), err
+    _reject(c, err)
 
 
 def pi_jet() -> Jet:
@@ -369,11 +410,11 @@ def log_jet(a: Jet) -> Jet:
         raise JetDomainError("log of a jet not provably positive")
     a0 = a.center
     # a - a0 is exact: the same coefficients and err about center 0.
-    t = _mul_const(_jet(0.0, a.coeffs, a.err), *_inv0(a0))
-    t_sup = t.spread()
+    _, ts, te = _mul_const(0.0, a.coeffs, a.err, *_inv0(a0))
+    t_sup = _spread(ts, te)
     if not t_sup < 1.0:
         raise JetDomainError("log: jet range too wide for the remainder bound")
-    terms = [t.err]
+    terms = [te]
     if t_sup:
         # T < 1 keeps 1 - T >= 2^-53, so the denominator is positive.
         om = _down(1.0 - t_sup)
@@ -384,7 +425,7 @@ def log_jet(a: Jet) -> Jet:
     value = 0.0 if a0 == 1.0 else math.log(a0)
     if value:
         terms.append(_libm_err(value))
-    return _jet(value, t.coeffs, _sum_up(terms))
+    return _jet(value, ts, _sum_up(terms))
 
 
 # From this |a0| on, ``atan_jet`` reflects a provably signed jet.  The
@@ -425,10 +466,10 @@ def atan_jet(a: Jet) -> Jet:
                *_recip0(*_mul0(*_mul0(*w2, *w), 3.0, 0.0)))
     zzz = _mul0(*zz, *z)
     c4 = _mul0(*_add0(*z, -zzz[0], zzz[1]), *_recip0(*_mul0(*w2, *w2)))
-    lin = _mul_const(_jet(0.0, a.coeffs, 0.0), c1[0], 0.0)
+    _, lin, lin_err = _mul_const(0.0, a.coeffs, 0.0, c1[0], 0.0)
     e, s = a.err, _sum_up(map(abs, a.coeffs))
     d_sup = _up(s + e) if e else s
-    terms = [lin.err, _mul_up(abs(c1[0]), e)] if e else [lin.err]
+    terms = [lin_err, _mul_up(abs(c1[0]), e)] if e else [lin_err]
     if d_sup:
         h = _up(_up(abs(c4[0]) + c4[1]) + _up(d_sup / 5.0))
         h = _horner_up(h, (_up(abs(c3[0]) + c3[1]), c2[1]), d_sup)
@@ -438,7 +479,7 @@ def atan_jet(a: Jet) -> Jet:
     value = 0.0 if a0 == 0.0 else math.atan(a0)
     if value:
         terms.append(_libm_err(value))
-    return _jet(value, lin.coeffs, _sum_up(terms))
+    return _jet(value, lin, _sum_up(terms))
 
 
 class ComplexJet:

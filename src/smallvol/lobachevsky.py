@@ -18,6 +18,10 @@ bounds the whole remaining tail by twice itself.
 There are two evaluators.  ``lobachevsky`` takes a jet with linear
 terms through jet arithmetic, truncating at a tolerance, so the returned
 jet contains the true value of L pointwise over the input jet's range.
+Its series (``_eval_positive``) runs the jet rules of ``jets`` on plain
+(center, coeffs, err) triples, with the operations and charges of the
+jet operators, and builds jets only on the way to 1 - log 2t and for
+the result.
 ``_point`` takes a point (center, err) in plain floats with an a priori
 rounding bound, and sums the series until its terms fall below 2^-64,
 so no tolerance enters; exact-shape volumes (``geometry``) and
@@ -180,49 +184,59 @@ def lobachevsky(theta: Jet, tol: float = 1e-12) -> Jet:
     rejected since log|2 theta| is singular there.  A dimension-0 jet is
     evaluated by ``_point``, which ignores ``tol``.
     """
+    jets = smallvol.jets
     if not theta.coeffs:
         c, e = _point(theta.center, theta.err)
-        return smallvol.jets._jet(c, (), e)
+        return jets._jet(c, (), e)
     coeffs = default_coeffs()
     theta0 = range_reduce(theta)
     if theta0.is_exact_zero():
-        return smallvol.jets.Jet.constant(0.0)
-    if theta0.prove_positive():
-        return _eval_positive(theta0, tol, coeffs)
-    if theta0.prove_negative():
-        return -_eval_positive(-theta0, tol, coeffs)
+        return jets.Jet.constant(0.0)
+    lo, hi = theta0.bounds()
+    if lo > 0.0:
+        t = theta0
+        return jets._jet(*_eval_positive(t.center, t.coeffs, t.err, tol, coeffs))
+    if hi < 0.0:
+        t = -theta0  # L is odd, and negation is exact
+        return -jets._jet(*_eval_positive(t.center, t.coeffs, t.err, tol, coeffs))
     raise JetDomainError(
         "Lobachevsky argument straddles zero with positive width"
     )
 
 
-def _eval_positive(t: Jet, tol: float, coeffs: SeriesCoeffs) -> Jet:
-    """Series evaluation for t provably inside (0, pi/sqrt(2))."""
+def _eval_positive(t0: float, ts: tuple, te: float, tol: float,
+                   coeffs: SeriesCoeffs) -> tuple:
+    """Series evaluation for the triple t = (t0, ts, te), provably inside
+    (0, pi/sqrt(2)) and with coefficients, as a triple: each step is the
+    jet operation of ``jets`` on triples, and only the steps to
+    1 - log 2t build jets."""
     jets = smallvol.jets  # looked up per call, so a patched log_jet is seen
-    _jet, log_jet = jets._jet, jets.log_jet
-    s = 1.0 - log_jet(t * 2.0)
-    t_sq = t * t
-    power = t_sq
+    add, mul, mul_const, sup_abs = jets._add, jets._mul, jets._mul_const, jets._sup_abs
+    lg = jets.log_jet(jets._jet(*mul_const(t0, ts, te, 2.0, 0.0)))
+    s = 1.0 - lg
+    s0, ss, se = s.center, s.coeffs, s.err
+    q0, qs, qe = mul(t0, ts, te, t0, ts, te)  # t^2
+    p0, ps, pe = q0, qs, qe  # t^2n
     tail = None
     for n, (lo, hi) in enumerate(zip(coeffs.lower, coeffs.upper), 1):
-        # Dimension-0 jet containing l_n.
-        term = _jet(lo, (), _up(hi - lo)) * power
-        bound = term.sup_abs()
+        # The dimension-0 constant [lo, hi] containing l_n, times t^2n.
+        m0, ms, me = mul_const(p0, ps, pe, lo, _up(hi - lo))
+        bound = sup_abs(m0, ms, me)
         if bound <= tol:
             # Remaining terms from n on sum to less than 2 * bound.
-            tail = _jet(bound, (), bound)
+            tail = bound
             break
-        s = s + term
+        s0, ss, se = add(s0, ss, se, m0, ms, me)
         if n < coeffs.count:
-            power = power * t_sq
+            p0, ps, pe = mul(p0, ps, pe, q0, qs, qe)
     if tail is None:
         # Ran out of terms: l_{K+1} <= l_K / pi^2 bounds the next term, and
         # the tail from K+1 is at most twice that.
         pi_sq_lo = _down(PI_LO * PI_LO)
-        next_bound = _up(_mul_up(bound, t_sq.sup_abs()) / pi_sq_lo)
-        h = _mul_up(2.0, next_bound) * 0.5
-        tail = _jet(h, (), h)
-    return t * (s + tail)
+        next_bound = _up(_mul_up(bound, sup_abs(q0, qs, qe)) / pi_sq_lo)
+        tail = _mul_up(2.0, next_bound) * 0.5
+    # The tail is the dimension-0 constant [0, 2 tail], centred at tail.
+    return mul(t0, ts, te, *jets._add_const(s0, ss, se, tail, tail))
 
 
 # Series terms below this are dropped: far below one rounding of the

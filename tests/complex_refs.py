@@ -107,9 +107,9 @@ def degree4_atan_jet(a):
     zzz = _mul0(*zz, *z)
     c4 = _mul0(*_add0(*z, -zzz[0], zzz[1]), *_recip0(*_mul0(*w2, *w2)))
     # poly = d * (c1 + d * (c2 + d * (c3 + d * c4)))
-    poly = _mul_const(d, *c4)
+    poly = _jet(*_mul_const(d.center, d.coeffs, d.err, *c4))
     for c in (c3, c2, c1):
-        poly = d * _add_const(poly, *c)
+        poly = d * _jet(*_add_const(poly.center, poly.coeffs, poly.err, *c))
     t_sup = d.sup_abs()
     if t_sup == 0.0:
         rem = 0.0

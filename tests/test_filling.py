@@ -6,6 +6,7 @@ from math import gcd
 import mpmath
 import pytest
 
+from smallvol import filling
 from smallvol.filling import (
     CuspData,
     SlopeList,
@@ -288,6 +289,73 @@ class TestTypedParts:
             if listed:
                 assert Fraction(slopes.pairs[0][2]) ** 2 >= q
         assert seen == {True, False}
+
+
+class TestFloatFilterError:
+    """The float filter's error bound covers the parts' rounding to the
+    cusp's floats.  On the thin lattice m = 1, l = 150.3 + 1.7i the slope
+    (-905, 6) has length about 10.7 from parts about 900 long, so moving
+    each exact part by under half an ulp moves its squared length by
+    hundreds of ulps: past the cutoff's float bracket [c2_lo, c2_hi],
+    while its float squared length stays on the other side."""
+
+    MERIDIAN, LONGITUDE, PARENT, TARGET = 1.0, complex(150.3, 1.7), 4.0, 1.2
+    PAIR = (-905, 6)
+
+    @staticmethod
+    def exact(x, sign):
+        """x moved 0.45 of the way to its neighbouring float on the side
+        of ``sign``: a rational that rounds to x."""
+        return Fraction(x) + (Fraction(math.nextafter(x, sign * math.inf)) - Fraction(x)) * Fraction(45, 100)
+
+    @pytest.mark.parametrize("signs, fudge, listed", (
+        # The float squared length is below c2_lo, the exact one above c2_hi.
+        ((1, -1, 1), 0.26391980486066513, False),
+        # The float squared length is above c2_hi, the exact one below c2_lo.
+        ((-1, 1, -1), 0.26391980486066313, True),
+    ))
+    def test_listed_pairs_follow_the_exact_parts(self, signs, fudge, listed):
+        m, l = self.MERIDIAN, self.LONGITUDE
+        mr, lr, li = (self.exact(x, sign) for x, sign in zip((m, l.real, l.imag), signs))
+        exact = (mr, Fraction(0), lr, li)
+        assert [float(x) for x in exact] == [m, 0.0, l.real, l.imag]
+        k = 4 * Fraction(PI_HI) ** 2 * (1 + Fraction(fudge)) ** 2
+        ratio = Fraction(self.TARGET) / Fraction(self.PARENT)
+
+        def squared(p, q):
+            return (p * mr + q * lr) ** 2 + (q * li) ** 2
+
+        def member(p, q):
+            big_q = squared(p, q)
+            return big_q <= k or (1 - k / big_q) ** 3 <= ratio * ratio
+
+        # The premise: the pair's float squared length, rounded as the
+        # filter rounds it, and its exact one lie on either side of the
+        # bracket, so only the filter's error bound sends it to the exact test.
+        c2_lo, c2_hi = filling._cutoff_squared(self.PARENT, self.TARGET, fudge)
+        p, q = self.PAIR
+        x, y = p * m + q * l.real, q * l.imag
+        if listed:
+            assert x * x + y * y > math.nextafter(c2_hi, math.inf)
+            assert squared(p, q) <= Fraction(c2_lo) and member(p, q)
+        else:
+            assert x * x + y * y <= math.nextafter(c2_lo, -math.inf)
+            assert squared(p, q) > Fraction(c2_hi) and not member(p, q)
+
+        slopes = enumerate_slopes(CuspData(m, l, self.PARENT), self.TARGET, fudge,
+                                  [x.as_integer_ratio() for x in exact])
+        assert (self.PAIR in slopes.coefficients()) is listed
+        # Every normalized coprime pair against the exact test: pairs whose
+        # float squared length exceeds 2 c2_hi are far outside it.
+        area = l.imag
+        radius = math.sqrt(2 * c2_hi)
+        p_max, q_max = int(radius * abs(l) / area) + 1, int(radius / area) + 1
+        expected = {(p, q) for q in range(q_max + 1) for p in range(-p_max, p_max + 1)
+                    if (q > 0 or p == 1) and gcd(abs(p), q) == 1
+                    and (p * m + q * l.real) ** 2 + (q * l.imag) ** 2 <= 2 * c2_hi
+                    and member(p, q)}
+        assert self.PAIR in expected or not listed
+        assert slopes.coefficients() == expected
 
 
 class TestExactMembership:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import math
 import random
@@ -6,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from smallvol.geometry import ShapeAssignment, certified_volume
 from smallvol.jets import Jet, JetDomainError, pi_jet
 from smallvol.lobachevsky import (
     MAX_TERMS,
@@ -16,6 +18,7 @@ from smallvol.lobachevsky import (
     series_coeffs,
 )
 
+import lobachevsky_refs
 from oracles import (
     jet_contains_value,
     lobachevsky_clausen,
@@ -276,3 +279,88 @@ class TestPointKernel:
             c, e = lobachevsky_module._point(x, 0.0)
             lo, hi = lobachevsky(Jet(x, (0.0,), 0.0), tol=1e-16).bounds()
             assert 2 * e <= hi - lo
+
+
+def _outcome(fn, *args):
+    """Every field of a jet or an interval by ``float.hex``, or the type
+    and message of the error ``fn`` raises."""
+    try:
+        r = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc).__name__, str(exc)
+    if isinstance(r, Jet):
+        return (r.center.hex(), *(c.hex() for c in r.coeffs), r.err.hex())
+    return r.lo.hex(), r.hi.hex()
+
+
+def _digest(outcomes):
+    return hashlib.sha256(repr(outcomes).encode()).hexdigest()
+
+
+def _series_cases():
+    """6,000 seeded (jet, tol) pairs: dimension 0 to 4, spreads 1e-16 to
+    1e-3 split over the coefficients (some exactly zero), err 0 in half
+    of them, tol 1e-16 to 1e-8 (1e-40 to 1e-20 in one case of 20, which
+    can run out of coefficients), and centres near 0, near +-pi/2, past
+    +-pi/sqrt(2) (range reduction) and anywhere in between."""
+    rng = random.Random(34)
+    cases = []
+    for i in range(6000):
+        kind = i % 4
+        if kind == 0:
+            c = 10.0 ** rng.uniform(-14, -1)
+        elif kind == 1:
+            c = math.pi / 2 + rng.choice((-1, 1)) * 10.0 ** rng.uniform(-16, -2)
+        elif kind == 2:
+            c = rng.uniform(math.pi / math.sqrt(2), 12.0)
+        else:
+            c = rng.uniform(0.0, math.pi / math.sqrt(2))
+        c = rng.choice((-1.0, 1.0)) * c
+        dim = rng.randint(0, 4)
+        spread = 10.0 ** rng.uniform(-16, -3)
+        weights = [rng.choice((0.0, rng.uniform(-1.0, 1.0))) for _ in range(dim)]
+        norm = sum(map(abs, weights)) or 1.0
+        coeffs = [spread * w / norm for w in weights]
+        err = rng.choice((0.0, spread * 10.0 ** rng.uniform(-3, 0)))
+        tol = 10.0 ** (rng.uniform(-40, -20) if rng.random() < 0.05 else rng.uniform(-16, -8))
+        cases.append((Jet(c, coeffs, err), tol))
+    return cases
+
+
+def _volume_cases():
+    """720 seeded ``certified_volume`` calls: 120 each for n = 1, 2, 3, 4,
+    8 and 16 tetrahedra, delta 0 or 1e-16 to 1e-3, tol 1e-14 to 1e-8."""
+    rng = random.Random(3434)
+    cases = []
+    for n in (1, 2, 3, 4, 8, 16):
+        for i in range(120):
+            shapes = [complex(rng.uniform(-1.5, 2.5), rng.uniform(0.05, 2.0))
+                      for _ in range(n)]
+            delta = 0.0 if i % 6 == 0 else 10.0 ** rng.uniform(-16, -3)
+            cases.append((ShapeAssignment(shapes, delta), 10.0 ** rng.uniform(-14, -8)))
+    return cases
+
+
+# SHA-256 of the outcomes of ``_series_cases`` and ``_volume_cases``,
+# taken before the series ran on triples.
+SERIES_DIGEST = "0319cc548a3283eed8657bf99eaad32dcaf15c4c9a5ebe4d924252bddf851ad9"
+VOLUME_DIGEST = "a90d2381a4516581bb3e5fecb75a1ca344c171a0c13da2d18aadf5de2bde31f3"
+
+
+class TestSeriesBits:
+    """The triple series is the per-operation jet series, bit for bit."""
+
+    def test_matches_the_per_operation_series(self):
+        got, refused = [], 0
+        for theta, tol in _series_cases():
+            mine = _outcome(lobachevsky, theta, tol)
+            assert mine == _outcome(lobachevsky_refs.lobachevsky, theta, tol), theta
+            got.append(mine)
+            refused += isinstance(mine[0], str) and mine[0].endswith("Error")
+        assert 100 <= refused <= 3000
+        # The same outcomes as before the series ran on triples.
+        assert _digest(got) == SERIES_DIGEST
+
+    def test_certified_volumes_are_pinned(self):
+        got = [_outcome(certified_volume, s, tol) for s, tol in _volume_cases()]
+        assert _digest(got) == VOLUME_DIGEST
