@@ -28,7 +28,7 @@ import sys as _sys
 
 # The package attribute ``lobachevsky`` must be this function, not the
 # submodule of the same name that the import binds first.
-from .lobachevsky import SeriesCoeffs, lobachevsky, range_reduce, series_coeffs
+from .lobachevsky import SeriesCoeffs, lobachevsky, series_coeffs
 
 __version__ = "0.1.0"
 
@@ -63,8 +63,7 @@ _LAZY = {
 _SUBMODULES = ("certify", "cli", "data", "filling", "formats", "geometry",
                "grouptool", "jets", "points")
 
-__all__ = sorted([*_LAZY, "SeriesCoeffs", "lobachevsky", "range_reduce",
-                  "series_coeffs"])
+__all__ = sorted([*_LAZY, "SeriesCoeffs", "lobachevsky", "series_coeffs"])
 
 
 def __getattr__(name):

@@ -16,37 +16,36 @@ precision, so ``tol`` does not change their bounds.  Orientation is
 tested on the point layer for every delta: Im z - delta, rounded down,
 must be positive.
 
-Given an approximate shape assignment together with a distance bound
-``delta > 0`` on the true solution, every shape becomes a complex jet
-(``jets.ComplexJet``, a pair of real jets) with two fresh perturbation
-variables of radius delta, and the volume interval bounds the volume of
-any true solution within delta; ``tol`` bounds the truncation of each
-jet Lobachevsky series.  The jet classes are reached as
-``smallvol.jets``, so exact shapes never load them.
+Given a distance bound ``delta > 0`` on the true solution, each shape
+is the centre of a box with two variables of radius delta, for Re z and
+Im z (the box over-covers the delta-ball), and the volume interval
+holds the volume of any true solution within delta; ``tol`` bounds the
+truncation of each Lobachevsky series.  The angles and their terms are
+(center, coeffs, err) triples under the rules of ``smallvol.jets``: no
+jet object is built, and exact shapes never load that module.
 
-The angle jets of a box come from one Taylor rule on the point layer
-(``_angle_jets``; Moore, Kearfott and Cloud, *Introduction to Interval
+The angle triples of a box come from one Taylor rule on the point layer
+(``_angles``; Moore, Kearfott and Cloud, *Introduction to Interval
 Analysis*, 2009, ch. 6), with no jet product, quotient or atan.  Angle
 k is Im F_k(z) for F_1 = log z, F_2 = -log(1 - z) and F_3 = log(1 - 1/z),
-so it has gradient (Im F_k', Re F_k') in (Re z, Im z), with F_1' = 1/z,
-F_2' = 1/(1 - z) and F_3' = -F_1' F_2' (one product, which does not
-cancel for huge |z|).  A jet holds:
+so it has gradient (p, q) = (Im F_k', Re F_k') in (Re z, Im z), with
+F_1' = 1/z, F_2' = 1/(1 - z) and F_3' = -F_1' F_2' (one product, which
+does not cancel for huge |z|).  A triple holds:
 
 * center: the exact-shape angle modulo pi at the box's center;
-* coefficients: the gradient applied to those of Re z and Im z, the
-  reciprocals taken in power-of-two-scaled parts
-  (``points._recip_scaled``) so that nothing over- or underflows for |z|
-  from 1e-150 to 1e150;
+* coefficients: (p delta, q delta), the reciprocals taken in
+  power-of-two-scaled parts (``points._recip_scaled``) so that nothing
+  over- or underflows for |z| from 1e-150 to 1e150;
 * err: the center's err, the gradient's err times the box's spreads,
-  |gradient| times the input errs, the coefficients' roundings, and the
-  Lagrange remainder 1/2 sup|F_k''| h^2 over the disc of radius h (the
-  box's half-diagonal), with |F_1''| = 1/|z|^2, |F_2''| = 1/|1 - z|^2
-  and |F_3''| = |1 - 2z| / (|z|^2 |1 - z|^2), each bounded from the
-  ratios h / inf|z| and h / inf|1 - z|.
+  the coefficients' roundings, and the Lagrange remainder
+  1/2 sup|F_k''| h^2 over the disc of radius h (the box's
+  half-diagonal), with |F_1''| = 1/|z|^2, |F_2''| = 1/|1 - z|^2 and
+  |F_3''| = |1 - 2z| / (|z|^2 |1 - z|^2), each bounded from the ratios
+  h / inf|z| and h / inf|1 - z|.
 
 A box whose disc meets 0 or 1, or that meets the real axis, is refused.
-The volume passes the angles modulo pi to ``lobachevsky`` (L is
-pi-periodic), so a near-flat angle never meets pi's enclosure.
+The volume passes the angles modulo pi to ``lobachevsky._triple`` (L
+is pi-periodic), so a near-flat angle never meets pi's enclosure.
 
 The volume is a sum of one term per tetrahedron (Neumann-Zagier), and
 terms of different tetrahedra share no variable.  So each tetrahedron's
@@ -65,8 +64,8 @@ from collections import namedtuple
 # The package's ``__getattr__`` loads ``smallvol.jets`` on first use.
 import smallvol
 
-from .lobachevsky import _point, lobachevsky
-from .points import _add0, _arg_mod_pi, _mul0, _radius, _recip_scaled
+from .lobachevsky import _point, _triple
+from .points import _add0, _arg_mod_pi, _mul0, _radius, _recip_scaled, _reject
 from .rounding import (EPS_PRIM, TINY, JetDomainError, JetError, _INF, _down,
                        _nextafter, _up)
 
@@ -119,19 +118,6 @@ class ShapeAssignment(namedtuple("ShapeAssignment", "shapes delta")):
     def count(self) -> int:
         return len(self.shapes)
 
-    def shape_jets(self) -> list:
-        """One ComplexJet per tetrahedron over its own two variables.
-
-        Variable 0 moves the real part and variable 1 the imaginary part,
-        each by at most delta: delta bounds the C^n distance to the true
-        solution, so the per-coordinate box over-covers the delta-ball.
-        Tetrahedra share no variable (see ``certified_volume``).  Exact
-        shapes (delta == 0) need no jet; here they get zero-radius
-        variables.
-        """
-        ComplexJet = smallvol.jets.ComplexJet
-        return [ComplexJet.variable(z, 0, 1, self.delta, 2) for z in self.shapes]
-
 
 def _centres(x: float, y: float, w: tuple) -> tuple:
     """The three dihedral angles of z = x + iy, y > 0, modulo pi as
@@ -143,27 +129,27 @@ def _centres(x: float, y: float, w: tuple) -> tuple:
     return _arg_mod_pi(x, 0.0, y), _arg_mod_pi(*w, y), _arg_mod_pi(*zw, y)
 
 
-def _angle_jets(z: ComplexJet) -> list:
-    """Jets of the three dihedral angles modulo pi over the box ``z``,
-    whose imaginary part must be provably positive (see the module
-    docstring for the rule and its charges)."""
+def _angles(x: float, y: float, delta: float) -> list:
+    """Triples (center, coeffs, err) of the three dihedral angles modulo
+    pi over the box of radius delta about z = x + iy, whose imaginary
+    part must be provably positive (see the module docstring for the
+    rule and its charges)."""
     up, inf = _nextafter, _INF
-    re, im = z.re, z.im
-    x, y = re.center, im.center
-    dx, dy = re.spread(), im.spread()
+    # The spread of Re z and of Im z, as ``jets._spread`` bounds delta.
+    dx = up(delta, inf) if delta else 0.0
     w = _add0(1.0, 0.0, -x, 0.0)
     # 1/z = s1 (r1 + i i1) and 1/(1-z) = s2 (r2 + i i2), each part within
     # s1 e1 (s2 e2); m1 <= s1 |z| and m2 <= s2 |1 - z|.
     r1, i1, e1, s1, m1 = _recip_scaled(x, 0.0, y)
     r2, i2, e2, s2, m2 = _recip_scaled(w[0], w[1], -y)
-    h = _radius(dx, dy)
+    h = _radius(dx, dx)
     hs1, hs2 = up(h * s1, inf), up(h * s2, inf)
     rho1, rho2 = up(m1 - hs1, -inf), up(m2 - hs2, -inf)  # s1 inf|z|, s2 inf|1 - z|
     if not rho1 > 0.0:
         raise JetDomainError("shape not provably distinct from 0")
     if not rho2 > 0.0:
         raise JetDomainError("shape not provably distinct from 1")
-    if not (up(y - dy, -inf) if dy else y) > 0.0:
+    if not (up(y - dx, -inf) if dx else y) > 0.0:
         raise JetDomainError("argument: quadrant not provable (origin or branch cut)")
     centres = _centres(x, y, w)
     # F3' = -(1/z)(1/(1-z)) as one product, in units of s3 = s1 s2 (exact:
@@ -189,31 +175,26 @@ def _angle_jets(z: ComplexJet) -> list:
                 up(0.5 * up(up(q1 * q2, inf) * t, inf), inf))
     else:
         rems = (0.0, 0.0, 0.0)
-    d = up(dx + dy, inf)
-    jet, sum_up = smallvol.jets._jet, smallvol.jets._sum_up
+    d = up(dx + dx, inf)
+    sum_up = smallvol.jets._sum_up
     out = []
     for (c, ec), (p, q, eg), rem in zip(centres, grads, rems):
-        coeffs, sizes = [], []
-        for a, b in zip(re.coeffs, im.coeffs):
-            t1, t2 = p * a, q * b
-            ci = t1 + t2
-            coeffs.append(ci)
-            sizes += (abs(t1), abs(t2), abs(ci))
-        terms = [ec, rem, up(eg * d, inf)]
-        if sizes:
-            # Each product within u|t| + TINY / 2, each sum within u|ci|.
-            terms.append(up(EPS_PRIM * sum_up(sizes) + len(sizes) * TINY, inf))
-        if re.err:
-            terms.append(up(abs(p) * re.err, inf))
-        if im.err:
-            terms.append(up(abs(q) * im.err, inf))
-        out.append(jet(c, tuple(coeffs), sum_up(terms)))
+        cp, cq = p * delta, q * delta
+        ap, aq = abs(cp), abs(cq)
+        # The charges of coefficient i as p x_i + q y_i over the columns
+        # x = (delta, 0) of Re z and y = (0, delta) of Im z: two products
+        # and a sum, each EPS_PRIM |value| + TINY.
+        e = sum_up((ec, rem, up(eg * d, inf),
+                    up(EPS_PRIM * sum_up((ap, ap, aq, aq)) + 6.0 * TINY, inf)))
+        if not e < inf:
+            _reject(c, e)
+        out.append((c, (cp, cq), e))
     return out
 
 
 def _oriented(shapes, delta: float) -> bool:
     """Im > 0 on each shape's box of radius delta: the outward lower bound
-    of the imaginary-part jet of ``shape_jets``, with no jet built."""
+    of Im z - delta, as a jet of the box's imaginary part would bound it."""
     return all((z.imag if not delta else _down(z.imag - _up(delta))) > 0.0
                for z in shapes)
 
@@ -224,27 +205,31 @@ def certified_volume(assignment: ShapeAssignment, tol: float = 1e-12) -> Interva
     Exact shapes (delta = 0) are summed on the point layer
     (``_exact_volume``).  Otherwise each tetrahedron's three Lobachevsky
     terms are summed over its own two variables, as (center, coeffs, err)
-    triples (``jets._add``), and the tetrahedra are added as (center,
-    spread) pairs.
+    triples (``_angles``, ``lobachevsky._triple``, ``jets._add``), and the
+    tetrahedra are added as (center, spread) pairs.
     """
-    if not _oriented(assignment.shapes, assignment.delta):
+    delta = float(assignment.delta)
+    if not _oriented(assignment.shapes, delta):
         raise OrientationError(
             "tetrahedra not provably positively oriented within delta"
         )
-    if assignment.delta == 0.0:
-        c, e = _exact_volume(assignment.shapes)
-        return Interval(_down(c - e), _up(c + e)) if e else Interval(c, c)
+    if delta == 0.0:
+        return _interval(*_exact_volume(assignment.shapes))
     jets = smallvol.jets
-    add = jets._add
+    add, spread = jets._add, jets._spread
     total = err = 0.0
-    for zj in assignment.shape_jets():
+    for z in assignment.shapes:
         c, xs, e = 0.0, (), 0.0
-        for a in _angle_jets(zj):
-            v = lobachevsky(a, tol)
-            c, xs, e = add(c, xs, e, v.center, v.coeffs, v.err)
-        total, err = _add0(total, err, c, jets._spread(xs, e))
-    lo, hi = jets._jet(total, (), err).bounds()
-    return Interval(lo, hi)
+        for a in _angles(z.real, z.imag, delta):
+            c, xs, e = add(c, xs, e, *_triple(*a, tol))
+        total, err = _add0(total, err, c, spread(xs, e))
+    # The sum's spread as a dimension-0 jet bounds it.
+    return _interval(total, spread((), err))
+
+
+def _interval(c: float, s: float) -> Interval:
+    """[c - s, c + s], rounded outward."""
+    return Interval(_down(c - s), _up(c + s)) if s else Interval(c, c)
 
 
 def _exact_volume(shapes) -> tuple:

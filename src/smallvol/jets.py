@@ -28,16 +28,16 @@ operands and is therefore charged ``EPS_PRIM * inf`` into ``err``.  A
 coefficient can thus only become non-finite in a result whose ``err`` is
 non-finite too, and that result is rejected.
 
-Every rule runs on plain ``(center, coeffs, err)`` triples: jet + jet
-(``_add``), jet * jet (``_mul``), jet + and * a dimension-0 operand
-(``_add_const``, ``_mul_const``), and the bounds ``_spread`` and
-``_sup_abs``.  Each is a module function that raises as ``_jet`` does
-on a non-finite result, and the ``Jet`` operators and queries are thin
+Every rule runs on plain ``(center, coeffs, err)`` triples: -jet
+(``_neg``), jet + jet (``_add``), jet * jet (``_mul``), jet + and * a
+dimension-0 operand (``_add_const``, ``_mul_const``), the natural log
+(``_log``), and the bounds ``_spread``, ``_bounds`` and ``_sup_abs``.
+Each is a module function that raises as ``_jet`` does on a non-finite
+result, and the ``Jet`` operators, queries and ``log_jet`` are thin
 wrappers over them, so each rule has one implementation.  A chain of
-operations whose intermediate results no caller sees (the Lobachevsky
-series, a tetrahedron's volume terms, the linear parts of ``log_jet``
-and ``atan_jet``) runs on the triples and builds one jet at its end,
-with the same float operations and charges as the operators.
+operations whose intermediate results no caller sees runs on the
+triples, with the same float operations and charges as the operators:
+volumes (``geometry``) and the Lobachevsky series build no jet at all.
 
 Constants are dimension-0 jets (no coefficients), and a scalar operand
 counts as one with ``err`` 0.  A dimension-0 operand K combines with a
@@ -125,10 +125,7 @@ class Jet:
 
     def bounds(self) -> tuple:
         """Outward interval enclosing every value of every member function."""
-        s = _spread(self.coeffs, self.err)
-        if s == 0.0:
-            return self.center, self.center
-        return _down(self.center - s), _up(self.center + s)
+        return _bounds(self.center, self.coeffs, self.err)
 
     def sup_abs(self) -> float:
         return _sup_abs(self.center, self.coeffs, self.err)
@@ -160,8 +157,7 @@ class Jet:
     # -- arithmetic: wrappers over the rules on triples below -----------
 
     def __neg__(self) -> "Jet":
-        # Negation of doubles is exact.
-        return _jet(-self.center, tuple([-c for c in self.coeffs]), self.err)
+        return _jet(*_neg(self.center, self.coeffs, self.err))
 
     def __add__(self, other):
         if other.__class__ is not Jet:
@@ -264,12 +260,25 @@ def _spread(xs: tuple, err: float) -> float:
     return _up(s + err)
 
 
+def _bounds(x0: float, xs: tuple, err: float) -> tuple:
+    """Outward interval enclosing every value of the triple's set."""
+    s = _spread(xs, err)
+    if s == 0.0:
+        return x0, x0
+    return _down(x0 - s), _up(x0 + s)
+
+
 def _sup_abs(x0: float, xs: tuple, err: float) -> float:
     """Upper bound for sup |f(x)| over the triple's set."""
     s = _spread(xs, err)
     if s == 0.0:
         return abs(x0)
     return _up(abs(x0) + s)
+
+
+def _neg(x0: float, xs: tuple, xe: float) -> tuple:
+    """-x: negation of doubles is exact."""
+    return -x0, tuple([-c for c in xs]), xe
 
 
 def _add(x0: float, xs: tuple, xe: float, y0: float, ys: tuple, ye: float) -> tuple:
@@ -403,14 +412,19 @@ def _sum_up(terms) -> float:
 
 
 def log_jet(a: Jet) -> Jet:
-    """Pointwise natural log: log a0 + t, t = (a - a0)/a0, with the terms
-    of degree 2 to 4 and the Lagrange remainder of log(1 + t) charged as
-    T^2/2 + T^3/3 + T^4/4 + T^5 / (5 (1-T)^5), T = sup|t| < 1."""
-    if not a.prove_positive():
+    """Pointwise natural log of a jet (``_log``)."""
+    return _jet(*_log(a.center, a.coeffs, a.err))
+
+
+def _log(a0: float, xs: tuple, ae: float) -> tuple:
+    """Pointwise natural log of the triple a: log a0 + t, t = (a - a0)/a0,
+    with the terms of degree 2 to 4 and the Lagrange remainder of
+    log(1 + t) charged as T^2/2 + T^3/3 + T^4/4 + T^5 / (5 (1-T)^5),
+    T = sup|t| < 1, so that every charge is finite."""
+    if not _bounds(a0, xs, ae)[0] > 0.0:
         raise JetDomainError("log of a jet not provably positive")
-    a0 = a.center
     # a - a0 is exact: the same coefficients and err about center 0.
-    _, ts, te = _mul_const(0.0, a.coeffs, a.err, *_inv0(a0))
+    _, ts, te = _mul_const(0.0, xs, ae, *_inv0(a0))
     t_sup = _spread(ts, te)
     if not t_sup < 1.0:
         raise JetDomainError("log: jet range too wide for the remainder bound")
@@ -425,7 +439,7 @@ def log_jet(a: Jet) -> Jet:
     value = 0.0 if a0 == 1.0 else math.log(a0)
     if value:
         terms.append(_libm_err(value))
-    return _jet(value, ts, _sum_up(terms))
+    return value, ts, _sum_up(terms)
 
 
 # From this |a0| on, ``atan_jet`` reflects a provably signed jet.  The
@@ -438,6 +452,13 @@ def log_jet(a: Jet) -> Jet:
 _ATAN_REFLECT = 2.0
 
 
+def _atan_range(r: Jet) -> Jet:
+    """r, or where r's spread exceeds pi/2, atan's whole range [-pi/2,
+    pi/2] at dimension 0, rounded outward (halving PI_HI is exact)."""
+    half_pi = PI_HI * 0.5
+    return r if _spread(r.coeffs, r.err) <= half_pi else _jet(0.0, (), half_pi)
+
+
 def atan_jet(a: Jet) -> Jet:
     """Pointwise arctangent: atan a0 + c1 (a - a0), with a = a0 + sum x_i
     a_i + e and D = s + |e|, s = sum |a_i|, charged |c1| |e| + err(c1) D,
@@ -447,13 +468,14 @@ def atan_jet(a: Jet) -> Jet:
 
     From |a0| = 2 on, where that remainder outgrows the true range (and
     from 2^128 on the coefficients overflow), a provably signed jet takes
-    atan a = +-pi/2 - atan(1/a)."""
+    atan a = +-pi/2 - atan(1/a).  A result wider than atan's range is
+    replaced by that range (``_atan_range``)."""
     a0 = a.center
     if abs(a0) >= _ATAN_REFLECT:
         if a.prove_positive():
-            return half_pi_jet() - atan_jet(a.reciprocal())
+            return _atan_range(half_pi_jet() - atan_jet(a.reciprocal()))
         if a.prove_negative():
-            return -(half_pi_jet() + atan_jet(a.reciprocal()))
+            return _atan_range(-(half_pi_jet() + atan_jet(a.reciprocal())))
     # Taylor coefficients at a0 as (center, err) pairs, w = 1 + a0^2: c1 = 1/w,
     # c2 = -a0/w^2, c3 = (3a0^2-1)/(3w^3), c4 = a0(1-a0^2)/w^4.
     z = (a0, 0.0)
@@ -479,7 +501,7 @@ def atan_jet(a: Jet) -> Jet:
     value = 0.0 if a0 == 0.0 else math.atan(a0)
     if value:
         terms.append(_libm_err(value))
-    return _jet(value, lin, _sum_up(terms))
+    return _atan_range(_jet(value, lin, _sum_up(terms)))
 
 
 class ComplexJet:
@@ -501,14 +523,6 @@ class ComplexJet:
         """The exact constant z, at dimension 0."""
         z = complex(z)
         return cls(Jet.constant(z.real), Jet.constant(z.imag))
-
-    @classmethod
-    def variable(cls, z: complex, re_index: int, im_index: int,
-                 radius: float, dim: int) -> "ComplexJet":
-        """z perturbed by radius in each real coordinate independently."""
-        z = complex(z)
-        return cls(Jet.variable(z.real, re_index, radius, dim),
-                   Jet.variable(z.imag, im_index, radius, dim))
 
     @property
     def dim(self) -> int:

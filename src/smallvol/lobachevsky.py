@@ -15,17 +15,18 @@ l_n / l_{n+1} > pi^2, so once the argument is reduced into (-pi/2, pi/2]
 (the function is pi-periodic) any term that falls below a tolerance
 bounds the whole remaining tail by twice itself.
 
-There are two evaluators.  ``lobachevsky`` takes a jet with linear
-terms through jet arithmetic, truncating at a tolerance, so the returned
-jet contains the true value of L pointwise over the input jet's range.
-Its series (``_eval_positive``) runs the jet rules of ``jets`` on plain
-(center, coeffs, err) triples, with the operations and charges of the
-jet operators, and builds jets only on the way to 1 - log 2t and for
-the result.
+There are two evaluators, and one range reduction (``_reduce``, a
+pair operation of ``points``) in front of both.  ``_triple`` takes a
+(center, coeffs, err) triple with linear terms through the jet rules of
+``jets`` on triples, with the operations and charges of the jet
+operators, truncating at a tolerance, so the returned triple contains
+the true value of L pointwise over the input's range; it builds no jet.
+Jet volumes (``geometry``) call it, and ``lobachevsky`` is a thin
+wrapper that takes a jet's fields and wraps the result.
 ``_point`` takes a point (center, err) in plain floats with an a priori
 rounding bound, and sums the series until its terms fall below 2^-64,
-so no tolerance enters; exact-shape volumes (``geometry``) and
-dimension-0 jets use it.
+so no tolerance enters; exact-shape volumes and dimension-0 triples
+use it.
 
 Loading the module, and filling the coefficients (``default_coeffs``),
 takes only the rounding layer (``rounding``).  The jet classes and the
@@ -155,66 +156,63 @@ def default_coeffs() -> SeriesCoeffs:
 _REDUCE_LIMIT = _down(PI_LO / SQRT2_HI)
 
 
-def range_reduce(theta: Jet) -> Jet:
-    """Shift theta by a multiple of pi into (-pi/2, pi/2].
-
-    L is pi-periodic, so L(theta0) = L(theta) pointwise.  Raises
-    ReductionError when |theta0| < pi/sqrt(2) cannot be certified, which
-    happens only for jets wide enough to straddle more than a half period.
-    """
-    k = round(theta.center / math.pi)
-    if k == 0:
-        theta0 = theta
-    else:
-        theta0 = theta - smallvol.jets.pi_jet() * float(k)
-    if not theta0.sup_abs() < _REDUCE_LIMIT:
-        raise ReductionError(
-            "cannot certify |theta0| < pi/sqrt(2) after range reduction"
-        )
-    return theta0
+def _reduce(theta: float, err: float) -> tuple:
+    """The pair (theta, err) shifted by round(theta / pi) times [PI_LO,
+    PI_HI], by the pair operations of ``points``: L is pi-periodic, so
+    it has the same values over the shifted pair."""
+    k = round(theta / math.pi)
+    if not k:
+        return theta, err
+    points = smallvol.points
+    return points._add0(theta, err, *points._mul0(PI_LO, PI_HI - PI_LO, -k, 0.0))
 
 
 def lobachevsky(theta: Jet, tol: float = 1e-12) -> Jet:
-    """Jet containing L(theta) pointwise for every represented theta.
+    """Jet containing L(theta) pointwise for every represented theta
+    (``_triple`` on the jet's fields)."""
+    return smallvol.jets._jet(*_triple(theta.center, theta.coeffs, theta.err, tol))
 
-    The series is truncated at the first term whose magnitude bound falls
-    below ``tol``; the dropped tail is bounded by twice that term and
-    absorbed into the error radius.  Jets that are identically zero return
-    the exact (dimension-0) zero; nondegenerate jets straddling zero are
-    rejected since log|2 theta| is singular there.  A dimension-0 jet is
-    evaluated by ``_point``, which ignores ``tol``.
+
+def _triple(t0: float, ts: tuple, te: float, tol: float) -> tuple:
+    """L over the (center, coeffs, err) triple t, pointwise, as a triple.
+
+    The series stops at the first term whose magnitude bound falls below
+    ``tol`` and charges twice that term for the tail.  The center is
+    reduced by ``_reduce``, and ReductionError is raised where |t| <
+    pi/sqrt(2) is then not certified (a triple wider than half a
+    period).  An identically zero triple gives the exact zero at
+    dimension 0, and one straddling zero is refused, since log|2t| is
+    singular there.  A dimension-0 triple goes to ``_point``, which
+    ignores ``tol``.
     """
-    jets = smallvol.jets
-    if not theta.coeffs:
-        c, e = _point(theta.center, theta.err)
-        return jets._jet(c, (), e)
+    if not ts:
+        c, e = _point(t0, te)
+        return c, (), e
     coeffs = default_coeffs()
-    theta0 = range_reduce(theta)
-    if theta0.is_exact_zero():
-        return jets.Jet.constant(0.0)
-    lo, hi = theta0.bounds()
+    jets = smallvol.jets
+    t0, te = _reduce(t0, te)
+    if not jets._sup_abs(t0, ts, te) < _REDUCE_LIMIT:
+        raise ReductionError("cannot certify |theta0| < pi/sqrt(2) after range reduction")
+    if t0 == 0.0 and te == 0.0 and not any(ts):
+        return 0.0, (), 0.0
+    lo, hi = jets._bounds(t0, ts, te)
     if lo > 0.0:
-        t = theta0
-        return jets._jet(*_eval_positive(t.center, t.coeffs, t.err, tol, coeffs))
-    if hi < 0.0:
-        t = -theta0  # L is odd, and negation is exact
-        return -jets._jet(*_eval_positive(t.center, t.coeffs, t.err, tol, coeffs))
-    raise JetDomainError(
-        "Lobachevsky argument straddles zero with positive width"
-    )
+        return _eval_positive(t0, ts, te, tol, coeffs)
+    if hi < 0.0:  # L is odd, and negation is exact
+        return jets._neg(*_eval_positive(*jets._neg(t0, ts, te), tol, coeffs))
+    raise JetDomainError("Lobachevsky argument straddles zero with positive width")
 
 
 def _eval_positive(t0: float, ts: tuple, te: float, tol: float,
                    coeffs: SeriesCoeffs) -> tuple:
     """Series evaluation for the triple t = (t0, ts, te), provably inside
     (0, pi/sqrt(2)) and with coefficients, as a triple: each step is the
-    jet operation of ``jets`` on triples, and only the steps to
-    1 - log 2t build jets."""
-    jets = smallvol.jets  # looked up per call, so a patched log_jet is seen
+    jet operation of ``jets`` on triples, and no jet is built."""
+    jets = smallvol.jets  # looked up per call, so a patched rule is seen
     add, mul, mul_const, sup_abs = jets._add, jets._mul, jets._mul_const, jets._sup_abs
-    lg = jets.log_jet(jets._jet(*mul_const(t0, ts, te, 2.0, 0.0)))
-    s = 1.0 - lg
-    s0, ss, se = s.center, s.coeffs, s.err
+    # 1 - log 2t by the operations of the jet expression 1.0 - log_jet(t * 2.0).
+    lg = jets._log(*mul_const(t0, ts, te, 2.0, 0.0))
+    s0, ss, se = jets._add_const(*jets._neg(*lg), 1.0, 0.0)
     q0, qs, qe = mul(t0, ts, te, t0, ts, te)  # t^2
     p0, ps, pe = q0, qs, qe  # t^2n
     tail = None
@@ -256,24 +254,22 @@ def _point(theta: float, err: float) -> tuple:
     """Pair (value, err) enclosing L over [theta - err, theta + err], in
     plain floats: no jet is built.
 
-    theta is reduced by round(theta / pi) times [PI_LO, PI_HI] (pair
-    operations of ``points``), and L(t) = t (1 - log 2t + S), S = sum l_n
-    t^2n, is evaluated at t = |theta| with the upper coefficients, taking
-    terms until one falls below ``_STOP``, so the result does not depend
-    on a tolerance.  Term n is nonnegative and within gamma_{2n+2} of
-    l_n t^2n (the coefficient's ulp, t^2, and n multiplications; Higham
-    2002, Sec. 3.1), and ``math.fsum`` rounds their sum once, so S is
-    within u (sum (2n + 2) term_n + S) (1 + 2^-40) of the float sum.  The
-    dropped tail is at most twice its first term (ratios below t^2 / pi^2
-    <= 1/2), libm's log is charged ``_libm_err``, and err adds
+    theta is reduced by ``_reduce``, and L(t) = t (1 - log 2t + S),
+    S = sum l_n t^2n, is evaluated at t = |theta| with the upper
+    coefficients, taking terms until one falls below ``_STOP``, so the
+    result does not depend on a tolerance.  Term n is nonnegative and
+    within gamma_{2n+2} of l_n t^2n (the coefficient's ulp, t^2, and n
+    multiplications; Higham 2002, Sec. 3.1), and ``math.fsum`` rounds
+    their sum once, so S is within u (sum (2n + 2) term_n + S)
+    (1 + 2^-40) of the float sum.  The dropped tail is at most twice its
+    first term (ratios below t^2 / pi^2 <= 1/2), libm's log is charged
+    ``_libm_err``, and err adds
     |L'(t)| err + err^2 / (2 d), d = min(t, pi - t) - err, since
     |L''| = |cot| <= 1 / min(t, pi - t); where err^2 underflows, the
     quadratic term is bounded as err (err / d) / 2 instead.
     """
     points, up, inf = smallvol.points, math.nextafter, math.inf
-    k = round(theta / math.pi)
-    if k:
-        theta, err = points._add0(theta, err, *points._mul0(PI_LO, PI_HI - PI_LO, -k, 0.0))
+    theta, err = _reduce(theta, err)
     t = abs(theta)
     if not t:
         if err:

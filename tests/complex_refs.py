@@ -28,6 +28,12 @@ def widened(a, extra):
     return _jet(a.center, a.coeffs, _up(a.err + extra))
 
 
+def box(z, radius):
+    """z perturbed by radius in each real coordinate independently: Re z
+    over variable 0 and Im z over variable 1."""
+    return ComplexJet(Jet.variable(z.real, 0, radius, 2), Jet.variable(z.imag, 1, radius, 2))
+
+
 def one_minus(w):
     """1 - w.  The imaginary part is 0 - Im w, not -Im w: the subtraction
     steps a nonzero err up by one ulp, as the complex subtraction did."""

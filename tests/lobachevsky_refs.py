@@ -1,13 +1,32 @@
 """The jet Lobachevsky series as it was before ``lobachevsky._eval_positive``
-ran on (center, coeffs, err) triples: one ``Jet`` per series operation.
-Tests hold the library's ``lobachevsky`` to this one bit for bit, errors
-included.  Unlike ``oracles``, it runs on the library's own jet
-operations, coefficients, range reduction and point kernel.
+ran on (center, coeffs, err) triples: one ``Jet`` per series operation,
+after a range reduction on jets.  Tests hold the library's
+``lobachevsky`` to this one bit for bit, errors included.  Unlike
+``oracles``, it runs on the library's own jet operations, coefficients
+and point kernel.
 """
 
-from smallvol.jets import Jet, JetDomainError, _jet, log_jet
-from smallvol.lobachevsky import _point, default_coeffs, range_reduce
+import math
+
+from smallvol.jets import Jet, JetDomainError, _jet, log_jet, pi_jet
+from smallvol.lobachevsky import _REDUCE_LIMIT, ReductionError, _point, default_coeffs
 from smallvol.rounding import PI_LO, _down, _mul_up, _up
+
+
+def range_reduce(theta):
+    """Shift theta by a multiple of pi into (-pi/2, pi/2], as a jet
+    expression; raises ReductionError when |theta0| < pi/sqrt(2) cannot
+    be certified."""
+    k = round(theta.center / math.pi)
+    if k == 0:
+        theta0 = theta
+    else:
+        theta0 = theta - pi_jet() * float(k)
+    if not theta0.sup_abs() < _REDUCE_LIMIT:
+        raise ReductionError(
+            "cannot certify |theta0| < pi/sqrt(2) after range reduction"
+        )
+    return theta0
 
 
 def lobachevsky(theta, tol=1e-12):

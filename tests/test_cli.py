@@ -1,4 +1,6 @@
+import cmath
 import contextlib
+import decimal
 import importlib
 import io
 import math
@@ -28,6 +30,7 @@ from smallvol.formats import (
 )
 from smallvol.grouptool import words
 from smallvol.grouptool.presentation import MAX_PRESENTATION_LETTERS
+from smallvol.rounding import PI_HI
 
 
 def run_cli(capsys, *argv):
@@ -416,6 +419,112 @@ class TestEnumerate:
         rc, out, err = run_cli(capsys, "enumerate", *argv)
         assert rc == 2 and out == ""
         assert err.startswith("error: the search box holds about ")
+
+
+def _typed_text(draw, x, digits):
+    """x typed in positional notation with ``digits`` significant digits;
+    those past the 17th are drawn, so the decimal lies off the floats."""
+    d = decimal.Decimal(x)
+    exp = d.adjusted()
+    mant = int(d.scaleb(digits - 1 - exp).to_integral_value())
+    if digits > 17:
+        tail = 10 ** (digits - 17)
+        mant += draw(st.integers(0, tail - 1)) - mant % tail
+    return format(decimal.Decimal(mant).scaleb(exp - digits + 1), "f")
+
+
+@st.composite
+def enumerate_flags(draw):
+    """(parent, target, fudge, meridian and longitude parts) as typed for
+    ``enumerate``, each with 1 to 20 significant digits: the target well
+    below the parent or within a relative 1e-3 to 1e-16 of it, and a
+    lattice within a factor of 5 of the cutoff, so the box holds a few
+    dozen pairs.  In half the draws the meridian is real and typed to 17
+    to 20 digits within a few ulps of the cutoff of the volumes as the
+    command rounds them, where its float may decide (1, 0) the other
+    way."""
+    digits = st.integers(1, 20)
+    parent = _typed_text(draw, draw(st.floats(0.5, 10.0)), draw(digits))
+    p = float(parent)
+    if draw(st.booleans()):
+        t = p * draw(st.floats(0.05, 0.95))
+    else:
+        t = p * (1.0 - 10.0 ** -draw(st.floats(3.0, 16.0)))
+    target = _typed_text(draw, t, draw(digits))
+    fudge = draw(st.sampled_from(("0", "0.01", "0.1")))
+    with mpmath.workdps(50):
+        ratio = mpmath.mpf(toward(target, True)) / mpmath.mpf(toward(parent, False))
+        gap = 1 - min(ratio, 1) ** (mpmath.mpf(2) / 3)
+        cutoff = 2 * mpmath.mpf(PI_HI) * (1 + mpmath.mpf(float(fudge))) / mpmath.sqrt(
+            max(gap, mpmath.mpf(1e-32)))
+        near = cutoff * (1 + mpmath.mpf(draw(st.floats(-4e-16, 4e-16))))
+        near = mpmath.nstr(near, draw(st.integers(17, 20)), strip_zeros=False)
+    scale = float(cutoff) * 10.0 ** draw(st.floats(-0.7, 0.3))
+    theta, phi = draw(st.floats(0.0, 2 * math.pi)), draw(st.floats(0.5, 2.6))
+    r1, r2 = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    m = cmath.rect(scale * r1, theta)
+    l = cmath.rect(scale * r2, theta + phi)
+    parts = [_typed_text(draw, x, draw(digits)) for x in (m.real, m.imag, l.real, l.imag)]
+    if gap > 0 and draw(st.booleans()):
+        parts[:2] = format(decimal.Decimal(near), "f"), "0"
+        parts[3] = _typed_text(draw, scale * r2, draw(digits))
+    return parent, target, fudge, parts
+
+
+@given(enumerate_flags())
+@example(("2.9441", "2.848", "0", ["42.476093760333065", "0", "0", "500"]))
+@example(("4.234022804821794", "2.0832521155408212", "0",
+          ["10.236478896057733", "0", "0", "50"]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_enumerate_lists_the_pairs_of_the_typed_decimals(flags):
+    # The oracle scans the typed parts as Fractions, with the parent
+    # rounded down, the target rounded up and pi taken as PI_HI: a pair is
+    # admitted when its exact squared length Q is at most
+    # K / (1 - (T/P)^(2/3)), K = 4 PI_HI^2 (1 + fudge)^2, decided at 50
+    # digits and, within a relative 1e-30 of it, by the exact test.
+    parent, target, fudge, (mr, mi, lr, li) = flags
+    argv = ["enumerate", "--meridian", f"{mr},{mi}", "--longitude", f"{lr},{li}",
+            "--parent", parent, "--target", target, "--fudge", fudge]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
+    assert rc in (0, 2), argv
+    if rc:
+        return
+    listed = {(int(p), int(q)): Fraction(length) for p, q, length in
+              (v.split() for k, v in _fields(out.getvalue()) if k == "pair")}
+    exact = [exact_decimal(t) for t in (mr, mi, lr, li)]
+    k = 4 * Fraction(PI_HI) ** 2 * (1 + Fraction(float(fudge))) ** 2
+    ratio = Fraction(toward(target, True)) / Fraction(toward(parent, False))
+    with mpmath.workdps(50):
+        def mp(x):
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        c2 = mp(k) / (1 - mp(ratio) ** (mpmath.mpf(2) / 3))
+        area = abs(mp(exact[0] * exact[3] - exact[1] * exact[2]))
+        radius = mpmath.sqrt(c2)
+        p_max = int(radius * mpmath.hypot(mp(exact[2]), mp(exact[3])) / area) + 1
+        q_max = int(radius * mpmath.hypot(mp(exact[0]), mp(exact[1])) / area) + 1
+        # The parts over one denominator, so each Q is an integer over den^2.
+        den = math.lcm(*(x.denominator for x in exact))
+        n_mr, n_mi, n_lr, n_li = (x.numerator * (den // x.denominator) for x in exact)
+        expected = set()
+        for q in range(q_max + 1):
+            for p in range(-p_max, p_max + 1):
+                if (q == 0 and p != 1) or math.gcd(abs(p), q) != 1:
+                    continue
+                sq = (p * n_mr + q * n_lr) ** 2 + (p * n_mi + q * n_li) ** 2
+                side = mpmath.mpf(sq) / den ** 2 / c2 - 1
+                if abs(side) > mpmath.mpf(1e-30):
+                    admitted = side < 0
+                else:
+                    big_q = Fraction(sq, den * den)
+                    admitted = big_q <= k or (1 - k / big_q) ** 3 <= ratio * ratio
+                if admitted:
+                    expected.add((p, q))
+                if (p, q) in listed:
+                    assert listed[p, q] ** 2 * den ** 2 >= sq, (argv, p, q)
+    assert set(listed) == expected, argv
 
 
 class TestCertifyVolume:
@@ -1002,6 +1111,30 @@ class TestColdStart:
             "assert _oriented((0.5+0.8660254037844386j,), 1e-3)")
         assert "smallvol.geometry" in loaded and "smallvol.jets" not in loaded
 
+    def test_volumes_build_no_jet(self, monkeypatch, capsys):
+        # At delta > 0 the boxes and their Lobachevsky series run on
+        # (center, coeffs, err) triples: no Jet or ComplexJet is built.
+        from smallvol import jets
+        from smallvol.geometry import ShapeAssignment, certified_volume
+
+        omega = complex(0.5, math.sqrt(3) / 2)
+        cases = [ShapeAssignment((omega, omega), d) for d in (1e-12, 1e-8, 1e-4)]
+        cases.append(ShapeAssignment((0.3 + 1.1j, -0.7 + 0.4j, 2.5 + 0.01j), 1e-9))
+        expected = [certified_volume(s) for s in cases]
+        rc0, out0, _ = run_cli(capsys, "volume", FIG8)
+
+        def refuse(*args):
+            raise AssertionError("jet constructed")
+
+        monkeypatch.setattr(jets.Jet, "__post_init__", refuse)
+        monkeypatch.setattr(jets.ComplexJet, "__init__", refuse)
+        with pytest.raises(AssertionError, match="jet constructed"):
+            jets.Jet.constant(0.0)
+        assert [certified_volume(s) for s in cases] == expected
+        rc, out, _ = run_cli(capsys, "volume", FIG8)
+        assert rc == rc0 == 0 and body(out) == body(out0)
+        assert "volume_lo: 2.0298832128" in out
+
     def test_star_import_and_dir_cover_the_public_names(self):
         namespace = {}
         exec("from smallvol import *", namespace)
@@ -1061,7 +1194,7 @@ PUBLIC_NAMES = [
     "InconclusiveError", "Interval", "Jet", "SeriesCoeffs", "ShapeAssignment",
     "SlopeList", "arg_complex", "atan_jet", "certified_volume", "enumerate_slopes",
     "figure_eight_system", "jacobian", "krawczyk_certify", "lobachevsky", "log_jet",
-    "prove_volume_gt", "range_reduce", "residual", "select_square_subsystem",
+    "prove_volume_gt", "residual", "select_square_subsystem",
     "series_coeffs", "slope_length", "slope_length_bound",
 ]
 
@@ -1069,14 +1202,17 @@ PUBLIC_NAMES = [
 # from the library: (where they lived, their names).
 REMOVED_NAMES = (
     ("smallvol", ("check_positive_orientation", "dihedral_angles", "fkp_lower_bound",
-                  "prove_volume_le")),
+                  "prove_volume_le", "range_reduce")),
     ("smallvol.formats", ("serialize_gluing", "serialize_presentation", "serialize_script")),
     ("smallvol.geometry", ("check_positive_orientation", "dihedral_angles",
                            "prove_volume_le")),
+    ("smallvol.geometry.ShapeAssignment", ("shape_jets",)),
     ("smallvol.filling", ("fkp_lower_bound",)),
     ("smallvol.grouptool.presentation.Presentation", ("word", "word_text")),
     ("smallvol.grouptool.search", ("_successors",)),
+    ("smallvol.jets.ComplexJet", ("variable",)),
     ("smallvol.jets.Jet", ("widened",)),
+    ("smallvol.lobachevsky", ("range_reduce",)),
 )
 
 
@@ -1085,7 +1221,7 @@ class TestPublicSurface:
         assert smallvol.__all__ == PUBLIC_NAMES
 
     def test_every_public_name_resolves(self):
-        eager = {"SeriesCoeffs", "lobachevsky", "range_reduce", "series_coeffs"}
+        eager = {"SeriesCoeffs", "lobachevsky", "series_coeffs"}
         assert set(PUBLIC_NAMES) - set(smallvol._LAZY) == eager
         for name in PUBLIC_NAMES:
             value = getattr(smallvol, name)

@@ -46,13 +46,19 @@ def _refuse(*args):
     raise AssertionError("refused call on the volume path")
 
 
-def _principal(zj):
+def _angle_jets(z, delta):
+    """The box kernel's angle triples over the box of radius delta about
+    z, as jets."""
+    return [Jet(*t) for t in geometry._angles(z.real, z.imag, delta)]
+
+
+def _principal(z, delta):
     """The principal angles (arg z, arg 1/(1-z), arg (z-1)/z) over a box
     in the upper half-plane: the volume kernel's angles modulo pi, with
     pi added to a negative center."""
     pi = pi_jet()
     return tuple(a + pi if math.copysign(1.0, a.center) < 0.0 else a
-                 for a in geometry._angle_jets(zj))
+                 for a in _angle_jets(z, delta))
 
 
 def _oriented(assignment):
@@ -86,13 +92,13 @@ class TestShapeAssignment:
 
 class TestDihedralAngles:
     def test_regular_tetrahedron(self):
-        angles = _principal(ComplexJet.constant(OMEGA))
+        angles = _principal(OMEGA, 0.0)
         third_pi = mpmath.pi / 3
         for a in angles:
             assert jet_contains_value(a, third_pi)
 
     def test_z_equals_i(self):
-        angles = _principal(ComplexJet.constant(1j))
+        angles = _principal(1j, 0.0)
         expected = (mpmath.pi / 2, mpmath.pi / 4, mpmath.pi / 4)
         for a, e in zip(angles, expected):
             assert jet_contains_value(a, e)
@@ -101,9 +107,7 @@ class TestDihedralAngles:
         rng = random.Random(9)
         for _ in range(60):
             z = complex(rng.uniform(-1.5, 2.5), rng.uniform(0.15, 1.5))
-            dim = 2
-            zj = ComplexJet.variable(z, 0, 1, 1e-4, dim)
-            angles = _principal(zj)
+            angles = _principal(z, 1e-4)
             for _ in range(5):
                 dz = complex(rng.uniform(-1e-4, 1e-4), rng.uniform(-1e-4, 1e-4))
                 w = z + dz
@@ -122,15 +126,13 @@ class TestDihedralAngles:
         rng = random.Random(10)
         for _ in range(40):
             z = complex(rng.uniform(-1, 2), rng.uniform(0.2, 1.5))
-            zj = ComplexJet.variable(z, 0, 1, 1e-5, 2)
-            a1, a2, a3 = _principal(zj)
+            a1, a2, a3 = _principal(z, 1e-5)
             total = a1 + a2 + a3
             assert jet_contains_value(total, mpmath.pi)
 
     def test_degenerate_shape_rejected(self):
-        zj = ComplexJet.variable(0.001 + 0.001j, 0, 1, 0.01, 2)
         with pytest.raises(JetDomainError):
-            _principal(zj)
+            _principal(0.001 + 0.001j, 0.01)
 
 
 def _mod_pi_angles(x, y):
@@ -144,11 +146,10 @@ def _mod_pi_angles(x, y):
 
 
 def _kernel_boxes():
-    """(z, delta, err share) for the angle-kernel oracle: |z| from 1e-150
-    to 1e150 at angles spread over (0, pi) and within 1e-12..0.1 of 0 or
-    pi, shapes near 1, and centres one ulp off each axis, with delta up
-    to 1e-4 |z| and below Im z / 2; in a third of the boxes part of each
-    radius is an error term instead of a coefficient."""
+    """(z, delta) for the angle-kernel oracle: |z| from 1e-150 to 1e150
+    at angles spread over (0, pi) and within 1e-12..0.1 of 0 or pi,
+    shapes near 1, and centres one ulp off each axis, with delta up to
+    1e-4 |z| and below Im z / 2."""
     rng = random.Random(24)
     shapes = []
     for _ in range(100):
@@ -159,49 +160,40 @@ def _kernel_boxes():
         shapes.append(1.0 + cmath.rect(10.0 ** rng.uniform(-12, -1),
                                        rng.uniform(0.02, math.pi - 0.02)))
     shapes += _one_ulp_off_the_axes()
-    return [(z, min(abs(z) * 10.0 ** rng.uniform(-16, -4), 0.5 * z.imag),
-             rng.choice((0.0, 0.0, 0.5))) for z in shapes]
-
-
-def _box(z, delta, share):
-    """The box of radius delta about z, with ``share`` of it as err."""
-    c, e = delta * (1.0 - share), delta * share
-    return ComplexJet(Jet(z.real, (c, 0.0), e), Jet(z.imag, (0.0, c), e))
+    return [(z, min(abs(z) * 10.0 ** rng.uniform(-16, -4), 0.5 * z.imag))
+            for z in shapes]
 
 
 class TestAngleKernel:
-    """Each angle jet is Im F(z) for a holomorphic F: the angle at the
-    centre, the gradient (Im F', Re F') applied to the coefficients, and a
-    Lagrange remainder from the distances of the box to 0 and 1."""
+    """Each angle triple is Im F(z) for a holomorphic F: the angle at the
+    centre, the gradient (Im F', Re F') times delta as the coefficients,
+    and a Lagrange remainder from the distances of the box to 0 and 1."""
 
     def test_oracle_sweep(self):
-        # Every sampled member's angle lies in the jet evaluated there:
+        # Every sampled member's angle lies in the triple evaluated there:
         # modulo pi for the kernel, and principal once pi is added to a
         # negative centre.
         rng = random.Random(25)
         bad = []
         with mpmath.workdps(50):
-            for z, delta, share in _kernel_boxes():
-                zj = _box(z, delta, share)
-                mod_pi = geometry._angle_jets(zj)
-                principal = _principal(zj)
-                c, e = zj.re.coeffs[0], zj.re.err
+            for z, delta in _kernel_boxes():
+                mod_pi = _angle_jets(z, delta)
+                principal = _principal(z, delta)
                 for xs in ((1, 1), (1, -1), (-1, 1), (-1, -1),
                            (rng.uniform(-1, 1), rng.uniform(-1, 1))):
-                    for signs in ((1, 1), (-1, -1), (1, -1)) if e else ((0, 0),):
-                        x = mpmath.mpf(z.real) + mpmath.mpf(c) * xs[0] + mpmath.mpf(e) * signs[0]
-                        y = mpmath.mpf(z.imag) + mpmath.mpf(c) * xs[1] + mpmath.mpf(e) * signs[1]
-                        for a, p, v in zip(mod_pi, principal, _mod_pi_angles(x, y)):
-                            lin = mpmath.mpf(a.center) + sum(
-                                mpmath.mpf(k) * t for k, t in zip(a.coeffs, xs))
-                            k = mpmath.nint((v - lin) / mpmath.pi)
-                            if not abs(v - k * mpmath.pi - lin) <= a.err:
-                                bad.append((z, delta, share, xs))
-                            true = v if v > 0 else v + mpmath.pi
-                            lin = mpmath.mpf(p.center) + sum(
-                                mpmath.mpf(k) * t for k, t in zip(p.coeffs, xs))
-                            if not abs(true - lin) <= p.err:
-                                bad.append((z, delta, share, xs, "principal"))
+                    x = mpmath.mpf(z.real) + mpmath.mpf(delta) * xs[0]
+                    y = mpmath.mpf(z.imag) + mpmath.mpf(delta) * xs[1]
+                    for a, p, v in zip(mod_pi, principal, _mod_pi_angles(x, y)):
+                        lin = mpmath.mpf(a.center) + sum(
+                            mpmath.mpf(k) * t for k, t in zip(a.coeffs, xs))
+                        k = mpmath.nint((v - lin) / mpmath.pi)
+                        if not abs(v - k * mpmath.pi - lin) <= a.err:
+                            bad.append((z, delta, xs))
+                        true = v if v > 0 else v + mpmath.pi
+                        lin = mpmath.mpf(p.center) + sum(
+                            mpmath.mpf(k) * t for k, t in zip(p.coeffs, xs))
+                        if not abs(true - lin) <= p.err:
+                            bad.append((z, delta, xs, "principal"))
         assert not bad, bad[:5]
 
     @pytest.mark.parametrize("unit", (1 + 1j, -1 + 3j))
@@ -210,8 +202,7 @@ class TestAngleKernel:
         # one product does not cancel, and the remainder is built from
         # ratios, so nothing over- or underflows.
         z = unit * 1e150
-        for a3 in (geometry._angle_jets(_box(z, abs(z) * 1e-9, 0.0))[2],
-                   _principal(_box(z, abs(z) * 1e-9, 0.5))[2]):
+        for a3 in (_angle_jets(z, abs(z) * 1e-9)[2], _principal(z, abs(z) * 1e-9)[2]):
             assert 0.0 < a3.spread() < a3.center
 
     @pytest.mark.parametrize("z, delta, message", (
@@ -220,16 +211,15 @@ class TestAngleKernel:
         (2.0 + 0.001j, 0.01, "quadrant not provable")))
     def test_refuses_boxes_meeting_0_1_or_the_real_axis(self, z, delta, message):
         with pytest.raises(JetDomainError, match=message):
-            geometry._angle_jets(ComplexJet.variable(z, 0, 1, delta, 2))
+            geometry._angles(z.real, z.imag, delta)
 
     def test_lower_half_plane_is_refused(self):
         # The kernel takes boxes above the axis only; the conjugate's
         # principal angles enclose the negated angles of z.
         z = complex(0.3, -0.8)
         with pytest.raises(JetDomainError, match="quadrant not provable"):
-            geometry._angle_jets(ComplexJet.variable(z, 0, 1, 1e-6, 2))
-        above = _principal(ComplexJet(Jet.variable(z.real, 0, 1e-6, 2),
-                                      -Jet.variable(z.imag, 1, 1e-6, 2)))
+            geometry._angles(z.real, z.imag, 1e-6)
+        above = _principal(z.conjugate(), 1e-6)
         for a, t in zip(above, (cmath.phase(z), cmath.phase(1 / (1 - z)),
                                 cmath.phase((z - 1) / z))):
             assert jet_contains_value(a, -t)
@@ -272,7 +262,7 @@ class TestEachValueOnce:
 
         monkeypatch.setattr(geometry, "_recip_scaled", counted)
         monkeypatch.setattr(ComplexJet, "abs_squared", _refuse)
-        geometry._angle_jets(ComplexJet.variable(OMEGA, 0, 1, 1e-9, 2))
+        geometry._angles(OMEGA.real, OMEGA.imag, 1e-9)
         assert calls == [(OMEGA.real, OMEGA.imag), (1.0 - OMEGA.real, -OMEGA.imag)]
 
     def test_complex_jet_has_no_complex_arithmetic(self):
@@ -283,17 +273,17 @@ class TestEachValueOnce:
                      "__truediv__", "__rtruediv__"):
             assert not hasattr(ComplexJet, name), name
 
-    def test_certified_volume_builds_the_shape_jets_once(self, monkeypatch):
+    def test_certified_volume_runs_the_box_kernel_once_per_shape(self, monkeypatch):
         calls = []
-        original = ShapeAssignment.shape_jets
+        original = geometry._angles
 
-        def counted(assignment):
-            calls.append(assignment)
-            return original(assignment)
+        def counted(x, y, delta):
+            calls.append((x, y, delta))
+            return original(x, y, delta)
 
-        monkeypatch.setattr(ShapeAssignment, "shape_jets", counted)
+        monkeypatch.setattr(geometry, "_angles", counted)
         certified_volume(ShapeAssignment((OMEGA, OMEGA), 1e-9))
-        assert len(calls) == 1
+        assert calls == [(OMEGA.real, OMEGA.imag, 1e-9)] * 2
 
 
 class TestOrientation:
@@ -403,8 +393,8 @@ class TestCertifiedVolume:
 
     @pytest.mark.parametrize("delta", (0.0, 1e-3))
     def test_orientation_failure_raises(self, monkeypatch, delta):
-        # Refused before any shape jet is built.
-        monkeypatch.delattr(ShapeAssignment, "shape_jets")
+        # Refused before any box is evaluated.
+        monkeypatch.setattr(geometry, "_angles", _refuse)
         with pytest.raises(OrientationError):
             certified_volume(ShapeAssignment((0.5 - 0.9j,), delta))
 
@@ -459,8 +449,8 @@ class TestExactShapes:
         assert 0.0 < iv.lo and iv.width() < 3e-319
 
     def test_no_wider_than_the_jet_series(self):
-        # The jet path at tol = 1e-12, reached through two zero-radius
-        # variables per shape; exact-shape enclosures are never wider.
+        # The jet path at tol = 1e-12, reached through a box of radius 0
+        # per shape; exact-shape enclosures are never wider.
         rng = random.Random(17)
         zero = Jet.constant(0.0)
         for _ in range(200):
@@ -469,7 +459,7 @@ class TestExactShapes:
             z = cmath.rect(10.0 ** rng.uniform(-3, 3), theta)
             iv = certified_volume(ShapeAssignment((z,), 0.0))
             assert mpmath.mpf(iv.lo) <= _bloch_wigner(z) <= mpmath.mpf(iv.hi)
-            angles = _principal(ComplexJet.variable(z, 0, 1, 0.0, 2))
+            angles = _principal(z, 0.0)
             jet_lo, jet_hi = sum((lobachevsky(a, 1e-12) for a in angles), zero).bounds()
             assert iv.width() <= jet_hi - jet_lo, z
 

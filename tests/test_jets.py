@@ -26,7 +26,7 @@ from smallvol.jets import (
 )
 from smallvol.points import _decimal_atan, libm_covered
 
-from complex_refs import (degree4_atan_jet, degree4_log_jet, minus_one, one_minus,
+from complex_refs import (box, degree4_atan_jet, degree4_log_jet, minus_one, one_minus,
                           quotient, reciprocal, widened)
 from oracles import jet_contains, jet_contains_value, mp_arg, mp_atan, mp_log
 
@@ -499,7 +499,9 @@ class TestTaylorRuleWidth:
     atan at sampled members and, where the reference's Taylor
     coefficients do not overflow (|a0| < 2^128), it is narrower in most
     draws and never wider by more than 5 % and two ulps of pi/2, unless
-    the reference is wider than the whole range of atan."""
+    the reference is wider than the whole range of atan.  A Taylor result
+    wider than that range is the range itself, [-pi/2, pi/2] at dimension
+    0, and only where the reference is wider too."""
 
     @staticmethod
     def _outcome(fn, a):
@@ -513,7 +515,8 @@ class TestTaylorRuleWidth:
     def test_never_wider_than_the_degree4_reference(self, name, fn, ref):
         rng = random.Random(f"taylor-rule/{name}")
         members = random.Random(f"taylor-rule/{name}/members")
-        compared = reflected = narrower = wider = 0
+        compared = reflected = narrower = wider = capped = 0
+        whole_range = Jet(0.0, (), PI_HI * 0.5)
         for _ in range(10_000):
             a = taylor_operand(rng, name)
             new, old = self._outcome(fn, a), self._outcome(ref, a)
@@ -535,12 +538,17 @@ class TestTaylorRuleWidth:
             if isinstance(old, tuple):
                 assert new == old, a
                 continue
+            if new == whole_range:
+                assert fn is atan_jet and old.spread() > math.pi / 2, a
+                capped += 1
+                continue
             assert (new.center, new.coeffs) == (old.center, old.coeffs), a
             assert new.err <= old.err, a
             compared += 1
         assert compared > 5_000
         assert reflected > 3_000 if name == "atan" else reflected == 0
         assert narrower > 3 * wider if name == "atan" else narrower == wider == 0
+        assert capped > 100 if name == "atan" else capped == 0
 
 
     def test_atan_of_large_centres_is_tight(self):
@@ -681,6 +689,17 @@ class TestElementary:
             true = mp_atan(mpmath.mpf("0.3") + mpmath.mpf("0.05") * mpmath.mpf(x))
             assert jet_contains(j, (x,), true)
 
+    @pytest.mark.parametrize("a", (Jet(2.0, (1.98,), 0.0), Jet(-3.0, (0.0, 2.9), 0.1)))
+    def test_atan_is_never_wider_than_its_range(self, a):
+        # These were 1.2e8 and 99 wide: the reflection through a
+        # reciprocal near 0, and a Taylor remainder at D = 3.
+        j = atan_jet(a)
+        assert (j.center, j.coeffs, j.err) == (0.0, (), PI_HI * 0.5)
+        lo, hi = j.bounds()
+        with mpmath.workdps(50):
+            assert lo < -mpmath.pi / 2 and mpmath.pi / 2 < hi
+        assert hi - lo < 3.15
+
     def test_pi_enclosure(self):
         with mpmath.workdps(50):
             assert mpmath.mpf(PI_LO) < mpmath.pi < mpmath.mpf(PI_HI)
@@ -744,7 +763,7 @@ class TestArgument:
 
     @pytest.mark.parametrize("z, delta", ARG_REPROS)
     def test_near_axis_boxes_contain_oracle(self, z, delta):
-        zj = ComplexJet.variable(z, 0, 1, delta, 2)
+        zj = box(z, delta)
         params = ((zj, lambda w: w), (reciprocal(one_minus(zj)), lambda w: 1 / (1 - w)),
                   (quotient(minus_one(zj), zj), lambda w: (w - 1) / w))
         for wj, f in params:
@@ -757,7 +776,7 @@ class TestArgument:
 
     def test_left_half_plane_branches(self):
         for re_, im_ in ((-2.0, 1e-3), (-2.0, -1e-3), (-1.0, 0.9), (-1.0, -0.9)):
-            z = ComplexJet.variable(complex(re_, im_), 0, 1, 1e-5, 2)
+            z = box(complex(re_, im_), 1e-5)
             a = arg_complex(z)
             assert jet_contains_value(a, mp_arg(re_, im_))
             lo, hi = a.bounds()
