@@ -21,7 +21,7 @@ public names resolve on first access (PEP 562 module ``__getattr__``):
 read and ``smallvol.Jet`` imports ``jets``, and each is an ordinary
 attribute after that, so a command-line run loads only the modules its
 subcommand uses: the point layer only where a certificate or a volume
-is computed, and the jet classes only where a jet is built.
+is computed, and the jet module only where its rules run.
 """
 
 import sys as _sys

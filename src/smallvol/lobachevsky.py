@@ -32,7 +32,7 @@ Loading the module, and filling the coefficients (``default_coeffs``),
 takes only the rounding layer (``rounding``).  The jet classes and the
 point layer are reached as ``smallvol.jets`` and ``smallvol.points``,
 which load on first use (the package's ``__getattr__``), so a command
-that builds no jet never loads the jet classes.
+that runs no jet rule never loads the jet module.
 """
 
 from __future__ import annotations
