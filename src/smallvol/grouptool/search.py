@@ -20,6 +20,18 @@ spelling them out takes 2 len(r)^2 letters for a relator r, the search
 runs on what is left, and a search whose relators need more than the
 whole budget for that stops before building any.
 
+A relator set is reduced, charged and spelled once per process and
+reused within one search's letter budget: keyed by the relators as
+passed, in their order, the module keeps their cyclically reduced
+forms, charge and rotation tables (``_tables``), with the ``_between``
+memo that every search over them shares.  Every call is still charged
+the 2 len(r)^2 letters of each relator r, and checks that they fit its
+budget, before it searches, so what it returns does not depend on what
+searches ran before; a set that does not fit is neither built nor kept.
+The kept sets hold at most ``MAX_SEARCH_LETTERS`` letters in all, each
+memo list counted as if spelled out, so no more than one search may
+build; the least recently used go first.
+
 Insertions reduce only at the two junctions (``words.junction``): the
 word and the inserted rotation are both freely reduced, so only the end
 of the text before the insertion point, the inserted word and the start
@@ -82,6 +94,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from collections import defaultdict, namedtuple
+from itertools import islice
 
 from . import words
 
@@ -130,28 +143,78 @@ def search_trivial(word, relators, depth: int = DEFAULT_DEPTH,
     start = words.free_reduce(word)
     if start == ():
         return Derivation(start, ())
-    rels = [_doubled(r) for r in map(words.cyclic_reduce, relators) if r]
-    stop = DEPTH  # also when no relator is left, or depth 0 allows no round
-    letters = MAX_SEARCH_LETTERS - 2 * sum(len(r) ** 2 for r in rels)
+    key = tuple(map(tuple, relators))
+    rels, charge, longest, tables = _prepared.get(key) or _reduced(key)
+    found, stop = None, DEPTH  # also when no relator is left, or depth 0 allows no round
+    letters = MAX_SEARCH_LETTERS - charge
     if letters < 0:
-        rels, stop = [], LETTERS
-    by_first, by_last, leaves = _tables(rels)
-    max_len = len(start) + max(map(len, rels), default=0) + 4
-
-    root = _doubled(start)
-    limit = 1
-    while rels and limit <= depth:
-        if letters <= 0:
-            stop = LETTERS
-            break
-        found, letters, stop = _best_first(root, by_first, by_last, limit,
-                                           max_len, node_budget, letters, leaves)
-        if found is not None:
-            return found
-        limit = min(limit * 2, depth) if limit < depth else depth + 1
-    if stopped_by is not None:
+        stop = LETTERS
+    elif rels:
+        new = tables is None
+        if new:
+            tables = _tables(rels)
+        by_first, by_last, leaves = tables
+        counted = len(leaves[2])
+        root, max_len, limit = _doubled(start), len(start) + longest + 4, 1
+        try:
+            while limit <= depth:
+                if letters <= 0:
+                    stop = LETTERS
+                    break
+                found, letters, stop = _best_first(root, by_first, by_last, limit,
+                                                   max_len, node_budget, letters, leaves)
+                if found is not None:
+                    break
+                limit = min(limit * 2, depth) if limit < depth else depth + 1
+        finally:  # the memo may have grown, whatever ended the search
+            _keep(key, (rels, charge, longest, tables), new, counted)
+    if found is None and stopped_by is not None:
         stopped_by.append(stop)
-    return None
+    return found
+
+
+# The relators of a search as passed -> the entry ``search_trivial``
+# prepares from them: the relators cyclically reduced and doubled, their
+# charge 2 sum len(r)^2, the longest one's length and their ``_tables``,
+# whose ``_between`` memo every search over them shares.  Least recently
+# used first; ``_held`` is the letters the entries hold in all
+# (``_letters``), at most MAX_SEARCH_LETTERS after each search.
+_prepared = {}
+_held = 0
+
+
+def _reduced(key):
+    """A new entry for the relators ``key``, its tables not yet built."""
+    rels = [_doubled(r) for r in map(words.cyclic_reduce, key) if r]
+    return rels, 2 * sum(len(r) ** 2 for r in rels), max(map(len, rels), default=0), None
+
+
+def _letters(key, entry) -> int:
+    """The letters the cache entry ``entry`` for the relators ``key``
+    holds: the relators as passed and reduced, the variants and the
+    ``_between`` lists, each relator and memo entry counted one letter
+    more, so that none is free."""
+    rels, _, _, (_, _, (variants, _, around)) = entry
+    return (sum(1 + len(r) for r in key) + sum(map(len, rels)) + sum(map(len, variants))
+            + sum(1 + total for _, _, total in around.values()))
+
+
+def _keep(key, entry, new, counted):
+    """Keep ``entry`` for the relators ``key`` as the most recently used,
+    counting all it holds when it is ``new`` and otherwise the memo
+    entries past its first ``counted``, then evict the least recently
+    used entries while the cache holds more than MAX_SEARCH_LETTERS."""
+    global _held
+    if new:
+        _held += _letters(key, entry)
+    else:
+        del _prepared[key]  # to be put back last
+        around = entry[3][2][2]
+        _held += sum(1 + total for _, _, total in islice(around.values(), counted, None))
+    _prepared[key] = entry
+    while _held > MAX_SEARCH_LETTERS:
+        old = next(iter(_prepared))
+        _held -= _letters(old, _prepared.pop(old))
 
 
 def _doubled(w) -> tuple:

@@ -579,6 +579,41 @@ def _reference_round(*args):
     return reference_best_first(*args[:7])
 
 
+def _in_an_empty_cache(fn):
+    """``fn()`` run with no relators prepared (``search._prepared``);
+    the process's own cache is put back after it.  Patches and restores
+    by hand, as hypothesis runs many cases per test call."""
+    saved = search._prepared, search._held
+    search._prepared, search._held = {}, 0
+    try:
+        return fn()
+    finally:
+        search._prepared, search._held = saved
+
+
+def _held_letters():
+    """The letters the prepared entries hold, counted afresh; ``_keep``
+    keeps ``search._held`` equal to it."""
+    return sum(search._letters(key, entry) for key, entry in search._prepared.items())
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    monkeypatch.setattr(search, "_prepared", {})
+    monkeypatch.setattr(search, "_held", 0)
+
+
+def _counting_tables(monkeypatch):
+    """The relator lists ``search._tables`` is called with from now on."""
+    built, tables = [], search._tables
+
+    def counting(rels):
+        built.append(rels)
+        return tables(rels)
+    monkeypatch.setattr(search, "_tables", counting)
+    return built
+
+
 # Searches that meet what the round does differently from the eager
 # round, each with its feature: a one-letter relator, whose rotations
 # and inverse are single letters; a proper power, whose rotations
@@ -792,6 +827,82 @@ class TestLastDepth:
         assert d is None or derivation_replays(d, rels)
 
 
+class TestPreparedRelators:
+    """``search_trivial`` reduces, charges and spells each relator set once
+    per process and shares the result, ``_between`` memo included, with
+    every later search over the same relators; a search on a warm cache
+    returns what it returns on a cold one, letters left included."""
+
+    @given(_searches())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_random_searches_repeat_on_a_warm_cache(self, case):
+        cold, warm = _in_an_empty_cache(
+            lambda: [_outcome(case, search._best_first) for _ in range(2)])
+        assert cold == warm == _outcome(case, _reference_round)
+
+    def test_reference_cases_repeat_on_a_warm_cache(self, monkeypatch, empty_cache):
+        # Every case held to the eager round elsewhere, each alone in an
+        # empty cache, then all of them in one cache, where a small letter
+        # budget evicts what a larger one kept; then those at the full
+        # budget again, on a cache warm for all but their first relators.
+        pop_rules = [(word, rels, options, search.MAX_SEARCH_LETTERS)
+                     for _, word, rels, options in POP_RULE_CASES]
+        cases = (_equivalence_cases() + _deep_cases() + pop_rules
+                 + [case for _, case in _last_depth_cases()]
+                 + [case for _, case in SEARCH_FEATURE_CASES])
+        cold = [_in_an_empty_cache(lambda: _outcome(case, search._best_first))
+                for case in cases]
+        assert [_outcome(case, search._best_first) for case in cases] == cold
+        full = [i for i, case in enumerate(cases) if case[3] == search.MAX_SEARCH_LETTERS]
+        keys = {tuple(map(tuple, cases[i][1])) for i in full}
+        built = _counting_tables(monkeypatch)
+        assert [_outcome(cases[i], search._best_first) for i in full] == [cold[i] for i in full]
+        assert len(built) <= len(keys) < len(full) // 2
+        assert search._held == _held_letters() <= search.MAX_SEARCH_LETTERS
+
+    def test_relators_in_another_order_get_their_own_entry(self, empty_cache):
+        # The order of the relators is the order of the variants at each
+        # insertion point, and so of the charges: the one-letter relator
+        # first finds (1) = 1 three letters sooner.
+        outcomes = []
+        for rels in ([(1,), (1, 1)], [(1, 1), (1,)]):
+            case = ((1,), rels, {}, search.MAX_SEARCH_LETTERS)
+            outcomes.append(_outcome(case, search._best_first))
+            assert outcomes[-1] == _outcome(case, _reference_round)
+        (d, _, [(_, (_, left, _))]), (d2, _, [(_, (_, left2, _))]) = outcomes
+        assert d == d2 and left == left2 + 3
+        assert list(search._prepared) == [((1,), (1, 1)), ((1, 1), (1,))]
+
+    def test_relators_as_lists_share_the_tuples_entry(self, empty_cache):
+        rels = [words.parse_word("a2b3a-1b3", ("a", "b"))]
+        w = words.commutator(words.power((1,), 3), words.power((2,), 3))
+        d = search_trivial(w, rels, depth=6)
+        assert search_trivial(list(w), [list(r) for r in rels], depth=6) == d
+        assert len(d.steps) == 2 and list(search._prepared) == [tuple(rels)]
+
+    def test_shared_tables_stay_as_built(self, empty_cache):
+        # After many searches, each entry still holds what preparing its
+        # relators afresh gives, and its memo what _between lists afresh.
+        for word, rels, options, _ in _equivalence_cases() + _deep_cases():
+            search_trivial(word, rels, **options)
+        assert len(search._prepared) == len(CORPUS)
+        for key, (rels, charge, longest, tables) in search._prepared.items():
+            fresh = search._reduced(key)
+            assert (rels, charge, longest) == fresh[:3]
+            by_first, by_last, (variants, lengths, around) = search._tables(rels)
+            assert tables[:2] == (by_first, by_last)
+            assert tables[2][:2] == (variants, lengths) and tables[2][2]
+            for pair, entry in tables[2][2].items():
+                assert entry == search._between(pair, by_first, by_last, around)
+
+    def test_a_repeated_search_prepares_its_relators_once(self, monkeypatch, empty_cache):
+        built = _counting_tables(monkeypatch)
+        rels = parse_presentation(presentation_text(CORPUS[0])).relators
+        for word in [(1, -1, 2), (1, 2), (1, 2)]:
+            search_trivial(word, rels, depth=2, node_budget=20)
+        assert len(built) == 1
+
+
 class TestWorkBounds:
     """Hostile scripts cannot make the checker build or store unbounded
     words, or spend time superlinear in a stored word."""
@@ -855,6 +966,46 @@ class TestWorkBounds:
         v = verify_script(pres, parse_script("trivial ab\nconclude abelian\n"))
         assert v.reason == ("step 1 failed: could not derive ab = 1 within "
                             "the 10000000-letter search budget (depth 8)")
+
+    def test_prepared_relators_stay_within_the_letter_budget(self, monkeypatch,
+                                                            empty_cache):
+        # Distinct relator sets whose charges sum past the budget, each
+        # searched after the first set is searched again: after every
+        # search the cache holds at most MAX_SEARCH_LETTERS letters, and
+        # it evicts the least recently used sets, never the first one.
+        monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", 20000)
+        built = _counting_tables(monkeypatch)
+        charges, keys = 0, []
+        for k in range(2, 40):
+            rel = words.concat(words.power((1,), k), (2, -1, -2))
+            keys.append((rel,))
+            charges += 2 * len(rel) ** 2
+            for key in dict.fromkeys((keys[0], keys[-1])):
+                search_trivial((1, 2, -1), key, depth=2, node_budget=20)
+            assert search._held == _held_letters() <= search.MAX_SEARCH_LETTERS
+        assert charges > search.MAX_SEARCH_LETTERS
+        assert built == [[search._doubled(rel)] for rel, in keys]
+        kept = list(search._prepared)
+        assert len(kept) < len(keys) and kept[-1] == keys[-1]
+        assert kept[:-1] == [keys[0]] + keys[len(keys) - len(kept) + 1:-1]
+
+    def test_a_relator_set_over_the_budget_is_never_stored(self, monkeypatch,
+                                                           empty_cache):
+        built = _counting_tables(monkeypatch)
+        long_rel = words.concat(words.power((1,), 2000), words.power((2,), 2000))
+        stopped_by = []
+        assert search_trivial((1, 2), [long_rel], stopped_by=stopped_by) is None
+        assert stopped_by == [search.LETTERS] and not search._prepared
+        # a2b3a-1b3 spells 162 letters of rotations: one letter over the
+        # budget, it is neither built nor stored; within it, it is kept.
+        rel = words.parse_word("a2b3a-1b3", ("a", "b"))
+        w = words.commutator(words.power((1,), 3), words.power((2,), 3))
+        monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", 161)
+        assert search_trivial(w, [rel], depth=6) is None
+        assert not built and not search._prepared and search._held == 0
+        monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", 3750)
+        assert search_trivial(w, [rel], depth=6) is not None
+        assert len(built) == 1 and list(search._prepared) == [(rel,)]
 
     def test_derivations_are_spelled_in_the_callers_letters(self):
         # The letters -1 and -2 (a^-1 and b^-1) hash alike in CPython, so
