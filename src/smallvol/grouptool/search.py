@@ -21,16 +21,20 @@ runs on what is left, and a search whose relators need more than the
 whole budget for that stops before building any.
 
 A relator set is reduced, charged and spelled once per process and
-reused within one search's letter budget: keyed by the relators as
-passed, in their order, the module keeps their cyclically reduced
-forms, charge and rotation tables (``_tables``), with the ``_between``
-memo that every search over them shares.  Every call is still charged
-the 2 len(r)^2 letters of each relator r, and checks that they fit its
-budget, before it searches, so what it returns does not depend on what
-searches ran before; a set that does not fit is neither built nor kept.
-The kept sets hold at most ``MAX_SEARCH_LETTERS`` letters in all, each
-memo list counted as if spelled out, so no more than one search may
-build; the least recently used go first.
+reused: keyed by the relators as passed, in their order, the module
+keeps their cyclically reduced forms, charge and rotation tables
+(``_tables``), with the ``_between`` memo that every search over them
+shares.  This pays where one process searches the same relators again,
+as a caller checking several words in one group does; a proof script
+adds a fact or a trivial word before each search, so its searches never
+meet a set twice.  Every call is still charged the 2 len(r)^2 letters
+of each relator r, and checks that they fit its budget, before it
+searches, so what it returns does not depend on what searches ran
+before; a set that does not fit is neither built nor kept.  The kept
+sets stay for the life of the process, within a tenth of one search's
+letter budget, counted in machine words: their letters and the
+headers and slots of the tuples, lists and dicts that hold them
+(``_footprint``).  The least recently used go first.
 
 Insertions reduce only at the two junctions (``words.junction``): the
 word and the inserted rotation are both freely reduced, so only the end
@@ -94,7 +98,6 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from collections import defaultdict, namedtuple
-from itertools import islice
 
 from . import words
 
@@ -139,22 +142,24 @@ def search_trivial(word, relators, depth: int = DEFAULT_DEPTH,
     when the last deepening round explored every word within the depth
     and length bounds, NODES when it popped ``node_budget`` nodes first,
     LETTERS when the ``MAX_SEARCH_LETTERS`` budget ran out.
+
+    The relator sets it prepares are kept in a module-level cache with
+    no lock, so it is not meant to be called from several threads at
+    once.
     """
     start = words.free_reduce(word)
     if start == ():
         return Derivation(start, ())
     key = tuple(map(tuple, relators))
-    rels, charge, longest, tables = _prepared.get(key) or _reduced(key)
+    rels, charge, longest, tables, held = _prepared.get(key) or _reduced(key)
     found, stop = None, DEPTH  # also when no relator is left, or depth 0 allows no round
     letters = MAX_SEARCH_LETTERS - charge
     if letters < 0:
         stop = LETTERS
     elif rels:
-        new = tables is None
-        if new:
+        if tables is None:
             tables = _tables(rels)
         by_first, by_last, leaves = tables
-        counted = len(leaves[2])
         root, max_len, limit = _doubled(start), len(start) + longest + 4, 1
         try:
             while limit <= depth:
@@ -167,7 +172,7 @@ def search_trivial(word, relators, depth: int = DEFAULT_DEPTH,
                     break
                 limit = min(limit * 2, depth) if limit < depth else depth + 1
         finally:  # the memo may have grown, whatever ended the search
-            _keep(key, (rels, charge, longest, tables), new, counted)
+            _keep(key, (rels, charge, longest, tables), held)
     if found is None and stopped_by is not None:
         stopped_by.append(stop)
     return found
@@ -175,10 +180,11 @@ def search_trivial(word, relators, depth: int = DEFAULT_DEPTH,
 
 # The relators of a search as passed -> the entry ``search_trivial``
 # prepares from them: the relators cyclically reduced and doubled, their
-# charge 2 sum len(r)^2, the longest one's length and their ``_tables``,
-# whose ``_between`` memo every search over them shares.  Least recently
-# used first; ``_held`` is the letters the entries hold in all
-# (``_letters``), at most MAX_SEARCH_LETTERS after each search.
+# charge 2 sum len(r)^2, the longest one's length, their ``_tables``,
+# whose ``_between`` memo every search over them shares, and the words
+# ``_footprint`` counted the entry at when it was last kept.  Least
+# recently used first; ``_held`` is the sum of those counts, at most
+# MAX_SEARCH_LETTERS // 10 after each search.
 _prepared = {}
 _held = 0
 
@@ -186,35 +192,41 @@ _held = 0
 def _reduced(key):
     """A new entry for the relators ``key``, its tables not yet built."""
     rels = [_doubled(r) for r in map(words.cyclic_reduce, key) if r]
-    return rels, 2 * sum(len(r) ** 2 for r in rels), max(map(len, rels), default=0), None
+    return rels, 2 * sum(len(r) ** 2 for r in rels), max(map(len, rels), default=0), None, 0
 
 
-def _letters(key, entry) -> int:
-    """The letters the cache entry ``entry`` for the relators ``key``
-    holds: the relators as passed and reduced, the variants and the
-    ``_between`` lists, each relator and memo entry counted one letter
-    more, so that none is free."""
-    rels, _, _, (_, _, (variants, _, around)) = entry
-    return (sum(1 + len(r) for r in key) + sum(map(len, rels)) + sum(map(len, variants))
-            + sum(1 + total for _, _, total in around.values()))
+def _footprint(key, charge, tables) -> int:
+    """The machine words that an entry for the relators ``key``, with
+    the charge ``charge`` and the tables ``tables``, holds: no less than
+    CPython takes for them, counted from sizes alone.  A tuple of n
+    letters takes n + 5 words with its header, and one more for the
+    slot that holds it: so are the relators as passed and reduced
+    counted.  The variants take at most the letters of the charge, which
+    spells them, and 16 words each for their headers and their slots in
+    the variants dict and the letter tables; each list of the letter
+    tables takes 24 words with its slot; each ``_between`` memo entry 40
+    (its key, its value and its dict slot) and one for each variant, all
+    of which its list may name; the entry's own dicts and tuples 200."""
+    by_first, by_last, (variants, _, around) = tables
+    return (2 * (sum(map(len, key)) + 6 * len(key)) + charge + 16 * len(variants)
+            + 24 * (len(by_first) + len(by_last)) + (40 + len(variants)) * len(around)
+            + 200)
 
 
-def _keep(key, entry, new, counted):
+def _keep(key, entry, held):
     """Keep ``entry`` for the relators ``key`` as the most recently used,
-    counting all it holds when it is ``new`` and otherwise the memo
-    entries past its first ``counted``, then evict the least recently
-    used entries while the cache holds more than MAX_SEARCH_LETTERS."""
+    counted at what it holds now (``_footprint``) in place of the ``held``
+    words it was last kept at (0 when it is new), then evict the least
+    recently used entries while the cache holds more than a tenth of
+    MAX_SEARCH_LETTERS."""
     global _held
-    if new:
-        _held += _letters(key, entry)
-    else:
-        del _prepared[key]  # to be put back last
-        around = entry[3][2][2]
-        _held += sum(1 + total for _, _, total in islice(around.values(), counted, None))
-    _prepared[key] = entry
-    while _held > MAX_SEARCH_LETTERS:
-        old = next(iter(_prepared))
-        _held -= _letters(old, _prepared.pop(old))
+    rels, charge, longest, tables = entry
+    now = _footprint(key, charge, tables)
+    _prepared.pop(key, None)  # to be put back last
+    _prepared[key] = rels, charge, longest, tables, now
+    _held += now - held
+    while _held > MAX_SEARCH_LETTERS // 10:
+        _held -= _prepared.pop(next(iter(_prepared)))[4]
 
 
 def _doubled(w) -> tuple:

@@ -591,10 +591,14 @@ def _in_an_empty_cache(fn):
         search._prepared, search._held = saved
 
 
-def _held_letters():
-    """The letters the prepared entries hold, counted afresh; ``_keep``
-    keeps ``search._held`` equal to it."""
-    return sum(search._letters(key, entry) for key, entry in search._prepared.items())
+def _held_footprint():
+    """The words the prepared entries hold, counted afresh; ``_keep``
+    keeps each entry's count and ``search._held``, their sum, equal to
+    it."""
+    counts = [(entry[4], search._footprint(key, entry[1], entry[3]))
+              for key, entry in search._prepared.items()]
+    assert all(kept == fresh for kept, fresh in counts)
+    return sum(fresh for _, fresh in counts)
 
 
 @pytest.fixture
@@ -858,7 +862,7 @@ class TestPreparedRelators:
         built = _counting_tables(monkeypatch)
         assert [_outcome(cases[i], search._best_first) for i in full] == [cold[i] for i in full]
         assert len(built) <= len(keys) < len(full) // 2
-        assert search._held == _held_letters() <= search.MAX_SEARCH_LETTERS
+        assert search._held == _held_footprint() <= search.MAX_SEARCH_LETTERS // 10
 
     def test_relators_in_another_order_get_their_own_entry(self, empty_cache):
         # The order of the relators is the order of the variants at each
@@ -886,7 +890,7 @@ class TestPreparedRelators:
         for word, rels, options, _ in _equivalence_cases() + _deep_cases():
             search_trivial(word, rels, **options)
         assert len(search._prepared) == len(CORPUS)
-        for key, (rels, charge, longest, tables) in search._prepared.items():
+        for key, (rels, charge, longest, tables, _) in search._prepared.items():
             fresh = search._reduced(key)
             assert (rels, charge, longest) == fresh[:3]
             by_first, by_last, (variants, lengths, around) = search._tables(rels)
@@ -971,23 +975,54 @@ class TestWorkBounds:
                                                             empty_cache):
         # Distinct relator sets whose charges sum past the budget, each
         # searched after the first set is searched again: after every
-        # search the cache holds at most MAX_SEARCH_LETTERS letters, and
-        # it evicts the least recently used sets, never the first one.
-        monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", 20000)
+        # search the cache holds at most a tenth of MAX_SEARCH_LETTERS,
+        # and it evicts the least recently used sets, never the first one.
+        monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", 200000)
         built = _counting_tables(monkeypatch)
-        charges, keys = 0, []
-        for k in range(2, 40):
+        charges, keys, most = 0, [], 0
+        for k in range(2, 71):
             rel = words.concat(words.power((1,), k), (2, -1, -2))
             keys.append((rel,))
             charges += 2 * len(rel) ** 2
             for key in dict.fromkeys((keys[0], keys[-1])):
                 search_trivial((1, 2, -1), key, depth=2, node_budget=20)
-            assert search._held == _held_letters() <= search.MAX_SEARCH_LETTERS
+            assert search._held == _held_footprint() <= search.MAX_SEARCH_LETTERS // 10
+            kept = list(search._prepared)
+            assert kept == keys[len(keys) - len(kept) + 1:-1] + [keys[0], keys[-1]][-len(keys):]
+            most = max(most, len(kept))
         assert charges > search.MAX_SEARCH_LETTERS
         assert built == [[search._doubled(rel)] for rel, in keys]
-        kept = list(search._prepared)
-        assert len(kept) < len(keys) and kept[-1] == keys[-1]
-        assert kept[:-1] == [keys[0]] + keys[len(keys) - len(kept) + 1:-1]
+        assert len(kept) < most < len(keys)
+
+    def test_prepared_relators_are_counted_at_no_less_than_their_bytes(
+            self, empty_cache):
+        import struct
+        import tracemalloc
+
+        # What clearing the cache frees, against its count in machine
+        # words: one-letter relators over 2000 generators (a list for
+        # each variant in both letter tables), a corpus presentation, one
+        # long relator, and relators a b_i from a word a^-1 b_2 a^-1 b_3
+        # ... whose 300 insertion points each list hundreds of variants
+        # in the _between memo.
+        word_bytes = struct.calcsize("P")
+        corpus = parse_presentation(presentation_text(CORPUS[7])).relators
+        shared = [[1, g] for g in range(2, 302)]
+        for rels, word in (([[g] for g in range(1, 2001)], (1, 2, -1)),
+                           ([list(r) for r in corpus], (1, 2, -1)),
+                           ([[1] * 200 + [2] * 200], (1, 2, -1)),
+                           (shared, tuple(x for g in range(2, 152) for x in (-1, g)))):
+            tracemalloc.start()
+            try:
+                search_trivial(word, rels, depth=3, node_budget=200)
+                held, kept = search._held, len(search._prepared)
+                before = tracemalloc.get_traced_memory()[0]
+                search._prepared.clear()
+                freed = before - tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            search._held = 0
+            assert kept == 1 and 0 < freed <= word_bytes * held
 
     def test_a_relator_set_over_the_budget_is_never_stored(self, monkeypatch,
                                                            empty_cache):
@@ -1000,10 +1035,11 @@ class TestWorkBounds:
         # budget, it is neither built nor stored; within it, it is kept.
         rel = words.parse_word("a2b3a-1b3", ("a", "b"))
         w = words.commutator(words.power((1,), 3), words.power((2,), 3))
+        full = search.MAX_SEARCH_LETTERS
         monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", 161)
         assert search_trivial(w, [rel], depth=6) is None
         assert not built and not search._prepared and search._held == 0
-        monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", 3750)
+        monkeypatch.setattr(search, "MAX_SEARCH_LETTERS", full)
         assert search_trivial(w, [rel], depth=6) is not None
         assert len(built) == 1 and list(search._prepared) == [(rel,)]
 
