@@ -56,6 +56,7 @@ from .points import _MIN_NORMAL, _add0, _dot, _log_box, _radius, _recip_scaled
 from .rounding import EPS_PRIM, PI_HI, PI_LO, SQRT2_HI, TINY, JetDomainError, _up
 
 _SINGULAR_TOL = 1e-13
+_NEWTON_STEPS = 5
 
 
 class CertifyError(ValueError):
@@ -272,10 +273,11 @@ def select_square_subsystem(sys: GluingSystem, shapes=None) -> tuple:
     return tuple(sorted(_factor_rows(jacobian(sys, shapes), sys.n)[1]))
 
 
-def _newton_refine(sys: GluingSystem, jac, max_steps: int = 5):
+def _newton_refine(sys: GluingSystem, jac):
     """Plain floating-point Newton polish of the stored shapes on the rows
-    that the ``_factor_rows`` of their Jacobian ``jac`` selects; returns
-    the best iterate, its residuals and the ``_factor_rows`` there.
+    that the ``_factor_rows`` of their Jacobian ``jac`` selects, in at
+    most ``_NEWTON_STEPS`` steps; returns the best iterate, its residuals
+    and the ``_factor_rows`` there.
 
     Each step substitutes from the ``_factor_rows`` of all rows at its
     point when that selects the same rows, and otherwise factors the
@@ -293,7 +295,7 @@ def _newton_refine(sys: GluingSystem, jac, max_steps: int = 5):
     z = list(sys.shapes)
     res = sys.stored_residual
     norm = max(abs(r) for r in res)
-    for step_no in range(max_steps):
+    for step_no in range(_NEWTON_STEPS):
         if step_no:
             try:
                 factors = _factor_rows(jac, sys.n)
@@ -607,18 +609,15 @@ def figure_eight_system(round_digits: int = None) -> GluingSystem:
     """Two-tetrahedron figure-eight system with exact solution
     z = w = exp(i pi / 3).
 
-    Rows: the edge equation log z + log w + log(1-z) + log(1-w) = 0, its
-    formal negation (a genuinely redundant row, as full edge-equation
-    lists always carry one), and a completeness-style equation
-    log w + log(1-z) = 0.  ``round_digits`` rounds the stored shapes to
-    that many decimals to mimic a solver's output.
+    Rows, those of the shipped ``data/fig8.gluing``: the edge equation
+    log z + log w + log(1-z) + log(1-w) = 0, its formal negation (a
+    genuinely redundant row, as full edge-equation lists always carry
+    one), and a completeness-style equation log w + log(1-z) = 0.
+    ``round_digits`` rounds the stored shapes to that many decimals to
+    mimic a solver's output; at 9 the system is the file's.
     """
     z = complex(0.5, math.sqrt(3.0) / 2.0)
     if round_digits is not None:
         z = complex(round(z.real, round_digits), round(z.imag, round_digits))
-    eqs = (
-        GluingEquation((1, 1), (1, 1), 0),
-        GluingEquation((-1, -1), (-1, -1), 0),
-        GluingEquation((0, 1), (1, 0), 0),
-    )
+    eqs = smallvol.formats.parse_gluing(smallvol.data.figure_eight_text()).equations
     return GluingSystem(eqs, (z, z))

@@ -16,9 +16,9 @@ Each subcommand loads only the modules it runs: ``bound`` and
 exact, and ``nonhyp`` loads ``formats`` and ``grouptool``.  ``--tol``
 bounds the series truncation on the jet path only: exact shapes are
 summed to full precision.  A claim is made about the decimals typed:
-``--le`` is compared with them exactly, ``--parent`` is rounded down
-and ``--target`` up, and the meridian and longitude parts are read as
-exact ratios (``_decimal``).
+``--gt`` and ``--le`` are compared with them exactly (``_compare``),
+``--parent`` is rounded down and ``--target`` up, and the meridian and
+longitude parts are read as exact ratios (``_decimal``).
 
 The command line is read in one pass over the table ``COMMANDS``, with
 no argparse: each flag as ``--flag value`` or ``--flag=value``, spelled
@@ -143,11 +143,6 @@ def _compare(x: float, bound: _Typed) -> int:
     n, d = x.as_integer_ratio()
     a, b = (n, num * 10 ** exp * d) if exp >= 0 else (n * 10 ** -exp, num * d)
     return (a > b) - (a < b)
-
-
-def _at_most(x: float, bound: _Typed) -> bool:
-    """x <= T for the decimal T typed as ``bound``."""
-    return _compare(x, bound) <= 0
 
 
 def _rounded(x: _Typed, up: bool) -> float:
@@ -279,10 +274,10 @@ def cmd_volume(args, rep) -> int:
 
     claims = []
     if args.gt is not None:
-        claims.append(iv.lo > args.gt)
+        claims.append(_compare(iv.lo, args.gt) > 0)
         rep.add("gt_claim", f"{args.gt!r} {'proven' if claims[-1] else 'unproven'}")
     if args.le is not None:
-        claims.append(_at_most(iv.hi, args.le))
+        claims.append(_compare(iv.hi, args.le) <= 0)
         rep.add("le_claim", f"{args.le!r} {'proven' if claims[-1] else 'unproven'}")
     # With --delta nothing certified that a solution exists within delta,
     # so a claim that holds on the interval is assumed-delta, not proven.
@@ -407,7 +402,7 @@ COMMANDS = {
                   "Lobachevsky series truncation tolerance (> 0, default "
                   "1e-12); exact shapes (--delta 0) are summed to full "
                   "precision"),
-        "--gt": (_finite_flag, None, "prove volume strictly greater than this"),
+        "--gt": (_typed_flag, None, "prove volume strictly greater than this"),
         "--le": (_typed_flag, None, "prove volume at most this"),
     }),
     "nonhyp": (cmd_nonhyp, "check a non-hyperbolicity claim", {

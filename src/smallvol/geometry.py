@@ -81,9 +81,6 @@ _SLACK = 1.0 + 2.0 ** -40
 class Interval(namedtuple("Interval", "lo hi")):
     __slots__ = ()
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
     def width(self) -> float:
         return self.hi - self.lo
 
@@ -113,10 +110,6 @@ class ShapeAssignment(namedtuple("ShapeAssignment", "shapes delta")):
                     f"shape {j} = {z} is within delta of a degenerate value"
                 )
         return self
-
-    @property
-    def count(self) -> int:
-        return len(self.shapes)
 
 
 def _centres(x: float, y: float, w: tuple) -> tuple:

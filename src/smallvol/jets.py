@@ -30,14 +30,16 @@ non-finite too, and that result is rejected.
 
 Every rule runs on plain ``(center, coeffs, err)`` triples: -jet
 (``_neg``), jet + jet (``_add``), jet * jet (``_mul``), jet + and * a
-dimension-0 operand (``_add_const``, ``_mul_const``), the natural log
-(``_log``), and the bounds ``_spread``, ``_bounds`` and ``_sup_abs``.
-Each is a module function that raises as ``_jet`` does on a non-finite
-result, and the ``Jet`` operators, queries and ``log_jet`` are thin
-wrappers over them, so each rule has one implementation.  A chain of
-operations whose intermediate results no caller sees runs on the
-triples, with the same float operations and charges as the operators:
-volumes (``geometry``) and the Lobachevsky series build no jet at all.
+dimension-0 operand (``_add_const``, ``_mul_const``), 1/jet
+(``points._recip``), the natural log (``_log``), and the bounds
+``_spread``, ``_bounds`` and ``_sup_abs``.  Each is a module function
+that raises as ``_jet`` does on a non-finite result, and the ``Jet``
+operators (a - b is a + (-b), a / b and k / a multiply by a reciprocal),
+queries and ``log_jet`` are thin wrappers over them, so each rule has
+one implementation.  A chain of operations whose intermediate results no
+caller sees runs on the triples, with the same float operations and
+charges as the operators: volumes (``geometry``) and the Lobachevsky
+series build no jet at all.
 
 Constants are dimension-0 jets (no coefficients), and a scalar operand
 counts as one with ``err`` 0.  A dimension-0 operand K combines with a
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 import math
 
-from .points import (_add0, _inv0, _libm_err, _mul0, _recip, _recip0, _reject,
+from .points import (_add0, _libm_err, _mul0, _recip, _recip0, _reject,
                      _require_finite)
 from .rounding import (EPS_PRIM, PI_HI, PI_LO, TINY, JetDomainError, JetError,
                        _INF, _down, _mul_up, _nextafter, _up)
@@ -171,15 +173,11 @@ class Jet:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if other.__class__ is Jet:
-            if other.coeffs:
-                return self.__add__(-other)
-            return _jet(*_add_const(self.center, self.coeffs, self.err,
-                                    -other.center, other.err))
-        k = _scalar(other)
-        if k is None:
-            return NotImplemented
-        return _jet(*_add_const(self.center, self.coeffs, self.err, -k, 0.0))
+        if other.__class__ is not Jet:
+            other = _scalar(other)
+            if other is None:
+                return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -200,24 +198,20 @@ class Jet:
         return _jet(*_recip(self.center, self.err, self.spread(), self.coeffs))
 
     def __truediv__(self, other):
-        if other.__class__ is Jet:
-            if other.coeffs:
-                if self.coeffs and len(other.coeffs) != len(self.coeffs):
-                    raise _mismatch(self.coeffs, other.coeffs)
-                return self.__mul__(other.reciprocal())
-            k, ke = other.center, other.err
-        else:
-            k, ke = _scalar(other), 0.0
+        if other.__class__ is not Jet:
+            k = _scalar(other)
             if k is None:
                 return NotImplemented
-        return _jet(*_mul_const(self.center, self.coeffs, self.err, *_recip0(k, ke)))
+            other = _jet(k, (), 0.0)
+        elif self.coeffs and other.coeffs and len(other.coeffs) != len(self.coeffs):
+            raise _mismatch(self.coeffs, other.coeffs)
+        return self * other.reciprocal()
 
     def __rtruediv__(self, other):
         k = _scalar(other)
         if k is None:
             return NotImplemented
-        r = self.reciprocal()
-        return _jet(*_mul_const(r.center, r.coeffs, r.err, k, 0.0))
+        return self.reciprocal() * k
 
 
 def _jet(center: float, coeffs: tuple, err: float) -> Jet:
@@ -424,7 +418,7 @@ def _log(a0: float, xs: tuple, ae: float) -> tuple:
     if not _bounds(a0, xs, ae)[0] > 0.0:
         raise JetDomainError("log of a jet not provably positive")
     # a - a0 is exact: the same coefficients and err about center 0.
-    _, ts, te = _mul_const(0.0, xs, ae, *_inv0(a0))
+    _, ts, te = _mul_const(0.0, xs, ae, *_recip0(a0, 0.0))
     t_sup = _spread(ts, te)
     if not t_sup < 1.0:
         raise JetDomainError("log: jet range too wide for the remainder bound")

@@ -180,34 +180,33 @@ def _triple(t0: float, ts: tuple, te: float, tol: float) -> tuple:
     ``tol`` and charges twice that term for the tail.  The center is
     reduced by ``_reduce``, and ReductionError is raised where |t| <
     pi/sqrt(2) is then not certified (a triple wider than half a
-    period).  An identically zero triple gives the exact zero at
-    dimension 0, and one straddling zero is refused, since log|2t| is
-    singular there.  A dimension-0 triple goes to ``_point``, which
-    ignores ``tol``.
+    period; max(-lo, hi) of ``_bounds`` is the ``_sup_abs`` bound).  An
+    identically zero triple gives the exact zero at dimension 0, and one
+    straddling zero is refused, since log|2t| is singular there.  A
+    dimension-0 triple goes to ``_point``, which ignores ``tol``.
     """
     if not ts:
         c, e = _point(t0, te)
         return c, (), e
-    coeffs = default_coeffs()
     jets = smallvol.jets
     t0, te = _reduce(t0, te)
-    if not jets._sup_abs(t0, ts, te) < _REDUCE_LIMIT:
+    lo, hi = jets._bounds(t0, ts, te)
+    if not max(-lo, hi) < _REDUCE_LIMIT:
         raise ReductionError("cannot certify |theta0| < pi/sqrt(2) after range reduction")
     if t0 == 0.0 and te == 0.0 and not any(ts):
         return 0.0, (), 0.0
-    lo, hi = jets._bounds(t0, ts, te)
     if lo > 0.0:
-        return _eval_positive(t0, ts, te, tol, coeffs)
+        return _eval_positive(t0, ts, te, tol)
     if hi < 0.0:  # L is odd, and negation is exact
-        return jets._neg(*_eval_positive(*jets._neg(t0, ts, te), tol, coeffs))
+        return jets._neg(*_eval_positive(*jets._neg(t0, ts, te), tol))
     raise JetDomainError("Lobachevsky argument straddles zero with positive width")
 
 
-def _eval_positive(t0: float, ts: tuple, te: float, tol: float,
-                   coeffs: SeriesCoeffs) -> tuple:
+def _eval_positive(t0: float, ts: tuple, te: float, tol: float) -> tuple:
     """Series evaluation for the triple t = (t0, ts, te), provably inside
-    (0, pi/sqrt(2)) and with coefficients, as a triple: each step is the
-    jet operation of ``jets`` on triples, and no jet is built."""
+    (0, pi/sqrt(2)), as a triple from the ``default_coeffs``: each step is
+    the jet operation of ``jets`` on triples, and no jet is built."""
+    coeffs = default_coeffs()
     jets = smallvol.jets  # looked up per call, so a patched rule is seen
     add, mul, mul_const, sup_abs = jets._add, jets._mul, jets._mul_const, jets._sup_abs
     # 1 - log 2t by the operations of the jet expression 1.0 - log_jet(t * 2.0).

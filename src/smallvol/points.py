@@ -17,7 +17,7 @@ Two kinds of value are built on this model:
 * ``(center, err)`` float pairs, a real number within ``err`` of
   ``center``: ``_add0``, ``_mul0`` and ``_recip0``, the dimension-0
   operations of the jet classes in ``jets`` (``_recip`` also takes a
-  jet's linear coefficients, and ``_inv0`` inverts the exact center of
+  jet's linear coefficients, and ``_recip0`` inverts the exact center of
   ``log_jet``), and the dihedral angle ``_arg_mod_pi`` at the center of
   every volume term;
 * midpoint-radius complex boxes ``(mid_re, mid_im, rad_re, rad_im)``,
@@ -105,16 +105,16 @@ def _recip(b0: float, be: float, s: float, xs: tuple) -> tuple:
         raise JetDomainError("reciprocal of a jet not provably nonzero")
     m = min(abs(lo), abs(hi))
     c = 1.0 / b0
-    err = up(up(up(eps * abs(c), inf) + TINY, inf), inf)
     q = b0 * b0
-    q_lo = _nextafter(q, -inf)  # certified lower bound for b0^2
     # A subnormal q has no relative rounding bound, so nothing with a
-    # spread is divided by it.
-    if q_lo <= 0.0 or (s and q < _MIN_NORMAL):
+    # spread is divided by it; without one, no coefficient is.
+    if abs(c) == inf or (s and q < _MIN_NORMAL):
         raise JetDomainError("reciprocal: center too close to zero")
+    err = up(up(up(eps * abs(c), inf) + TINY, inf), inf)
+    q_lo = _nextafter(q, -inf)  # certified lower bound for b0^2
     coeffs = []
     for bi in xs:
-        di = -(bi / q)
+        di = -(bi / q) if bi else -bi
         if bi:
             # two roundings: q itself and the division
             charge = up(up(eps * abs(di), inf) + TINY, inf)
@@ -152,19 +152,10 @@ def _recip(b0: float, be: float, s: float, xs: tuple) -> tuple:
 
 
 def _recip0(b0: float, be: float) -> tuple:
-    """1/b for the dimension-0 operand b = (b0, be)."""
+    """1/b for the dimension-0 operand b = (b0, be); an exact b (be = 0)
+    is refused only where 1/b0 overflows."""
     c, _, err = _recip(b0, be, _up(be) if be else 0.0, ())
     return c, err
-
-
-def _inv0(b0: float) -> tuple:
-    """1/b0 for an exact b0 > 0: the center and err of ``_recip0(b0,
-    0.0)``, which squares b0 and so refuses every b0 below about 2.2e-162;
-    this refuses only where 1/b0 overflows."""
-    c = 1.0 / b0
-    if c == _INF:
-        raise JetDomainError("reciprocal: center too close to zero")
-    return c, _up(_up(_up(EPS_PRIM * c) + TINY))
 
 
 # -- the libm charge ----------------------------------------------------
@@ -418,5 +409,5 @@ def _log_domain(x: float, y: float) -> None:
     s, e = _add0(*_mul0(x, 0.0, x, 0.0), *_mul0(y, 0.0, y, 0.0))
     if not _down(s - _up(e)) > 0.0:
         raise JetDomainError("log of a jet not provably positive")
-    _inv0(s)
+    _recip0(s, 0.0)
 

@@ -106,6 +106,10 @@ class TestGluingSystem:
         sys = figure_eight_system(round_digits=9)
         assert all(abs(r) < 1e-7 for r in residual(sys))
 
+    def test_figure_eight_at_nine_digits_is_the_shipped_file(self):
+        assert figure_eight_system(9) == parse_gluing(figure_eight_text())
+        assert figure_eight_system().equations == figure_eight_system(9).equations
+
     def test_exact_root_one_dim(self):
         sys = one_dim_system()
         assert abs(residual(sys)[0]) < 1e-15

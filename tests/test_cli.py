@@ -557,6 +557,21 @@ class TestCertifyVolume:
         assert "gt_claim: 1.0000000000000002 proven\n" in out
         assert "le_claim: 2.0298832128193074 unproven\n" in out
 
+    @pytest.mark.parametrize("step, proven", ((-1, True), (0, False), (1, False)))
+    def test_gt_is_decided_on_the_decimal_as_typed(self, capsys, fig8_file, step, proven):
+        # volume_lo and the decimals 10^-70 to either side of it all read
+        # as volume_lo, so float(T) cannot tell them apart; only the one
+        # below it makes a true claim.
+        _, out, _ = run_cli(capsys, "volume", fig8_file)
+        lo = float(dict(_fields(out))["volume_lo"])
+        with decimal.localcontext() as ctx:
+            ctx.prec = 200
+            text = str(decimal.Decimal(lo) + decimal.Decimal(step).scaleb(-70))
+        assert float(text) == lo and (exact_decimal(text) < Fraction(lo)) is proven
+        rc, out, _ = run_cli(capsys, "volume", fig8_file, "--gt", text)
+        assert rc == (0 if proven else 1)
+        assert f"gt_claim: {lo!r} {'proven' if proven else 'unproven'}\n" in out
+
     def test_volume_unprovable_claim(self, capsys, fig8_file):
         rc, out, _ = run_cli(capsys, "volume", fig8_file, "--gt", "2.848")
         assert rc == 1 and "verdict: inconclusive" in out
@@ -709,6 +724,12 @@ class TestCertifyVolume:
         assert float(text) == hi and err == ""
         assert rc == (0 if Fraction(hi) <= exact_decimal(text) else 1)
 
+    def test_compare_settles_the_tie_on_the_typed_decimal(self):
+        # float("0.1") lies above 0.1; its 55 decimals spell it exactly.
+        assert cli._compare(0.1, cli._typed_flag("0.1")) == 1
+        assert cli._compare(0.1, cli._typed_flag(f"{0.1:.55f}")) == 0
+        assert cli._compare(0.1, cli._typed_flag(f"{0.1:.55f}1")) == -1
+
     def test_at_most_is_exact(self):
         rng = random.Random(1616)
         cases = [(0.0, "-0"), (0.0, "1e-400"), (0.0, "-1e-400"), (5e-324, "3e-324"),
@@ -732,7 +753,9 @@ class TestCertifyVolume:
             assert float(bound) == float(text) and bound.text == text
             exact = exact_decimal(text)
             for y in (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)):
-                assert cli._at_most(y, bound) is (Fraction(y) <= exact), (y, text)
+                side = cli._compare(y, bound)
+                assert (side <= 0) is (Fraction(y) <= exact), (y, text)
+                assert (side > 0) is (Fraction(y) > exact), (y, text)
 
     @pytest.mark.parametrize("flag, value", (("--delta", "-1"), ("--delta", "nan"),
                                              ("--delta", "inf"), ("--delta", "x"),
@@ -844,10 +867,15 @@ def test_extreme_shapes_end_in_an_exit_code(text):
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
         for argv in (["certify", path], ["volume", path], ["volume", path, "--delta", "0"]):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                rc = cli.main(argv)
+            runs = []
+            for _ in range(2):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    rc = cli.main(argv)
+                runs.append((rc, body(out.getvalue())))
             assert rc in (0, 1, 2), (text, argv)
+            # A rerun's report is byte-identical apart from elapsed_ms.
+            assert runs[0] == runs[1], (text, argv)
             if argv[0] == "certify" and rc == 0:
                 claim = oracles.certificate_claim(out.getvalue())
                 assert oracles.krawczyk_margin(oracles.gluing_rows(text), *claim) < 1.0, text
@@ -1206,6 +1234,7 @@ REMOVED_NAMES = (
     ("smallvol.formats", ("serialize_gluing", "serialize_presentation", "serialize_script")),
     ("smallvol.geometry", ("check_positive_orientation", "dihedral_angles",
                            "prove_volume_le")),
+    ("smallvol.geometry.Interval", ("contains",)),
     ("smallvol.geometry.ShapeAssignment", ("shape_jets",)),
     ("smallvol.filling", ("fkp_lower_bound",)),
     ("smallvol.grouptool.presentation.Presentation", ("word", "word_text")),

@@ -68,7 +68,9 @@ def _oriented(assignment):
 class TestShapeAssignment:
     def test_valid(self):
         s = ShapeAssignment((OMEGA,), 0.0)
-        assert s.count == 1
+        assert s.shapes == (OMEGA,) and s.delta == 0.0
+        # No property shadows the tuple method ``count``.
+        assert ShapeAssignment.count is tuple.count
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,9 @@ from smallvol.jets import (
     log_jet,
     pi_jet,
 )
-from smallvol.points import _decimal_atan, libm_covered
+from smallvol.jets import _add, _add_const, _mul, _mul_const, _neg
+from smallvol.points import _decimal_atan, _recip, _recip0, libm_covered
+from smallvol.rounding import TINY, _up
 
 from complex_refs import (box, degree4_atan_jet, degree4_log_jet, minus_one, one_minus,
                           quotient, reciprocal, widened)
@@ -113,6 +115,123 @@ class TestArithmetic:
     def test_neg_exact(self):
         a = Jet(2.0, (0.5,), 1e-10)
         assert (-a).err == a.err and (-a).center == -2.0
+
+
+def _triple_or_error(fn, *args):
+    """The result of ``fn`` as float hex strings (so -0.0 and 0.0 differ),
+    or the JetError it raises as (type, message)."""
+    try:
+        r = fn(*args)
+    except JetError as exc:
+        return type(exc), str(exc)
+    if isinstance(r, Jet):
+        r = (r.center, r.coeffs, r.err)
+    c, xs, e = r
+    return c.hex(), tuple(x.hex() for x in xs), e.hex()
+
+
+# Reference spellings of ``-`` and ``/`` as explicit ``_add_const``,
+# ``_mul_const`` and ``_recip0`` calls on the operands' fields.
+
+def _explicit_sub(a, b):
+    if isinstance(b, Jet):
+        if b.coeffs:
+            return _add(a.center, a.coeffs, a.err, *_neg(b.center, b.coeffs, b.err))
+        return _add_const(a.center, a.coeffs, a.err, -b.center, b.err)
+    return _add_const(a.center, a.coeffs, a.err, -float(b), 0.0)
+
+
+def _explicit_div(a, b):
+    if isinstance(b, Jet):
+        if b.coeffs:
+            if a.coeffs and len(a.coeffs) != len(b.coeffs):
+                raise JetError(f"dimension mismatch: {len(a.coeffs)} vs {len(b.coeffs)}")
+            return _mul(a.center, a.coeffs, a.err,
+                        *_recip(b.center, b.err, b.spread(), b.coeffs))
+        k, ke = b.center, b.err
+    else:
+        k, ke = float(b), 0.0
+    return _mul_const(a.center, a.coeffs, a.err, *_recip0(k, ke))
+
+
+def _explicit_rdiv(k, a):
+    return _mul_const(*_recip(a.center, a.err, a.spread(), a.coeffs), float(k), 0.0)
+
+
+def _inv0(b0):
+    """1/b0 for an exact b0 > 0 by the direct formula: the center and
+    its one-rounding charge, refused only where 1/b0 overflows."""
+    c = 1.0 / b0
+    if c == math.inf:
+        raise JetDomainError("reciprocal: center too close to zero")
+    return c, _up(_up(_up(EPS_PRIM * c) + TINY))
+
+
+class TestOneRulePerOperation:
+    """``-`` and ``/`` are wrappers over ``+``, ``*`` and the reciprocal,
+    and an exact center's reciprocal is ``_recip0(b0, 0.0)``: each gives
+    the bits of the explicit rule."""
+
+    MAGS = (0.0, 5e-324, 1e-310, 1e-170, 2.2e-308, 1e-3, 0.3, 1.7, 3.0, 1e150, 1e300)
+    SCALARS = (0, 1, 3, -7, 2 ** 60 + 1, True, False, 0.0, -0.0, 0.5, -2.5,
+               1e-310, 1e-170, 1e300)
+
+    def _jet(self, rng, dim):
+        def value():
+            return rng.choice(self.MAGS) * rng.choice((1.0, -1.0))
+        if rng.random() < 0.5:
+            return Jet(rng.uniform(-4.0, 4.0),
+                       tuple(rng.choice((0.0, -0.0, rng.uniform(-1.0, 1.0)))
+                             for _ in range(dim)),
+                       rng.choice((0.0, 1e-3, 1e-17)))
+        return Jet(value(), tuple(value() for _ in range(dim)),
+                   rng.choice((0.0, 5e-324, 1e-30, 1e-3)))
+
+    def test_operators_give_the_explicit_triples(self):
+        rng = random.Random(3701)
+        calls = 0
+        for _ in range(3000):
+            a = self._jet(rng, rng.randint(0, 3))
+            k = rng.choice(self.SCALARS)
+            cases = [(operator.truediv, _explicit_rdiv, k, a)]
+            for b in (self._jet(rng, rng.randint(0, 3)), k):
+                cases += [(operator.sub, _explicit_sub, a, b),
+                          (operator.truediv, _explicit_div, a, b)]
+            for op, explicit, x, y in cases:
+                assert _triple_or_error(op, x, y) == _triple_or_error(explicit, x, y), (op, x, y)
+                calls += 1
+        assert calls == 15000
+
+    @pytest.mark.parametrize("op", (operator.sub, operator.truediv))
+    def test_other_operands_are_refused(self, op):
+        with pytest.raises(TypeError):
+            op(Jet(1.0, (0.5,), 0.0), "x")
+
+    def test_exact_reciprocal_is_the_former_inv0(self):
+        # From the least b0 whose reciprocal is finite, about 5.6e-309,
+        # to 1e308; below it 1/b0 overflows and both refuse.
+        least = math.nextafter(1.0 / 1.7976931348623157e308, 0.0)
+        while 1.0 / least == math.inf:
+            least = math.nextafter(least, math.inf)
+        rng = random.Random(3702)
+        low = math.log10(least)
+        points = [least, 1e-170, 2.2e-162, 1.0, 1e308]
+        points += [10.0 ** rng.uniform(low, 308.0) for _ in range(5000)]
+        for b0 in points:
+            b0 = max(b0, least)
+            assert _recip0(b0, 0.0) == _inv0(b0), b0
+        for b0 in (math.nextafter(least, 0.0), 1e-310, 5e-324):
+            with pytest.raises(JetDomainError, match="center too close to zero"):
+                _recip0(b0, 0.0)
+            with pytest.raises(JetDomainError, match="center too close to zero"):
+                _inv0(b0)
+
+    def test_reciprocal_of_a_tiny_exact_center(self):
+        # b0^2 underflows to 0, but with no spread nothing is divided by it.
+        r = Jet(1e-170, (0.0,), 0.0).reciprocal()
+        with mpmath.workdps(60):
+            assert jet_contains_value(r, 1 / mpmath.mpf(1e-170))
+        assert r.coeffs == (-0.0,) and r.err < 1e-15 * r.center
 
 
 class TestGoldenBits:

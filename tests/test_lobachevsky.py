@@ -123,8 +123,10 @@ class TestRangeReduce:
         assert jet_contains_value(Jet(c, (), e), 2 - mpmath.pi)
 
     def test_wide_jet_fails(self):
-        with pytest.raises(ReductionError):
-            lobachevsky(Jet(0.0, (2.5,), 0.0))
+        # Past pi/sqrt(2) on both sides of zero, below it, or above it.
+        for center in (0.0, -1.5, 1.5):
+            with pytest.raises(ReductionError):
+                lobachevsky(Jet(center, (2.5 - abs(center),), 0.0))
 
     def test_matches_the_reduction_on_jets(self):
         # The center and err bits of the jet expression theta - pi k,
@@ -167,6 +169,19 @@ class TestLobachevsky:
         oracle = lobachevsky_quad(mpmath.pi / 3)
         assert jet_contains_value(j, oracle)
         assert str(oracle)[:9] == "0.3383138"
+
+    def test_reduction_test_reads_the_sup_abs_off_the_bounds(self):
+        # ``_triple`` tests max(-lo, hi) of its one ``_bounds`` against the
+        # reduction limit: the value of ``_sup_abs``, up to the sign of a zero.
+        jets = importlib.import_module("smallvol.jets")
+        rng = random.Random(3703)
+        for _ in range(5000):
+            x0 = rng.choice((0.0, -0.0, rng.uniform(-3.0, 3.0), rng.uniform(-1e-300, 1e-300)))
+            xs = tuple(rng.choice((0.0, rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 0)))
+                       for _ in range(rng.randint(1, 3)))
+            err = rng.choice((0.0, 5e-324, 1e-17, 0.1))
+            lo, hi = jets._bounds(x0, xs, err)
+            assert max(-lo, hi) == jets._sup_abs(x0, xs, err), (x0, xs, err)
 
     def test_quadrature_vs_clausen_oracles_agree(self):
         for x in (0.2, 0.7, 1.3):
